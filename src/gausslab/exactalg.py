@@ -9,7 +9,7 @@ N-th cyclotomic polynomial.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import IncompatibleOrders, NonIntegralElementarySymmetric
 
@@ -667,8 +667,5 @@ def weil_certificate(poly, q, i, m_max=DEFAULT_WEIL_BOUND):
 def _integer_sqrt(n):
     if n < 0:
         return None
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None

@@ -3,12 +3,14 @@ additive (Frobenius-twisted) polynomials.
 
 Elements are dense coefficient tuples over F_p, low degree first, so the
 enumeration order of a field is canonical (lexicographic on coefficients).
-Everything is immutable; all operations are pure functions.
+Elements are immutable and element operations are pure; a field lazily caches
+its Frobenius columns, trace vector and reduction rows, O(m^2) integers each.
 """
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
+from operator import mul
 
 from .errors import (
     FieldMismatch,
@@ -40,18 +42,6 @@ def _ptrim(a):
     return tuple(a)
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
 def _pmod(a, mod, p):
     a = list(a)
     dn = len(mod) - 1
@@ -80,6 +70,20 @@ def _is_irreducible(mod, p):
             if not _pmod(mod, trial, p):
                 return False
     return True
+
+
+def _sparse(coeffs):
+    """The nonzero entries of a coefficient vector as (index, value) pairs."""
+    return tuple((i, c) for i, c in enumerate(coeffs) if c)
+
+
+def _accumulate(acc, coeffs, columns):
+    """acc += sum_j coeffs[j] * columns[j], columns given by _sparse; unreduced."""
+    for c, col in zip(coeffs, columns):
+        if c:
+            for i, v in col:
+                acc[i] += c * v
+    return acc
 
 
 def _first_irreducible(p, m):
@@ -164,12 +168,17 @@ class FieldElement:
         return self * other.inv()
 
     def frobenius(self, k=1):
-        """x^(p^k)."""
-        return self ** (self.field.p**k)
+        """x^(p^k), for any integer k: Frobenius^m is the identity on F_{p^m}."""
+        field = self.field
+        k %= field.m
+        if not k:
+            return self
+        acc = _accumulate([0] * field.m, self.coeffs, field._frobenius_columns(k))
+        return FieldElement(field, tuple(v % field.p for v in acc))
 
     def pth_root(self, k=1):
         """The unique p^k-th root (Frobenius is bijective on a finite field)."""
-        return self.frobenius((-k) % self.field.m)
+        return self.frobenius(-k)
 
     def as_int(self):
         """Mixed-radix integer key (base p, low digit = low coefficient)."""
@@ -202,6 +211,7 @@ class FiniteField:
         self.q = p**m
         self.modulus = modulus
         self.tag = f"F{self.q}"
+        self._frobenius_cache = {}
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
@@ -257,9 +267,37 @@ class FiniteField:
             yield FieldElement(self, tup)
 
     def _mul(self, a, b):
-        prod = _pmul(a.coeffs, b.coeffs, self.p)
-        red = _pmod(prod, self.modulus, self.p) if len(prod) > self.m else prod
-        return FieldElement(self, red + (0,) * (self.m - len(red)))
+        # schoolbook product, then X^(m+k) -> its cached reduction; one mod p
+        m = self.m
+        acc = [0] * (2 * m - 1)
+        b_terms = _sparse(b.coeffs)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in b_terms:
+                    acc[i + j] += x * y
+        low = _accumulate(acc[:m], acc[m:], self._reduction_columns)
+        return FieldElement(self, tuple(v % self.p for v in low))
+
+    @cached_property
+    def _reduction_columns(self):
+        """X^m, ..., X^(2m-2) reduced mod the modulus, sparse."""
+        m, mod, p = self.m, self.modulus, self.p
+        return tuple(_sparse(_pmod((0,) * (m + k) + (1,), mod, p)) for k in range(m - 1))
+
+    def _frobenius_columns(self, k):
+        """Matrix of x -> x^(p^k): column j is the image (X^j)^(p^k), sparse."""
+        if k not in self._frobenius_cache:
+            e = self.p**k
+            self._frobenius_cache[k] = tuple(
+                _sparse((self.gen() ** (j * e)).coeffs) for j in range(self.m))
+        return self._frobenius_cache[k]
+
+    @cached_property
+    def _trace_vector(self):
+        """Tr(X^j) for j < m: the trace of y -> X^j y, whose diagonal entries
+        are the X^i-coefficients of X^(i+j)."""
+        m, powers = self.m, [self.gen() ** n for n in range(2 * self.m - 1)]
+        return tuple(sum(powers[i + j].coeffs[i] for i in range(m)) % self.p for j in range(m))
 
     def to_json(self):
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -298,19 +336,15 @@ def prime_field(p):
     return make_field(p, 1)
 
 
-def absolute_trace(x):
-    """Trace down to F_p: sum of x^(p^i) over the Frobenius orbit."""
-    acc = x.field.zero()
-    y = x
-    for _ in range(x.field.m):
-        acc = acc + y
-        y = y.frobenius()
-    return prime_field(x.field.p).element(acc.coeffs[:1])
-
-
 def absolute_trace_int(x):
-    """absolute_trace as a plain integer in range(p)."""
-    return absolute_trace(x).coeffs[0]
+    """Trace down to F_p (the Frobenius orbit sum) as an integer in range(p)."""
+    field = x.field
+    return sum(map(mul, field._trace_vector, x.coeffs)) % field.p
+
+
+def absolute_trace(x):
+    """absolute_trace_int as an element of the prime field."""
+    return FieldElement(prime_field(x.field.p), (absolute_trace_int(x),))
 
 
 def relative_trace(x, s, source=None):
@@ -328,25 +362,10 @@ def relative_trace(x, s, source=None):
         raise NotASubfield(
             f"need degrees s | source | ambient, got {s} | {source} | {m}"
         )
-    acc = x.field.zero()
-    y = x
-    for _ in range(source // s):
-        acc = acc + y
-        y = y.frobenius(s)
-    return acc
+    return sum((x.frobenius(s * i) for i in range(source // s)), x.field.zero())
 
 
 # -- subfields and embeddings -------------------------------------------------
-
-def _frobenius_matrix(field, k=1):
-    """Matrix of x -> x^(p^k) as an F_p-linear map in the coefficient basis."""
-    cols = []
-    for j in range(field.m):
-        basis = field.element((0,) * j + (1,))
-        cols.append(basis.frobenius(k).coeffs)
-    # column j = image of X^j; store as row-major list of rows
-    return [[cols[j][i] for j in range(field.m)] for i in range(field.m)]
-
 
 def _nullspace_mod_p(matrix, p):
     """Basis of the nullspace of a matrix over F_p (Gaussian elimination)."""
@@ -389,10 +408,9 @@ def subfield_elements(field, s):
     if field.m % s != 0:
         raise NotASubfield(f"no subfield of degree {s} in degree {field.m}")
     p = field.p
-    frob = _frobenius_matrix(field, s)
-    for i in range(field.m):
-        frob[i][i] = (frob[i][i] - 1) % p
-    basis = _nullspace_mod_p(frob, p)
+    # matrix of Frobenius^s - 1: column j is the image of X^j
+    cols = [(x.frobenius(s) - x).coeffs for x in (field.gen() ** j for j in range(field.m))]
+    basis = _nullspace_mod_p([list(row) for row in zip(*cols)], p)
     out = []
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         vec = [0] * field.m

@@ -9,6 +9,7 @@ exact integer/cyclotomic arithmetic.
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .charsum import geometric_kernel
 from .errors import (
@@ -251,7 +252,7 @@ class SvNRepresentation:
 
     def __init__(self, group, psi_unit=1):
         mod = group.a_modulus
-        if _gcd(psi_unit, mod) != 1:
+        if gcd(psi_unit, mod) != 1:
             raise NonInjectiveCharacter(f"psi(1) = zeta^{psi_unit} is not primitive")
         self.group = group
         self.psi_unit = psi_unit % mod
@@ -353,12 +354,6 @@ def check_faithful(rep):
         if rep.is_identity_matrix(rep.matrix(g)) and g != rep.group.identity():
             return False
     return True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- Heisenberg group of a quadratic datum ----------------------------------------

@@ -18,6 +18,7 @@ from .errors import (
     TheoremViolated,
 )
 from .exactalg import CyclotomicNumber, abs_square, is_root_of_unity, zeta, zeta_sum
+from .fields import is_prime
 
 
 class FiniteAbelianGroup:
@@ -346,17 +347,6 @@ def _hist(items):
     return out
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _table_recursive_tau(add, exps, n_val):
     """The same recursion on an abstract (addition table, exponent) datum."""
     n = len(exps)
@@ -376,7 +366,7 @@ def _table_recursive_tau(add, exps, n_val):
 
     x = None
     for i in range(1, n):
-        if _is_prime(order_of(i)):
+        if is_prime(order_of(i)):
             x = i
             break
     assert x is not None

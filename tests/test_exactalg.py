@@ -128,6 +128,17 @@ def test_weil_certificate_examples():
     assert weil_certificate(IntPolynomial([-3, 1]), 2, 1) is None
 
 
+def test_integer_sqrt_is_exact_beyond_float_range():
+    from gausslab.exactalg import _integer_sqrt
+
+    assert _integer_sqrt(9**41) == 3**41  # a float square root misses it
+    assert _integer_sqrt(9**400) == 3**400  # a float square root overflows
+    assert _integer_sqrt(9**41 + 1) is None
+    assert _integer_sqrt(-9) is None
+    # alpha = 3^41 = 9^(41/2) itself: zeta = 1, one root of order 1
+    assert weil_certificate(IntPolynomial([-(3**41), 1]), 9, 41) == (1, {1: 1})
+
+
 def test_weil_certificate_trivial_poly():
     assert weil_certificate(IntPolynomial([1]), 2, 1) == (1, {})
 

@@ -14,6 +14,7 @@ from gausslab.errors import (
 from gausslab.fields import (
     AdditivePolynomial,
     WittVector2,
+    _pmod,
     absolute_trace,
     absolute_trace_int,
     additive_kernel,
@@ -53,11 +54,15 @@ def test_make_field_instance_unification():
     assert make_field(2, 2) is make_field(2, 2, (1, 1, 1))
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 5), (2, 6)])
-def test_field_axioms_exhaustive(p, m):
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [pytest.param(p, m, None, id=f"{p}-{m}") for p, m in [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 5), (2, 6)]]
+    + [pytest.param(2, 4, (1, 0, 0, 1, 1), id="2-4-X4+X3+1")],
+)
+def test_field_axioms_exhaustive(p, m, modulus):
     # pairs exhaustively for all shapes up to 64 points; triples exhaustively
     # up to 27 points, on a fixed deterministic sample beyond
-    field = make_field(p, m)
+    field = make_field(p, m, modulus)
     els = list(field.elements())
     assert len(els) == p**m
     for a in els:
@@ -79,6 +84,58 @@ def test_field_axioms_exhaustive(p, m):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+# reference definitions of the field kernels, kept as oracles for the
+# cached F_p-linear tables in fields.py
+
+def _reference_mul(a, b):
+    """Schoolbook product reduced mod p at every step, then _pmod."""
+    field = a.field
+    prod = [0] * (2 * field.m - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] = (prod[i + j] + x * y) % field.p
+    red = _pmod(tuple(prod), field.modulus, field.p)
+    return red + (0,) * (field.m - len(red))
+
+
+def _reference_trace(x):
+    """Sum over the Frobenius orbit x, x^p, ..., x^(p^(m-1))."""
+    acc, y = x.field.zero(), x
+    for _ in range(x.field.m):
+        acc, y = acc + y, y**x.field.p
+    assert not any(acc.coeffs[1:])  # the orbit sum lies in F_p
+    return acc.coeffs[0]
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [pytest.param(p, m, None, id=f"{p}-{m}") for p, m in [(2, 2), (2, 4), (2, 8), (3, 2), (3, 4), (5, 2)]]
+    + [pytest.param(2, 4, (1, 0, 0, 1, 1), id="2-4-X4+X3+1")],
+)
+def test_kernels_match_reference_definitions(p, m, modulus):
+    field = make_field(p, m, modulus)
+    els = list(field.elements())
+    if len(els) <= 64:
+        pairs = [(a, b) for a in els for b in els]
+    else:
+        rng = random.Random(5)
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(5000)]
+    for a, b in pairs:
+        assert (a * b).coeffs == _reference_mul(a, b)
+    for x in els:
+        trace = _reference_trace(x)
+        assert absolute_trace_int(x) == trace and absolute_trace(x).coeffs == (trace,)
+        for k in (0, 1, m - 1, m, m + 1, -1):
+            expected = x ** (p ** (k % m if k < 0 else k))
+            assert x.frobenius(k) == expected
+            assert x.pth_root(k).frobenius(k) == x
+            assert x.frobenius(k).pth_root(k) == x
+    for s in range(1, m + 1):
+        if m % s == 0:
+            fixed = [x for x in els if x ** (p**s) == x]
+            assert subfield_elements(field, s) == fixed
 
 
 def test_multiplicative_group_cyclic_spot_check():
