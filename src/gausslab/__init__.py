@@ -32,9 +32,7 @@ from .fields import (
     make_field,
     relative_trace,
     subfield_elements,
-    witt_add,
     witt_frobenius,
-    witt_mul,
     witt_restriction,
     witt_to_zp2,
     witt_trace,

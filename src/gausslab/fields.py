@@ -150,12 +150,20 @@ class FieldElement:
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        result = self.field.one()
+        if not k:
+            return self.field.one()
+        # square past the low zero bits, then start from base: no 1*x, and
+        # no square after the top bit, so x**1 costs no multiply
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 
@@ -674,14 +682,6 @@ def witt_zero(field):
 
 def witt_one(field):
     return WittVector2(field, field.one(), field.zero())
-
-
-def witt_add(u, v):
-    return u + v
-
-
-def witt_mul(u, v):
-    return u * v
 
 
 def witt_frobenius(w):

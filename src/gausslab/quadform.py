@@ -151,15 +151,6 @@ class QuadraticForm:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def from_values(group, values):
-        """Build from CyclotomicNumber values keyed by element tuples."""
-        n = lcm(*(v.order for v in values.values()), 1)
-        exps = [0] * group.order
-        for tup, v in values.items():
-            exps[group.encode(tup)] = _exponent_of(v, n)
-        return QuadraticForm(group, n, exps)
-
-    @staticmethod
     def trivial(group):
         return QuadraticForm(group, 1, [0] * group.order)
 
@@ -278,13 +269,15 @@ class QuadraticForm:
     def from_json(obj):
         group = FiniteAbelianGroup(obj["invariant_factors"])
         n = obj["value_order"]
-        table = _exponent_table(n)
+        table = None  # built on the first serialized cyclotomic value
         exps = [0] * group.order
         for key, val in obj["values"].items():
             tup = tuple(int(t) for t in key.split(",")) if key else ()
             if isinstance(val, int):
                 exps[group.encode(tup)] = val
             else:
+                if table is None:
+                    table = _exponent_table(n)
                 z = CyclotomicNumber.from_json(val).embed(n)
                 exps[group.encode(tup)] = table[z.coeffs]
         return QuadraticForm(group, n, exps)
@@ -293,35 +286,6 @@ class QuadraticForm:
 def _exponent_table(order):
     """coeff-tuple -> k lookup for the roots of unity zeta(order, k)."""
     return {zeta(order, k).coeffs: k for k in range(order)}
-
-
-def _exponent_of(v, order):
-    """Exponent k with v = zeta(order, k), for a root-of-unity value."""
-    key = v.embed(order).coeffs if v.order != order else v.coeffs
-    table = _exponent_table(order)
-    if key not in table:
-        raise ValueError("value is not a root of unity of the given order")
-    return table[key]
-
-
-def derive_pairing(form):
-    return form.pairing
-
-
-def is_quadratic(form):
-    return form.is_quadratic()
-
-
-def is_nondegenerate(form):
-    return form.is_nondegenerate()
-
-
-def gauss_sum(form):
-    return form.gauss_sum()
-
-
-def verify_gauss_sum_theorem(form):
-    return form.verify_gauss_sum_theorem()
 
 
 # -- the recursive evaluation from the Gauss-sum theorem's proof ----------------

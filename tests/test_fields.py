@@ -136,6 +136,23 @@ def test_kernels_match_reference_definitions(p, m, modulus):
         if m % s == 0:
             fixed = [x for x in els if x ** (p**s) == x]
             assert subfield_elements(field, s) == fixed
+    if len(els) <= 16:
+        # x**k against repeated multiplication by x, or by the inverse found
+        # by search for k < 0
+        for x in els:
+            acc = field.one()
+            for k in range(2 * len(els) + 1):
+                assert x**k == acc
+                acc = acc * x
+            if not x:
+                with pytest.raises(ZeroDivisionError):
+                    x**-1
+                continue
+            (x_inv,) = [y for y in els if x * y == field.one()]
+            acc = field.one()
+            for k in (-1, -2, -3):
+                acc = acc * x_inv
+                assert x**k == acc
 
 
 def test_multiplicative_group_cyclic_spot_check():

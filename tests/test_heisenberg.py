@@ -3,11 +3,19 @@
 import pytest
 
 from gausslab.charsum import DiagMonomial, HalfSquare, QuadDatum, WittLinear
-from gausslab.errors import NonInjectiveCharacter, NotAlternating, NotPerfect
+from gausslab.errors import (
+    NonInjectiveCharacter,
+    NotAlternating,
+    NotPerfect,
+    TheoremViolated,
+)
 from gausslab.exactalg import zeta
 from gausslab.fields import make_field
 from gausslab.heisenberg import (
     AlternatingPairing,
+    DarbouxBasis,
+    HeisenbergGroup,
+    SvNRepresentation,
     build_group,
     check_faithful,
     darboux,
@@ -20,15 +28,70 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 
 
-def standard_pairing(p):
-    g = FiniteAbelianGroup([p, p])
-    table = [[0] * (p * p) for _ in range(p * p)]
-    for i in range(p * p):
-        for j in range(p * p):
-            a, b = g.decode(i)
-            c, d = g.decode(j)
-            table[i][j] = (a * d - b * c) % p
+def standard_pairing(p, r=1):
+    """The symplectic pairing sum_i (a_i d_i - b_i c_i) on (Z/p)^(2r), into Z/p."""
+    g = FiniteAbelianGroup([p] * (2 * r))
+    table = [[0] * g.order for _ in range(g.order)]
+    for i in g.elements():
+        for j in g.elements():
+            x, y = g.decode(i), g.decode(j)
+            table[i][j] = sum(
+                x[2 * t] * y[2 * t + 1] - x[2 * t + 1] * y[2 * t] for t in range(r)
+            ) % p
     return AlternatingPairing(g, p, table)
+
+
+# -- exhaustive definitions, kept as oracles for the generator checks in verify
+
+def _exhaustive_group_law(h):
+    """The sweeps HeisenbergGroup.verify replaces: |H| = |A||K|, identity and
+    inverse laws, associativity over H^3 (through the Cayley table), the center
+    scan Z(H) = A, and [(0,x),(0,y)] = (e(x,y),0) over K x K."""
+    els = list(h.elements())
+    if len(els) != h.order:
+        return False
+    pos = {g: t for t, g in enumerate(els)}
+    table = [[pos[h.multiply(g1, g2)] for g2 in els] for g1 in els]
+    one = pos[h.identity()]
+    idx = range(len(els))
+    for t, g in enumerate(els):
+        if table[t][one] != t or table[one][t] != t or table[t][pos[h.inverse(g)]] != one:
+            return False
+    for a in idx:
+        row_a = table[a]
+        for b in idx:
+            row_ab, row_b = table[row_a[b]], table[b]
+            if any(row_ab[c] != row_a[row_b[c]] for c in idx):
+                return False
+    center = [g for t, g in enumerate(els) if all(table[t][u] == table[u][t] for u in idx)]
+    if sorted(center) != [(a, 0) for a in range(h.a_modulus)]:
+        return False
+    k = h.k_group
+    return all(
+        h.commutator((0, x), (0, y)) == (h.pairing.value(x, y), 0)
+        for x in k.elements()
+        for y in k.elements()
+    )
+
+
+def _exhaustive_homomorphism(rep):
+    """rho(g1 g2) = rho(g1) rho(g2) on all |H|^2 pairs."""
+    grp = rep.group
+    els = list(grp.elements())
+    return all(
+        rep.matrix(grp.multiply(g1, g2)) == rep.compose(rep.matrix(g1), rep.matrix(g2))
+        for g1 in els
+        for g2 in els
+    )
+
+
+# (p, r): standard pairings on (Z/p)^(2r), |H| = p^(2r+1)
+ORACLE_SIZES = [
+    pytest.param(2, 1, id="H8"),
+    pytest.param(3, 1, id="H27"),
+    pytest.param(2, 2, id="H32"),
+    pytest.param(4, 1, id="H64"),
+]
 
 
 def test_darboux_standard_z2():
@@ -129,8 +192,6 @@ def test_svn_class_independent_of_darboux_choice():
     # swapping the roles of a dual pair is another maximal-isotropic choice;
     # the induced representations must have identical characters (the class
     # is determined by the character)
-    from gausslab.heisenberg import DarbouxBasis, HeisenbergGroup, SvNRepresentation
-
     for p in (2, 3):
         e = standard_pairing(p)
         basis1 = darboux(e)
@@ -140,10 +201,12 @@ def test_svn_class_independent_of_darboux_choice():
         h2 = HeisenbergGroup(e, basis2)
         h1.verify()
         h2.verify()
+        assert _exhaustive_group_law(h1) and _exhaustive_group_law(h2)
         rep1 = SvNRepresentation(h1, 1)
         rep2 = SvNRepresentation(h2, 1)
         rep1.verify()
         rep2.verify()
+        assert _exhaustive_homomorphism(rep1) and _exhaustive_homomorphism(rep2)
         # the two groups share the same element set (a, k); compare pointwise.
         # different cocycles give different but cohomologous groups, so match
         # through the character on commutator-center structure: characters of
@@ -210,3 +273,71 @@ def test_vdgv_datum_deck_group():
     assert dh.pairing.group.order == 4
     # the derived pairing is perfect and alternating by construction
     assert build_group(dh.pairing).order == 8
+
+
+@pytest.mark.parametrize("p,r", ORACLE_SIZES)
+def test_generator_checks_agree_with_exhaustive_oracles(p, r):
+    h = build_group(standard_pairing(p, r))
+    assert h.order == p ** (2 * r + 1)
+    assert _exhaustive_group_law(h)
+    assert _exhaustive_homomorphism(stone_von_neumann(h, 1))
+
+
+@pytest.mark.parametrize("p,r", ORACLE_SIZES)
+def test_corrupted_coordinates_rejected(p, r):
+    # every single-entry corruption of the Darboux coordinates, reduced mod the
+    # pair order, breaks the group law and is caught by the generator checks
+    h = HeisenbergGroup(standard_pairing(p, r))
+    orders = h.basis.ranks(h.k_group)
+    original = list(h._coords)
+    for k, coords in enumerate(original):
+        for side in (0, 1):
+            for i, o in enumerate(orders):
+                for delta in range(1, o):
+                    bad = [list(c) for c in coords]
+                    bad[side][i] = (bad[side][i] + delta) % o
+                    h._coords = list(original)
+                    h._coords[k] = tuple(tuple(c) for c in bad)
+                    assert not _exhaustive_group_law(h)
+                    with pytest.raises(TheoremViolated):
+                        h.verify()
+    h._coords = original
+    assert h.verify()
+
+
+@pytest.mark.parametrize("p,r", ORACLE_SIZES[:3])
+def test_corrupted_svn_matrix_rejected(p, r):
+    # one cached matrix with one phase shifted or two entries of its
+    # permutation swapped; or one phase shifted on a whole coset A x {k}, which
+    # keeps rho((1,0) h) = rho((1,0)) rho(h) and, off L', every character, so
+    # only the generators (0, g) of K catch it
+    rep = SvNRepresentation(build_group(standard_pairing(p, r)), 1)
+    original = {g: rep.matrix(g) for g in rep.group.elements()}
+
+    def shifted(g, t, delta):
+        perm, exps = original[g]
+        exps = list(exps)
+        exps[t] = (exps[t] + delta) % rep.mod
+        return (perm, tuple(exps))
+
+    corruptions = []
+    for g, (perm, exps) in original.items():
+        for t in range(rep.dim):
+            for delta in range(1, rep.mod):
+                corruptions.append({g: shifted(g, t, delta)})
+            for u in range(t + 1, rep.dim):
+                swapped = list(perm)
+                swapped[t], swapped[u] = swapped[u], swapped[t]
+                corruptions.append({g: (tuple(swapped), exps)})
+    for k in list(rep.group.k_group.elements())[1:]:
+        for t in range(rep.dim):
+            corruptions.append(
+                {(a, k): shifted((a, k), t, 1) for a in range(rep.mod)}
+            )
+    for bad in corruptions:
+        rep._matrices = {**original, **bad}
+        assert not _exhaustive_homomorphism(rep)
+        with pytest.raises(TheoremViolated):
+            rep.verify()
+    rep._matrices = dict(original)
+    assert rep.verify()
