@@ -166,8 +166,12 @@ def _cmd_gauss_sum(job, options):
 
 def _cmd_gauss_verify(job, options):
     form = QuadraticForm.from_json(job["form"])
-    checks = [_check("is-quadratic", form.is_quadratic())]
     tau = form.gauss_sum()
+    witness = form.pairing.witness
+    if witness is not None:
+        witness = [list(t) for t in witness]
+        return {"tau": _cyc(tau)}, [_check("is-quadratic", False, witness=witness)]
+    checks = [_check("is-quadratic", True)]
     result = {"tau": _cyc(tau), "nondegenerate": form.is_nondegenerate()}
     if form.is_nondegenerate():
         order = form.verify_gauss_sum_theorem()

@@ -44,13 +44,13 @@ class AlternatingPairing:
         for i in g.elements():
             if t[i][i] % mod:
                 raise NotAlternating(f"e(x,x) != 0 at x = {g.decode(i)}")
-        add = g.addition_table()
         for gen in g.generators():
+            shift = g.translation(gen)
             for i in g.elements():
                 for j in g.elements():
-                    if (t[add[i][gen]][j] - t[i][j] - t[gen][j]) % mod:
+                    if (t[shift[i]][j] - t[i][j] - t[gen][j]) % mod:
                         raise NotAlternating("pairing is not biadditive")
-                    if (t[j][add[i][gen]] - t[j][i] - t[j][gen]) % mod:
+                    if (t[j][shift[i]] - t[j][i] - t[j][gen]) % mod:
                         raise NotAlternating("pairing is not biadditive")
         rad = [i for i in g.elements() if not any(v % mod for v in t[i])]
         if len(rad) != 1:

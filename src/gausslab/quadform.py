@@ -1,6 +1,6 @@
 """Quadratic forms on finite abelian groups and their Gauss sums.
 
-A form is stored as a total value table: in full generality no homogeneity
+A form stores only its total value table: in full generality no homogeneity
 Q(nx) = Q(x)^(n^2) is assumed, so tables are the only faithful representation.
 All values are roots of unity of order dividing exponent(M)^2, so internally a
 form keeps integer exponents modulo its working cyclotomic order; exact
@@ -8,6 +8,7 @@ CyclotomicNumber objects are materialized only for assembled sums.
 """
 
 import random
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -90,34 +91,70 @@ class FiniteAbelianGroup:
         tup = self.decode(i)
         return lcm(*(d // gcd(d, c) for d, c in zip(self.moduli, tup))) if tup else 1
 
+    def translation(self, a):
+        """[a + x for x in elements()], built one coordinate at a time."""
+        out, stride = [0], 1
+        for d, c in zip(self.moduli, self.decode(a)):
+            out = [s + stride * ((c + v) % d) for v in range(d) for s in out]
+            stride *= d
+        return out
+
     def addition_table(self):
-        """order x order table of index sums (built once, for hot loops)."""
-        tuples = [self.decode(i) for i in range(self.order)]
-        table = []
-        for a in tuples:
-            row = []
-            for b in tuples:
-                row.append(self.encode(tuple(x + y for x, y in zip(a, b))))
-            table.append(row)
+        """order x order table of index sums, for the recursive oracle: row i
+        is row (i - e_t) translated by e_t, t the lowest nonzero coordinate."""
+        shifts = {g: self.translation(g) for g in self.generators()}
+        table = [list(range(self.order))]
+        for i in range(1, self.order):
+            g = max(g for g in shifts if i % g == 0)  # e_t is the largest such g
+            table.append([shifts[g][x] for x in table[i - g]])
         return table
 
 
 class BilinearPairing:
-    """A bimultiplicative table M x M -> mu_N, stored as exponents mod N."""
+    """B(x, y) = Q(x+y) - Q(x) - Q(y) mod N of a value table Q, computed when
+    asked; bilinearity and the radical are decided on the k generators, O(|M| k^2)."""
 
-    def __init__(self, group, value_order, table):
+    def __init__(self, group, value_order, exponents):
         self.group = group
         self.value_order = value_order
-        self.table = table  # list of lists of ints mod value_order
+        self._q = exponents
 
     def exponent(self, i, j):
-        return self.table[i][j]
+        return (self._q[self.group.add(i, j)] - self._q[i] - self._q[j]) % self.value_order
 
     def value(self, i, j):
-        return zeta(self.value_order, self.table[i][j])
+        return zeta(self.value_order, self.exponent(i, j))
+
+    def row(self, i):
+        q, n = self._q, self.value_order
+        return [(q[s] - q[i] - q[y]) % n for y, s in enumerate(self.group.translation(i))]
+
+    @cached_property
+    def witness(self):
+        """Decoded (x, g, h), g and h generators, with B(x+g, h) != B(x, h) +
+        B(g, h); None proves B bilinear.  Proof: each B(-, h) is then additive
+        against generators, hence additive; B is symmetric, and the cocycle
+        identity B(x,y) + B(x+y,h) = B(y,h) + B(x,y+h) gives B(x, y+h) =
+        B(x, y) + B(x, h), so each B(x, -) is additive too.  Q(0) = 1, which
+        x = 0 forces when M has generators, is checked first."""
+        decode = self.group.decode
+        if self._q[0]:
+            return (decode(0),) * 3
+        rows = [(h, self.row(h)) for h in self.group.generators()]
+        for g, _ in rows:
+            shift = self.group.translation(g)
+            for h, row in rows:
+                for x, xg in enumerate(shift):
+                    if (row[xg] - row[x] - row[g]) % self.value_order:
+                        return (decode(x), decode(g), decode(h))
+        return None
 
     def radical(self):
-        return [i for i in self.group.elements() if not any(self.table[i])]
+        """{x : B(x, g) = 0 for all generators g}; NotQuadratic unless bilinear."""
+        if self.witness is not None:
+            raise NotQuadratic(self.witness)
+        rows = [self.row(g) for g in self.group.generators()]
+        return [x for x in self.group.elements() if not any(row[x] for row in rows)]
 
     def is_perfect(self):
         return len(self.radical()) == 1
@@ -126,27 +163,17 @@ class BilinearPairing:
 class QuadraticForm:
     """A map Q: M -> roots of unity with biadditive symmetrized difference.
 
-    The derived pairing B_Q(x,y) = Q(x+y)Q(x)^{-1}Q(y)^{-1} is computed eagerly
-    at construction.
+    The derived pairing B_Q(x,y) = Q(x+y)Q(x)^{-1}Q(y)^{-1} is computed from
+    the value table when asked; its radical raises NotQuadratic if B_Q is not.
     """
 
-    def __init__(self, group, value_order, exponents, _add_table=None):
+    def __init__(self, group, value_order, exponents):
         if len(exponents) != group.order:
             raise ValueError("value table must be total on the group")
         self.group = group
         self.value_order = value_order
         self.exponents = list(int(e) % value_order for e in exponents)
-        self._add = _add_table if _add_table is not None else group.addition_table()
-        n = group.order
-        q = self.exponents
-        self.pairing = BilinearPairing(
-            group,
-            value_order,
-            [
-                [(q[self._add[i][j]] - q[i] - q[j]) % value_order for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        self.pairing = BilinearPairing(group, value_order, self.exponents)
 
     # -- constructors ----------------------------------------------------------
 
@@ -159,41 +186,17 @@ class QuadraticForm:
 
     # -- values ---------------------------------------------------------------
 
-    def exponent(self, i):
-        return self.exponents[i]
-
     def value(self, i):
         return zeta(self.value_order, self.exponents[i])
-
-    def value_at(self, tup):
-        return self.value(self.group.encode(tup))
 
     # -- structure --------------------------------------------------------------
 
     def is_quadratic(self, raise_on_failure=False):
-        """Exhaustive bilinearity of B_Q (additivity against generators).
-
-        B(x+g, y) = B(x,y) + B(g,y) for every generator g and all x, y implies
-        additivity in the first slot; symmetry is automatic from the formula.
-        """
-        n = self.group.order
-        b = self.pairing.table
-        add = self._add
-        for g in self.group.generators():
-            for i in range(n):
-                ig = add[i][g]
-                row_ig, row_i, row_g = b[ig], b[i], b[g]
-                for j in range(n):
-                    if (row_i[j] + row_g[j] - row_ig[j]) % self.value_order:
-                        if raise_on_failure:
-                            witness = (
-                                self.group.decode(i),
-                                self.group.decode(g),
-                                self.group.decode(j),
-                            )
-                            raise NotQuadratic(witness)
-                        return False
-        return True
+        """Bilinearity of B_Q, checked once on generators by `pairing.witness`."""
+        witness = self.pairing.witness
+        if witness is not None and raise_on_failure:
+            raise NotQuadratic(witness)
+        return witness is None
 
     def radical(self):
         return self.pairing.radical()
@@ -226,7 +229,7 @@ class QuadraticForm:
 
     def character_of_element(self, a):
         """The character chi = B(a, -) as an exponent table."""
-        return list(self.pairing.table[a])
+        return self.pairing.row(a)
 
     def twist(self, chi_exponents):
         """The form x -> Q(x) * chi(x) for a character given by exponents mod N."""
@@ -234,12 +237,12 @@ class QuadraticForm:
             (self.exponents[i] + chi_exponents[i]) % self.value_order
             for i in range(self.group.order)
         ]
-        return QuadraticForm(self.group, self.value_order, exps, _add_table=self._add)
+        return QuadraticForm(self.group, self.value_order, exps)
 
     def solve_character(self, chi_exponents):
         """Find a with B(a, -) = chi; CharacterNotInImage when degenerate."""
         for a in self.group.elements():
-            if self.pairing.table[a] == list(chi_exponents):
+            if self.pairing.row(a) == list(chi_exponents):
                 return a
         raise CharacterNotInImage("character is not of the form B(a, -)")
 
@@ -267,19 +270,30 @@ class QuadraticForm:
 
     @staticmethod
     def from_json(obj):
+        """Parse the spec shape; ValueError unless each element of the group
+        has exactly one key, written with coordinates 0 <= c_i < d_i."""
         group = FiniteAbelianGroup(obj["invariant_factors"])
         n = obj["value_order"]
         table = None  # built on the first serialized cyclotomic value
-        exps = [0] * group.order
+        exps = [None] * group.order
         for key, val in obj["values"].items():
             tup = tuple(int(t) for t in key.split(",")) if key else ()
+            if len(tup) != len(group.moduli) or not all(
+                0 <= c < d for c, d in zip(tup, group.moduli)
+            ):
+                raise ValueError(f"value key {key!r} is not an element of {group!r}")
+            idx = group.encode(tup)
+            if exps[idx] is not None:
+                raise ValueError(f"element {tup} has more than one value")
             if isinstance(val, int):
-                exps[group.encode(tup)] = val
+                exps[idx] = val
             else:
                 if table is None:
                     table = _exponent_table(n)
                 z = CyclotomicNumber.from_json(val).embed(n)
-                exps[group.encode(tup)] = table[z.coeffs]
+                exps[idx] = table[z.coeffs]
+        if None in exps:
+            raise ValueError(f"no value for element {group.decode(exps.index(None))}")
         return QuadraticForm(group, n, exps)
 
 
@@ -301,7 +315,7 @@ def recursive_gauss_eval(form):
     """
     if not form.is_nondegenerate():
         raise ValueError("recursive evaluation requires a non-degenerate form")
-    return _table_recursive_tau(form._add, list(form.exponents), form.value_order)
+    return _table_recursive_tau(form.group.addition_table(), form.exponents, form.value_order)
 
 
 def _hist(items):
@@ -333,7 +347,8 @@ def _table_recursive_tau(add, exps, n_val):
         if is_prime(order_of(i)):
             x = i
             break
-    assert x is not None
+    if x is None:
+        raise TheoremViolated("a nontrivial finite group has an element of prime order")
     p = order_of(x)
     cyclic = [0]
     cur = x
@@ -351,10 +366,11 @@ def _table_recursive_tau(add, exps, n_val):
         if b[cand][x] == target:
             a = cand
             break
-    assert a is not None
+    if a is None:
+        raise TheoremViolated("non-degeneracy realizes the character B(-, x) = Q(x)")
     shifted = [(exps[i] - b[a][i]) % n_val for i in range(n)]
-    for c in cyclic:
-        assert shifted[c] == 0
+    if any(shifted[c] for c in cyclic):
+        raise TheoremViolated("the untwisted form does not vanish on <x>")
     cyc_set = set(cyclic)
     reps, covered = [], set()
     for i in comp:
@@ -396,15 +412,14 @@ def char2_invariant(form):
         raise NotElementaryTwoGroup(f"moduli {form.group.moduli} are not all 2")
     if not form.is_nondegenerate():
         raise ValueError("the canonical element needs a non-degenerate form")
-    n = form.group.order
-    b = form.pairing.table
-    diag = [b[v][v] % form.value_order for v in range(n)]
-    a = None
-    for cand in range(n):
-        if all(b[v][cand] % form.value_order == diag[v] for v in range(n)):
-            a = cand
-            break
-    assert a is not None, "non-degeneracy realizes the diagonal character"
+    # v -> B(v, v) is additive here, so B(-, a) matches it on generators
+    rows = [(g, form.pairing.row(g)) for g in form.group.generators()]
+    a = next(
+        (c for c in form.group.elements() if all(row[c] == row[g] for g, row in rows)),
+        None,
+    )
+    if a is None:
+        raise TheoremViolated("non-degeneracy realizes the diagonal character")
     tau = form.gauss_sum()
     qa = form.value(a)
     if tau * tau != qa * form.group.order:
@@ -424,7 +439,6 @@ def radical_descent(form):
     rad = form.radical()
     n_val = form.value_order
     q = form.exponents
-    add = form._add
     nontrivial = any(q[r] % n_val for r in rad)
     tau = form.gauss_sum()
     if nontrivial:
@@ -437,7 +451,7 @@ def radical_descent(form):
             continue
         reps.append(i)
         for r in rad:
-            covered.add(add[i][r])
+            covered.add(form.group.add(i, r))
     hist = _hist(q[i] for i in reps)
     tau_bar = zeta_sum(n_val, hist)
     if tau != len(rad) * tau_bar:
@@ -462,7 +476,6 @@ def random_nondegenerate(group, seed, max_tries=60):
     gens = group.generators()
     mods = [group.element_order(g) for g in gens]
     k = len(gens)
-    add = group.addition_table()
     for _ in range(max_tries):
         # symmetric Gram matrix of pairing exponents: B(e_i,e_j) killed by
         # gcd(d_i, d_j)
@@ -501,7 +514,7 @@ def random_nondegenerate(group, seed, max_tries=60):
                 for j in range(i + 1, k):
                     e += ci * coords[j] * bmat[i][j]
             exps[idx] = e % n_val
-        form = QuadraticForm(group, n_val, exps, _add_table=add)
+        form = QuadraticForm(group, n_val, exps)
         if not form.is_quadratic():
             continue
         # random character twist

@@ -78,6 +78,19 @@ def test_failed_check_exits_1():
     assert report["result"]["residuals"] == [True, False, False]
 
 
+def test_gauss_verify_non_quadratic_reports_witness():
+    form = {"invariant_factors": [3], "value_order": 9, "values": {"0": 0, "1": 1, "2": 5}}
+    proc = run_cli("gauss-verify", {"form": form})
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["ok"] is False
+    tau = {"order": 9, "coeffs": [[1, 1], [1, 1], [0, 1], [0, 1], [0, 1], [1, 1]]}
+    assert report["result"] == {"tau": tau}  # 1 + zeta_9 + zeta_9^5
+    [check] = report["checks"]
+    assert check["name"] == "is-quadratic" and check["pass"] is False
+    assert check["witness"] == [[1], [1], [1]]
+
+
 def test_byte_determinism_same_job():
     job = corpus()["diag-x3-f4-hd"]["input"]
     a = run_cli("hasse-davenport", job)
