@@ -20,6 +20,7 @@ from .errors import (
     NotEtale,
     NotSymmetric,
     SwanDivisibleByP,
+    TheoremViolated,
     check_cap,
 )
 from .exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
@@ -262,7 +263,8 @@ def trace_value(datum, n, point, override=False):
     point = tuple(ev.big.element(x) for x in point)
     e = ev.exponent(point)
     if datum.value_order == ev.p:
-        assert e % ev.p == 0
+        if e % ev.p:
+            raise TheoremViolated("a value of order p has an exponent divisible by p")
         return zeta(ev.p, e // ev.p)
     return zeta(ev.p * ev.p, e)
 

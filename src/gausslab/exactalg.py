@@ -4,14 +4,15 @@ utilities (Newton identities, Weil-number certificates).
 Every character value in the library is an element of some Q(zeta_N); all
 arithmetic here is exact (Fraction coefficients, no floating point).  Elements
 are stored in the power basis 1, zeta, ..., zeta^{phi(N)-1} reduced modulo the
-N-th cyclotomic polynomial.
+N-th cyclotomic polynomial; a root of unity is recognised by one lookup of its
+coefficient vector (or its negative) among the cached rows of zeta_N^k.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .errors import IncompatibleOrders, NonIntegralElementarySymmetric
+from .errors import IncompatibleOrders, NonIntegralElementarySymmetric, TheoremViolated
 
 # Computations refuse to build Q(zeta_N) beyond this order.
 ORDER_CAP = 2**16
@@ -344,21 +345,30 @@ def abs_square(z):
     return z * z.conj()
 
 
+@lru_cache(maxsize=None)
+def zeta_exponents(order):
+    """{row of zeta_order^k: k for 0 <= k < order}, keyed by the context's cached
+    rows; a Fraction tuple finds the int tuple of equal value."""
+    ctx = _context(order)
+    return {ctx.row(k): k for k in range(order)}
+
+
 def is_root_of_unity(z):
     """The multiplicative order of z if z is a root of unity, else None.
 
-    Decided exactly: the only roots of unity in Q(zeta_N) have order dividing
-    lcm(2, N), so a divisor scan of lcm(2, N) suffices.
+    Decided exactly by lookup: the roots of unity in Q(zeta_N) are exactly
+    +-zeta_N^k, the group of order L = lcm(2, N).  z = zeta_N^k is zeta_L^j
+    with j = k L/N, and z = -zeta_N^k is zeta_L^(j + L/2); the order is
+    L / gcd(j, L).
     """
-    if z.is_zero():
-        return None
-    bound = lcm(2, z.order)
-    if not (z ** bound).is_one():
-        return None
-    for d in _divisors(bound):
-        if (z ** d).is_one():
-            return d
-    return None  # unreachable
+    n, bound = z.order, lcm(2, z.order)
+    table = zeta_exponents(n)
+    k, half = table.get(z.coeffs), 0
+    if k is None:
+        k, half = table.get(tuple(-c for c in z.coeffs)), bound // 2
+        if k is None:
+            return None
+    return bound // gcd(k * (bound // n) + half, bound)
 
 
 # -- rational polynomial helpers (low degree first, Fraction coefficients) ----
@@ -505,11 +515,13 @@ class IntPolynomial:
             q = [Fraction(c) for c in self.coeffs]
         else:
             qq, r = _qpoly_divmod([Fraction(c) for c in self.coeffs], g)
-            assert not r
+            if r:
+                raise TheoremViolated("gcd(P, P') divides P")
             q = qq
         lead = q[-1]
         q = [c / lead for c in q]
-        assert all(c.denominator == 1 for c in q)
+        if any(c.denominator != 1 for c in q):
+            raise TheoremViolated("a monic factor of a monic integer polynomial is integral")
         return IntPolynomial([c.numerator for c in q])
 
     def to_json(self):

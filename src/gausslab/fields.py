@@ -17,6 +17,7 @@ from .errors import (
     NonIrreducibleModulus,
     NotASubfield,
     NotPrime,
+    TheoremViolated,
     ZeroPolynomial,
     check_cap,
 )
@@ -451,7 +452,8 @@ class Embedding:
             if not acc:
                 root = cand
                 break
-        assert root is not None, "subfield contains a root of any degree-m irreducible"
+        if root is None:
+            raise TheoremViolated("the subfield contains a root of any degree-m irreducible")
         powers = [big.one()]
         for _ in range(small.m - 1):
             powers.append(powers[-1] * root)
@@ -612,12 +614,15 @@ def gamma_carry(p):
 
 
 def gamma_value(x, z):
-    """gamma(x, z) evaluated exactly in the field of x."""
-    field = x.field
-    acc = field.zero()
-    for i, c in _gamma_coeffs(field.p).items():
+    """gamma(x, z) evaluated exactly in the field of x; at p = 2 it is x*z,
+    one field multiply."""
+    p = x.field.p
+    acc = None
+    for i, c in _gamma_coeffs(p).items():
         if c:
-            acc = acc + (x**i) * (z ** (field.p - i)) * c
+            term = (x**i) * (z ** (p - i))
+            term = term if c == 1 else term * c
+            acc = term if acc is None else acc + term
     return acc
 
 
@@ -714,7 +719,8 @@ def _witt_prime_iso(p):
     for k in range(p * p):
         table[(acc.x0.coeffs, acc.x1.coeffs)] = k
         acc = acc + one
-    assert len(table) == p * p, "W2(F_p) is cyclic of order p^2"
+    if len(table) != p * p:
+        raise TheoremViolated("W2(F_p) is cyclic of order p^2")
     return table
 
 

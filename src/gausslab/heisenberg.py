@@ -6,9 +6,10 @@ Representation matrices are monomial (translation/modulation model), stored as
 a permutation plus a phase-exponent vector, so products and characters stay in
 exact integer/cyclotomic arithmetic.
 
-The group law, the commutator and the SvN homomorphism property are checked on
-generators of K (and of H), where bilinearity makes the check a proof for the
-whole group; no verification sweeps all of H x H or H x H x H.
+The group law, the commutator, the SvN homomorphism property and the
+commutators of deck transformations are checked on generators of K (and of H),
+where bilinearity makes the check a proof for the whole group; no verification
+sweeps all of H x H or H x H x H.
 """
 
 import itertools
@@ -472,26 +473,7 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
         beta = _beta_poly(terms, emb, k)
         solutions[k.coeffs] = _solve_additive(beta, big)
 
-    ker_scalars = [point[0] for point in kernel.elements]
-    ker_scalars.sort(key=lambda e: e.coeffs)
-    index_of = {e.coeffs: t for t, e in enumerate(ker_scalars)}
-
-    # e(k, k') = g_k(k') - g_{k'}(k), a prime-subfield constant
-    dim = 0
-    size = kernel.size
-    while size > 1:
-        size //= p
-        dim += 1
-    group = FiniteAbelianGroup((p,) * dim)
-    # choose an F_p-basis of the kernel compatible with group indexing
-    basis = _fp_basis(ker_scalars, p)
-    element_at = {}
-    for idx in group.elements():
-        tup = group.decode(idx)
-        acc = big.zero()
-        for c, vec in zip(tup, basis):
-            acc = acc + vec * c
-        element_at[idx] = acc
+    group, element_at = _kernel_coordinates(kernel, p)
     table = []
     for i in group.elements():
         ki = element_at[i]
@@ -514,6 +496,26 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
     )
 
 
+def _kernel_coordinates(kernel, p):
+    """K as (Z/p)^dim, and index -> kernel element through an F_p-basis."""
+    ker_scalars = sorted((point[0] for point in kernel.elements), key=lambda e: e.coeffs)
+    dim = 0
+    size = kernel.size
+    while size > 1:
+        size //= p
+        dim += 1
+    group = FiniteAbelianGroup((p,) * dim)
+    basis = _fp_basis(ker_scalars, p)
+    element_at = {}
+    for idx in group.elements():
+        tup = group.decode(idx)
+        acc = kernel.field.zero()
+        for c, vec in zip(tup, basis):
+            acc = acc + vec * c
+        element_at[idx] = acc
+    return group, element_at
+
+
 def _fp_basis(elements, p):
     """An F_p-basis of a subspace given by its full element list."""
     basis = []
@@ -532,49 +534,73 @@ def _fp_basis(elements, p):
 
 
 def _validate_deck_maps(terms, emb, element_at, solutions, pairing, sample_limit):
-    """Cross-check e against explicit deck transformations on covering points.
-
-    For sampled u: g_k(u)^p - g_k(u) must equal h(u+k) - h(u) - h(k) (the lift
-    property), and on sampled points (u, z) of z^p - z = h(u) the commutator
-    of two deck maps must be the fiber translation by e(k, k').
-    """
-    big = emb.big
-    p = big.p
+    """Cross-check e against explicit deck transformations: the lift property
+    g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and every k, then
+    `_check_deck_commutators` on points of the covering z^p - z = h(u)."""
     h = lambda u: _eval_scalar_poly(terms, emb, u)
-    sample_u = list(itertools.islice(big.elements(), sample_limit))
-    for idx, k in element_at.items():
-        gk = solutions[k.coeffs]
-        for u in sample_u:
+    sample = [(u, h(u)) for u in itertools.islice(emb.big.elements(), sample_limit)]
+    for k in element_at.values():
+        gk, hk = solutions[k.coeffs], h(k)
+        for u, hu in sample:
             lhs = _eval_additive(gk, u)
-            if lhs.frobenius() - lhs != h(u + k) - h(u) - h(k):
+            if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
-    # covering points: z in the base field with z^p - z = h(u)
+    points = _covering_points(emb.big, h, sample_limit)
+    _check_deck_commutators(element_at, solutions, pairing, points[: max(2, sample_limit // 4)])
+
+
+def _covering_points(big, h, limit):
+    """Points (u, z) of z^p - z = h(u) for u in enumeration order, z the first
+    solution in it, until `limit` are found; one preimage table of z^p - z."""
+    preimage = {}
+    for z in big.elements():
+        preimage.setdefault(z.frobenius() - z, z)
     points = []
     for u in big.elements():
-        target = h(u)
-        for z in big.elements():
-            if z.frobenius() - z == target:
-                points.append((u, z))
-                break
-        if len(points) >= sample_limit:
+        z = preimage.get(h(u))
+        if z is not None:
+            points.append((u, z))
+        if len(points) >= limit:
             break
+    return points
+
+
+def _check_deck_commutators(element_at, solutions, pairing, points):
+    """Deck maps d_k(u, z) = (u + k, z + g_k(u)) commute up to the fiber
+    translation by e(k, k') for all k, k' in K; checked on generators.
+
+    Each g_k is additive, so [d_k, d_k'] moves every point (u, z) by (0,
+    c(k, k')), c(k, k') = g_k(k') - g_k'(k).  1. g_{k+s} = g_k + g_s
+    coefficient-wise for every k and basis vector s; induction on a word in
+    the basis makes k -> g_k additive, so c is biadditive.  2. c = e on basis
+    pairs, read off the deck maps; e is biadditive
+    (`AlternatingPairing.validate`), so c = e on K x K.
+    """
+    p = pairing.a_modulus
+    gens = pairing.group.generators()
+    for k in element_at.values():
+        gk, zero = solutions[k.coeffs], k.field.zero()
+        for s in gens:
+            gs = solutions[element_at[s].coeffs]
+            total = {j: gk.get(j, zero) + gs.get(j, zero) for j in gk.keys() | gs.keys()}
+            if solutions[(k + element_at[s]).coeffs] != {j: c for j, c in total.items() if c}:
+                raise TheoremViolated("k -> g_k is not additive")
 
     def deck(k, point):
         u, z = point
         return (u + k, z + _eval_additive(solutions[k.coeffs], u))
 
-    items = list(element_at.items())
-    for i, ki in items:
-        for j, kj in items:
-            expected = pairing.value(i, j)
-            for pt in points[: max(2, sample_limit // 4)]:
+    for i in gens:
+        for j in gens:
+            ki, kj = element_at[i], element_at[j]
+            for pt in points:
                 a = deck(ki, deck(kj, pt))
                 b = deck(kj, deck(ki, pt))
                 du = a[0] - b[0]
                 dz = a[1] - b[1]
                 if du or any(dz.coeffs[1:]):
                     raise TheoremViolated("deck commutator moved the base point")
-                if dz.coeffs[0] % p != expected:
+                if dz.coeffs[0] % p != pairing.value(i, j):
                     raise TheoremViolated(
                         "deck commutator disagrees with the derived pairing"
                     )

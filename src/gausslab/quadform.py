@@ -18,7 +18,9 @@ from .errors import (
     NotQuadratic,
     TheoremViolated,
 )
-from .exactalg import CyclotomicNumber, abs_square, is_root_of_unity, zeta, zeta_sum
+from .exactalg import (
+    CyclotomicNumber, abs_square, is_root_of_unity, zeta, zeta_exponents, zeta_sum
+)
 from .fields import is_prime
 
 
@@ -274,7 +276,6 @@ class QuadraticForm:
         has exactly one key, written with coordinates 0 <= c_i < d_i."""
         group = FiniteAbelianGroup(obj["invariant_factors"])
         n = obj["value_order"]
-        table = None  # built on the first serialized cyclotomic value
         exps = [None] * group.order
         for key, val in obj["values"].items():
             tup = tuple(int(t) for t in key.split(",")) if key else ()
@@ -288,18 +289,11 @@ class QuadraticForm:
             if isinstance(val, int):
                 exps[idx] = val
             else:
-                if table is None:
-                    table = _exponent_table(n)
                 z = CyclotomicNumber.from_json(val).embed(n)
-                exps[idx] = table[z.coeffs]
+                exps[idx] = zeta_exponents(n)[z.coeffs]
         if None in exps:
             raise ValueError(f"no value for element {group.decode(exps.index(None))}")
         return QuadraticForm(group, n, exps)
-
-
-def _exponent_table(order):
-    """coeff-tuple -> k lookup for the roots of unity zeta(order, k)."""
-    return {zeta(order, k).coeffs: k for k in range(order)}
 
 
 # -- the recursive evaluation from the Gauss-sum theorem's proof ----------------
@@ -330,10 +324,11 @@ def _table_recursive_tau(add, exps, n_val):
     n = len(exps)
     if n == 1:
         return zeta(n_val, exps[0])
-    b = [
-        [(exps[add[i][j]] - exps[i] - exps[j]) % n_val for j in range(n)]
-        for i in range(n)
-    ]
+
+    # B is read on row x, column x and row a only, never as an n x n matrix
+    def b_row(i):
+        return [(exps[s] - exps[i] - exps[j]) % n_val for j, s in enumerate(add[i])]
+
     # element orders through the table
     def order_of(i):
         o, cur = 1, i
@@ -355,20 +350,21 @@ def _table_recursive_tau(add, exps, n_val):
     while cur != 0:
         cyclic.append(cur)
         cur = add[cur][x]
-    comp = [i for i in range(n) if b[x][i] == 0]
-    if b[x][x]:
+    row_x = b_row(x)
+    comp = [i for i in range(n) if row_x[i] == 0]
+    if row_x[x]:
         tau_x = zeta_sum(n_val, _hist(exps[c] for c in cyclic))
         sub = _restrict_table(add, exps, comp)
         return tau_x * _table_recursive_tau(sub[0], sub[1], n_val)
     target = exps[x]
-    a = None
-    for cand in range(n):
-        if b[cand][x] == target:
-            a = cand
-            break
+    a = next(
+        (c for c in range(n) if (exps[add[c][x]] - exps[c] - exps[x]) % n_val == target),
+        None,
+    )
     if a is None:
         raise TheoremViolated("non-degeneracy realizes the character B(-, x) = Q(x)")
-    shifted = [(exps[i] - b[a][i]) % n_val for i in range(n)]
+    row_a = b_row(a)
+    shifted = [(exps[i] - row_a[i]) % n_val for i in range(n)]
     if any(shifted[c] for c in cyclic):
         raise TheoremViolated("the untwisted form does not vanish on <x>")
     cyc_set = set(cyclic)

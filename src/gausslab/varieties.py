@@ -10,8 +10,8 @@ the free variable w contributing a factor q^n that is flagged in the output.
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .charsum import CharacterCase, LaurentAdditive, as_reduce, gos_rank
-from .errors import ScaleCapExceeded, check_cap
+from .charsum import LaurentAdditive, as_reduce, gos_rank
+from .errors import SwanDivisibleByP, check_cap
 from .exactalg import (
     IntPolynomial,
     abs_square,
@@ -252,7 +252,7 @@ def random_curve_spec(field, seed, max_b=6, max_tries=200, override=False):
 
     Draws additive f (separable), nonzero g1, g2 and a; keeps specs that are
     geometrically connected, have all character ranks defined, and have
-    betti_prediction <= max_b.
+    betti_prediction <= max_b.  ScaleCapExceeded is raised, not retried.
     """
     rng = random.Random(seed)
     els = list(field.elements())
@@ -273,10 +273,8 @@ def random_curve_spec(field, seed, max_b=6, max_tries=200, override=False):
             if not is_geometrically_connected(spec, override=override):
                 continue
             b = betti_prediction(spec, override=override)
-        except (CharacterCase, Exception) as exc:
-            if isinstance(exc, ScaleCapExceeded):
-                raise
-            continue
+        except (ValueError, SwanDivisibleByP):
+            continue  # rejected by CurveSpec or by gos_rank; a cap error propagates
         if 0 < b <= max_b and field.q ** (b + 2) <= 2**16:
             return spec
     raise ValueError(f"no valid curve spec found for seed {seed}")

@@ -27,7 +27,7 @@ from gausslab.charsum import (
     _kernel_dimension,
 )
 from gausslab.corpus import catalog_data
-from gausslab.errors import DegeneratePairing, NotEtale, SwanDivisibleByP
+from gausslab.errors import DegeneratePairing, NotEtale, SwanDivisibleByP, TheoremViolated
 from gausslab.exactalg import abs_square, is_root_of_unity, zeta
 from gausslab.fields import AdditivePolynomial, make_field
 
@@ -97,6 +97,16 @@ def test_value_orders_lemma():
     assert dw.value_order == 4
     for x in F2.elements():
         assert (trace_value(dw, 1, (x,)) ** 4).is_one()
+
+
+def test_trace_value_invariant_survives_optimize(monkeypatch):
+    # a typed error, not an assert: it still fires under python -O
+    from gausslab import charsum
+
+    d3 = QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one())])
+    monkeypatch.setattr(charsum._Evaluator, "exponent", lambda self, point: 1)
+    with pytest.raises(TheoremViolated):
+        trace_value(d3, 1, (F3.one(),))
 
 
 def test_materialized_forms_are_quadratic():

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic, Newton identities and Weil certificates."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,7 +17,7 @@ from gausslab.exactalg import (
     zeta,
     zeta_sum,
 )
-from gausslab.errors import NonIntegralElementarySymmetric
+from gausslab.errors import NonIntegralElementarySymmetric, TheoremViolated
 
 
 def test_cyclotomic_polynomials():
@@ -77,6 +78,37 @@ def test_root_of_unity_products_lcm_order():
         for d in range(1, order):
             if order % d == 0:
                 assert not (z ** d).is_one() or d == order
+
+
+def _powering_root_order(z):
+    """The powering definition is_root_of_unity replaced, kept as an oracle:
+    z^L = 1 with L = lcm(2, N), then the least divisor d of L with z^d = 1."""
+    if z.is_zero():
+        return None
+    bound = lcm(2, z.order)
+    if not (z**bound).is_one():
+        return None
+    return next(d for d in range(1, bound + 1) if bound % d == 0 and (z**d).is_one())
+
+
+LOOKUP_ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 25, 30]
+
+
+@pytest.mark.parametrize("n", LOOKUP_ORDERS)
+def test_root_of_unity_lookup_matches_powering(n):
+    for k in range(n):
+        for z in (zeta(n, k), -zeta(n, k)):
+            order = is_root_of_unity(z)
+            assert order == _powering_root_order(z) is not None
+    one = CyclotomicNumber.one(n)
+    for z in (0 * one, 2 * one, one + zeta(n, 1)):
+        assert is_root_of_unity(z) == _powering_root_order(z)
+    if n % 4 == 0:
+        # |(3 + 4i)/5| = 1, but it is not a root of unity
+        z = (3 + 4 * zeta(4, 1)).embed(n) / 5
+        assert abs_square(z) == 1
+        assert is_root_of_unity(z) is None
+        assert _powering_root_order(z) is None
 
 
 def test_abs_square_of_root_of_unity_is_one():
@@ -170,3 +202,15 @@ def test_int_polynomial_ops():
     assert a.squarefree_part() == b
     assert a.derivative() == IntPolynomial([2, 2])
     assert a.evaluate(3) == 16
+
+
+def test_squarefree_invariants_survive_optimize(monkeypatch):
+    # typed errors, not asserts: both checks still fire under python -O
+    with pytest.raises(TheoremViolated):
+        IntPolynomial([-1, 0, 2]).squarefree_part()  # 2T^2 - 1 is not monic
+    import gausslab.exactalg as exactalg
+
+    # a "gcd" that does not divide T^2 - 1 leaves a remainder
+    monkeypatch.setattr(exactalg, "_qpoly_gcd", lambda a, b: [Fraction(2), Fraction(1)])
+    with pytest.raises(TheoremViolated):
+        IntPolynomial([-1, 0, 1]).squarefree_part()

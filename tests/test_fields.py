@@ -9,10 +9,13 @@ from gausslab.errors import (
     NonIrreducibleModulus,
     NotASubfield,
     NotPrime,
+    TheoremViolated,
     ZeroPolynomial,
 )
+from gausslab import fields
 from gausslab.fields import (
     AdditivePolynomial,
+    Embedding,
     WittVector2,
     _pmod,
     absolute_trace,
@@ -237,6 +240,39 @@ def test_gamma_carry_p5():
     coeffs = gamma_carry(5)
     # -(binom(5,i)/5) mod 5: binom: 5,10,10,5 -> /5: 1,2,2,1 -> negated: 4,3,3,4
     assert coeffs == {(1, 4): 4, (2, 3): 3, (3, 2): 3, (4, 1): 4}
+
+
+def _reference_gamma(x, z):
+    """The sum gamma_value replaced, kept as an oracle: from zero, every term
+    scaled by its integer coefficient."""
+    acc = x.field.zero()
+    for (i, j), c in gamma_carry(x.field.p).items():
+        acc = acc + (x**i) * (z**j) * c
+    return acc
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 4), (5, 2), (3, 4), (2, 8)])
+def test_gamma_value_matches_reference(p, m):
+    field = make_field(p, m)
+    els = list(field.elements())
+    if field.q <= 25:
+        pairs = [(x, z) for x in els for z in els]
+    else:
+        rng = random.Random(f"gamma-{p}-{m}")
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(2000)]
+    for x, z in pairs:
+        assert gamma_value(x, z) == _reference_gamma(x, z)
+
+
+def test_field_invariants_survive_optimize(monkeypatch):
+    # typed errors, not asserts: both checks still fire under python -O
+    with monkeypatch.context() as m:
+        m.setattr(fields, "subfield_elements", lambda big, s: [])
+        with pytest.raises(TheoremViolated):
+            Embedding(F4, F16)
+    monkeypatch.setattr(fields, "witt_one", witt_zero)
+    with pytest.raises(TheoremViolated):
+        fields._witt_prime_iso.__wrapped__(3)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4])

@@ -10,12 +10,18 @@ from gausslab.errors import (
     TheoremViolated,
 )
 from gausslab.exactalg import zeta
-from gausslab.fields import make_field
+from gausslab.fields import extension, make_field
 from gausslab.heisenberg import (
     AlternatingPairing,
     DarbouxBasis,
     HeisenbergGroup,
     SvNRepresentation,
+    _check_deck_commutators,
+    _covering_points,
+    _eval_additive,
+    _eval_scalar_poly,
+    _kernel_coordinates,
+    _validate_deck_maps,
     build_group,
     check_faithful,
     darboux,
@@ -83,6 +89,40 @@ def _exhaustive_homomorphism(rep):
         for g1 in els
         for g2 in els
     )
+
+
+def _per_u_scan(big, h, limit):
+    """The covering-point search _covering_points replaced: per u, scan z."""
+    points = []
+    for u in big.elements():
+        target = h(u)
+        for z in big.elements():
+            if z.frobenius() - z == target:
+                points.append((u, z))
+                break
+        if len(points) >= limit:
+            break
+    return points
+
+
+def _all_pairs_deck_sweep(element_at, solutions, pairing, points):
+    """The sweep _check_deck_commutators replaced: for all k, k' in K and every
+    point, [d_k, d_k'] is the fiber translation by e(k, k')."""
+    def deck(k, point):
+        u, z = point
+        return (u + k, z + _eval_additive(solutions[k.coeffs], u))
+
+    for i, ki in element_at.items():
+        for j, kj in element_at.items():
+            for pt in points:
+                a = deck(ki, deck(kj, pt))
+                b = deck(kj, deck(ki, pt))
+                dz = a[1] - b[1]
+                if a[0] != b[0] or any(dz.coeffs[1:]):
+                    return False
+                if dz.coeffs[0] % pairing.a_modulus != pairing.value(i, j):
+                    return False
+    return True
 
 
 # (p, r): standard pairings on (Z/p)^(2r), |H| = p^(2r+1)
@@ -341,3 +381,105 @@ def test_corrupted_svn_matrix_rejected(p, r):
             rep.verify()
     rep._matrices = dict(original)
     assert rep.verify()
+
+
+# a*x^(p^i+1) over F_p: (p, i, a); |K| = p^(2i)
+DECK_DATA = [
+    pytest.param(2, 1, 1, id="F2-i1"),
+    pytest.param(3, 1, 1, id="F3-i1"),
+    pytest.param(3, 1, 2, id="F3-i1-a2"),
+    pytest.param(2, 2, 1, id="F2-i2"),
+]
+
+
+def _deck_data(p, i, a):
+    field = make_field(p, 1)
+    terms = [DiagMonomial(0, i, field.element([a]))]
+    dh = heisenberg_from_datum(QuadDatum(field, 1, terms))
+    _, emb = extension(field, dh.kernel.field.m)
+    _, element_at = _kernel_coordinates(dh.kernel, p)
+    return dh, element_at, emb, terms
+
+
+def _plus(g, delta):
+    """The sum of two additive polynomials as {exponent: coefficient}."""
+    out = dict(g)
+    for j, c in delta.items():
+        out[j] = out[j] + c if j in out else c
+    return {j: v for j, v in out.items() if v}
+
+
+def _vanishing_on(basis, field):
+    """The additive polynomial prod (X - k) over the F_p-span of `basis`."""
+    phi = {0: field.one()}
+    for s in basis:
+        scale = -(_eval_additive(phi, s) ** (field.p - 1))
+        phi = _plus({j + 1: c.frobenius() for j, c in phi.items()},
+                    {j: scale * c for j, c in phi.items()})
+    return phi
+
+
+def _coherent(dh, element_at, t, phi):
+    """g_k + lambda_t(k) phi for every k, lambda_t the t-th coordinate: k -> g_k
+    stays additive."""
+    bad = dict(dh.solutions)
+    for idx, k in element_at.items():
+        lam = dh.pairing.group.decode(idx)[t]
+        bad[k.coeffs] = _plus(bad[k.coeffs], {j: c * lam for j, c in phi.items()})
+    return bad
+
+
+@pytest.mark.parametrize("p,i,a", DECK_DATA)
+def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
+    dh, element_at, emb, terms = _deck_data(p, i, a)
+    big = emb.big
+    h = lambda u: _eval_scalar_poly(terms, emb, u)
+    assert len(element_at) == p ** (2 * i)
+    for limit in (1, 3, 12, 40):
+        assert _covering_points(big, h, limit) == _per_u_scan(big, h, limit)
+    points = _covering_points(big, h, 12)[:3]
+    assert _all_pairs_deck_sweep(element_at, dh.solutions, dh.pairing, points)
+    _check_deck_commutators(element_at, dh.solutions, dh.pairing, points)
+
+    # g_k + X for one k at a time, generators and non-generators alike:
+    # k -> g_k stops being additive
+    for k in element_at.values():
+        bad = dict(dh.solutions)
+        bad[k.coeffs] = _plus(bad[k.coeffs], {0: big.one()})
+        assert not _all_pairs_deck_sweep(element_at, bad, dh.pairing, points)
+        with pytest.raises(TheoremViolated):
+            _check_deck_commutators(element_at, bad, dh.pairing, points)
+    # additive corruptions, which only the commutators on generator pairs can
+    # catch: g_k + lambda_t(k) X, and g_k + lambda_t(k) (X^p - s^(p-1) X)
+    # with s the first basis vector, which changes no commutator with s
+    gens = dh.pairing.group.generators()
+    rejected = 0
+    for phi in ({0: big.one()}, _vanishing_on([element_at[gens[0]]], big)):
+        for t in range(len(gens)):
+            bad = _coherent(dh, element_at, t, phi)
+            if _all_pairs_deck_sweep(element_at, bad, dh.pairing, points):
+                _check_deck_commutators(element_at, bad, dh.pairing, points)
+            else:
+                rejected += 1
+                with pytest.raises(TheoremViolated):
+                    _check_deck_commutators(element_at, bad, dh.pairing, points)
+    assert rejected >= len(gens)
+
+
+def test_deck_lift_check_keeps_every_k():
+    dh, element_at, emb, terms = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
+    _validate_deck_maps(terms, emb, element_at, dh.solutions, dh.pairing, 12)
+    for k in element_at.values():
+        bad = dict(dh.solutions)
+        bad[k.coeffs] = _plus(bad[k.coeffs], {0: emb.big.one()})
+        with pytest.raises(TheoremViolated):
+            _validate_deck_maps(terms, emb, element_at, bad, dh.pairing, 12)
+    # adding lambda_t(k) phi_K, phi_K vanishing on K, keeps every commutator:
+    # only the lift property at the sampled u catches it
+    gens = dh.pairing.group.generators()
+    phi = _vanishing_on([element_at[g] for g in gens], emb.big)
+    for t in range(len(gens)):
+        bad = _coherent(dh, element_at, t, phi)
+        _check_deck_commutators(element_at, bad, dh.pairing, [(emb.big.zero(),) * 2])
+        with pytest.raises(TheoremViolated):
+            _validate_deck_maps(terms, emb, element_at, bad, dh.pairing, 12)

@@ -109,7 +109,10 @@ def test_verify_gauss_sum_theorem_exeasy():
 
 
 def test_recursive_oracle_matches_direct_sum():
-    for form in (EXEASY, Z3FORM, HYPERBOLIC):
+    # the last form reaches the descent step with a != 0: x = 2 is isotropic
+    # and Q(x) = -1
+    z4 = QuadraticForm(FiniteAbelianGroup([4]), 8, [0, 1, 4, 1])
+    for form in (EXEASY, Z3FORM, HYPERBOLIC, z4):
         assert recursive_gauss_eval(form) == form.gauss_sum()
     assert HYPERBOLIC.gauss_sum() == 2
 

@@ -1,5 +1,8 @@
 """Curves and surfaces: counting, L-polynomials, certificates, W2 endomorphisms."""
 
+import hashlib
+import json
+
 import pytest
 
 from gausslab.exactalg import IntPolynomial, zeta_sum
@@ -122,6 +125,34 @@ def test_random_curve_determinism():
     a = random_curve_spec(F2, 7)
     b = random_curve_spec(F2, 7)
     assert a.to_json() == b.to_json()
+
+
+# SHA-256 of the JSON specs of seeds 0..300 at the default max_b; the
+# benchmark's curve slots and the corpus fixtures depend on these seeds
+PINNED_SPECS = [
+    pytest.param(F2, "087089e8b887be6d8702c88f8b8c172d0ac6730a20a3875183dda911f9f030b2", id="F2"),
+    pytest.param(F3, "b96c69b847eb11ae172fdda27b30bbf51fb70399e6871466d016de4caefb059c", id="F3"),
+    pytest.param(F4, "3a52823ca3b4f862751754f6adfac7b2bc7790d6264403e280fcdae79190fe04", id="F4"),
+]
+
+
+@pytest.mark.parametrize("field,digest", PINNED_SPECS)
+def test_random_curve_specs_pinned(field, digest):
+    specs = (json.dumps(random_curve_spec(field, s).to_json(), sort_keys=True) for s in range(301))
+    assert hashlib.sha256("\n".join(specs).encode()).hexdigest() == digest
+
+
+def test_random_curve_spec_propagates_unexpected_errors(monkeypatch):
+    import gausslab.varieties as varieties
+    from gausslab.errors import ScaleCapExceeded
+
+    for exc in (RuntimeError, ScaleCapExceeded):
+        def fail(spec, override=False, exc=exc):
+            raise exc("not a rejected draw")
+
+        monkeypatch.setattr(varieties, "is_geometrically_connected", fail)
+        with pytest.raises(exc):
+            random_curve_spec(F2, 7)
 
 
 def test_w2_endomorphism_examples():
