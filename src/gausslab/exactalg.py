@@ -2,10 +2,11 @@
 utilities (Newton identities, Weil-number certificates).
 
 Every character value in the library is an element of some Q(zeta_N); all
-arithmetic here is exact (Fraction coefficients, no floating point).  Elements
-are stored in the power basis 1, zeta, ..., zeta^{phi(N)-1} reduced modulo the
-N-th cyclotomic polynomial; a root of unity is recognised by one lookup of its
-coefficient vector (or its negative) among the cached rows of zeta_N^k.
+arithmetic here is exact (no floating point).  Elements are stored in the power
+basis 1, zeta, ..., zeta^{phi(N)-1} reduced modulo the N-th cyclotomic
+polynomial, as an integer coefficient vector over one common denominator; a
+root of unity is recognised by one lookup of its coefficient vector (or its
+negative) among the cached rows of zeta_N^k.
 """
 
 from fractions import Fraction
@@ -79,6 +80,7 @@ class _OrderContext:
         # X^deg = -(phi - leading term); phi is monic.
         self.top = tuple(-c for c in phi[:-1])
         self._rows = [None] * n
+        self._sparse = [None] * n
         row = [0] * self.deg
         row[0] = 1
         self._rows[0] = tuple(row)
@@ -101,6 +103,23 @@ class _OrderContext:
                 self._rows[k] = tuple(cur)
         return self._rows[j]
 
+    def fold(self, terms, out=None):
+        """out + sum of c * zeta^k over the pairs (k, c) of terms, as a list in
+        the power basis (a new zero list when out is None)."""
+        if out is None:
+            out = [0] * self.deg
+        n, sparse = self.n, self._sparse
+        for k, c in terms:
+            if not c:
+                continue
+            k %= n
+            row = sparse[k]
+            if row is None:
+                row = sparse[k] = tuple((t, r) for t, r in enumerate(self.row(k)) if r)
+            for t, r in row:
+                out[t] += c * r
+        return out
+
 
 @lru_cache(maxsize=None)
 def _context(n):
@@ -109,26 +128,45 @@ def _context(n):
     return _OrderContext(n)
 
 
-class CyclotomicNumber:
-    """An exact element of Q(zeta_N)."""
+def _ratio(x):
+    """(numerator, denominator) of a rational scalar, denominator > 0."""
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return x.numerator, x.denominator
 
-    __slots__ = ("order", "coeffs")
+
+class CyclotomicNumber:
+    """An exact element of Q(zeta_N).
+
+    Stored as (nums[0] + nums[1] zeta + ... + nums[phi-1] zeta^(phi-1)) / den:
+    an integer vector over one common denominator, kept canonical (den > 0,
+    gcd(den, *nums) == 1), so equal elements of one order have equal fields.
+    """
+
+    __slots__ = ("order", "nums", "den")
     __hash__ = None
 
     def __init__(self, order, coeffs):
         ctx = _context(order)
         if len(coeffs) != ctx.deg:
             raise ValueError("coefficient vector has wrong length")
+        coeffs = [Fraction(c) for c in coeffs]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def from_rational(r, order=1):
-        ctx = _context(order)
-        coeffs = [Fraction(r)] + [_ZERO] * (ctx.deg - 1)
-        return CyclotomicNumber(order, coeffs)
+        num, den = _ratio(r)
+        return _make(order, (num,) + (0,) * (_context(order).deg - 1), den)
 
     @staticmethod
     def zero(order=1):
@@ -154,10 +192,9 @@ class CyclotomicNumber:
         return "Cyc(" + " + ".join(terms) + ")"
 
     def to_json(self):
-        return {
-            "order": self.order,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
-        }
+        den = self.den
+        return {"order": self.order,
+                "coeffs": [[c // (g := gcd(c, den)), den // g] for c in self.nums]}
 
     @staticmethod
     def from_json(obj):
@@ -172,16 +209,9 @@ class CyclotomicNumber:
             return self
         if order % self.order != 0:
             raise ValueError(f"{self.order} does not divide {order}")
-        ctx = _context(order)
         step = order // self.order
-        out = [_ZERO] * ctx.deg
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for t, r in enumerate(ctx.row(j * step)):
-                if r:
-                    out[t] += c * r
-        return CyclotomicNumber(order, out)
+        out = _context(order).fold((j * step, c) for j, c in enumerate(self.nums))
+        return _make(order, out, self.den)
 
     def _common(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -193,50 +223,43 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
+            return self.is_rational() and Fraction(self.nums[0], self.den) == other
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __add__(self, other):
         a, b = self._common(other)
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        return _make(a.order, [x * db + y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return _make(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CyclotomicNumber) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.order, [c * f for c in self.coeffs])
+        if not isinstance(other, CyclotomicNumber):
+            num, den = _ratio(other)
+            return _make(self.order, [c * num for c in self.nums], self.den * den)
         a, b = self._common(other)
         ctx = _context(a.order)
         deg = ctx.deg
-        conv = [_ZERO] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        conv = [0] * (2 * deg - 1)
+        bs = [(j, y) for j, y in enumerate(b.nums) if y]
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in bs:
                     conv[i + j] += x * y
-        out = list(conv[:deg])
-        for j in range(deg, 2 * deg - 1):
-            c = conv[j]
-            if c == 0:
-                continue
-            for t, r in enumerate(ctx.row(j)):
-                if r:
-                    out[t] += c * r
-        return CyclotomicNumber(a.order, out)
+        out = ctx.fold(enumerate(conv[deg:], deg), conv[:deg])
+        return _make(a.order, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -256,88 +279,71 @@ class CyclotomicNumber:
         """Multiplicative inverse via extended Euclid in Q[X] mod Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        # extended gcd of a and phi over Q[X]
-        r0, r1 = phi, a
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:  # unit: done
-                c = r1[0]
-                inv_coeffs = [x / c for x in s1]
-                break
+        # extended gcd of self and Phi_N over Q[X]; Phi_N is irreducible, so the
+        # remainders reach a nonzero constant
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        r1, s0, s1 = _qpoly_trim(self.coeffs), [_ZERO], [_ONE]
+        while len(r1) > 1:
             q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        ctx = _context(self.order)
-        out = [_ZERO] * ctx.deg
-        for j, c in enumerate(inv_coeffs):
-            if c == 0:
-                continue
-            if j < ctx.deg:
-                out[j] += c
-            else:
-                for t, r in enumerate(ctx.row(j)):
-                    out[t] += c * r
-        return CyclotomicNumber(self.order, out)
+            r0, r1, s0, s1 = r1, r, s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
+        terms = enumerate(x / r1[0] for x in s1)
+        return CyclotomicNumber(self.order, _context(self.order).fold(terms))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.order, [c / f for c in self.coeffs])
+            num, den = _ratio(other)
+            if not num:
+                raise ZeroDivisionError("division of a cyclotomic number by zero")
+            return _make(self.order, [c * den for c in self.nums], self.den * num)
         return self * other.inv()
 
     def conj(self):
         """Complex conjugation zeta -> zeta^{-1}."""
-        ctx = _context(self.order)
-        out = [_ZERO] * ctx.deg
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for t, r in enumerate(ctx.row((-j) % self.order)):
-                if r:
-                    out[t] += c * r
-        return CyclotomicNumber(self.order, out)
+        out = _context(self.order).fold((-j, c) for j, c in enumerate(self.nums))
+        return _make(self.order, out, self.den)
 
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self):
         """The Fraction value if the element is rational, else None."""
         if self.is_rational():
-            return self.coeffs[0]
+            return Fraction(self.nums[0], self.den)
         return None
+
+
+def _make(order, nums, den=1):
+    """The CyclotomicNumber nums / den (ints, den != 0) with no Fraction work;
+    the gcd and the sign are divided out only when den != 1."""
+    z = object.__new__(CyclotomicNumber)
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    z.order, z.nums, z.den = order, tuple(nums), den
+    return z
 
 
 def zeta(order, k=1):
     """The root of unity zeta_order^k as a CyclotomicNumber."""
-    ctx = _context(order)
-    return CyclotomicNumber(order, ctx.row(k % order))
+    return _make(order, _context(order).row(k))
 
 
 def zeta_sum(order, exponent_counts):
-    """Assemble sum_k c_k * zeta_order^k exactly from an exponent histogram."""
-    ctx = _context(order)
-    out = [_ZERO] * ctx.deg
-    for k, c in exponent_counts.items():
-        if c == 0:
-            continue
-        for t, r in enumerate(ctx.row(k)):
-            if r:
-                out[t] += c * r
-    return CyclotomicNumber(order, out)
+    """Assemble sum_k c_k * zeta_order^k exactly from an integer exponent
+    histogram {k: c_k}."""
+    return _make(order, _context(order).fold(exponent_counts.items()))
 
 
 def abs_square(z):
@@ -348,7 +354,7 @@ def abs_square(z):
 @lru_cache(maxsize=None)
 def zeta_exponents(order):
     """{row of zeta_order^k: k for 0 <= k < order}, keyed by the context's cached
-    rows; a Fraction tuple finds the int tuple of equal value."""
+    rows, which are the `nums` of the integral elements zeta_order^k."""
     ctx = _context(order)
     return {ctx.row(k): k for k in range(order)}
 
@@ -357,15 +363,17 @@ def is_root_of_unity(z):
     """The multiplicative order of z if z is a root of unity, else None.
 
     Decided exactly by lookup: the roots of unity in Q(zeta_N) are exactly
-    +-zeta_N^k, the group of order L = lcm(2, N).  z = zeta_N^k is zeta_L^j
-    with j = k L/N, and z = -zeta_N^k is zeta_L^(j + L/2); the order is
-    L / gcd(j, L).
+    +-zeta_N^k, the group of order L = lcm(2, N); they are integral, so
+    den == 1.  z = zeta_N^k is zeta_L^j with j = k L/N, and z = -zeta_N^k is
+    zeta_L^(j + L/2); the order is L / gcd(j, L).
     """
+    if z.den != 1:
+        return None
     n, bound = z.order, lcm(2, z.order)
     table = zeta_exponents(n)
-    k, half = table.get(z.coeffs), 0
+    k, half = table.get(z.nums), 0
     if k is None:
-        k, half = table.get(tuple(-c for c in z.coeffs)), bound // 2
+        k, half = table.get(tuple(-c for c in z.nums)), bound // 2
         if k is None:
             return None
     return bound // gcd(k * (bound // n) + half, bound)

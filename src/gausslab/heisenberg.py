@@ -387,27 +387,31 @@ def _datum_scalar_terms(datum):
     return list(datum.terms)
 
 
-def _beta_poly(terms, emb, k):
+def _embedded_terms(terms, emb):
+    """The terms of h(u) as (kind, Frobenius exponent, coefficient embedded in
+    E), each coefficient embedded once."""
+    out = []
+    for t in terms:
+        if t.kind not in ("diag", "halfsq", "aslin"):
+            raise ValueError(f"unsupported term {t.kind} in the deck construction")
+        out.append((t.kind, getattr(t, "i", 0), emb(t.c if t.kind == "aslin" else t.a)))
+    return out
+
+
+def _beta_poly(terms, k):
     """beta_k(X) = h(X + k) - h(X) - h(k) as {exponent: coefficient} over E."""
-    big = emb.big
-    p = big.p
     out = {}
 
     def bump(e, c):
         if c:
-            out[e] = out.get(e, big.zero()) + c
+            out[e] = out.get(e, k.field.zero()) + c
 
-    for t in terms:
-        if t.kind == "diag":
-            a = emb(t.a)
-            bump(t.i, a * k)
-            bump(0, a * k.frobenius(t.i))
-        elif t.kind == "halfsq":
-            bump(0, emb(t.a) * k)
-        elif t.kind == "aslin":
-            continue
-        else:
-            raise ValueError(f"unsupported term {t.kind} in the deck construction")
+    for kind, i, a in terms:
+        if kind == "diag":
+            bump(i, a * k)
+            bump(0, a * k.frobenius(i))
+        elif kind == "halfsq":
+            bump(0, a * k)
     return {e: c for e, c in out.items() if c}
 
 
@@ -437,17 +441,16 @@ def _eval_additive(coeffs, x):
     return acc
 
 
-def _eval_scalar_poly(terms, emb, u):
-    big = emb.big
-    acc = big.zero()
-    half = (big.p + 1) // 2
-    for t in terms:
-        if t.kind == "diag":
-            acc = acc + emb(t.a) * u.frobenius(t.i) * u
-        elif t.kind == "halfsq":
-            acc = acc + emb(t.a) * half * u * u
-        elif t.kind == "aslin":
-            acc = acc + emb(t.c) * u
+def _eval_scalar_poly(terms, u):
+    acc = u.field.zero()
+    half = (u.field.p + 1) // 2
+    for kind, i, a in terms:
+        if kind == "diag":
+            acc = acc + a * u.frobenius(i) * u
+        elif kind == "halfsq":
+            acc = acc + a * half * u * u
+        else:
+            acc = acc + a * u
     return acc
 
 
@@ -465,12 +468,13 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
     big = kernel.field
     n = big.m // datum.field.m
     _, emb = extension(datum.field, n)
+    terms = _embedded_terms(terms, emb)
     p = datum.field.p
 
     solutions = {}
     for point in kernel.elements:
         k = point[0]
-        beta = _beta_poly(terms, emb, k)
+        beta = _beta_poly(terms, k)
         solutions[k.coeffs] = _solve_additive(beta, big)
 
     group, element_at = _kernel_coordinates(kernel, p)
@@ -490,7 +494,7 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
     pairing = AlternatingPairing(group, p, table)
     heis = build_group(pairing)
 
-    _validate_deck_maps(terms, emb, element_at, solutions, pairing, sample_limit)
+    _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit)
     return DatumHeisenberg(
         kernel=kernel, pairing=pairing, group=heis, solutions=solutions
     )
@@ -533,19 +537,19 @@ def _fp_basis(elements, p):
     return basis
 
 
-def _validate_deck_maps(terms, emb, element_at, solutions, pairing, sample_limit):
+def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit):
     """Cross-check e against explicit deck transformations: the lift property
     g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and every k, then
     `_check_deck_commutators` on points of the covering z^p - z = h(u)."""
-    h = lambda u: _eval_scalar_poly(terms, emb, u)
-    sample = [(u, h(u)) for u in itertools.islice(emb.big.elements(), sample_limit)]
+    h = lambda u: _eval_scalar_poly(terms, u)
+    sample = [(u, h(u)) for u in itertools.islice(big.elements(), sample_limit)]
     for k in element_at.values():
         gk, hk = solutions[k.coeffs], h(k)
         for u, hu in sample:
             lhs = _eval_additive(gk, u)
             if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
-    points = _covering_points(emb.big, h, sample_limit)
+    points = _covering_points(big, h, sample_limit)
     _check_deck_commutators(element_at, solutions, pairing, points[: max(2, sample_limit // 4)])
 
 

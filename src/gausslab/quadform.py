@@ -273,7 +273,8 @@ class QuadraticForm:
     @staticmethod
     def from_json(obj):
         """Parse the spec shape; ValueError unless each element of the group
-        has exactly one key, written with coordinates 0 <= c_i < d_i."""
+        has exactly one key, written with coordinates 0 <= c_i < d_i, and its
+        value is an exponent or a value_order-th root of unity."""
         group = FiniteAbelianGroup(obj["invariant_factors"])
         n = obj["value_order"]
         exps = [None] * group.order
@@ -290,7 +291,9 @@ class QuadraticForm:
                 exps[idx] = val
             else:
                 z = CyclotomicNumber.from_json(val).embed(n)
-                exps[idx] = zeta_exponents(n)[z.coeffs]
+                exps[idx] = zeta_exponents(n).get(z.nums) if z.den == 1 else None
+                if exps[idx] is None:
+                    raise ValueError(f"value of element {tup} is not a {n}-th root of unity")
         if None in exps:
             raise ValueError(f"no value for element {group.decode(exps.index(None))}")
         return QuadraticForm(group, n, exps)

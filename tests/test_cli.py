@@ -58,6 +58,14 @@ def test_invalid_schema_exits_2():
     assert proc.returncode == 2
 
 
+def test_value_that_is_not_a_root_of_unity_exits_2():
+    half = {"order": 4, "coeffs": [[1, 2], [0, 1]]}
+    form = {"invariant_factors": [2], "value_order": 4, "values": {"0": 0, "1": half}}
+    proc = run_cli("gauss-verify", {"form": form})
+    assert proc.returncode == 2
+    assert "element (1,) is not a 4-th root of unity" in proc.stderr
+
+
 def test_cap_exceeded_exits_3():
     job = {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"], "n": 12}
     proc = run_cli("char-sum", job)

@@ -1,13 +1,20 @@
 """Exact cyclotomic arithmetic, Newton identities and Weil certificates."""
 
+import json
+import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from gausslab.exactalg import (
     CyclotomicNumber,
     IntPolynomial,
+    _context,
+    _qpoly_divmod,
+    _qpoly_mul,
+    _qpoly_sub,
+    _qpoly_trim,
     abs_square,
     cyclotomic_polynomial,
     is_root_of_unity,
@@ -214,3 +221,186 @@ def test_squarefree_invariants_survive_optimize(monkeypatch):
     monkeypatch.setattr(exactalg, "_qpoly_gcd", lambda a, b: [Fraction(2), Fraction(1)])
     with pytest.raises(TheoremViolated):
         IntPolynomial([-1, 0, 1]).squarefree_part()
+
+
+# -- reference oracle: the Fraction-coefficient element ----------------------
+
+class _FractionCyc:
+    """The element of Q(zeta_N) with one Fraction per power-basis coefficient,
+    as CyclotomicNumber stored it before it kept an integer vector over one
+    common denominator; a test-only reference."""
+
+    def __init__(self, order, coeffs):
+        self.order = order
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    @staticmethod
+    def from_rational(r, order=1):
+        deg = len(cyclotomic_polynomial(order)) - 1
+        return _FractionCyc(order, [Fraction(r)] + [Fraction(0)] * (deg - 1))
+
+    def _fold(self, order, terms):
+        ctx = _context(order)
+        out = [Fraction(0)] * ctx.deg
+        for k, c in terms:
+            if c:
+                for t, r in enumerate(ctx.row(k)):
+                    if r:
+                        out[t] += c * r
+        return _FractionCyc(order, out)
+
+    def __repr__(self):
+        if self.is_rational():
+            return f"Cyc({self.as_rational()})"
+        terms = [str(c) if j == 0 else f"{c}*z{self.order}^{j}"
+                 for j, c in enumerate(self.coeffs) if c != 0]
+        return "Cyc(" + " + ".join(terms) + ")"
+
+    def to_json(self):
+        return {"order": self.order,
+                "coeffs": [[c.numerator, c.denominator] for c in self.coeffs]}
+
+    def embed(self, order):
+        if order == self.order:
+            return self
+        step = order // self.order
+        return self._fold(order, ((j * step, c) for j, c in enumerate(self.coeffs)))
+
+    def _common(self, other):
+        if not isinstance(other, _FractionCyc):
+            other = _FractionCyc.from_rational(other)
+        n = lcm(self.order, other.order)
+        return self.embed(n), other.embed(n)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.as_rational() == other
+        a, b = self._common(other)
+        return a.coeffs == b.coeffs
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return _FractionCyc(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionCyc(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _FractionCyc(self.order, [c * other for c in self.coeffs])
+        a, b = self._common(other)
+        conv = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    conv[i + j] += x * y
+        return a._fold(a.order, enumerate(conv))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _FractionCyc(self.order, [c / Fraction(other) for c in self.coeffs])
+        return self * other.inv()
+
+    def inv(self):
+        """Extended Euclid in Q[X] mod Phi_N."""
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        r1, s0, s1 = _qpoly_trim(self.coeffs), [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _qpoly_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
+        return self._fold(self.order, ((j, x / r1[0]) for j, x in enumerate(s1)))
+
+    def conj(self):
+        return self._fold(self.order, ((-j, c) for j, c in enumerate(self.coeffs)))
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def is_one(self):
+        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def as_rational(self):
+        return self.coeffs[0] if self.is_rational() else None
+
+
+PARTNER_ORDER = {1: 2, 2: 3, 3: 4, 4: 6, 5: 3, 8: 12, 9: 6, 12: 8, 25: 5, 30: 4, 900: 4}
+ORACLE_ORDERS = list(PARTNER_ORDER)
+SCALARS = [3, -2, 0, Fraction(-5, 6), Fraction(2, 3), Fraction(-1, 2)]
+
+
+def _agrees(z, ref):
+    """z matches the reference and is canonical: den > 0, gcd(den, *nums) == 1."""
+    assert all(type(c) is int for c in z.nums) and type(z.den) is int
+    assert z.den > 0 and gcd(z.den, *z.nums) == 1
+    assert len(z.nums) == len(cyclotomic_polynomial(z.order)) - 1
+    assert z.order == ref.order and z.coeffs == ref.coeffs
+    assert repr(z) == repr(ref)
+    assert json.dumps(z.to_json()) == json.dumps(ref.to_json())
+    assert (z.is_zero(), z.is_one(), z.is_rational(), z.as_rational()) == (
+        ref.is_zero(), ref.is_one(), ref.is_rational(), ref.as_rational())
+
+
+def _seeded_pairs(order, seed):
+    """(CyclotomicNumber, reference) pairs: zero, one, a root of unity, and
+    random vectors with integral coefficients and with denominators 2, 3, 6."""
+    rng = random.Random(seed)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    vectors = [[0] * deg, [1] + [0] * (deg - 1), list(_context(order).row(order - 1))]
+    for dens in ([1], [2], [1, 3], [1, 2, 3, 6]):
+        vectors.append([Fraction(rng.randrange(-4, 5), rng.choice(dens)) for _ in range(deg)])
+    return [(CyclotomicNumber(order, v), _FractionCyc(order, v)) for v in vectors]
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_integer_vector_arithmetic_matches_fraction_reference(order):
+    pairs = _seeded_pairs(order, order)
+    # partners of another order: sums, products and == go through lcm orders
+    other = _seeded_pairs(PARTNER_ORDER[order], order + 1)
+    # the Fraction reference takes 0.3 s per product at degree 240
+    heavy = order == 900
+    partners = pairs[-1:] + other[-1:] if heavy else pairs[-2:] + other[-2:]
+    for z, ref in pairs:
+        _agrees(z, ref)
+        _agrees(-z, -ref)
+        _agrees(z.conj(), ref.conj())
+        for m in (2 * order,) if heavy else (2 * order, 3 * order):
+            _agrees(z.embed(m), ref.embed(m))
+            assert z == z.embed(m)
+        for s in SCALARS:
+            _agrees(z * s, ref * s)
+            _agrees(s * z, s * ref)
+            _agrees(z + s, ref + s)
+            _agrees(s - z, s - ref)
+            assert (z == s) == (ref == s)
+            if s:
+                _agrees(z / s, ref / s)
+                _agrees(z / s * s, ref)
+        for w, wref in partners:
+            _agrees(z + w, ref + wref)
+            _agrees(z - w, ref - wref)
+            _agrees(z * w, ref * wref)
+            assert (z == w) == (ref == wref)
+        # inv keeps its Fraction Euclid, which takes minutes at degree 240
+        if not heavy and not ref.is_zero():
+            _agrees(z.inv(), ref.inv())
+            w, wref = other[-1]
+            _agrees(w / z, wref / ref)
+        with pytest.raises(ZeroDivisionError):
+            z / 0
+    # a root-of-unity vector over a denominator is not a root of unity
+    half = zeta(order, 1) / 2
+    assert half.nums == _context(order).row(1) and half.den == 2
+    assert is_root_of_unity(half) is None and is_root_of_unity(-half) is None

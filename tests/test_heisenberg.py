@@ -2,7 +2,14 @@
 
 import pytest
 
-from gausslab.charsum import DiagMonomial, HalfSquare, QuadDatum, WittLinear
+from gausslab.charsum import (
+    ASLinear,
+    CrossMonomial,
+    DiagMonomial,
+    HalfSquare,
+    QuadDatum,
+    WittLinear,
+)
 from gausslab.errors import (
     NonInjectiveCharacter,
     NotAlternating,
@@ -18,6 +25,7 @@ from gausslab.heisenberg import (
     SvNRepresentation,
     _check_deck_commutators,
     _covering_points,
+    _embedded_terms,
     _eval_additive,
     _eval_scalar_poly,
     _kernel_coordinates,
@@ -305,6 +313,17 @@ def test_heisenberg_from_datum_rejects_witt_terms():
         heisenberg_from_datum(datum)
 
 
+def test_heisenberg_from_datum_term_kinds():
+    # a linear twist cancels in every beta_k and in the lift property
+    base = [DiagMonomial(0, 1, F3.one())]
+    plain = heisenberg_from_datum(QuadDatum(F3, 1, base))
+    twisted = heisenberg_from_datum(QuadDatum(F3, 1, base + [ASLinear(0, F3.element([2]))]))
+    assert twisted.pairing.table == plain.pairing.table
+    assert twisted.solutions == plain.solutions
+    with pytest.raises(ValueError, match="unsupported term cross"):
+        heisenberg_from_datum(QuadDatum(F3, 1, base + [CrossMonomial(0, 0, 0, F3.one())]))
+
+
 def test_vdgv_datum_deck_group():
     # psi(Tr(x^3)) over F_2: |K| = 4, H of order 8, validated against deck maps
     datum = QuadDatum(F2, 1, [DiagMonomial(0, 1, F2.one())])
@@ -396,9 +415,9 @@ def _deck_data(p, i, a):
     field = make_field(p, 1)
     terms = [DiagMonomial(0, i, field.element([a]))]
     dh = heisenberg_from_datum(QuadDatum(field, 1, terms))
-    _, emb = extension(field, dh.kernel.field.m)
+    big, emb = extension(field, dh.kernel.field.m)
     _, element_at = _kernel_coordinates(dh.kernel, p)
-    return dh, element_at, emb, terms
+    return dh, element_at, big, _embedded_terms(terms, emb)
 
 
 def _plus(g, delta):
@@ -431,9 +450,8 @@ def _coherent(dh, element_at, t, phi):
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
-    dh, element_at, emb, terms = _deck_data(p, i, a)
-    big = emb.big
-    h = lambda u: _eval_scalar_poly(terms, emb, u)
+    dh, element_at, big, terms = _deck_data(p, i, a)
+    h = lambda u: _eval_scalar_poly(terms, u)
     assert len(element_at) == p ** (2 * i)
     for limit in (1, 3, 12, 40):
         assert _covering_points(big, h, limit) == _per_u_scan(big, h, limit)
@@ -467,19 +485,19 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
 
 
 def test_deck_lift_check_keeps_every_k():
-    dh, element_at, emb, terms = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
-    _validate_deck_maps(terms, emb, element_at, dh.solutions, dh.pairing, 12)
+    dh, element_at, big, terms = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
+    _validate_deck_maps(terms, big, element_at, dh.solutions, dh.pairing, 12)
     for k in element_at.values():
         bad = dict(dh.solutions)
-        bad[k.coeffs] = _plus(bad[k.coeffs], {0: emb.big.one()})
+        bad[k.coeffs] = _plus(bad[k.coeffs], {0: big.one()})
         with pytest.raises(TheoremViolated):
-            _validate_deck_maps(terms, emb, element_at, bad, dh.pairing, 12)
+            _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)
     # adding lambda_t(k) phi_K, phi_K vanishing on K, keeps every commutator:
     # only the lift property at the sampled u catches it
     gens = dh.pairing.group.generators()
-    phi = _vanishing_on([element_at[g] for g in gens], emb.big)
+    phi = _vanishing_on([element_at[g] for g in gens], big)
     for t in range(len(gens)):
         bad = _coherent(dh, element_at, t, phi)
-        _check_deck_commutators(element_at, bad, dh.pairing, [(emb.big.zero(),) * 2])
+        _check_deck_commutators(element_at, bad, dh.pairing, [(big.zero(),) * 2])
         with pytest.raises(TheoremViolated):
-            _validate_deck_maps(terms, emb, element_at, bad, dh.pairing, 12)
+            _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)

@@ -275,6 +275,21 @@ def test_from_json_rejects_bad_value_tables():
         )
 
 
+def test_from_json_rejects_values_that_are_not_roots_of_unity():
+    def job(value):
+        return {"invariant_factors": [2], "value_order": 4, "values": {"0": 0, "1": value}}
+
+    i = {"order": 4, "coeffs": [[0, 1], [1, 1]]}
+    assert QuadraticForm.from_json(job(i)).exponents == [0, 1]
+    assert QuadraticForm.from_json(job({"order": 2, "coeffs": [[-1, 1]]})).exponents == [0, 2]
+    # 1/2 has the coefficient vector of 1 over the denominator 2
+    for value in ({"order": 4, "coeffs": [[1, 2], [0, 1]]},
+                  {"order": 4, "coeffs": [[1, 1], [1, 1]]},
+                  {"order": 2, "coeffs": [[2, 1]]}):
+        with pytest.raises(ValueError, match=r"element \(1,\) is not a 4-th root of unity"):
+            QuadraticForm.from_json(job(value))
+
+
 def test_q0_must_be_one():
     # B(0, 0) = -Q(0): also on groups without generators
     for moduli in ([], [1, 1], [3]):
