@@ -168,15 +168,15 @@ class QuadDatum:
         for t in obj["terms"]:
             kind = t["kind"]
             if kind == "diag":
-                terms.append(DiagMonomial(t["j"], t["i"], field.element(t["a"])))
+                terms.append(DiagMonomial(t["j"], t["i"], field.element_from_json(t["a"])))
             elif kind == "cross":
-                terms.append(CrossMonomial(t["j"], t["k"], t["i"], field.element(t["a"])))
+                terms.append(CrossMonomial(t["j"], t["k"], t["i"], field.element_from_json(t["a"])))
             elif kind == "halfsq":
-                terms.append(HalfSquare(t["j"], field.element(t["a"])))
+                terms.append(HalfSquare(t["j"], field.element_from_json(t["a"])))
             elif kind == "wittlin":
-                terms.append(WittLinear(t["j"], field.element(t["c"])))
+                terms.append(WittLinear(t["j"], field.element_from_json(t["c"])))
             elif kind == "aslin":
-                terms.append(ASLinear(t["j"], field.element(t["c"])))
+                terms.append(ASLinear(t["j"], field.element_from_json(t["c"])))
             elif kind == "precompose":
                 terms.append(Precompose(t["j"], AdditivePolynomial.from_json(field, t["f"])))
             else:
@@ -276,13 +276,13 @@ def char_sum(datum, n, workers=1, override=False):
     combined in order; the result is worker-count-invariant.
     """
     ev = _Evaluator(datum, n, override)
-    points = list(ev.points())
+    points = ev.points()
     workers = max(1, int(workers))
-    chunk = (len(points) + workers - 1) // workers
+    chunk = (ev.big.q**datum.d + workers - 1) // workers
     hist = {}
     for w in range(workers):
         part = {}
-        for point in points[w * chunk : (w + 1) * chunk]:
+        for point in itertools.islice(points, chunk):
             e = ev.exponent(point)
             part[e] = part.get(e, 0) + 1
         for k, v in part.items():

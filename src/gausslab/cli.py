@@ -4,7 +4,8 @@ Every subcommand consumes a JSON job descriptor and emits a JSON report to
 stdout (diagnostics to stderr).  All numbers in reports are exact: cyclotomic
 values as {order, coeffs} with rational coefficient pairs, integers as decimal
 strings.  Exit codes: 0 all checks pass, 1 a mathematical check failed (the
-report carries a witness), 2 invalid input, 3 scale cap exceeded.
+report carries a witness), 2 invalid input, 3 scale cap exceeded, 4 internal
+fault (a theorem the library relies on failed: a bug, not bad input).
 """
 
 import argparse
@@ -25,7 +26,7 @@ from .charsum import (
     invariance_check,
     symbolic_pairing,
 )
-from .errors import GaussLabError, ScaleCapExceeded
+from .errors import GaussLabError, ScaleCapExceeded, TheoremViolated
 from .exactalg import IntPolynomial, abs_square, weil_certificate
 from .fields import AdditivePolynomial, FiniteField, WittVector2, witt_trace
 from .heisenberg import (
@@ -138,10 +139,11 @@ def _cmd_field(job, options):
 
 def _cmd_witt(job, options):
     field = FiniteField.from_json(job["field"])
-    u = WittVector2(field, job["u"][0], job["u"][1])
+    el = field.element_from_json
+    u = WittVector2(field, el(job["u"][0]), el(job["u"][1]))
     op = job.get("op", "add")
     if op in ("add", "mul"):
-        v = WittVector2(field, job["v"][0], job["v"][1])
+        v = WittVector2(field, el(job["v"][0]), el(job["v"][1]))
         w = u + v if op == "add" else u * v
         result = {"x0": list(w.x0.coeffs), "x1": list(w.x1.coeffs)}
     elif op == "frobenius":
@@ -260,7 +262,7 @@ def _cmd_clb_normalize(job, options):
 def _cmd_clb_cocycle(job, options):
     field = FiniteField.from_json(job["field"])
     holds = clb_cocycle_identity_check(
-        job["i"], field.element(job["a"]), field, job.get("n", 1),
+        job["i"], field.element_from_json(job["a"]), field, job.get("n", 1),
         override=options.get("override", False),
     )
     return {"holds": holds}, [_check("cocycle-identity", holds)]
@@ -369,7 +371,7 @@ def _cmd_supersingular(job, options):
 
 def _cmd_endw2_verify(job, options):
     field = FiniteField.from_json(job["field"])
-    f_coeffs = {int(i): field.element(c) for i, c in job["f"].items()}
+    f_coeffs = {int(i): field.element_from_json(c) for i, c in job["f"].items()}
     r_poly = (
         AdditivePolynomial.from_json(field, job["r"]) if job.get("r") else None
     )
@@ -390,7 +392,7 @@ def _cmd_invariance(job, options):
     datum = _parse_datum(job)
     field = datum.field
     matrices = [
-        [[field.element(c) for c in row] for row in mat] for mat in job["matrices"]
+        [[field.element_from_json(c) for c in row] for row in mat] for mat in job["matrices"]
     ]
     n = options.get("ext") or job.get("n", 1)
     ok = invariance_check(datum, matrices, n, override=options.get("override", False))
@@ -530,6 +532,9 @@ def main(argv=None):
     except ScaleCapExceeded as exc:
         print(f"scale cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except TheoremViolated as exc:
+        print(f"internal fault: {exc}", file=sys.stderr)
+        return 4
     except (GaussLabError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid input or failed precondition: {exc}", file=sys.stderr)
         return 2

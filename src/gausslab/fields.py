@@ -5,6 +5,8 @@ Elements are dense coefficient tuples over F_p, low degree first, so the
 enumeration order of a field is canonical (lexicographic on coefficients).
 Elements are immutable and element operations are pure; a field lazily caches
 its Frobenius columns, trace vector and reduction rows, O(m^2) integers each.
+A field with q <= TABLE_CAP that has done q multiplies also builds O(q) Zech-log
+tables, then multiplies, powers and applies Frobenius by lookup.
 """
 
 import itertools
@@ -21,6 +23,8 @@ from .errors import (
     ZeroPolynomial,
     check_cap,
 )
+
+TABLE_CAP = 2**16  # largest field that builds log tables, which hold every element
 
 
 def is_prime(n):
@@ -149,6 +153,11 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        field = self.field
+        if field._log is not None:
+            la = field._log.get(self.coeffs)
+            if la is not None:
+                return FieldElement(field, field._exp[la * k % (field.q - 1)])
         if k < 0:
             return self.inv() ** (-k)
         if not k:
@@ -182,6 +191,8 @@ class FieldElement:
         k %= field.m
         if not k:
             return self
+        if field._log is not None:
+            return self ** field.p**k
         acc = _accumulate([0] * field.m, self.coeffs, field._frobenius_columns(k))
         return FieldElement(field, tuple(v % field.p for v in acc))
 
@@ -221,6 +232,10 @@ class FiniteField:
         self.modulus = modulus
         self.tag = f"F{self.q}"
         self._frobenius_cache = {}
+        # log tables, built after q polynomial multiplies (about what the
+        # build costs); above the cap the count never reaches 0
+        self._log = self._exp = None
+        self._muls_until_tables = self.q if self.q <= TABLE_CAP else -1
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
@@ -249,6 +264,15 @@ class FiniteField:
         coeffs = coeffs + (0,) * (self.m - len(coeffs))
         return FieldElement(self, coeffs)
 
+    def element_from_json(self, coeffs):
+        """Strict decoder for input: exactly m ints (not bools) in range(p);
+        `element` would silently reduce what this rejects."""
+        if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == self.m
+                and all(type(c) is int and 0 <= c < self.p for c in coeffs)):
+            raise ValueError(f"{coeffs!r} is not an element of {self.tag}: "
+                             f"need {self.m} integer coefficients in range({self.p})")
+        return FieldElement(self, tuple(coeffs))
+
     def from_int(self, n):
         """Inverse of FieldElement.as_int (mixed-radix decode)."""
         digits = []
@@ -276,6 +300,17 @@ class FiniteField:
             yield FieldElement(self, tup)
 
     def _mul(self, a, b):
+        if self._log is not None:
+            la, lb = self._log.get(a.coeffs), self._log.get(b.coeffs)
+            if la is None or lb is None:
+                return a if la is None else b  # the zero factor
+            return FieldElement(self, self._exp[la + lb])
+        self._muls_until_tables -= 1
+        if not self._muls_until_tables:
+            self._build_tables()
+        return self._poly_mul(a, b)
+
+    def _poly_mul(self, a, b):
         # schoolbook product, then X^(m+k) -> its cached reduction; one mod p
         m = self.m
         acc = [0] * (2 * m - 1)
@@ -286,6 +321,23 @@ class FiniteField:
                     acc[i + j] += x * y
         low = _accumulate(acc[:m], acc[m:], self._reduction_columns)
         return FieldElement(self, tuple(v % self.p for v in low))
+
+    def _build_tables(self):
+        """log[coeffs of g^k] = k and exp[k] = the same tuple for k < 2(q-1),
+        g the least element in as_int order of order q-1."""
+        n, one = self.q - 1, self.one()
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        # one only if no element has order q-1, which the check below rejects
+        g = next((x for x in map(self.from_int, range(1, self.q))
+                  if all(x ** (n // r) != one for r in primes)), one)
+        exp, x = [], one
+        for _ in range(n):
+            exp.append(x.coeffs)
+            x = self._poly_mul(x, g)
+        log = {c: k for k, c in enumerate(exp)}
+        if len(log) != n:
+            raise TheoremViolated(f"the multiplicative group of {self.tag} is cyclic of order {n}")
+        self._log, self._exp = log, exp + exp
 
     @cached_property
     def _reduction_columns(self):
@@ -584,7 +636,7 @@ class AdditivePolynomial:
 
     @staticmethod
     def from_json(field, obj):
-        return AdditivePolynomial(field, {int(i): field.element(c) for i, c in obj.items()})
+        return AdditivePolynomial(field, {int(i): field.element_from_json(c) for i, c in obj.items()})
 
 
 def additive_kernel(f, n, override=False):

@@ -83,7 +83,7 @@ class CurveSpec:
             AdditivePolynomial.from_json(field, obj["f"]),
             AdditivePolynomial.from_json(field, obj["g1"]),
             AdditivePolynomial.from_json(field, obj["g2"]),
-            field.element(obj["a"]),
+            field.element_from_json(obj["a"]),
         )
 
 
@@ -400,7 +400,7 @@ class SurfaceSpec:
         field = FiniteField.from_json(obj["field"])
         return SurfaceSpec(
             field,
-            {int(i): field.element(c) for i, c in obj["f"].items()},
+            {int(i): field.element_from_json(c) for i, c in obj["f"].items()},
             AdditivePolynomial.from_json(field, obj["r"]),
         )
 

@@ -1,5 +1,6 @@
 """The gausslab command line: schemas, exit codes, determinism."""
 
+import copy
 import json
 import re
 import subprocess
@@ -7,8 +8,10 @@ import sys
 
 import pytest
 
+from gausslab import cli
 from gausslab.cli import dispatch
 from gausslab.corpus import corpus
+from gausslab.errors import TheoremViolated
 
 
 def run_cli(command, job=None, *args):
@@ -17,6 +20,14 @@ def run_cli(command, job=None, *args):
     return subprocess.run(
         argv, input=stdin, capture_output=True, text=True, timeout=600
     )
+
+
+def run_main(command, job, tmp_path, capsys):
+    """cli.main in this process, on a job file; returns (exit code, stderr)."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main([command, "--input", str(path)])
+    return code, capsys.readouterr().err
 
 
 def strip_timing(text):
@@ -64,6 +75,54 @@ def test_value_that_is_not_a_root_of_unity_exits_2():
     proc = run_cli("gauss-verify", {"form": form})
     assert proc.returncode == 2
     assert "element (1,) is not a 4-th root of unity" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "a", [[3], [-1], [1, 0, 1], [1.7], ["1"], [True], [], 1],
+    ids=["3", "-1", "too-long", "float", "string", "bool", "empty", "bare-int"],
+)
+def test_non_canonical_field_element_exits_2(a, tmp_path, capsys):
+    # over F_2 an element is exactly one int in range(2); nothing is reduced
+    datum = {"field": {"p": 2, "m": 1}, "d": 1, "terms": [{"kind": "diag", "j": 0, "i": 1, "a": a}]}
+    code, err = run_main("char-sum", {"datum": datum, "n": 1}, tmp_path, capsys)
+    assert code == 2
+    assert f"{a!r} is not an element of F2" in err
+
+
+def _with(name, edit):
+    job = copy.deepcopy(corpus()[name]["input"])
+    edit(job)
+    return job
+
+
+@pytest.mark.parametrize(
+    "command,job",
+    [
+        ("clb-cocycle", {"field": {"p": 2, "m": 1}, "i": 1, "a": [2]}),
+        ("witt", {"field": {"p": 2, "m": 1}, "op": "add", "u": [[1], [2]], "v": [[1], [0]]}),
+        ("invariance", _with("gl1-inv-f2", lambda j: j["matrices"][0][0].__setitem__(0, [2]))),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [2]}}),
+        ("zeta", _with("vdgv-f2-zeta", lambda j: j["curve"].__setitem__("a", [2]))),
+        ("zeta", _with("vdgv-f2-zeta", lambda j: j["curve"]["g1"].__setitem__("0", [2]))),
+        ("supersingular", _with("surface-p2", lambda j: j["surface"]["f"].__setitem__("0", [2]))),
+        ("heisenberg", _with("heis-from-datum-p2", lambda j: j["from_datum"]["terms"][0].__setitem__("a", [2]))),
+    ],
+    ids=["clb-cocycle", "witt", "invariance", "endw2", "curve-a", "additive-poly", "surface", "datum"],
+)
+def test_every_json_boundary_decodes_elements_strictly(command, job, tmp_path, capsys):
+    code, err = run_main(command, job, tmp_path, capsys)
+    assert code == 2
+    assert "[2] is not an element of F2" in err
+
+
+def test_internal_fault_exits_4(monkeypatch, tmp_path, capsys):
+    def broken(job, options):
+        raise TheoremViolated("a proven identity failed")
+
+    monkeypatch.setitem(cli._HANDLERS, "field", broken)
+    code, err = run_main("field", {"p": 2, "m": 1}, tmp_path, capsys)
+    assert code == 4
+    assert err == "internal fault: a proven identity failed\n"
 
 
 def test_cap_exceeded_exits_3():

@@ -112,15 +112,10 @@ def _reference_trace(x):
     return acc.coeffs[0]
 
 
-@pytest.mark.parametrize(
-    "p,m,modulus",
-    [pytest.param(p, m, None, id=f"{p}-{m}") for p, m in [(2, 2), (2, 4), (2, 8), (3, 2), (3, 4), (5, 2)]]
-    + [pytest.param(2, 4, (1, 0, 0, 1, 1), id="2-4-X4+X3+1")],
-)
-def test_kernels_match_reference_definitions(p, m, modulus):
-    field = make_field(p, m, modulus)
+def _check_kernels(field):
+    p, m, q, one = field.p, field.m, field.q, field.one()
     els = list(field.elements())
-    if len(els) <= 64:
+    if q <= 64:
         pairs = [(a, b) for a in els for b in els]
     else:
         rng = random.Random(5)
@@ -139,23 +134,74 @@ def test_kernels_match_reference_definitions(p, m, modulus):
         if m % s == 0:
             fixed = [x for x in els if x ** (p**s) == x]
             assert subfield_elements(field, s) == fixed
-    if len(els) <= 16:
-        # x**k against repeated multiplication by x, or by the inverse found
-        # by search for k < 0
-        for x in els:
-            acc = field.one()
-            for k in range(2 * len(els) + 1):
-                assert x**k == acc
-                acc = acc * x
-            if not x:
-                with pytest.raises(ZeroDivisionError):
-                    x**-1
-                continue
-            (x_inv,) = [y for y in els if x * y == field.one()]
-            acc = field.one()
-            for k in (-1, -2, -3):
-                acc = acc * x_inv
-                assert x**k == acc
+    # x**k for k in -3..2q against repeated multiplication by x, or by the
+    # inverse found by search for k < 0; zero, one and a seeded sample
+    powered = els if q <= 16 else els[:2] + random.Random(3).sample(els[2:], 6)
+    for x in powered:
+        acc = one
+        for k in range(2 * q + 1):
+            assert x**k == acc
+            acc = acc * x
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                x**-1
+            continue
+        (x_inv,) = [y for y in els if x * y == one]
+        acc = one
+        for k in (-1, -2, -3):
+            acc = acc * x_inv
+            assert x**k == acc
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [pytest.param(p, m, None, id=f"{p}-{m}") for p, m in [(2, 2), (2, 4), (2, 8), (3, 2), (3, 4), (5, 2)]]
+    + [pytest.param(2, 4, (1, 0, 0, 1, 1), id="2-4-X4+X3+1")],
+)
+def test_kernels_match_reference_definitions(p, m, modulus, monkeypatch):
+    # fresh fields, not make_field's shared ones: first on the polynomial
+    # path (cap lowered so the checks cannot build tables), then with tables
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "TABLE_CAP", 1)
+        field = fields.FiniteField(p, m, modulus)
+        _check_kernels(field)
+        assert field._log is None
+    field = fields.FiniteField(p, m, modulus)
+    for _ in range(field.q):
+        field.one() * field.one()
+    assert field._log is not None
+    _check_kernels(field)
+
+
+def test_tables_wait_for_q_multiplies():
+    for p, m in [(2, 1), (3, 1), (2, 4), (3, 4), (5, 2)]:
+        field = fields.FiniteField(p, m)
+        n, x = field.q - 1, field.gen()
+        for _ in range(n):
+            x * x
+        assert field._log is None and field._exp is None
+        x * x
+        log, exp = field._log, field._exp
+        assert len(log) == n and len(exp) == 2 * n
+        assert all(exp[log[c]] is c and exp[log[c] + n] is c for c in log)
+        # the generator is the least element, in as_int order, of order q-1
+        orders = [min(k for k in range(1, n + 1) if y**k == field.one())
+                  for y in map(field.from_int, range(1, field.q))]
+        assert field.element(exp[1]).as_int() == 1 + orders.index(n)
+
+
+def test_field_above_the_cap_never_builds_tables():
+    field = make_field(2, 17, (1, 0, 0, 1) + (0,) * 13 + (1,))  # X^17 + X^3 + 1
+    assert field.q > fields.TABLE_CAP
+    rng = random.Random(17)
+    for _ in range(300):
+        a, b = (field.from_int(rng.randrange(field.q)) for _ in range(2))
+        assert (a * b).coeffs == _reference_mul(a, b)
+    x = field.one()
+    for _ in range(field.q):
+        x = x * field.gen()
+    assert x == field.gen()  # X^q = X
+    assert field._log is None and field._exp is None
 
 
 def test_multiplicative_group_cyclic_spot_check():
@@ -270,6 +316,12 @@ def test_field_invariants_survive_optimize(monkeypatch):
         m.setattr(fields, "subfield_elements", lambda big, s: [])
         with pytest.raises(TheoremViolated):
             Embedding(F4, F16)
+    with monkeypatch.context() as m:
+        m.setattr(fields.FiniteField, "_poly_mul", lambda self, a, b: self.one())
+        field = fields.FiniteField(3, 2)
+        with pytest.raises(TheoremViolated):
+            for _ in range(field.q):
+                field.gen() * field.gen()
     monkeypatch.setattr(fields, "witt_one", witt_zero)
     with pytest.raises(TheoremViolated):
         fields._witt_prime_iso.__wrapped__(3)
