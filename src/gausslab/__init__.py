@@ -52,7 +52,6 @@ from .charsum import (
     CrossMonomial,
     DiagMonomial,
     HalfSquare,
-    LaurentAdditive,
     PairingDatum,
     Precompose,
     QuadDatum,

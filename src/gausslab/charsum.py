@@ -4,11 +4,6 @@ A QuadDatum describes a function t on points of U over every extension
 F_{q^n}: an additive character psi = zeta_p composed with traces of polynomial
 terms, plus (for p = 2) Witt-vector character terms psi' = zeta_{p^2} composed
 with Witt traces.  All sums, pairings, kernels and identity checks are exact.
-
-Negative Frobenius exponents from the perfection are handled by an internal
-Laurent representation: coefficients of finite fields have unique p-th roots,
-so evaluation is exact, and polynomial representatives are recovered by
-left-composing with a Frobenius power (a bijection on points).
 """
 
 import itertools
@@ -315,127 +310,13 @@ def derive_pairing(datum, n, override=False):
     return QuadraticForm(group, p2 // scale, exps)
 
 
-# -- Laurent additive functions ---------------------------------------------------
-
-class LaurentAdditive:
-    """sum_i a_i X^(p^i) with i in Z, over a perfect base field.
-
-    Negative exponents use the unique p-th roots of the field; these represent
-    additive functions on the perfection.
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        clean = {}
-        for i, a in coeffs.items():
-            a = field.element(a)
-            if a:
-                clean[int(i)] = a
-        self.coeffs = dict(sorted(clean.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "LaurentAdditive(0)"
-        parts = [f"{a!r}*X^p^{i}" for i, a in self.coeffs.items()]
-        return "LaurentAdditive(" + " + ".join(parts) + ")"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentAdditive)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        merged = dict(self.coeffs)
-        for i, a in other.coeffs.items():
-            merged[i] = merged.get(i, self.field.zero()) + a
-        return LaurentAdditive(self.field, merged)
-
-    def scale(self, c):
-        c = self.field.element(c)
-        return LaurentAdditive(self.field, {i: a * c for i, a in self.coeffs.items()})
-
-    def left_scale(self, c):
-        """c * f(X): multiply the function values by c."""
-        return LaurentAdditive(self.field, {i: c * a for i, a in self.coeffs.items()})
-
-    def twist(self, k):
-        """Frobenius^k composed on the left: f(X)^(p^k)."""
-        if k >= 0:
-            return LaurentAdditive(
-                self.field, {i + k: a.frobenius(k) for i, a in self.coeffs.items()}
-            )
-        return LaurentAdditive(
-            self.field, {i + k: a.pth_root(-k) for i, a in self.coeffs.items()}
-        )
-
-    def compose(self, other):
-        """self(other(X))."""
-        out = {}
-        zero = self.field.zero()
-        for i, a in self.coeffs.items():
-            tw = other.twist(i)
-            for k, b in tw.coeffs.items():
-                out[k] = out.get(k, zero) + a * b
-        return LaurentAdditive(self.field, out)
-
-    def adjoint(self):
-        """g with Tr(f(x) y) = Tr(x g(y)): coefficients a_i -> a_i^(p^-i)."""
-        return LaurentAdditive(
-            self.field, {-i: a.pth_root(i) if i >= 0 else a.frobenius(-i) for i, a in self.coeffs.items()}
-        )
-
-    def evaluate(self, x):
-        if x.field is not self.field:
-            raise ValueError("lift the function before evaluating in an extension")
-        acc = x.field.zero()
-        for i, a in self.coeffs.items():
-            y = x.frobenius(i) if i >= 0 else x.pth_root(-i)
-            acc = acc + a * y
-        return acc
-
-    def lift(self, emb):
-        return LaurentAdditive(emb.big, {i: emb(a) for i, a in self.coeffs.items()})
-
-    def cleared(self):
-        """(polynomial representative, v): Frobenius^v of self has exponents >= 0."""
-        if not self.coeffs:
-            return AdditivePolynomial(self.field, {}), 0
-        v = max(0, -min(self.coeffs))
-        shifted = self.twist(v)
-        return AdditivePolynomial(self.field, dict(shifted.coeffs)), v
-
-    def is_self_adjoint(self):
-        return self == self.adjoint()
-
-    @staticmethod
-    def from_additive(f):
-        return LaurentAdditive(f.field, dict(f.coeffs))
-
-    @staticmethod
-    def identity(field):
-        return LaurentAdditive(field, {0: field.one()})
-
-    def span(self):
-        """top - bottom Frobenius exponent (log_p of the cleared degree)."""
-        if not self.coeffs:
-            return None
-        return max(self.coeffs) - min(self.coeffs)
-
-
 class PairingDatum:
     """The symmetric biadditive pairing of a datum: b(x,y) = psi(Tr(sum f_jk(x_j) y_k))."""
 
     def __init__(self, field, d, matrix):
         self.field = field
         self.d = d
-        zero = LaurentAdditive(field, {})
+        zero = AdditivePolynomial(field, {})
         self.matrix = {
             (j, k): matrix.get((j, k), zero) for j in range(d) for k in range(d)
         }
@@ -471,14 +352,15 @@ def symbolic_pairing(datum):
     """
     field = datum.field
     matrix = {}
-    zero = LaurentAdditive(field, {})
+    zero = AdditivePolynomial(field, {})
+    identity = AdditivePolynomial(field, {0: field.one()})
 
     def add_to(j, k, f):
         matrix[(j, k)] = matrix.get((j, k), zero) + f
 
     def sub_of(j):
         s = datum.substitution(j)
-        return LaurentAdditive.from_additive(s) if s is not None else LaurentAdditive.identity(field)
+        return s if s is not None else identity
 
     for t in datum.terms:
         if t.kind in ("precompose", "aslin"):
@@ -486,21 +368,21 @@ def symbolic_pairing(datum):
         if t.kind == "diag":
             s = sub_of(t.j)
             si = s.twist(t.i)
-            add_to(t.j, t.j, s.adjoint().compose(si.left_scale(t.a)))
-            add_to(t.j, t.j, si.adjoint().compose(s.left_scale(t.a)))
+            add_to(t.j, t.j, s.adjoint().compose(si.scale(t.a)))
+            add_to(t.j, t.j, si.adjoint().compose(s.scale(t.a)))
         elif t.kind == "cross":
             sj, sk = sub_of(t.j), sub_of(t.k)
             sji = sj.twist(t.i)
-            add_to(t.j, t.k, sk.adjoint().compose(sji.left_scale(t.a)))
-            add_to(t.k, t.j, sji.adjoint().compose(sk.left_scale(t.a)))
+            add_to(t.j, t.k, sk.adjoint().compose(sji.scale(t.a)))
+            add_to(t.k, t.j, sji.adjoint().compose(sk.scale(t.a)))
         elif t.kind == "halfsq":
             s = sub_of(t.j)
-            add_to(t.j, t.j, s.adjoint().compose(s.left_scale(t.a)))
+            add_to(t.j, t.j, s.adjoint().compose(s.scale(t.a)))
         elif t.kind == "wittlin":
             # (c(x+y),0) - (cx,0) - (cy,0) = -V(c^2 xy): the carry contributes
             # psi(Tr(c^2 x y)) to the pairing (see gamma(x,z) = xz for p = 2)
             s = sub_of(t.j)
-            add_to(t.j, t.j, s.adjoint().compose(s.left_scale(t.c * t.c)))
+            add_to(t.j, t.j, s.adjoint().compose(s.scale(t.c * t.c)))
     out = PairingDatum(field, datum.d, matrix)
     if not out.is_symmetric():
         raise NotSymmetric("expanded pairing fails r_B = l_B (construction bug)")

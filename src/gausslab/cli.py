@@ -28,7 +28,13 @@ from .charsum import (
 )
 from .errors import GaussLabError, ScaleCapExceeded, TheoremViolated
 from .exactalg import IntPolynomial, abs_square, weil_certificate
-from .fields import AdditivePolynomial, FiniteField, WittVector2, witt_trace
+from .fields import (
+    AdditivePolynomial,
+    FiniteField,
+    WittVector2,
+    exponent_dict_from_json,
+    witt_trace,
+)
 from .heisenberg import (
     AlternatingPairing,
     build_group,
@@ -371,7 +377,7 @@ def _cmd_supersingular(job, options):
 
 def _cmd_endw2_verify(job, options):
     field = FiniteField.from_json(job["field"])
-    f_coeffs = {int(i): field.element_from_json(c) for i, c in job["f"].items()}
+    f_coeffs = exponent_dict_from_json(field, job["f"])
     r_poly = (
         AdditivePolynomial.from_json(field, job["r"]) if job.get("r") else None
     )

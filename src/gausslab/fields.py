@@ -560,7 +560,11 @@ class _IdentityEmbedding:
 # -- additive polynomials -----------------------------------------------------
 
 class AdditivePolynomial:
-    """sum_i a_i X^(p^i) with i >= 0, over a fixed base field."""
+    """sum_i a_i X^(p^i) with i in Z, over a fixed base field.
+
+    Negative exponents are additive functions on the perfection: p-th roots
+    are unique in a finite field, so `frobenius(i)` is exact for every i.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -596,6 +600,7 @@ class AdditivePolynomial:
         return AdditivePolynomial(self.field, merged)
 
     def scale(self, c):
+        """c * f(X): multiply the function values by c."""
         c = self.field.element(c)
         return AdditivePolynomial(self.field, {i: a * c for i, a in self.coeffs.items()})
 
@@ -607,6 +612,11 @@ class AdditivePolynomial:
             acc = acc + a * x.frobenius(i)
         return acc
 
+    def twist(self, k):
+        """Frobenius^k composed on the left: f(X)^(p^k)."""
+        coeffs = {i + k: a.frobenius(k) for i, a in self.coeffs.items()}
+        return AdditivePolynomial(self.field, coeffs)
+
     def compose(self, other):
         """self(other(X)); degrees multiply, composition stays additive."""
         out = {}
@@ -617,6 +627,20 @@ class AdditivePolynomial:
                 out[k] = out.get(k, zero) + a * b.frobenius(i)
         return AdditivePolynomial(self.field, out)
 
+    def adjoint(self):
+        """g with Tr(f(x) y) = Tr(x g(y)): a_i X^(p^i) -> a_i^(p^-i) X^(p^-i)."""
+        coeffs = {-i: a.frobenius(-i) for i, a in self.coeffs.items()}
+        return AdditivePolynomial(self.field, coeffs)
+
+    def cleared(self):
+        """(Frobenius^v of self, v) for the least v >= 0 making every exponent >= 0."""
+        v = max(0, -min(self.coeffs, default=0))
+        return self.twist(v), v
+
+    def span(self):
+        """top - bottom Frobenius exponent (log_p of the cleared degree)."""
+        return max(self.coeffs) - min(self.coeffs) if self.coeffs else None
+
     def lift(self, embed):
         """Coefficient-wise image in an extension field."""
         return AdditivePolynomial(embed.big, {i: embed(a) for i, a in self.coeffs.items()})
@@ -624,19 +648,26 @@ class AdditivePolynomial:
     def top_exponent(self):
         return max(self.coeffs) if self.coeffs else None
 
-    def bottom_exponent(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def separable_defect(self):
-        """v with p^v = inseparability degree (lowest Frobenius exponent)."""
-        return self.bottom_exponent()
-
     def to_json(self):
         return {str(i): list(a.coeffs) for i, a in self.coeffs.items()}
 
     @staticmethod
     def from_json(field, obj):
-        return AdditivePolynomial(field, {int(i): field.element_from_json(c) for i, c in obj.items()})
+        return AdditivePolynomial(field, exponent_dict_from_json(field, obj))
+
+
+def exponent_dict_from_json(field, obj):
+    """Strict decoder for {exponent: element} input: a JSON object whose keys
+    are exponents >= 0 written canonically ("0", "1", not "00", "+1" or "-1"),
+    each value an element in `element_from_json` form."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{obj!r} is not an {{exponent: element}} object")
+    out = {}
+    for k, c in obj.items():
+        if not (isinstance(k, str) and k.isascii() and k.isdigit() and k == str(int(k))):
+            raise ValueError(f"exponent key {k!r} is not an integer >= 0 in canonical form")
+        out[int(k)] = field.element_from_json(c)
+    return out
 
 
 def additive_kernel(f, n, override=False):

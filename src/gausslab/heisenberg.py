@@ -25,7 +25,7 @@ from .errors import (
     TheoremViolated,
 )
 from .exactalg import abs_square, zeta, zeta_sum
-from .fields import extension
+from .fields import AdditivePolynomial, extension
 from .quadform import FiniteAbelianGroup
 
 
@@ -371,7 +371,7 @@ class DatumHeisenberg:
     kernel: object
     pairing: AlternatingPairing
     group: HeisenbergGroup
-    solutions: dict  # kernel element tuple -> additive solution g_k (dict exp -> coeff)
+    solutions: dict  # k.coeffs -> the AdditivePolynomial g_k with g_k^(p) - g_k = beta_k
 
 
 def _datum_scalar_terms(datum):
@@ -399,20 +399,16 @@ def _embedded_terms(terms, emb):
 
 
 def _beta_poly(terms, k):
-    """beta_k(X) = h(X + k) - h(X) - h(k) as {exponent: coefficient} over E."""
+    """beta_k(X) = h(X + k) - h(X) - h(k), an additive polynomial over E."""
     out = {}
-
-    def bump(e, c):
-        if c:
-            out[e] = out.get(e, k.field.zero()) + c
-
+    zero = k.field.zero()
     for kind, i, a in terms:
         if kind == "diag":
-            bump(i, a * k)
-            bump(0, a * k.frobenius(i))
+            out[i] = out.get(i, zero) + a * k
+            out[0] = out.get(0, zero) + a * k.frobenius(i)
         elif kind == "halfsq":
-            bump(0, a * k)
-    return {e: c for e, c in out.items() if c}
+            out[0] = out.get(0, zero) + a * k
+    return AdditivePolynomial(k.field, out)
 
 
 def _solve_additive(beta, big):
@@ -422,23 +418,16 @@ def _solve_additive(beta, big):
     c_0 = -b_0, c_j = c_{j-1}^p - b_j, which must terminate with c_top = 0
     (no nonzero additive polynomial satisfies g^(p) = g).
     """
-    if not beta:
-        return {}
-    top = max(beta)
-    b = [beta.get(j, big.zero()) for j in range(top + 1)]
+    if beta.is_zero():
+        return beta
+    top = beta.top_exponent()
+    b = [beta.coeffs.get(j, big.zero()) for j in range(top + 1)]
     c = [-b[0]]
     for j in range(1, top + 1):
         c.append(c[j - 1].frobenius() - b[j])
     if c[top]:
         raise NoAdditiveSolution("translation is not in the geometric kernel")
-    return {j: c[j] for j in range(top) if c[j]}
-
-
-def _eval_additive(coeffs, x):
-    acc = x.field.zero()
-    for j, c in coeffs.items():
-        acc = acc + c * x.frobenius(j)
-    return acc
+    return AdditivePolynomial(big, {j: c[j] for j in range(top)})
 
 
 def _eval_scalar_poly(terms, u):
@@ -486,7 +475,7 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
         for j in group.elements():
             kj = element_at[j]
             gj = solutions[kj.coeffs]
-            val = _eval_additive(gi, kj) - _eval_additive(gj, ki)
+            val = gi.evaluate(kj) - gj.evaluate(ki)
             if any(val.coeffs[1:]):
                 raise TheoremViolated("deck commutator is not a prime-field constant")
             row.append(val.coeffs[0] % p)
@@ -546,7 +535,7 @@ def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit
     for k in element_at.values():
         gk, hk = solutions[k.coeffs], h(k)
         for u, hu in sample:
-            lhs = _eval_additive(gk, u)
+            lhs = gk.evaluate(u)
             if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
     points = _covering_points(big, h, sample_limit)
@@ -574,8 +563,8 @@ def _check_deck_commutators(element_at, solutions, pairing, points):
     translation by e(k, k') for all k, k' in K; checked on generators.
 
     Each g_k is additive, so [d_k, d_k'] moves every point (u, z) by (0,
-    c(k, k')), c(k, k') = g_k(k') - g_k'(k).  1. g_{k+s} = g_k + g_s
-    coefficient-wise for every k and basis vector s; induction on a word in
+    c(k, k')), c(k, k') = g_k(k') - g_k'(k).  1. g_{k+s} = g_k + g_s as
+    AdditivePolynomials for every k and basis vector s; induction on a word in
     the basis makes k -> g_k additive, so c is biadditive.  2. c = e on basis
     pairs, read off the deck maps; e is biadditive
     (`AlternatingPairing.validate`), so c = e on K x K.
@@ -583,16 +572,15 @@ def _check_deck_commutators(element_at, solutions, pairing, points):
     p = pairing.a_modulus
     gens = pairing.group.generators()
     for k in element_at.values():
-        gk, zero = solutions[k.coeffs], k.field.zero()
+        gk = solutions[k.coeffs]
         for s in gens:
             gs = solutions[element_at[s].coeffs]
-            total = {j: gk.get(j, zero) + gs.get(j, zero) for j in gk.keys() | gs.keys()}
-            if solutions[(k + element_at[s]).coeffs] != {j: c for j, c in total.items() if c}:
+            if solutions[(k + element_at[s]).coeffs] != gk + gs:
                 raise TheoremViolated("k -> g_k is not additive")
 
     def deck(k, point):
         u, z = point
-        return (u + k, z + _eval_additive(solutions[k.coeffs], u))
+        return (u + k, z + solutions[k.coeffs].evaluate(u))
 
     for i in gens:
         for j in gens:

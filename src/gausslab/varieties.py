@@ -10,7 +10,7 @@ the free variable w contributing a factor q^n that is flagged in the output.
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .charsum import LaurentAdditive, as_reduce, gos_rank
+from .charsum import as_reduce, gos_rank
 from .errors import SwanDivisibleByP, check_cap
 from .exactalg import (
     IntPolynomial,
@@ -25,6 +25,7 @@ from .fields import (
     AdditivePolynomial,
     WittVector2,
     absolute_trace_int,
+    exponent_dict_from_json,
     extension,
     witt_trace,
     witt_zero,
@@ -117,10 +118,9 @@ def _dual_kernel(spec, override=False):
     of the trace-adjoint f_dual; its splitting field is found from the exact
     root-count bound p^span.
     """
-    fd = LaurentAdditive.from_additive(spec.f).adjoint()
+    fd = spec.f.adjoint()
     cleared, _ = fd.cleared()
-    span = fd.span()
-    expected = spec.field.p**span
+    expected = spec.field.p ** fd.span()
     n = 1
     while True:
         big, emb = extension(spec.field, n)
@@ -171,8 +171,7 @@ def counts_vs_character_sums(spec, n, override=False):
     big, emb = extension(spec.field, n)
     check_cap(big.q, override, "count assembly")
     p = spec.field.p
-    fd = LaurentAdditive.from_additive(spec.f).adjoint()
-    cleared, _ = fd.cleared()
+    cleared, _ = spec.f.adjoint().cleared()
     lifted = cleared.lift(emb)
     cs = [c for c in big.elements() if not lifted.evaluate(c)]
     rhs = spec.rhs_poly()
@@ -400,7 +399,7 @@ class SurfaceSpec:
         field = FiniteField.from_json(obj["field"])
         return SurfaceSpec(
             field,
-            {int(i): field.element_from_json(c) for i, c in obj["f"].items()},
+            exponent_dict_from_json(field, obj["f"]),
             AdditivePolynomial.from_json(field, obj["r"]),
         )
 

@@ -115,6 +115,43 @@ def test_every_json_boundary_decodes_elements_strictly(command, job, tmp_path, c
     assert "[2] is not an element of F2" in err
 
 
+def _precompose(f):
+    """char-sum of psi(Tr(x^3)) over F_2 with x replaced by f(x)."""
+    terms = [{"kind": "diag", "j": 0, "i": 1, "a": [1]}, {"kind": "precompose", "j": 0, "f": f}]
+    return {"datum": {"field": {"p": 2, "m": 1}, "d": 1, "terms": terms}, "n": 1}
+
+
+@pytest.mark.parametrize(
+    "command,job,why",
+    [
+        ("zeta", _with("vdgv-f2-zeta", lambda j: j["curve"].__setitem__("g1", {"-1": [1]})), "key '-1'"),
+        ("zeta", _with("vdgv-f2-zeta", lambda j: j["curve"].__setitem__("g1", {"0": [1], "00": [1]})), "key '00'"),
+        ("zeta", _with("vdgv-f2-zeta", lambda j: j["curve"].__setitem__("g2", {"-1": [1]})), "key '-1'"),
+        ("zeta", _with("vdgv-f2-zeta", lambda j: j["curve"].__setitem__("g2", {"+1": [1]})), "key '+1'"),
+        ("count-points", _with("vdgv-f2-zeta", lambda j: j["curve"].__setitem__("f", [1])), "[1] is not"),
+        ("supersingular", _with("surface-p2", lambda j: j["surface"].__setitem__("f", {"-1": [1]})), "key '-1'"),
+        ("supersingular", _with("surface-p2", lambda j: j["surface"].__setitem__("f", {" 0": [1]})), "key ' 0'"),
+        ("supersingular", _with("surface-p2", lambda j: j["surface"].__setitem__("r", {"-1": [1]})), "key '-1'"),
+        ("supersingular", _with("surface-p2", lambda j: j["surface"].__setitem__("r", {"01": [1]})), "key '01'"),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": [1]}, "[1] is not"),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"-1": [1]}}, "key '-1'"),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [1]}, "r": {"-1": [1]}}, "key '-1'"),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [1]}, "r": {"1.0": [1]}}, "key '1.0'"),
+        ("char-sum", _precompose({"-1": [1]}), "key '-1'"),
+        ("char-sum", _precompose({"0": [1], "-0": [1]}), "key '-0'"),
+    ],
+    ids=["g1-negative", "g1-leading-zero", "g2-negative", "g2-plus-sign", "curve-f-list",
+         "surface-f-negative", "surface-f-space", "surface-r-negative", "surface-r-leading-zero",
+         "endw2-f-list", "endw2-f-negative", "endw2-r-negative", "endw2-r-float",
+         "precompose-negative", "precompose-minus-zero"],
+)
+def test_exponent_keys_decode_strictly(command, job, why, tmp_path, capsys):
+    # an {exponent: element} object has canonical keys "0", "1", ...; nothing is merged
+    code, err = run_main(command, job, tmp_path, capsys)
+    assert code == 2
+    assert "invalid input" in err and why in err
+
+
 def test_internal_fault_exits_4(monkeypatch, tmp_path, capsys):
     def broken(job, options):
         raise TheoremViolated("a proven identity failed")

@@ -427,6 +427,47 @@ def test_additive_polynomial_composition():
     assert fg.top_exponent() == 2  # degrees multiply
 
 
+def _seeded_additive(field, rng):
+    """A nonzero AdditivePolynomial with exponents in -2..2."""
+    els = list(field.elements())
+    coeffs = {i: rng.choice(els) for i in range(-2, 3) if rng.random() < 0.6}
+    coeffs[rng.randint(-2, 2)] = rng.choice(els[1:])
+    return AdditivePolynomial(field, coeffs)
+
+
+@pytest.mark.parametrize("field", [F4, F9, F16], ids=["F4", "F9", "F16"])
+def test_additive_polynomials_over_z_pointwise(field):
+    # exponents range over Z: every operation agrees with its definition on
+    # every element, negative Frobenius powers being exact p-th roots
+    rng = random.Random(f"additive-{field.tag}")
+    els = list(field.elements())
+    big, emb = extension(field, 2)
+    for _ in range(4):
+        f, g = _seeded_additive(field, rng), _seeded_additive(field, rng)
+        c = rng.choice(els)
+        fg, fd, cleared, v = f.compose(g), f.adjoint(), *f.cleared()
+        low, high = min(f.coeffs), max(f.coeffs)
+        assert v == max(0, -low) and min(cleared.coeffs) >= 0
+        assert f.span() == high - low == fd.span() == f.twist(-low).top_exponent()
+        lifted = f.lift(emb)
+        for x in els:
+            fx = f.evaluate(x)
+            assert fg.evaluate(x) == f.evaluate(g.evaluate(x))
+            for k in range(-3, 4):
+                assert f.twist(k).evaluate(x) == fx.frobenius(k)
+            assert cleared.evaluate(x) == fx.frobenius(v)
+            assert (f + g).evaluate(x) == fx + g.evaluate(x)
+            assert f.scale(c).evaluate(x) == c * fx
+            assert lifted.evaluate(emb(x)) == emb(fx)
+            for y in els:
+                assert absolute_trace_int(fx * y) == absolute_trace_int(x * fd.evaluate(y))
+    zero = AdditivePolynomial(field, {})
+    assert zero.cleared() == (zero, 0) and zero.span() is None
+    frob = AdditivePolynomial(field, {1: field.gen(), 2: field.one()})
+    assert frob.cleared() == (frob, 0)  # exponents >= 0 already: no shift
+    assert (f + f.scale(-field.one())).is_zero()
+
+
 def test_additive_kernel_examples():
     # X^q - X over F_{q^n}: kernel = F_q
     f = AdditivePolynomial(F4, {1: F4.one(), 0: F4.one()})  # X^2 + X over F4

@@ -17,7 +17,7 @@ from gausslab.errors import (
     TheoremViolated,
 )
 from gausslab.exactalg import zeta
-from gausslab.fields import extension, make_field
+from gausslab.fields import AdditivePolynomial, extension, make_field
 from gausslab.heisenberg import (
     AlternatingPairing,
     DarbouxBasis,
@@ -26,7 +26,6 @@ from gausslab.heisenberg import (
     _check_deck_commutators,
     _covering_points,
     _embedded_terms,
-    _eval_additive,
     _eval_scalar_poly,
     _kernel_coordinates,
     _validate_deck_maps,
@@ -118,7 +117,7 @@ def _all_pairs_deck_sweep(element_at, solutions, pairing, points):
     point, [d_k, d_k'] is the fiber translation by e(k, k')."""
     def deck(k, point):
         u, z = point
-        return (u + k, z + _eval_additive(solutions[k.coeffs], u))
+        return (u + k, z + solutions[k.coeffs].evaluate(u))
 
     for i, ki in element_at.items():
         for j, kj in element_at.items():
@@ -420,21 +419,12 @@ def _deck_data(p, i, a):
     return dh, element_at, big, _embedded_terms(terms, emb)
 
 
-def _plus(g, delta):
-    """The sum of two additive polynomials as {exponent: coefficient}."""
-    out = dict(g)
-    for j, c in delta.items():
-        out[j] = out[j] + c if j in out else c
-    return {j: v for j, v in out.items() if v}
-
-
 def _vanishing_on(basis, field):
     """The additive polynomial prod (X - k) over the F_p-span of `basis`."""
-    phi = {0: field.one()}
+    phi = AdditivePolynomial(field, {0: field.one()})
     for s in basis:
-        scale = -(_eval_additive(phi, s) ** (field.p - 1))
-        phi = _plus({j + 1: c.frobenius() for j, c in phi.items()},
-                    {j: scale * c for j, c in phi.items()})
+        scale = -(phi.evaluate(s) ** (field.p - 1))
+        phi = phi.twist(1) + phi.scale(scale)
     return phi
 
 
@@ -444,7 +434,7 @@ def _coherent(dh, element_at, t, phi):
     bad = dict(dh.solutions)
     for idx, k in element_at.items():
         lam = dh.pairing.group.decode(idx)[t]
-        bad[k.coeffs] = _plus(bad[k.coeffs], {j: c * lam for j, c in phi.items()})
+        bad[k.coeffs] = bad[k.coeffs] + phi.scale(lam)
     return bad
 
 
@@ -463,7 +453,7 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
     # k -> g_k stops being additive
     for k in element_at.values():
         bad = dict(dh.solutions)
-        bad[k.coeffs] = _plus(bad[k.coeffs], {0: big.one()})
+        bad[k.coeffs] = bad[k.coeffs] + AdditivePolynomial(big, {0: big.one()})
         assert not _all_pairs_deck_sweep(element_at, bad, dh.pairing, points)
         with pytest.raises(TheoremViolated):
             _check_deck_commutators(element_at, bad, dh.pairing, points)
@@ -472,7 +462,7 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
     # with s the first basis vector, which changes no commutator with s
     gens = dh.pairing.group.generators()
     rejected = 0
-    for phi in ({0: big.one()}, _vanishing_on([element_at[gens[0]]], big)):
+    for phi in (AdditivePolynomial(big, {0: big.one()}), _vanishing_on([element_at[gens[0]]], big)):
         for t in range(len(gens)):
             bad = _coherent(dh, element_at, t, phi)
             if _all_pairs_deck_sweep(element_at, bad, dh.pairing, points):
@@ -489,7 +479,7 @@ def test_deck_lift_check_keeps_every_k():
     _validate_deck_maps(terms, big, element_at, dh.solutions, dh.pairing, 12)
     for k in element_at.values():
         bad = dict(dh.solutions)
-        bad[k.coeffs] = _plus(bad[k.coeffs], {0: big.one()})
+        bad[k.coeffs] = bad[k.coeffs] + AdditivePolynomial(big, {0: big.one()})
         with pytest.raises(TheoremViolated):
             _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)
     # adding lambda_t(k) phi_K, phi_K vanishing on K, keeps every commutator:
