@@ -7,13 +7,13 @@ with Witt traces.  All sums, pairings, kernels and identity checks are exact.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     DegeneratePairing,
     IdentityFails,
     NotEtale,
     NotSymmetric,
+    Record,
     SwanDivisibleByP,
     TheoremViolated,
     check_cap,
@@ -26,13 +26,11 @@ from .fields import (
     extension,
     witt_trace,
 )
-from .quadform import FiniteAbelianGroup, QuadraticForm
 
 
 # -- term types ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagMonomial:
+class DiagMonomial(Record, frozen=True):
     """Contributes a * x_j^(p^i + 1) inside psi(Tr(...)); i >= 1."""
 
     j: int
@@ -42,8 +40,7 @@ class DiagMonomial:
     kind = "diag"
 
 
-@dataclass(frozen=True)
-class CrossMonomial:
+class CrossMonomial(Record, frozen=True):
     """Contributes a * x_j^(p^i) * x_k inside psi(Tr(...)); i >= 0."""
 
     j: int
@@ -54,8 +51,7 @@ class CrossMonomial:
     kind = "cross"
 
 
-@dataclass(frozen=True)
-class HalfSquare:
+class HalfSquare(Record, frozen=True):
     """Contributes (a/2) * x_j^2; p odd only."""
 
     j: int
@@ -64,8 +60,7 @@ class HalfSquare:
     kind = "halfsq"
 
 
-@dataclass(frozen=True)
-class WittLinear:
+class WittLinear(Record, frozen=True):
     """Contributes psi'(witt_trace((c*x_j, 0))); p = 2 only."""
 
     j: int
@@ -74,8 +69,7 @@ class WittLinear:
     kind = "wittlin"
 
 
-@dataclass(frozen=True)
-class ASLinear:
+class ASLinear(Record, frozen=True):
     """Multiplicative twist psi(Tr(c*x_j))."""
 
     j: int
@@ -84,8 +78,7 @@ class ASLinear:
     kind = "aslin"
 
 
-@dataclass(frozen=True)
-class Precompose:
+class Precompose(Record, frozen=True):
     """Replaces x_j by f(x_j) in all terms for coordinate j."""
 
     j: int
@@ -294,6 +287,8 @@ def derive_pairing(datum, n, override=False):
     The group is (Z/p)^(m*n*d) in the coefficient basis, enabling the whole
     finite-quadratic-form machinery (Gauss sum, radical, non-degeneracy).
     """
+    from .quadform import FiniteAbelianGroup, QuadraticForm
+
     ev = _Evaluator(datum, n, override)
     big = ev.big
     check_cap(big.q ** (2 * datum.d), override, "pairing table")
@@ -391,8 +386,7 @@ def symbolic_pairing(datum):
 
 # -- geometric kernel -----------------------------------------------------------
 
-@dataclass
-class KernelData:
+class KernelData(Record):
     r: int
     size: int
     splitting_degree: int
@@ -635,8 +629,7 @@ def gos_rank(poly, allow_character=False):
 
 # -- Hasse-Davenport checks -------------------------------------------------------
 
-@dataclass
-class HDReport:
+class HDReport(Record):
     datum: object
     r: int
     tau: object

@@ -14,53 +14,7 @@ import os
 import sys
 import time
 
-from . import corpus as corpus_mod
-from .charsum import (
-    QuadDatum,
-    canonical_quadratic,
-    char_sum,
-    clb_cocycle_identity_check,
-    derive_pairing,
-    geometric_kernel,
-    hasse_davenport_check,
-    invariance_check,
-    symbolic_pairing,
-)
 from .errors import GaussLabError, ScaleCapExceeded, TheoremViolated
-from .exactalg import IntPolynomial, abs_square, weil_certificate
-from .fields import (
-    AdditivePolynomial,
-    FiniteField,
-    WittVector2,
-    exponent_dict_from_json,
-    witt_trace,
-)
-from .heisenberg import (
-    AlternatingPairing,
-    build_group,
-    check_faithful,
-    darboux,
-    heisenberg_from_datum,
-    stone_von_neumann,
-)
-from .quadform import (
-    FiniteAbelianGroup,
-    QuadraticForm,
-    char2_invariant,
-    recursive_gauss_eval,
-)
-from .varieties import (
-    CurveSpec,
-    SurfaceSpec,
-    betti_closure_check,
-    count_points,
-    surface_counts,
-    surface_summand_certificates,
-    verify_additive,
-    w2_endomorphism,
-    mutated_endomorphism,
-    zeta_pipeline,
-)
 
 SUBCOMMANDS = (
     "field",
@@ -137,13 +91,20 @@ def dispatch(command, job, options=None):
     return report
 
 
+# Each handler imports the modules it uses, so a CLI process loads (and,
+# without a bytecode cache, compiles) only what its subcommand runs.
+
 def _cmd_field(job, options):
+    from .fields import FiniteField
+
     field = FiniteField.from_json(job)
     checks = [_check("modulus-irreducible", True)]
     return field.to_json(), checks
 
 
 def _cmd_witt(job, options):
+    from .fields import FiniteField, WittVector2, witt_frobenius, witt_trace
+
     field = FiniteField.from_json(job["field"])
     el = field.element_from_json
     u = WittVector2(field, el(job["u"][0]), el(job["u"][1]))
@@ -153,8 +114,6 @@ def _cmd_witt(job, options):
         w = u + v if op == "add" else u * v
         result = {"x0": list(w.x0.coeffs), "x1": list(w.x1.coeffs)}
     elif op == "frobenius":
-        from .fields import witt_frobenius
-
         w = witt_frobenius(u)
         result = {"x0": list(w.x0.coeffs), "x1": list(w.x1.coeffs)}
     elif op == "restriction":
@@ -167,12 +126,16 @@ def _cmd_witt(job, options):
 
 
 def _cmd_gauss_sum(job, options):
+    from .quadform import QuadraticForm
+
     form = QuadraticForm.from_json(job["form"])
     tau = form.gauss_sum()
     return {"tau": _cyc(tau)}, []
 
 
 def _cmd_gauss_verify(job, options):
+    from .quadform import QuadraticForm, char2_invariant, recursive_gauss_eval
+
     form = QuadraticForm.from_json(job["form"])
     tau = form.gauss_sum()
     witness = form.pairing.witness
@@ -198,10 +161,14 @@ def _cmd_gauss_verify(job, options):
 
 
 def _parse_datum(job):
+    from .charsum import QuadDatum
+
     return QuadDatum.from_json(job["datum"])
 
 
 def _cmd_char_sum(job, options):
+    from .charsum import char_sum
+
     datum = _parse_datum(job)
     n = options.get("ext") or job.get("n", 1)
     s = char_sum(
@@ -211,6 +178,8 @@ def _cmd_char_sum(job, options):
 
 
 def _cmd_hasse_davenport(job, options):
+    from .charsum import hasse_davenport_check
+
     datum = _parse_datum(job)
     rep = hasse_davenport_check(
         datum,
@@ -234,6 +203,8 @@ def _cmd_hasse_davenport(job, options):
 
 
 def _cmd_kernel(job, options):
+    from .charsum import geometric_kernel
+
     datum = _parse_datum(job)
     ker = geometric_kernel(datum, override=options.get("override", False))
     result = {
@@ -246,6 +217,8 @@ def _cmd_kernel(job, options):
 
 
 def _cmd_clb_normalize(job, options):
+    from .charsum import canonical_quadratic, symbolic_pairing
+
     datum = _parse_datum(job)
     pairing = symbolic_pairing(datum)
     f00 = pairing.entry(0, 0) if datum.d == 1 else None
@@ -266,6 +239,9 @@ def _cmd_clb_normalize(job, options):
 
 
 def _cmd_clb_cocycle(job, options):
+    from .charsum import clb_cocycle_identity_check
+    from .fields import FiniteField
+
     field = FiniteField.from_json(job["field"])
     holds = clb_cocycle_identity_check(
         job["i"], field.element_from_json(job["a"]), field, job.get("n", 1),
@@ -275,6 +251,16 @@ def _cmd_clb_cocycle(job, options):
 
 
 def _cmd_heisenberg(job, options):
+    from .charsum import QuadDatum
+    from .heisenberg import (
+        AlternatingPairing,
+        build_group,
+        check_faithful,
+        heisenberg_from_datum,
+        stone_von_neumann,
+    )
+    from .quadform import FiniteAbelianGroup
+
     if "from_datum" in job:
         datum = QuadDatum.from_json(job["from_datum"])
         dh = heisenberg_from_datum(datum, override=options.get("override", False))
@@ -310,6 +296,8 @@ def _cmd_heisenberg(job, options):
 
 
 def _cmd_count_points(job, options):
+    from .varieties import CurveSpec, count_points
+
     spec = CurveSpec.from_json(job["curve"])
     n = options.get("ext") or job.get("n", 1)
     return {
@@ -319,6 +307,8 @@ def _cmd_count_points(job, options):
 
 
 def _cmd_zeta(job, options):
+    from .varieties import CurveSpec, betti_closure_check, zeta_pipeline
+
     spec = CurveSpec.from_json(job["curve"])
     override = options.get("override", False)
     data = zeta_pipeline(spec, job.get("b"), override=override)
@@ -334,6 +324,8 @@ def _cmd_zeta(job, options):
 def _cmd_supersingular(job, options):
     override = options.get("override", False)
     if "surface" in job:
+        from .varieties import SurfaceSpec, surface_counts, surface_summand_certificates
+
         spec = SurfaceSpec.from_json(job["surface"])
         summands = surface_summand_certificates(
             spec, n_max=job.get("n_max", 3), override=override
@@ -360,11 +352,15 @@ def _cmd_supersingular(job, options):
         ]
         return result, checks
     if "curve" in job:
+        from .varieties import CurveSpec, zeta_pipeline
+
         spec = CurveSpec.from_json(job["curve"])
         data = zeta_pipeline(spec, job.get("b"), override=override)
         cert = data.certificate
         result = data.to_json()
         return result, [_check("weil-certificate", cert is not None)]
+    from .exactalg import IntPolynomial, weil_certificate
+
     poly = IntPolynomial(job["l_poly"])
     cert = weil_certificate(poly, job["q"], job.get("i", 1))
     result = {
@@ -376,11 +372,12 @@ def _cmd_supersingular(job, options):
 
 
 def _cmd_endw2_verify(job, options):
+    from .fields import AdditivePolynomial, FiniteField, exponent_dict_from_json
+    from .varieties import mutated_endomorphism, verify_additive, w2_endomorphism
+
     field = FiniteField.from_json(job["field"])
     f_coeffs = exponent_dict_from_json(field, job["f"])
-    r_poly = (
-        AdditivePolynomial.from_json(field, job["r"]) if job.get("r") else None
-    )
+    r_poly = AdditivePolynomial.from_json(field, job["r"]) if "r" in job else None
     endo = w2_endomorphism(field, f_coeffs, r_poly)
     n = job.get("n", 1)
     ok = verify_additive(endo, n, override=options.get("override", False))
@@ -395,6 +392,8 @@ def _cmd_endw2_verify(job, options):
 
 
 def _cmd_invariance(job, options):
+    from .charsum import invariance_check
+
     datum = _parse_datum(job)
     field = datum.field
     matrices = [
@@ -406,7 +405,9 @@ def _cmd_invariance(job, options):
 
 
 def _cmd_suite(job, options):
-    jobs = corpus_mod.corpus()
+    from .corpus import corpus
+
+    jobs = corpus()
     names = job.get("only") or sorted(jobs)
     results = {}
     all_ok = True

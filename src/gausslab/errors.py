@@ -1,4 +1,4 @@
-"""Shared exception types and the desk-scale enumeration cap."""
+"""Shared exception types, the desk-scale enumeration cap and `Record`."""
 
 import os
 
@@ -125,3 +125,61 @@ def check_cap(n_points, override=False, what="enumeration"):
     cap = scale_cap()
     if n_points > cap:
         raise ScaleCapExceeded(f"{what} over {n_points} points exceeds cap {cap}")
+
+
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Record:
+    """A plain value record whose fields are its class's annotated names.
+
+    It gives what `dataclasses` gave the library without importing it (every
+    cold CLI process would compile it): `__init__` takes the fields in order,
+    positionally or by keyword, with an annotated class value as the default
+    (a dict, list or set default is copied per instance); the repr is
+    `Name(field=value, ...)`; records are equal when of the same class with
+    equal fields.  Instances of `class T(Record, frozen=True)` are hashable
+    and reject assignment; other records are unhashable.
+    """
+
+    def __init_subclass__(cls, frozen=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse_assignment
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        extra = set(kwargs) - set(fields[len(args):])
+        if len(args) > len(fields) or extra:
+            raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(extra)}")
+        given = dict(zip(fields, args), **kwargs)
+        for f in fields:
+            if f in given:
+                value = given[f]
+            elif f in self._defaults:
+                value = self._defaults[f]
+                if isinstance(value, (dict, list, set)):
+                    value = value.copy()
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {f!r}")
+            object.__setattr__(self, f, value)
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())

@@ -600,8 +600,10 @@ class AdditivePolynomial:
         return AdditivePolynomial(self.field, merged)
 
     def scale(self, c):
-        """c * f(X): multiply the function values by c."""
-        c = self.field.element(c)
+        """c * f(X): multiply the function values by c, an integer (as in
+        `FieldElement * int`) or anything `field.element` accepts."""
+        if not isinstance(c, int):
+            c = self.field.element(c)
         return AdditivePolynomial(self.field, {i: a * c for i, a in self.coeffs.items()})
 
     def evaluate(self, x):

@@ -13,7 +13,6 @@ sweeps all of H x H or H x H x H.
 """
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from .charsum import geometric_kernel
@@ -22,6 +21,7 @@ from .errors import (
     NonInjectiveCharacter,
     NotAlternating,
     NotPerfect,
+    Record,
     TheoremViolated,
 )
 from .exactalg import abs_square, zeta, zeta_sum
@@ -62,8 +62,7 @@ class AlternatingPairing:
         return self.table[i][j]
 
 
-@dataclass
-class DarbouxBasis:
+class DarbouxBasis(Record):
     """Dual pairs (x_i, y_i) with e(x_i, y_j) = delta_ij * eps_i, isotropic spans."""
 
     pairs: list  # (x index, y index, eps in Z/p^s)
@@ -366,8 +365,7 @@ def check_faithful(rep):
 
 # -- Heisenberg group of a quadratic datum ----------------------------------------
 
-@dataclass
-class DatumHeisenberg:
+class DatumHeisenberg(Record):
     kernel: object
     pairing: AlternatingPairing
     group: HeisenbergGroup

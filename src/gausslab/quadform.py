@@ -7,7 +7,6 @@ form keeps integer exponents modulo its working cyclotomic order; exact
 CyclotomicNumber objects are materialized only for assembled sums.
 """
 
-import random
 from functools import cached_property
 from math import gcd, lcm, prod
 
@@ -21,7 +20,6 @@ from .errors import (
 from .exactalg import (
     CyclotomicNumber, abs_square, is_root_of_unity, zeta, zeta_exponents, zeta_sum
 )
-from .fields import is_prime
 
 
 class FiniteAbelianGroup:
@@ -340,6 +338,8 @@ def _table_recursive_tau(add, exps, n_val):
             o += 1
         return o
 
+    from .fields import is_prime
+
     x = None
     for i in range(1, n):
         if is_prime(order_of(i)):
@@ -470,6 +470,8 @@ def random_nondegenerate(group, seed, max_tries=60):
     """
     if group.order == 1:
         return QuadraticForm.trivial(group)
+    import random
+
     rng = random.Random(seed)
     n_val = group.exponent**2
     gens = group.generators()

@@ -7,11 +7,8 @@ Surfaces are counted exactly as displayed in their defining equations, with
 the free variable w contributing a factor q^n that is flagged in the output.
 """
 
-import random
-from dataclasses import dataclass, field as dc_field
-
 from .charsum import as_reduce, gos_rank
-from .errors import SwanDivisibleByP, check_cap
+from .errors import Record, SwanDivisibleByP, check_cap
 from .exactalg import (
     IntPolynomial,
     abs_square,
@@ -191,15 +188,14 @@ def counts_vs_character_sums(spec, n, override=False):
     return direct, assembled
 
 
-@dataclass
-class ZetaData:
+class ZetaData(Record):
     q: int
     betti: int
     counts: list
     power_sums: list
     l_poly: object
     certificate: object
-    flags: dict = dc_field(default_factory=dict)
+    flags: dict = {}  # copied per instance by Record
 
     def to_json(self):
         cert = None
@@ -253,6 +249,8 @@ def random_curve_spec(field, seed, max_b=6, max_tries=200, override=False):
     geometrically connected, have all character ranks defined, and have
     betti_prediction <= max_b.  ScaleCapExceeded is raised, not retried.
     """
+    import random
+
     rng = random.Random(seed)
     els = list(field.elements())
     for _ in range(max_tries):
@@ -450,8 +448,7 @@ def surface_counts(spec, n, override=False):
     return count3 * big.q, {"w_is_free": True, "free_factor": big.q}
 
 
-@dataclass
-class SurfaceSummand:
+class SurfaceSummand(Record):
     psi_exponent: int
     kind: str  # "trivial" | "vanishing" | "chain"
     r: object  # p-power multiplicity exponent, or None

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,12 +138,16 @@ def _precompose(f):
         ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"-1": [1]}}, "key '-1'"),
         ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [1]}, "r": {"-1": [1]}}, "key '-1'"),
         ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [1]}, "r": {"1.0": [1]}}, "key '1.0'"),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [1]}, "r": []}, "[] is not"),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [1]}, "r": 0}, "0 is not"),
+        ("endw2-verify", {"field": {"p": 2, "m": 1}, "f": {"0": [1]}, "r": ""}, "'' is not"),
         ("char-sum", _precompose({"-1": [1]}), "key '-1'"),
         ("char-sum", _precompose({"0": [1], "-0": [1]}), "key '-0'"),
     ],
     ids=["g1-negative", "g1-leading-zero", "g2-negative", "g2-plus-sign", "curve-f-list",
          "surface-f-negative", "surface-f-space", "surface-r-negative", "surface-r-leading-zero",
          "endw2-f-list", "endw2-f-negative", "endw2-r-negative", "endw2-r-float",
+         "endw2-r-empty-list", "endw2-r-zero", "endw2-r-empty-string",
          "precompose-negative", "precompose-minus-zero"],
 )
 def test_exponent_keys_decode_strictly(command, job, why, tmp_path, capsys):
@@ -150,6 +155,15 @@ def test_exponent_keys_decode_strictly(command, job, why, tmp_path, capsys):
     code, err = run_main(command, job, tmp_path, capsys)
     assert code == 2
     assert "invalid input" in err and why in err
+
+
+def test_endw2_empty_r_is_the_zero_correction():
+    # {} decodes to the zero polynomial, which is what an absent r means
+    job = {"field": {"p": 2, "m": 2}, "f": {"0": [1, 0], "1": [0, 1]}}
+    absent = dispatch("endw2-verify", job)
+    empty = dispatch("endw2-verify", {**job, "r": {}})
+    absent.pop("timing_ms"), empty.pop("timing_ms")
+    assert empty == absent and absent["ok"]
 
 
 def test_internal_fault_exits_4(monkeypatch, tmp_path, capsys):
@@ -282,3 +296,72 @@ def test_every_fixture_resolves():
             "supersingular", "endw2-verify", "invariance", "field", "witt", "suite",
         ), name
         json.dumps(entry["input"])  # JSON-serializable
+
+
+# Every subcommand with the job it runs in the footprint test: its first corpus
+# fixture by name, or a small job for the four commands the corpus lacks.
+_FOOTPRINT_JOBS = {
+    **{entry["command"]: name for name, entry in sorted(corpus().items(), reverse=True)},
+    "field": {"p": 2, "m": 2},
+    "witt": {"field": {"p": 2, "m": 1}, "op": "frobenius", "u": [[1], [1]]},
+    "char-sum": {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"], "n": 1},
+    "count-points": {"curve": corpus()["vdgv-f2-zeta"]["input"]["curve"], "n": 2},
+    "suite": {"only": ["exeasy-z2"]},
+}
+
+# The library modules beyond `gausslab`, `cli` and `errors` each subcommand loads.
+_CHARSUM = {"charsum", "exactalg", "fields"}
+_VARIETIES = {"charsum", "exactalg", "fields", "varieties"}
+_FOOTPRINT = {
+    "field": {"fields"},
+    "witt": {"fields"},
+    "gauss-sum": {"exactalg", "quadform"},
+    "gauss-verify": {"exactalg", "fields", "quadform"},
+    "char-sum": _CHARSUM,
+    "hasse-davenport": _CHARSUM,
+    "kernel": _CHARSUM,
+    "clb-normalize": _CHARSUM,
+    "clb-cocycle": _CHARSUM,
+    "invariance": _CHARSUM,
+    "heisenberg": {"charsum", "exactalg", "fields", "heisenberg", "quadform"},
+    "count-points": _VARIETIES,
+    "zeta": _VARIETIES,
+    "supersingular": _VARIETIES,
+    "endw2-verify": _VARIETIES,
+    "suite": {"charsum", "corpus", "exactalg", "fields", "quadform", "varieties"},
+}
+
+_FOOTPRINT_CODE = """
+import sys
+before = set(sys.modules)
+import json
+sys.path.insert(0, sys.argv[1])
+from gausslab import cli
+command, job = json.loads(sys.stdin.read())
+cli.dispatch(command, job, {"workers": 1})
+new = set(sys.modules) - before
+print(json.dumps([sorted(m for m in new if m.startswith("gausslab")),
+                  "dataclasses" in new, "random" in new]))
+"""
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_subcommand_imports_only_what_it_runs(command):
+    # a fresh interpreter per command: pytest itself has loaded dataclasses,
+    # and -S keeps site hooks from loading modules before the snapshot
+    import gausslab
+
+    assert set(_FOOTPRINT) == set(cli.SUBCOMMANDS)
+    job = _FOOTPRINT_JOBS[command]
+    if isinstance(job, str):
+        job = corpus()[job]["input"]
+    src = str(Path(gausslab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT_CODE, src],
+                          input=json.dumps([command, job]), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules, dataclasses_loaded, random_loaded = json.loads(proc.stdout)
+    base = ["gausslab", "gausslab.cli", "gausslab.errors"]
+    assert modules == sorted(base + [f"gausslab.{m}" for m in _FOOTPRINT[command]])
+    assert not dataclasses_loaded
+    assert random_loaded == (command == "suite")  # corpus draws random curves

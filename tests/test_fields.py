@@ -435,6 +435,19 @@ def _seeded_additive(field, rng):
     return AdditivePolynomial(field, coeffs)
 
 
+@pytest.mark.parametrize("field", [F4, F9], ids=["F4", "F9"])
+def test_additive_polynomial_scales_by_an_integer(field):
+    # an int multiplies by the integer, as FieldElement * int does; it is not
+    # the mixed-radix element from_int(c) (over F_4, -1 would give X + 1)
+    f = _seeded_additive(field, random.Random(f"scale-{field.tag}"))
+    assert (f + f.scale(-1)).is_zero()
+    assert f.scale(field.p).is_zero()
+    for c in (-1, 2, field.p):
+        assert f.scale(c) == f.scale(c * field.one())
+        for x in field.elements():
+            assert f.scale(c).evaluate(x) == f.evaluate(x) * c
+
+
 @pytest.mark.parametrize("field", [F4, F9, F16], ids=["F4", "F9", "F16"])
 def test_additive_polynomials_over_z_pointwise(field):
     # exponents range over Z: every operation agrees with its definition on
