@@ -22,6 +22,9 @@ from .exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
 from .fields import (
     AdditivePolynomial,
     WittVector2,
+    _linear_kernel,
+    _nullspace_mod_p,
+    _span_mod_p,
     absolute_trace_int,
     extension,
     witt_trace,
@@ -131,45 +134,46 @@ class QuadDatum:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):
-        out = []
-        for t in self.terms:
-            if t.kind == "diag":
-                out.append({"kind": "diag", "j": t.j, "i": t.i, "a": list(t.a.coeffs)})
-            elif t.kind == "cross":
-                out.append({"kind": "cross", "j": t.j, "k": t.k, "i": t.i, "a": list(t.a.coeffs)})
-            elif t.kind == "halfsq":
-                out.append({"kind": "halfsq", "j": t.j, "a": list(t.a.coeffs)})
-            elif t.kind == "wittlin":
-                out.append({"kind": "wittlin", "j": t.j, "c": list(t.c.coeffs)})
-            elif t.kind == "aslin":
-                out.append({"kind": "aslin", "j": t.j, "c": list(t.c.coeffs)})
-            elif t.kind == "precompose":
-                out.append({"kind": "precompose", "j": t.j, "f": t.f.to_json()})
-        return {"field": self.field.to_json(), "d": self.d, "terms": out}
+        terms = [
+            {"kind": t.kind, **{name: _encode_field(name, getattr(t, name)) for name in t._fields}}
+            for t in self.terms
+        ]
+        return {"field": self.field.to_json(), "d": self.d, "terms": terms}
 
     @staticmethod
     def from_json(obj):
         from .fields import FiniteField
 
         field = FiniteField.from_json(obj["field"])
+        decoders = {
+            "a": field.element_from_json,
+            "c": field.element_from_json,
+            "f": lambda f: AdditivePolynomial.from_json(field, f),
+        }
         terms = []
         for t in obj["terms"]:
             kind = t["kind"]
-            if kind == "diag":
-                terms.append(DiagMonomial(t["j"], t["i"], field.element_from_json(t["a"])))
-            elif kind == "cross":
-                terms.append(CrossMonomial(t["j"], t["k"], t["i"], field.element_from_json(t["a"])))
-            elif kind == "halfsq":
-                terms.append(HalfSquare(t["j"], field.element_from_json(t["a"])))
-            elif kind == "wittlin":
-                terms.append(WittLinear(t["j"], field.element_from_json(t["c"])))
-            elif kind == "aslin":
-                terms.append(ASLinear(t["j"], field.element_from_json(t["c"])))
-            elif kind == "precompose":
-                terms.append(Precompose(t["j"], AdditivePolynomial.from_json(field, t["f"])))
-            else:
+            cls = _TERM_KINDS.get(kind) if isinstance(kind, str) else None
+            if cls is None:
                 raise ValueError(f"unknown term kind {kind!r}")
+            # coordinate and Frobenius indices pass through as given
+            values = (decoders[n](t[n]) if n in decoders else t[n] for n in cls._fields)
+            terms.append(cls(*values))
         return QuadDatum(field, obj["d"], terms)
+
+
+_TERM_KINDS = {
+    cls.kind: cls
+    for cls in (DiagMonomial, CrossMonomial, HalfSquare, WittLinear, ASLinear, Precompose)
+}
+
+
+def _encode_field(name, value):
+    """JSON form of a term field: coefficient lists for the elements `a` and
+    `c`, the exponent object for `f`, indices as they are."""
+    if name == "f":
+        return value.to_json()
+    return list(value.coeffs) if name in ("a", "c") else value
 
 
 # -- pointwise evaluation --------------------------------------------------------
@@ -395,13 +399,11 @@ class KernelData(Record):
 
 
 def _kernel_dimension(pairing, n):
-    """F_p-dimension and basis of ker l_Q over F_{q^n}, by linear algebra.
+    """(F_{q^n}, flat F_p-basis of ker l_Q over it), by linear algebra.
 
     The map x -> (sum_j f_jk(x_j))_k is F_p-linear on (F_{q^n})^d; its kernel
     is the nullspace of a (m*n*d)^2 matrix over F_p, no point enumeration.
     """
-    from .fields import _nullspace_mod_p
-
     d = pairing.d
     big, emb = extension(pairing.field, n)
     me = big.m
@@ -423,13 +425,7 @@ def _kernel_dimension(pairing, n):
                 img.extend((f.evaluate(basis) if f is not None else big.zero()).coeffs)
             cols.append(img)
     matrix = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    null_basis = _nullspace_mod_p(matrix, p)
-    elements = []
-    for vec in null_basis:
-        elements.append(
-            tuple(big.element(vec[j * me : (j + 1) * me]) for j in range(d))
-        )
-    return big, elements
+    return big, _nullspace_mod_p(matrix, p)
 
 
 def geometric_kernel(datum, max_degree=24, override=False):
@@ -488,15 +484,13 @@ def geometric_kernel(datum, max_degree=24, override=False):
         twor += 1
     if s != 1 or twor % 2 != 0:
         raise DegeneratePairing(f"kernel size {size} is not an even power of {p}")
-    # enumerate the kernel as the F_p-span of the basis
-    elements = []
-    zero_pt = tuple(big.zero() for _ in range(d))
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        acc = list(zero_pt)
-        for c, vec in zip(coeffs, basis):
-            if c:
-                acc = [a + v * c for a, v in zip(acc, vec)]
-        elements.append(tuple(acc))
+    # list the kernel as the F_p-span of the flat null basis
+    check_cap(size, override, "kernel listing")
+    me = big.m
+    elements = [
+        tuple(big.element(vec[j * me : (j + 1) * me]) for j in range(d))
+        for vec in _span_mod_p(basis, p, me * d)
+    ]
     return KernelData(
         r=twor // 2, size=size, splitting_degree=n, field=big, elements=elements
     )
@@ -727,15 +721,11 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
     rhs_image = kernel_size * zeta_sum(p2, rhist)
 
     # right side 2: sum over annihilator characters of the twisted sums
-    annihilators = []
-    for j in range(datum.d):
-        img = per_coord_images[j]
-        ann = [
-            c
-            for c in big.elements()
-            if all(absolute_trace_int(c * w) == 0 for w in img)
-        ]
-        annihilators.append(ann)
+    # c annihilates the image when c -> (Tr(c w))_w, an F_p-linear map, sends it to 0
+    annihilators = [
+        _linear_kernel(big, lambda c, img=img: [absolute_trace_int(c * w) for w in img])
+        for img in per_coord_images
+    ]
     rhs_chars = zeta_sum(p2, {0: 0})
     for cs in itertools.product(*annihilators):
         hist = {}

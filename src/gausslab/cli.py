@@ -251,7 +251,6 @@ def _cmd_clb_cocycle(job, options):
 
 
 def _cmd_heisenberg(job, options):
-    from .charsum import QuadDatum
     from .heisenberg import (
         AlternatingPairing,
         build_group,
@@ -262,6 +261,8 @@ def _cmd_heisenberg(job, options):
     from .quadform import FiniteAbelianGroup
 
     if "from_datum" in job:
+        from .charsum import QuadDatum
+
         datum = QuadDatum.from_json(job["from_datum"])
         dh = heisenberg_from_datum(datum, override=options.get("override", False))
         group = dh.group
@@ -414,44 +415,36 @@ def _cmd_suite(job, options):
     for name in names:
         entry = jobs[name]
         report = dispatch(entry["command"], entry["input"], options)
-        ok = report["ok"] and _expectations_met(entry, report)
+        mismatch = _expectation_mismatch(entry, report)
+        ok = report["ok"] and mismatch is None
         all_ok = all_ok and ok
         results[name] = {"ok": ok, "command": entry["command"]}
+        if mismatch is not None:
+            results[name]["mismatch"] = mismatch
     return {"fixtures": results}, [_check("all-fixtures", all_ok)]
 
 
-def _expectations_met(entry, report):
-    exp = entry.get("expect", {})
-    res = report["result"]
-    for key, want in exp.items():
-        if key == "tau_coeffs":
-            if res.get("tau", {}).get("coeffs") != want:
-                return False
-        elif key == "tau":
-            got = res.get("tau", {})
-            if _cyc_as_str(got) != want:
-                return False
-        elif key == "ok":
-            if report["ok"] != want:
-                return False
-        elif key == "m":
-            if (res.get("certificate") or {}).get("m") != want:
-                return False
-        elif key == "certified":
-            if (res.get("certificate") is not None) != want:
-                return False
-        elif key == "all_ok":
-            if report["ok"] != want:
-                return False
-        elif key == "abs_square":
-            if res.get("abs_square") != want:
-                return False
-        elif key in res:
-            if res[key] != want:
-                return False
-        else:
-            return False
-    return True
+# Expectation keys read from somewhere other than `result[key]`.
+_EXPECTATION_SOURCES = {
+    "tau_coeffs": lambda report: report["result"].get("tau", {}).get("coeffs"),
+    "tau": lambda report: _cyc_as_str(report["result"].get("tau", {})),
+    "ok": lambda report: report["ok"],
+    "all_ok": lambda report: report["ok"],
+    "m": lambda report: (report["result"].get("certificate") or {}).get("m"),
+    "certified": lambda report: report["result"].get("certificate") is not None,
+}
+_ABSENT = object()
+
+
+def _expectation_mismatch(entry, report):
+    """{key, expected, actual} for the first expectation the report breaks, or
+    None; a result key the report lacks breaks it with actual None."""
+    for key, want in entry.get("expect", {}).items():
+        source = _EXPECTATION_SOURCES.get(key)
+        got = source(report) if source else report["result"].get(key, _ABSENT)
+        if got != want:
+            return {"key": key, "expected": want, "actual": None if got is _ABSENT else got}
+    return None
 
 
 def _cyc_as_str(obj):

@@ -464,22 +464,31 @@ def _nullspace_mod_p(matrix, p):
     return basis
 
 
+def _span_mod_p(basis, p, length):
+    """Every F_p-combination of `basis` (vectors of `length` integers), once
+    each, in itertools.product order over the coefficients."""
+    columns = list(zip(*basis)) if basis else [()] * length
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        yield tuple(sum(map(mul, coeffs, col)) % p for col in columns)
+
+
+def _linear_kernel(field, image):
+    """Zeros of an F_p-linear map on a field, sorted by coefficients.
+
+    image(x) gives the F_p-coordinates of the image of x; the zeros are the
+    nullspace of the matrix whose column j is image(X^j), no field sweep.
+    """
+    m, p = field.m, field.p
+    cols = [image(FieldElement(field, (0,) * j + (1,) + (0,) * (m - 1 - j))) for j in range(m)]
+    basis = _nullspace_mod_p(list(zip(*cols)), p)
+    return [FieldElement(field, v) for v in sorted(_span_mod_p(basis, p, m))]
+
+
 def subfield_elements(field, s):
     """All elements of the degree-s subfield (fixed points of Frobenius^s)."""
     if field.m % s != 0:
         raise NotASubfield(f"no subfield of degree {s} in degree {field.m}")
-    p = field.p
-    # matrix of Frobenius^s - 1: column j is the image of X^j
-    cols = [(x.frobenius(s) - x).coeffs for x in (field.gen() ** j for j in range(field.m))]
-    basis = _nullspace_mod_p([list(row) for row in zip(*cols)], p)
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        vec = [0] * field.m
-        for c, b in zip(coeffs, basis):
-            for i in range(field.m):
-                vec[i] = (vec[i] + c * b[i]) % p
-        out.append(FieldElement(field, tuple(vec)))
-    return sorted(out, key=lambda e: e.coeffs)
+    return _linear_kernel(field, lambda x: (x.frobenius(s) - x).coeffs)
 
 
 class Embedding:
@@ -673,16 +682,14 @@ def exponent_dict_from_json(field, obj):
 
 
 def additive_kernel(f, n, override=False):
-    """All roots of an additive polynomial in the degree-n extension.
-
-    Brute force; the root set is an F_p-subspace of F_{q^n}.
-    """
+    """All roots of an additive polynomial in the degree-n extension, sorted
+    by coefficients: the kernel of an F_p-linear map, by linear algebra."""
     if f.is_zero():
         raise ZeroPolynomial("kernel of the zero polynomial is everything")
     big, emb = extension(f.field, n)
     check_cap(big.q, override, "additive kernel search")
     lifted = f.lift(emb) if n > 1 else f
-    return [x for x in big.elements() if not lifted.evaluate(x)]
+    return _linear_kernel(big, lambda x: lifted.evaluate(x).coeffs)
 
 
 # -- Witt vectors of length 2 ---------------------------------------------------

@@ -15,7 +15,6 @@ sweeps all of H x H or H x H x H.
 import itertools
 from math import gcd
 
-from .charsum import geometric_kernel
 from .errors import (
     NoAdditiveSolution,
     NonInjectiveCharacter,
@@ -23,6 +22,7 @@ from .errors import (
     NotPerfect,
     Record,
     TheoremViolated,
+    check_cap,
 )
 from .exactalg import abs_square, zeta, zeta_sum
 from .fields import AdditivePolynomial, extension
@@ -450,6 +450,8 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
     verified, and the construction is cross-validated against explicit deck
     transformations on points of the covering z^p - z = h(u).
     """
+    from .charsum import geometric_kernel
+
     terms = _datum_scalar_terms(datum)
     kernel = geometric_kernel(datum, override=override)
     big = kernel.field
@@ -465,6 +467,7 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
         solutions[k.coeffs] = _solve_additive(beta, big)
 
     group, element_at = _kernel_coordinates(kernel, p)
+    check_cap(kernel.size**2, override, "pairing table")
     table = []
     for i in group.elements():
         ki = element_at[i]
@@ -481,7 +484,7 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
     pairing = AlternatingPairing(group, p, table)
     heis = build_group(pairing)
 
-    _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit)
+    _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit, override)
     return DatumHeisenberg(
         kernel=kernel, pairing=pairing, group=heis, solutions=solutions
     )
@@ -524,7 +527,8 @@ def _fp_basis(elements, p):
     return basis
 
 
-def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit):
+def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit,
+                        override=False):
     """Cross-check e against explicit deck transformations: the lift property
     g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and every k, then
     `_check_deck_commutators` on points of the covering z^p - z = h(u)."""
@@ -536,13 +540,14 @@ def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit
             lhs = gk.evaluate(u)
             if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
-    points = _covering_points(big, h, sample_limit)
+    points = _covering_points(big, h, sample_limit, override)
     _check_deck_commutators(element_at, solutions, pairing, points[: max(2, sample_limit // 4)])
 
 
-def _covering_points(big, h, limit):
+def _covering_points(big, h, limit, override=False):
     """Points (u, z) of z^p - z = h(u) for u in enumeration order, z the first
     solution in it, until `limit` are found; one preimage table of z^p - z."""
+    check_cap(big.q, override, "covering preimage table")
     preimage = {}
     for z in big.elements():
         preimage.setdefault(z.frobenius() - z, z)

@@ -22,6 +22,7 @@ from .fields import (
     AdditivePolynomial,
     WittVector2,
     absolute_trace_int,
+    additive_kernel,
     exponent_dict_from_json,
     extension,
     witt_trace,
@@ -116,16 +117,12 @@ def _dual_kernel(spec, override=False):
     root-count bound p^span.
     """
     fd = spec.f.adjoint()
-    cleared, _ = fd.cleared()
     expected = spec.field.p ** fd.span()
     n = 1
     while True:
-        big, emb = extension(spec.field, n)
-        check_cap(big.q, override, "dual kernel search")
-        lifted = cleared.lift(emb)
-        roots = [x for x in big.elements() if not lifted.evaluate(x)]
+        roots = additive_kernel(fd, n, override)
         if len(roots) == expected:
-            return big, emb, roots
+            return (*extension(spec.field, n), roots)
         n += 1
 
 
@@ -168,9 +165,7 @@ def counts_vs_character_sums(spec, n, override=False):
     big, emb = extension(spec.field, n)
     check_cap(big.q, override, "count assembly")
     p = spec.field.p
-    cleared, _ = spec.f.adjoint().cleared()
-    lifted = cleared.lift(emb)
-    cs = [c for c in big.elements() if not lifted.evaluate(c)]
+    cs = additive_kernel(spec.f.adjoint(), n, override)
     rhs = spec.rhs_poly()
     rhs_big = {e: emb(v) for e, v in rhs.items()}
     total = zeta_sum(1, {0: 0})

@@ -1,6 +1,8 @@
 """Quadratic character data: trace functions, sums, pairings, kernels,
 canonical forms and the Hasse-Davenport identities."""
 
+import itertools
+
 import pytest
 
 from gausslab.charsum import (
@@ -28,7 +30,8 @@ from gausslab.charsum import (
 from gausslab.corpus import catalog_data
 from gausslab.errors import DegeneratePairing, NotEtale, SwanDivisibleByP, TheoremViolated
 from gausslab.exactalg import abs_square, is_root_of_unity, zeta
-from gausslab.fields import AdditivePolynomial, make_field
+from gausslab import charsum, fields
+from gausslab.fields import AdditivePolynomial, absolute_trace_int, extension, make_field
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -188,6 +191,11 @@ def test_geometric_kernel_examples():
     assert (k.size, k.r, k.splitting_degree) == (4, 1, 1)
     k = geometric_kernel(frobpair(F4, 2))
     assert (k.size, k.r, k.splitting_degree) == (16, 2, 1)
+    # the listing order is part of the output: the span of the null basis in
+    # itertools.product order over its coefficients
+    k = geometric_kernel(QuadDatum(F2, 1, [DiagMonomial(0, 2, F2.one())]))
+    assert [pt[0].as_int() for pt in k.elements] == [
+        0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15]
 
 
 def test_geometric_kernel_diag_datum_ranks():
@@ -206,6 +214,20 @@ def test_geometric_kernel_is_subspace():
     for a in els:
         for b in els:
             assert (a + b).coeffs in pts
+    # the listed span against a sweep of (F_{q^n})^d for the zeros of
+    # l_Q: x -> (sum_j f_jk(x_j))_k
+    data = [x_cubed(F2), x_cubed(F4, a=F4.gen()), frobpair(F2, 1), frobpair(F4, 2),
+            QuadDatum(F3, 1, [DiagMonomial(0, 2, F3.one())])]
+    for datum in data:
+        k = geometric_kernel(datum)
+        big, emb = extension(datum.field, k.splitting_degree)
+        pairing, d = symbolic_pairing(datum), datum.d
+        f = {(j, c): pairing.entry(j, c).lift(emb) for j in range(d) for c in range(d)}
+        sweep = [x for x in itertools.product(big.elements(), repeat=d)
+                 if not any(sum((f[j, c].evaluate(x[j]) for j in range(d)), big.zero())
+                            for c in range(d))]
+        assert len(k.elements) == k.size == len(sweep), datum
+        assert sorted(k.elements, key=lambda x: [e.coeffs for e in x]) == sweep, datum
 
 
 def test_degenerate_pairing_rejected():
@@ -411,6 +433,46 @@ def test_value_constraints_rejected():
 
 
 def test_datum_serialization_round_trip():
-    for name, datum, _, _ in catalog_data():
+    lang = AdditivePolynomial(F4, {1: F4.one(), 0: F4.gen()})
+    precomposed = QuadDatum(F4, 1, [DiagMonomial(0, 1, F4.gen()), Precompose(0, lang)])
+    data = [(name, datum) for name, datum, _, _ in catalog_data()]
+    for name, datum in data + [("precompose", precomposed)]:
         again = QuadDatum.from_json(datum.to_json())
+        assert again.terms == datum.terms and again.to_json() == datum.to_json(), name
         assert char_sum(again, 1) == char_sum(datum, 1), name
+    obj = precomposed.to_json()
+    assert obj["terms"][1] == {"kind": "precompose", "j": 0, "f": {"0": [0, 1], "1": [1, 0]}}
+    with pytest.raises(ValueError, match="unknown term kind"):
+        QuadDatum.from_json({**obj, "terms": [{"kind": "cubic", "j": 0}]})
+    with pytest.raises(KeyError):
+        QuadDatum.from_json({**obj, "terms": [{"kind": "diag", "j": 0, "a": [1, 0]}]})
+
+
+def test_pullback_annihilators_match_brute_force(monkeypatch):
+    # the annihilators of each coordinate image, found as the kernel of
+    # c -> (Tr(c w))_w, against a sweep of the field by their definition
+    recorded = []
+
+    def recording(field, image):
+        recorded.append(fields._linear_kernel(field, image))
+        return recorded[-1]
+
+    monkeypatch.setattr(charsum, "_linear_kernel", recording)
+    lang = AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()})
+    frob = AdditivePolynomial(F4, {1: F4.gen()})
+    cases = [
+        (wittchar(F2), [lang], 2),
+        (x_cubed(F2), [AdditivePolynomial(F2, {2: F2.one(), 0: F2.one()})], 3),
+        (x_cubed(F4), [AdditivePolynomial(F4, {1: F4.one(), 0: F4.gen()})], 1),
+        (frobpair(F4, 1), [lang.lift(extension(F2, 2)[1]), frob], 1),
+    ]
+    for datum, isogeny, n in cases:
+        recorded.clear()
+        pullback_sum_identity(datum, isogeny, n)
+        big, emb = extension(datum.field, n)
+        expected = []
+        for f in isogeny:
+            image = {f.lift(emb).evaluate(x) for x in big.elements()}
+            expected.append([c for c in big.elements()
+                             if all(absolute_trace_int(c * w) == 0 for w in image)])
+        assert recorded == expected, (datum, n)

@@ -182,6 +182,55 @@ def test_cap_exceeded_exits_3():
     assert proc.returncode == 3
 
 
+def _diag_datum_json(p, m, i, a):
+    from gausslab.charsum import DiagMonomial, QuadDatum
+    from gausslab.fields import make_field
+
+    field = make_field(p, m)
+    return QuadDatum(field, 1, [DiagMonomial(0, i, field.element(a))]).to_json()
+
+
+_X5_F2 = _diag_datum_json(2, 1, 2, [1])  # 1*x^5 over F_2: |K| = 16 in E = F_16
+_OMEGA_X3_F4 = _diag_datum_json(2, 2, 1, [0, 1])  # omega*x^3 over F_4: |K| = 4, E = F_64
+
+
+@pytest.mark.parametrize("command, job, cap, what", [
+    ("kernel", {"datum": _X5_F2}, 8, "kernel listing over 16 points"),
+    ("heisenberg", {"from_datum": _X5_F2}, 8, "kernel listing over 16 points"),
+    ("heisenberg", {"from_datum": _X5_F2}, 16, "pairing table over 256 points"),
+    ("heisenberg", {"from_datum": _OMEGA_X3_F4}, 32, "covering preimage table over 64 points"),
+    ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "point enumeration over 16 points"),
+], ids=["kernel", "heisenberg-kernel", "heisenberg-pairing", "heisenberg-covering", "char-sum"])
+def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeypatch,
+                                                 tmp_path, capsys):
+    # every enumeration from a datum to its kernel and Heisenberg group
+    # refuses a domain above the cap, and --cap-override lifts the refusal
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert cli.main([command, "--input", str(path)]) == 0
+    uncapped = strip_timing(capsys.readouterr().out)
+    monkeypatch.setenv("GAUSSLAB_CAP", str(cap))
+    assert cli.main([command, "--input", str(path)]) == 3
+    assert f"scale cap exceeded: {what} exceeds cap {cap}" in capsys.readouterr().err
+    assert cli.main([command, "--input", str(path), "--cap-override"]) == 0
+    assert strip_timing(capsys.readouterr().out) == uncapped
+
+
+def test_suite_reports_the_broken_expectation(monkeypatch):
+    # a doctored expectation fails its fixture and names key, expected, actual;
+    # the fixtures that pass keep the entry they always had
+    doctored = corpus()
+    doctored["heis-p2"]["expect"]["order"] = 16
+    monkeypatch.setattr("gausslab.corpus.corpus", lambda: doctored)
+    report = dispatch("suite", {"only": ["heis-p2", "exeasy-z2"]}, {"workers": 1})
+    assert report["ok"] is False
+    assert report["result"]["fixtures"] == {
+        "heis-p2": {"ok": False, "command": "heisenberg",
+                    "mismatch": {"key": "order", "expected": 16, "actual": 8}},
+        "exeasy-z2": {"ok": True, "command": "gauss-sum"},
+    }
+
+
 def test_failed_check_exits_1():
     # the omega-coefficient datum fails the r=1 chain: a mathematical finding
     from gausslab.corpus import F4
@@ -299,7 +348,8 @@ def test_every_fixture_resolves():
 
 
 # Every subcommand with the job it runs in the footprint test: its first corpus
-# fixture by name, or a small job for the four commands the corpus lacks.
+# fixture by name, or a small job for the four commands the corpus lacks; a
+# case named after a fixture runs that fixture.
 _FOOTPRINT_JOBS = {
     **{entry["command"]: name for name, entry in sorted(corpus().items(), reverse=True)},
     "field": {"p": 2, "m": 2},
@@ -307,6 +357,7 @@ _FOOTPRINT_JOBS = {
     "char-sum": {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"], "n": 1},
     "count-points": {"curve": corpus()["vdgv-f2-zeta"]["input"]["curve"], "n": 2},
     "suite": {"only": ["exeasy-z2"]},
+    "heis-p2": "heis-p2",  # an explicit pairing: no datum, so no charsum
 }
 
 # The library modules beyond `gausslab`, `cli` and `errors` each subcommand loads.
@@ -329,6 +380,7 @@ _FOOTPRINT = {
     "supersingular": _VARIETIES,
     "endw2-verify": _VARIETIES,
     "suite": {"charsum", "corpus", "exactalg", "fields", "quadform", "varieties"},
+    "heis-p2": {"exactalg", "fields", "heisenberg", "quadform"},
 }
 
 _FOOTPRINT_CODE = """
@@ -345,14 +397,15 @@ print(json.dumps([sorted(m for m in new if m.startswith("gausslab")),
 """
 
 
-@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
-def test_subcommand_imports_only_what_it_runs(command):
-    # a fresh interpreter per command: pytest itself has loaded dataclasses,
+@pytest.mark.parametrize("case", [*cli.SUBCOMMANDS, "heis-p2"])
+def test_subcommand_imports_only_what_it_runs(case):
+    # a fresh interpreter per case: pytest itself has loaded dataclasses,
     # and -S keeps site hooks from loading modules before the snapshot
     import gausslab
 
-    assert set(_FOOTPRINT) == set(cli.SUBCOMMANDS)
-    job = _FOOTPRINT_JOBS[command]
+    assert set(_FOOTPRINT) == set(_FOOTPRINT_JOBS) >= set(cli.SUBCOMMANDS)
+    command = case if case in cli.SUBCOMMANDS else corpus()[case]["command"]
+    job = _FOOTPRINT_JOBS[case]
     if isinstance(job, str):
         job = corpus()[job]["input"]
     src = str(Path(gausslab.__file__).resolve().parents[1])
@@ -362,6 +415,6 @@ def test_subcommand_imports_only_what_it_runs(command):
     assert proc.returncode == 0, proc.stderr
     modules, dataclasses_loaded, random_loaded = json.loads(proc.stdout)
     base = ["gausslab", "gausslab.cli", "gausslab.errors"]
-    assert modules == sorted(base + [f"gausslab.{m}" for m in _FOOTPRINT[command]])
+    assert modules == sorted(base + [f"gausslab.{m}" for m in _FOOTPRINT[case]])
     assert not dataclasses_loaded
     assert random_loaded == (command == "suite")  # corpus draws random curves

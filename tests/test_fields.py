@@ -511,6 +511,25 @@ def test_additive_kernel_splitting_size_with_defect():
     assert len(additive_kernel(f, 2)) == 4
 
 
+def _brute_force_roots(f, n):
+    """Reference zero set: every element of F_{q^n} tested, in enumeration order."""
+    big, emb = extension(f.field, n)
+    lifted = f.lift(emb)
+    return [x for x in big.elements() if not lifted.evaluate(x)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_additive_kernel_matches_brute_force(field, n):
+    # the nullspace routine against the field sweep it replaced, value and
+    # order: exponents >= 0, a negative exponent, an inseparable defect (no X)
+    rng = random.Random(f"kernel-{field.tag}-{n}")
+    nonzero = list(field.elements())[1:]
+    for exponents in ((0,), (0, 1), (0, 2), (-1, 0), (-2, 1), (1, 2), (1, 3)):
+        f = AdditivePolynomial(field, {i: rng.choice(nonzero) for i in exponents})
+        assert additive_kernel(f, n) == _brute_force_roots(f, n), (f, n)
+
+
 def test_enumeration_order_is_lexicographic():
     seen = [e.coeffs for e in F4.elements()]
     assert seen == sorted(seen)

@@ -6,9 +6,10 @@ import json
 import pytest
 
 from gausslab.exactalg import IntPolynomial, zeta_sum
-from gausslab.fields import AdditivePolynomial, make_field
+from gausslab.fields import AdditivePolynomial, extension, make_field
 from gausslab.varieties import (
     CurveSpec,
+    _dual_kernel,
     SurfaceSpec,
     betti_closure_check,
     betti_prediction,
@@ -119,6 +120,24 @@ def test_random_curve_specs_certify():
         assert data.certificate is not None, (field.tag, seed)
         ok, _ = betti_closure_check(spec)
         assert ok
+
+
+def test_dual_kernel_matches_brute_force():
+    # ker f_dual by the nullspace routine against a sweep of each F_{q^n}:
+    # the same roots in the same order, at the least n reaching p^span
+    for field, seed in ((F2, 1), (F2, 5), (F3, 2), (F4, 3), (F4, 6)):
+        spec = random_curve_spec(field, seed)
+        big, emb, roots = _dual_kernel(spec)
+        fd = spec.f.adjoint()
+        n = big.m // field.m
+        sweeps = []
+        for k in range(1, n + 1):
+            k_big, k_emb = extension(field, k)
+            lifted = fd.lift(k_emb)
+            sweeps.append([c for c in k_big.elements() if not lifted.evaluate(c)])
+        expected = field.p ** fd.span()
+        assert roots == sweeps[-1] and len(roots) == expected, (field.tag, seed)
+        assert all(len(sweep) < expected for sweep in sweeps[:-1]), (field.tag, seed)
 
 
 def test_random_curve_determinism():
