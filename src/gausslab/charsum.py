@@ -7,6 +7,7 @@ with Witt traces.  All sums, pairings, kernels and identity checks are exact.
 """
 
 import itertools
+from collections import Counter
 
 from .errors import (
     DegeneratePairing,
@@ -182,8 +183,10 @@ class _Evaluator:
     """Per-extension evaluation plan for a datum; exponents modulo p^2."""
 
     def __init__(self, datum, n, override=False):
-        # guard before the extension field is even constructed
-        check_cap(datum.field.q ** (n * datum.d), override, "point enumeration")
+        # guard what this builds before building it: the extension field and
+        # the Gram matrix of the exponent, N^2 entries for N = m*n*d
+        check_cap(datum.field.q ** n, override, "extension field")
+        check_cap((datum.field.m * n * datum.d) ** 2, override, "Gram matrix")
         self.datum = datum
         self.n = n
         big, emb = extension(datum.field, n)
@@ -261,28 +264,73 @@ def trace_value(datum, n, point, override=False):
     return zeta(ev.p * ev.p, e)
 
 
-def char_sum(datum, n, workers=1, override=False):
-    """S_n = sum of t over all points of (F_{q^n})^d, exactly.
+def _gram_histogram(ev):
+    """{exponent: count} of ev.exponent on (F_{q^n})^d = F_p^N, N = m*n*d,
+    from its Gram data: e on the coordinate basis and on its pairwise sums.
 
-    Partitioned into `workers` chunks whose exact partial histograms are
-    combined in order; the result is worker-count-invariant.
+    p*B(x, y) = e(x + y) - e(x) - e(y) mod p^2 is F_p-bilinear (odd p, p = 2
+    and the Z/4-valued Witt case alike).  Lines <v> with B(v, v) != 0, else
+    planes <v, w> with B(v, w) != 0, split off orthogonally and their
+    histograms convolve; on the radical left over e is additive, so each of
+    its basis vectors is a piece too (C.T.C. Wall, "Quadratic forms on finite
+    groups", 1963).
     """
+    p, p2 = ev.p, ev.p * ev.p
+    big, d = ev.big, ev.datum.d
+    units = [big.element((0,) * t + (1,)) for t in range(big.m)]
+    basis = [tuple(u if k == j else big.zero() for k in range(d)) for j in range(d) for u in units]
+    a = [ev.exponent(b) for b in basis]
+    gram = [[0] * len(basis) for _ in basis]
+    for i, bi in enumerate(basis):
+        for j in range(i, len(basis)):
+            diff = ev.exponent(tuple(x + y for x, y in zip(bi, basis[j]))) - a[i] - a[j]
+            if diff % p:
+                raise TheoremViolated("e(x + y) - e(x) - e(y) is not divisible by p")
+            gram[i][j] = gram[j][i] = diff // p % p
+
+    def value(coeffs):
+        # e(sum c v) for (index, integer c) pairs: e(x + y) = e(x) + e(y) +
+        # p B(x, y) gives e(c x) = c e(x) + p B(x, x) c (c - 1) / 2
+        total = sum(c * a[k] + p * gram[k][k] * (c * (c - 1) // 2) for k, c in coeffs)
+        for (k, c), (l, c2) in itertools.combinations(coeffs, 2):
+            total += p * c * c2 * gram[k][l]
+        return total % p2
+
+    hist = Counter({0: 1})
+    live = list(range(len(basis)))
+    while live:
+        # a line, else a plane, else a vector of the radical, where e is additive
+        piece = next(([k] for k in live if gram[k][k]), None) or next(
+            ([k, l] for k in live for l in live if gram[k][l]), None) or live[:1]
+        live = [k for k in live if k not in piece]
+        convolved = Counter()
+        for cs in itertools.product(range(p), repeat=len(piece)):
+            e = value(list(zip(piece, cs)))
+            for e1, c1 in hist.items():
+                convolved[(e1 + e) % p2] += c1
+        hist = convolved
+        # x - B(x, v)/B(v, v) v off a line; x - (B(x, w) v + B(x, v) w)/B(v, w)
+        # off a plane, where B(v, v) = B(w, w) = 0; the radical is orthogonal
+        g = gram[piece[0]][piece[-1]]
+        inv = pow(g, -1, p) if g else 0
+        for r in live:
+            proj = list(zip(piece, (gram[r][k] * inv % p for k in reversed(piece))))
+            a[r] = value([(r, 1)] + [(k, -c) for k, c in proj])
+            row = gram[r]
+            for r2 in live:
+                row[r2] = (row[r2] - sum(c * gram[k][r2] for k, c in proj)) % p
+    return hist
+
+
+def char_sum(datum, n, workers=1, override=False):
+    """S_n = sum of t over all points of (F_{q^n})^d, exactly, from the Gram
+    data of its exponent: O(N^2) values of t and O(N^3) F_p work for
+    N = m*n*d, no point enumeration.  `workers` never changes the result."""
     ev = _Evaluator(datum, n, override)
-    points = ev.points()
-    workers = max(1, int(workers))
-    chunk = (ev.big.q**datum.d + workers - 1) // workers
-    hist = {}
-    for w in range(workers):
-        part = {}
-        for point in itertools.islice(points, chunk):
-            e = ev.exponent(point)
-            part[e] = part.get(e, 0) + 1
-        for k, v in part.items():
-            hist[k] = hist.get(k, 0) + v
-    p2 = ev.p * ev.p
+    hist = _gram_histogram(ev)
     if datum.value_order == ev.p:
         return zeta_sum(ev.p, {k // ev.p: v for k, v in hist.items()})
-    return zeta_sum(p2, hist)
+    return zeta_sum(ev.p * ev.p, hist)
 
 
 def derive_pairing(datum, n, override=False):
@@ -347,7 +395,8 @@ def symbolic_pairing(datum):
     """Expand t(x+y)/t(x)t(y) into a PairingDatum, exactly.
 
     Asserts the classified symmetric shape (a_i paired with a_i^(p^-i) on
-    the diagonal); failure raises NotSymmetric and means a construction bug.
+    the diagonal); failure means a construction bug and raises
+    TheoremViolated.
     """
     field = datum.field
     matrix = {}
@@ -384,7 +433,7 @@ def symbolic_pairing(datum):
             add_to(t.j, t.j, s.adjoint().compose(s.scale(t.c * t.c)))
     out = PairingDatum(field, datum.d, matrix)
     if not out.is_symmetric():
-        raise NotSymmetric("expanded pairing fails r_B = l_B (construction bug)")
+        raise TheoremViolated("expanded pairing fails r_B = l_B (construction bug)")
     return out
 
 
@@ -644,7 +693,8 @@ def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False, strict=F
     Also checks abs_square(tau) = q^d and that tau^2/q^d is a root of unity.
     Failures are reported in the HDReport (the Galois hypothesis may simply
     fail for the datum); with strict=True a failing report raises
-    IdentityFails instead.
+    IdentityFails instead.  Each S_n is closed-form (`char_sum`), so
+    `workers` never changes the result.
     """
     p = datum.field.p
     q = datum.field.q
@@ -694,6 +744,7 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
     for f in isogeny:
         if f.is_zero():
             raise NotEtale("a zero coordinate map is not an isogeny")
+    check_cap(datum.field.q ** (n * datum.d), override, "point enumeration")
     ev = _Evaluator(datum, n, override)
     big, emb = ev.big, ev.emb
     lifted = [f.lift(emb) for f in isogeny]
@@ -740,6 +791,7 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
 
 def invariance_check(datum, matrices, n=1, override=False):
     """t(g x) = t(x) for every matrix g and every point x of (F_{q^n})^d."""
+    check_cap(datum.field.q ** (n * datum.d), override, "point enumeration")
     ev = _Evaluator(datum, n, override)
     big, emb = ev.big, ev.emb
     lifted_mats = []

@@ -171,9 +171,7 @@ def _cmd_char_sum(job, options):
 
     datum = _parse_datum(job)
     n = options.get("ext") or job.get("n", 1)
-    s = char_sum(
-        datum, n, workers=options.get("workers", 1), override=options.get("override", False)
-    )
+    s = char_sum(datum, n, override=options.get("override", False))
     return {"n": n, "sum": _cyc(s)}, []
 
 
@@ -185,7 +183,6 @@ def _cmd_hasse_davenport(job, options):
         datum,
         job["r"],
         n_max=job.get("n_max", 3),
-        workers=options.get("workers", 1),
         override=options.get("override", False),
     )
     result = {
@@ -497,13 +494,15 @@ def main(argv=None):
     parser.add_argument("--input", help="JSON job descriptor file (default: stdin)")
     parser.add_argument("--ext", type=int, help="extension degree override")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="chunk count for partitioned exact sums; results "
-                             "are worker-count-invariant (use 1 to debug)")
+                        help="at least 1; accepted for compatibility, never "
+                             "changes a result (character sums are closed-form)")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--cap-override", action="store_true",
                         help="ignore the desk-scale enumeration cap")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     if args.command == "suite" and args.input is None:
         job = {}

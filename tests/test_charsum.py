@@ -2,6 +2,8 @@
 canonical forms and the Hasse-Davenport identities."""
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,14 @@ from gausslab.charsum import (
     _kernel_dimension,
 )
 from gausslab.corpus import catalog_data
-from gausslab.errors import DegeneratePairing, NotEtale, SwanDivisibleByP, TheoremViolated
+from gausslab.errors import (
+    DegeneratePairing,
+    NotEtale,
+    NotSymmetric,
+    ScaleCapExceeded,
+    SwanDivisibleByP,
+    TheoremViolated,
+)
 from gausslab.exactalg import abs_square, is_root_of_unity, zeta
 from gausslab import charsum, fields
 from gausslab.fields import AdditivePolynomial, absolute_trace_int, extension, make_field
@@ -476,3 +485,156 @@ def test_pullback_annihilators_match_brute_force(monkeypatch):
             expected.append([c for c in big.elements()
                              if all(absolute_trace_int(c * w) == 0 for w in image)])
         assert recorded == expected, (datum, n)
+
+
+# -- closed-form sums against enumeration -------------------------------------------
+
+F5 = make_field(5, 1)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _enumerated_histogram(datum, n):
+    """{exponent: count} of t over (F_{q^n})^d by evaluating every point."""
+    ev = charsum._Evaluator(datum, n)
+    hist = {}
+    for point in ev.points():
+        e = ev.exponent(point)
+        hist[e] = hist.get(e, 0) + 1
+    return hist
+
+
+def _closed_form_histogram(datum, n):
+    return charsum._gram_histogram(charsum._Evaluator(datum, n))
+
+
+def _random_datum(field, d, rng):
+    """A datum mixing the five term kinds its characteristic allows (all six
+    kinds over the odd and even fields together)."""
+    p = field.p
+
+    def coeff():
+        return field.element([rng.randrange(p) for _ in range(field.m)])
+
+    kinds = ["diag", "cross", "aslin", "precompose", "halfsq" if p != 2 else "wittlin"]
+    terms = []
+    for _ in range(rng.randint(1, 2 + d)):
+        kind, j = rng.choice(kinds), rng.randrange(d)
+        if kind == "diag":
+            terms.append(DiagMonomial(j, rng.randint(1, 2), coeff()))
+        elif kind == "cross":
+            terms.append(CrossMonomial(j, rng.randrange(d), rng.randint(0, 2), coeff()))
+        elif kind == "halfsq":
+            terms.append(HalfSquare(j, coeff()))
+        elif kind == "wittlin":
+            terms.append(WittLinear(j, coeff()))
+        elif kind == "aslin":
+            terms.append(ASLinear(j, coeff()))
+        else:
+            f = {i: coeff() for i in rng.sample((-1, 0, 1), rng.randint(1, 2))}
+            terms.append(Precompose(j, AdditivePolynomial(field, f)))
+    return QuadDatum(field, d, terms)
+
+
+def test_closed_form_matches_enumeration_on_catalog():
+    for name, datum, _, _ in catalog_data():
+        for n in (1, 2, 3):
+            if datum.field.q ** (n * datum.d) > 2**12:
+                continue
+            assert _closed_form_histogram(datum, n) == _enumerated_histogram(datum, n), (name, n)
+
+
+def test_closed_form_matches_enumeration_on_benchmark_shapes(monkeypatch):
+    # the seeded char-sum data of the benchmark's `points` workload, at n = 4
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import CHAR_SUM_SLOTS, char_sum_job
+
+    for shape in CHAR_SUM_SLOTS:
+        for s in range(8):
+            datum = QuadDatum.from_json(char_sum_job(*shape, s).input["datum"])
+            assert _closed_form_histogram(datum, 4) == _enumerated_histogram(datum, 4), (shape, s)
+
+
+@pytest.mark.parametrize("field", [F2, F4, F3, F9, F5], ids=["F2", "F4", "F3", "F9", "F5"])
+def test_closed_form_matches_enumeration_on_random_data(field):
+    rng = random.Random(f"gram-{field.q}")
+    for d in (1, 2, 3):
+        for _ in range(12):
+            datum = _random_datum(field, d, rng)
+            for n in (1, 2):
+                if field.q ** (n * d) > 750:
+                    continue
+                closed = _closed_form_histogram(datum, n)
+                assert closed == _enumerated_histogram(datum, n), (datum.to_json(), n)
+
+
+def test_closed_form_radical_linear_part():
+    # a radical coordinate carrying a linear character kills the sum...
+    killed = [
+        QuadDatum(F3, 2, [HalfSquare(0, F3.one()), ASLinear(1, F3.one())]),
+        QuadDatum(F2, 2, [WittLinear(0, F2.one()), ASLinear(1, F2.one())]),
+        QuadDatum(F4, 1, [ASLinear(0, F4.gen())]),
+    ]
+    # ...while a radical on which the linear part vanishes multiplies it by
+    # p^(dim radical); over F_2, psi(Tr(x^3 + x)) is trivial at n = 1
+    kept = [
+        QuadDatum(F3, 2, [HalfSquare(0, F3.one())]),
+        QuadDatum(F4, 2, [WittLinear(1, F4.gen())]),
+        QuadDatum(F2, 1, [DiagMonomial(0, 1, F2.one()), ASLinear(0, F2.one())]),
+        QuadDatum(F9, 1, []),
+    ]
+    for datum in killed + kept:
+        for n in (1, 2):
+            assert _closed_form_histogram(datum, n) == _enumerated_histogram(datum, n), datum
+    for datum in killed:
+        assert char_sum(datum, 1).is_zero() and char_sum(datum, 2).is_zero(), datum
+    assert char_sum(kept[0], 1) == 3 * char_sum(QuadDatum(F3, 1, [HalfSquare(0, F3.one())]), 1)
+    assert char_sum(kept[2], 1) == 2
+    assert char_sum(kept[3], 2) == 81
+
+
+def test_closed_form_rejects_a_non_quadratic_exponent(monkeypatch):
+    # e(x + y) - e(x) - e(y) must be divisible by p; an exponent that is not
+    # a quadratic function is a fault, exit 4
+    datum = QuadDatum(F3, 1, [HalfSquare(0, F3.one())])
+    monkeypatch.setattr(charsum._Evaluator, "exponent", lambda self, point: 1)
+    with pytest.raises(TheoremViolated):
+        char_sum(datum, 1)
+
+
+def test_char_sum_does_not_enumerate(monkeypatch):
+    # O(N^2) evaluations for N = m*n*d, never the q^(nd) points
+    calls = []
+    exponent = charsum._Evaluator.exponent
+    monkeypatch.setattr(charsum._Evaluator, "exponent",
+                        lambda self, point: calls.append(point) or exponent(self, point))
+    monkeypatch.setattr(charsum._Evaluator, "points", None)
+    datum = frobpair(F4, 2)
+    char_sum(datum, 6)
+    assert len(calls) == 24 + 24 * 25 // 2
+
+
+def test_symbolic_pairing_asymmetry_is_a_fault(monkeypatch):
+    # an expanded pairing that fails r_B = l_B is a construction bug (exit
+    # 4), while an asymmetric pairing given as input stays invalid input
+    monkeypatch.setattr(charsum.PairingDatum, "is_symmetric", lambda self: False)
+    with pytest.raises(TheoremViolated):
+        symbolic_pairing(x_cubed(F3))
+    with pytest.raises(NotSymmetric):
+        canonical_quadratic(charsum.PairingDatum(F3, 1, {}))
+
+
+def test_sum_path_caps_what_it_builds(monkeypatch):
+    # a sum counts its extension field and its N^2 Gram entries against the
+    # cap; the checks that still enumerate count the q^(nd) points
+    monkeypatch.setenv("GAUSSLAB_CAP", "100")
+    datum = QuadDatum(F2, 3, [DiagMonomial(0, 1, F2.one())])
+    with pytest.raises(ScaleCapExceeded, match="extension field over 128 points exceeds cap 100"):
+        char_sum(datum, 7)
+    with pytest.raises(ScaleCapExceeded, match="Gram matrix over 144 points exceeds cap 100"):
+        char_sum(datum, 4)
+    assert char_sum(datum, 4, override=True) == 2**8 * char_sum(x_cubed(F2), 4)
+    one = [[F2.one() if r == c else F2.zero() for c in range(3)] for r in range(3)]
+    with pytest.raises(ScaleCapExceeded, match="point enumeration over 512 points"):
+        invariance_check(datum, [one], n=3)
+    with pytest.raises(ScaleCapExceeded, match="point enumeration over 512 points"):
+        pullback_sum_identity(datum, [AdditivePolynomial(F2, {0: F2.one()})] * 3, n=3)

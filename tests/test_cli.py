@@ -182,6 +182,25 @@ def test_cap_exceeded_exits_3():
     assert proc.returncode == 3
 
 
+def test_frobpair_chain_to_n6_under_the_default_cap():
+    # sums from Gram data: n = 6 builds F_{4^6} and a 24 x 24 Gram matrix,
+    # where enumerating the 4^12 points would exceed the cap
+    job = {**corpus()["frobpair-gl-q4-hd"]["input"], "n_max": 6}
+    proc = run_cli("hasse-davenport", job)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert {c["name"]: c["pass"] for c in report["checks"]}["chain-identity"] is True
+    assert report["result"]["residuals"] == [True] * 6
+
+
+def test_workers_below_one_is_invalid_input(capsys):
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["char-sum", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+
 def _diag_datum_json(p, m, i, a):
     from gausslab.charsum import DiagMonomial, QuadDatum
     from gausslab.fields import make_field
@@ -199,7 +218,7 @@ _OMEGA_X3_F4 = _diag_datum_json(2, 2, 1, [0, 1])  # omega*x^3 over F_4: |K| = 4,
     ("heisenberg", {"from_datum": _X5_F2}, 8, "kernel listing over 16 points"),
     ("heisenberg", {"from_datum": _X5_F2}, 16, "pairing table over 256 points"),
     ("heisenberg", {"from_datum": _OMEGA_X3_F4}, 32, "covering preimage table over 64 points"),
-    ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "point enumeration over 16 points"),
+    ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "extension field over 16 points"),
 ], ids=["kernel", "heisenberg-kernel", "heisenberg-pairing", "heisenberg-covering", "char-sum"])
 def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeypatch,
                                                  tmp_path, capsys):
