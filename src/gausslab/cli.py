@@ -359,8 +359,10 @@ def _cmd_supersingular(job, options):
         return result, [_check("weil-certificate", cert is not None)]
     from .exactalg import IntPolynomial, weil_certificate
 
-    poly = IntPolynomial(job["l_poly"])
-    cert = weil_certificate(poly, job["q"], job.get("i", 1))
+    l_poly = job["l_poly"]
+    if not isinstance(l_poly, list) or not all(type(c) is int for c in l_poly):
+        raise ValueError(f"l_poly must be a list of ints, got {l_poly!r}")
+    cert = weil_certificate(IntPolynomial(l_poly), job["q"], job.get("i", 1))
     result = {
         "certificate": None
         if cert is None

@@ -2,14 +2,16 @@
 utilities (Newton identities, Weil-number certificates).
 
 Every character value in the library is an element of some Q(zeta_N); all
-arithmetic here is exact (no floating point).  Elements are stored in the power
-basis 1, zeta, ..., zeta^{phi(N)-1} reduced modulo the N-th cyclotomic
-polynomial, as an integer coefficient vector over one common denominator; a
-root of unity is recognised by one lookup of its coefficient vector (or its
-negative) among the cached rows of zeta_N^k.
+arithmetic here is exact (no floating point) and runs on integers only.  An
+element of Q[X]/(f), for a monic integer f, is an integer coefficient vector in
+the power basis 1, X, ..., X^(deg f - 1) over one common denominator, kept in
+lowest terms.  Q(zeta_N) is the case f = Phi_N, and the Weil certificate works
+in Q[T]/(p0) for a squarefree L-polynomial p0; both reduce through one
+`_OrderContext` and multiply with its one `mul`.  A root of unity of Q(zeta_N)
+is recognised by one lookup of its coefficient vector (or its negative) among
+the cached rows of zeta_N^k.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
@@ -17,9 +19,6 @@ from .errors import IncompatibleOrders, NonIntegralElementarySymmetric, TheoremV
 
 # Computations refuse to build Q(zeta_N) beyond this order.
 ORDER_CAP = 2**16
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _divisors(n):
@@ -71,40 +70,35 @@ def _int_poly_exact_div(num, den):
 
 
 class _OrderContext:
-    """Per-order reduction data: rows[j] = zeta^j in the power basis."""
+    """Reduction data of Q[X]/(f) for a monic integer f of degree deg >= 1:
+    row(j) is X^j mod f in the power basis.  With a period n (f = Phi_n and
+    X = zeta_n) exponents are read mod n.  Elements are pairs (nums, den): an
+    integer vector over a nonzero integer denominator."""
 
-    def __init__(self, n):
-        phi = cyclotomic_polynomial(n)
+    def __init__(self, f, n=0):
         self.n = n
-        self.deg = len(phi) - 1
-        # X^deg = -(phi - leading term); phi is monic.
-        self.top = tuple(-c for c in phi[:-1])
-        self._rows = [None] * n
-        self._sparse = [None] * n
-        row = [0] * self.deg
-        row[0] = 1
-        self._rows[0] = tuple(row)
+        self.deg = len(f) - 1
+        # X^deg = -(f - leading term); f is monic.
+        self.top = tuple(-c for c in f[:-1])
+        self._rows = [(1,) + (0,) * (self.deg - 1)]
+        self._sparse = {}
 
     def row(self, j):
-        j %= self.n
-        if self._rows[j] is None:
-            # extend from the largest cached row
-            k = j
-            while self._rows[k] is None:
-                k -= 1
-            cur = list(self._rows[k])
-            while k < j:
-                carry = cur[-1]
-                cur = [0] + cur[:-1]
-                if carry:
-                    for t, c in enumerate(self.top):
-                        cur[t] += carry * c
-                k += 1
-                self._rows[k] = tuple(cur)
-        return self._rows[j]
+        if self.n:
+            j %= self.n
+        rows = self._rows
+        while len(rows) <= j:
+            cur = rows[-1]
+            carry = cur[-1]
+            nxt = [0, *cur[:-1]]
+            if carry:
+                for t, c in enumerate(self.top):
+                    nxt[t] += carry * c
+            rows.append(tuple(nxt))
+        return rows[j]
 
     def fold(self, terms, out=None):
-        """out + sum of c * zeta^k over the pairs (k, c) of terms, as a list in
+        """out + sum of c * X^k over the pairs (k, c) of terms, as a list in
         the power basis (a new zero list when out is None)."""
         if out is None:
             out = [0] * self.deg
@@ -112,26 +106,69 @@ class _OrderContext:
         for k, c in terms:
             if not c:
                 continue
-            k %= n
-            row = sparse[k]
+            if n:
+                k %= n
+            row = sparse.get(k)
             if row is None:
                 row = sparse[k] = tuple((t, r) for t, r in enumerate(self.row(k)) if r)
             for t, r in row:
                 out[t] += c * r
         return out
 
+    def mul(self, a, b):
+        """The product of the elements a and b, in lowest terms."""
+        (xs, dx), (ys, dy) = a, b
+        deg = self.deg
+        conv = [0] * (2 * deg - 1)
+        ys = [(j, y) for j, y in enumerate(ys) if y]
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in ys:
+                    conv[i + j] += x * y
+        return _lowest(self.fold(enumerate(conv[deg:], deg), conv[:deg]), dx * dy)
+
+    def power(self, a, k):
+        """a^k for an element a in lowest terms and an int k >= 0."""
+        result = (self.row(0), 1)
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
+        return result
+
+
+def _lowest(nums, den):
+    """(nums, den) as (tuple, den > 0) with gcd(den, *nums) == 1; the gcd is
+    taken only when den != 1."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return tuple(nums), den
+
 
 @lru_cache(maxsize=None)
 def _context(n):
+    """The context of Q(zeta_n)."""
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be at least 1, got {n}")
     if n > ORDER_CAP:
         raise IncompatibleOrders(f"cyclotomic order {n} exceeds cap {ORDER_CAP}")
-    return _OrderContext(n)
+    return _OrderContext(cyclotomic_polynomial(n), n)
 
 
 def _ratio(x):
-    """(numerator, denominator) of a rational scalar, denominator > 0."""
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
-    return x.numerator, x.denominator
+    """(numerator, denominator) of an int or a Fraction, denominator > 0;
+    TypeError for anything else, a float included."""
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        raise TypeError(f"not an exact rational scalar: {x!r}") from None
 
 
 class CyclotomicNumber:
@@ -145,20 +182,15 @@ class CyclotomicNumber:
     __slots__ = ("order", "nums", "den")
     __hash__ = None
 
-    def __init__(self, order, coeffs):
-        ctx = _context(order)
-        if len(coeffs) != ctx.deg:
-            raise ValueError("coefficient vector has wrong length")
-        coeffs = [Fraction(c) for c in coeffs]
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        den = lcm(*(c.denominator for c in coeffs))
-        self.order = order
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
+    def __new__(cls, order, coeffs):
+        """coeffs: the power-basis coefficients, ints or Fractions."""
+        return _from_pairs(order, [_ratio(c) for c in coeffs])
 
     @property
     def coeffs(self):
         """The power-basis coefficients as Fractions."""
+        from fractions import Fraction
+
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- construction helpers ------------------------------------------------
@@ -198,8 +230,16 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_json(obj):
-        coeffs = [Fraction(n, d) for n, d in obj["coeffs"]]
-        return CyclotomicNumber(obj["order"], coeffs)
+        """Parse {"order": N, "coeffs": [[num, den], ...]}; ValueError unless N
+        is an int >= 1 and each pair holds two ints (not bools) with den != 0."""
+        order, pairs = obj["order"], obj["coeffs"]
+        if type(order) is not int or order < 1 or not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and type(p[0]) is type(p[1]) is int and p[1]
+            for p in pairs
+        ):
+            raise ValueError("a cyclotomic number needs an int order >= 1 and "
+                             f"[num, den] int pairs with den != 0, got {obj!r}")
+        return _from_pairs(order, pairs)
 
     # -- order management ----------------------------------------------------
 
@@ -222,10 +262,12 @@ class CyclotomicNumber:
     # -- arithmetic ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and Fraction(self.nums[0], self.den) == other
         if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
+            try:
+                num, den = _ratio(other)
+            except TypeError:
+                return NotImplemented
+            return self.is_rational() and self.nums[0] == num and self.den == den
         a, b = self._common(other)
         return a.den == b.den and a.nums == b.nums
 
@@ -250,57 +292,48 @@ class CyclotomicNumber:
             num, den = _ratio(other)
             return _make(self.order, [c * num for c in self.nums], self.den * den)
         a, b = self._common(other)
-        ctx = _context(a.order)
-        deg = ctx.deg
-        conv = [0] * (2 * deg - 1)
-        bs = [(j, y) for j, y in enumerate(b.nums) if y]
-        for i, x in enumerate(a.nums):
-            if x:
-                for j, y in bs:
-                    conv[i + j] += x * y
-        out = ctx.fold(enumerate(conv[deg:], deg), conv[:deg])
-        return _make(a.order, out, a.den * b.den)
+        return _make(a.order, *_context(a.order).mul((a.nums, a.den), (b.nums, b.den)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        result = CyclotomicNumber.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _make(self.order, *_context(self.order).power((self.nums, self.den), k))
 
     def inv(self):
-        """Multiplicative inverse via extended Euclid in Q[X] mod Phi_N."""
+        """Multiplicative inverse by the Galois norm: for w = den * z, the
+        product P of sigma_k(w) over the units k != 1 mod N makes w * P the
+        norm of w, a nonzero integer, so 1/z = den * P / (w * P)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended gcd of self and Phi_N over Q[X]; Phi_N is irreducible, so the
-        # remainders reach a nonzero constant
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r1, s0, s1 = _qpoly_trim(self.coeffs), [_ZERO], [_ONE]
-        while len(r1) > 1:
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        terms = enumerate(x / r1[0] for x in s1)
-        return CyclotomicNumber(self.order, _context(self.order).fold(terms))
+        n = self.order
+        w = _make(n, self.nums)
+        rest = CyclotomicNumber.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                rest = rest * w.galois(k)
+        norm = w * rest
+        if not norm.is_rational():
+            raise TheoremViolated("the norm of a cyclotomic integer is a rational integer")
+        return rest * self.den / norm.nums[0]
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num, den = _ratio(other)
-            if not num:
-                raise ZeroDivisionError("division of a cyclotomic number by zero")
-            return _make(self.order, [c * den for c in self.nums], self.den * num)
-        return self * other.inv()
+        if isinstance(other, CyclotomicNumber):
+            return self * other.inv()
+        num, den = _ratio(other)
+        if not num:
+            raise ZeroDivisionError("division of a cyclotomic number by zero")
+        return _make(self.order, [c * den for c in self.nums], self.den * num)
+
+    def galois(self, k):
+        """The automorphism sigma_k: zeta -> zeta^k, for k coprime to the order."""
+        out = _context(self.order).fold((j * k, c) for j, c in enumerate(self.nums))
+        return _make(self.order, out, self.den)
 
     def conj(self):
-        """Complex conjugation zeta -> zeta^{-1}."""
-        out = _context(self.order).fold((-j, c) for j, c in enumerate(self.nums))
-        return _make(self.order, out, self.den)
+        """Complex conjugation, sigma_{-1}."""
+        return self.galois(-1)
 
     # -- predicates ------------------------------------------------------------
 
@@ -316,22 +349,26 @@ class CyclotomicNumber:
     def as_rational(self):
         """The Fraction value if the element is rational, else None."""
         if self.is_rational():
+            from fractions import Fraction
+
             return Fraction(self.nums[0], self.den)
         return None
 
 
+def _from_pairs(order, pairs):
+    """The element of Q(zeta_order) with power-basis coefficients num / den
+    over the int pairs (num, den), den != 0."""
+    if len(pairs) != _context(order).deg:
+        raise ValueError("coefficient vector has wrong length")
+    den = lcm(*(d for _, d in pairs))
+    return _make(order, [c * (den // d) for c, d in pairs], den)
+
+
 def _make(order, nums, den=1):
-    """The CyclotomicNumber nums / den (ints, den != 0) with no Fraction work;
-    the gcd and the sign are divided out only when den != 1."""
+    """The CyclotomicNumber nums / den (ints, den != 0), in lowest terms."""
     z = object.__new__(CyclotomicNumber)
-    if den != 1:
-        g = gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-    z.order, z.nums, z.den = order, tuple(nums), den
+    z.order = order
+    z.nums, z.den = _lowest(nums, den)
     return z
 
 
@@ -379,61 +416,39 @@ def is_root_of_unity(z):
     return bound // gcd(k * (bound // n) + half, bound)
 
 
-# -- rational polynomial helpers (low degree first, Fraction coefficients) ----
-
-def _qpoly_trim(a):
+def _primitive(a):
+    """The primitive part of an integer polynomial (low degree first), with a
+    positive leading coefficient; [] for zero."""
     a = list(a)
     while a and a[-1] == 0:
         a.pop()
-    return a
+    if not a:
+        return a
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
 
 
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else _ZERO
-        y = b[i] if i < len(b) else _ZERO
-        out.append(x - y)
-    return out
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    b = _qpoly_trim(b)
-    if not b:
-        raise ZeroDivisionError
-    q = [_ZERO] * max(len(a) - len(b) + 1, 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        if i >= len(a) or a[i] == 0:
-            continue
-        c = a[i] / b[-1]
-        q[i - (len(b) - 1)] = c
-        for j, y in enumerate(b):
-            a[i - (len(b) - 1) + j] -= c * y
-    return q, _qpoly_trim(a)
-
-
-def _qpoly_gcd(a, b):
-    a, b = _qpoly_trim(a), _qpoly_trim(b)
+def _int_poly_gcd(a, b):
+    """A gcd in Q[X] of two integer polynomials (low degree first): the last
+    nonzero term of their primitive pseudo-remainder sequence, so primitive
+    with a positive leading coefficient ([] when both are zero)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _qpoly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        lead, db = b[-1], len(b) - 1
+        while len(a) > db:
+            # a <- lead * a - c * X^s * b cancels the top term of a
+            c = a.pop()
+            a = [lead * x for x in a]
+            s = len(a) - db
+            for j in range(db):
+                a[s + j] -= c * b[j]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, _primitive(a)
     return a
 
 
@@ -514,23 +529,19 @@ class IntPolynomial:
         return acc
 
     def squarefree_part(self):
-        """P / gcd(P, P'), normalized monic (valid for monic P; exact)."""
+        """P / gcd(P, P'), normalized monic (valid for monic P; exact).  The
+        gcd is primitive, so by Gauss's lemma it divides P over Z."""
         if self.is_zero():
             return self
-        g = _qpoly_gcd([Fraction(c) for c in self.coeffs],
-                       [Fraction(c) for c in self.derivative().coeffs])
-        if len(g) <= 1:
-            q = [Fraction(c) for c in self.coeffs]
-        else:
-            qq, r = _qpoly_divmod([Fraction(c) for c in self.coeffs], g)
-            if r:
-                raise TheoremViolated("gcd(P, P') divides P")
-            q = qq
+        g = _int_poly_gcd(self.coeffs, self.derivative().coeffs)
+        try:
+            q = _int_poly_exact_div(self.coeffs, g)
+        except ArithmeticError:
+            raise TheoremViolated("gcd(P, P') divides P") from None
         lead = q[-1]
-        q = [c / lead for c in q]
-        if any(c.denominator != 1 for c in q):
+        if any(c % lead for c in q):
             raise TheoremViolated("a monic factor of a monic integer polynomial is integral")
-        return IntPolynomial([c.numerator for c in q])
+        return IntPolynomial([c // lead for c in q])
 
     def to_json(self):
         return list(self.coeffs)
@@ -552,6 +563,8 @@ def power_sums_to_char_poly(power_sums, b):
             acc += term if i % 2 == 1 else -term
         q, r = divmod(acc, k)
         if r != 0:
+            from fractions import Fraction
+
             raise NonIntegralElementarySymmetric(k, Fraction(acc, k))
         e.append(q)
     # P(T) = sum_{k=0..b} (-1)^k e_k T^{b-k}, low degree first
@@ -612,18 +625,6 @@ def _root_of_unity_order_bound(degree):
     return lcm(*orders)
 
 
-def _qpoly_powmod(base, exponent, modulus):
-    """base^exponent mod modulus over Q[X], binary powering."""
-    result = [_ONE]
-    base = _qpoly_divmod(base, modulus)[1]
-    while exponent:
-        if exponent & 1:
-            result = _qpoly_divmod(_qpoly_mul(result, base), modulus)[1]
-        base = _qpoly_divmod(_qpoly_mul(base, base), modulus)[1]
-        exponent >>= 1
-    return result
-
-
 def weil_certificate(poly, q, i, m_max=DEFAULT_WEIL_BOUND):
     """Certify that every root of poly equals zeta * sqrt(q^i), zeta a root of unity.
 
@@ -633,8 +634,10 @@ def weil_certificate(poly, q, i, m_max=DEFAULT_WEIL_BOUND):
     orders d of zeta to root counts; when q^i is not a perfect square the odd
     orders pair with their doubles (rational arithmetic cannot separate the
     sign of sqrt(q^i)), so the reported d is the least rationally certifiable
-    exponent with alpha^d = q^{id/2}.
+    exponent with alpha^d = q^{id/2}.  q >= 2 and i >= 1 are ints.
     """
+    if not (type(q) is int and type(i) is int and q >= 2 and i >= 1):
+        raise ValueError(f"need ints q >= 2 and i >= 1, got q={q!r}, i={i!r}")
     if poly.is_zero():
         raise ValueError("zero polynomial")
     if not poly.is_monic():
@@ -642,43 +645,34 @@ def weil_certificate(poly, q, i, m_max=DEFAULT_WEIL_BOUND):
     p0 = poly.squarefree_part()
     if p0.degree == 0:
         return 1, {}
-    modulus = [Fraction(c) for c in p0.coeffs]
-    qi = Fraction(q) ** i
+    ring = _OrderContext(p0.coeffs)
+    one = (ring.row(0), 1)
     # u = T^2 / q^i in Q[T]/(p0); p0 | T^{2m} - q^{im}  <=>  u^m = 1.
     # If u is a root of unity its order divides lam (Kronecker bound on the
     # factor fields), so testing u^lam = 1 decides existence outright and the
     # least m is found by a divisor scan of lam.
-    u = _qpoly_divmod([_ZERO, _ZERO, _ONE / qi], modulus)[1]
+    u = _lowest(ring.row(2), q**i)
     lam = _root_of_unity_order_bound(p0.degree)
-    if _qpoly_trim(_qpoly_sub(_qpoly_powmod(u, lam, modulus), [_ONE])):
+    if ring.power(u, lam) != one:
         return None
-    m = None
-    for d in _divisors(lam):
-        if d > m_max:
-            break
-        if not _qpoly_trim(_qpoly_sub(_qpoly_powmod(u, d, modulus), [_ONE])):
-            m = d
-            break
+    m = next((d for d in _divisors(lam) if d <= m_max and ring.power(u, d) == one), None)
     if m is None:
         return None
     # per-root orders of zeta = alpha / sqrt(q^i): zeta^d = 1 iff
-    # alpha^d = q^{id/2}, testable whenever q^{id/2} is rational.
-    half_powers = {}
-    for d in _divisors(2 * m):
-        if (i * d) % 2 == 0:
-            half_powers[d] = Fraction(q) ** (i * d // 2)
-        else:
-            root = _integer_sqrt(q**(i * d))
-            if root is not None:
-                half_powers[d] = Fraction(root)
+    # alpha^d = q^{id/2}, testable whenever q^{id/2} is rational.  The roots
+    # with alpha^d = val number deg gcd(p0, (T^d mod p0) - val), and T^d mod p0
+    # is integral since p0 is monic.
+    t = (ring.row(1), 1)
     dividing = {}
-    for d, val in half_powers.items():
-        target = _qpoly_sub(_qpoly_powmod([_ZERO, _ONE], d, modulus), [val])
-        g = _qpoly_gcd(modulus, target)
-        dividing[d] = len(_qpoly_trim(g)) - 1 if _qpoly_trim(g) else 0
+    for d in _divisors(2 * m):
+        val = _integer_sqrt(q ** (i * d))
+        if val is not None:
+            target = list(ring.power(t, d)[0])
+            target[0] -= val
+            dividing[d] = len(_int_poly_gcd(p0.coeffs, target)) - 1
     orders = {}
-    for d in sorted(half_powers):
-        exact = dividing[d] - sum(orders.get(dd, 0) for dd in sorted(orders) if d % dd == 0)
+    for d, count in dividing.items():
+        exact = count - sum(c for dd, c in orders.items() if d % dd == 0)
         if exact > 0:
             orders[d] = exact
     return m, orders

@@ -793,14 +793,6 @@ def witt_restriction(w):
     return w.x0
 
 
-def witt_scalar(w, n):
-    """n-fold Witt sum of w (n >= 0)."""
-    acc = witt_zero(w.field)
-    for _ in range(n):
-        acc = acc + w
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _witt_prime_iso(p):
     """Exhaustive table of the ring isomorphism W2(F_p) -> Z/p^2, (1,0) -> 1."""

@@ -499,21 +499,19 @@ def surface_summand_certificates(spec, n_max=3, override=False):
         if not sums[0].is_zero() and len(sums) >= 2 and not sums[1].is_zero():
             tau = sums[1] / sums[0]
             lead = sums[0] / tau
-            lead_r = lead.as_rational()
-            if lead_r is not None and lead_r.denominator == 1 and lead_r != 0:
-                ival = abs(lead_r.numerator)
-                sign_ok = lead_r.numerator in (ival, -ival)
+            if lead.is_rational() and lead.den == 1 and lead.nums[0]:
+                ival = abs(lead.nums[0])
                 rr = 0
                 while ival % p == 0:
                     ival //= p
                     rr += 1
-                if ival == 1 and sign_ok:
+                if ival == 1:
                     chain = all(
                         sums[n - 1] == lead * tau**n for n in range(1, n_max + 1)
                     )
-                    a2 = abs_square(tau).as_rational()
-                    if chain and a2 is not None and a2.denominator == 1:
-                        ai = a2.numerator
+                    a2 = abs_square(tau)
+                    if chain and a2.is_rational() and a2.den == 1:
+                        ai = a2.nums[0]
                         i_deg = 0
                         while ai % q == 0:
                             ai //= q

@@ -90,6 +90,39 @@ def test_non_canonical_field_element_exits_2(a, tmp_path, capsys):
     assert f"{a!r} is not an element of F2" in err
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"order": 4, "coeffs": [[1, 0], [0, 1]]},
+        {"order": 0, "coeffs": [[1, 1]]},
+        {"order": -4, "coeffs": [[1, 1], [0, 1]]},
+        {"order": 4, "coeffs": [[True, 1], [0, 1]]},
+    ],
+    ids=["zero-denominator", "order-0", "order-negative", "bool-numerator"],
+)
+def test_malformed_cyclotomic_value_exits_2(value, tmp_path, capsys):
+    form = {"invariant_factors": [2], "value_order": 4, "values": {"0": value, "1": 2}}
+    code, err = run_main("gauss-verify", {"form": form}, tmp_path, capsys)
+    assert code == 2
+    assert "a cyclotomic number needs an int order >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "job,message",
+    [
+        ({"l_poly": [2.7, 0, 1], "q": 2}, "l_poly must be a list of ints"),
+        ({"l_poly": ["2", 0, True], "q": 2}, "l_poly must be a list of ints"),
+        ({"l_poly": [2, 0, 1], "q": 0}, "need ints q >= 2 and i >= 1"),
+        ({"l_poly": [2, 0, 1], "q": 2, "i": -1}, "need ints q >= 2 and i >= 1"),
+    ],
+    ids=["float", "string-and-bool", "q-0", "i-negative"],
+)
+def test_malformed_l_poly_job_exits_2(job, message, tmp_path, capsys):
+    code, err = run_main("supersingular", job, tmp_path, capsys)
+    assert code == 2
+    assert message in err
+
+
 def _with(name, edit):
     job = copy.deepcopy(corpus()[name]["input"])
     edit(job)
@@ -412,7 +445,7 @@ command, job = json.loads(sys.stdin.read())
 cli.dispatch(command, job, {"workers": 1})
 new = set(sys.modules) - before
 print(json.dumps([sorted(m for m in new if m.startswith("gausslab")),
-                  "dataclasses" in new, "random" in new]))
+                  "dataclasses" in new, "random" in new, "fractions" in new]))
 """
 
 
@@ -432,8 +465,9 @@ def test_subcommand_imports_only_what_it_runs(case):
                           input=json.dumps([command, job]), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    modules, dataclasses_loaded, random_loaded = json.loads(proc.stdout)
+    modules, dataclasses_loaded, random_loaded, fractions_loaded = json.loads(proc.stdout)
     base = ["gausslab", "gausslab.cli", "gausslab.errors"]
     assert modules == sorted(base + [f"gausslab.{m}" for m in _FOOTPRINT[case]])
     assert not dataclasses_loaded
+    assert not fractions_loaded  # exact algebra runs on ints alone
     assert random_loaded == (command == "suite")  # corpus draws random curves

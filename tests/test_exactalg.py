@@ -11,10 +11,9 @@ from gausslab.exactalg import (
     CyclotomicNumber,
     IntPolynomial,
     _context,
-    _qpoly_divmod,
-    _qpoly_mul,
-    _qpoly_sub,
-    _qpoly_trim,
+    _divisors,
+    _integer_sqrt,
+    _root_of_unity_order_bound,
     abs_square,
     cyclotomic_polynomial,
     is_root_of_unity,
@@ -178,6 +177,14 @@ def test_integer_sqrt_is_exact_beyond_float_range():
     assert weil_certificate(IntPolynomial([-(3**41), 1]), 9, 41) == (1, {1: 1})
 
 
+def test_weil_certificate_requires_int_q_and_i():
+    poly = IntPolynomial([2, 0, 1])
+    for q, i in [(0, 1), (1, 1), (-2, 1), (2, 0), (2, -1), (2.0, 1), (2, 1.0), (True, 1),
+                 (2, True)]:
+        with pytest.raises(ValueError):
+            weil_certificate(poly, q, i)
+
+
 def test_weil_certificate_trivial_poly():
     assert weil_certificate(IntPolynomial([1]), 2, 1) == (1, {})
 
@@ -193,6 +200,37 @@ def test_weil_certificate_products_and_squarefree():
     assert m2 == 2  # squarefree part governs
     mixed = p1 * IntPolynomial([-3, 1])
     assert weil_certificate(mixed, 2, 1) is None
+
+
+def test_order_below_one_is_rejected():
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            _context(n)
+        with pytest.raises(ValueError):
+            zeta(n)
+
+
+def test_float_scalars_raise_type_error():
+    # a float is not exact: it has no numerator and denominator
+    with pytest.raises(TypeError):
+        CyclotomicNumber.from_rational(0.5)
+    with pytest.raises(TypeError):
+        zeta(4) * 0.5
+    with pytest.raises(TypeError):
+        0.5 * zeta(4)
+    with pytest.raises(TypeError):
+        zeta(4) / 0.5
+    with pytest.raises(TypeError):
+        CyclotomicNumber(4, [0.5, 0])
+    assert zeta(4) != 0.5 and CyclotomicNumber.from_rational(1, 4) != 1.0
+
+
+def test_dense_order_225_inverse():
+    rng = random.Random(225)
+    z = CyclotomicNumber(225, [Fraction(rng.randrange(-4, 5), rng.randrange(1, 7))
+                               for _ in range(120)])
+    assert (z * z.inv()).is_one()
+    assert (z.inv() * z ** 2) == z
 
 
 def test_order_cap_enforced():
@@ -218,9 +256,138 @@ def test_squarefree_invariants_survive_optimize(monkeypatch):
     import gausslab.exactalg as exactalg
 
     # a "gcd" that does not divide T^2 - 1 leaves a remainder
-    monkeypatch.setattr(exactalg, "_qpoly_gcd", lambda a, b: [Fraction(2), Fraction(1)])
+    monkeypatch.setattr(exactalg, "_int_poly_gcd", lambda a, b: [2, 1])
     with pytest.raises(TheoremViolated):
         IntPolynomial([-1, 0, 1]).squarefree_part()
+
+
+# -- reference oracle: Fraction-coefficient polynomials over Q ----------------
+# The helpers, the Euclid inverse, squarefree part and Weil certificate that
+# the library ran before its exact algebra became integer-only; test-only.
+
+def _qpoly_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _qpoly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _qpoly_sub(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _qpoly_divmod(a, b):
+    a, b = list(a), _qpoly_trim(b)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        if a[i] == 0:
+            continue
+        c = Fraction(a[i]) / b[-1]
+        q[i - (len(b) - 1)] = c
+        for j, y in enumerate(b):
+            a[i - (len(b) - 1) + j] -= c * y
+    return q, _qpoly_trim(a)
+
+
+def _qpoly_gcd(a, b):
+    a, b = _qpoly_trim(a), _qpoly_trim(b)
+    while b:
+        a, b = b, _qpoly_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a] if a else a
+
+
+def _qpoly_powmod(base, exponent, modulus):
+    result = [Fraction(1)]
+    base = _qpoly_divmod(base, modulus)[1]
+    while exponent:
+        if exponent & 1:
+            result = _qpoly_divmod(_qpoly_mul(result, base), modulus)[1]
+        base = _qpoly_divmod(_qpoly_mul(base, base), modulus)[1]
+        exponent >>= 1
+    return result
+
+
+def _fraction_squarefree_part(poly):
+    """P / gcd(P, P') over Q, normalized monic; None when it is not integral."""
+    p = [Fraction(c) for c in poly.coeffs]
+    g = _qpoly_gcd(p, [Fraction(c) for c in poly.derivative().coeffs])
+    q = _qpoly_divmod(p, g)[0] if len(g) > 1 else p
+    q = [c / q[-1] for c in q]
+    return IntPolynomial(q) if all(c.denominator == 1 for c in q) else None
+
+
+def _fraction_weil_certificate(poly, q, i, m_max=2 * lcm(*range(1, 25))):
+    modulus = [Fraction(c) for c in _fraction_squarefree_part(poly).coeffs]
+    if len(modulus) == 1:
+        return 1, {}
+    one = [Fraction(1)]
+    u = _qpoly_divmod([0, 0, Fraction(1, q**i)], modulus)[1]
+    lam = _root_of_unity_order_bound(len(modulus) - 1)
+    if _qpoly_powmod(u, lam, modulus) != one:
+        return None
+    m = None
+    for d in _divisors(lam):
+        if d > m_max:
+            break
+        if _qpoly_powmod(u, d, modulus) == one:
+            m = d
+            break
+    if m is None:
+        return None
+    half_powers = {}
+    for d in _divisors(2 * m):
+        if (i * d) % 2 == 0:
+            half_powers[d] = Fraction(q) ** (i * d // 2)
+        elif _integer_sqrt(q ** (i * d)) is not None:
+            half_powers[d] = Fraction(_integer_sqrt(q ** (i * d)))
+    orders = {}
+    for d in sorted(half_powers):
+        target = _qpoly_sub(_qpoly_powmod([0, 1], d, modulus), [half_powers[d]])
+        g = _qpoly_trim(_qpoly_gcd(modulus, target))
+        exact = (len(g) - 1 if g else 0) - sum(
+            orders.get(dd, 0) for dd in sorted(orders) if d % dd == 0)
+        if exact > 0:
+            orders[d] = exact
+    return m, orders
+
+
+def _weil_cases():
+    """(poly, q): seeded random-curve L-polynomials over F_2, F_3, F_4 and F_5,
+    products of them with repeated factors, and uncertifiable polynomials."""
+    from gausslab.fields import make_field
+    from gausslab.varieties import random_curve_spec, zeta_pipeline
+
+    cases = []
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        field = make_field(p, m)
+        for seed in range(3):
+            cases.append((zeta_pipeline(random_curve_spec(field, seed)).l_poly, field.q))
+    t2 = IntPolynomial([2, 0, 1])
+    for poly, q in cases[::3]:
+        cases += [(poly * poly, q), (poly * poly * t2, q), (poly * IntPolynomial([q, 1]), q)]
+    cases += [(t2 * t2 * t2, 2), (IntPolynomial([-3, 1]) * t2, 2), (IntPolynomial([1, 1, 1]), 5)]
+    return cases
+
+
+def test_integer_certificate_matches_fraction_reference():
+    cases = _weil_cases()
+    assert any(weil_certificate(poly, q, 1) is None for poly, q in cases)
+    for poly, q in cases:
+        assert poly.squarefree_part() == _fraction_squarefree_part(poly), poly
+        for i in (1, 2, 3):
+            assert weil_certificate(poly, q, i) == _fraction_weil_certificate(poly, q, i), (poly, q, i)
+        assert weil_certificate(poly, q, 1, m_max=1) == _fraction_weil_certificate(poly, q, 1, 1)
 
 
 # -- reference oracle: the Fraction-coefficient element ----------------------
@@ -393,7 +560,7 @@ def test_integer_vector_arithmetic_matches_fraction_reference(order):
             _agrees(z - w, ref - wref)
             _agrees(z * w, ref * wref)
             assert (z == w) == (ref == wref)
-        # inv keeps its Fraction Euclid, which takes minutes at degree 240
+        # the reference's Fraction Euclid takes minutes at degree 240
         if not heavy and not ref.is_zero():
             _agrees(z.inv(), ref.inv())
             w, wref = other[-1]
