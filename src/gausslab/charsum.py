@@ -25,6 +25,7 @@ from .fields import (
     WittVector2,
     _linear_kernel,
     _nullspace_mod_p,
+    _row_reduce_mod_p,
     _span_mod_p,
     absolute_trace_int,
     extension,
@@ -187,8 +188,6 @@ class _Evaluator:
         # the Gram matrix of the exponent, N^2 entries for N = m*n*d
         check_cap(datum.field.q ** n, override, "extension field")
         check_cap((datum.field.m * n * datum.d) ** 2, override, "Gram matrix")
-        self.datum = datum
-        self.n = n
         big, emb = extension(datum.field, n)
         self.big = big
         self.emb = emb
@@ -248,9 +247,6 @@ class _Evaluator:
                 witt_exp += witt_trace(WittVector2(big, c * v[j], big.zero()))
         return (self.p * absolute_trace_int(acc) + witt_exp) % (self.p * self.p)
 
-    def points(self):
-        return itertools.product(self.big.elements(), repeat=self.datum.d)
-
 
 def trace_value(datum, n, point, override=False):
     """t(point) for a point of (F_{q^n})^d, as an exact root of unity."""
@@ -264,29 +260,44 @@ def trace_value(datum, n, point, override=False):
     return zeta(ev.p * ev.p, e)
 
 
-def _gram_histogram(ev):
-    """{exponent: count} of ev.exponent on (F_{q^n})^d = F_p^N, N = m*n*d,
-    from its Gram data: e on the coordinate basis and on its pairwise sums.
+def _power_basis(big):
+    """The F_p-basis X^t, t < m, of a field."""
+    return [big.element((0,) * t + (1,)) for t in range(big.m)]
 
-    p*B(x, y) = e(x + y) - e(x) - e(y) mod p^2 is F_p-bilinear (odd p, p = 2
-    and the Z/4-valued Witt case alike).  Lines <v> with B(v, v) != 0, else
-    planes <v, w> with B(v, w) != 0, split off orthogonally and their
-    histograms convolve; on the radical left over e is additive, so each of
-    its basis vectors is a piece too (C.T.C. Wall, "Quadratic forms on finite
-    groups", 1963).
-    """
-    p, p2 = ev.p, ev.p * ev.p
-    big, d = ev.big, ev.datum.d
-    units = [big.element((0,) * t + (1,)) for t in range(big.m)]
-    basis = [tuple(u if k == j else big.zero() for k in range(d)) for j in range(d) for u in units]
-    a = [ev.exponent(b) for b in basis]
+
+def _coordinate_basis(big, columns):
+    """F_p-basis of W_0 x ... x W_(d-1) from bases columns[j] of the W_j:
+    each vector in its own coordinate, 0 elsewhere."""
+    return [tuple(w if k == j else big.zero() for k in range(len(columns)))
+            for j, ws in enumerate(columns) for w in ws]
+
+
+def _gram_data(exponent, basis, p):
+    """Gram data of a quadratic exponent e on points b_k: a[k] = e(b_k) and
+    gram[k][l] = B(b_k, b_l), where p*B(x, y) = e(x + y) - e(x) - e(y) mod p^2
+    is F_p-bilinear (odd p, p = 2 and the Z/4-valued Witt case alike).  They
+    fix e on the span (see `value` in `_histogram`), so two quadratic
+    exponents agree on it iff their Gram data agree."""
+    a = [exponent(b) for b in basis]
     gram = [[0] * len(basis) for _ in basis]
     for i, bi in enumerate(basis):
         for j in range(i, len(basis)):
-            diff = ev.exponent(tuple(x + y for x, y in zip(bi, basis[j]))) - a[i] - a[j]
+            diff = exponent(tuple(x + y for x, y in zip(bi, basis[j]))) - a[i] - a[j]
             if diff % p:
                 raise TheoremViolated("e(x + y) - e(x) - e(y) is not divisible by p")
             gram[i][j] = gram[j][i] = diff // p % p
+    return a, gram
+
+
+def _histogram(a, gram, p):
+    """{exponent: count} over F_p^N of the quadratic exponent with Gram data
+    (a, gram), which are left unmodified.  Lines <v> with B(v, v) != 0, else
+    planes <v, w> with B(v, w) != 0, split off orthogonally and their
+    histograms convolve; on the radical left over e is additive, so each of
+    its basis vectors is a piece too (C.T.C. Wall, "Quadratic forms on finite
+    groups", 1963)."""
+    p2 = p * p
+    a, gram = list(a), [list(row) for row in gram]
 
     def value(coeffs):
         # e(sum c v) for (index, integer c) pairs: e(x + y) = e(x) + e(y) +
@@ -297,7 +308,7 @@ def _gram_histogram(ev):
         return total % p2
 
     hist = Counter({0: 1})
-    live = list(range(len(basis)))
+    live = list(range(len(a)))
     while live:
         # a line, else a plane, else a vector of the radical, where e is additive
         piece = next(([k] for k in live if gram[k][k]), None) or next(
@@ -327,7 +338,8 @@ def char_sum(datum, n, workers=1, override=False):
     data of its exponent: O(N^2) values of t and O(N^3) F_p work for
     N = m*n*d, no point enumeration.  `workers` never changes the result."""
     ev = _Evaluator(datum, n, override)
-    hist = _gram_histogram(ev)
+    basis = _coordinate_basis(ev.big, [_power_basis(ev.big)] * datum.d)
+    hist = _histogram(*_gram_data(ev.exponent, basis, ev.p), ev.p)
     if datum.value_order == ev.p:
         return zeta_sum(ev.p, {k // ev.p: v for k, v in hist.items()})
     return zeta_sum(ev.p * ev.p, hist)
@@ -466,13 +478,10 @@ def _kernel_dimension(pairing, n):
     dim = me * d
     cols = []
     for j in range(d):
-        for t in range(me):
-            basis = big.element((0,) * t + (1,))
-            img = []
-            for k in range(d):
-                f = lifted.get((j, k))
-                img.extend((f.evaluate(basis) if f is not None else big.zero()).coeffs)
-            cols.append(img)
+        for u in _power_basis(big):
+            images = (lifted[j, k].evaluate(u) if (j, k) in lifted else big.zero()
+                      for k in range(d))
+            cols.append([c for w in images for c in w.coeffs])
     matrix = [[cols[c][r] for c in range(dim)] for r in range(dim)]
     return big, _nullspace_mod_p(matrix, p)
 
@@ -579,35 +588,31 @@ def canonical_quadratic(pairing):
 
 
 def clb_cocycle_identity_check(i, a, field, n, override=False):
-    """Pointwise check of the explicit coboundary behind the classification
-    of symmetric pairings.
+    """Check of the explicit coboundary behind the classification of
+    symmetric pairings.
 
     Over (F_{q^n})^2, the antisymmetrized expression
     (a X^{p^i} + a^{p^-i} X^{p^-i}) Y - X (a Y^{p^i} + a^{p^-i} Y^{p^-i})
     must equal g^p - g for g = sum_{j<i} (a^{p^-i} X Y^{p^-i} - a^{p^-i} X^{p^-i} Y)^{p^j},
     hence die under the trace character.  Returns True iff both hold at every
-    point.
+    point.  Both sides are biadditive: X -> a X^{p^i} + a^{p^-i} X^{p^-i} is
+    additive, and g is a sum of Frobenius images of biadditive terms.  So
+    checking the (m n)^2 pairs of F_p-basis vectors X^s, X^t proves both.
     """
+    check_cap(field.q ** n, override, "extension field")
     big, emb = extension(field, n)
-    check_cap(big.q ** 2, override, "cocycle check")
-    p = field.p
     aa = emb(field.element(a))
     ar = aa.pth_root(i)
 
     def fval(x):
         return aa * x.frobenius(i) + ar * x.pth_root(i)
 
-    for x in big.elements():
-        for y in big.elements():
-            expr = fval(x) * y - x * fval(y)
-            if absolute_trace_int(expr) != 0:
-                return False
-            g = big.zero()
-            base = ar * x * y.pth_root(i) - ar * x.pth_root(i) * y
-            for jj in range(i):
-                g = g + base.frobenius(jj)
-            if expr != g.frobenius() - g:
-                return False
+    for x, y in itertools.product(_power_basis(big), repeat=2):
+        expr = fval(x) * y - x * fval(y)
+        base = ar * x * y.pth_root(i) - ar * x.pth_root(i) * y
+        g = sum((base.frobenius(jj) for jj in range(i)), big.zero())
+        if absolute_trace_int(expr) or expr != g.frobenius() - g:
+            return False
     return True
 
 
@@ -737,75 +742,67 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
     Frobenius is bijective on the points of a perfect field.  Verifies
       sum_x t(f(x)) = |ker f(F_{q^n})| * sum_{v in image} t(v)
                     = sum over annihilator characters of S_n(twisted datum).
-    Returns (lhs, rhs_image, rhs_characters).
+    Returns (lhs, rhs_image, rhs_characters).  Each side is a sum of a
+    quadratic exponent taken from its Gram data, with no point enumeration;
+    the p^(N - rank) annihilator characters count against the cap.
     """
     if len(isogeny) != datum.d:
         raise ValueError("need one additive polynomial per coordinate")
-    for f in isogeny:
-        if f.is_zero():
-            raise NotEtale("a zero coordinate map is not an isogeny")
-    check_cap(datum.field.q ** (n * datum.d), override, "point enumeration")
+    if any(f.is_zero() for f in isogeny):
+        raise NotEtale("a zero coordinate map is not an isogeny")
     ev = _Evaluator(datum, n, override)
-    big, emb = ev.big, ev.emb
-    lifted = [f.lift(emb) for f in isogeny]
-    p2 = ev.p * ev.p
+    big, p, p2 = ev.big, ev.p, ev.p * ev.p
+    lifted = [f.lift(ev.emb) for f in isogeny]
+    basis = _coordinate_basis(big, [_power_basis(big)] * datum.d)
 
-    # left side: sum over x of t(f(x))
-    lhist = {}
-    for point in ev.points():
-        img = tuple(lifted[j].evaluate(point[j]) for j in range(datum.d))
-        e = ev.exponent(img)
-        lhist[e] = lhist.get(e, 0) + 1
-    lhs = zeta_sum(p2, lhist)
+    # left side: f is F_p-linear, so e o f is quadratic with Gram data e on
+    # f(b_k) and on f(b_k) + f(b_l) = f(b_k + b_l)
+    images = [tuple(f.evaluate(x) for f, x in zip(lifted, b)) for b in basis]
+    lhs = zeta_sum(p2, _histogram(*_gram_data(ev.exponent, images, p), p))
 
-    # right side 1: kernel size times the sum over the image point set
-    per_coord_images = []
-    kernel_size = 1
-    for j in range(datum.d):
-        img = {lifted[j].evaluate(x) for x in big.elements()}
-        per_coord_images.append(sorted(img, key=lambda e: e.coeffs))
-        kernel_size *= big.q // len(img)
-    rhist = {}
-    for point in itertools.product(*per_coord_images):
-        e = ev.exponent(point)
-        rhist[e] = rhist.get(e, 0) + 1
-    rhs_image = kernel_size * zeta_sum(p2, rhist)
+    # right side 1: |ker f| = p^(N - rank) times the sum over the image, on
+    # the pivot columns among the images f(X^t) in each coordinate
+    image_bases = []
+    for f in lifted:
+        cols = [f.evaluate(u) for u in _power_basis(big)]
+        _, pivots = _row_reduce_mod_p(list(zip(*(w.coeffs for w in cols))), p)
+        image_bases.append([cols[c] for c in pivots])
+    image_basis = _coordinate_basis(big, image_bases)
+    corank = len(basis) - len(image_basis)
+    rhs_image = p**corank * zeta_sum(p2, _histogram(*_gram_data(ev.exponent, image_basis, p), p))
 
-    # right side 2: sum over annihilator characters of the twisted sums
-    # c annihilates the image when c -> (Tr(c w))_w, an F_p-linear map, sends it to 0
+    # right side 2: c annihilates the image when c -> (Tr(c w))_w sends its
+    # basis to 0; the twist psi(Tr(c x)) is additive, so it keeps the Gram
+    # matrix and shifts each a[k] by p Tr(c b_k)
+    check_cap(p**corank, override, "annihilator characters")
     annihilators = [
-        _linear_kernel(big, lambda c, img=img: [absolute_trace_int(c * w) for w in img])
-        for img in per_coord_images
+        _linear_kernel(big, lambda c, ws=ws: [absolute_trace_int(c * w) for w in ws])
+        for ws in image_bases
     ]
-    rhs_chars = zeta_sum(p2, {0: 0})
+    a, gram = _gram_data(ev.exponent, basis, p)
+    hist = Counter()
     for cs in itertools.product(*annihilators):
-        hist = {}
-        for point in ev.points():
-            e = ev.exponent(point)
-            lin = sum(absolute_trace_int(c * x) for c, x in zip(cs, point))
-            e = (e + ev.p * lin) % p2
-            hist[e] = hist.get(e, 0) + 1
-        rhs_chars = rhs_chars + zeta_sum(p2, hist)
-    return lhs, rhs_image, rhs_chars
+        shifted = [(e + p * sum(absolute_trace_int(c * x) for c, x in zip(cs, b))) % p2
+                   for e, b in zip(a, basis)]
+        hist.update(_histogram(shifted, gram, p))
+    return lhs, rhs_image, zeta_sum(p2, hist)
 
 
 def invariance_check(datum, matrices, n=1, override=False):
-    """t(g x) = t(x) for every matrix g and every point x of (F_{q^n})^d."""
-    check_cap(datum.field.q ** (n * datum.d), override, "point enumeration")
+    """t(g x) = t(x) for every matrix g and every point x of (F_{q^n})^d.
+
+    g is F_p-linear, so e o g is quadratic like e, and the two agree
+    everywhere iff their Gram data agree: e on g b_k and g b_k + g b_l
+    against e on b_k and b_k + b_l, O(N^2) evaluations per matrix.
+    """
     ev = _Evaluator(datum, n, override)
-    big, emb = ev.big, ev.emb
-    lifted_mats = []
-    for mat in matrices:
-        lifted_mats.append(
-            [[emb(datum.field.element(c)) for c in row] for row in mat]
-        )
-    for point in ev.points():
-        base = ev.exponent(point)
-        for g in lifted_mats:
-            moved = tuple(
-                sum((g[r][c] * point[c] for c in range(datum.d)), big.zero())
-                for r in range(datum.d)
-            )
-            if ev.exponent(moved) != base:
-                return False
+    big, emb, d = ev.big, ev.emb, datum.d
+    lifted_mats = [[[emb(datum.field.element(c)) for c in row] for row in mat] for mat in matrices]
+    basis = _coordinate_basis(big, [_power_basis(big)] * d)
+    base = _gram_data(ev.exponent, basis, ev.p)
+    for g in lifted_mats:
+        moved = [tuple(sum((g[r][c] * b[c] for c in range(d)), big.zero()) for r in range(d))
+                 for b in basis]
+        if _gram_data(ev.exponent, moved, ev.p) != base:
+            return False
     return True

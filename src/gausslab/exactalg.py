@@ -13,7 +13,7 @@ the cached rows of zeta_N^k.
 """
 
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .errors import IncompatibleOrders, NonIntegralElementarySymmetric, TheoremViolated
 
@@ -459,9 +459,11 @@ class IntPolynomial:
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise TypeError(f"coefficients must be ints (not bools), got {coeffs!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -645,6 +647,12 @@ def weil_certificate(poly, q, i, m_max=DEFAULT_WEIL_BOUND):
     p0 = poly.squarefree_part()
     if p0.degree == 0:
         return 1, {}
+    # the roots of a certified p0 have |alpha|^2 = q^i, so the coefficient c_k of
+    # T^k obeys c_k^2 <= C(d, k)^2 q^(i(d-k)), with equality at k = 0
+    d, c = p0.degree, p0.coeffs
+    if c[0] ** 2 != q ** (i * d) or any(c[k] ** 2 > comb(d, k) ** 2 * q ** (i * (d - k))
+                                        for k in range(d)):
+        return None
     ring = _OrderContext(p0.coeffs)
     one = (ring.row(0), 1)
     # u = T^2 / q^i in Q[T]/(p0); p0 | T^{2m} - q^{im}  <=>  u^m = 1.

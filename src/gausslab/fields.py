@@ -428,20 +428,13 @@ def relative_trace(x, s, source=None):
 
 # -- subfields and embeddings -------------------------------------------------
 
-def _nullspace_mod_p(matrix, p):
-    """Basis of the nullspace of a matrix over F_p (Gaussian elimination)."""
-    if not matrix:
-        return []
-    rows = [list(r) for r in matrix]
-    n_cols = len(rows[0])
-    pivots = {}
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] % p != 0:
-                pivot = rr
-                break
+def _row_reduce_mod_p(matrix, p):
+    """(reduced rows, {pivot column: its row}) of a matrix over F_p by
+    Gauss-Jordan elimination; the pivot columns span the column space."""
+    rows, pivots = [list(row) for row in matrix], {}
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((rr for rr in range(r, len(rows)) if rows[rr][c] % p), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -452,16 +445,16 @@ def _nullspace_mod_p(matrix, p):
                 f = rows[rr][c]
                 rows[rr] = [(v - f * w) % p for v, w in zip(rows[rr], rows[r])]
         pivots[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(n_cols) if c not in pivots]
-    for fc in free:
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for c, rr in pivots.items():
-            vec[c] = (-rows[rr][fc]) % p
-        basis.append(tuple(vec))
-    return basis
+    return rows, pivots
+
+
+def _nullspace_mod_p(matrix, p):
+    """Basis of the nullspace of a matrix over F_p: per free column fc, the vector
+    with 1 at fc, 0 at the other free columns and the pivot columns solved."""
+    rows, pivots = _row_reduce_mod_p(matrix, p)
+    n_cols = len(rows[0]) if rows else 0
+    return [tuple(-rows[pivots[c]][fc] % p if c in pivots else int(c == fc)
+                  for c in range(n_cols)) for fc in range(n_cols) if fc not in pivots]
 
 
 def _span_mod_p(basis, p, length):
@@ -480,7 +473,8 @@ def _linear_kernel(field, image):
     """
     m, p = field.m, field.p
     cols = [image(FieldElement(field, (0,) * j + (1,) + (0,) * (m - 1 - j))) for j in range(m)]
-    basis = _nullspace_mod_p(list(zip(*cols)), p)
+    # an image with no coordinates constrains nothing: one zero row keeps the m columns
+    basis = _nullspace_mod_p(list(zip(*cols)) or [(0,) * m], p)
     return [FieldElement(field, v) for v in sorted(_span_mod_p(basis, p, m))]
 
 

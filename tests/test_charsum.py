@@ -3,6 +3,7 @@ canonical forms and the Hasse-Davenport identities."""
 
 import itertools
 import random
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from gausslab.errors import (
     SwanDivisibleByP,
     TheoremViolated,
 )
-from gausslab.exactalg import abs_square, is_root_of_unity, zeta
+from gausslab.exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
 from gausslab import charsum, fields
 from gausslab.fields import AdditivePolynomial, absolute_trace_int, extension, make_field
 
@@ -493,18 +494,34 @@ F5 = make_field(5, 1)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def _points(datum, n):
+    """Every point of (F_{q^n})^d, for the enumerating oracles."""
+    big, _ = extension(datum.field, n)
+    return itertools.product(big.elements(), repeat=datum.d)
+
+
 def _enumerated_histogram(datum, n):
     """{exponent: count} of t over (F_{q^n})^d by evaluating every point."""
     ev = charsum._Evaluator(datum, n)
     hist = {}
-    for point in ev.points():
+    for point in _points(datum, n):
         e = ev.exponent(point)
         hist[e] = hist.get(e, 0) + 1
     return hist
 
 
+def _enumerated_sum(datum, n):
+    """S_n as `char_sum` returns it, from the enumerated histogram."""
+    hist, p = _enumerated_histogram(datum, n), datum.field.p
+    if datum.has_witt:
+        return zeta_sum(p * p, hist)
+    return zeta_sum(p, {e // p: count for e, count in hist.items()})
+
+
 def _closed_form_histogram(datum, n):
-    return charsum._gram_histogram(charsum._Evaluator(datum, n))
+    ev = charsum._Evaluator(datum, n)
+    basis = charsum._coordinate_basis(ev.big, [charsum._power_basis(ev.big)] * datum.d)
+    return charsum._histogram(*charsum._gram_data(ev.exponent, basis, ev.p), ev.p)
 
 
 def _random_datum(field, d, rng):
@@ -607,7 +624,7 @@ def test_char_sum_does_not_enumerate(monkeypatch):
     exponent = charsum._Evaluator.exponent
     monkeypatch.setattr(charsum._Evaluator, "exponent",
                         lambda self, point: calls.append(point) or exponent(self, point))
-    monkeypatch.setattr(charsum._Evaluator, "points", None)
+    _forbid_field_sweeps(monkeypatch)
     datum = frobpair(F4, 2)
     char_sum(datum, 6)
     assert len(calls) == 24 + 24 * 25 // 2
@@ -625,7 +642,8 @@ def test_symbolic_pairing_asymmetry_is_a_fault(monkeypatch):
 
 def test_sum_path_caps_what_it_builds(monkeypatch):
     # a sum counts its extension field and its N^2 Gram entries against the
-    # cap; the checks that still enumerate count the q^(nd) points
+    # cap, and so do the invariance and pullback checks built on it; the
+    # pullback also counts its p^(N - rank) annihilator characters
     monkeypatch.setenv("GAUSSLAB_CAP", "100")
     datum = QuadDatum(F2, 3, [DiagMonomial(0, 1, F2.one())])
     with pytest.raises(ScaleCapExceeded, match="extension field over 128 points exceeds cap 100"):
@@ -634,7 +652,207 @@ def test_sum_path_caps_what_it_builds(monkeypatch):
         char_sum(datum, 4)
     assert char_sum(datum, 4, override=True) == 2**8 * char_sum(x_cubed(F2), 4)
     one = [[F2.one() if r == c else F2.zero() for c in range(3)] for r in range(3)]
-    with pytest.raises(ScaleCapExceeded, match="point enumeration over 512 points"):
-        invariance_check(datum, [one], n=3)
-    with pytest.raises(ScaleCapExceeded, match="point enumeration over 512 points"):
-        pullback_sum_identity(datum, [AdditivePolynomial(F2, {0: F2.one()})] * 3, n=3)
+    with pytest.raises(ScaleCapExceeded, match="Gram matrix over 144 points exceeds cap 100"):
+        invariance_check(datum, [one], n=4)
+    with pytest.raises(ScaleCapExceeded, match="Gram matrix over 144 points exceeds cap 100"):
+        pullback_sum_identity(datum, [AdditivePolynomial(F2, {0: F2.one()})] * 3, n=4)
+    # x -> x^16 + x vanishes on F_16: rank 0, so 2^8 characters at N = 8
+    plane = QuadDatum(F2, 2, [DiagMonomial(0, 1, F2.one())])
+    lang16 = [AdditivePolynomial(F2, {4: F2.one(), 0: F2.one()})] * 2
+    with pytest.raises(ScaleCapExceeded,
+                       match="annihilator characters over 256 points exceeds cap 100"):
+        pullback_sum_identity(plane, lang16, n=4)
+    assert pullback_sum_identity(plane, lang16, n=4, override=True) == (256, 256, 256)
+
+
+# -- Gram-data checks against their enumerating oracles ------------------------------
+
+def _enumerated_invariance(datum, matrices, n):
+    """t(g x) == t(x) at every point x and every matrix g, point by point."""
+    ev = charsum._Evaluator(datum, n)
+    big, emb = ev.big, ev.emb
+    lifted = [[[emb(datum.field.element(c)) for c in row] for row in mat] for mat in matrices]
+    for point in _points(datum, n):
+        base = ev.exponent(point)
+        for g in lifted:
+            moved = tuple(sum((g[r][c] * point[c] for c in range(datum.d)), big.zero())
+                          for r in range(datum.d))
+            if ev.exponent(moved) != base:
+                return False
+    return True
+
+
+def _enumerated_pullback(datum, isogeny, n):
+    """(lhs, rhs_image, rhs_chars) of `pullback_sum_identity` by sweeping the
+    points, each coordinate image and the field for its annihilators."""
+    ev = charsum._Evaluator(datum, n)
+    big, p2 = ev.big, ev.p * ev.p
+    lifted = [f.lift(ev.emb) for f in isogeny]
+
+    def histogram_sum(points, twist=lambda point: 0):
+        hist = {}
+        for point in points:
+            e = (ev.exponent(point) + ev.p * twist(point)) % p2
+            hist[e] = hist.get(e, 0) + 1
+        return zeta_sum(p2, hist)
+
+    lhs = histogram_sum(tuple(f.evaluate(x) for f, x in zip(lifted, point))
+                        for point in _points(datum, n))
+    images = [sorted({f.evaluate(x) for x in big.elements()}, key=lambda e: e.coeffs)
+              for f in lifted]
+    kernel_size = big.q ** datum.d // prod(len(img) for img in images)
+    rhs_image = kernel_size * histogram_sum(itertools.product(*images))
+    annihilators = [[c for c in big.elements() if all(absolute_trace_int(c * w) == 0 for w in img)]
+                    for img in images]
+    rhs_chars = zeta_sum(p2, {0: 0})
+    for cs in itertools.product(*annihilators):
+        rhs_chars = rhs_chars + histogram_sum(
+            _points(datum, n),
+            lambda point, cs=cs: sum(absolute_trace_int(c * x) for c, x in zip(cs, point)))
+    return lhs, rhs_image, rhs_chars
+
+
+def _enumerated_cocycle(i, a, field, n):
+    """`clb_cocycle_identity_check` at every pair (x, y) of F_{q^n}."""
+    big, emb = extension(field, n)
+    aa = emb(field.element(a))
+    ar = aa.pth_root(i)
+
+    def fval(x):
+        return aa * x.frobenius(i) + ar * x.pth_root(i)
+
+    for x in big.elements():
+        for y in big.elements():
+            expr = fval(x) * y - x * fval(y)
+            if absolute_trace_int(expr) != 0:
+                return False
+            g = big.zero()
+            base = ar * x * y.pth_root(i) - ar * x.pth_root(i) * y
+            for jj in range(i):
+                g = g + base.frobenius(jj)
+            if expr != g.frobenius() - g:
+                return False
+    return True
+
+
+def _random_matrix(field, d, rng):
+    return [[field.element([rng.randrange(field.p) for _ in range(field.m)])
+             for _ in range(d)] for _ in range(d)]
+
+
+def _forbid_field_sweeps(monkeypatch):
+    def sweep(self):
+        raise AssertionError(f"a sweep of {self.tag}")
+
+    monkeypatch.setattr(fields.FiniteField, "elements", sweep)
+
+
+def test_gram_histogram_leaves_its_inputs_alone():
+    ev = charsum._Evaluator(frobpair(F4, 2), 1)
+    basis = charsum._coordinate_basis(ev.big, [charsum._power_basis(ev.big)] * 2)
+    a, gram = charsum._gram_data(ev.exponent, basis, 2)
+    copies = (list(a), [list(row) for row in gram])
+    assert charsum._histogram(a, gram, 2) == charsum._histogram(a, gram, 2)
+    assert (a, gram) == copies
+
+
+def test_invariance_matches_enumeration():
+    rng = random.Random("invariance")
+    cases = []
+    for name, datum, _, _ in catalog_data():
+        field, d = datum.field, datum.d
+        one = [[field.one() if r == c else field.zero() for c in range(d)] for r in range(d)]
+        zero = [[field.zero()] * d for _ in range(d)]
+        mats = [one, zero] + [_random_matrix(field, d, rng) for _ in range(3)]
+        for n in (1, 2):
+            if field.q ** (n * d) <= 256:
+                cases += [(datum, [g], n) for g in mats] + [(datum, [one, mats[-1]], n)]
+    for field in (F2, F4, F3, F9, F5):
+        for d in (1, 2):
+            for _ in range(6):
+                datum = _random_datum(field, d, rng)
+                # a rank-one matrix: every row a multiple of one random row
+                row = _random_matrix(field, d, rng)[0]
+                scales = _random_matrix(field, d, rng)[0]
+                singular = [[s * c for c in row] for s in scales]
+                for n in (1, 2):
+                    if field.q ** (n * d) <= 256:
+                        cases += [(datum, [_random_matrix(field, d, rng)], n),
+                                  (datum, [singular], n)]
+    outcomes = []
+    for datum, mats, n in cases:
+        expected = _enumerated_invariance(datum, mats, n)
+        assert invariance_check(datum, mats, n) == expected, (datum.to_json(), mats, n)
+        outcomes.append(expected)
+    assert outcomes.count(True) > 30 and outcomes.count(False) > 30
+
+
+def _pullback_cases(rng):
+    lang = AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()})
+    cases = [  # the isogenies of test_pullback_annihilators_match_brute_force
+        (wittchar(F2), [lang], 2),
+        (x_cubed(F2), [AdditivePolynomial(F2, {2: F2.one(), 0: F2.one()})], 3),
+        (x_cubed(F4), [AdditivePolynomial(F4, {1: F4.one(), 0: F4.gen()})], 1),
+        (frobpair(F4, 1),
+         [lang.lift(extension(F2, 2)[1]), AdditivePolynomial(F4, {1: F4.gen()})], 1),
+    ]
+    for field in (F2, F4, F3, F9):
+        for d in (1, 2):
+            for _ in range(3):
+                datum = _random_datum(field, d, rng)
+                isogeny = []
+                while len(isogeny) < d:
+                    f = AdditivePolynomial(field, {i: field.element(
+                        [rng.randrange(field.p) for _ in range(field.m)]) for i in (-1, 0, 1, 2)})
+                    if not f.is_zero():
+                        isogeny.append(f)
+                cases += [(datum, isogeny, n) for n in (1, 2) if field.q ** (n * d) <= 81]
+    return cases
+
+
+def test_pullback_matches_enumeration():
+    for datum, isogeny, n in _pullback_cases(random.Random("pullback")):
+        got = pullback_sum_identity(datum, isogeny, n)
+        assert got == _enumerated_pullback(datum, isogeny, n), (datum.to_json(), n)
+        assert got[0] == got[1] == got[2]
+
+
+def test_cocycle_matches_enumeration():
+    # the identity holds for i >= 0; at i = -1 the sum defining g is empty
+    # while the expression is not 0, so the sweep also meets failures
+    outcomes = []
+    for field, n_max in ((F2, 2), (F4, 2), (F9, 1)):
+        for a in field.elements():
+            for i in (-1, 0, 1, 2):
+                for n in range(1, n_max + 1):
+                    expected = _enumerated_cocycle(i, a, field, n)
+                    assert clb_cocycle_identity_check(i, a, field, n) == expected, (field, a, i, n)
+                    outcomes.append(expected)
+    assert outcomes.count(False) > 5 and outcomes.count(True) > 50
+    # one element of F_9 at n = 2, swept over all 81^2 pairs
+    w = F9.gen()
+    assert clb_cocycle_identity_check(1, w, F9, 2) == _enumerated_cocycle(1, w, F9, 2)
+
+
+def test_checks_do_not_sweep_points(monkeypatch):
+    # with every field sweep refused, the four sums and checks still return
+    # what their enumerating oracles return
+    w = F4.gen()
+    inv_cases = [(x_cubed(F4), [[[w]], [[w * w]]], 2),
+                 (QuadDatum(F4, 1, [ASLinear(0, F4.one())]), [[[w]]], 1),
+                 (frobpair(F4, 2), [_random_matrix(F4, 2, random.Random(3))], 1)]
+    pull_cases = _pullback_cases(random.Random("pullback"))[:4]
+    cocycle_cases = [(1, F4.one(), F4, 2), (2, w, F4, 2), (2, F9.gen(), F9, 1)]
+    sum_cases = [(frobpair(F4, 2), 1), (wittchar(F4), 2),
+                 (QuadDatum(F9, 1, [HalfSquare(0, F9.gen())]), 2)]
+    expected = ([_enumerated_invariance(*c) for c in inv_cases],
+                [_enumerated_pullback(*c) for c in pull_cases],
+                [_enumerated_cocycle(*c) for c in cocycle_cases],
+                [_enumerated_sum(*c) for c in sum_cases])
+    _forbid_field_sweeps(monkeypatch)
+    with pytest.raises(AssertionError, match="a sweep of F4"):
+        list(F4.elements())
+    assert ([invariance_check(*c) for c in inv_cases],
+            [pullback_sum_identity(*c) for c in pull_cases],
+            [clb_cocycle_identity_check(*c) for c in cocycle_cases],
+            [char_sum(*c) for c in sum_cases]) == expected

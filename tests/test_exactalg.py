@@ -166,6 +166,34 @@ def test_weil_certificate_examples():
     assert weil_certificate(IntPolynomial([-3, 1]), 2, 1) is None
 
 
+def test_weil_certificate_returns_early_on_non_weil_input(monkeypatch):
+    # a root of a certified p0 has |alpha|^2 = q^i, so its coefficients obey
+    # c_0^2 = q^(i d) and c_k^2 <= C(d, k)^2 q^(i (d - k)); input that breaks
+    # them is refused before any powering in Q[T]/(p0)
+    import gausslab.exactalg as exactalg
+
+    def powering(coeffs):
+        raise AssertionError("the Weil ring was built")
+
+    monkeypatch.setattr(exactalg, "_OrderContext", powering)
+    # T^16 + T + 3 at q = 2: powering to the Kronecker bound ran past 120 s
+    assert weil_certificate(IntPolynomial([3, 1] + [0] * 14 + [1]), 2, 1) is None
+    # c_0^2 = 4 = 2^2 holds, but c_1^2 = 25 > C(2, 1)^2 * 2
+    assert weil_certificate(IntPolynomial([2, 5, 1]), 2, 1) is None
+    assert weil_certificate(IntPolynomial([2, 0, 1]) * IntPolynomial([1, 0, 1]), 2, 1) is None
+    # T^2 + 2T + 2 (roots -1 +- i, |alpha|^2 = 2) meets them and reaches the ring
+    with pytest.raises(AssertionError, match="the Weil ring was built"):
+        weil_certificate(IntPolynomial([2, 2, 1]), 2, 1)
+
+
+def test_int_polynomial_rejects_non_integers():
+    # no silent truncation: 2.7 and "2" are not coefficients, nor is True
+    for coeffs in ([2.7, 0, 1], ["2", 0, True], [1, True], [Fraction(2), 1], [1, 0.0]):
+        with pytest.raises(TypeError):
+            IntPolynomial(coeffs)
+    assert IntPolynomial([2, 0, 1, 0]).coeffs == (2, 0, 1)
+
+
 def test_integer_sqrt_is_exact_beyond_float_range():
     from gausslab.exactalg import _integer_sqrt
 
@@ -324,7 +352,7 @@ def _fraction_squarefree_part(poly):
     g = _qpoly_gcd(p, [Fraction(c) for c in poly.derivative().coeffs])
     q = _qpoly_divmod(p, g)[0] if len(g) > 1 else p
     q = [c / q[-1] for c in q]
-    return IntPolynomial(q) if all(c.denominator == 1 for c in q) else None
+    return IntPolynomial([int(c) for c in q]) if all(c.denominator == 1 for c in q) else None
 
 
 def _fraction_weil_certificate(poly, q, i, m_max=2 * lcm(*range(1, 25))):
