@@ -25,6 +25,7 @@ from .fields import (
     WittVector2,
     _linear_kernel,
     _nullspace_mod_p,
+    _power_basis,
     _row_reduce_mod_p,
     _span_mod_p,
     absolute_trace_int,
@@ -258,11 +259,6 @@ def trace_value(datum, n, point, override=False):
             raise TheoremViolated("a value of order p has an exponent divisible by p")
         return zeta(ev.p, e // ev.p)
     return zeta(ev.p * ev.p, e)
-
-
-def _power_basis(big):
-    """The F_p-basis X^t, t < m, of a field."""
-    return [big.element((0,) * t + (1,)) for t in range(big.m)]
 
 
 def _coordinate_basis(big, columns):

@@ -20,6 +20,9 @@ from .errors import IncompatibleOrders, NonIntegralElementarySymmetric, TheoremV
 # Computations refuse to build Q(zeta_N) beyond this order.
 ORDER_CAP = 2**16
 
+# The prime 2^61 - 1, modulo which a Weil certificate is refused first.
+_ELL = 2**61 - 1
+
 
 def _divisors(n):
     small, large = [], []
@@ -127,15 +130,21 @@ class _OrderContext:
                     conv[i + j] += x * y
         return _lowest(self.fold(enumerate(conv[deg:], deg), conv[:deg]), dx * dy)
 
-    def power(self, a, k):
-        """a^k for an element a in lowest terms and an int k >= 0."""
+    def power(self, a, k, ell=None):
+        """a^k for an element a in lowest terms and an int k >= 0; with a prime
+        ell, a has denominator 1 and the powers are reduced mod ell, in
+        F_ell[X]/(f)."""
+        mul = self.mul
+        if ell is not None:
+            def mul(x, y):
+                return tuple(c % ell for c in self.mul(x, y)[0]), 1
         result = (self.row(0), 1)
         while k:
             if k & 1:
-                result = self.mul(result, a)
+                result = mul(result, a)
             k >>= 1
             if k:
-                a = self.mul(a, a)
+                a = mul(a, a)
         return result
 
 
@@ -661,8 +670,15 @@ def weil_certificate(poly, q, i, m_max=DEFAULT_WEIL_BOUND):
     # least m is found by a divisor scan of lam.
     u = _lowest(ring.row(2), q**i)
     lam = _root_of_unity_order_bound(p0.degree)
-    if ring.power(u, lam) != one:
-        return None
+    # u^lam = 1 makes the monic p0 divide T^(2 lam) - q^(i lam) in Z[T], hence
+    # also mod a prime ell not dividing q.  So u^lam = 1 is tested first in
+    # F_ell[T]/(p0), where the powers do not grow.  Every input, refused there
+    # or not, is decided exactly by the divisor scan: u^d = 1 for no divisor d
+    # of lam unless u^lam = 1.
+    if q % _ELL:
+        u_ell = (tuple(c * pow(q, -i, _ELL) % _ELL for c in ring.row(2)), 1)
+        if ring.power(u_ell, lam, _ELL) != one:
+            return None
     m = next((d for d in _divisors(lam) if d <= m_max and ring.power(u, d) == one), None)
     if m is None:
         return None

@@ -465,6 +465,11 @@ def _span_mod_p(basis, p, length):
         yield tuple(sum(map(mul, coeffs, col)) % p for col in columns)
 
 
+def _power_basis(big):
+    """The F_p-basis X^t, t < m, of a field."""
+    return [big.element((0,) * t + (1,)) for t in range(big.m)]
+
+
 def _linear_kernel(field, image):
     """Zeros of an F_p-linear map on a field, sorted by coefficients.
 
@@ -472,7 +477,7 @@ def _linear_kernel(field, image):
     nullspace of the matrix whose column j is image(X^j), no field sweep.
     """
     m, p = field.m, field.p
-    cols = [image(FieldElement(field, (0,) * j + (1,) + (0,) * (m - 1 - j))) for j in range(m)]
+    cols = [image(x) for x in _power_basis(field)]
     # an image with no coordinates constrains nothing: one zero row keeps the m columns
     basis = _nullspace_mod_p(list(zip(*cols)) or [(0,) * m], p)
     return [FieldElement(field, v) for v in sorted(_span_mod_p(basis, p, m))]

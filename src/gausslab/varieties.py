@@ -5,6 +5,10 @@ Curves are f(y) = g1(x)g2(x) + a*x with f, g1, g2 additive and f separable
 (the Van der Geer--Van der Vlugt family for f = Y^q - Y, g1 = X, a = 0).
 Surfaces are counted exactly as displayed in their defining equations, with
 the free variable w contributing a factor q^n that is flagged in the output.
+Their W2 character sums split each Witt vector as a = [x0] + V(x1), and
+    Tr_W(a h(a)) = Tr_W([x0] h([x0])) + p Tr(x0^p g2(x1) + f(x0)^p x1)
+is F_p-linear in x1 whether or not h is additive, so each sum over W2(F_{q^n})
+is q^n times a sum over x0 alone.
 """
 
 from .charsum import as_reduce, gos_rank
@@ -21,10 +25,14 @@ from .exactalg import (
 from .fields import (
     AdditivePolynomial,
     WittVector2,
+    _linear_kernel,
+    _power_basis,
+    _row_reduce_mod_p,
     absolute_trace_int,
     additive_kernel,
     exponent_dict_from_json,
     extension,
+    gamma_value,
     witt_trace,
     witt_zero,
 )
@@ -397,49 +405,36 @@ class SurfaceSpec:
         )
 
 
-def _gamma_xp_minus_x(x):
-    """gamma(x^p, -x) evaluated exactly."""
-    from .fields import gamma_value
-
-    return gamma_value(x.frobenius(), -x)
-
-
 def surface_counts(spec, n, override=False):
     """Count (x, y, z) solutions of the displayed equations over F_{q^n},
-    times the free factor q^n for w.  Returns (count, flags)."""
+    times the free factor q^n for w.  Returns (count, flags).  The second
+    equation is A_x(y) = c(x) with A_x F_p-linear in y: |ker A_x| solutions
+    when c(x) is in the image of A_x, else none, from one row reduction."""
     big, emb = extension(spec.field, n)
-    check_cap(big.q**2, override, "surface count")
+    check_cap(big.q, override, "surface count")
     endo = spec.endo.lift(emb) if n > 1 else spec.endo
-    p = big.p
-    # fibers of x^p - x
-    as_fibers = {}
-    for x in big.elements():
-        key = (x.frobenius() - x).coeffs
-        as_fibers.setdefault(key, []).append(x)
+    p, m = big.p, big.m
+    basis = _power_basis(big)
+    z_hits = {}  # key -> how many z have z f(z) = key, the right side of x^p - x
+    for z in big.elements():
+        key = (z * endo.f_value(z)).coeffs
+        z_hits[key] = z_hits.get(key, 0) + 1
     count3 = 0
-    y_solution_cache = {}
-
-    def y_solutions(x):
-        # equation 2 rearranged: A_x(y) = c(x) with A_x additive in y
-        if x.coeffs in y_solution_cache:
-            return y_solution_cache[x.coeffs]
+    for x in big.elements():
         xp = x.frobenius()
+        hits = z_hits.get((xp - x).coeffs)
+        if not hits:
+            continue
         fxp = endo.f_value(x).frobenius()
         if p == 2:
             cx = x * x + x * x * x + xp * endo.g1_value(x)
         else:
-            cx = -_gamma_xp_minus_x(x) + xp * endo.g1_value(x)
-        hits = 0
-        for y in big.elements():
-            if y.frobenius() - y - xp * endo.g2.evaluate(y) - fxp * y == cx:
-                hits += 1
-        y_solution_cache[x.coeffs] = hits
-        return hits
-
-    for z in big.elements():
-        target = (z * endo.f_value(z)).coeffs
-        for x in as_fibers.get(target, ()):
-            count3 += y_solutions(x)
+            cx = -gamma_value(xp, -x) + xp * endo.g1_value(x)
+        columns = [(y.frobenius() - y - xp * endo.g2.evaluate(y) - fxp * y).coeffs
+                   for y in basis]
+        _, pivots = _row_reduce_mod_p(list(zip(*columns, cx.coeffs)), p)
+        if m not in pivots:  # c(x) is in the column space of A_x
+            count3 += hits * p ** (m - len(pivots))
     return count3 * big.q, {"w_is_free": True, "free_factor": big.q}
 
 
@@ -463,6 +458,16 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     S_n = s * p^r * tau^n with s = +-1, |tau|^2 = q^i for an integer i
     (the cohomological degree: Tate twists from descent raise i above 2), and
     tau^2 / q^i a root of unity.  That is exactly the supersingularity shape.
+
+    The sums use the Teichmueller--Verschiebung split a = [x0] + V(x1).  With
+    h(a) = (f(x0), g1(x0) + g2(x1)), the W2 product (x0 y0, x0^p y1 + y0^p x1)
+    and Tr_W(u, v) = Tr_W(u, 0) + p Tr(v), t(a) = witt_trace(a * h(a)) is
+        t(x0, x1) = t(x0, 0) + p Tr(x0^p g2(x1) + f(x0)^p x1),
+    F_p-linear in x1 with a coefficient F_p-linear in x0.  Summing over x1,
+    S_n(psi_j) = q^n sum psi_j(t(x0, 0)) over all x0 in F_{q^n} when p | j and
+    over the kernel K of that coefficient (one linear kernel) otherwise: q^n
+    Witt evaluations per degree, not q^(2n).  The additivity of h is never
+    used (g1 is arbitrary), so the sums hold for mutated endomorphisms too.
     """
     p = spec.field.p
     p2 = p * p
@@ -471,17 +476,25 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     sums_by_psi = {j: [] for j in range(p2)}
     for n in range(1, n_max + 1):
         big, emb = extension(spec.field, n)
-        check_cap(big.q**2, override, "surface summands")
+        check_cap(big.q, override, "surface summands")
         endo = spec.endo.lift(emb) if n > 1 else spec.endo
-        hist = {}
-        for x in big.elements():
-            for y in big.elements():
-                a = WittVector2(big, x, y)
-                t = witt_trace(a * endo(a))
-                hist[t] = hist.get(t, 0) + 1
+        g2_basis = [(b, endo.g2.evaluate(b)) for b in _power_basis(big)]
+
+        def cross(x0):  # x1 -> Tr(x0^p g2(x1) + f(x0)^p x1) on the basis
+            xp, fp = x0.frobenius(), endo.f_value(x0).frobenius()
+            return tuple(absolute_trace_int(xp * g2b + fp * b) for b, g2b in g2_basis)
+
+        kernel = {x0.coeffs for x0 in _linear_kernel(big, cross)}
+        full, on_kernel = {}, {}  # t(x0, 0) over F_{q^n} and over K, q^n x1 each
+        for x0 in big.elements():
+            a = WittVector2(big, x0, big.zero())
+            t = witt_trace(a * endo(a))
+            full[t] = full.get(t, 0) + big.q
+            if x0.coeffs in kernel:
+                on_kernel[t] = on_kernel.get(t, 0) + big.q
         for j in range(p2):
             folded = {}
-            for t, c in hist.items():
+            for t, c in (on_kernel if j % p else full).items():
                 k = (j * t) % p2
                 folded[k] = folded.get(k, 0) + c
             sums_by_psi[j].append(zeta_sum(p2, folded))

@@ -268,6 +268,24 @@ def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeyp
     assert strip_timing(capsys.readouterr().out) == uncapped
 
 
+@pytest.mark.parametrize("fixture, swept", [("surface-p2", 8), ("surface-p3", 27)])
+def test_surface_job_caps_the_field_it_sweeps(fixture, swept, monkeypatch, tmp_path, capsys):
+    # a surface job sweeps F_{q^n} up to n = n_max = 3: q^3 points pass the
+    # cap, one point less exits 3, and --cap-override lifts the refusal
+    job = corpus()[fixture]["input"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    monkeypatch.setenv("GAUSSLAB_CAP", str(swept))
+    assert cli.main(["supersingular", "--input", str(path)]) == 0
+    capped = strip_timing(capsys.readouterr().out)
+    monkeypatch.setenv("GAUSSLAB_CAP", str(swept - 1))
+    assert cli.main(["supersingular", "--input", str(path)]) == 3
+    assert (f"scale cap exceeded: surface summands over {swept} points exceeds cap {swept - 1}"
+            in capsys.readouterr().err)
+    assert cli.main(["supersingular", "--input", str(path), "--cap-override"]) == 0
+    assert strip_timing(capsys.readouterr().out) == capped
+
+
 def test_suite_reports_the_broken_expectation(monkeypatch):
     # a doctored expectation fails its fixture and names key, expected, actual;
     # the fixtures that pass keep the entry they always had

@@ -186,6 +186,39 @@ def test_weil_certificate_returns_early_on_non_weil_input(monkeypatch):
         weil_certificate(IntPolynomial([2, 2, 1]), 2, 1)
 
 
+def test_weil_certificate_refuses_modulo_a_prime_first(monkeypatch):
+    # T^d + T + 2^(d/2) at q = 2 meets the coefficient bounds but is no Weil
+    # polynomial: u^lam = 1 already fails in F_ell[T]/(p0), so the exact
+    # powering in Q[T]/(p0), whose denominators grow like q^(i lam), never runs
+    import time
+
+    import gausslab.exactalg as exactalg
+
+    exact = []
+    power = exactalg._OrderContext.power
+
+    def spy(self, a, k, ell=None):
+        if ell is None:
+            exact.append(k)
+        return power(self, a, k, ell)
+
+    monkeypatch.setattr(exactalg._OrderContext, "power", spy)
+    for d in (8, 10, 12):
+        start = time.perf_counter()
+        assert weil_certificate(IntPolynomial([2 ** (d // 2), 1] + [0] * (d - 2) + [1]), 2, 1) is None
+        assert time.perf_counter() - start < 0.5, d
+    assert exact == []
+    # a Weil polynomial passes the check and is still decided exactly
+    assert weil_certificate(IntPolynomial([2, 2, 1]), 2, 1) == (4, {8: 2})
+    assert exact
+    # with q a multiple of ell there is no check, and the exact divisor scan
+    # decides alone
+    monkeypatch.setattr(exactalg, "_ELL", 2)
+    exact.clear()
+    assert weil_certificate(IntPolynomial([16, 1] + [0] * 6 + [1]), 2, 1) is None
+    assert exact
+
+
 def test_int_polynomial_rejects_non_integers():
     # no silent truncation: 2.7 and "2" are not coefficients, nor is True
     for coeffs in ([2.7, 0, 1], ["2", 0, True], [1, True], [Fraction(2), 1], [1, 0.0]):

@@ -5,8 +5,16 @@ import json
 
 import pytest
 
+from gausslab.errors import ScaleCapExceeded
 from gausslab.exactalg import IntPolynomial, zeta_sum
-from gausslab.fields import AdditivePolynomial, extension, make_field
+from gausslab.fields import (
+    AdditivePolynomial,
+    WittVector2,
+    extension,
+    gamma_value,
+    make_field,
+    witt_trace,
+)
 from gausslab.varieties import (
     CurveSpec,
     _dual_kernel,
@@ -29,6 +37,8 @@ from gausslab.varieties import (
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
+F5 = make_field(5, 1)
+F9 = make_field(3, 2)
 
 
 def vdgv():
@@ -273,6 +283,136 @@ def test_surface_count_sanity_envelope():
             if s.psi_exponent:
                 bound += abs_square(s.sums[0]).as_rational()
         assert deviation <= (field.p**2 - 1) * bound
+
+
+# -- the surface sums and counts against their sweeping oracles ----------------------
+
+def _enumerated_surface_sums(spec, n):
+    """[S_n(psi_j) for j < p^2], S_n(psi_j) = sum of psi_j(witt_trace(a * h(a)))
+    over every a in W2(F_{q^n}): the q^(2n) sweep that the Teichmueller--
+    Verschiebung split replaced, kept as the oracle."""
+    big, emb = extension(spec.field, n)
+    endo = spec.endo.lift(emb) if n > 1 else spec.endo
+    p2 = big.p * big.p
+    hist = {}
+    for x in big.elements():
+        for y in big.elements():
+            a = WittVector2(big, x, y)
+            t = witt_trace(a * endo(a))
+            hist[t] = hist.get(t, 0) + 1
+    sums = []
+    for j in range(p2):
+        folded = {}
+        for t, c in hist.items():
+            folded[j * t % p2] = folded.get(j * t % p2, 0) + c
+        sums.append(zeta_sum(p2, folded))
+    return sums
+
+
+def _scanned_surface_count(spec, n):
+    """surface_counts by scanning every y for each x: the sweep that the row
+    reduction of the y-equation replaced, kept as the oracle."""
+    big, emb = extension(spec.field, n)
+    endo = spec.endo.lift(emb) if n > 1 else spec.endo
+    count = 0
+    for z in big.elements():
+        for x in big.elements():
+            if x.frobenius() - x != z * endo.f_value(z):
+                continue
+            xp, fxp = x.frobenius(), endo.f_value(x).frobenius()
+            if big.p == 2:
+                cx = x * x + x * x * x + xp * endo.g1_value(x)
+            else:
+                cx = -gamma_value(xp, -x) + xp * endo.g1_value(x)
+            count += sum(y.frobenius() - y - xp * endo.g2.evaluate(y) - fxp * y == cx
+                         for y in big.elements())
+    return count * big.q
+
+
+def _seeded_surface_cases():
+    """(spec, n_max) over F_2, F_3, F_4, F_5 and F_9: per field a one-term f
+    without R and a multi-term f with R, seeded coefficients, n_max = 3 (2 for
+    q >= 5); and one F_4 spec whose g2 is mutated, so that h is not additive."""
+    import random
+
+    cases = []
+    for field in (F2, F3, F4, F5, F9):
+        rng = random.Random(field.q)
+        units = list(field.elements())[1:]
+        n_max = 3 if field.q < 5 else 2
+        one_term = SurfaceSpec(field, {rng.randint(0, 1): rng.choice(units)})
+        multi = SurfaceSpec(
+            field,
+            {0: rng.choice(units), 1: rng.choice(units), 2: rng.choice(units)},
+            AdditivePolynomial(field, {rng.randint(0, 1): rng.choice(units)}),
+        )
+        cases += [pytest.param(one_term, n_max, id=f"q{field.q}-one-term"),
+                  pytest.param(multi, n_max, id=f"q{field.q}-multi-term-r")]
+    mutated = SurfaceSpec(F4, {0: F4.gen(), 1: F4.one()}, AdditivePolynomial(F4, {0: F4.one()}))
+    mutated.endo = mutated_endomorphism(mutated.endo, delta_exp=0)
+    cases.append(pytest.param(mutated, 3, id="q4-mutated"))
+    return cases
+
+
+_SURFACE_CASES = _seeded_surface_cases()
+
+
+@pytest.mark.parametrize("spec, n_max", _SURFACE_CASES)
+def test_surface_sums_match_enumeration(spec, n_max):
+    summands = surface_summand_certificates(spec, n_max)
+    assert [s.psi_exponent for s in summands] == list(range(spec.field.p ** 2))
+    for n in range(1, n_max + 1):
+        assert [s.sums[n - 1] for s in summands] == _enumerated_surface_sums(spec, n), n
+
+
+@pytest.mark.parametrize("spec, n_max", _SURFACE_CASES)
+def test_surface_counts_match_y_scan(spec, n_max):
+    for n in range(1, 3):
+        count, flags = surface_counts(spec, n)
+        assert count == _scanned_surface_count(spec, n), n
+        assert flags == {"w_is_free": True, "free_factor": spec.field.q**n}
+
+
+def test_mutated_endomorphism_is_not_additive_on_its_surface():
+    # the mutated oracle case really exercises a non-additive h
+    spec, _ = _SURFACE_CASES[-1].values
+    assert not verify_additive(spec.endo, 1)
+
+
+def test_surface_sums_evaluate_each_teichmueller_point_once(monkeypatch):
+    # per degree n: one Witt trace per x0 in F_{q^n} and one linear kernel,
+    # never a sweep over all q^(2n) Witt vectors
+    import gausslab.varieties as varieties
+
+    traces, kernels = [], []
+    trace, kernel = varieties.witt_trace, varieties._linear_kernel
+    monkeypatch.setattr(varieties, "witt_trace", lambda w: traces.append(w) or trace(w))
+    monkeypatch.setattr(varieties, "_linear_kernel",
+                        lambda field, image: kernels.append(field) or kernel(field, image))
+    surface_summand_certificates(SurfaceSpec(F3, {0: F3.one()}), 3)
+    assert len(traces) == 3 + 9 + 27
+    assert [field.q for field in kernels] == [3, 9, 27]
+
+
+def test_surface_caps_count_the_field_swept(monkeypatch):
+    # the summands and the displayed count sweep F_{q^n}, so they cap q^n;
+    # the q^(2n) sweeps of corrected_surface_count and verify_additive keep q^(2n)
+    spec = SurfaceSpec(F2, {0: F2.one()})
+    monkeypatch.setenv("GAUSSLAB_CAP", "8")
+    at_cap = surface_summand_certificates(spec, 3)
+    assert len(at_cap) == 4
+    assert surface_counts(spec, 3)[0] == _scanned_surface_count(spec, 3)
+    monkeypatch.setenv("GAUSSLAB_CAP", "7")
+    with pytest.raises(ScaleCapExceeded, match="surface summands over 8 points exceeds cap 7"):
+        surface_summand_certificates(spec, 3)
+    with pytest.raises(ScaleCapExceeded, match="surface count over 8 points exceeds cap 7"):
+        surface_counts(spec, 3)
+    assert surface_summand_certificates(spec, 3, override=True) == at_cap
+    monkeypatch.setenv("GAUSSLAB_CAP", "15")
+    with pytest.raises(ScaleCapExceeded, match="corrected surface count over 16 points exceeds cap 15"):
+        corrected_surface_count(spec, 2)
+    with pytest.raises(ScaleCapExceeded, match="W2 additivity sweep over 16 points exceeds cap 15"):
+        verify_additive(spec.endo, 2)
 
 
 def test_surface_serialization():
