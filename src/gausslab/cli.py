@@ -160,6 +160,18 @@ def _cmd_gauss_verify(job, options):
     return result, checks
 
 
+def _job_int(job, key, default, least=1):
+    """job[key], or the default when absent: an extension degree (least 1) or
+    a Betti number (least 0).  A bool, a non-int or a smaller value is
+    invalid input."""
+    if key not in job:
+        return default
+    value = job[key]
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _parse_datum(job):
     from .charsum import QuadDatum
 
@@ -170,7 +182,7 @@ def _cmd_char_sum(job, options):
     from .charsum import char_sum
 
     datum = _parse_datum(job)
-    n = options.get("ext") or job.get("n", 1)
+    n = options.get("ext") or _job_int(job, "n", 1)
     s = char_sum(datum, n, override=options.get("override", False))
     return {"n": n, "sum": _cyc(s)}, []
 
@@ -182,7 +194,7 @@ def _cmd_hasse_davenport(job, options):
     rep = hasse_davenport_check(
         datum,
         job["r"],
-        n_max=job.get("n_max", 3),
+        n_max=_job_int(job, "n_max", 3),
         override=options.get("override", False),
     )
     result = {
@@ -241,7 +253,7 @@ def _cmd_clb_cocycle(job, options):
 
     field = FiniteField.from_json(job["field"])
     holds = clb_cocycle_identity_check(
-        job["i"], field.element_from_json(job["a"]), field, job.get("n", 1),
+        job["i"], field.element_from_json(job["a"]), field, _job_int(job, "n", 1),
         override=options.get("override", False),
     )
     return {"holds": holds}, [_check("cocycle-identity", holds)]
@@ -297,7 +309,7 @@ def _cmd_count_points(job, options):
     from .varieties import CurveSpec, count_points
 
     spec = CurveSpec.from_json(job["curve"])
-    n = options.get("ext") or job.get("n", 1)
+    n = options.get("ext") or _job_int(job, "n", 1)
     return {
         "n": n,
         "count": str(count_points(spec, n, override=options.get("override", False))),
@@ -309,8 +321,12 @@ def _cmd_zeta(job, options):
 
     spec = CurveSpec.from_json(job["curve"])
     override = options.get("override", False)
-    data = zeta_pipeline(spec, job.get("b"), override=override)
-    closure_ok, _ = betti_closure_check(spec, override=override)
+    b = _job_int(job, "b", None, least=0)
+    if b is None:
+        closure_ok, data = betti_closure_check(spec, override=override)
+    else:
+        data = zeta_pipeline(spec, b, override=override)
+        closure_ok, _ = betti_closure_check(spec, override=override)
     result = data.to_json()
     checks = [
         _check("weil-certificate", data.certificate is not None),
@@ -326,7 +342,7 @@ def _cmd_supersingular(job, options):
 
         spec = SurfaceSpec.from_json(job["surface"])
         summands = surface_summand_certificates(
-            spec, n_max=job.get("n_max", 3), override=override
+            spec, n_max=_job_int(job, "n_max", 3), override=override
         )
         displayed, flags = surface_counts(spec, 1, override=override)
         result = {
@@ -353,7 +369,7 @@ def _cmd_supersingular(job, options):
         from .varieties import CurveSpec, zeta_pipeline
 
         spec = CurveSpec.from_json(job["curve"])
-        data = zeta_pipeline(spec, job.get("b"), override=override)
+        data = zeta_pipeline(spec, _job_int(job, "b", None, least=0), override=override)
         cert = data.certificate
         result = data.to_json()
         return result, [_check("weil-certificate", cert is not None)]
@@ -379,7 +395,7 @@ def _cmd_endw2_verify(job, options):
     f_coeffs = exponent_dict_from_json(field, job["f"])
     r_poly = AdditivePolynomial.from_json(field, job["r"]) if "r" in job else None
     endo = w2_endomorphism(field, f_coeffs, r_poly)
-    n = job.get("n", 1)
+    n = _job_int(job, "n", 1)
     ok = verify_additive(endo, n, override=options.get("override", False))
     bad = mutated_endomorphism(endo, delta_exp=job.get("mutate_exp", 0))
     bad_ok = verify_additive(bad, n, override=options.get("override", False))
@@ -399,7 +415,7 @@ def _cmd_invariance(job, options):
     matrices = [
         [[field.element_from_json(c) for c in row] for row in mat] for mat in job["matrices"]
     ]
-    n = options.get("ext") or job.get("n", 1)
+    n = options.get("ext") or _job_int(job, "n", 1)
     ok = invariance_check(datum, matrices, n, override=options.get("override", False))
     return {"invariant": ok}, [_check("invariance", ok)]
 
@@ -505,6 +521,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
+    if args.ext is not None and args.ext < 1:
+        parser.error(f"--ext must be at least 1, got {args.ext}")
 
     if args.command == "suite" and args.input is None:
         job = {}

@@ -545,6 +545,8 @@ class Embedding:
 @lru_cache(maxsize=None)
 def extension(field, n):
     """The degree-n extension of a field plus the canonical embedding."""
+    if n < 1:
+        raise ValueError(f"extension degree must be at least 1, got {n}")
     if n == 1:
         return field, _IdentityEmbedding(field)
     big = make_field(field.p, field.m * n)
@@ -685,8 +687,8 @@ def additive_kernel(f, n, override=False):
     by coefficients: the kernel of an F_p-linear map, by linear algebra."""
     if f.is_zero():
         raise ZeroPolynomial("kernel of the zero polynomial is everything")
+    check_cap(f.field.q**n, override, "additive kernel search")
     big, emb = extension(f.field, n)
-    check_cap(big.q, override, "additive kernel search")
     lifted = f.lift(emb) if n > 1 else f
     return _linear_kernel(big, lambda x: lifted.evaluate(x).coeffs)
 

@@ -11,8 +11,11 @@ is F_p-linear in x1 whether or not h is additive, so each sum over W2(F_{q^n})
 is q^n times a sum over x0 alone.
 """
 
-from .charsum import as_reduce, gos_rank
-from .errors import Record, SwanDivisibleByP, check_cap
+from collections import Counter
+from functools import lru_cache
+
+from .charsum import _coordinate_basis, _gram_data, _histogram, as_reduce, gos_rank
+from .errors import Record, SwanDivisibleByP, TheoremViolated, check_cap
 from .exactalg import (
     IntPolynomial,
     abs_square,
@@ -95,26 +98,44 @@ class CurveSpec:
 
 
 def count_points(spec, n, override=False):
-    """Exact number of F_{q^n}-points of the affine curve.
+    """Exact number of F_{q^n}-points of the affine curve, from character sums.
 
-    Enumerates x; for each, the fiber has |ker f(F_{q^n})| points when the
-    right side lies in the image of f (a subgroup, precomputed once), else
-    none.
+    im f is the annihilator of ker f_dual under the trace pairing and
+    |ker f| = |ker f_dual|, so N_n = sum of S_n(c * rhs) over c in
+    ker f_dual(F_{q^n}).  With g1, g2 additive, x -> Tr(c (g1(x) g2(x) + a x))
+    is F_p-quadratic: each S_n is a histogram from Gram data on the power
+    basis, O((mn)^2) values of rhs and no sweep of F_{q^n}.  The summed
+    histogram h is the integer h_0 - h_1 exactly when h_1 = ... = h_(p-1).
     """
+    check_cap(spec.field.q**n, override, "curve point count")
+    cs = additive_kernel(spec.f.adjoint(), n, override)
     big, emb = extension(spec.field, n)
-    check_cap(big.q, override, "curve point count")
-    f = spec.f.lift(emb)
-    g1 = spec.g1.lift(emb)
-    g2 = spec.g2.lift(emb)
-    a = emb(spec.a)
+    p, g1, g2, a = big.p, spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
+
+    @lru_cache(maxsize=None)  # rhs at each basis point and pair sum, shared by every c
+    def rhs(point):
+        (x,) = point
+        return g1.evaluate(x) * g2.evaluate(x) + a * x
+
+    basis = _coordinate_basis(big, [_power_basis(big)])
+    hist = Counter()
+    for c in cs:
+        hist.update(_histogram(*_gram_data(
+            lambda point: p * absolute_trace_int(c * rhs(point)), basis, p), p))
+    h = [hist[p * k] for k in range(p)]
+    if len(set(h[1:])) != 1:
+        raise TheoremViolated(f"the character sums of a point count are not rational: {h}")
+    return h[0] - h[1]
+
+
+def _fibre_count(spec, n):
+    """N_n by fibres: |ker f| points over each x whose rhs(x) lies in the
+    image of f (a subgroup, listed once), none over the others."""
+    big, emb = extension(spec.field, n)
+    f, g1, g2, a = spec.f.lift(emb), spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
     image = {f.evaluate(y).coeffs for y in big.elements()}
-    kappa = big.q // len(image)
-    count = 0
-    for x in big.elements():
-        rhs = g1.evaluate(x) * g2.evaluate(x) + a * x
-        if rhs.coeffs in image:
-            count += kappa
-    return count
+    hits = sum((g1.evaluate(x) * g2.evaluate(x) + a * x).coeffs in image for x in big.elements())
+    return big.q // len(image) * hits
 
 
 def _dual_kernel(spec, override=False):
@@ -134,61 +155,30 @@ def _dual_kernel(spec, override=False):
         n += 1
 
 
-def is_geometrically_connected(spec, override=False):
-    """No nonzero character component collapses to the trivial sheaf.
-
-    Equivalent to: for every nonzero c in ker f_dual, the AS-reduction of
-    c * (g1 g2 + a x) is nonzero.
-    """
+def _character_polys(spec, override=False):
+    """c * (g1 g2 + a x) as {exponent: coefficient} for each nonzero c in
+    ker f_dual, over the splitting field of ker f_dual."""
     big, emb, roots = _dual_kernel(spec, override=override)
-    rhs = spec.rhs_poly()
-    rhs_big = {e: emb(c) for e, c in rhs.items()}
-    for c in roots:
-        if not c:
-            continue
-        if not as_reduce({e: c * v for e, v in rhs_big.items()}):
-            return False
-    return True
+    rhs = {e: emb(v) for e, v in spec.rhs_poly().items()}
+    return [{e: c * v for e, v in rhs.items()} for c in roots if c]
+
+
+def is_geometrically_connected(spec, override=False):
+    """No nonzero character component collapses to the trivial sheaf:
+    the AS-reduction of c * (g1 g2 + a x) is nonzero for every nonzero c."""
+    return all(as_reduce(poly) for poly in _character_polys(spec, override))
 
 
 def betti_prediction(spec, override=False):
     """Predicted dim H^1_c: sum of per-character ranks via the Swan formula."""
-    big, emb, roots = _dual_kernel(spec, override=override)
-    rhs = spec.rhs_poly()
-    rhs_big = {e: emb(c) for e, c in rhs.items()}
-    total = 0
-    for c in roots:
-        if not c:
-            continue
-        total += gos_rank({e: c * v for e, v in rhs_big.items()}, allow_character=True)
-    return total
+    return sum(gos_rank(poly, allow_character=True) for poly in _character_polys(spec, override))
 
 
 def counts_vs_character_sums(spec, n, override=False):
-    """The two-way count identity N_n = sum over characters of S_n(c * rhs).
-
-    Exact at every level: c ranges over ker f_dual(F_{q^n}).  Returns
-    (direct count, assembled count).
-    """
-    big, emb = extension(spec.field, n)
-    check_cap(big.q, override, "count assembly")
-    p = spec.field.p
-    cs = additive_kernel(spec.f.adjoint(), n, override)
-    rhs = spec.rhs_poly()
-    rhs_big = {e: emb(v) for e, v in rhs.items()}
-    total = zeta_sum(1, {0: 0})
-    for c in cs:
-        hist = {}
-        for x in big.elements():
-            acc = big.zero()
-            for e, v in rhs_big.items():
-                acc = acc + c * v * x**e
-            t = absolute_trace_int(acc)
-            hist[t] = hist.get(t, 0) + 1
-        total = total + zeta_sum(p, hist)
-    assembled = total.as_rational()
-    direct = count_points(spec, n, override=override)
-    return direct, assembled
+    """The two-way count identity N_n = sum over characters of S_n(c * rhs),
+    c over ker f_dual(F_{q^n}).  Returns (the fibre count, count_points)."""
+    check_cap(spec.field.q**n, override, "count assembly")
+    return _fibre_count(spec, n), count_points(spec, n, override=override)
 
 
 class ZetaData(Record):
@@ -240,7 +230,8 @@ def betti_closure_check(spec, override=False):
     b = betti_prediction(spec, override=override)
     data = zeta_pipeline(spec, b, override=override)
     q = spec.field.q
-    fresh = [q**n - count_points(spec, n, override=override) for n in range(1, b + 3)]
+    fresh = data.power_sums + [q**n - count_points(spec, n, override=override)
+                               for n in (b + 1, b + 2)]
     predicted = power_sums_from_char_poly(data.l_poly, b + 2)
     return fresh == predicted, data
 
@@ -331,18 +322,23 @@ def w2_endomorphism(field, f_coeffs, r_poly=None):
 
 
 def verify_additive(endo, n=1, override=False):
-    """Exhaustive h(u+v) = h(u) + h(v) over W2(F_{q^n})."""
+    """h(u + v) = h(u) + h(v) for all u, v in W2(F_{q^n}), decided on the
+    q^(2n) pairs of Teichmueller vectors [x] = (x, 0).
+
+    V(s) = (0, s) is additive and (w0, w1) + V(s) = (w0, w1 + s), so, g2 being
+    additive, h(w + V(s)) = (f(w0), g1(w0) + g2(w1) + g2(s)) = h(w) + V(g2(s))
+    for every w.  With u = [x] + V(s) and v = [y] + V(t) this gives
+        h(u + v) - h(u) - h(v) = h([x] + [y]) - h([x]) - h([y]),
+    so h is additive iff h([x] + [y]) = h([x]) + h([y]) for all x, y.  Neither
+    f nor g1 need be additive for this reduction.
+    """
+    check_cap(endo.field.q ** (2 * n), override, "W2 additivity sweep")
     big, emb = extension(endo.field, n)
-    check_cap(big.q**2, override, "W2 additivity sweep")
     lifted = endo.lift(emb) if n > 1 else endo
-    vectors = [
-        WittVector2(big, a, b) for a in big.elements() for b in big.elements()
-    ]
-    for u in vectors:
-        for v in vectors:
-            if lifted(u + v) != lifted(u) + lifted(v):
-                return False
-    return True
+    teich = [WittVector2(big, x, big.zero()) for x in big.elements()]
+    images = [lifted(u) for u in teich]
+    return all(lifted(u + v) == hu + hv
+               for u, hu in zip(teich, images) for v, hv in zip(teich, images))
 
 
 def mutated_endomorphism(endo, delta_exp=0):
@@ -410,8 +406,8 @@ def surface_counts(spec, n, override=False):
     times the free factor q^n for w.  Returns (count, flags).  The second
     equation is A_x(y) = c(x) with A_x F_p-linear in y: |ker A_x| solutions
     when c(x) is in the image of A_x, else none, from one row reduction."""
+    check_cap(spec.field.q**n, override, "surface count")
     big, emb = extension(spec.field, n)
-    check_cap(big.q, override, "surface count")
     endo = spec.endo.lift(emb) if n > 1 else spec.endo
     p, m = big.p, big.m
     basis = _power_basis(big)
@@ -475,8 +471,8 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     results = []
     sums_by_psi = {j: [] for j in range(p2)}
     for n in range(1, n_max + 1):
+        check_cap(q**n, override, "surface summands")
         big, emb = extension(spec.field, n)
-        check_cap(big.q, override, "surface summands")
         endo = spec.endo.lift(emb) if n > 1 else spec.endo
         g2_basis = [(b, endo.g2.evaluate(b)) for b in _power_basis(big)]
 
@@ -545,8 +541,8 @@ def corrected_surface_count(spec, n, override=False):
     Equals the sum over all p^2 character summands, which is verified by the
     caller; the kernel criterion is witt_trace(target) = 0.
     """
+    check_cap(spec.field.q ** (2 * n), override, "corrected surface count")
     big, emb = extension(spec.field, n)
-    check_cap(big.q**2, override, "corrected surface count")
     endo = spec.endo.lift(emb) if n > 1 else spec.endo
     p2 = big.p * big.p
     count = 0

@@ -234,6 +234,64 @@ def test_workers_below_one_is_invalid_input(capsys):
         assert "--workers must be at least 1" in capsys.readouterr().err
 
 
+def test_ext_below_one_is_invalid_input(capsys):
+    for ext in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["char-sum", "--ext", ext])
+        assert exc.value.code == 2
+        assert "--ext must be at least 1" in capsys.readouterr().err
+
+
+_CURVE = corpus()["vdgv-f2-zeta"]["input"]["curve"]
+
+# (command, job, key): the extension degree n or n_max (an int >= 1) or the
+# Betti number b (an int >= 0) of each job that reads one
+_DEGREE_KEYS = [
+    ("char-sum", {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"]}, "n"),
+    ("invariance", corpus()["gl1-inv-f2"]["input"], "n"),
+    ("clb-cocycle", corpus()["clb-cocycle-i1-f4"]["input"], "n"),
+    ("count-points", {"curve": _CURVE}, "n"),
+    ("endw2-verify", corpus()["endw2-f4"]["input"], "n"),
+    ("hasse-davenport", corpus()["diag-x3-f4-hd"]["input"], "n_max"),
+    ("supersingular", corpus()["surface-p2"]["input"], "n_max"),
+    ("zeta", {"curve": _CURVE}, "b"),
+    ("supersingular", {"curve": _CURVE}, "b"),
+]
+_BAD_DEGREES = [
+    pytest.param(command, {**job, key: value}, id=f"{command}-{key}-{value!r}")
+    for command, job, key in _DEGREE_KEYS
+    for value in ((-1, True, 2.0, "2") if key == "b" else (0, -1, True, 2.0, "2"))
+]
+
+
+@pytest.mark.parametrize("command, job", _BAD_DEGREES)
+def test_bad_degree_exits_2(command, job, tmp_path, capsys):
+    code, err = run_main(command, job, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("invalid input or failed precondition: ")
+    assert "must be an integer >= " in err and "Traceback" not in err
+
+
+def test_curve_count_refuses_above_the_cap_before_building(monkeypatch, tmp_path, capsys):
+    # count-points at n = 5 over F_2 sweeps nothing, but its cap still counts
+    # the 32 points of F_{2^5}: 32 passes, 31 exits 3 without building the field
+    import gausslab.fields as fields
+    import gausslab.varieties as varieties
+
+    job = {"curve": _CURVE, "n": 5}
+    monkeypatch.setenv("GAUSSLAB_CAP", "32")
+    code, _ = run_main("count-points", job, tmp_path, capsys)
+    assert code == 0
+    built = []
+    for module in (fields, varieties):
+        monkeypatch.setattr(module, "extension", lambda field, n: built.append(n))
+    monkeypatch.setenv("GAUSSLAB_CAP", "31")
+    code, err = run_main("count-points", job, tmp_path, capsys)
+    assert code == 3
+    assert err == "scale cap exceeded: curve point count over 32 points exceeds cap 31\n"
+    assert built == []
+
+
 def _diag_datum_json(p, m, i, a):
     from gausslab.charsum import DiagMonomial, QuadDatum
     from gausslab.fields import make_field

@@ -256,6 +256,12 @@ def test_cross_term_trace_rewrite_regression():
             assert absolute_trace_int(x) == absolute_trace_int(x * x)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_extension_degree_below_one_is_rejected(n):
+    with pytest.raises(ValueError, match=f"extension degree must be at least 1, got {n}"):
+        extension(F4, n)
+
+
 def test_embedding_ring_hom_and_section():
     big, emb = extension(F4, 2)
     assert big is F16

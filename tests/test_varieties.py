@@ -10,6 +10,7 @@ from gausslab.exactalg import IntPolynomial, zeta_sum
 from gausslab.fields import (
     AdditivePolynomial,
     WittVector2,
+    additive_kernel,
     extension,
     gamma_value,
     make_field,
@@ -18,6 +19,7 @@ from gausslab.fields import (
 from gausslab.varieties import (
     CurveSpec,
     _dual_kernel,
+    _fibre_count,
     SurfaceSpec,
     betti_closure_check,
     betti_prediction,
@@ -108,6 +110,54 @@ def test_counts_vs_character_sums():
         for n in (1, 2, 3):
             direct, assembled = counts_vs_character_sums(spec, n)
             assert direct == assembled
+
+
+def _seeded_curve_cases():
+    """(spec, n) for seeded random curves over F_2, F_3, F_4 and F_5 at every
+    n <= b + 2 with q^n <= 2^10."""
+    cases = []
+    for field in (F2, F3, F4, F5):
+        for seed in range(4):
+            spec = random_curve_spec(field, seed)
+            b = betti_prediction(spec)
+            cases += [pytest.param(spec, n, id=f"q{field.q}-seed{seed}-n{n}")
+                      for n in range(1, b + 3) if field.q**n <= 2**10]
+    return cases
+
+
+@pytest.mark.parametrize("spec, n", _seeded_curve_cases())
+def test_count_points_matches_fibre_count(spec, n):
+    # character sums from Gram data against |ker f| times the x with rhs(x) in im f
+    assert count_points(spec, n) == _fibre_count(spec, n)
+
+
+def test_count_points_does_not_sweep_the_field(monkeypatch):
+    # y^2 + y = x^2 at n = 16: Gram data on 16 basis vectors per character
+    # and one linear kernel, never a listing of F_{2^16}
+    import gausslab.fields as fields
+
+    spec = CurveSpec(F2, AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()}),
+                     AdditivePolynomial(F2, {0: F2.one()}),
+                     AdditivePolynomial(F2, {0: F2.one()}), F2.zero())
+    extension(F2, 16)
+    monkeypatch.setattr(fields.FiniteField, "elements", lambda self: pytest.fail("swept"))
+    assert count_points(spec, 16) == 2**16
+
+
+def test_zeta_job_counts_each_degree_once(monkeypatch):
+    # a zeta job counts N_1..N_b for the L-polynomial and N_(b+1), N_(b+2) for
+    # the closure check: b + 2 counts, each degree once
+    import gausslab.varieties as varieties
+    from gausslab.cli import dispatch
+    from gausslab.corpus import corpus
+
+    calls = []
+    count = varieties.count_points
+    monkeypatch.setattr(varieties, "count_points",
+                        lambda spec, n, override=False: calls.append(n) or count(spec, n, override))
+    report = dispatch("zeta", corpus()["curve-rand-f4"]["input"], {"workers": 1})
+    assert report["ok"]
+    assert calls == list(range(1, report["result"]["betti"] + 3))
 
 
 def test_disconnected_curve_detected():
@@ -207,6 +257,40 @@ def test_w2_endomorphism_general_and_negative_control():
     assert not verify_additive(bad, 1)
     bad2 = mutated_endomorphism(endo, delta_exp=1)
     assert not verify_additive(bad2, 1)
+
+
+def _swept_additive(endo, n):
+    """h(u + v) = h(u) + h(v) on all q^(4n) pairs of W2(F_{q^n}): the sweep
+    that the reduction to Teichmueller pairs replaced, kept as the oracle."""
+    big, emb = extension(endo.field, n)
+    lifted = endo.lift(emb) if n > 1 else endo
+    vectors = [WittVector2(big, a, b) for a in big.elements() for b in big.elements()]
+    return all(lifted(u + v) == lifted(u) + lifted(v) for u in vectors for v in vectors)
+
+
+def _endomorphism_cases():
+    """Classified endomorphisms and their g2 mutations over F_2, F_3 and F_4
+    at n = 1, and over F_2 at n = 2."""
+    cases = []
+    for field, n in ((F2, 1), (F3, 1), (F4, 1), (F2, 2)):
+        unit = field.gen() if field.m > 1 else -field.one()
+        endos = {
+            "x": w2_endomorphism(field, {0: unit}),
+            "frob": w2_endomorphism(field, {1: field.one()}),
+            "two-term-r": w2_endomorphism(field, {0: unit, 1: field.one()},
+                                          AdditivePolynomial(field, {0: field.one()})),
+        }
+        for name, endo in list(endos.items()):
+            for delta in (0, 1):
+                endos[f"{name}-mutated{delta}"] = mutated_endomorphism(endo, delta)
+        cases += [pytest.param(endo, n, id=f"q{field.q}-n{n}-{name}")
+                  for name, endo in endos.items()]
+    return cases
+
+
+@pytest.mark.parametrize("endo, n", _endomorphism_cases())
+def test_verify_additive_matches_the_full_sweep(endo, n):
+    assert verify_additive(endo, n) == _swept_additive(endo, n)
 
 
 def test_w2_endomorphisms_compose_additively():
@@ -413,6 +497,44 @@ def test_surface_caps_count_the_field_swept(monkeypatch):
         corrected_surface_count(spec, 2)
     with pytest.raises(ScaleCapExceeded, match="W2 additivity sweep over 16 points exceeds cap 15"):
         verify_additive(spec.endo, 2)
+
+
+def _y2_y_x2():
+    # y^2 + y = x^2 over F_2
+    return CurveSpec(F2, AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()}),
+                     AdditivePolynomial(F2, {0: F2.one()}),
+                     AdditivePolynomial(F2, {0: F2.one()}), F2.zero())
+
+
+@pytest.mark.parametrize("call, what, degree, points", [
+    (lambda: count_points(_y2_y_x2(), 5), "curve point count", 5, 32),
+    (lambda: counts_vs_character_sums(_y2_y_x2(), 5), "count assembly", 5, 32),
+    (lambda: surface_counts(SurfaceSpec(F2, {0: F2.one()}), 5), "surface count", 5, 32),
+    (lambda: surface_summand_certificates(SurfaceSpec(F2, {0: F2.one()}), 5),
+     "surface summands", 5, 32),
+    (lambda: corrected_surface_count(SurfaceSpec(F2, {0: F2.one()}), 3),
+     "corrected surface count", 3, 64),
+    (lambda: verify_additive(w2_endomorphism(F2, {0: F2.one()}), 3),
+     "W2 additivity sweep", 3, 64),
+    (lambda: additive_kernel(AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()}), 5),
+     "additive kernel search", 5, 32),
+], ids=["count_points", "counts_vs_character_sums", "surface_counts",
+        "surface_summand_certificates", "corrected_surface_count", "verify_additive",
+        "additive_kernel"])
+def test_caps_refuse_before_building_the_field(call, what, degree, points, monkeypatch):
+    # each cap counts what its call would sweep and refuses before extension()
+    # builds the field that it refuses (the summands build lower degrees first)
+    import gausslab.fields as fields
+    import gausslab.varieties as varieties
+
+    built = []
+    for module in (fields, varieties):
+        monkeypatch.setattr(module, "extension",
+                            lambda field, n: built.append(n) or extension(field, n))
+    monkeypatch.setenv("GAUSSLAB_CAP", str(points - 1))
+    with pytest.raises(ScaleCapExceeded, match=f"{what} over {points} points exceeds cap"):
+        call()
+    assert all(n < degree for n in built), built
 
 
 def test_surface_serialization():
