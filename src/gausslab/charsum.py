@@ -453,6 +453,7 @@ class KernelData(Record):
     splitting_degree: int
     field: object
     elements: list
+    basis: list  # the F_p-basis that `elements` spans, in the same point form
 
 
 def _kernel_dimension(pairing, n):
@@ -541,12 +542,11 @@ def geometric_kernel(datum, max_degree=24, override=False):
     # list the kernel as the F_p-span of the flat null basis
     check_cap(size, override, "kernel listing")
     me = big.m
-    elements = [
-        tuple(big.element(vec[j * me : (j + 1) * me]) for j in range(d))
-        for vec in _span_mod_p(basis, p, me * d)
-    ]
+    point = lambda vec: tuple(big.element(vec[j * me : (j + 1) * me]) for j in range(d))
     return KernelData(
-        r=twor // 2, size=size, splitting_degree=n, field=big, elements=elements
+        r=twor // 2, size=size, splitting_degree=n, field=big,
+        elements=[point(vec) for vec in _span_mod_p(basis, p, me * d)],
+        basis=[point(vec) for vec in basis],
     )
 
 
@@ -697,6 +697,8 @@ def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False, strict=F
     IdentityFails instead.  Each S_n is closed-form (`char_sum`), so
     `workers` never changes the result.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     p = datum.field.p
     q = datum.field.q
     d = datum.d

@@ -97,7 +97,9 @@ def _first_irreducible(p, m):
         cand = tuple(tail) + (1,)
         if _is_irreducible(cand, p):
             return cand
-    raise AssertionError("unreachable: irreducibles exist in every degree")
+    raise TheoremViolated(
+        f"no irreducible of degree {m} over F_{p} found; one exists in every degree"
+    )
 
 
 class FieldElement:

@@ -9,7 +9,11 @@ exact integer/cyclotomic arithmetic.
 The group law, the commutator, the SvN homomorphism property and the
 commutators of deck transformations are checked on generators of K (and of H),
 where bilinearity makes the check a proof for the whole group; no verification
-sweeps all of H x H or H x H x H.
+sweeps all of H x H or H x H x H.  The deck pairing of a datum is evaluated
+on pairs of one F_p-basis of K only: each g_k is an additive polynomial and
+k -> g_k is checked additive, so the pairing is biadditive and its basis
+values determine the whole table.  Covering points come from a linear solve,
+not a sweep of the splitting field.
 """
 
 import itertools
@@ -25,7 +29,7 @@ from .errors import (
     check_cap,
 )
 from .exactalg import abs_square, zeta, zeta_sum
-from .fields import AdditivePolynomial, extension
+from .fields import AdditivePolynomial, _power_basis, _row_reduce_mod_p, extension
 from .quadform import FiniteAbelianGroup
 
 
@@ -446,9 +450,15 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
 
     K = geometric kernel; for k in K the unique additive g_k with
     g_k^(p) - g_k = b(., k) defines e(k, k') = g_k(k') - g_{k'}(k) in F_p.
-    The pairing is verified alternating and perfect, the group is built and
-    verified, and the construction is cross-validated against explicit deck
-    transformations on points of the covering z^p - z = h(u).
+    Each g_k is an additive polynomial, so e is additive in k'; and
+    `_check_deck_commutators`, called before this returns, checks that
+    k -> g_k is additive for every k and basis vector, so e is additive in k.
+    A biadditive e is determined by its values on pairs of an F_p-basis of K:
+    those dim^2 values are evaluated and checked to be F_p constants, and the
+    |K| x |K| table is filled from them with integer arithmetic.  The pairing
+    is verified alternating and perfect, the group is built and verified, and
+    the construction is cross-validated against explicit deck transformations
+    on points of the covering z^p - z = h(u).
     """
     from .charsum import geometric_kernel
 
@@ -460,75 +470,51 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
     terms = _embedded_terms(terms, emb)
     p = datum.field.p
 
-    solutions = {}
-    for point in kernel.elements:
-        k = point[0]
-        beta = _beta_poly(terms, k)
-        solutions[k.coeffs] = _solve_additive(beta, big)
-
     group, element_at = _kernel_coordinates(kernel, p)
+    solutions = {
+        k.coeffs: _solve_additive(_beta_poly(terms, k), big) for k in element_at.values()
+    }
     check_cap(kernel.size**2, override, "pairing table")
-    table = []
-    for i in group.elements():
-        ki = element_at[i]
-        gi = solutions[ki.coeffs]
-        row = []
-        for j in group.elements():
-            kj = element_at[j]
-            gj = solutions[kj.coeffs]
-            val = gi.evaluate(kj) - gj.evaluate(ki)
-            if any(val.coeffs[1:]):
-                raise TheoremViolated("deck commutator is not a prime-field constant")
-            row.append(val.coeffs[0] % p)
-        table.append(row)
+    basis = [element_at[g] for g in group.generators()]
+
+    def pair_value(ks, kt):
+        val = solutions[ks.coeffs].evaluate(kt) - solutions[kt.coeffs].evaluate(ks)
+        if any(val.coeffs[1:]):
+            raise TheoremViolated("deck commutator is not a prime-field constant")
+        return val.coeffs[0]
+
+    gram = [[pair_value(ks, kt) for kt in basis] for ks in basis]
+    # e(x, y) = sum_{s,t} x_s y_t gram[s][t]: the rows of the basis vectors,
+    # column by column, then every row as a combination of those
+    basis_rows = list(zip(*_fp_combinations(list(zip(*gram)), p, len(basis))))
+    table = _fp_combinations(basis_rows, p, kernel.size)
     pairing = AlternatingPairing(group, p, table)
     heis = build_group(pairing)
 
-    _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit, override)
-    return DatumHeisenberg(
-        kernel=kernel, pairing=pairing, group=heis, solutions=solutions
-    )
+    _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit)
+    return DatumHeisenberg(kernel=kernel, pairing=pairing, group=heis, solutions=solutions)
+
+
+def _fp_combinations(vectors, p, width):
+    """sum_t x_t vectors[t] mod p, vectors of `width` integers, for every x in
+    (Z/p)^dim in the index order of FiniteAbelianGroup((p,) * dim) (x_0
+    fastest); each result is an earlier one plus one vector, p^dim additions."""
+    out = [(0,) * width]
+    for w in vectors:
+        out = [tuple((a + c * b) % p for a, b in zip(v, w)) for c in range(p) for v in out]
+    return out
 
 
 def _kernel_coordinates(kernel, p):
-    """K as (Z/p)^dim, and index -> kernel element through an F_p-basis."""
-    ker_scalars = sorted((point[0] for point in kernel.elements), key=lambda e: e.coeffs)
-    dim = 0
-    size = kernel.size
-    while size > 1:
-        size //= p
-        dim += 1
-    group = FiniteAbelianGroup((p,) * dim)
-    basis = _fp_basis(ker_scalars, p)
-    element_at = {}
-    for idx in group.elements():
-        tup = group.decode(idx)
-        acc = kernel.field.zero()
-        for c, vec in zip(tup, basis):
-            acc = acc + vec * c
-        element_at[idx] = acc
-    return group, element_at
+    """K as (Z/p)^dim, and index -> kernel element, through the F_p-basis that
+    `geometric_kernel` found."""
+    big = kernel.field
+    group = FiniteAbelianGroup((p,) * len(kernel.basis))
+    vectors = _fp_combinations([point[0].coeffs for point in kernel.basis], p, big.m)
+    return group, dict(enumerate(map(big.element, vectors)))
 
 
-def _fp_basis(elements, p):
-    """An F_p-basis of a subspace given by its full element list."""
-    basis = []
-    span = {elements[0].field.zero().coeffs}
-    for e in elements:
-        if e.coeffs in span:
-            continue
-        basis.append(e)
-        new_span = set(span)
-        for s in span:
-            cur = e.field.element(s)
-            for c in range(1, p):
-                new_span.add((cur + e * c).coeffs)
-        span = new_span
-    return basis
-
-
-def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit,
-                        override=False):
+def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit):
     """Cross-check e against explicit deck transformations: the lift property
     g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and every k, then
     `_check_deck_commutators` on points of the covering z^p - z = h(u)."""
@@ -540,22 +526,27 @@ def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit
             lhs = gk.evaluate(u)
             if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
-    points = _covering_points(big, h, sample_limit, override)
+    points = _covering_points(big, h, sample_limit)
     _check_deck_commutators(element_at, solutions, pairing, points[: max(2, sample_limit // 4)])
 
 
-def _covering_points(big, h, limit, override=False):
-    """Points (u, z) of z^p - z = h(u) for u in enumeration order, z the first
-    solution in it, until `limit` are found; one preimage table of z^p - z."""
-    check_cap(big.q, override, "covering preimage table")
-    preimage = {}
-    for z in big.elements():
-        preimage.setdefault(z.frobenius() - z, z)
+def _covering_points(big, h, limit):
+    """Points (u, z) of z^p - z = h(u) for u in enumeration order, until
+    `limit` are found.  z -> z^p - z is F_p-linear with kernel F_p, so the
+    solutions for one u are a coset z0 + F_p, or none: one row reduction of
+    the map's matrix on the power basis, augmented by h(u).  Its free column
+    is the constant one, set to 0, so z is the solution with constant
+    coefficient 0, the first of the coset in enumeration order."""
+    p, m = big.p, big.m
+    columns = [(x.frobenius() - x).coeffs for x in _power_basis(big)]
     points = []
     for u in big.elements():
-        z = preimage.get(h(u))
-        if z is not None:
-            points.append((u, z))
+        rows, pivots = _row_reduce_mod_p(list(zip(*columns, h(u).coeffs)), p)
+        if m not in pivots:  # h(u) is in the image
+            z = [0] * m
+            for c, r in pivots.items():
+                z[c] = rows[r][m]
+            points.append((u, big.element(z)))
         if len(points) >= limit:
             break
     return points

@@ -465,6 +465,8 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     Witt evaluations per degree, not q^(2n).  The additivity of h is never
     used (g1 is arbitrary), so the sums hold for mutated endomorphisms too.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     p = spec.field.p
     p2 = p * p
     q = spec.field.q

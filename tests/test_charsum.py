@@ -240,6 +240,22 @@ def test_geometric_kernel_is_subspace():
         assert sorted(k.elements, key=lambda x: [e.coeffs for e in x]) == sweep, datum
 
 
+def test_geometric_kernel_basis_spans_the_listing():
+    # KernelData.basis is the F_p-basis that KernelData.elements lists, in
+    # itertools.product order over its coefficients
+    data = [x_cubed(F2), x_cubed(F4, a=F4.gen()), frobpair(F2, 1), frobpair(F4, 2),
+            QuadDatum(F3, 1, [HalfSquare(0, F3.one())]),
+            QuadDatum(F3, 1, [DiagMonomial(0, 2, F3.one())])]
+    for datum in data:
+        k = geometric_kernel(datum)
+        p, d = datum.field.p, datum.d
+        assert k.size == p ** len(k.basis), datum
+        zero = (k.field.zero(),) * d
+        span = [tuple(sum((b[j] * c for c, b in zip(cs, k.basis)), zero[j]) for j in range(d))
+                for cs in itertools.product(range(p), repeat=len(k.basis))]
+        assert span == k.elements, datum
+
+
 def test_degenerate_pairing_rejected():
     with pytest.raises(DegeneratePairing):
         geometric_kernel(QuadDatum(F2, 1, []))
@@ -316,6 +332,12 @@ def test_hasse_davenport_catalog():
         if chain_expected:
             assert rep.fev_abs_ok and rep.fev_ratio_order is not None, name
             assert abs_square(rep.sums[0]) == datum.field.p ** (2 * r) * datum.field.q ** datum.d
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_hasse_davenport_degree_below_one_rejected(n_max):
+    with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
+        hasse_davenport_check(x_cubed(F4), 1, n_max=n_max)
 
 
 def test_hasse_davenport_x3_base_f4_values():

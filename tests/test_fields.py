@@ -333,6 +333,15 @@ def test_field_invariants_survive_optimize(monkeypatch):
         fields._witt_prime_iso.__wrapped__(3)
 
 
+def test_first_irreducible_fault_is_typed(monkeypatch):
+    # a search that finds no irreducible is an internal fault, not an assert;
+    # called directly, past the lru_cache of _default_modulus
+    assert fields._first_irreducible(2, 3) == (1, 0, 1, 1)  # 1 + X^2 + X^3
+    monkeypatch.setattr(fields, "_is_irreducible", lambda mod, p: False)
+    with pytest.raises(TheoremViolated, match="no irreducible of degree 3 over F_2"):
+        fields._first_irreducible(2, 3)
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_witt_ring_axioms_exhaustive(field):
     vectors = [WittVector2(field, a, b) for a in field.elements() for b in field.elements()]

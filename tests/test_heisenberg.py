@@ -1,7 +1,10 @@
 """Heisenberg groups, Stone-von-Neumann representations, deck transformations."""
 
+import itertools
+
 import pytest
 
+from gausslab import heisenberg
 from gausslab.charsum import (
     ASLinear,
     CrossMonomial,
@@ -9,6 +12,7 @@ from gausslab.charsum import (
     HalfSquare,
     QuadDatum,
     WittLinear,
+    geometric_kernel,
 )
 from gausslab.errors import (
     NonInjectiveCharacter,
@@ -110,6 +114,21 @@ def _per_u_scan(big, h, limit):
         if len(points) >= limit:
             break
     return points
+
+
+def _all_pairs_table(dh, element_at):
+    """The table fill heisenberg_from_datum replaced: e(k, k') = g_k(k') -
+    g_k'(k) evaluated on every pair of K, each value an F_p constant."""
+    p = dh.pairing.a_modulus
+    table = []
+    for ki in element_at.values():
+        row = []
+        for kj in element_at.values():
+            val = dh.solutions[ki.coeffs].evaluate(kj) - dh.solutions[kj.coeffs].evaluate(ki)
+            assert not any(val.coeffs[1:])
+            row.append(val.coeffs[0] % p)
+        table.append(row)
+    return table
 
 
 def _all_pairs_deck_sweep(element_at, solutions, pairing, points):
@@ -438,6 +457,36 @@ def _coherent(dh, element_at, t, phi):
     return bad
 
 
+@pytest.mark.parametrize("p,i,a", DECK_DATA + [pytest.param(3, 2, 1, id="F3-i2")])
+def test_basis_pair_table_agrees_with_all_pairs_oracle(p, i, a):
+    # x^10 over F_3 (F3-i2) has |K| = 81
+    dh, element_at, _, _ = _deck_data(p, i, a)
+    assert list(element_at) == list(dh.pairing.group.elements())
+    assert len({k.coeffs for k in element_at.values()}) == p ** (2 * i)
+    assert dh.pairing.table == _all_pairs_table(dh, element_at)
+
+
+@pytest.mark.parametrize("p,i,a", DECK_DATA)
+def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
+    # g_k + phi for the first basis vector k of K only: phi = X changes the
+    # basis-pair values, phi vanishing on K changes none of them
+    field = make_field(p, 1)
+    datum = QuadDatum(field, 1, [DiagMonomial(0, i, field.element([a]))])
+    kernel = geometric_kernel(datum)
+    big = kernel.field
+    target = kernel.basis[0][0]
+    beta_poly, solve = heisenberg._beta_poly, heisenberg._solve_additive
+    seen = []
+    monkeypatch.setattr(heisenberg, "_beta_poly",
+                        lambda terms, k: seen.append(k) or beta_poly(terms, k))
+    for phi in (AdditivePolynomial(big, {0: big.one()}),
+                _vanishing_on([b[0] for b in kernel.basis], big)):
+        monkeypatch.setattr(heisenberg, "_solve_additive", lambda beta, f, phi=phi: (
+            solve(beta, f) + phi if seen[-1] == target else solve(beta, f)))
+        with pytest.raises(TheoremViolated):
+            heisenberg_from_datum(datum)
+
+
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
     dh, element_at, big, terms = _deck_data(p, i, a)
@@ -445,6 +494,9 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
     assert len(element_at) == p ** (2 * i)
     for limit in (1, 3, 12, 40):
         assert _covering_points(big, h, limit) == _per_u_scan(big, h, limit)
+    if p == 3:  # some h(u) is outside the image of z^3 - z: that u is skipped
+        us = [u for u, _ in _covering_points(big, h, 12)]
+        assert us != list(itertools.islice(big.elements(), len(us)))
     points = _covering_points(big, h, 12)[:3]
     assert _all_pairs_deck_sweep(element_at, dh.solutions, dh.pairing, points)
     _check_deck_commutators(element_at, dh.solutions, dh.pairing, points)

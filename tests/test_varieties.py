@@ -478,6 +478,12 @@ def test_surface_sums_evaluate_each_teichmueller_point_once(monkeypatch):
     assert [field.q for field in kernels] == [3, 9, 27]
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_surface_summands_degree_below_one_rejected(n_max):
+    with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
+        surface_summand_certificates(SurfaceSpec(F2, {0: F2.one()}), n_max)
+
+
 def test_surface_caps_count_the_field_swept(monkeypatch):
     # the summands and the displayed count sweep F_{q^n}, so they cap q^n;
     # the q^(2n) sweeps of corrected_surface_count and verify_additive keep q^(2n)
