@@ -35,8 +35,8 @@ def standard(p):
 for p in (2, 3):
     pairing = standard(p)
     basis = darboux(pairing)
-    heis = build_group(pairing)  # exhaustively verifies axioms, Z(H) = A,
-    rep = stone_von_neumann(heis)  # and the irreducibility norm sum = |H|
+    heis = build_group(pairing)  # verifies the group law and [,] = e on generators
+    rep = stone_von_neumann(heis)  # and the SvN homomorphism, norm sum = |H|
     orders = {}
     for g in heis.elements():
         o = heis.element_order(g)

@@ -2,22 +2,21 @@
 Stone-von-Neumann representations, and the bridge from a 1-dimensional
 quadratic datum to its deck-transformation Heisenberg group.
 
-Representation matrices are monomial (translation/modulation model), stored as
-a permutation plus a phase-exponent vector, so products and characters stay in
-exact integer/cyclotomic arithmetic.
+A pairing is its Gram matrix on the generators of K, no |K| x |K| table;
+representation matrices are monomial (a permutation plus phase exponents), so
+products and characters stay in exact integer/cyclotomic arithmetic.
 
-The group law, the commutator, the SvN homomorphism property and the
-commutators of deck transformations are checked on generators of K (and of H),
-where bilinearity makes the check a proof for the whole group; no verification
-sweeps all of H x H or H x H x H.  The deck pairing of a datum is evaluated
-on pairs of one F_p-basis of K only: each g_k is an additive polynomial and
-k -> g_k is checked additive, so the pairing is biadditive and its basis
-values determine the whole table.  Covering points come from a linear solve,
-not a sweep of the splitting field.
+The pairing's laws, the group law, the commutator, the SvN homomorphism
+property and the commutators of deck transformations are checked on generators
+of K (and of H), where bilinearity makes the check a proof for the whole
+group; nothing sweeps K x K, H x H or H x H x H.  The deck pairing of a datum
+is evaluated on pairs of one F_p-basis of K only (k -> g_k is checked
+additive, so those values are its Gram matrix), and covering points come from
+a linear solve, not a sweep of the splitting field.
 """
 
 import itertools
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .errors import (
     NoAdditiveSolution,
@@ -28,91 +27,129 @@ from .errors import (
     TheoremViolated,
     check_cap,
 )
-from .exactalg import abs_square, zeta, zeta_sum
+from .exactalg import _divisors, abs_square, zeta, zeta_sum
 from .fields import AdditivePolynomial, _power_basis, _row_reduce_mod_p, extension
 from .quadform import FiniteAbelianGroup
 
+_DECK_SAMPLES = 12  # points u of E at which the deck maps of a datum are checked
+
+
+def _dot(x, w):
+    return sum(a * b for a, b in zip(x, w))
+
 
 class AlternatingPairing:
-    """e: K x K -> Z/p^s with e(x,x) = 0, biadditive and perfect."""
+    """e: K x K -> Z/A, alternating and perfect, as its Gram matrix G[s][t] =
+    e(e_s, e_t) on the standard generators: e(x, y) = sum x_s y_t G[s][t] mod
+    A.  NotAlternating unless G is well-defined (d_s G[s][t] = d_t G[s][t] = 0
+    mod A: e is biadditive) with G[s][s] = 0 = G[s][t] + G[t][s] (e(x, x) = 0
+    on K); NotPerfect, with a radical element, unless the reduction of the
+    generators run here finds the Darboux basis `basis`."""
 
     def __init__(self, group, a_modulus, table):
-        self.group = group
-        self.a_modulus = int(a_modulus)
-        self.table = [[v % self.a_modulus for v in row] for row in table]
-        self.validate()
+        """From e on every pair of K, in [0, A): G is read off the generator
+        rows, and each entry is compared once with the bilinear fill from G."""
+        n, k = group.order, len(group.moduli)
+        if type(a_modulus) is not int or a_modulus < 1 or not isinstance(table, list) or len(
+                table) != n or not all(isinstance(row, list) and len(row) == n and all(
+                    type(v) is int and 0 <= v < a_modulus for v in row) for row in table):
+            raise ValueError(f"a pairing needs an int a_modulus >= 1 and a table of {n} rows "
+                             f"of {n} ints in [0, a_modulus)")
+        units = [group.encode([int(s == t) for t in range(k)]) for s in range(k)]
+        self._setup(group, a_modulus, [[table[u][v] for v in units] for u in units], table)
 
-    def validate(self):
-        g = self.group
-        t = self.table
-        mod = self.a_modulus
-        for i in g.elements():
-            if t[i][i] % mod:
-                raise NotAlternating(f"e(x,x) != 0 at x = {g.decode(i)}")
-        for gen in g.generators():
-            shift = g.translation(gen)
-            for i in g.elements():
-                for j in g.elements():
-                    if (t[shift[i]][j] - t[i][j] - t[gen][j]) % mod:
-                        raise NotAlternating("pairing is not biadditive")
-                    if (t[j][shift[i]] - t[j][i] - t[j][gen]) % mod:
-                        raise NotAlternating("pairing is not biadditive")
-        rad = [i for i in g.elements() if not any(v % mod for v in t[i])]
-        if len(rad) != 1:
-            raise NotPerfect(g.decode(rad[1] if len(rad) > 1 else 0))
-        # perfect = the induced map K -> Hom(K, A) is injective (hence bijective)
+    @classmethod
+    def from_gram(cls, group, a_modulus, gram):
+        """From the k x k Gram matrix on the standard generators, taken mod A."""
+        pairing = cls.__new__(cls)
+        pairing._setup(group, a_modulus, gram)
+        return pairing
+
+    def _setup(self, group, a_modulus, gram, table=None):
+        self.group, self.a_modulus = group, a_modulus
+        self.gram = [[v % a_modulus for v in row] for row in gram]
+        for (s, d), (t, d2) in itertools.product(enumerate(group.moduli), repeat=2):
+            v = self.gram[s][t]
+            if d * v % a_modulus or d2 * v % a_modulus:
+                raise NotAlternating(f"pairing is not well-defined on e_{s}, e_{t}")
+            if (s == t and v) or (v + self.gram[t][s]) % a_modulus:
+                raise NotAlternating(f"e(x,x) != 0 at some x in <e_{s}, e_{t}>")
+        for i in group.elements() if table is not None else ():
+            row = [0]  # e(i, .) = -e(., i), each entry an earlier one plus a Gram value
+            for d, w in zip(group.moduli, self.covector(group.decode(i))):
+                row = [(v - c * w) % a_modulus for c in range(d) for v in row]
+            if table[i] != row:
+                raise NotAlternating("pairing is not biadditive")
+        self.basis = self._darboux()
+
+    def covector(self, y):
+        """G y for coordinates y: e(x, y) = sum_s x_s w_s mod A for every x."""
+        return [_dot(row, y) for row in self.gram]
 
     def value(self, i, j):
-        return self.table[i][j]
+        return _dot(self.group.decode(i), self.covector(self.group.decode(j))) % self.a_modulus
+
+    def _darboux(self):
+        """Symplectic reduction of the generators, for each prime q on their
+        q-primary parts: split off the first pair (u, v) whose eps = e(u, v)
+        has maximal order o, replace each other z by z - a u + b v with
+        a eps = e(z, v) and b eps = e(z, u), orthogonal to u and v, drop
+        zeros, repeat.  A sum of terms of q-power order in Z/A has order at
+        most the largest of theirs, so o is the maximum over the whole span
+        and a, b exist.  NotPerfect if o = 1 with a vector left, or if u or v
+        has order above o (o u or o v is then radical).  The q-primary parts
+        are orthogonal: pair i is the sum of the i-th pairs of all primes."""
+        g, mod, k = self.group, self.a_modulus, len(self.group.moduli)
+        e = lambda x, y: _dot(x, self.covector(y)) % mod
+        columns = []
+        for q in (q for q in _divisors(g.exponent) if len(_divisors(q)) == 2):
+            vectors = [tuple(d // gcd(d, q ** d.bit_length()) * (t == s) for t in range(k))
+                       for s, d in enumerate(g.moduli) if d % q == 0]
+            columns.append([])
+            while vectors:
+                best = max(itertools.combinations(range(len(vectors)), 2), default=(0, 0),
+                           key=lambda ij: mod // gcd(e(vectors[ij[0]], vectors[ij[1]]), mod))
+                u, v = vectors[best[0]], vectors[best[1]]
+                eps = e(u, v)
+                o = mod // gcd(eps, mod)
+                if o == 1:
+                    raise NotPerfect(vectors[0])
+                for w in (u, v):
+                    if g.element_order(g.encode(w)) != o:
+                        raise NotPerfect(tuple(o * c % d for c, d in zip(w, g.moduli)))
+                columns[-1].append((u, v, eps))
+                rest, vectors = [z for t, z in enumerate(vectors) if t not in best], []
+                for z in rest:
+                    a, b = (_solve_multiple(e(z, w), eps, mod, o) for w in (v, u))
+                    z = tuple((c - a * cu + b * cv) % d for c, cu, cv, d in zip(z, u, v, g.moduli))
+                    if any(z):
+                        vectors.append(z)
+        pairs = []
+        for column in itertools.zip_longest(*columns, fillvalue=((0,) * k, (0,) * k, 0)):
+            xs, ys, eps = zip(*column)
+            pairs.append((g.encode(map(sum, zip(*xs))), g.encode(map(sum, zip(*ys))),
+                          sum(eps) % mod))
+        if prod(g.element_order(x) ** 2 for x, _, _ in pairs) != g.order:
+            raise TheoremViolated("the Darboux pairs do not span K (bug detector)")
+        return DarbouxBasis(pairs)
 
 
 class DarbouxBasis(Record):
     """Dual pairs (x_i, y_i) with e(x_i, y_j) = delta_ij * eps_i, isotropic spans."""
 
-    pairs: list  # (x index, y index, eps in Z/p^s)
+    pairs: list  # (x index, y index, eps in Z/A)
 
     def ranks(self, group):
         return [group.element_order(x) for x, _, _ in self.pairs]
 
 
 def darboux(pairing):
-    """Symplectic reduction: split off a maximal-order dual pair, recurse.
-
-    Tie-breaking: lexicographically least x (by element index), then least y,
-    among pairs attaining the maximal order of e(x,y).
-    """
-    g = pairing.group
-    mod = pairing.a_modulus
-    t = pairing.table
-
-    def order_in_a(v):
-        return mod // gcd(v % mod, mod)
-
-    def recurse(elements):
-        elements = sorted(elements)
-        if len(elements) == 1:
-            return []
-        best = None
-        for x in elements:
-            for y in elements:
-                o = order_in_a(t[x][y])
-                if best is None or o > best[0]:
-                    best = (o, x, y)
-        o, x, y = best
-        if o == 1:
-            raise NotPerfect(g.decode(elements[1]))
-        comp = [z for z in elements if t[z][x] % mod == 0 and t[z][y] % mod == 0]
-        return [(x, y, t[x][y] % mod)] + recurse(comp)
-
-    pairs = recurse(list(g.elements()))
-    # consistency of the dual-pair normal form
-    for a, (x, y, eps) in enumerate(pairs):
-        if order_in_a(eps) != g.element_order(x) or order_in_a(eps) != g.element_order(y):
-            raise NotPerfect(g.decode(x))
-        for b, (x2, y2, _) in enumerate(pairs):
-            if a != b and (t[x][x2] % mod or t[x][y2] % mod or t[y][x2] % mod or t[y][y2] % mod):
-                raise NotAlternating("darboux pairs fail orthogonality")
-    return DarbouxBasis(pairs)
+    """The Darboux basis the pairing's reduction of its generators found.
+    Tie-break: per prime q, the q-parts of the generators in coordinate order
+    (reduced vectors keep their places), the first pair (u before v) whose
+    e(u, v) has maximal order; pair i sums the i-th pairs of all primes.
+    The ranks come out non-increasing and are basis-free."""
+    return pairing.basis
 
 
 class HeisenbergGroup:
@@ -125,43 +162,34 @@ class HeisenbergGroup:
     """
 
     def __init__(self, pairing, basis=None):
-        self.pairing = pairing
-        self.k_group = pairing.group
-        self.a_modulus = pairing.a_modulus
+        self.pairing, self.k_group, self.a_modulus = pairing, pairing.group, pairing.a_modulus
         self.basis = basis if basis is not None else darboux(pairing)
         self._coords = self._coordinate_tables()
         self.order = self.a_modulus * self.k_group.order
 
     def _coordinate_tables(self):
-        g = self.k_group
-        mod = self.a_modulus
-        t = self.pairing.table
+        g, mod = self.k_group, self.a_modulus
+        pairs = [(g.decode(x), g.decode(y), eps, g.element_order(x))
+                 for x, y, eps in self.basis.pairs]
+        # e(k, y) = alpha * eps and e(x, k) = -e(k, x) = beta * eps
+        columns = [(self.pairing.covector(y), self.pairing.covector(x)) for x, y, _, _ in pairs]
         coords = []
         for k in g.elements():
-            alphas, betas = [], []
-            for x, y, eps in self.basis.pairs:
-                ord_pair = g.element_order(x)
-                # e(k, y) = alpha * eps and e(x, k) = beta * eps
-                alpha = _solve_multiple(t[k][y], eps, mod, ord_pair)
-                beta = _solve_multiple(t[x][k], eps, mod, ord_pair)
-                alphas.append(alpha)
-                betas.append(beta)
-            # the coordinates must reconstruct k (Darboux basis spans K)
-            acc = 0
-            for a, b, (x, y, _) in zip(alphas, betas, self.basis.pairs):
-                acc = g.add(acc, g.add(g.scalar(a, x), g.scalar(b, y)))
-            if acc != k:
-                raise NotPerfect(g.decode(k))
+            kt = g.decode(k)
+            alphas, betas, rest = [], [], kt
+            for (x, y, eps, o), (wy, wx) in zip(pairs, columns):
+                alphas.append(_solve_multiple(_dot(kt, wy), eps, mod, o))
+                betas.append(_solve_multiple(-_dot(kt, wx), eps, mod, o))
+                rest = [c - alphas[-1] * a - betas[-1] * b for c, a, b in zip(rest, x, y)]
+            if g.encode(rest) != 0:  # the Darboux basis must span K
+                raise NotPerfect(kt)
             coords.append((tuple(alphas), tuple(betas)))
         return coords
 
     def cocycle(self, i, j):
-        ai, _ = self._coords[i]
-        _, bj = self._coords[j]
-        return (
-            sum(a * b * eps for a, b, (_, _, eps) in zip(ai, bj, self.basis.pairs))
-            % self.a_modulus
-        )
+        ai, bj = self._coords[i][0], self._coords[j][1]
+        pairs = self.basis.pairs
+        return sum(a * b * eps for a, b, (_, _, eps) in zip(ai, bj, pairs)) % self.a_modulus
 
     # group elements are pairs (a, k) with a mod a_modulus, k an index in K
     def elements(self):
@@ -204,8 +232,9 @@ class HeisenbergGroup:
            Then c is bilinear, which makes the multiplication associative with
            identity (0, 0) and inverses given by `inverse`.
         2. [(0,x), (0,y)] = (e(x,y), 0) for generators x, y of K. Both sides
-           are biadditive (e by `AlternatingPairing.validate`, the commutator
-           by 1), so they agree on K x K; e is perfect, so Z(H) = A.
+           are biadditive (e by the Gram checks of `AlternatingPairing`, the
+           commutator by 1), so they agree on K x K; e is perfect, so
+           Z(H) = A.
         """
         k_group = self.k_group
         orders = self.basis.ranks(k_group)
@@ -214,14 +243,11 @@ class HeisenbergGroup:
             ak, bk = self._coords[k]
             for g in gens:
                 ag, bg = self._coords[g]
-                expected = (
-                    tuple((u + v) % o for u, v, o in zip(ak, ag, orders)),
-                    tuple((u + v) % o for u, v, o in zip(bk, bg, orders)),
-                )
+                expected = tuple(tuple((u + v) % o for u, v, o in zip(ck, cg, orders))
+                                 for ck, cg in ((ak, ag), (bk, bg)))
                 if self._coords[k_group.add(k, g)] != expected:
                     raise TheoremViolated(
-                        f"Darboux coordinates are not additive at {k_group.decode(k)}"
-                    )
+                        f"Darboux coordinates are not additive at {k_group.decode(k)}")
         for x in gens:
             for y in gens:
                 if self.commutator((0, x), (0, y)) != (self.pairing.value(x, y), 0):
@@ -231,13 +257,10 @@ class HeisenbergGroup:
 
 def _solve_multiple(target, eps, mod, bound):
     """Least c >= 0 with c*eps = target mod `mod` (exists by maximality)."""
-    target %= mod
-    acc = 0
-    for c in range(bound):
-        if acc == target:
-            return c
-        acc = (acc + eps) % mod
-    raise NotPerfect(f"value {target} outside the cyclic span of {eps}")
+    c = next((c for c in range(bound) if (c * eps - target) % mod == 0), None)
+    if c is None:
+        raise NotPerfect(f"value {target % mod} outside the cyclic span of {eps}")
+    return c
 
 
 def build_group(pairing):
@@ -263,9 +286,7 @@ class SvNRepresentation:
         pairs = group.basis.pairs
         k = group.k_group
         self.l_orders = [k.element_order(x) for x, _, _ in pairs]
-        self.dim = 1
-        for o in self.l_orders:
-            self.dim *= o
+        self.dim = prod(self.l_orders)
         # basis labels: L-coordinates alpha = (a_1, ..., a_r)
         self.labels = list(itertools.product(*(range(o) for o in self.l_orders)))
         self.label_index = {lab: t for t, lab in enumerate(self.labels)}
@@ -381,9 +402,7 @@ def _datum_scalar_terms(datum):
     if datum.d != 1:
         raise ValueError("the deck construction is one-dimensional")
     if datum.has_witt:
-        raise NotImplementedError(
-            "the W2-valued p = 2 case is deferred; use G_a-valued data"
-        )
+        raise NotImplementedError("the W2-valued p = 2 case is deferred; use G_a-valued data")
     if any(t.kind == "precompose" for t in datum.terms):
         raise ValueError("resolve precompositions before the deck construction")
     return list(datum.terms)
@@ -445,7 +464,7 @@ def _eval_scalar_poly(terms, u):
     return acc
 
 
-def heisenberg_from_datum(datum, sample_limit=12, override=False):
+def heisenberg_from_datum(datum, override=False):
     """The deck-transformation Heisenberg group of an isogeneous datum.
 
     K = geometric kernel; for k in K the unique additive g_k with
@@ -453,28 +472,26 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
     Each g_k is an additive polynomial, so e is additive in k'; and
     `_check_deck_commutators`, called before this returns, checks that
     k -> g_k is additive for every k and basis vector, so e is additive in k.
-    A biadditive e is determined by its values on pairs of an F_p-basis of K:
-    those dim^2 values are evaluated and checked to be F_p constants, and the
-    |K| x |K| table is filled from them with integer arithmetic.  The pairing
-    is verified alternating and perfect, the group is built and verified, and
-    the construction is cross-validated against explicit deck transformations
-    on points of the covering z^p - z = h(u).
+    So e is its Gram matrix on an F_p-basis of K: those dim^2 values are
+    evaluated, checked to be F_p constants, and checked alternating and
+    perfect.  The group is built and verified, and cross-validated against
+    explicit deck transformations on points of the covering z^p - z = h(u).
+    The cap counts the largest structure built downstream, the SvN matrix
+    cache: |H| * dim = p |K| sqrt|K| entries.
     """
     from .charsum import geometric_kernel
 
     terms = _datum_scalar_terms(datum)
+    p = datum.field.p
     kernel = geometric_kernel(datum, override=override)
+    check_cap(p * kernel.size * isqrt(kernel.size), override, "SvN matrix cache")
     big = kernel.field
     n = big.m // datum.field.m
     _, emb = extension(datum.field, n)
     terms = _embedded_terms(terms, emb)
-    p = datum.field.p
 
     group, element_at = _kernel_coordinates(kernel, p)
-    solutions = {
-        k.coeffs: _solve_additive(_beta_poly(terms, k), big) for k in element_at.values()
-    }
-    check_cap(kernel.size**2, override, "pairing table")
+    solutions = {k.coeffs: _solve_additive(_beta_poly(terms, k), big) for k in element_at.values()}
     basis = [element_at[g] for g in group.generators()]
 
     def pair_value(ks, kt):
@@ -484,50 +501,39 @@ def heisenberg_from_datum(datum, sample_limit=12, override=False):
         return val.coeffs[0]
 
     gram = [[pair_value(ks, kt) for kt in basis] for ks in basis]
-    # e(x, y) = sum_{s,t} x_s y_t gram[s][t]: the rows of the basis vectors,
-    # column by column, then every row as a combination of those
-    basis_rows = list(zip(*_fp_combinations(list(zip(*gram)), p, len(basis))))
-    table = _fp_combinations(basis_rows, p, kernel.size)
-    pairing = AlternatingPairing(group, p, table)
+    pairing = AlternatingPairing.from_gram(group, p, gram)
     heis = build_group(pairing)
 
-    _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit)
+    _validate_deck_maps(terms, big, element_at, solutions, pairing, _DECK_SAMPLES)
     return DatumHeisenberg(kernel=kernel, pairing=pairing, group=heis, solutions=solutions)
-
-
-def _fp_combinations(vectors, p, width):
-    """sum_t x_t vectors[t] mod p, vectors of `width` integers, for every x in
-    (Z/p)^dim in the index order of FiniteAbelianGroup((p,) * dim) (x_0
-    fastest); each result is an earlier one plus one vector, p^dim additions."""
-    out = [(0,) * width]
-    for w in vectors:
-        out = [tuple((a + c * b) % p for a, b in zip(v, w)) for c in range(p) for v in out]
-    return out
 
 
 def _kernel_coordinates(kernel, p):
     """K as (Z/p)^dim, and index -> kernel element, through the F_p-basis that
-    `geometric_kernel` found."""
+    `geometric_kernel` found: sum_t x_t basis[t] for every x in the index order
+    of FiniteAbelianGroup((p,) * dim) (x_0 fastest), each an earlier element
+    plus one basis vector, p^dim additions."""
     big = kernel.field
-    group = FiniteAbelianGroup((p,) * len(kernel.basis))
-    vectors = _fp_combinations([point[0].coeffs for point in kernel.basis], p, big.m)
-    return group, dict(enumerate(map(big.element, vectors)))
+    vectors = [(0,) * big.m]
+    for w in (point[0].coeffs for point in kernel.basis):
+        vectors = [tuple((a + c * b) % p for a, b in zip(v, w)) for c in range(p) for v in vectors]
+    return FiniteAbelianGroup((p,) * len(kernel.basis)), dict(enumerate(map(big.element, vectors)))
 
 
-def _validate_deck_maps(terms, big, element_at, solutions, pairing, sample_limit):
+def _validate_deck_maps(terms, big, element_at, solutions, pairing, samples):
     """Cross-check e against explicit deck transformations: the lift property
     g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and every k, then
     `_check_deck_commutators` on points of the covering z^p - z = h(u)."""
     h = lambda u: _eval_scalar_poly(terms, u)
-    sample = [(u, h(u)) for u in itertools.islice(big.elements(), sample_limit)]
+    sample = [(u, h(u)) for u in itertools.islice(big.elements(), samples)]
     for k in element_at.values():
         gk, hk = solutions[k.coeffs], h(k)
         for u, hu in sample:
             lhs = gk.evaluate(u)
             if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
-    points = _covering_points(big, h, sample_limit)
-    _check_deck_commutators(element_at, solutions, pairing, points[: max(2, sample_limit // 4)])
+    points = _covering_points(big, h, samples)
+    _check_deck_commutators(element_at, solutions, pairing, points[: max(2, samples // 4)])
 
 
 def _covering_points(big, h, limit):
@@ -560,10 +566,9 @@ def _check_deck_commutators(element_at, solutions, pairing, points):
     c(k, k')), c(k, k') = g_k(k') - g_k'(k).  1. g_{k+s} = g_k + g_s as
     AdditivePolynomials for every k and basis vector s; induction on a word in
     the basis makes k -> g_k additive, so c is biadditive.  2. c = e on basis
-    pairs, read off the deck maps; e is biadditive
-    (`AlternatingPairing.validate`), so c = e on K x K.
+    pairs, read off the deck maps; e is biadditive (its Gram matrix passed
+    the checks of `AlternatingPairing`), so c = e on K x K.
     """
-    p = pairing.a_modulus
     gens = pairing.group.generators()
     for k in element_at.values():
         gk = solutions[k.coeffs]
@@ -580,13 +585,8 @@ def _check_deck_commutators(element_at, solutions, pairing, points):
         for j in gens:
             ki, kj = element_at[i], element_at[j]
             for pt in points:
-                a = deck(ki, deck(kj, pt))
-                b = deck(kj, deck(ki, pt))
-                du = a[0] - b[0]
-                dz = a[1] - b[1]
-                if du or any(dz.coeffs[1:]):
+                (u1, z1), (u2, z2) = deck(ki, deck(kj, pt)), deck(kj, deck(ki, pt))
+                if u1 != u2 or any((z1 - z2).coeffs[1:]):
                     raise TheoremViolated("deck commutator moved the base point")
-                if dz.coeffs[0] % p != pairing.value(i, j):
-                    raise TheoremViolated(
-                        "deck commutator disagrees with the derived pairing"
-                    )
+                if (z1 - z2).coeffs[0] % pairing.a_modulus != pairing.value(i, j):
+                    raise TheoremViolated("deck commutator disagrees with the derived pairing")

@@ -26,9 +26,9 @@ class FiniteAbelianGroup:
     """Direct sum of Z/d_i with elements indexed 0..order-1 (mixed radix)."""
 
     def __init__(self, moduli):
-        moduli = tuple(int(d) for d in moduli)
-        if any(d < 1 for d in moduli):
-            raise ValueError("moduli must be >= 1")
+        moduli = tuple(moduli)
+        if any(type(d) is not int or d < 1 for d in moduli):
+            raise ValueError(f"moduli must be ints >= 1, got {list(moduli)}")
         self.moduli = moduli
         self.order = prod(moduli) if moduli else 1
         self.exponent = lcm(*moduli) if moduli else 1
@@ -270,23 +270,30 @@ class QuadraticForm:
 
     @staticmethod
     def from_json(obj):
-        """Parse the spec shape; ValueError unless each element of the group
-        has exactly one key, written with coordinates 0 <= c_i < d_i, and its
-        value is an exponent or a value_order-th root of unity."""
+        """Parse the spec shape; ValueError unless value_order is an int >= 1
+        and each element of the group has exactly one key, its coordinates
+        0 <= c_i < d_i written canonically ("1,0", not "01,0" or "+1, 0"), and
+        its value is an int exponent in [0, value_order) or a value_order-th
+        root of unity."""
         group = FiniteAbelianGroup(obj["invariant_factors"])
         n = obj["value_order"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"value_order must be an int >= 1, got {n!r}")
         exps = [None] * group.order
         for key, val in obj["values"].items():
             tup = tuple(int(t) for t in key.split(",")) if key else ()
-            if len(tup) != len(group.moduli) or not all(
+            if key != ",".join(map(str, tup)) or len(tup) != len(group.moduli) or not all(
                 0 <= c < d for c, d in zip(tup, group.moduli)
             ):
                 raise ValueError(f"value key {key!r} is not an element of {group!r}")
             idx = group.encode(tup)
             if exps[idx] is not None:
                 raise ValueError(f"element {tup} has more than one value")
-            if isinstance(val, int):
+            if type(val) is int and 0 <= val < n:
                 exps[idx] = val
+            elif not isinstance(val, dict):
+                raise ValueError(f"value {val!r} of element {tup} is neither an exponent "
+                                 f"in [0, {n}) nor a cyclotomic number")
             else:
                 z = CyclotomicNumber.from_json(val).embed(n)
                 exps[idx] = zeta_exponents(n).get(z.nums) if z.den == 1 else None

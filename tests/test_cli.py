@@ -108,6 +108,29 @@ def test_malformed_cyclotomic_value_exits_2(value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "values, order, why",
+    [
+        ({"00": 0, "1": 1}, 4, "value key '00'"),
+        ({"0": 0, "+1": 1}, 4, "value key '+1'"),
+        ({"0": 0, "1": 5}, 4, "value 5 of element (1,)"),
+        ({"0": 0, "1": -3}, 4, "value -3 of element (1,)"),
+        ({"0": 0, "1": True}, 4, "value True of element (1,)"),
+        ({"0": 0, "1": 1.0}, 4, "value 1.0 of element (1,)"),
+        ({"0": 0, "1": 1}, 4.0, "value_order must be an int >= 1"),
+    ],
+    ids=["key-00", "key-plus", "exponent-5", "exponent-negative", "exponent-bool",
+         "exponent-float", "order-float"],
+)
+def test_form_decodes_strictly(values, order, why, tmp_path, capsys):
+    # canonical keys, exponents in [0, value_order), an int value_order: a
+    # form is never normalized into another one
+    form = {"invariant_factors": [2], "value_order": order, "values": values}
+    code, err = run_main("gauss-sum", {"form": form}, tmp_path, capsys)
+    assert code == 2
+    assert "invalid input" in err and why in err
+
+
+@pytest.mark.parametrize(
     "job,message",
     [
         ({"l_poly": [2.7, 0, 1], "q": 2}, "l_poly must be a list of ints"),
@@ -307,7 +330,7 @@ _OMEGA_X3_F4 = _diag_datum_json(2, 2, 1, [0, 1])  # omega*x^3 over F_4: |K| = 4,
 @pytest.mark.parametrize("command, job, cap, what", [
     ("kernel", {"datum": _X5_F2}, 8, "kernel listing over 16 points"),
     ("heisenberg", {"from_datum": _X5_F2}, 8, "kernel listing over 16 points"),
-    ("heisenberg", {"from_datum": _X5_F2}, 16, "pairing table over 256 points"),
+    ("heisenberg", {"from_datum": _X5_F2}, 64, "SvN matrix cache over 128 points"),
     ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "extension field over 16 points"),
 ], ids=["kernel", "heisenberg-kernel", "heisenberg-pairing", "char-sum"])
 def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeypatch,
@@ -323,6 +346,41 @@ def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeyp
     assert f"scale cap exceeded: {what} exceeds cap {cap}" in capsys.readouterr().err
     assert cli.main([command, "--input", str(path), "--cap-override"]) == 0
     assert strip_timing(capsys.readouterr().out) == uncapped
+
+
+def _pairing_edit(key, value):
+    return _with("heis-p2", lambda j: j["pairing"].__setitem__(key, value))
+
+
+def _table_edit(edit):
+    return _with("heis-p2", lambda j: edit(j["pairing"]["table"]))
+
+
+@pytest.mark.parametrize("job, why", [
+    (_pairing_edit("a_modulus", 2.7), "int a_modulus >= 1"),
+    (_pairing_edit("a_modulus", "2"), "int a_modulus >= 1"),
+    (_pairing_edit("a_modulus", True), "int a_modulus >= 1"),
+    (_pairing_edit("a_modulus", 0), "int a_modulus >= 1"),
+    (_pairing_edit("moduli", [2.0, 2.9]), "moduli must be ints >= 1"),
+    (_pairing_edit("moduli", [True, 2, 2]), "moduli must be ints >= 1"),
+    (_pairing_edit("moduli", [2, 0]), "moduli must be ints >= 1"),
+    (_table_edit(lambda t: t[1].__setitem__(2, 3)), "ints in [0, a_modulus)"),
+    (_table_edit(lambda t: t[1].__setitem__(2, True)), "ints in [0, a_modulus)"),
+    (_table_edit(lambda t: t[1].__setitem__(2, -1)), "ints in [0, a_modulus)"),
+    (_table_edit(lambda t: t[1].__setitem__(2, 1.0)), "ints in [0, a_modulus)"),
+    (_table_edit(lambda t: [row.append(0) for row in t]), "4 rows of 4 ints"),
+    (_table_edit(lambda t: t[1].pop()), "4 rows of 4 ints"),
+    (_table_edit(lambda t: t.pop()), "4 rows of 4 ints"),
+    (_pairing_edit("table", {}), "4 rows of 4 ints"),
+], ids=["a-float", "a-string", "a-bool", "a-zero", "moduli-float", "moduli-bool", "moduli-zero",
+        "entry-3-at-A2", "entry-bool", "entry-negative", "entry-float", "rows-too-long",
+        "ragged", "short", "not-a-list"])
+def test_pairing_job_decodes_strictly(job, why, tmp_path, capsys):
+    # nothing is rounded, reduced or truncated: a malformed pairing is invalid
+    # input (exit 2), never a traceback or a pairing of something else
+    code, err = run_main("heisenberg", job, tmp_path, capsys)
+    assert code == 2
+    assert "invalid input" in err and why in err
 
 
 def test_heisenberg_covering_points_do_not_sweep_the_field(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Heisenberg groups, Stone-von-Neumann representations, deck transformations."""
 
 import itertools
+import random
+from math import gcd
 
 import pytest
 
@@ -100,6 +102,185 @@ def _exhaustive_homomorphism(rep):
         for g1 in els
         for g2 in els
     )
+
+
+def _oracle_ranks(group, mod, table):
+    """The all-pairs sweeps the Gram checks and the symplectic reduction on
+    generators replaced: e(x, x) = 0 at every x, biadditivity at every
+    (generator, x, y), the radical scan, then the Darboux recursion that splits
+    off a maximal-order pair of all of K x K and recurses on its orthogonal
+    complement.  Returns the Darboux ranks, or raises what the sweeps raised."""
+    g, t = group, table
+    for i in g.elements():
+        if t[i][i] % mod:
+            raise NotAlternating(f"e(x,x) != 0 at x = {g.decode(i)}")
+    for gen in g.generators():
+        shift = g.translation(gen)
+        for i in g.elements():
+            for j in g.elements():
+                if (t[shift[i]][j] - t[i][j] - t[gen][j]) % mod or (
+                        t[j][shift[i]] - t[j][i] - t[j][gen]) % mod:
+                    raise NotAlternating("pairing is not biadditive")
+    rad = [i for i in g.elements() if not any(v % mod for v in t[i])]
+    if len(rad) != 1:
+        raise NotPerfect(g.decode(rad[1]))
+    ranks, elements = [], list(g.elements())
+    while len(elements) > 1:
+        o, x, y = max((mod // gcd(t[x][y], mod), x, y) for x in elements for y in elements)
+        if o == 1 or g.element_order(x) != o or g.element_order(y) != o:
+            raise NotPerfect(g.decode(x))
+        ranks.append(o)
+        elements = [z for z in elements if t[z][x] % mod == 0 and t[z][y] % mod == 0]
+    return ranks
+
+
+def _fill(group, mod, gram):
+    """sum_{s,t} x_s y_t gram[s][t] mod A on every pair, from the coordinates
+    0 <= x_s < d_s: a table whether or not gram is well-defined."""
+    tuples = list(group.tuples())
+    return [[sum(a * b * gram[s][t] for s, a in enumerate(x) for t, b in enumerate(y)) % mod
+             for y in tuples] for x in tuples]
+
+
+def _values(pairing):
+    els = pairing.group.elements()
+    return [[pairing.value(i, j) for j in els] for i in els]
+
+
+def _assert_darboux(pairing):
+    """e(x_i, y_j) = delta_ij eps_i and e(x_i, x_j) = e(y_i, y_j) = 0, with x_i,
+    y_i and eps_i of one order."""
+    g, mod, pairs = pairing.group, pairing.a_modulus, darboux(pairing).pairs
+    for a, (x, y, eps) in enumerate(pairs):
+        assert g.element_order(x) == g.element_order(y) == mod // gcd(eps, mod)
+        for b, (x2, y2, _) in enumerate(pairs):
+            assert pairing.value(x, y2) == (eps if a == b else 0)
+            assert pairing.value(x, x2) == pairing.value(y, y2) == 0
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (NotAlternating, NotPerfect) as exc:
+        return type(exc)
+
+
+def _random_gram(rng, moduli, mod, alternating):
+    """When `alternating`, an antisymmetric Gram matrix with zero diagonal,
+    each entry a multiple of A / gcd(A, d_s, d_t), so d_s G = d_t G = 0;
+    otherwise any k x k matrix over Z/A."""
+    k = len(moduli)
+    if not alternating:
+        return [[rng.randrange(mod) for _ in range(k)] for _ in range(k)]
+    gram = [[0] * k for _ in range(k)]
+    for s, t in itertools.combinations(range(k), 2):
+        step = mod // gcd(mod, moduli[s], moduli[t])
+        v = step * rng.randrange(mod // step)
+        gram[s][t], gram[t][s] = v, -v % mod
+    return gram
+
+
+# (moduli of K, A, random pairings): (Z/4)^2 into Z/2 has the radical element
+# (2, 0); Z/6 and (Z/2)^2 x (Z/3)^2 into Z/6 have two primary parts
+GRAM_SHAPES = [
+    ([2, 2], 2, 12), ([3, 3], 3, 12), ([4, 4], 4, 20), ([4, 4], 2, 12), ([8, 8], 8, 20),
+    ([4, 2], 4, 12), ([4, 4], 8, 12), ([2, 2, 2, 2], 2, 20), ([3, 3, 3, 3], 3, 6),
+    ([4, 4, 2, 2], 4, 10), ([8, 4, 4, 2], 8, 4), ([6, 6], 6, 20), ([2, 2, 3, 3], 6, 12),
+    ([2, 3, 2, 3], 6, 12),
+]
+
+
+@pytest.mark.parametrize("moduli,mod,count", GRAM_SHAPES,
+                         ids=["x".join(map(str, m)) + f"-A{a}" for m, a, _ in GRAM_SHAPES])
+def test_gram_reduction_agrees_with_all_pairs_oracle(moduli, mod, count):
+    # same verdict, same exception class and same ranks as the all-pairs
+    # sweeps, on well-defined Gram matrices and on arbitrary ones
+    rng = random.Random(f"{moduli}-{mod}")
+    group = FiniteAbelianGroup(moduli)
+    seen = set()
+    for n in range(count):
+        gram = _random_gram(rng, moduli, mod, alternating=n % 4 != 3)
+        table = _fill(group, mod, gram)
+        expected = _outcome(lambda: _oracle_ranks(group, mod, table))
+        pairing = _outcome(lambda: AlternatingPairing(group, mod, table))
+        from_gram = _outcome(lambda: AlternatingPairing.from_gram(group, mod, gram))
+        if isinstance(expected, list):
+            assert darboux(pairing).ranks(group) == expected
+            assert darboux(from_gram).ranks(group) == expected
+            assert _values(pairing) == _values(from_gram) == table
+            _assert_darboux(pairing)
+            _assert_darboux(from_gram)
+            build_group(pairing)
+            seen.add("perfect")
+        else:
+            assert pairing is from_gram is expected
+            seen.add(expected.__name__)
+    assert "NotAlternating" in seen
+
+
+def test_gram_battery_covers_every_verdict():
+    # each shape meets all three verdicts, except that a perfect pairing needs
+    # K = L + L with Hom(L, Z/A) = L, which (Z/4)^2 into Z/2, Z/4 x Z/2 and
+    # Z/8 x Z/4 x Z/4 x Z/2 are not
+    never_perfect = [([4, 4], 2), ([4, 2], 4), ([8, 4, 4, 2], 8)]
+    for moduli, mod, count in GRAM_SHAPES:
+        group = FiniteAbelianGroup(moduli)
+        rng = random.Random(f"{moduli}-{mod}")
+        outcomes = [_outcome(lambda: AlternatingPairing.from_gram(
+            group, mod, _random_gram(rng, moduli, mod, n % 4 != 3))) for n in range(count)]
+        verdicts = {v if isinstance(v, type) else AlternatingPairing for v in outcomes}
+        perfect = set() if (moduli, mod) in never_perfect else {AlternatingPairing}
+        assert verdicts == {NotAlternating, NotPerfect} | perfect
+    # (Z/4)^2 into Z/2: 2 e_0 pairs to 0 with everything
+    g = FiniteAbelianGroup([4, 4])
+    with pytest.raises(NotPerfect) as info:
+        AlternatingPairing.from_gram(g, 2, [[0, 1], [1, 0]])
+    assert info.value.witness in ((2, 0), (0, 2))
+
+
+def test_composite_a_modulus_merges_primary_pairs():
+    # (Z/2)^2 x (Z/3)^2 into Z/6, 3 (x0 y1 - x1 y0) + 2 (x2 y3 - x3 y2): one
+    # Darboux pair of order 6, as on (Z/6)^2
+    group = FiniteAbelianGroup([2, 2, 3, 3])
+    gram = [[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, 2], [0, 0, 4, 0]]
+    pairing = AlternatingPairing(group, 6, _fill(group, 6, gram))
+    assert darboux(pairing).ranks(group) == [6]
+    assert _oracle_ranks(group, 6, _fill(group, 6, gram)) == [6]
+    h = build_group(pairing)
+    assert _exhaustive_group_law(h)
+    assert stone_von_neumann(h, 1).dim == 6
+
+
+def test_naive_pairing_on_order_two_factors_is_not_well_defined():
+    # x2 y3 - x3 y2 on the Z/2 factors of (Z/4)^2 x (Z/2)^2, into Z/4:
+    # e(2 e_2, e_3) = 2 != e(0, e_3)
+    group = FiniteAbelianGroup([4, 4, 2, 2])
+    gram = [[0] * 4 for _ in range(4)]
+    gram[2][3], gram[3][2] = 1, 3
+    table = _fill(group, 4, gram)
+    with pytest.raises(NotAlternating, match="not well-defined"):
+        AlternatingPairing(group, 4, table)
+    with pytest.raises(NotAlternating, match="not well-defined"):
+        AlternatingPairing.from_gram(group, 4, gram)
+    with pytest.raises(NotAlternating):
+        _oracle_ranks(group, 4, table)
+
+
+@pytest.mark.parametrize("moduli,mod", [([2, 2], 2), ([3, 3], 3), ([4, 4], 4), ([2, 2], 4)])
+def test_every_single_entry_corruption_is_refused(moduli, mod):
+    group = FiniteAbelianGroup(moduli)
+    gram = [[0, mod // moduli[1]], [-mod // moduli[1] % mod, 0]]
+    table = _fill(group, mod, gram)
+    assert darboux(AlternatingPairing(group, mod, table)).ranks(group) == _oracle_ranks(
+        group, mod, table)
+    for i, j in itertools.product(group.elements(), repeat=2):
+        for delta in range(1, mod):
+            bad = [list(row) for row in table]
+            bad[i][j] = (bad[i][j] + delta) % mod
+            with pytest.raises(NotAlternating):
+                _oracle_ranks(group, mod, bad)
+            with pytest.raises(NotAlternating):
+                AlternatingPairing(group, mod, bad)
 
 
 def _per_u_scan(big, h, limit):
@@ -336,7 +517,7 @@ def test_heisenberg_from_datum_term_kinds():
     base = [DiagMonomial(0, 1, F3.one())]
     plain = heisenberg_from_datum(QuadDatum(F3, 1, base))
     twisted = heisenberg_from_datum(QuadDatum(F3, 1, base + [ASLinear(0, F3.element([2]))]))
-    assert twisted.pairing.table == plain.pairing.table
+    assert _values(twisted.pairing) == _values(plain.pairing)
     assert twisted.solutions == plain.solutions
     with pytest.raises(ValueError, match="unsupported term cross"):
         heisenberg_from_datum(QuadDatum(F3, 1, base + [CrossMonomial(0, 0, 0, F3.one())]))
@@ -463,7 +644,7 @@ def test_basis_pair_table_agrees_with_all_pairs_oracle(p, i, a):
     dh, element_at, _, _ = _deck_data(p, i, a)
     assert list(element_at) == list(dh.pairing.group.elements())
     assert len({k.coeffs for k in element_at.values()}) == p ** (2 * i)
-    assert dh.pairing.table == _all_pairs_table(dh, element_at)
+    assert _values(dh.pairing) == _all_pairs_table(dh, element_at)
 
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)

@@ -265,9 +265,22 @@ def test_from_json_rejects_bad_value_tables():
         {"0": 0, "1": 1, "-1": 1},
         {"0": 0, "1": 1, "2": 1, "0,0": 1},          # wrong arity
         {"": 0, "0": 0, "1": 1, "2": 1},
+        {"00": 0, "1": 1, "2": 1},                   # keys are written canonically
+        {"0": 0, "+1": 1, "2": 1},
+        {"0": 0, "1": 5, "2": 1},                    # exponents are in [0, 3), not reduced
+        {"0": 0, "1": -3, "2": 1},
+        {"0": 0, "1": True, "2": 1},
+        {"0": 0, "1": 1.0, "2": 1},
+        {"0": 0, "1": "1", "2": 1},
     ):
         with pytest.raises(ValueError):
             QuadraticForm.from_json(job(values))
+    for order in (3.0, True, 0, "3"):
+        with pytest.raises(ValueError, match="value_order must be an int >= 1"):
+            QuadraticForm.from_json({**job({"0": 0, "1": 1, "2": 1}), "value_order": order})
+    for factors in ([3.0], [True], ["3"]):
+        with pytest.raises(ValueError, match="moduli must be ints >= 1"):
+            QuadraticForm.from_json({**job({"0": 0, "1": 1, "2": 1}), "invariant_factors": factors})
     with pytest.raises(ValueError):
         QuadraticForm.from_json(
             {"invariant_factors": [2, 1], "value_order": 4,
