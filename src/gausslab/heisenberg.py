@@ -29,13 +29,9 @@ from .errors import (
 )
 from .exactalg import _divisors, abs_square, zeta, zeta_sum
 from .fields import AdditivePolynomial, _power_basis, _row_reduce_mod_p, extension
-from .quadform import FiniteAbelianGroup
+from .quadform import FiniteAbelianGroup, _dot
 
 _DECK_SAMPLES = 12  # points u of E at which the deck maps of a datum are checked
-
-
-def _dot(x, w):
-    return sum(a * b for a, b in zip(x, w))
 
 
 class AlternatingPairing:
@@ -522,11 +518,18 @@ def _kernel_coordinates(kernel, p):
 
 def _validate_deck_maps(terms, big, element_at, solutions, pairing, samples):
     """Cross-check e against explicit deck transformations: the lift property
-    g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and every k, then
-    `_check_deck_commutators` on points of the covering z^p - z = h(u)."""
+    g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and k in the
+    F_p-basis of K, then `_check_deck_commutators` on points of the covering
+    z^p - z = h(u).
+
+    The basis proves the lift property for every k: both sides are additive
+    in k.  The right side is beta_k(u), biadditive for the diag, halfsq and
+    aslin terms alike.  The left side is additive once k -> g_k is, which
+    `_check_deck_commutators`, run at the end of this call, checks (and
+    raises otherwise)."""
     h = lambda u: _eval_scalar_poly(terms, u)
     sample = [(u, h(u)) for u in itertools.islice(big.elements(), samples)]
-    for k in element_at.values():
+    for k in (element_at[s] for s in pairing.group.generators()):
         gk, hk = solutions[k.coeffs], h(k)
         for u, hu in sample:
             lhs = gk.evaluate(u)

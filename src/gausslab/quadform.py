@@ -1,13 +1,17 @@
 """Quadratic forms on finite abelian groups and their Gauss sums.
 
-A form stores only its total value table: in full generality no homogeneity
-Q(nx) = Q(x)^(n^2) is assumed, so tables are the only faithful representation.
-All values are roots of unity of order dividing exponent(M)^2, so internally a
-form keeps integer exponents modulo its working cyclotomic order; exact
-CyclotomicNumber objects are materialized only for assembled sums.
+A form is given and stored as its total value table; no homogeneity
+Q(nx) = Q(x)^(n^2) is assumed.  Once B_Q is bilinear, which is checked on the
+table, Q is determined by the k values Q(e_s) and the k x k Gram matrix
+B(e_s, e_t) on the standard generators, and the recursive oracle works from
+those alone.  All values are roots of unity of order dividing exponent(M)^2,
+so internally a form keeps integer exponents modulo its working cyclotomic
+order; exact CyclotomicNumber objects are materialized only for assembled sums.
 """
 
+from collections import Counter
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -18,7 +22,7 @@ from .errors import (
     TheoremViolated,
 )
 from .exactalg import (
-    CyclotomicNumber, abs_square, is_root_of_unity, zeta, zeta_exponents, zeta_sum
+    CyclotomicNumber, _divisors, abs_square, is_root_of_unity, zeta, zeta_exponents, zeta_sum
 )
 
 
@@ -99,16 +103,6 @@ class FiniteAbelianGroup:
             stride *= d
         return out
 
-    def addition_table(self):
-        """order x order table of index sums, for the recursive oracle: row i
-        is row (i - e_t) translated by e_t, t the lowest nonzero coordinate."""
-        shifts = {g: self.translation(g) for g in self.generators()}
-        table = [list(range(self.order))]
-        for i in range(1, self.order):
-            g = max(g for g in shifts if i % g == 0)  # e_t is the largest such g
-            table.append([shifts[g][x] for x in table[i - g]])
-        return table
-
 
 class BilinearPairing:
     """B(x, y) = Q(x+y) - Q(x) - Q(y) mod N of a value table Q, computed when
@@ -150,9 +144,14 @@ class BilinearPairing:
         return None
 
     def radical(self):
-        """{x : B(x, g) = 0 for all generators g}; NotQuadratic unless bilinear."""
+        """{x : B(x, g) = 0 for all generators g}, built once; NotQuadratic on
+        every call unless bilinear."""
         if self.witness is not None:
             raise NotQuadratic(self.witness)
+        return self._radical
+
+    @cached_property
+    def _radical(self):
         rows = [self.row(g) for g in self.group.generators()]
         return [x for x in self.group.elements() if not any(row[x] for row in rows)]
 
@@ -240,11 +239,19 @@ class QuadraticForm:
         return QuadraticForm(self.group, self.value_order, exps)
 
     def solve_character(self, chi_exponents):
-        """Find a with B(a, -) = chi; CharacterNotInImage when degenerate."""
-        for a in self.group.elements():
-            if self.pairing.row(a) == list(chi_exponents):
-                return a
-        raise CharacterNotInImage("character is not of the form B(a, -)")
+        """The least a with B(a, -) = chi; CharacterNotInImage when degenerate,
+        NotQuadratic unless B is bilinear.  B(a, -) is then fixed by its
+        values on the generators, so only the first a matching chi there has
+        its full row compared."""
+        if self.pairing.witness is not None:
+            raise NotQuadratic(self.pairing.witness)
+        chi = list(chi_exponents)
+        rows = [(g, self.pairing.row(g)) for g in self.group.generators()]
+        a = next((a for a in self.group.elements() if len(chi) == self.group.order
+                  and all(row[a] == chi[g] for g, row in rows)), None)
+        if a is None or self.pairing.row(a) != chi:
+            raise CharacterNotInImage("character is not of the form B(a, -)")
+        return a
 
     def twist_gauss_identity(self, chi_exponents):
         """Verify tau_{Q chi} = Q(a)^{-1} tau_Q for chi = B(a, -); returns a."""
@@ -307,106 +314,115 @@ class QuadraticForm:
 # -- the recursive evaluation from the Gauss-sum theorem's proof ----------------
 
 def recursive_gauss_eval(form):
-    """Evaluate tau_Q by the inductive proof of the Gauss-sum theorem.
+    """Evaluate tau_Q by the orthogonal splitting of the Gauss-sum theorem's
+    proof, from generator data: an independent oracle for `gauss_sum`.
 
-    Pick the least x of prime order: if B(x,x) != 1, split off <x> and recurse
-    on its orthogonal complement; otherwise untwist so Q vanishes on <x> and
-    descend to <x>-perp / <x> with multiplier |<x>|.  Base case |M| prime is a
-    direct sum over the cyclic group.  Serves as an independent oracle for the
-    one-shot summation path.
+    Once B_Q is bilinear, Q is fixed by q_s = Q(e_s) and G[s][t] = B(e_s, e_t)
+    on the k standard generators, k + k^2 lookups in the table; Q(x) =
+    sum_s (x_s q_s + C(x_s, 2) G[s][s]) + sum_{s<t} x_s x_t G[s][t] and
+    B(x, y) = x^T G y on integer coordinates.  `_wall_histogram` splits M into
+    orthogonal lines and planes from those data and convolves their value
+    histograms; the table itself is never summed.  ValueError on a degenerate
+    form, NotQuadratic on a non-quadratic one.
     """
     if not form.is_nondegenerate():
         raise ValueError("recursive evaluation requires a non-degenerate form")
-    return _table_recursive_tau(form.group.addition_table(), form.exponents, form.value_order)
+    gens = form.group.generators()
+    q = [form.exponents[g] for g in gens]
+    gram = [[form.pairing.exponent(g, h) for h in gens] for g in gens]
+    mods = [form.group.element_order(g) for g in gens]
+    return zeta_sum(form.value_order, _wall_histogram(mods, form.value_order, q, gram))
 
 
-def _hist(items):
-    out = {}
-    for k in items:
-        out[k] = out.get(k, 0) + 1
-    return out
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
 
 
-def _table_recursive_tau(add, exps, n_val):
-    """The same recursion on an abstract (addition table, exponent) datum."""
-    n = len(exps)
-    if n == 1:
-        return zeta(n_val, exps[0])
-
-    # B is read on row x, column x and row a only, never as an n x n matrix
-    def b_row(i):
-        return [(exps[s] - exps[i] - exps[j]) % n_val for j, s in enumerate(add[i])]
-
-    # element orders through the table
-    def order_of(i):
-        o, cur = 1, i
-        while cur != 0:
-            cur = add[cur][i]
-            o += 1
-        return o
-
-    from .fields import is_prime
-
-    x = None
-    for i in range(1, n):
-        if is_prime(order_of(i)):
-            x = i
-            break
-    if x is None:
-        raise TheoremViolated("a nontrivial finite group has an element of prime order")
-    p = order_of(x)
-    cyclic = [0]
-    cur = x
-    while cur != 0:
-        cyclic.append(cur)
-        cur = add[cur][x]
-    row_x = b_row(x)
-    comp = [i for i in range(n) if row_x[i] == 0]
-    if row_x[x]:
-        tau_x = zeta_sum(n_val, _hist(exps[c] for c in cyclic))
-        sub = _restrict_table(add, exps, comp)
-        return tau_x * _table_recursive_tau(sub[0], sub[1], n_val)
-    target = exps[x]
-    a = next(
-        (c for c in range(n) if (exps[add[c][x]] - exps[c] - exps[x]) % n_val == target),
-        None,
-    )
-    if a is None:
-        raise TheoremViolated("non-degeneracy realizes the character B(-, x) = Q(x)")
-    row_a = b_row(a)
-    shifted = [(exps[i] - row_a[i]) % n_val for i in range(n)]
-    if any(shifted[c] for c in cyclic):
-        raise TheoremViolated("the untwisted form does not vanish on <x>")
-    cyc_set = set(cyclic)
-    reps, covered = [], set()
-    for i in comp:
-        if i in covered:
-            continue
-        reps.append(i)
-        for c in cyclic:
-            covered.add(add[i][c])
-    proj = {}
-    for r in reps:
-        for c in cyclic:
-            proj[add[r][c]] = r
-    rep_index = {r: t for t, r in enumerate(reps)}
-    qadd = [[rep_index[proj[add[r1][r2]]] for r2 in reps] for r1 in reps]
-    qexps = [shifted[r] for r in reps]
-    neg_a = None
-    for cand in range(n):
-        if add[a][cand] == 0:
-            neg_a = cand
-            break
-    correction = zeta(n_val, exps[neg_a])
-    return correction * p * _table_recursive_tau(qadd, qexps, n_val)
+def _form_exponent(x, q, gram, n_val):
+    """Q(sum_s x_s e_s) mod n_val for integer x, from q_s = Q(e_s) and
+    gram[s][t] = B(e_s, e_t): Q(x + y) = Q(x) + Q(y) + B(x, y) gives Q(c e_s)
+    = c q_s + C(c, 2) B(e_s, e_s)."""
+    return sum(c * q[s] + c * (c - 1) // 2 * gram[s][s] + c * _dot(x[s + 1:], gram[s][s + 1:])
+               for s, c in enumerate(x)) % n_val
 
 
-def _restrict_table(add, exps, elements):
-    elements = sorted(elements)
-    index = {e: t for t, e in enumerate(elements)}
-    sub_add = [[index[add[i][j]] for j in elements] for i in elements]
-    sub_exps = [exps[i] for i in elements]
-    return sub_add, sub_exps
+def _wall_histogram(mods, n_val, q, gram):
+    """{exponent: count} of Q over M = sum_s Z/mods[s], for Q given by its
+    generator data (q, gram) mod n_val with B non-degenerate, by orthogonal
+    splitting (C.T.C. Wall, "Quadratic forms on finite groups, and related
+    topics", Topology 2, 1963).
+
+    The r-primary parts of M are orthogonal; for each prime r, start from the
+    r-primary parts of the generators.  Let o be the largest order of a value
+    B(v, w) on the vectors left; B has r-power orders, so o bounds the order
+    of B on their whole span.  Split off the line <u> of the first u with
+    B(u, u) of order o.  Else, for odd r, replace v_i by v_i + v_j for the
+    first pair with B(v_i, v_j) of order o and split off that line:
+    B(u, u) = 2 B(v_i, v_j) + terms of lower order has order o.  Else (r = 2)
+    split off the plane <v_i, v_j>: its Gram matrix over n_val/o has even
+    diagonal and odd determinant.  The piece is Z/o or (Z/o)^2; its values
+    are enumerated and convolved into the histogram, and every other vector
+    z is moved orthogonally to it, z - sum_i c_i p_i with the c_i solved by
+    the inverse of that Gram matrix mod o; zero vectors are dropped.
+    TheoremViolated, a bug detector, if o = 1 with vectors left (they are
+    radical) or a piece vector's order is not o (o times it is radical).
+    """
+    k = len(mods)
+    reduce = lambda x: tuple(c % d for c, d in zip(x, mods))
+    order = lambda e: n_val // gcd(e, n_val)
+    hist = Counter({0: 1})
+    for r in (r for r in _divisors(lcm(*mods)) if len(_divisors(r)) == 2):
+        vectors = [reduce(d // gcd(d, r ** d.bit_length()) * (t == s) for t in range(k))
+                   for s, d in enumerate(mods) if d % r == 0]
+        while vectors:
+            b = [[_dot(v, [_dot(row, w) for row in gram]) % n_val for w in vectors]
+                 for v in vectors]
+            o = max(order(e) for row in b for e in row)
+            if o == 1:
+                raise TheoremViolated(f"vectors {vectors} are radical (bug detector)")
+            n = len(vectors)
+            i = next((i for i in range(n) if order(b[i][i]) == o), None)
+            if i is not None:
+                piece = [i]
+            else:
+                i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                            if order(b[i][j]) == o)
+                if r == 2:
+                    piece = [i, j]
+                else:
+                    vectors[i] = reduce(a + c for a, c in zip(vectors[i], vectors[j]))
+                    piece = [i]
+            rest = [v for t, v in enumerate(vectors) if t not in piece]
+            piece = [vectors[t] for t in piece]
+            for p in piece:
+                if lcm(*(d // gcd(d, c) for c, d in zip(p, mods))) != o:
+                    raise TheoremViolated(f"piece vector {p} does not have order {o} (bug detector)")
+            covectors = [[_dot(row, p) for row in gram] for p in piece]
+            h = [[_dot(p, c) % n_val for c in covectors] for p in piece]
+            qp = [_form_exponent(p, q, gram, n_val) for p in piece]
+            part = Counter(_form_exponent(cs, qp, h, n_val)
+                           for cs in product(range(o), repeat=len(piece)))
+            convolved = Counter()
+            for e1, c1 in hist.items():
+                for e2, c2 in part.items():
+                    convolved[(e1 + e2) % n_val] += c1 * c2
+            hist = convolved
+            # c = H^-1 (B(z, p))_p over n_val/o, H^-1 = adj(H)/det(H) mod o
+            h = [[e // (n_val // o) for e in row] for row in h]
+            if len(piece) == 1:
+                det, adj = h[0][0], [[1]]
+            else:
+                det, adj = h[0][0] * h[1][1] - h[0][1] * h[1][0], [[h[1][1], -h[0][1]],
+                                                                  [-h[1][0], h[0][0]]]
+            inv = pow(det, -1, o)
+            vectors = []
+            for z in rest:
+                rhs = [_dot(z, c) % n_val // (n_val // o) for c in covectors]
+                cs = [inv * _dot(row, rhs) % o for row in adj]
+                z = reduce(zs - _dot(cs, [p[s] for p in piece]) for s, zs in enumerate(z))
+                if any(z):
+                    vectors.append(z)
+    return hist
 
 
 # -- char-2 invariant ------------------------------------------------------------
@@ -458,8 +474,7 @@ def radical_descent(form):
         reps.append(i)
         for r in rad:
             covered.add(form.group.add(i, r))
-    hist = _hist(q[i] for i in reps)
-    tau_bar = zeta_sum(n_val, hist)
+    tau_bar = zeta_sum(n_val, Counter(q[i] for i in reps))
     if tau != len(rad) * tau_bar:
         raise TheoremViolated("tau != |radical| * tau_bar in the descent")
     return ("descends", len(rad), tau_bar)
@@ -470,10 +485,11 @@ def radical_descent(form):
 def random_nondegenerate(group, seed, max_tries=60):
     """Deterministic pseudorandom non-degenerate form on the group.
 
-    Gram data on the standard generators is drawn at random, a compatible Q is
-    extended through the cocycle rule Q(x+y) = Q(x)Q(y)B(x,y), then the result
-    is twisted by a random character.  The output is verified quadratic and
-    non-degenerate; pathological draws are retried.
+    Gram data on the standard generators is drawn at random, with values Q(e_i)
+    that satisfy the wrap constraint and are twisted by a random character;
+    the table is filled once through the cocycle rule Q(x+y) = Q(x)Q(y)B(x,y).
+    The output is verified quadratic and non-degenerate; pathological draws
+    are retried.
     """
     if group.order == 1:
         return QuadraticForm.trivial(group)
@@ -499,40 +515,18 @@ def random_nondegenerate(group, seed, max_tries=60):
             if rng.random() < 0.9:
                 bmat[i][i] = (n_val // mods[i]) * unit % n_val
         # Q on generators subject to the wrap constraint
-        # d_i * q_i + b_ii * d_i(d_i-1)/2 = 0 mod n_val
+        # d_i * q_i + b_ii * d_i(d_i-1)/2 = 0 mod n_val; b_ii is a multiple of
+        # n_val/d_i, so c is a multiple of n_val/2 or 0, hence of d_i
         qgen = []
-        ok = True
-        for i in range(k):
-            d = mods[i]
+        for i, d in enumerate(mods):
             c = (-bmat[i][i] * (d * (d - 1) // 2)) % n_val
-            if c % d:
-                ok = False
-                break
             qgen.append((c // d + (n_val // d) * rng.randrange(d)) % n_val)
-        if not ok:
-            continue
-        exps = [0] * group.order
-        for idx in group.elements():
-            tup = group.decode(idx)
-            coords = [tup[t] for t, dd in enumerate(group.moduli) if dd > 1]
-            e = 0
-            for i, ci in enumerate(coords):
-                # Q(c*e_i) = c*q_i + b_ii * c(c-1)/2
-                e += ci * qgen[i] + bmat[i][i] * (ci * (ci - 1) // 2)
-                for j in range(i + 1, k):
-                    e += ci * coords[j] * bmat[i][j]
-            exps[idx] = e % n_val
+        # a random character twist, Q(e_i) += chi(e_i)
+        for i, d in enumerate(mods):
+            qgen[i] = (qgen[i] + (n_val // d) * rng.randrange(d)) % n_val
+        exps = [_form_exponent([t for t, d in zip(group.decode(idx), group.moduli) if d > 1],
+                               qgen, bmat, n_val) for idx in group.elements()]
         form = QuadraticForm(group, n_val, exps)
-        if not form.is_quadratic():
-            continue
-        # random character twist
-        chi = [0] * group.order
-        tw = [(n_val // mods[i]) * rng.randrange(mods[i]) for i in range(k)]
-        for idx in group.elements():
-            tup = group.decode(idx)
-            coords = [tup[t] for t, dd in enumerate(group.moduli) if dd > 1]
-            chi[idx] = sum(c * t for c, t in zip(coords, tw)) % n_val
-        form = form.twist(chi)
         if form.is_quadratic() and form.is_nondegenerate():
             return form
     raise ConstructionFailed(

@@ -564,7 +564,7 @@ _FOOTPRINT = {
     "field": {"fields"},
     "witt": {"fields"},
     "gauss-sum": {"exactalg", "quadform"},
-    "gauss-verify": {"exactalg", "fields", "quadform"},
+    "gauss-verify": {"exactalg", "quadform"},
     "char-sum": _CHARSUM,
     "hasse-davenport": _CHARSUM,
     "kernel": _CHARSUM,

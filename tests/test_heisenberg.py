@@ -724,3 +724,24 @@ def test_deck_lift_check_keeps_every_k():
         _check_deck_commutators(element_at, bad, dh.pairing, [(big.zero(),) * 2])
         with pytest.raises(TheoremViolated):
             _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)
+
+
+@pytest.mark.parametrize("p,i,a", DECK_DATA)
+def test_deck_lift_corruption_off_the_basis_is_refused(p, i, a):
+    # the lift property is evaluated on the F_p-basis of K only: g_k + X at a
+    # k off the basis breaks the lift at k, and is refused because k -> g_k
+    # stops being additive
+    dh, element_at, big, terms = _deck_data(p, i, a)
+    h = lambda u: _eval_scalar_poly(terms, u)
+    basis = {element_at[g].coeffs for g in dh.pairing.group.generators()}
+    off_basis = [k for k in element_at.values() if k.coeffs not in basis]
+    assert len(off_basis) == p ** (2 * i) - 2 * i
+    sample = list(itertools.islice(big.elements(), 12))
+    for k in off_basis:
+        bad = dict(dh.solutions)
+        bad[k.coeffs] = bad[k.coeffs] + AdditivePolynomial(big, {0: big.one()})
+        lifts = [bad[k.coeffs].evaluate(u).frobenius() - bad[k.coeffs].evaluate(u)
+                 == h(u + k) - h(u) - h(k) for u in sample]
+        assert not all(lifts)
+        with pytest.raises(TheoremViolated):
+            _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)

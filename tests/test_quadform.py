@@ -1,5 +1,7 @@
 """Quadratic forms on finite abelian groups and their Gauss sums."""
 
+from math import gcd
+
 import pytest
 
 from gausslab.errors import (
@@ -8,11 +10,12 @@ from gausslab.errors import (
     NotQuadratic,
     TheoremViolated,
 )
-from gausslab.exactalg import abs_square, is_root_of_unity, zeta
+from gausslab.exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
+from gausslab.fields import is_prime
 from gausslab.quadform import (
     FiniteAbelianGroup,
     QuadraticForm,
-    _table_recursive_tau,
+    _wall_histogram,
     char2_invariant,
     radical_descent,
     random_nondegenerate,
@@ -314,10 +317,160 @@ def test_q0_must_be_one():
 
 
 def test_recursion_invariants_survive_optimize():
-    # a degenerate datum breaks the descent step; the recursion must say so
-    # with a typed error, not an assert that python -O strips
-    with pytest.raises(TheoremViolated):
-        _table_recursive_tau(Z2.addition_table(), [0, 1], 2)
+    # degenerate generator data break the Wall splitting; it must say so with
+    # a typed error, not an assert that python -O strips
+    for mods, n_val, q, gram in (
+        ([2], 2, [1], [[0]]),            # the character (-1)^x: B = 0, o = 1
+        ([4], 4, [1], [[2]]),            # i^(x^2): B(e, e) has order 2, e order 4
+        ([3, 3], 3, [0, 0], [[1, 0], [0, 0]]),  # e_1 is left radical
+        ([2, 2], 4, [1, 0], [[2, 0], [0, 0]]),
+        ([8, 8], 8, [0, 0], [[0, 2], [2, 0]]),  # a plane of order 4 on Z/8 x Z/8
+    ):
+        with pytest.raises(TheoremViolated):
+            _wall_histogram(mods, n_val, q, gram)
+
+
+# -- the table recursion, the oracle for the Wall splitting ------------------------
+
+def addition_table(group):
+    """order x order table of index sums: row i is row (i - e_t) translated by
+    e_t, t the lowest nonzero coordinate."""
+    shifts = {g: group.translation(g) for g in group.generators()}
+    table = [list(range(group.order))]
+    for i in range(1, group.order):
+        g = max(g for g in shifts if i % g == 0)  # e_t is the largest such g
+        table.append([shifts[g][x] for x in table[i - g]])
+    return table
+
+
+def _hist(items):
+    out = {}
+    for k in items:
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def _table_recursive_tau(add, exps, n_val):
+    """tau by the inductive proof of the Gauss-sum theorem on an (addition
+    table, exponent) datum.  Pick the least x of prime order: if B(x,x) != 1,
+    split off <x> and recurse on its orthogonal complement; otherwise untwist
+    so Q vanishes on <x> and descend to <x>-perp / <x> with multiplier |<x>|."""
+    n = len(exps)
+    if n == 1:
+        return zeta(n_val, exps[0])
+
+    def b_row(i):
+        return [(exps[s] - exps[i] - exps[j]) % n_val for j, s in enumerate(add[i])]
+
+    def order_of(i):
+        o, cur = 1, i
+        while cur != 0:
+            cur = add[cur][i]
+            o += 1
+        return o
+
+    x = next((i for i in range(1, n) if is_prime(order_of(i))), None)
+    if x is None:
+        raise TheoremViolated("a nontrivial finite group has an element of prime order")
+    p = order_of(x)
+    cyclic = [0]
+    cur = x
+    while cur != 0:
+        cyclic.append(cur)
+        cur = add[cur][x]
+    row_x = b_row(x)
+    comp = [i for i in range(n) if row_x[i] == 0]
+    if row_x[x]:
+        tau_x = zeta_sum(n_val, _hist(exps[c] for c in cyclic))
+        sub = _restrict_table(add, exps, comp)
+        return tau_x * _table_recursive_tau(sub[0], sub[1], n_val)
+    target = exps[x]
+    a = next(
+        (c for c in range(n) if (exps[add[c][x]] - exps[c] - exps[x]) % n_val == target),
+        None,
+    )
+    if a is None:
+        raise TheoremViolated("non-degeneracy realizes the character B(-, x) = Q(x)")
+    row_a = b_row(a)
+    shifted = [(exps[i] - row_a[i]) % n_val for i in range(n)]
+    if any(shifted[c] for c in cyclic):
+        raise TheoremViolated("the untwisted form does not vanish on <x>")
+    reps, covered = [], set()
+    for i in comp:
+        if i in covered:
+            continue
+        reps.append(i)
+        for c in cyclic:
+            covered.add(add[i][c])
+    proj = {}
+    for r in reps:
+        for c in cyclic:
+            proj[add[r][c]] = r
+    rep_index = {r: t for t, r in enumerate(reps)}
+    qadd = [[rep_index[proj[add[r1][r2]]] for r2 in reps] for r1 in reps]
+    qexps = [shifted[r] for r in reps]
+    neg_a = next(cand for cand in range(n) if add[a][cand] == 0)
+    correction = zeta(n_val, exps[neg_a])
+    return correction * p * _table_recursive_tau(qadd, qexps, n_val)
+
+
+def _restrict_table(add, exps, elements):
+    elements = sorted(elements)
+    index = {e: t for t, e in enumerate(elements)}
+    sub_add = [[index[add[i][j]] for j in elements] for i in elements]
+    sub_exps = [exps[i] for i in elements]
+    return sub_add, sub_exps
+
+
+def _plane(d, n_val, q):
+    """The form x -> zeta_n_val^q(x_0, x_1) on Z/d x Z/d."""
+    g = FiniteAbelianGroup([d, d])
+    return QuadraticForm(g, n_val, [q(*g.decode(i)) for i in g.elements()])
+
+
+# planes where no B(e_s, e_s) has the largest order: the odd-prime branch
+# (split off <v_i + v_j>) and the plane branch at p = 2
+BRANCH_FORMS = [
+    _plane(3, 3, lambda x, y: x * y),
+    _plane(9, 9, lambda x, y: x * y),
+    _plane(2, 2, lambda x, y: x * y),
+    _plane(2, 2, lambda x, y: x * x + x * y + y * y),
+    _plane(4, 4, lambda x, y: x * y),
+    _plane(4, 4, lambda x, y: x * x + x * y + y * y),
+]
+BATTERY_SHAPES = [
+    [], [1], [2], [3], [4], [5], [8], [9], [25], [6], [12], [30], [2, 2], [2, 4],
+    [4, 4], [3, 3], [3, 9], [2, 6], [1, 4], [2, 1, 2], [2, 2, 2], [4, 2, 6], [2] * 6, [8, 8],
+]
+
+
+def test_wall_oracle_matches_table_recursion_and_gauss_sum():
+    order = lambda form, e: form.value_order // gcd(e, form.value_order)
+    for form in BRANCH_FORMS:
+        assert form.is_quadratic() and form.is_nondegenerate(), form
+        b = form.pairing.exponent
+        e0, e1 = form.group.generators()
+        assert max(order(form, b(e0, e0)), order(form, b(e1, e1))) < order(form, b(e0, e1))
+    forms = BRANCH_FORMS + [random_nondegenerate(FiniteAbelianGroup(m), s)
+                            for m in BATTERY_SHAPES for s in range(4)]
+    for form in forms:
+        tau = form.gauss_sum()
+        assert recursive_gauss_eval(form) == tau, form
+        assert _table_recursive_tau(addition_table(form.group), form.exponents,
+                                    form.value_order) == tau, form
+
+
+def test_wall_oracle_on_z4_7():
+    # |M| = 16384: the table recursion would need an |M| x |M| table
+    form = random_nondegenerate(FiniteAbelianGroup([4] * 7), 1)
+    assert recursive_gauss_eval(form) == form.gauss_sum()
+
+
+def test_recursive_oracle_refuses_degenerate_and_non_quadratic_forms():
+    with pytest.raises(ValueError):
+        recursive_gauss_eval(QuadraticForm(Z4, 4, [0, 1, 0, 1]))
+    with pytest.raises(NotQuadratic):
+        recursive_gauss_eval(QuadraticForm(Z4, 8, [0, 1, 1, 1]))
 
 
 # -- exhaustive references for the generator-based checks ---------------------------
@@ -380,7 +533,7 @@ def test_generator_checks_agree_with_exhaustive_oracles():
     ]
     for form in forms + degenerate:
         add, b = _reference_tables(form)
-        assert form.group.addition_table() == add, form
+        assert addition_table(form.group) == add, form
         assert _exhaustive_witness(form, add, b) is None, form
         assert form.is_quadratic(), form
         radical = _exhaustive_radical(form, b)
@@ -423,6 +576,8 @@ def test_every_single_entry_corruption_is_rejected(moduli, seed):
             bad.radical()
         with pytest.raises(NotQuadratic):
             bad.is_nondegenerate()
+        with pytest.raises(NotQuadratic):
+            bad.solve_character([0] * bad.group.order)
 
 
 @pytest.mark.parametrize(
@@ -430,7 +585,7 @@ def test_every_single_entry_corruption_is_rejected(moduli, seed):
 )
 def test_addition_table_matches_decode_encode(moduli):
     g = FiniteAbelianGroup(moduli)
-    table = g.addition_table()
+    table = addition_table(g)
     assert len(table) == g.order
     for i in g.elements():
         assert g.translation(i) == table[i]
