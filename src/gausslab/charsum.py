@@ -346,12 +346,13 @@ def derive_pairing(datum, n, override=False):
 
     The group is (Z/p)^(m*n*d) in the coefficient basis, enabling the whole
     finite-quadratic-form machinery (Gauss sum, radical, non-degeneracy).
+    The cap counts the value table, q^(n*d) entries.
     """
     from .quadform import FiniteAbelianGroup, QuadraticForm
 
     ev = _Evaluator(datum, n, override)
     big = ev.big
-    check_cap(big.q ** (2 * datum.d), override, "pairing table")
+    check_cap(big.q ** datum.d, override, "quadratic form table")
     group = FiniteAbelianGroup((ev.p,) * (big.m * datum.d))
     exps = [0] * group.order
     p2 = ev.p * ev.p

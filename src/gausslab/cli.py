@@ -269,6 +269,9 @@ def _cmd_heisenberg(job, options):
     )
     from .quadform import FiniteAbelianGroup
 
+    psi_unit = job.get("psi_unit", 1)
+    if type(psi_unit) is not int:
+        raise ValueError(f"psi_unit must be an integer, got {psi_unit!r}")
     if "from_datum" in job:
         from .charsum import QuadDatum
 
@@ -283,7 +286,7 @@ def _cmd_heisenberg(job, options):
         group = build_group(pairing)
         extra = {}
     basis = group.basis
-    rep = stone_von_neumann(group, job.get("psi_unit", 1))
+    rep = stone_von_neumann(group, psi_unit)
     faithful = check_faithful(rep)
     char_table = {}
     for g in group.elements():

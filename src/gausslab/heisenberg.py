@@ -2,9 +2,15 @@
 Stone-von-Neumann representations, and the bridge from a 1-dimensional
 quadratic datum to its deck-transformation Heisenberg group.
 
-A pairing is its Gram matrix on the generators of K, no |K| x |K| table;
-representation matrices are monomial (a permutation plus phase exponents), so
-products and characters stay in exact integer/cyclotomic arithmetic.
+A pairing is its Gram matrix on the generators of K, no |K| x |K| table; its
+Darboux basis comes from `quadform.orthogonal_split`, which splits the
+generators into planes.  Representation matrices are monomial (a permutation
+plus phase exponents), so products and characters stay in exact
+integer/cyclotomic arithmetic.  They are read off the Darboux coordinates
+(alpha(k), beta(k)) of k by the Schroedinger-model formula
+rho(a, k) e_lambda = psi(a - sum_i mu_i beta_i(k) eps_i) e_mu with
+mu = alpha(k) + lambda, which is the representation induced from A x L'
+(see `SvNRepresentation`), with no arithmetic in K.
 
 The pairing's laws, the group law, the commutator, the SvN homomorphism
 property and the commutators of deck transformations are checked on generators
@@ -27,9 +33,9 @@ from .errors import (
     TheoremViolated,
     check_cap,
 )
-from .exactalg import _divisors, abs_square, zeta, zeta_sum
+from .exactalg import abs_square, zeta_sum
 from .fields import AdditivePolynomial, _power_basis, _row_reduce_mod_p, extension
-from .quadform import FiniteAbelianGroup, _dot
+from .quadform import FiniteAbelianGroup, _dot, orthogonal_split
 
 _DECK_SAMPLES = 12  # points u of E at which the deck maps of a datum are checked
 
@@ -39,8 +45,8 @@ class AlternatingPairing:
     e(e_s, e_t) on the standard generators: e(x, y) = sum x_s y_t G[s][t] mod
     A.  NotAlternating unless G is well-defined (d_s G[s][t] = d_t G[s][t] = 0
     mod A: e is biadditive) with G[s][s] = 0 = G[s][t] + G[t][s] (e(x, x) = 0
-    on K); NotPerfect, with a radical element, unless the reduction of the
-    generators run here finds the Darboux basis `basis`."""
+    on K); NotPerfect, with a radical element, unless `orthogonal_split` of the
+    generators finds the Darboux basis `basis`."""
 
     def __init__(self, group, a_modulus, table):
         """From e on every pair of K, in [0, A): G is read off the generator
@@ -86,45 +92,23 @@ class AlternatingPairing:
         return _dot(self.group.decode(i), self.covector(self.group.decode(j))) % self.a_modulus
 
     def _darboux(self):
-        """Symplectic reduction of the generators, for each prime q on their
-        q-primary parts: split off the first pair (u, v) whose eps = e(u, v)
-        has maximal order o, replace each other z by z - a u + b v with
-        a eps = e(z, v) and b eps = e(z, u), orthogonal to u and v, drop
-        zeros, repeat.  A sum of terms of q-power order in Z/A has order at
-        most the largest of theirs, so o is the maximum over the whole span
-        and a, b exist.  NotPerfect if o = 1 with a vector left, or if u or v
-        has order above o (o u or o v is then radical).  The q-primary parts
-        are orthogonal: pair i is the sum of the i-th pairs of all primes."""
-        g, mod, k = self.group, self.a_modulus, len(self.group.moduli)
-        e = lambda x, y: _dot(x, self.covector(y)) % mod
-        columns = []
-        for q in (q for q in _divisors(g.exponent) if len(_divisors(q)) == 2):
-            vectors = [tuple(d // gcd(d, q ** d.bit_length()) * (t == s) for t in range(k))
-                       for s, d in enumerate(g.moduli) if d % q == 0]
-            columns.append([])
-            while vectors:
-                best = max(itertools.combinations(range(len(vectors)), 2), default=(0, 0),
-                           key=lambda ij: mod // gcd(e(vectors[ij[0]], vectors[ij[1]]), mod))
-                u, v = vectors[best[0]], vectors[best[1]]
-                eps = e(u, v)
-                o = mod // gcd(eps, mod)
-                if o == 1:
-                    raise NotPerfect(vectors[0])
-                for w in (u, v):
-                    if g.element_order(g.encode(w)) != o:
-                        raise NotPerfect(tuple(o * c % d for c, d in zip(w, g.moduli)))
-                columns[-1].append((u, v, eps))
-                rest, vectors = [z for t, z in enumerate(vectors) if t not in best], []
-                for z in rest:
-                    a, b = (_solve_multiple(e(z, w), eps, mod, o) for w in (v, u))
-                    z = tuple((c - a * cu + b * cv) % d for c, cu, cv, d in zip(z, u, v, g.moduli))
-                    if any(z):
-                        vectors.append(z)
+        """The Darboux basis from `orthogonal_split` of the generators: e is
+        alternating, so every piece is a plane <u, v> with eps = e(u, v) of
+        maximal order, and the radical element it may meet is the NotPerfect
+        witness.  The q-primary parts are orthogonal: pair i is the sum of
+        the i-th pairs of all primes q."""
+        g, k = self.group, len(self.group.moduli)
+        pieces, radical = orthogonal_split(g.moduli, self.a_modulus, self.gram)
+        if radical is not None:
+            raise NotPerfect(radical)
+        columns = {}
+        for q, _, (u, v), h in pieces:
+            columns.setdefault(q, []).append((u, v, h[0][1]))
         pairs = []
-        for column in itertools.zip_longest(*columns, fillvalue=((0,) * k, (0,) * k, 0)):
+        for column in itertools.zip_longest(*columns.values(), fillvalue=((0,) * k, (0,) * k, 0)):
             xs, ys, eps = zip(*column)
             pairs.append((g.encode(map(sum, zip(*xs))), g.encode(map(sum, zip(*ys))),
-                          sum(eps) % mod))
+                          sum(eps) % self.a_modulus))
         if prod(g.element_order(x) ** 2 for x, _, _ in pairs) != g.order:
             raise TheoremViolated("the Darboux pairs do not span K (bug detector)")
         return DarbouxBasis(pairs)
@@ -140,7 +124,7 @@ class DarbouxBasis(Record):
 
 
 def darboux(pairing):
-    """The Darboux basis the pairing's reduction of its generators found.
+    """The Darboux basis the splitting of the pairing's generators found.
     Tie-break: per prime q, the q-parts of the generators in coordinate order
     (reduced vectors keep their places), the first pair (u before v) whose
     e(u, v) has maximal order; pair i sums the i-th pairs of all primes.
@@ -160,22 +144,30 @@ class HeisenbergGroup:
     def __init__(self, pairing, basis=None):
         self.pairing, self.k_group, self.a_modulus = pairing, pairing.group, pairing.a_modulus
         self.basis = basis if basis is not None else darboux(pairing)
+        self.orders = self.basis.ranks(self.k_group)
         self._coords = self._coordinate_tables()
         self.order = self.a_modulus * self.k_group.order
 
     def _coordinate_tables(self):
+        """(alpha(k), beta(k)) for every k: e(k, y_i) = alpha_i eps_i and
+        e(x_i, k) = beta_i eps_i, solved mod o_i by the inverse of eps_i / (A /
+        o_i).  NotPerfect unless eps_i has order o_i and the pairs span K."""
         g, mod = self.k_group, self.a_modulus
-        pairs = [(g.decode(x), g.decode(y), eps, g.element_order(x))
-                 for x, y, eps in self.basis.pairs]
-        # e(k, y) = alpha * eps and e(x, k) = -e(k, x) = beta * eps
-        columns = [(self.pairing.covector(y), self.pairing.covector(x)) for x, y, _, _ in pairs]
+        plan = []
+        for (x, y, eps), o in zip(self.basis.pairs, self.orders):
+            unit = mod // o
+            if eps % unit or gcd(eps // unit, o) != 1:
+                raise NotPerfect(f"e(x, y) = {eps} does not have the order {o} of x")
+            x, y = g.decode(x), g.decode(y)
+            plan.append((x, y, self.pairing.covector(y), self.pairing.covector(x), unit,
+                         pow(eps // unit, -1, o), o))
         coords = []
         for k in g.elements():
             kt = g.decode(k)
             alphas, betas, rest = [], [], kt
-            for (x, y, eps, o), (wy, wx) in zip(pairs, columns):
-                alphas.append(_solve_multiple(_dot(kt, wy), eps, mod, o))
-                betas.append(_solve_multiple(-_dot(kt, wx), eps, mod, o))
+            for x, y, wy, wx, unit, inv, o in plan:
+                alphas.append(_dot(kt, wy) % mod // unit * inv % o)
+                betas.append(-_dot(kt, wx) % mod // unit * inv % o)
                 rest = [c - alphas[-1] * a - betas[-1] * b for c, a, b in zip(rest, x, y)]
             if g.encode(rest) != 0:  # the Darboux basis must span K
                 raise NotPerfect(kt)
@@ -233,7 +225,7 @@ class HeisenbergGroup:
            Z(H) = A.
         """
         k_group = self.k_group
-        orders = self.basis.ranks(k_group)
+        orders = self.orders
         gens = k_group.generators()
         for k in k_group.elements():
             ak, bk = self._coords[k]
@@ -251,14 +243,6 @@ class HeisenbergGroup:
         return True
 
 
-def _solve_multiple(target, eps, mod, bound):
-    """Least c >= 0 with c*eps = target mod `mod` (exists by maximality)."""
-    c = next((c for c in range(bound) if (c * eps - target) % mod == 0), None)
-    if c is None:
-        raise NotPerfect(f"value {target % mod} outside the cyclic span of {eps}")
-    return c
-
-
 def build_group(pairing):
     group = HeisenbergGroup(pairing)
     group.verify()
@@ -266,10 +250,24 @@ def build_group(pairing):
 
 
 class SvNRepresentation:
-    """The induced representation of H from psi on A extended by 1 on L'.
+    """The Stone-von Neumann representation of H with central character psi,
+    in the Schroedinger model on the Darboux coordinates: with (alpha(k),
+    beta(k)) the coordinates of k and o_i the orders of the pairs,
+
+        rho(a, k) e_lambda = psi(a - sum_i mu_i beta_i(k) eps_i) e_mu,
+        mu = alpha(k) + lambda mod o,
+
+    on the basis e_lambda, lambda in prod Z/o_i, e_mu at the mixed-radix index
+    of mu (the last coordinate fastest).  This is the representation induced
+    from psi on A x L', L' = <y_i>, extended by 1 on L': e_lambda is the coset
+    of (0, l), l = sum lambda_i x_i in L, and (a, k)(0, l) = (0, l'')(b, m)
+    with k + l = l'' + m, l'' in L and m in L', b = a + c(k, l) - c(l'', m).
+    beta vanishes on L and alpha on L', so alpha(l'') = mu, beta(m) = beta(k),
+    c(k, l) = 0 and c(l'', m) = sum_i mu_i beta_i(k) eps_i.
 
     Matrices are monomial: stored per group element as (row permutation,
-    phase exponents), acting on the basis indexed by L-coordinates.
+    phase exponents); a matrix reads only the coordinates of k, no K
+    arithmetic.
     """
 
     def __init__(self, group, psi_unit=1):
@@ -279,41 +277,22 @@ class SvNRepresentation:
         self.group = group
         self.psi_unit = psi_unit % mod
         self.mod = mod
-        pairs = group.basis.pairs
-        k = group.k_group
-        self.l_orders = [k.element_order(x) for x, _, _ in pairs]
-        self.dim = prod(self.l_orders)
-        # basis labels: L-coordinates alpha = (a_1, ..., a_r)
-        self.labels = list(itertools.product(*(range(o) for o in self.l_orders)))
-        self.label_index = {lab: t for t, lab in enumerate(self.labels)}
-        self._l_element = {}
-        for lab in self.labels:
-            idx = 0
-            for c, (x, _, _) in zip(lab, pairs):
-                idx = k.add(idx, k.scalar(c, x))
-            self._l_element[lab] = idx
+        self.dim = prod(group.orders)
         self._matrices = {}
 
     def matrix(self, g):
-        """(perm, exps): column `lab` maps to row perm[lab] with phase exps[lab]."""
+        """(perm, exps): column lambda maps to row perm[lambda] with phase exps[lambda]."""
         if g in self._matrices:
             return self._matrices[g]
         grp = self.group
-        k = grp.k_group
-        a_h, k_h = g
-        perm, exps = [], []
-        for lab in self.labels:
-            l_idx = self._l_element[lab]
-            total_k = k.add(k_h, l_idx)
-            # split total_k = l'' + m with l'' in L, m in L'
-            alphas, betas = grp._coords[total_k]
-            l2_lab = tuple(a % o for a, o in zip(alphas, self.l_orders))
-            l2_idx = self._l_element[l2_lab]
-            m_idx = k.sub(total_k, l2_idx)
-            b = (a_h + grp.cocycle(k_h, l_idx) - grp.cocycle(l2_idx, m_idx)) % self.mod
-            perm.append(self.label_index[l2_lab])
-            exps.append((self.psi_unit * b) % self.mod)
-        out = (tuple(perm), tuple(exps))
+        a, k = g
+        alphas, betas = grp._coords[k]
+        perm, phases = [0], [a]
+        for o, alpha, beta, (_, _, eps) in zip(grp.orders, alphas, betas, grp.basis.pairs):
+            mus = [(alpha + lam) % o for lam in range(o)]
+            perm = [t * o + mu for t in perm for mu in mus]
+            phases = [b - mu * beta * eps for b in phases for mu in mus]
+        out = (tuple(perm), tuple(self.psi_unit * b % self.mod for b in phases))
         self._matrices[g] = out
         return out
 

@@ -4,7 +4,9 @@ A form is given and stored as its total value table; no homogeneity
 Q(nx) = Q(x)^(n^2) is assumed.  Once B_Q is bilinear, which is checked on the
 table, Q is determined by the k values Q(e_s) and the k x k Gram matrix
 B(e_s, e_t) on the standard generators, and the recursive oracle works from
-those alone.  All values are roots of unity of order dividing exponent(M)^2,
+those alone: `orthogonal_split`, Wall's splitting of such Gram data into
+orthogonal lines and planes, gives its pieces, and gives `heisenberg` its
+Darboux bases.  All values are roots of unity of order dividing exponent(M)^2,
 so internally a form keeps integer exponents modulo its working cyclotomic
 order; exact CyclotomicNumber objects are materialized only for assembled sums.
 """
@@ -74,9 +76,6 @@ class FiniteAbelianGroup:
     def neg(self, i):
         return self.encode(tuple(-x for x in self.decode(i)))
 
-    def sub(self, i, j):
-        return self.add(i, self.neg(j))
-
     def scalar(self, n, i):
         return self.encode(tuple(n * x for x in self.decode(i)))
 
@@ -124,6 +123,11 @@ class BilinearPairing:
         return [(q[s] - q[i] - q[y]) % n for y, s in enumerate(self.group.translation(i))]
 
     @cached_property
+    def rows(self):
+        """(g, B(g, -)) for the standard generators g, each row built once."""
+        return [(g, self.row(g)) for g in self.group.generators()]
+
+    @cached_property
     def witness(self):
         """Decoded (x, g, h), g and h generators, with B(x+g, h) != B(x, h) +
         B(g, h); None proves B bilinear.  Proof: each B(-, h) is then additive
@@ -134,10 +138,9 @@ class BilinearPairing:
         decode = self.group.decode
         if self._q[0]:
             return (decode(0),) * 3
-        rows = [(h, self.row(h)) for h in self.group.generators()]
-        for g, _ in rows:
+        for g, _ in self.rows:
             shift = self.group.translation(g)
-            for h, row in rows:
+            for h, row in self.rows:
                 for x, xg in enumerate(shift):
                     if (row[xg] - row[x] - row[g]) % self.value_order:
                         return (decode(x), decode(g), decode(h))
@@ -152,8 +155,7 @@ class BilinearPairing:
 
     @cached_property
     def _radical(self):
-        rows = [self.row(g) for g in self.group.generators()]
-        return [x for x in self.group.elements() if not any(row[x] for row in rows)]
+        return [x for x in self.group.elements() if not any(row[x] for _, row in self.rows)]
 
     def is_perfect(self):
         return len(self.radical()) == 1
@@ -246,9 +248,8 @@ class QuadraticForm:
         if self.pairing.witness is not None:
             raise NotQuadratic(self.pairing.witness)
         chi = list(chi_exponents)
-        rows = [(g, self.pairing.row(g)) for g in self.group.generators()]
         a = next((a for a in self.group.elements() if len(chi) == self.group.order
-                  and all(row[a] == chi[g] for g, row in rows)), None)
+                  and all(row[a] == chi[g] for g, row in self.pairing.rows)), None)
         if a is None or self.pairing.row(a) != chi:
             raise CharacterNotInImage("character is not of the form B(a, -)")
         return a
@@ -320,16 +321,17 @@ def recursive_gauss_eval(form):
     Once B_Q is bilinear, Q is fixed by q_s = Q(e_s) and G[s][t] = B(e_s, e_t)
     on the k standard generators, k + k^2 lookups in the table; Q(x) =
     sum_s (x_s q_s + C(x_s, 2) G[s][s]) + sum_{s<t} x_s x_t G[s][t] and
-    B(x, y) = x^T G y on integer coordinates.  `_wall_histogram` splits M into
-    orthogonal lines and planes from those data and convolves their value
-    histograms; the table itself is never summed.  ValueError on a degenerate
-    form, NotQuadratic on a non-quadratic one.
+    B(x, y) = x^T G y on integer coordinates; G is read off the generator rows
+    of B.  `orthogonal_split` splits M into orthogonal lines and planes from
+    those data and `_wall_histogram` convolves their value histograms; the
+    table itself is never summed.  ValueError on a degenerate form,
+    NotQuadratic on a non-quadratic one.
     """
     if not form.is_nondegenerate():
         raise ValueError("recursive evaluation requires a non-degenerate form")
     gens = form.group.generators()
     q = [form.exponents[g] for g in gens]
-    gram = [[form.pairing.exponent(g, h) for h in gens] for g in gens]
+    gram = [[row[h] for h in gens] for _, row in form.pairing.rows]
     mods = [form.group.element_order(g) for g in gens]
     return zeta_sum(form.value_order, _wall_histogram(mods, form.value_order, q, gram))
 
@@ -348,81 +350,97 @@ def _form_exponent(x, q, gram, n_val):
 
 def _wall_histogram(mods, n_val, q, gram):
     """{exponent: count} of Q over M = sum_s Z/mods[s], for Q given by its
-    generator data (q, gram) mod n_val with B non-degenerate, by orthogonal
-    splitting (C.T.C. Wall, "Quadratic forms on finite groups, and related
-    topics", Topology 2, 1963).
+    generator data (q, gram) mod n_val with B non-degenerate: the value
+    histograms of the pieces of `orthogonal_split`, each piece Z/o or (Z/o)^2
+    enumerated, convolved.  TheoremViolated, a bug detector, if the splitting
+    meets a radical element."""
+    pieces, radical = orthogonal_split(mods, n_val, gram)
+    if radical is not None:
+        raise TheoremViolated(f"{radical} is radical (bug detector)")
+    hist = Counter({0: 1})
+    for _, o, piece, h in pieces:
+        qp = [_form_exponent(p, q, gram, n_val) for p in piece]
+        part = Counter(_form_exponent(cs, qp, h, n_val)
+                       for cs in product(range(o), repeat=len(piece)))
+        convolved = Counter()
+        for e1, c1 in hist.items():
+            for e2, c2 in part.items():
+                convolved[(e1 + e2) % n_val] += c1 * c2
+        hist = convolved
+    return hist
+
+
+def orthogonal_split(mods, modulus, gram):
+    """Split M = sum_s Z/mods[s] into orthogonal lines and planes for the
+    pairing B(x, y) = x^T gram y mod `modulus`, symmetric or alternating
+    (C.T.C. Wall, "Quadratic forms on finite groups, and related topics",
+    Topology 2, 1963).
 
     The r-primary parts of M are orthogonal; for each prime r, start from the
-    r-primary parts of the generators.  Let o be the largest order of a value
-    B(v, w) on the vectors left; B has r-power orders, so o bounds the order
-    of B on their whole span.  Split off the line <u> of the first u with
-    B(u, u) of order o.  Else, for odd r, replace v_i by v_i + v_j for the
-    first pair with B(v_i, v_j) of order o and split off that line:
-    B(u, u) = 2 B(v_i, v_j) + terms of lower order has order o.  Else (r = 2)
-    split off the plane <v_i, v_j>: its Gram matrix over n_val/o has even
-    diagonal and odd determinant.  The piece is Z/o or (Z/o)^2; its values
-    are enumerated and convolved into the histogram, and every other vector
-    z is moved orthogonally to it, z - sum_i c_i p_i with the c_i solved by
-    the inverse of that Gram matrix mod o; zero vectors are dropped.
-    TheoremViolated, a bug detector, if o = 1 with vectors left (they are
-    radical) or a piece vector's order is not o (o times it is radical).
+    r-primary parts of the generators and their Gram matrix b.  Let o be the
+    largest order of an entry of b; B has r-power orders, so o bounds the
+    order of B on their whole span.  Split off the line <u> of the first u
+    with B(u, u) of order o.  Else take the first pair with B(v_i, v_j) of
+    order o: split off the line <v_i + v_j> if B(v_i + v_j, v_i + v_j) has
+    order o (for odd r and symmetric B it is 2 B(v_i, v_j) plus terms of
+    lower order), else the plane <v_i, v_j>.  The plane's Gram matrix over
+    modulus/o is invertible mod o: its off-diagonal entries are units, and
+    its diagonal is even for r = 2 and symmetric B, zero for alternating B.
+    Every other z is moved to z' = z - sum_i c_i p_i, orthogonal to the
+    piece, with sum_i c_i B(p_i, p_j) = B(z, p_j) solved by that inverse, and
+    b is updated in place row by row, B(z', w') = B(z', w) = B(z, w) -
+    sum_i c_i(z) B(p_i, w): O(k^2) per piece, O(k^3) in all.  Zero vectors
+    are dropped.
+
+    Returns (pieces, radical).  A piece is (r, o, vectors, h), h the Gram
+    matrix of its vectors mod `modulus`.  radical is None, or the first
+    nonzero element of the radical met, where the pieces stop: the first
+    vector left when o = 1, or o p for a piece vector p of order above o.
     """
     k = len(mods)
     reduce = lambda x: tuple(c % d for c, d in zip(x, mods))
-    order = lambda e: n_val // gcd(e, n_val)
-    hist = Counter({0: 1})
+    order = lambda e: modulus // gcd(e, modulus)
+    pieces = []
     for r in (r for r in _divisors(lcm(*mods)) if len(_divisors(r)) == 2):
-        vectors = [reduce(d // gcd(d, r ** d.bit_length()) * (t == s) for t in range(k))
-                   for s, d in enumerate(mods) if d % r == 0]
-        while vectors:
-            b = [[_dot(v, [_dot(row, w) for row in gram]) % n_val for w in vectors]
-                 for v in vectors]
-            o = max(order(e) for row in b for e in row)
+        scale = [d // gcd(d, r ** d.bit_length()) for d in mods]
+        vectors = [reduce(scale[s] * (t == s) for t in range(k)) for s in range(k)]
+        b = [[scale[s] * scale[t] * gram[s][t] % modulus for t in range(k)] for s in range(k)]
+        live = [s for s, d in enumerate(mods) if d % r == 0]
+        while live:
+            o = max(order(b[i][j]) for i in live for j in live)
             if o == 1:
-                raise TheoremViolated(f"vectors {vectors} are radical (bug detector)")
-            n = len(vectors)
-            i = next((i for i in range(n) if order(b[i][i]) == o), None)
-            if i is not None:
-                piece = [i]
-            else:
-                i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                            if order(b[i][j]) == o)
-                if r == 2:
-                    piece = [i, j]
-                else:
+                return pieces, vectors[live[0]]
+            piece = next(([i] for i in live if order(b[i][i]) == o), None)
+            if piece is None:
+                i, j = piece = next([i, j] for i in live for j in live
+                                    if i < j and order(b[i][j]) == o)
+                if order(b[i][i] + b[i][j] + b[j][i] + b[j][j]) == o:
                     vectors[i] = reduce(a + c for a, c in zip(vectors[i], vectors[j]))
+                    b[i] = [(x + y) % modulus for x, y in zip(b[i], b[j])]
+                    for row in b:
+                        row[i] = (row[i] + row[j]) % modulus
                     piece = [i]
-            rest = [v for t, v in enumerate(vectors) if t not in piece]
-            piece = [vectors[t] for t in piece]
-            for p in piece:
+            for p in (vectors[t] for t in piece):
                 if lcm(*(d // gcd(d, c) for c, d in zip(p, mods))) != o:
-                    raise TheoremViolated(f"piece vector {p} does not have order {o} (bug detector)")
-            covectors = [[_dot(row, p) for row in gram] for p in piece]
-            h = [[_dot(p, c) % n_val for c in covectors] for p in piece]
-            qp = [_form_exponent(p, q, gram, n_val) for p in piece]
-            part = Counter(_form_exponent(cs, qp, h, n_val)
-                           for cs in product(range(o), repeat=len(piece)))
-            convolved = Counter()
-            for e1, c1 in hist.items():
-                for e2, c2 in part.items():
-                    convolved[(e1 + e2) % n_val] += c1 * c2
-            hist = convolved
-            # c = H^-1 (B(z, p))_p over n_val/o, H^-1 = adj(H)/det(H) mod o
-            h = [[e // (n_val // o) for e in row] for row in h]
+                    return pieces, reduce(o * c for c in p)
+            h = [[b[s][t] for t in piece] for s in piece]
+            pieces.append((r, o, [vectors[t] for t in piece], h))
+            # (h / unit)^-1 = adj / det mod o
+            unit = modulus // o
             if len(piece) == 1:
-                det, adj = h[0][0], [[1]]
+                det, adj = h[0][0] // unit, [[1]]
             else:
-                det, adj = h[0][0] * h[1][1] - h[0][1] * h[1][0], [[h[1][1], -h[0][1]],
-                                                                  [-h[1][0], h[0][0]]]
+                (a, c), (d, e) = ([x // unit for x in row] for row in h)
+                det, adj = a * e - c * d, [[e, -c], [-d, a]]
             inv = pow(det, -1, o)
-            vectors = []
-            for z in rest:
-                rhs = [_dot(z, c) % n_val // (n_val // o) for c in covectors]
-                cs = [inv * _dot(row, rhs) % o for row in adj]
-                z = reduce(zs - _dot(cs, [p[s] for p in piece]) for s, zs in enumerate(z))
-                if any(z):
-                    vectors.append(z)
-    return hist
+            live = [z for z in live if z not in piece]
+            for z in live:
+                cs = [inv * _dot([b[z][t] // unit for t in piece], col) % o for col in zip(*adj)]
+                vectors[z] = reduce(x - _dot(cs, ps)
+                                    for x, *ps in zip(vectors[z], *(vectors[t] for t in piece)))
+                b[z] = [(x - _dot(cs, ys)) % modulus for x, *ys in zip(b[z], *(b[t] for t in piece))]
+            live = [z for z in live if any(vectors[z])]
+    return pieces, None
 
 
 # -- char-2 invariant ------------------------------------------------------------
@@ -435,11 +453,8 @@ def char2_invariant(form):
     if not form.is_nondegenerate():
         raise ValueError("the canonical element needs a non-degenerate form")
     # v -> B(v, v) is additive here, so B(-, a) matches it on generators
-    rows = [(g, form.pairing.row(g)) for g in form.group.generators()]
-    a = next(
-        (c for c in form.group.elements() if all(row[c] == row[g] for g, row in rows)),
-        None,
-    )
+    a = next((c for c in form.group.elements()
+              if all(row[c] == row[g] for g, row in form.pairing.rows)), None)
     if a is None:
         raise TheoremViolated("non-degeneracy realizes the diagonal character")
     tau = form.gauss_sum()

@@ -687,6 +687,22 @@ def test_sum_path_caps_what_it_builds(monkeypatch):
     assert pullback_sum_identity(plane, lang16, n=4, override=True) == (256, 256, 256)
 
 
+def test_derive_pairing_caps_its_value_table(monkeypatch):
+    # the cap counts the q^(n*d) values the form is built from: x^3 over F_2
+    # at n = 11 builds its 2048 values under the default cap; its radical is
+    # F_4 meet F_2048 = F_2
+    form = derive_pairing(x_cubed(F2), 11)
+    assert form.group.order == 2048 and len(form.radical()) == 2
+    # at d = 2, n = 3 the table has 64 values, the field 8 and the Gram matrix 36
+    plane = QuadDatum(F2, 2, [DiagMonomial(0, 1, F2.one()), DiagMonomial(1, 1, F2.one())])
+    monkeypatch.setenv("GAUSSLAB_CAP", "63")
+    with pytest.raises(ScaleCapExceeded,
+                       match="quadratic form table over 64 points exceeds cap 63"):
+        derive_pairing(plane, 3)
+    monkeypatch.setenv("GAUSSLAB_CAP", "64")
+    assert derive_pairing(plane, 3).group.order == 64
+
+
 # -- Gram-data checks against their enumerating oracles ------------------------------
 
 def _enumerated_invariance(datum, matrices, n):

@@ -383,6 +383,23 @@ def test_pairing_job_decodes_strictly(job, why, tmp_path, capsys):
     assert "invalid input" in err and why in err
 
 
+@pytest.mark.parametrize("psi", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_psi_unit_decodes_strictly(psi, monkeypatch, tmp_path, capsys):
+    # a psi_unit that is not an int is invalid input, refused before any
+    # group is built: true is not read as 1
+    from gausslab import heisenberg
+
+    def build(*args, **kwargs):
+        raise TheoremViolated("a group was built")
+
+    monkeypatch.setattr(heisenberg, "AlternatingPairing", build)
+    monkeypatch.setattr(heisenberg, "heisenberg_from_datum", build)
+    for job in (corpus()["heis-p2"]["input"], {"from_datum": _X5_F2}):
+        code, err = run_main("heisenberg", {**job, "psi_unit": psi}, tmp_path, capsys)
+        assert code == 2
+        assert "invalid input" in err and "psi_unit must be an integer" in err
+
+
 def test_heisenberg_covering_points_do_not_sweep_the_field(monkeypatch, tmp_path, capsys):
     # the covering points come from a linear solve over E = F_64: a cap below
     # q_E = 64 but above |K|^2 = 16 changes neither the exit code nor the output

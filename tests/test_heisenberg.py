@@ -104,6 +104,49 @@ def _exhaustive_homomorphism(rep):
     )
 
 
+def _induced_matrix(rep, g):
+    """rho(g) of the representation induced from psi on A x L', extended by 1
+    on L' = <y_i>, computed by arithmetic in K: column lambda is the coset of
+    (0, l), l = sum lambda_i x_i; g = (a, k) moves it to the coset of (0, l''),
+    k + l = l'' + m with l'' in L and m in L', with the phase
+    psi(a + c(k, l) - c(l'', m)).  The oracle for the closed-form matrices."""
+    grp = rep.group
+    k = grp.k_group
+    pairs = grp.basis.pairs
+    orders = [k.element_order(x) for x, _, _ in pairs]
+    labels = list(itertools.product(*(range(o) for o in orders)))
+    label_index = {lab: t for t, lab in enumerate(labels)}
+
+    def l_element(lab):
+        idx = 0
+        for c, (x, _, _) in zip(lab, pairs):
+            idx = k.add(idx, k.scalar(c, x))
+        return idx
+
+    a_h, k_h = g
+    perm, exps = [], []
+    for lab in labels:
+        l_idx = l_element(lab)
+        total_k = k.add(k_h, l_idx)
+        alphas, _ = grp._coords[total_k]
+        l2_lab = tuple(a % o for a, o in zip(alphas, orders))
+        l2_idx = l_element(l2_lab)
+        m_idx = k.add(total_k, k.neg(l2_idx))
+        b = (a_h + grp.cocycle(k_h, l_idx) - grp.cocycle(l2_idx, m_idx)) % rep.mod
+        perm.append(label_index[l2_lab])
+        exps.append(rep.psi_unit * b % rep.mod)
+    return (tuple(perm), tuple(exps))
+
+
+def _assert_induced(group):
+    """The closed-form matrices equal the induced ones for every g and every
+    primitive psi."""
+    for psi in (u for u in range(group.a_modulus) if gcd(u, group.a_modulus) == 1):
+        rep = SvNRepresentation(group, psi)
+        for g in group.elements():
+            assert rep.matrix(g) == _induced_matrix(rep, g)
+
+
 def _oracle_ranks(group, mod, table):
     """The all-pairs sweeps the Gram checks and the symplectic reduction on
     generators replaced: e(x, x) = 0 at every x, biadditivity at every
@@ -216,6 +259,45 @@ def test_gram_reduction_agrees_with_all_pairs_oracle(moduli, mod, count):
             assert pairing is from_gram is expected
             seen.add(expected.__name__)
     assert "NotAlternating" in seen
+
+
+def test_svn_matrices_agree_with_the_induced_oracle():
+    # on every perfect pairing of the Gram battery, with every primitive psi
+    perfect = 0
+    for moduli, mod, count in GRAM_SHAPES:
+        rng = random.Random(f"{moduli}-{mod}")
+        group = FiniteAbelianGroup(moduli)
+        for n in range(count):
+            pairing = _outcome(lambda: AlternatingPairing.from_gram(
+                group, mod, _random_gram(rng, moduli, mod, n % 4 != 3)))
+            if isinstance(pairing, AlternatingPairing):
+                _assert_induced(build_group(pairing))
+                perfect += 1
+    assert perfect >= 40
+
+
+def test_svn_matrices_do_no_arithmetic_in_k(monkeypatch):
+    # a matrix reads the Darboux coordinates of k: with K's index arithmetic
+    # refused, every matrix and character is still computed, and unchanged
+    groups = [build_group(standard_pairing(p, r)) for p, r in ((2, 1), (3, 1), (2, 2), (4, 1))]
+    group = FiniteAbelianGroup([2, 2, 3, 3])
+    gram = [[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, 2], [0, 0, 4, 0]]
+    groups.append(build_group(AlternatingPairing.from_gram(group, 6, gram)))
+    expected = []
+    for h in groups:
+        rep = SvNRepresentation(h, 1)
+        expected.append([(_induced_matrix(rep, g), rep.character(g)) for g in h.elements()])
+
+    def refuse(*args):
+        raise RuntimeError("arithmetic in K")
+
+    for name in ("add", "decode", "encode"):
+        monkeypatch.setattr(FiniteAbelianGroup, name, refuse)
+    with pytest.raises(RuntimeError):
+        groups[0].k_group.add(1, 1)
+    for h, matrices in zip(groups, expected):
+        rep = SvNRepresentation(h, 1)
+        assert [(rep.matrix(g), rep.character(g)) for g in h.elements()] == matrices
 
 
 def test_gram_battery_covers_every_verdict():
@@ -454,6 +536,8 @@ def test_svn_class_independent_of_darboux_choice():
         rep1.verify()
         rep2.verify()
         assert _exhaustive_homomorphism(rep1) and _exhaustive_homomorphism(rep2)
+        _assert_induced(h1)
+        _assert_induced(h2)
         # the two groups share the same element set (a, k); compare pointwise.
         # different cocycles give different but cohomologous groups, so match
         # through the character on commutator-center structure: characters of
@@ -636,6 +720,12 @@ def _coherent(dh, element_at, t, phi):
         lam = dh.pairing.group.decode(idx)[t]
         bad[k.coeffs] = bad[k.coeffs] + phi.scale(lam)
     return bad
+
+
+@pytest.mark.parametrize("p,i,a", DECK_DATA)
+def test_deck_group_svn_matrices_agree_with_the_induced_oracle(p, i, a):
+    dh, _, _, _ = _deck_data(p, i, a)
+    _assert_induced(dh.group)
 
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA + [pytest.param(3, 2, 1, id="F3-i2")])
