@@ -5,8 +5,13 @@ Elements are dense coefficient tuples over F_p, low degree first, so the
 enumeration order of a field is canonical (lexicographic on coefficients).
 Elements are immutable and element operations are pure; a field lazily caches
 its Frobenius columns, trace vector and reduction rows, O(m^2) integers each.
-A field with q <= TABLE_CAP that has done q multiplies also builds O(q) Zech-log
-tables, then multiplies, powers and applies Frobenius by lookup.
+A field with q <= TABLE_CAP that has done q multiplies also builds O(q) tables:
+its nonzero elements g^k interned in k order, each carrying its discrete log k,
+and the Zech logs log(1 + g^k) (K. Huber, "Some comments on Zech's
+logarithms", IEEE Trans. IT 36, 1990). From then on add, negate, multiply,
+power, inverse and Frobenius are lookups: a*b = g^(la + lb), a + b =
+g^(la + Z[lb - la]), -a = g^(la + (q-1)/2). An element made from coefficients
+finds its log with one dict lookup, the first time it needs it.
 """
 
 import itertools
@@ -92,8 +97,9 @@ def _accumulate(acc, coeffs, columns):
 
 
 def _first_irreducible(p, m):
-    """Lexicographically least monic irreducible of degree m over F_p."""
-    for tail in itertools.product(range(p), repeat=m):
+    """Lexicographically least monic irreducible of degree m over F_p; for
+    m > 1 the scan starts at constant term 1, as X divides the rest."""
+    for tail in itertools.product(range(1 if m > 1 else 0, p), *[range(p)] * (m - 1)):
         cand = tuple(tail) + (1,)
         if _is_irreducible(cand, p):
             return cand
@@ -103,13 +109,17 @@ def _first_irreducible(p, m):
 
 
 class FieldElement:
-    """An element of a FiniteField, stored as a coefficient tuple over F_p."""
+    """An element of a FiniteField, stored as a coefficient tuple over F_p.
 
-    __slots__ = ("field", "coeffs")
+    `_dlog` is the discrete log once the field has tables (-1 for zero), None
+    until a table operation first needs it."""
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "coeffs", "_dlog")
+
+    def __init__(self, field, coeffs, dlog=None):
         self.field = field
         self.coeffs = coeffs  # always reduced, length field.m
+        self._dlog = dlog
 
     def __repr__(self):
         return f"{self.field.tag}{list(self.coeffs)}"
@@ -127,39 +137,79 @@ class FieldElement:
     def __bool__(self):
         return any(self.coeffs)
 
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise FieldMismatch(f"{self!r} and {other!r} live in different fields")
+    def _mismatch(self, other):
+        raise FieldMismatch(f"{self!r} and {other!r} live in different fields")
+
+    def _table_log(self):
+        self._dlog = self.field._log.get(self.coeffs, -1)
+        return self._dlog
 
     def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            self._mismatch(other)
+        if field._exp is None:
+            p = field.p
+            return FieldElement(field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        la, lb = self._dlog, other._dlog
+        if la is None:
+            la = self._table_log()
+        if lb is None:
+            lb = other._table_log()
+        if la < 0:
+            return other
+        if lb < 0:
+            return self
+        z = field._zech[lb - la]  # a + b = a (1 + g^(lb - la)); a negative index wraps mod q-1
+        return field._exp[la + z] if z >= 0 else field._zero
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        field = self.field
+        if field.p == 2:
+            return self
+        if field._exp is None:
+            p = field.p
+            return FieldElement(field, tuple((-a) % p for a in self.coeffs))
+        la = self._dlog
+        if la is None:
+            la = self._table_log()
+        return field._exp[la + (field.q >> 1)] if la >= 0 else self  # -1 = g^((q-1)/2)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            p = self.field.p
-            return FieldElement(self.field, tuple((a * other) % p for a in self.coeffs))
-        self._check(other)
-        return self.field._mul(self, other)
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            if isinstance(other, int):
+                p = field.p
+                return FieldElement(field, tuple((a * other) % p for a in self.coeffs))
+            self._mismatch(other)
+        if field._exp is None:
+            return field._mul(self, other)
+        la, lb = self._dlog, other._dlog
+        if la is None:
+            la = self._table_log()
+        if lb is None:
+            lb = other._table_log()
+        if la < 0:
+            return self
+        if lb < 0:
+            return other
+        return field._exp[la + lb]
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         field = self.field
-        if field._log is not None:
-            la = field._log.get(self.coeffs)
-            if la is not None:
-                return FieldElement(field, field._exp[la * k % (field.q - 1)])
+        if field._exp is not None:
+            la = self._dlog
+            if la is None:
+                la = self._table_log()
+            if la >= 0:
+                return field._exp[la * k % (field.q - 1)]
+            if k > 0:
+                return self
         if k < 0:
             return self.inv() ** (-k)
         if not k:
@@ -193,7 +243,7 @@ class FieldElement:
         k %= field.m
         if not k:
             return self
-        if field._log is not None:
+        if field._exp is not None:
             return self ** field.p**k
         acc = _accumulate([0] * field.m, self.coeffs, field._frobenius_columns(k))
         return FieldElement(field, tuple(v % field.p for v in acc))
@@ -236,7 +286,7 @@ class FiniteField:
         self._frobenius_cache = {}
         # log tables, built after q polynomial multiplies (about what the
         # build costs); above the cap the count never reaches 0
-        self._log = self._exp = None
+        self._log = self._exp = self._zech = self._zero = None
         self._muls_until_tables = self.q if self.q <= TABLE_CAP else -1
 
     def __repr__(self):
@@ -302,11 +352,7 @@ class FiniteField:
             yield FieldElement(self, tup)
 
     def _mul(self, a, b):
-        if self._log is not None:
-            la, lb = self._log.get(a.coeffs), self._log.get(b.coeffs)
-            if la is None or lb is None:
-                return a if la is None else b  # the zero factor
-            return FieldElement(self, self._exp[la + lb])
+        """a*b before the tables exist, counting down to building them."""
         self._muls_until_tables -= 1
         if not self._muls_until_tables:
             self._build_tables()
@@ -325,21 +371,28 @@ class FiniteField:
         return FieldElement(self, tuple(v % self.p for v in low))
 
     def _build_tables(self):
-        """log[coeffs of g^k] = k and exp[k] = the same tuple for k < 2(q-1),
-        g the least element in as_int order of order q-1."""
+        """exp[k] = g^k as an interned element carrying its log k, for
+        k < 2(q-1) (the same q-1 objects twice, so a sum of two logs needs no
+        reduction); log[coeffs of g^k] = k; zech[k] = log(1 + g^k), -1 where
+        1 + g^k = 0; g the least element in as_int order of order q-1."""
         n, one = self.q - 1, self.one()
         primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
         # one only if no element has order q-1, which the check below rejects
         g = next((x for x in map(self.from_int, range(1, self.q))
                   if all(x ** (n // r) != one for r in primes)), one)
-        exp, x = [], one
-        for _ in range(n):
-            exp.append(x.coeffs)
-            x = self._poly_mul(x, g)
-        log = {c: k for k, c in enumerate(exp)}
+        # x -> x*g is F_p-linear: column j is X^j * g
+        m, p = self.m, self.p
+        columns = [_sparse(self._poly_mul(x, g).coeffs) for x in _power_basis(self)]
+        exp, coeffs = [], one.coeffs
+        for k in range(n):
+            exp.append(FieldElement(self, coeffs, k))
+            coeffs = tuple(v % p for v in _accumulate([0] * m, coeffs, columns))
+        log = {x.coeffs: x._dlog for x in exp}
         if len(log) != n:
             raise TheoremViolated(f"the multiplicative group of {self.tag} is cyclic of order {n}")
-        self._log, self._exp = log, exp + exp
+        zech = [log.get(((c[0] + 1) % p,) + c[1:], -1) for c in log]
+        self._zero = FieldElement(self, (0,) * self.m, -1)
+        self._log, self._exp, self._zech = log, exp + exp, zech
 
     @cached_property
     def _reduction_columns(self):

@@ -272,6 +272,8 @@ class SvNRepresentation:
 
     def __init__(self, group, psi_unit=1):
         mod = group.a_modulus
+        if type(psi_unit) is not int:
+            raise ValueError(f"psi_unit must be an integer, got {psi_unit!r}")
         if gcd(psi_unit, mod) != 1:
             raise NonInjectiveCharacter(f"psi(1) = zeta^{psi_unit} is not primitive")
         self.group = group

@@ -1,5 +1,6 @@
 """Finite fields, towers, additive polynomials and length-2 Witt vectors."""
 
+import itertools
 import random
 
 import pytest
@@ -112,8 +113,13 @@ def _reference_trace(x):
     return acc.coeffs[0]
 
 
+def _reference_add(a, b, p, sign=1):
+    """Coefficient-wise a + sign * b over F_p, on coefficient tuples."""
+    return tuple((x + sign * y) % p for x, y in zip(a, b))
+
+
 def _check_kernels(field):
-    p, m, q, one = field.p, field.m, field.q, field.one()
+    p, m, q, one, zero = field.p, field.m, field.q, field.one(), field.zero()
     els = list(field.elements())
     if q <= 64:
         pairs = [(a, b) for a in els for b in els]
@@ -122,7 +128,20 @@ def _check_kernels(field):
         pairs = [(rng.choice(els), rng.choice(els)) for _ in range(5000)]
     for a, b in pairs:
         assert (a * b).coeffs == _reference_mul(a, b)
+        assert (a + b).coeffs == _reference_add(a.coeffs, b.coeffs, p)
+        assert (a - b).coeffs == _reference_add(a.coeffs, b.coeffs, p, -1)
+        # operands that are themselves results of field operations
+        prod, total = a * b, b + a
+        assert (prod + total).coeffs == _reference_add(prod.coeffs, total.coeffs, p)
+        assert (prod - total).coeffs == _reference_add(prod.coeffs, total.coeffs, p, -1)
     for x in els:
+        assert (-x).coeffs == tuple(-c % p for c in x.coeffs)
+        for y in (x, x * one, -x):
+            assert (y + (-y)).coeffs == (y - y).coeffs == zero.coeffs
+            assert y + zero == zero + y == y and y - zero == y and zero - y == -y
+            assert (y * zero).coeffs == (zero * y).coeffs == zero.coeffs
+        for c in (-p - 1, -1, 0, 1, 2, p, p + 1):
+            assert (x * c).coeffs == (c * x).coeffs == tuple(v * c % p for v in x.coeffs)
         trace = _reference_trace(x)
         assert absolute_trace_int(x) == trace and absolute_trace(x).coeffs == (trace,)
         for k in (0, 1, m - 1, m, m + 1, -1):
@@ -183,11 +202,61 @@ def test_tables_wait_for_q_multiplies():
         x * x
         log, exp = field._log, field._exp
         assert len(log) == n and len(exp) == 2 * n
-        assert all(exp[log[c]] is c and exp[log[c] + n] is c for c in log)
+        # exp holds q-1 interned elements twice over, each carrying its log
+        assert all(exp[k].coeffs is c and exp[k + n] is exp[k] and exp[k]._dlog == k
+                   for c, k in log.items())
         # the generator is the least element, in as_int order, of order q-1
         orders = [min(k for k in range(1, n + 1) if y**k == field.one())
                   for y in map(field.from_int, range(1, field.q))]
-        assert field.element(exp[1]).as_int() == 1 + orders.index(n)
+        assert exp[1].as_int() == 1 + orders.index(n)
+
+
+def _tables_built(field):
+    for _ in range(field.q):
+        field.one() * field.one()
+    assert field._exp is not None
+    return field
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 2), (5, 2), (3, 4)])
+def test_table_path_logs_interning_and_zech(p, m):
+    field = fields.FiniteField(p, m)
+    early = list(field.elements())  # made before the tables exist
+    assert all(x._dlog is None for x in early)
+    _tables_built(field)
+    n, exp, log = field.q - 1, field._exp, field._log
+    assert all(x._dlog is None for x in early)  # filled on first use only
+    for x in early:
+        assert x * field.one() == x  # one table operation fills the log
+        k = x._dlog
+        assert k == log.get(x.coeffs, -1)
+        assert (k == -1) == (not x) and (not x or exp[k] == x)
+    # interned elements equal and hash like the element made from their coefficients
+    for k in range(n):
+        made = field.element(exp[k].coeffs)
+        assert exp[k] == made and hash(exp[k]) == hash(made) and exp[k] is not made
+        assert exp[k].as_int() == made.as_int()
+        one_plus = _reference_add(field.one().coeffs, exp[k].coeffs, p)
+        assert field._zech[k] == log.get(one_plus, -1)  # log(1 + g^k), -1 at zero
+    # results of table operations are the interned elements themselves
+    rng = random.Random(f"interned-{p}-{m}")
+    for _ in range(200):
+        a, b = exp[rng.randrange(n)], exp[rng.randrange(n)]
+        assert a * b is exp[a._dlog + b._dlog]
+        for r in (a + b, a - b, -a, a**rng.randrange(-5, 20), a.inv(), a.frobenius()):
+            assert r._dlog is not None and (r._dlog == -1 or r is exp[r._dlog])
+        assert (a + b).coeffs == _reference_add(a.coeffs, b.coeffs, p)
+        assert (-a).coeffs == tuple(-c % p for c in a.coeffs)
+
+
+def test_table_path_refuses_operands_from_another_field():
+    # equal q, different moduli: both fields have tables, neither accepts the other's elements
+    fields_16 = [_tables_built(fields.FiniteField(2, 4, mod)) for mod in ((1, 1, 0, 0, 1), (1, 0, 0, 1, 1))]
+    a, b = (f.gen() * f.gen() for f in fields_16)
+    assert a.coeffs == b.coeffs and a != b
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b / a, lambda: a + 1):
+        with pytest.raises(FieldMismatch):
+            op()
 
 
 def test_field_above_the_cap_never_builds_tables():
@@ -331,6 +400,20 @@ def test_field_invariants_survive_optimize(monkeypatch):
     monkeypatch.setattr(fields, "witt_one", witt_zero)
     with pytest.raises(TheoremViolated):
         fields._witt_prime_iso.__wrapped__(3)
+
+
+def _reference_first_irreducible(p, m):
+    """The full scan _first_irreducible replaced, kept as an oracle: every
+    monic candidate in itertools.product order, constant term 0 included."""
+    for tail in itertools.product(range(p), repeat=m):
+        if fields._is_irreducible(tail + (1,), p):
+            return tail + (1,)
+
+
+@pytest.mark.parametrize("p,max_m", [(2, 16), (3, 10), (5, 6), (7, 5)])
+def test_first_irreducible_matches_the_full_scan(p, max_m):
+    for m in range(1, max_m + 1):
+        assert fields._first_irreducible(p, m) == _reference_first_irreducible(p, m), (p, m)
 
 
 def test_first_irreducible_fault_is_typed(monkeypatch):

@@ -564,6 +564,16 @@ def test_svn_rejects_non_injective_character():
         stone_von_neumann(h, 2)  # zeta_4^2 = -1 is not primitive
 
 
+@pytest.mark.parametrize("psi_unit", [True, 1.0, "1"])
+def test_svn_refuses_a_psi_unit_that_is_not_an_int(psi_unit):
+    # as the heisenberg job does: True is not taken as 1, 1.0 not as a TypeError
+    h = build_group(standard_pairing(3))
+    with pytest.raises(ValueError, match="psi_unit must be an integer"):
+        SvNRepresentation(h, psi_unit)
+    with pytest.raises(ValueError, match="psi_unit must be an integer"):
+        stone_von_neumann(h, psi_unit)
+
+
 def test_trivial_k():
     g = FiniteAbelianGroup([])
     e = AlternatingPairing(g, 4, [[0]])
