@@ -288,9 +288,7 @@ def _cmd_heisenberg(job, options):
     basis = group.basis
     rep = stone_von_neumann(group, psi_unit)
     faithful = check_faithful(rep)
-    char_table = {}
-    for g in group.elements():
-        char_table[f"{g[0]},{g[1]}"] = _cyc(rep.character(g))
+    char_table = {f"{a},{k}": _cyc(chi) for (a, k), chi in zip(group.elements(), rep.characters())}
     result = {
         "order": group.order,
         "a_modulus": group.a_modulus,

@@ -181,10 +181,16 @@ class FieldElement:
     def __mul__(self, other):
         field = self.field
         if other.__class__ is not FieldElement or other.field is not field:
-            if isinstance(other, int):
+            if not isinstance(other, int):
+                self._mismatch(other)
+            if field._exp is None:
                 p = field.p
                 return FieldElement(field, tuple((a * other) % p for a in self.coeffs))
-            self._mismatch(other)
+            la = self._dlog
+            if la is None:
+                la = self._table_log()
+            lc = field._constant_logs[other % field.p]  # c * x = g^(log c + log x)
+            return field._exp[la + lc] if la >= 0 and lc >= 0 else field._zero
         if field._exp is None:
             return field._mul(self, other)
         la, lb = self._dlog, other._dlog
@@ -286,7 +292,7 @@ class FiniteField:
         self._frobenius_cache = {}
         # log tables, built after q polynomial multiplies (about what the
         # build costs); above the cap the count never reaches 0
-        self._log = self._exp = self._zech = self._zero = None
+        self._log = self._exp = self._zech = self._zero = self._constant_logs = None
         self._muls_until_tables = self.q if self.q <= TABLE_CAP else -1
 
     def __repr__(self):
@@ -374,7 +380,8 @@ class FiniteField:
         """exp[k] = g^k as an interned element carrying its log k, for
         k < 2(q-1) (the same q-1 objects twice, so a sum of two logs needs no
         reduction); log[coeffs of g^k] = k; zech[k] = log(1 + g^k), -1 where
-        1 + g^k = 0; g the least element in as_int order of order q-1."""
+        1 + g^k = 0; constant_logs[c] = log of the prime-field constant c, -1
+        at c = 0; g the least element in as_int order of order q-1."""
         n, one = self.q - 1, self.one()
         primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
         # one only if no element has order q-1, which the check below rejects
@@ -392,6 +399,7 @@ class FiniteField:
             raise TheoremViolated(f"the multiplicative group of {self.tag} is cyclic of order {n}")
         zech = [log.get(((c[0] + 1) % p,) + c[1:], -1) for c in log]
         self._zero = FieldElement(self, (0,) * self.m, -1)
+        self._constant_logs = [log.get((c,) + (0,) * (m - 1), -1) for c in range(p)]
         self._log, self._exp, self._zech = log, exp + exp, zech
 
     @cached_property
@@ -661,7 +669,7 @@ class AdditivePolynomial:
     def __add__(self, other):
         merged = dict(self.coeffs)
         for i, a in other.coeffs.items():
-            merged[i] = merged.get(i, self.field.zero()) + a
+            merged[i] = merged[i] + a if i in merged else a
         return AdditivePolynomial(self.field, merged)
 
     def scale(self, c):

@@ -13,16 +13,17 @@ mu = alpha(k) + lambda, which is the representation induced from A x L'
 (see `SvNRepresentation`), with no arithmetic in K.
 
 The pairing's laws, the group law, the commutator, the SvN homomorphism
-property and the commutators of deck transformations are checked on generators
-of K (and of H), where bilinearity makes the check a proof for the whole
-group; nothing sweeps K x K, H x H or H x H x H.  The deck pairing of a datum
-is evaluated on pairs of one F_p-basis of K only (k -> g_k is checked
-additive, so those values are its Gram matrix), and covering points come from
-a linear solve, not a sweep of the splitting field.
+property and the commutators of deck transformations are checked on (pairs of)
+generators of K and H, where bilinearity makes the check a proof for the whole
+group; nothing sweeps K x K or S x H.  Darboux coordinates are solved on the
+generators of K and filled by one addition per element; no matrix is stored,
+and the |H| characters are computed once.  The deck pairing of a datum is
+evaluated on pairs of one F_p-basis of K only (k -> g_k is checked additive,
+so those are its Gram matrix), and covering points come from a linear solve.
 """
 
 import itertools
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .errors import (
     NoAdditiveSolution,
@@ -109,8 +110,6 @@ class AlternatingPairing:
             xs, ys, eps = zip(*column)
             pairs.append((g.encode(map(sum, zip(*xs))), g.encode(map(sum, zip(*ys))),
                           sum(eps) % self.a_modulus))
-        if prod(g.element_order(x) ** 2 for x, _, _ in pairs) != g.order:
-            raise TheoremViolated("the Darboux pairs do not span K (bug detector)")
         return DarbouxBasis(pairs)
 
 
@@ -145,34 +144,55 @@ class HeisenbergGroup:
         self.pairing, self.k_group, self.a_modulus = pairing, pairing.group, pairing.a_modulus
         self.basis = basis if basis is not None else darboux(pairing)
         self.orders = self.basis.ranks(self.k_group)
-        self._coords = self._coordinate_tables()
+        self._coords = self._coordinate_table()
+        if fault := self._generator_fault():
+            raise NotPerfect(fault)
         self.order = self.a_modulus * self.k_group.order
 
-    def _coordinate_tables(self):
-        """(alpha(k), beta(k)) for every k: e(k, y_i) = alpha_i eps_i and
-        e(x_i, k) = beta_i eps_i, solved mod o_i by the inverse of eps_i / (A /
-        o_i).  NotPerfect unless eps_i has order o_i and the pairs span K."""
-        g, mod = self.k_group, self.a_modulus
-        plan = []
-        for (x, y, eps), o in zip(self.basis.pairs, self.orders):
-            unit = mod // o
-            if eps % unit or gcd(eps // unit, o) != 1:
-                raise NotPerfect(f"e(x, y) = {eps} does not have the order {o} of x")
-            x, y = g.decode(x), g.decode(y)
-            plan.append((x, y, self.pairing.covector(y), self.pairing.covector(x), unit,
-                         pow(eps // unit, -1, o), o))
-        coords = []
-        for k in g.elements():
-            kt = g.decode(k)
-            alphas, betas, rest = [], [], kt
-            for x, y, wy, wx, unit, inv, o in plan:
-                alphas.append(_dot(kt, wy) % mod // unit * inv % o)
-                betas.append(-_dot(kt, wx) % mod // unit * inv % o)
-                rest = [c - alphas[-1] * a - betas[-1] * b for c, a, b in zip(rest, x, y)]
-            if g.encode(rest) != 0:  # the Darboux basis must span K
-                raise NotPerfect(kt)
-            coords.append((tuple(alphas), tuple(betas)))
-        return coords
+    def _coordinate_table(self):
+        """(alpha(k), beta(k)) for every k: e(e_s, y_i) = alpha_i eps_i and
+        e(x_i, e_s) = beta_i eps_i on the standard generators, solved mod o_i
+        (NotPerfect unless eps_i has order o_i and A / o_i divides both), then
+        entry n = sum_s n_s (alpha(e_s), beta(e_s)) mod o, in index order, as
+        `_kernel_coordinates` fills K."""
+        g, mod, orders = self.k_group, self.a_modulus, self.orders
+        columns = []  # alpha_0 .. alpha_(r-1), beta_0 .. beta_(r-1)
+        for side in (1, 0):
+            for (*xy, eps), o in zip(self.basis.pairs, orders):
+                unit, vector = mod // o, g.decode(xy[side])
+                values = [(2 * side - 1) * _dot(row, vector) % mod for row in self.pairing.gram]
+                if mod % o or any(v % unit for v in values + [eps]) or gcd(eps // unit, o) > 1:
+                    raise NotPerfect(f"e(x, y) = {eps} gives no Darboux coordinates mod {o}")
+                column = [0]
+                for d, v in zip(g.moduli, values):
+                    step = v // unit * pow(eps // unit, -1, o)
+                    column = [(c + j * step) % o for j in range(d) for c in column]
+                columns.append(column)
+        r = len(orders)
+        return [(row[:r], row[r:]) for row in zip(*columns)] if r else [((), ())] * g.order
+
+    def _generator_fault(self):
+        """What the generator data fails, or None: eps_i has the order o_i of
+        x_i and y_i (c is well-defined mod A), prod o_i^2 = |K|, and on each
+        standard e_s of order d_s, d_s (alpha(e_s), beta(e_s)) = 0 mod o (the
+        table is additive) and e_s = sum_i alpha_i(e_s) x_i + beta_i(e_s) y_i
+        (the pairs are a basis of K, which fixes the coordinates of e_s)."""
+        g, mod, orders, pairs = self.k_group, self.a_modulus, self.orders, self.basis.pairs
+        for (x, y, eps), o in zip(pairs, orders):
+            if mod % o or eps % (mod // o) or gcd(eps // (mod // o), o) != 1 or not (
+                    g.element_order(x) == g.element_order(y) == o):
+                return f"e(x, y) = {eps} does not have the order {o} of x and y"
+        if prod(o * o for o in orders) != g.order:
+            return "the Darboux pairs do not have |K| elements"
+        vectors = [(g.decode(x), g.decode(y)) for x, y, _ in pairs]
+        for e_s in g.generators():
+            alphas, betas = self._coords[e_s]
+            if any(g.element_order(e_s) * c % o for c, o in zip(alphas + betas, orders + orders)):
+                return f"the Darboux coordinates are not additive at {g.decode(e_s)}"
+            if g.encode([sum(a * x[t] + b * y[t] for a, b, (x, y) in zip(alphas, betas, vectors))
+                         for t in range(len(g.moduli))]) != e_s:
+                return f"the Darboux pairs do not give {g.decode(e_s)}"
+        return None
 
     def cocycle(self, i, j):
         ai, bj = self._coords[i][0], self._coords[j][1]
@@ -197,9 +217,7 @@ class HeisenbergGroup:
         return ((-a - self.cocycle(x, nx)) % self.a_modulus, nx)
 
     def commutator(self, g1, g2):
-        return self.multiply(
-            self.multiply(g1, g2), self.inverse(self.multiply(g2, g1))
-        )
+        return self.multiply(self.multiply(g1, g2), self.inverse(self.multiply(g2, g1)))
 
     def element_order(self, g):
         o, cur = 1, g
@@ -208,34 +226,20 @@ class HeisenbergGroup:
             o += 1
         return o
 
-    def center(self):
-        els = list(self.elements())
-        return [g for g in els if all(self.multiply(g, h) == self.multiply(h, g) for h in els)]
-
     def verify(self):
         """Check on generators that H is a group with Z(H) = A and [,] = e.
 
-        1. k -> _coords[k] is additive: _coords[k + g] = _coords[k] + _coords[g]
-           mod the Darboux orders, for every k in K and every generator g.
-           Then c is bilinear, which makes the multiplication associative with
-           identity (0, 0) and inverses given by `inverse`.
+        1. `_generator_fault` finds nothing, so alpha and beta are additive
+           and c(x,y) is bilinear, which makes the multiplication associative
+           with identity (0, 0) and inverses given by `inverse`.
         2. [(0,x), (0,y)] = (e(x,y), 0) for generators x, y of K. Both sides
            are biadditive (e by the Gram checks of `AlternatingPairing`, the
            commutator by 1), so they agree on K x K; e is perfect, so
            Z(H) = A.
         """
-        k_group = self.k_group
-        orders = self.orders
-        gens = k_group.generators()
-        for k in k_group.elements():
-            ak, bk = self._coords[k]
-            for g in gens:
-                ag, bg = self._coords[g]
-                expected = tuple(tuple((u + v) % o for u, v, o in zip(ck, cg, orders))
-                                 for ck, cg in ((ak, ag), (bk, bg)))
-                if self._coords[k_group.add(k, g)] != expected:
-                    raise TheoremViolated(
-                        f"Darboux coordinates are not additive at {k_group.decode(k)}")
+        if fault := self._generator_fault():
+            raise TheoremViolated(fault)
+        gens = self.k_group.generators()
         for x in gens:
             for y in gens:
                 if self.commutator((0, x), (0, y)) != (self.pairing.value(x, y), 0):
@@ -265,9 +269,10 @@ class SvNRepresentation:
     beta vanishes on L and alpha on L', so alpha(l'') = mu, beta(m) = beta(k),
     c(k, l) = 0 and c(l'', m) = sum_i mu_i beta_i(k) eps_i.
 
-    Matrices are monomial: stored per group element as (row permutation,
-    phase exponents); a matrix reads only the coordinates of k, no K
-    arithmetic.
+    Matrices are monomial, (row permutation, phase exponents), built on
+    demand from the coordinates of k (no K arithmetic) and not stored; the
+    |H| characters, their traces, are computed once and read by the norm
+    check, `check_faithful` and `character`.
     """
 
     def __init__(self, group, psi_unit=1):
@@ -280,12 +285,10 @@ class SvNRepresentation:
         self.psi_unit = psi_unit % mod
         self.mod = mod
         self.dim = prod(group.orders)
-        self._matrices = {}
+        self._characters = None
 
     def matrix(self, g):
         """(perm, exps): column lambda maps to row perm[lambda] with phase exps[lambda]."""
-        if g in self._matrices:
-            return self._matrices[g]
         grp = self.group
         a, k = g
         alphas, betas = grp._coords[k]
@@ -294,9 +297,7 @@ class SvNRepresentation:
             mus = [(alpha + lam) % o for lam in range(o)]
             perm = [t * o + mu for t in perm for mu in mus]
             phases = [b - mu * beta * eps for b in phases for mu in mus]
-        out = (tuple(perm), tuple(self.psi_unit * b % self.mod for b in phases))
-        self._matrices[g] = out
-        return out
+        return (tuple(perm), tuple(self.psi_unit * b % self.mod for b in phases))
 
     def compose(self, m1, m2):
         """Matrix product of monomial matrices (m1 applied after m2)."""
@@ -306,47 +307,44 @@ class SvNRepresentation:
         exps = tuple((exps2[t] + exps1[perm2[t]]) % self.mod for t in range(self.dim))
         return (perm, exps)
 
-    def character(self, g):
-        perm, exps = self.matrix(g)
-        hist = {}
-        for t in range(self.dim):
-            if perm[t] == t:
-                hist[exps[t]] = hist.get(exps[t], 0) + 1
-        return zeta_sum(self.mod, hist)
+    def characters(self):
+        """The trace of rho(g) for every g, in `group.elements()` order."""
+        if self._characters is None:
+            self._characters = []
+            for perm, exps in map(self.matrix, self.group.elements()):
+                fixed = [exps[t] for t in range(self.dim) if perm[t] == t]
+                self._characters.append(zeta_sum(self.mod, {e: fixed.count(e) for e in set(fixed)}))
+        return self._characters
 
-    def is_identity_matrix(self, m):
-        perm, exps = m
-        return all(perm[t] == t for t in range(self.dim)) and not any(exps)
+    def character(self, g):
+        return self.characters()[g[0] % self.mod * self.group.k_group.order + g[1]]
 
     def verify(self):
-        """Homomorphism on generators, central character, exact irreducibility.
+        """Homomorphism on generator pairs, central character, exact irreducibility.
 
-        rho(1) = 1 and rho(s h) = rho(s) rho(h) for every s in
-        S = {(1,0)} u {(0,g) : g a generator of K} and every h in H. S
-        generates the group H (a verified `HeisenbergGroup`), so writing
-        h1 = s_1 ... s_n gives rho(h1 h2) = rho(s_1) ... rho(s_n) rho(h2) =
-        rho(h1) rho(h2): the homomorphism property on all pairs.
+        rho(a, k) = psi(a) M(beta(k)) T(alpha(k)), T(alpha) e_lambda =
+        e_(lambda + alpha) and M(beta) e_mu = psi(-sum_i mu_i beta_i eps_i)
+        e_mu, homomorphisms of prod Z/o_i with T(alpha) M(beta') =
+        psi(sum_i alpha_i beta'_i eps_i) M(beta') T(alpha).  So rho(a, k)
+        rho(b, k') = psi(a + b + sum_i alpha_i(k) beta_i(k') eps_i) M(beta(k)
+        + beta(k')) T(alpha(k) + alpha(k')) = rho((a, k)(b, k')): the cocycle
+        identity in coordinates, which `HeisenbergGroup.verify`, run first,
+        checks on generators.  Left to check: `matrix` and `compose` compute
+        these products, rho(s t) = rho(s) rho(t) for s, t in S = {(1,0)} u
+        {(0,g) : g a generator of K}; rho((a, 0)) = psi(a); sum |chi|^2 = |H|.
         """
         grp = self.group
-        els = list(grp.elements())
-        if not self.is_identity_matrix(self.matrix(grp.identity())):
-            raise TheoremViolated("rho(1) is not the identity matrix")
-        for s in [(1, 0)] + [(0, g) for g in grp.k_group.generators()]:
-            rho_s = self.matrix(s)
-            for h in els:
-                if self.matrix(grp.multiply(s, h)) != self.compose(rho_s, self.matrix(h)):
+        grp.verify()
+        gens = [(1, 0)] + [(0, g) for g in grp.k_group.generators()]
+        for s in gens:
+            for t in gens:
+                if self.matrix(grp.multiply(s, t)) != self.compose(self.matrix(s), self.matrix(t)):
                     raise TheoremViolated("representation is not a homomorphism")
-        for a in range(grp.a_modulus):
-            perm, exps = self.matrix((a, 0))
-            expected = (self.psi_unit * a) % self.mod
-            if any(perm[t] != t for t in range(self.dim)) or any(
-                e != expected for e in exps
-            ):
-                raise TheoremViolated("central character is not psi")
-        norm = zeta_sum(1, {0: 0})
-        for g in els:
-            norm = norm + abs_square(self.character(g))
-        if norm != grp.order:
+        one = tuple(range(self.dim))
+        if any(self.matrix((a, 0)) != (one, (self.psi_unit * a % self.mod,) * self.dim)
+               for a in range(grp.a_modulus)):
+            raise TheoremViolated("central character is not psi")
+        if sum(map(abs_square, self.characters()), zeta_sum(1, {})) != grp.order:
             raise TheoremViolated("character norm is not |H| (not irreducible)")
         return True
 
@@ -358,11 +356,10 @@ def stone_von_neumann(group, psi_unit=1):
 
 
 def check_faithful(rep):
-    """rho(h) = identity implies h = 1, by enumeration."""
-    for g in rep.group.elements():
-        if rep.is_identity_matrix(rep.matrix(g)) and g != rep.group.identity():
-            return False
-    return True
+    """rho(h) = 1 implies h = 1, read off the characters: a monomial matrix
+    with root-of-unity phases has trace dim only when it is the identity."""
+    one = rep.group.identity()
+    return all(chi != rep.dim or g == one for g, chi in zip(rep.group.elements(), rep.characters()))
 
 
 # -- Heisenberg group of a quadratic datum ----------------------------------------
@@ -453,15 +450,15 @@ def heisenberg_from_datum(datum, override=False):
     evaluated, checked to be F_p constants, and checked alternating and
     perfect.  The group is built and verified, and cross-validated against
     explicit deck transformations on points of the covering z^p - z = h(u).
-    The cap counts the largest structure built downstream, the SvN matrix
-    cache: |H| * dim = p |K| sqrt|K| entries.
+    The cap counts the largest structure built downstream, the SvN
+    character table: |H| = p |K| entries.
     """
     from .charsum import geometric_kernel
 
     terms = _datum_scalar_terms(datum)
     p = datum.field.p
     kernel = geometric_kernel(datum, override=override)
-    check_cap(p * kernel.size * isqrt(kernel.size), override, "SvN matrix cache")
+    check_cap(p * kernel.size, override, "SvN character table")
     big = kernel.field
     n = big.m // datum.field.m
     _, emb = extension(datum.field, n)
@@ -516,8 +513,8 @@ def _validate_deck_maps(terms, big, element_at, solutions, pairing, samples):
             lhs = gk.evaluate(u)
             if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
-    points = _covering_points(big, h, samples)
-    _check_deck_commutators(element_at, solutions, pairing, points[: max(2, samples // 4)])
+    points = _covering_points(big, h, max(2, samples // 4))
+    _check_deck_commutators(element_at, solutions, pairing, points)
 
 
 def _covering_points(big, h, limit):

@@ -330,7 +330,7 @@ _OMEGA_X3_F4 = _diag_datum_json(2, 2, 1, [0, 1])  # omega*x^3 over F_4: |K| = 4,
 @pytest.mark.parametrize("command, job, cap, what", [
     ("kernel", {"datum": _X5_F2}, 8, "kernel listing over 16 points"),
     ("heisenberg", {"from_datum": _X5_F2}, 8, "kernel listing over 16 points"),
-    ("heisenberg", {"from_datum": _X5_F2}, 64, "SvN matrix cache over 128 points"),
+    ("heisenberg", {"from_datum": _X5_F2}, 16, "SvN character table over 32 points"),
     ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "extension field over 16 points"),
 ], ids=["kernel", "heisenberg-kernel", "heisenberg-pairing", "char-sum"])
 def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeypatch,

@@ -249,6 +249,18 @@ def test_table_path_logs_interning_and_zech(p, m):
         assert (-a).coeffs == tuple(-c % p for c in a.coeffs)
 
 
+@pytest.mark.parametrize("p,m", [(3, 4), (2, 8)])
+def test_table_path_scales_by_an_int_like_the_coefficients(p, m):
+    # x * c and c * x by the log of the constant c mod p, for every element of
+    # F_81 and F_256 and every c in -p-1..p+1, against c times each coefficient
+    field = _tables_built(fields.FiniteField(p, m))
+    for x in field.elements():
+        for c in range(-p - 1, p + 2):
+            expected = tuple(a * c % p for a in x.coeffs)
+            assert (x * c).coeffs == (c * x).coeffs == expected
+            assert (x * c)._dlog == field._log.get(expected, -1)
+
+
 def test_table_path_refuses_operands_from_another_field():
     # equal q, different moduli: both fields have tables, neither accepts the other's elements
     fields_16 = [_tables_built(fields.FiniteField(2, 4, mod)) for mod in ((1, 1, 0, 0, 1), (1, 0, 0, 1, 1))]
@@ -577,6 +589,12 @@ def test_additive_polynomials_over_z_pointwise(field):
     frob = AdditivePolynomial(field, {1: field.gen(), 2: field.one()})
     assert frob.cleared() == (frob, 0)  # exponents >= 0 already: no shift
     assert (f + f.scale(-field.one())).is_zero()
+    # a sum with a polynomial over another field is refused, whether or not
+    # an exponent is shared
+    for other in (AdditivePolynomial(big, {1: big.one()}), AdditivePolynomial(big, {7: big.one()})):
+        for total in (lambda: frob + other, lambda: other + frob):
+            with pytest.raises(FieldMismatch):
+                total()
 
 
 def test_additive_kernel_examples():

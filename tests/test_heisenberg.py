@@ -138,6 +138,22 @@ def _induced_matrix(rep, g):
     return (tuple(perm), tuple(exps))
 
 
+def _solved_coordinates(group):
+    """(alpha(k), beta(k)) solved at every k, as the table was before it was
+    filled from the generators: e(k, y_i) = alpha_i eps_i and e(x_i, k) =
+    beta_i eps_i mod A, alpha_i and beta_i mod o_i."""
+    pairs, orders, mod = group.basis.pairs, group.orders, group.a_modulus
+
+    def solve(value, eps, o):
+        (out,) = [c for c in range(o) if c * eps % mod == value]
+        return out
+
+    return [tuple(tuple(solve(group.pairing.value(*ends), eps, o)
+                        for (x, y, eps), o in zip(pairs, orders)
+                        for ends in [((k, y), (x, k))[side]])
+                  for side in (0, 1)) for k in group.k_group.elements()]
+
+
 def _assert_induced(group):
     """The closed-form matrices equal the induced ones for every g and every
     primitive psi."""
@@ -262,7 +278,9 @@ def test_gram_reduction_agrees_with_all_pairs_oracle(moduli, mod, count):
 
 
 def test_svn_matrices_agree_with_the_induced_oracle():
-    # on every perfect pairing of the Gram battery, with every primitive psi
+    # on every perfect pairing of the Gram battery, with every primitive psi;
+    # the coordinate table, filled from the generators, is the one solved at
+    # every k
     perfect = 0
     for moduli, mod, count in GRAM_SHAPES:
         rng = random.Random(f"{moduli}-{mod}")
@@ -271,7 +289,9 @@ def test_svn_matrices_agree_with_the_induced_oracle():
             pairing = _outcome(lambda: AlternatingPairing.from_gram(
                 group, mod, _random_gram(rng, moduli, mod, n % 4 != 3)))
             if isinstance(pairing, AlternatingPairing):
-                _assert_induced(build_group(pairing))
+                heis = build_group(pairing)
+                assert heis._coords == _solved_coordinates(heis)
+                _assert_induced(heis)
                 perfect += 1
     assert perfect >= 40
 
@@ -465,7 +485,9 @@ def test_build_group_order8_is_dihedral():
         orders[h.element_order(g)] = orders.get(h.element_order(g), 0) + 1
     # D_4 signature: exactly 2 elements of order 4 (Q_8 would have 6)
     assert orders == {1: 1, 2: 5, 4: 2}
-    assert sorted(h.center()) == [(0, 0), (1, 0)]
+    els = list(h.elements())
+    center = [g for g in els if all(h.multiply(g, u) == h.multiply(u, g) for u in els)]
+    assert center == [(0, 0), (1, 0)]
 
 
 def test_build_group_order27_exponent3():
@@ -635,64 +657,91 @@ def test_generator_checks_agree_with_exhaustive_oracles(p, r):
     assert _exhaustive_homomorphism(stone_von_neumann(h, 1))
 
 
-@pytest.mark.parametrize("p,r", ORACLE_SIZES)
-def test_corrupted_coordinates_rejected(p, r):
-    # every single-entry corruption of the Darboux coordinates, reduced mod the
-    # pair order, breaks the group law and is caught by the generator checks
-    h = HeisenbergGroup(standard_pairing(p, r))
-    orders = h.basis.ranks(h.k_group)
-    original = list(h._coords)
-    for k, coords in enumerate(original):
+def _generator_corruptions(h):
+    """Apply each single-entry corruption of what h stores about its
+    generators, yielding its kind before restoring it: a Darboux coordinate of
+    a standard generator of K shifted mod its pair order, an eps_i shifted
+    mod A, a pair order replaced by another value up to twice A."""
+    coords, pairs, orders = list(h._coords), list(h.basis.pairs), list(h.orders)
+    for g in h.k_group.generators():
         for side in (0, 1):
             for i, o in enumerate(orders):
                 for delta in range(1, o):
-                    bad = [list(c) for c in coords]
+                    bad = [list(c) for c in coords[g]]
                     bad[side][i] = (bad[side][i] + delta) % o
-                    h._coords = list(original)
-                    h._coords[k] = tuple(tuple(c) for c in bad)
-                    assert not _exhaustive_group_law(h)
-                    with pytest.raises(TheoremViolated):
-                        h.verify()
-    h._coords = original
-    assert h.verify()
+                    h._coords[g] = tuple(map(tuple, bad))
+                    yield "coordinate"
+                    h._coords[g] = coords[g]
+    for i, (x, y, eps) in enumerate(pairs):
+        for delta in range(1, h.a_modulus):
+            h.basis.pairs[i] = (x, y, (eps + delta) % h.a_modulus)
+            yield "eps"
+            h.basis.pairs[i] = pairs[i]
+    for i, o in enumerate(orders):
+        for other in set(range(1, 2 * h.a_modulus + 1)) - {o}:
+            h.orders[i] = other
+            yield "order"
+            h.orders[i] = o
+
+
+@pytest.mark.parametrize("p,r", ORACLE_SIZES)
+def test_corrupted_coordinates_rejected(p, r):
+    # every single-entry corruption of the generator coordinates, of eps_i or
+    # of a pair order is caught by the generator checks; the exhaustive group
+    # law sees the first two (multiplication does not read the orders)
+    h = build_group(standard_pairing(p, r))
+    kinds = set()
+    for kind in _generator_corruptions(h):
+        kinds.add(kind)
+        if kind != "order":
+            assert not _exhaustive_group_law(h)
+        with pytest.raises(TheoremViolated):
+            h.verify()
+    assert kinds == {"coordinate", "eps", "order"}
+    assert h.verify() and _exhaustive_group_law(h)
 
 
 @pytest.mark.parametrize("p,r", ORACLE_SIZES[:3])
 def test_corrupted_svn_matrix_rejected(p, r):
-    # one cached matrix with one phase shifted or two entries of its
-    # permutation swapped; or one phase shifted on a whole coset A x {k}, which
-    # keeps rho((1,0) h) = rho((1,0)) rho(h) and, off L', every character, so
-    # only the generators (0, g) of K catch it
+    # the matrices are read off the generator data of the group and psi: a
+    # corruption of either is caught by the SvN verification, the all-pairs
+    # homomorphism oracle sees every corrupted coordinate, and a psi that is
+    # not primitive gives a representation of character norm above |H|
     rep = SvNRepresentation(build_group(standard_pairing(p, r)), 1)
-    original = {g: rep.matrix(g) for g in rep.group.elements()}
-
-    def shifted(g, t, delta):
-        perm, exps = original[g]
-        exps = list(exps)
-        exps[t] = (exps[t] + delta) % rep.mod
-        return (perm, tuple(exps))
-
-    corruptions = []
-    for g, (perm, exps) in original.items():
-        for t in range(rep.dim):
-            for delta in range(1, rep.mod):
-                corruptions.append({g: shifted(g, t, delta)})
-            for u in range(t + 1, rep.dim):
-                swapped = list(perm)
-                swapped[t], swapped[u] = swapped[u], swapped[t]
-                corruptions.append({g: (tuple(swapped), exps)})
-    for k in list(rep.group.k_group.elements())[1:]:
-        for t in range(rep.dim):
-            corruptions.append(
-                {(a, k): shifted((a, k), t, 1) for a in range(rep.mod)}
-            )
-    for bad in corruptions:
-        rep._matrices = {**original, **bad}
-        assert not _exhaustive_homomorphism(rep)
+    for kind in _generator_corruptions(rep.group):
+        if kind == "coordinate":
+            assert not _exhaustive_homomorphism(rep)
         with pytest.raises(TheoremViolated):
             rep.verify()
-    rep._matrices = dict(original)
-    assert rep.verify()
+    for psi in (u for u in range(rep.mod) if gcd(u, rep.mod) != 1):
+        rep.psi_unit, rep._characters = psi, None
+        with pytest.raises(TheoremViolated, match="not irreducible"):
+            rep.verify()
+    rep.psi_unit, rep._characters = 1, None
+    assert rep.verify() and _exhaustive_homomorphism(rep)
+
+
+def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
+    # (Z/2)^8 into Z/2, |H| = 512 and k = 8: the group and SvN checks make
+    # O((k + 1)^2) products and compositions, where checking rho(s h) for s in
+    # S and h in H took |H| (k + 1) = 4608
+    k = 8
+    gram = [[int(s ^ t == 1) for t in range(k)] for s in range(k)]
+    h = build_group(AlternatingPairing.from_gram(FiniteAbelianGroup([2] * k), 2, gram))
+    calls = {"multiply": 0, "compose": 0}
+    for cls in (HeisenbergGroup, SvNRepresentation):
+        for name in set(calls) & set(vars(cls)):
+            def counted(self, *args, name=name, method=getattr(cls, name)):
+                calls[name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    h.verify()
+    assert calls == {"multiply": 3 * k * k, "compose": 0}
+    rep = stone_von_neumann(h, 1)
+    assert calls == {"multiply": 6 * k * k + (k + 1) ** 2, "compose": (k + 1) ** 2}
+    assert sum(calls.values()) <= 8 * (k + 1) ** 2 < h.order * (k + 1)
+    assert check_faithful(rep) and rep.character((1, 0)) == -rep.dim
+    assert sum(calls.values()) == 6 * k * k + 2 * (k + 1) ** 2
 
 
 # a*x^(p^i+1) over F_p: (p, i, a); |K| = p^(2i)
@@ -735,6 +784,7 @@ def _coherent(dh, element_at, t, phi):
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_group_svn_matrices_agree_with_the_induced_oracle(p, i, a):
     dh, _, _, _ = _deck_data(p, i, a)
+    assert dh.group._coords == _solved_coordinates(dh.group)
     _assert_induced(dh.group)
 
 
