@@ -328,13 +328,15 @@ class SvNRepresentation:
         psi(sum_i alpha_i beta'_i eps_i) M(beta') T(alpha).  So rho(a, k)
         rho(b, k') = psi(a + b + sum_i alpha_i(k) beta_i(k') eps_i) M(beta(k)
         + beta(k')) T(alpha(k) + alpha(k')) = rho((a, k)(b, k')): the cocycle
-        identity in coordinates, which `HeisenbergGroup.verify`, run first,
-        checks on generators.  Left to check: `matrix` and `compose` compute
-        these products, rho(s t) = rho(s) rho(t) for s, t in S = {(1,0)} u
-        {(0,g) : g a generator of K}; rho((a, 0)) = psi(a); sum |chi|^2 = |H|.
+        identity in coordinates, whose hypotheses (o_i eps_i = 0 mod A, alpha
+        and beta additive) `_generator_fault` checks first on generators of K.
+        Left to check: `matrix` and `compose` compute these products, rho(s t)
+        = rho(s) rho(t) for s, t in S = {(1,0)} u {(0,g) : g a generator of
+        K}; rho((a, 0)) = psi(a); sum |chi|^2 = |H|.
         """
         grp = self.group
-        grp.verify()
+        if fault := grp._generator_fault():
+            raise TheoremViolated(fault)
         gens = [(1, 0)] + [(0, g) for g in grp.k_group.generators()]
         for s in gens:
             for t in gens:

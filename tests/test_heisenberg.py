@@ -703,16 +703,30 @@ def test_corrupted_coordinates_rejected(p, r):
 
 @pytest.mark.parametrize("p,r", ORACLE_SIZES[:3])
 def test_corrupted_svn_matrix_rejected(p, r):
-    # the matrices are read off the generator data of the group and psi: a
-    # corruption of either is caught by the SvN verification, the all-pairs
-    # homomorphism oracle sees every corrupted coordinate, and a psi that is
-    # not primitive gives a representation of character norm above |H|
+    # the matrices are read off the generator data of the group and psi.  The
+    # SvN verification refuses every corrupted coordinate (which the all-pairs
+    # homomorphism oracle sees too), order, and eps not of its pair's order;
+    # an eps replaced by another of that order leaves an irreducible
+    # representation of the corrupted group, whose commutator only the group
+    # verification compares with the pairing.  A psi that is not primitive
+    # gives a character norm above |H|.
     rep = SvNRepresentation(build_group(standard_pairing(p, r)), 1)
+    kept = 0
     for kind in _generator_corruptions(rep.group):
         if kind == "coordinate":
             assert not _exhaustive_homomorphism(rep)
+        k_group, pairs = rep.group.k_group, rep.group.basis.pairs
+        if kind == "eps" and all(k_group.element_order(x) == rep.mod // gcd(eps, rep.mod)
+                                 for x, _, eps in pairs):
+            rep._characters = None
+            assert rep.verify() and _exhaustive_homomorphism(rep)
+            with pytest.raises(TheoremViolated):
+                rep.group.verify()
+            kept += 1
+            continue
         with pytest.raises(TheoremViolated):
             rep.verify()
+    assert kept == (rep.mod == 3)  # over Z/3, eps = 1 becomes 2
     for psi in (u for u in range(rep.mod) if gcd(u, rep.mod) != 1):
         rep.psi_unit, rep._characters = psi, None
         with pytest.raises(TheoremViolated, match="not irreducible"):
@@ -738,10 +752,10 @@ def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
     h.verify()
     assert calls == {"multiply": 3 * k * k, "compose": 0}
     rep = stone_von_neumann(h, 1)
-    assert calls == {"multiply": 6 * k * k + (k + 1) ** 2, "compose": (k + 1) ** 2}
-    assert sum(calls.values()) <= 8 * (k + 1) ** 2 < h.order * (k + 1)
+    assert calls == {"multiply": 3 * k * k + (k + 1) ** 2, "compose": (k + 1) ** 2}
+    assert sum(calls.values()) <= 5 * (k + 1) ** 2 < h.order * (k + 1)
     assert check_faithful(rep) and rep.character((1, 0)) == -rep.dim
-    assert sum(calls.values()) == 6 * k * k + 2 * (k + 1) ** 2
+    assert sum(calls.values()) == 3 * k * k + 2 * (k + 1) ** 2
 
 
 # a*x^(p^i+1) over F_p: (p, i, a); |K| = p^(2i)
