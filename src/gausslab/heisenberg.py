@@ -17,9 +17,13 @@ property and the commutators of deck transformations are checked on (pairs of)
 generators of K and H, where bilinearity makes the check a proof for the whole
 group; nothing sweeps K x K or S x H.  Darboux coordinates are solved on the
 generators of K and filled by one addition per element; no matrix is stored,
-and the |H| characters are computed once.  The deck pairing of a datum is
-evaluated on pairs of one F_p-basis of K only (k -> g_k is checked additive,
-so those are its Gram matrix), and covering points come from a linear solve.
+and the characters of the |H| elements are computed once, by a matrix only
+where one can have a fixed point.  The deck maps of a datum are solved on one
+F_p-basis of K only: g^(p) - g = beta_k has one additive solution and beta_k
+is additive in k, so k -> g_k is additive, the deck pairing c(k, k') =
+g_k(k') - g_k'(k) is biadditive and is its Gram matrix on that basis, and the
+lift identity holds on K once it holds on the basis.  Covering points come
+from a linear solve.
 """
 
 import itertools
@@ -153,8 +157,7 @@ class HeisenbergGroup:
         """(alpha(k), beta(k)) for every k: e(e_s, y_i) = alpha_i eps_i and
         e(x_i, e_s) = beta_i eps_i on the standard generators, solved mod o_i
         (NotPerfect unless eps_i has order o_i and A / o_i divides both), then
-        entry n = sum_s n_s (alpha(e_s), beta(e_s)) mod o, in index order, as
-        `_kernel_coordinates` fills K."""
+        entry n = sum_s n_s (alpha(e_s), beta(e_s)) mod o, in index order."""
         g, mod, orders = self.k_group, self.a_modulus, self.orders
         columns = []  # alpha_0 .. alpha_(r-1), beta_0 .. beta_(r-1)
         for side in (1, 0):
@@ -308,10 +311,17 @@ class SvNRepresentation:
         return (perm, exps)
 
     def characters(self):
-        """The trace of rho(g) for every g, in `group.elements()` order."""
+        """The trace of rho(g) for every g, in `group.elements()` order.  T(alpha)
+        moves every e_lambda unless alpha(k) = 0 mod o, so only those g have a
+        matrix built: the others have no fixed column and trace 0."""
         if self._characters is None:
+            grp, zero = self.group, zeta_sum(self.mod, {})
             self._characters = []
-            for perm, exps in map(self.matrix, self.group.elements()):
+            for g in grp.elements():
+                if any(alpha % o for alpha, o in zip(grp._coords[g[1]][0], grp.orders)):
+                    self._characters.append(zero)
+                    continue
+                perm, exps = self.matrix(g)
                 fixed = [exps[t] for t in range(self.dim) if perm[t] == t]
                 self._characters.append(zeta_sum(self.mod, {e: fixed.count(e) for e in set(fixed)}))
         return self._characters
@@ -370,7 +380,7 @@ class DatumHeisenberg(Record):
     kernel: object
     pairing: AlternatingPairing
     group: HeisenbergGroup
-    solutions: dict  # k.coeffs -> the AdditivePolynomial g_k with g_k^(p) - g_k = beta_k
+    solutions: list  # g_s with g_s^(p) - g_s = beta_s for s in kernel.basis, in its order
 
 
 def _datum_scalar_terms(datum):
@@ -444,16 +454,17 @@ def heisenberg_from_datum(datum, override=False):
     """The deck-transformation Heisenberg group of an isogeneous datum.
 
     K = geometric kernel; for k in K the unique additive g_k with
-    g_k^(p) - g_k = b(., k) defines e(k, k') = g_k(k') - g_{k'}(k) in F_p.
-    Each g_k is an additive polynomial, so e is additive in k'; and
-    `_check_deck_commutators`, called before this returns, checks that
-    k -> g_k is additive for every k and basis vector, so e is additive in k.
-    So e is its Gram matrix on an F_p-basis of K: those dim^2 values are
-    evaluated, checked to be F_p constants, and checked alternating and
-    perfect.  The group is built and verified, and cross-validated against
-    explicit deck transformations on points of the covering z^p - z = h(u).
-    The cap counts the largest structure built downstream, the SvN
-    character table: |H| = p |K| entries.
+    g_k^(p) - g_k = beta_k, beta_k(X) = h(X + k) - h(X) - h(k), defines
+    e(k, k') = g_k(k') - g_{k'}(k) in F_p.  beta_k is additive in k, so
+    sum_s lambda_s(k) g_s, summed over the F_p-basis s of K, is an additive
+    solution for beta_k, hence g_k: g is solved on the dim basis vectors only,
+    and k -> g_k is additive.  Each g_k is additive too, so e is biadditive
+    and is its Gram matrix on the basis: those dim^2 values are evaluated,
+    checked to be F_p constants, and checked alternating and perfect.  The
+    group is built and verified, and cross-validated against explicit deck
+    transformations on points of the covering z^p - z = h(u).  The cap
+    counts the largest structure built downstream, the SvN character table:
+    |H| = p |K| entries.
     """
     from .charsum import geometric_kernel
 
@@ -466,57 +477,48 @@ def heisenberg_from_datum(datum, override=False):
     _, emb = extension(datum.field, n)
     terms = _embedded_terms(terms, emb)
 
-    group, element_at = _kernel_coordinates(kernel, p)
-    solutions = {k.coeffs: _solve_additive(_beta_poly(terms, k), big) for k in element_at.values()}
-    basis = [element_at[g] for g in group.generators()]
+    basis = [point[0] for point in kernel.basis]  # basis[t] is generator t of (Z/p)^dim
+    solutions = [_solve_additive(_beta_poly(terms, k), big) for k in basis]
 
-    def pair_value(ks, kt):
-        val = solutions[ks.coeffs].evaluate(kt) - solutions[kt.coeffs].evaluate(ks)
+    def pair_value(s, t):
+        val = solutions[s].evaluate(basis[t]) - solutions[t].evaluate(basis[s])
         if any(val.coeffs[1:]):
             raise TheoremViolated("deck commutator is not a prime-field constant")
         return val.coeffs[0]
 
-    gram = [[pair_value(ks, kt) for kt in basis] for ks in basis]
-    pairing = AlternatingPairing.from_gram(group, p, gram)
+    dim = len(basis)
+    gram = [[pair_value(s, t) for t in range(dim)] for s in range(dim)]
+    pairing = AlternatingPairing.from_gram(FiniteAbelianGroup((p,) * dim), p, gram)
     heis = build_group(pairing)
 
-    _validate_deck_maps(terms, big, element_at, solutions, pairing, _DECK_SAMPLES)
+    _validate_deck_maps(terms, big, basis, solutions, pairing, _DECK_SAMPLES)
     return DatumHeisenberg(kernel=kernel, pairing=pairing, group=heis, solutions=solutions)
 
 
-def _kernel_coordinates(kernel, p):
-    """K as (Z/p)^dim, and index -> kernel element, through the F_p-basis that
-    `geometric_kernel` found: sum_t x_t basis[t] for every x in the index order
-    of FiniteAbelianGroup((p,) * dim) (x_0 fastest), each an earlier element
-    plus one basis vector, p^dim additions."""
-    big = kernel.field
-    vectors = [(0,) * big.m]
-    for w in (point[0].coeffs for point in kernel.basis):
-        vectors = [tuple((a + c * b) % p for a, b in zip(v, w)) for c in range(p) for v in vectors]
-    return FiniteAbelianGroup((p,) * len(kernel.basis)), dict(enumerate(map(big.element, vectors)))
+def _validate_deck_maps(terms, big, basis, solutions, pairing, samples):
+    """Cross-check e against explicit deck transformations, on the F_p-basis
+    of K with g_s = solutions[t] for s = basis[t]: the formal lift identity
+    g_s^(p) - g_s = beta_s as additive polynomials, the lift property
+    g_s(u)^p - g_s(u) = h(u+s) - h(u) - h(s) at sampled u (which checks
+    `_beta_poly` against h), then `_check_deck_commutators` on points of the
+    covering z^p - z = h(u).
 
-
-def _validate_deck_maps(terms, big, element_at, solutions, pairing, samples):
-    """Cross-check e against explicit deck transformations: the lift property
-    g_k(u)^p - g_k(u) = h(u+k) - h(u) - h(k) for sampled u and k in the
-    F_p-basis of K, then `_check_deck_commutators` on points of the covering
-    z^p - z = h(u).
-
-    The basis proves the lift property for every k: both sides are additive
-    in k.  The right side is beta_k(u), biadditive for the diag, halfsq and
-    aslin terms alike.  The left side is additive once k -> g_k is, which
-    `_check_deck_commutators`, run at the end of this call, checks (and
-    raises otherwise)."""
+    The basis proves the formal identity for every k: g_k = sum_s lambda_s(k)
+    g_s by definition, and both sides are additive in k (beta_k for the
+    diag, halfsq and aslin terms alike).  The formal identity sees what the
+    samples cannot: g_s + phi with phi vanishing at every sampled u."""
     h = lambda u: _eval_scalar_poly(terms, u)
     sample = [(u, h(u)) for u in itertools.islice(big.elements(), samples)]
-    for k in (element_at[s] for s in pairing.group.generators()):
-        gk, hk = solutions[k.coeffs], h(k)
+    for k, gk in zip(basis, solutions):
+        if gk.twist(1) + gk.scale(-1) != _beta_poly(terms, k):
+            raise TheoremViolated("g_k^(p) - g_k is not beta_k")
+        hk = h(k)
         for u, hu in sample:
             lhs = gk.evaluate(u)
             if lhs.frobenius() - lhs != h(u + k) - hu - hk:
                 raise TheoremViolated("g_k does not lift the translation by k")
     points = _covering_points(big, h, max(2, samples // 4))
-    _check_deck_commutators(element_at, solutions, pairing, points)
+    _check_deck_commutators(basis, solutions, pairing, points)
 
 
 def _covering_points(big, h, limit):
@@ -541,35 +543,25 @@ def _covering_points(big, h, limit):
     return points
 
 
-def _check_deck_commutators(element_at, solutions, pairing, points):
+def _check_deck_commutators(basis, solutions, pairing, points):
     """Deck maps d_k(u, z) = (u + k, z + g_k(u)) commute up to the fiber
-    translation by e(k, k') for all k, k' in K; checked on generators.
+    translation by e(k, k') for all k, k' in K; checked on basis pairs.
 
     Each g_k is additive, so [d_k, d_k'] moves every point (u, z) by (0,
-    c(k, k')), c(k, k') = g_k(k') - g_k'(k).  1. g_{k+s} = g_k + g_s as
-    AdditivePolynomials for every k and basis vector s; induction on a word in
-    the basis makes k -> g_k additive, so c is biadditive.  2. c = e on basis
-    pairs, read off the deck maps; e is biadditive (its Gram matrix passed
-    the checks of `AlternatingPairing`), so c = e on K x K.
+    c(k, k')), c(k, k') = g_k(k') - g_k'(k); k -> g_k is additive (see
+    `heisenberg_from_datum`), so c is biadditive.  c = e on basis pairs, read
+    off the deck maps of g_s = solutions[t] for s = basis[t]; e is biadditive
+    (its Gram matrix passed the checks of `AlternatingPairing`), so c = e on
+    K x K.
     """
-    gens = pairing.group.generators()
-    for k in element_at.values():
-        gk = solutions[k.coeffs]
-        for s in gens:
-            gs = solutions[element_at[s].coeffs]
-            if solutions[(k + element_at[s]).coeffs] != gk + gs:
-                raise TheoremViolated("k -> g_k is not additive")
-
-    def deck(k, point):
+    def deck(i, point):
         u, z = point
-        return (u + k, z + solutions[k.coeffs].evaluate(u))
+        return (u + basis[i], z + solutions[i].evaluate(u))
 
-    for i in gens:
-        for j in gens:
-            ki, kj = element_at[i], element_at[j]
-            for pt in points:
-                (u1, z1), (u2, z2) = deck(ki, deck(kj, pt)), deck(kj, deck(ki, pt))
-                if u1 != u2 or any((z1 - z2).coeffs[1:]):
-                    raise TheoremViolated("deck commutator moved the base point")
-                if (z1 - z2).coeffs[0] % pairing.a_modulus != pairing.value(i, j):
-                    raise TheoremViolated("deck commutator disagrees with the derived pairing")
+    for i, j in itertools.product(range(len(basis)), repeat=2):
+        for pt in points:
+            (u1, z1), (u2, z2) = deck(i, deck(j, pt)), deck(j, deck(i, pt))
+            if u1 != u2 or any((z1 - z2).coeffs[1:]):
+                raise TheoremViolated("deck commutator moved the base point")
+            if (z1 - z2).coeffs[0] % pairing.a_modulus != pairing.gram[i][j]:
+                raise TheoremViolated("deck commutator disagrees with the derived pairing")

@@ -22,7 +22,7 @@ from gausslab.errors import (
     NotPerfect,
     TheoremViolated,
 )
-from gausslab.exactalg import zeta
+from gausslab.exactalg import zeta, zeta_sum
 from gausslab.fields import AdditivePolynomial, extension, make_field
 from gausslab.heisenberg import (
     AlternatingPairing,
@@ -33,7 +33,6 @@ from gausslab.heisenberg import (
     _covering_points,
     _embedded_terms,
     _eval_scalar_poly,
-    _kernel_coordinates,
     _validate_deck_maps,
     build_group,
     check_faithful,
@@ -399,15 +398,33 @@ def _per_u_scan(big, h, limit):
     return points
 
 
-def _all_pairs_table(dh, element_at):
+def _kernel_coordinates(kernel, p):
+    """Index -> kernel element: sum_t x_t basis[t] for every x in the index
+    order of FiniteAbelianGroup((p,) * dim) (x_0 fastest), each an earlier
+    element plus one basis vector.  The listing of K heisenberg_from_datum
+    made before it solved on the basis only."""
+    big = kernel.field
+    vectors = [(0,) * big.m]
+    for w in (point[0].coeffs for point in kernel.basis):
+        vectors = [tuple((a + c * b) % p for a, b in zip(v, w)) for c in range(p) for v in vectors]
+    return dict(enumerate(map(big.element, vectors)))
+
+
+def _per_element_solutions(terms, element_at, big):
+    """The per-k solve heisenberg_from_datum replaced: g_k with g_k^(p) - g_k
+    = beta_k for every k in K, keyed by k.coeffs."""
+    return {k.coeffs: heisenberg._solve_additive(heisenberg._beta_poly(terms, k), big)
+            for k in element_at.values()}
+
+
+def _all_pairs_table(element_at, solutions, p):
     """The table fill heisenberg_from_datum replaced: e(k, k') = g_k(k') -
     g_k'(k) evaluated on every pair of K, each value an F_p constant."""
-    p = dh.pairing.a_modulus
     table = []
     for ki in element_at.values():
         row = []
         for kj in element_at.values():
-            val = dh.solutions[ki.coeffs].evaluate(kj) - dh.solutions[kj.coeffs].evaluate(ki)
+            val = solutions[ki.coeffs].evaluate(kj) - solutions[kj.coeffs].evaluate(ki)
             assert not any(val.coeffs[1:])
             row.append(val.coeffs[0] % p)
         table.append(row)
@@ -765,15 +782,23 @@ DECK_DATA = [
     pytest.param(3, 1, 2, id="F3-i1-a2"),
     pytest.param(2, 2, 1, id="F2-i2"),
 ]
+DECK_DATA_81 = DECK_DATA + [pytest.param(3, 2, 1, id="F3-i2")]  # x^10 over F_3: |K| = 81
 
 
 def _deck_data(p, i, a):
+    """(dh, index -> k, E, embedded terms, g_k solved at every k) for
+    a*x^(p^i+1) over F_p."""
     field = make_field(p, 1)
     terms = [DiagMonomial(0, i, field.element([a]))]
     dh = heisenberg_from_datum(QuadDatum(field, 1, terms))
     big, emb = extension(field, dh.kernel.field.m)
-    _, element_at = _kernel_coordinates(dh.kernel, p)
-    return dh, element_at, big, _embedded_terms(terms, emb)
+    terms = _embedded_terms(terms, emb)
+    element_at = _kernel_coordinates(dh.kernel, p)
+    return dh, element_at, big, terms, _per_element_solutions(terms, element_at, big)
+
+
+def _basis(dh):
+    return [point[0] for point in dh.kernel.basis]
 
 
 def _vanishing_on(basis, field):
@@ -785,30 +810,52 @@ def _vanishing_on(basis, field):
     return phi
 
 
-def _coherent(dh, element_at, t, phi):
-    """g_k + lambda_t(k) phi for every k, lambda_t the t-th coordinate: k -> g_k
-    stays additive."""
-    bad = dict(dh.solutions)
+def _coherent(dh, element_at, solutions, t, phi):
+    """g_k + lambda_t(k) phi for every k, lambda_t the t-th coordinate: the
+    per-element table of the basis solutions with phi added to the t-th."""
+    bad = dict(solutions)
     for idx, k in element_at.items():
         lam = dh.pairing.group.decode(idx)[t]
         bad[k.coeffs] = bad[k.coeffs] + phi.scale(lam)
     return bad
 
 
+def _shifted(solutions, t, phi):
+    bad = list(solutions)
+    bad[t] = bad[t] + phi
+    return bad
+
+
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_group_svn_matrices_agree_with_the_induced_oracle(p, i, a):
-    dh, _, _, _ = _deck_data(p, i, a)
+    dh = _deck_data(p, i, a)[0]
     assert dh.group._coords == _solved_coordinates(dh.group)
     _assert_induced(dh.group)
 
 
-@pytest.mark.parametrize("p,i,a", DECK_DATA + [pytest.param(3, 2, 1, id="F3-i2")])
-def test_basis_pair_table_agrees_with_all_pairs_oracle(p, i, a):
-    # x^10 over F_3 (F3-i2) has |K| = 81
-    dh, element_at, _, _ = _deck_data(p, i, a)
+@pytest.mark.parametrize("p,i,a", DECK_DATA_81)
+def test_basis_solutions_agree_with_per_element_oracle(p, i, a):
+    # g_k solved at every k is sum_s lambda_s(k) g_s over the basis solutions:
+    # off the basis, g_k is determined, so it is no longer stored
+    dh, element_at, big, _, oracle = _deck_data(p, i, a)
+    basis = _basis(dh)
     assert list(element_at) == list(dh.pairing.group.elements())
-    assert len({k.coeffs for k in element_at.values()}) == p ** (2 * i)
-    assert _values(dh.pairing) == _all_pairs_table(dh, element_at)
+    assert len({k.coeffs for k in element_at.values()}) == p ** (2 * i) == dh.kernel.size
+    assert [element_at[g] for g in dh.pairing.group.generators()] == basis
+    assert dh.solutions == [oracle[k.coeffs] for k in basis]
+    for idx, k in element_at.items():
+        span = AdditivePolynomial(big, {})
+        for lam, gs in zip(dh.pairing.group.decode(idx), dh.solutions):
+            span = span + gs.scale(lam)
+        assert oracle[k.coeffs] == span
+
+
+@pytest.mark.parametrize("p,i,a", DECK_DATA_81)
+def test_basis_pair_table_agrees_with_all_pairs_oracle(p, i, a):
+    # the Gram matrix on the basis fills the table of g_k(k') - g_k'(k) with
+    # g_k solved at every k
+    dh, element_at, _, _, oracle = _deck_data(p, i, a)
+    assert _values(dh.pairing) == _all_pairs_table(element_at, oracle, p)
 
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
@@ -834,8 +881,9 @@ def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
-    dh, element_at, big, terms = _deck_data(p, i, a)
+    dh, element_at, big, terms, oracle = _deck_data(p, i, a)
     h = lambda u: _eval_scalar_poly(terms, u)
+    basis = _basis(dh)
     assert len(element_at) == p ** (2 * i)
     for limit in (1, 3, 12, 40):
         assert _covering_points(big, h, limit) == _per_u_scan(big, h, limit)
@@ -843,69 +891,98 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
         us = [u for u, _ in _covering_points(big, h, 12)]
         assert us != list(itertools.islice(big.elements(), len(us)))
     points = _covering_points(big, h, 12)[:3]
-    assert _all_pairs_deck_sweep(element_at, dh.solutions, dh.pairing, points)
-    _check_deck_commutators(element_at, dh.solutions, dh.pairing, points)
+    assert _all_pairs_deck_sweep(element_at, oracle, dh.pairing, points)
+    _check_deck_commutators(basis, dh.solutions, dh.pairing, points)
 
-    # g_k + X for one k at a time, generators and non-generators alike:
-    # k -> g_k stops being additive
-    for k in element_at.values():
-        bad = dict(dh.solutions)
-        bad[k.coeffs] = bad[k.coeffs] + AdditivePolynomial(big, {0: big.one()})
-        assert not _all_pairs_deck_sweep(element_at, bad, dh.pairing, points)
-        with pytest.raises(TheoremViolated):
-            _check_deck_commutators(element_at, bad, dh.pairing, points)
-    # additive corruptions, which only the commutators on generator pairs can
-    # catch: g_k + lambda_t(k) X, and g_k + lambda_t(k) (X^p - s^(p-1) X)
-    # with s the first basis vector, which changes no commutator with s
-    gens = dh.pairing.group.generators()
+    # g_t + phi on the t-th basis solution, which the all-pairs sweep sees as
+    # g_k + lambda_t(k) phi: phi = X, and X^p - s^(p-1) X with s the first
+    # basis vector, which changes no commutator with s; the commutators on
+    # basis pairs refuse exactly what the sweep refuses
     rejected = 0
-    for phi in (AdditivePolynomial(big, {0: big.one()}), _vanishing_on([element_at[gens[0]]], big)):
-        for t in range(len(gens)):
-            bad = _coherent(dh, element_at, t, phi)
-            if _all_pairs_deck_sweep(element_at, bad, dh.pairing, points):
-                _check_deck_commutators(element_at, bad, dh.pairing, points)
+    for phi in (AdditivePolynomial(big, {0: big.one()}), _vanishing_on(basis[:1], big)):
+        for t in range(len(basis)):
+            bad = _shifted(dh.solutions, t, phi)
+            if _all_pairs_deck_sweep(element_at, _coherent(dh, element_at, oracle, t, phi),
+                                     dh.pairing, points):
+                _check_deck_commutators(basis, bad, dh.pairing, points)
             else:
                 rejected += 1
                 with pytest.raises(TheoremViolated):
-                    _check_deck_commutators(element_at, bad, dh.pairing, points)
-    assert rejected >= len(gens)
+                    _check_deck_commutators(basis, bad, dh.pairing, points)
+    assert rejected >= len(basis)
 
 
 def test_deck_lift_check_keeps_every_k():
-    dh, element_at, big, terms = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
-    _validate_deck_maps(terms, big, element_at, dh.solutions, dh.pairing, 12)
-    for k in element_at.values():
-        bad = dict(dh.solutions)
-        bad[k.coeffs] = bad[k.coeffs] + AdditivePolynomial(big, {0: big.one()})
+    # the lift identity on the basis is the lift identity at every k, since
+    # g_k = sum_s lambda_s(k) g_s: g_s + X on any basis vector is refused
+    dh, _, big, terms, _ = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
+    basis = _basis(dh)
+    _validate_deck_maps(terms, big, basis, dh.solutions, dh.pairing, 12)
+    for t in range(len(basis)):
+        bad = _shifted(dh.solutions, t, AdditivePolynomial(big, {0: big.one()}))
         with pytest.raises(TheoremViolated):
-            _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)
-    # adding lambda_t(k) phi_K, phi_K vanishing on K, keeps every commutator:
-    # only the lift property at the sampled u catches it
-    gens = dh.pairing.group.generators()
-    phi = _vanishing_on([element_at[g] for g in gens], big)
-    for t in range(len(gens)):
-        bad = _coherent(dh, element_at, t, phi)
-        _check_deck_commutators(element_at, bad, dh.pairing, [(big.zero(),) * 2])
+            _validate_deck_maps(terms, big, basis, bad, dh.pairing, 12)
+    # adding phi_K, vanishing on K, to a basis solution keeps every
+    # commutator: only the lift identity catches it
+    phi = _vanishing_on(basis, big)
+    for t in range(len(basis)):
+        bad = _shifted(dh.solutions, t, phi)
+        _check_deck_commutators(basis, bad, dh.pairing, [(big.zero(),) * 2])
         with pytest.raises(TheoremViolated):
-            _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)
+            _validate_deck_maps(terms, big, basis, bad, dh.pairing, 12)
+
+
+def test_formal_lift_identity_sees_a_corruption_vanishing_on_e():
+    # x^3 over F_2: K = E = F_4, so g_s + X^4 + X agrees with g_s at every u
+    # of E, every sampled lift and every commutator hold, and only the formal
+    # identity g_s^(2) - g_s = beta_s refuses it
+    dh, _, big, terms, _ = _deck_data(2, 1, 1)
+    basis = _basis(dh)
+    assert big.q == dh.kernel.size == 4
+    phi = AdditivePolynomial(big, {2: big.one(), 0: big.one()})
+    assert all(not phi.evaluate(u) for u in big.elements())
+    h = lambda u: _eval_scalar_poly(terms, u)
+    points = _covering_points(big, h, 4)
+    for t, s in enumerate(basis):
+        bad = _shifted(dh.solutions, t, phi)
+        for u in big.elements():
+            lhs = bad[t].evaluate(u)
+            assert lhs.frobenius() - lhs == h(u + s) - h(u) - h(s)
+        _check_deck_commutators(basis, bad, dh.pairing, points)
+        with pytest.raises(TheoremViolated, match="is not beta_k"):
+            _validate_deck_maps(terms, big, basis, bad, dh.pairing, 12)
+
+
+def test_deck_maps_solved_on_the_basis_only(monkeypatch):
+    # x^9 over F_2: |K| = 64, dim 6; one _solve_additive per basis vector
+    calls = []
+    solve = heisenberg._solve_additive
+    monkeypatch.setattr(heisenberg, "_solve_additive",
+                        lambda beta, big: calls.append(beta) or solve(beta, big))
+    dh = heisenberg_from_datum(QuadDatum(F2, 1, [DiagMonomial(0, 3, F2.one())]))
+    assert dh.kernel.size == 64
+    assert len(calls) == len(dh.solutions) == len(dh.kernel.basis) == 6
+
+
+def _assert_traces(h):
+    """The character table of h is the trace of `matrix` at every g, for h
+    as built and under every corruption of `_generator_corruptions`."""
+    for _ in itertools.chain([None], _generator_corruptions(h)):
+        rep = SvNRepresentation(h, 1)
+        traces = []
+        for g in h.elements():
+            perm, exps = rep.matrix(g)
+            fixed = [e for t, e in enumerate(exps) if perm[t] == t]
+            traces.append(zeta_sum(rep.mod, {e: fixed.count(e) for e in set(fixed)}))
+        assert rep.characters() == traces
+
+
+@pytest.mark.parametrize("p,r", ORACLE_SIZES)
+def test_character_table_is_the_trace_of_every_matrix(p, r):
+    # only the elements with alpha(k) = 0 have their matrix built
+    _assert_traces(build_group(standard_pairing(p, r)))
 
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
-def test_deck_lift_corruption_off_the_basis_is_refused(p, i, a):
-    # the lift property is evaluated on the F_p-basis of K only: g_k + X at a
-    # k off the basis breaks the lift at k, and is refused because k -> g_k
-    # stops being additive
-    dh, element_at, big, terms = _deck_data(p, i, a)
-    h = lambda u: _eval_scalar_poly(terms, u)
-    basis = {element_at[g].coeffs for g in dh.pairing.group.generators()}
-    off_basis = [k for k in element_at.values() if k.coeffs not in basis]
-    assert len(off_basis) == p ** (2 * i) - 2 * i
-    sample = list(itertools.islice(big.elements(), 12))
-    for k in off_basis:
-        bad = dict(dh.solutions)
-        bad[k.coeffs] = bad[k.coeffs] + AdditivePolynomial(big, {0: big.one()})
-        lifts = [bad[k.coeffs].evaluate(u).frobenius() - bad[k.coeffs].evaluate(u)
-                 == h(u + k) - h(u) - h(k) for u in sample]
-        assert not all(lifts)
-        with pytest.raises(TheoremViolated):
-            _validate_deck_maps(terms, big, element_at, bad, dh.pairing, 12)
+def test_deck_character_table_is_the_trace_of_every_matrix(p, i, a):
+    _assert_traces(_deck_data(p, i, a)[0].group)
