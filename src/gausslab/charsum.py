@@ -453,8 +453,16 @@ class KernelData(Record):
     size: int
     splitting_degree: int
     field: object
-    elements: list
-    basis: list  # the F_p-basis that `elements` spans, in the same point form
+    d: int
+    basis: list  # an F_p-basis of K, points in field^d
+
+    @property
+    def elements(self):
+        """All of K, listed only when read (the `kernel` job): the F_p-span of
+        `basis` in itertools.product order over its coefficients."""
+        m, vectors = self.field.m, [[c for x in pt for c in x.coeffs] for pt in self.basis]
+        return [tuple(self.field.element(vec[j * m:(j + 1) * m]) for j in range(self.d))
+                for vec in _span_mod_p(vectors, self.field.p, m * self.d)]
 
 
 def _kernel_dimension(pairing, n):
@@ -540,15 +548,10 @@ def geometric_kernel(datum, max_degree=24, override=False):
         twor += 1
     if s != 1 or twor % 2 != 0:
         raise DegeneratePairing(f"kernel size {size} is not an even power of {p}")
-    # list the kernel as the F_p-span of the flat null basis
+    # caps the listing that `KernelData.elements` makes when read
     check_cap(size, override, "kernel listing")
-    me = big.m
-    point = lambda vec: tuple(big.element(vec[j * me : (j + 1) * me]) for j in range(d))
-    return KernelData(
-        r=twor // 2, size=size, splitting_degree=n, field=big,
-        elements=[point(vec) for vec in _span_mod_p(basis, p, me * d)],
-        basis=[point(vec) for vec in basis],
-    )
+    return KernelData(r=twor // 2, size=size, splitting_degree=n, field=big, d=d, basis=[
+        tuple(big.element(vec[j * big.m:(j + 1) * big.m]) for j in range(d)) for vec in basis])
 
 
 # -- canonical one-dimensional representatives ------------------------------------

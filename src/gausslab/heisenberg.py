@@ -356,7 +356,8 @@ class SvNRepresentation:
         if any(self.matrix((a, 0)) != (one, (self.psi_unit * a % self.mod,) * self.dim)
                for a in range(grp.a_modulus)):
             raise TheoremViolated("central character is not psi")
-        if sum(map(abs_square, self.characters()), zeta_sum(1, {})) != grp.order:
+        if sum((abs_square(chi) for chi in self.characters() if not chi.is_zero()),
+               zeta_sum(1, {})) != grp.order:
             raise TheoremViolated("character norm is not |H| (not irreducible)")
         return True
 
@@ -558,9 +559,10 @@ def _check_deck_commutators(basis, solutions, pairing, points):
         u, z = point
         return (u + basis[i], z + solutions[i].evaluate(u))
 
+    moved = [[deck(i, pt) for pt in points] for i in range(len(basis))]
     for i, j in itertools.product(range(len(basis)), repeat=2):
-        for pt in points:
-            (u1, z1), (u2, z2) = deck(i, deck(j, pt)), deck(j, deck(i, pt))
+        for di, dj in zip(moved[i], moved[j]):
+            (u1, z1), (u2, z2) = deck(i, dj), deck(j, di)
             if u1 != u2 or any((z1 - z2).coeffs[1:]):
                 raise TheoremViolated("deck commutator moved the base point")
             if (z1 - z2).coeffs[0] % pairing.a_modulus != pairing.gram[i][j]:

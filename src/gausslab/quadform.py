@@ -79,20 +79,21 @@ class FiniteAbelianGroup:
     def scalar(self, n, i):
         return self.encode(tuple(n * x for x in self.decode(i)))
 
-    def zero(self):
-        return 0
-
     def generators(self):
-        """Indices of the standard generators e_i."""
-        out = []
-        for k, d in enumerate(self.moduli):
-            if d > 1:
-                out.append(self.encode(tuple(1 if t == k else 0 for t in range(len(self.moduli)))))
-        return out
+        """Indices of the standard generators e_i: prod(d_j for j < i)."""
+        return [prod(self.moduli[:k]) for k, d in enumerate(self.moduli) if d > 1]
 
     def element_order(self, i):
         tup = self.decode(i)
         return lcm(*(d // gcd(d, c) for d, c in zip(self.moduli, tup))) if tup else 1
+
+    def key_index(self):
+        """{canonical key "c_0,...,c_(k-1)": index} for all of M, in index
+        order, built one coordinate at a time like `translation`."""
+        keys = [""]
+        for s, d in enumerate(self.moduli):
+            keys = [k + t for t in [("," if s else "") + str(c) for c in range(d)] for k in keys]
+        return dict(zip(keys, range(self.order)))
 
     def translation(self, a):
         """[a + x for x in elements()], built one coordinate at a time."""
@@ -173,7 +174,7 @@ class QuadraticForm:
             raise ValueError("value table must be total on the group")
         self.group = group
         self.value_order = value_order
-        self.exponents = list(int(e) % value_order for e in exponents)
+        self.exponents = [int(e) % value_order for e in exponents]
         self.pairing = BilinearPairing(group, value_order, self.exponents)
 
     # -- constructors ----------------------------------------------------------
@@ -267,48 +268,42 @@ class QuadraticForm:
 
     def to_json(self):
         """Spec shape: values are serialized cyclotomic numbers."""
-        return {
-            "invariant_factors": list(self.group.moduli),
-            "value_order": self.value_order,
-            "values": {
-                ",".join(map(str, self.group.decode(i))): self.value(i).to_json()
-                for i in range(self.group.order)
-            },
-        }
+        keys = self.group.key_index()
+        return {"invariant_factors": list(self.group.moduli), "value_order": self.value_order,
+                "values": {key: self.value(i).to_json() for key, i in keys.items()}}
 
     @staticmethod
     def from_json(obj):
-        """Parse the spec shape; ValueError unless value_order is an int >= 1
-        and each element of the group has exactly one key, its coordinates
-        0 <= c_i < d_i written canonically ("1,0", not "01,0" or "+1, 0"), and
-        its value is an int exponent in [0, value_order) or a value_order-th
-        root of unity."""
+        """Parse the spec shape; ValueError unless value_order is an int >= 1 and
+        values is a JSON object of |M| keys (counted before anything of size |M|
+        is built), each a canonical element key of `key_index` ("1,0", not "01,0"),
+        valued by an int in [0, value_order) or a value_order-th root of unity."""
         group = FiniteAbelianGroup(obj["invariant_factors"])
         n = obj["value_order"]
         if type(n) is not int or n < 1:
             raise ValueError(f"value_order must be an int >= 1, got {n!r}")
-        exps = [None] * group.order
-        for key, val in obj["values"].items():
-            tup = tuple(int(t) for t in key.split(",")) if key else ()
-            if key != ",".join(map(str, tup)) or len(tup) != len(group.moduli) or not all(
-                0 <= c < d for c, d in zip(tup, group.moduli)
-            ):
+        values = obj["values"]
+        if not isinstance(values, dict):
+            raise ValueError(f"values must be a JSON object, got {type(values).__name__}")
+        if len(values) != group.order:
+            raise ValueError(f"values must have one key per element of {group!r}, got {len(values)}")
+        index = group.key_index()
+        exps = [0] * group.order
+        for key, val in values.items():
+            idx = index.get(key)
+            if idx is None:
                 raise ValueError(f"value key {key!r} is not an element of {group!r}")
-            idx = group.encode(tup)
-            if exps[idx] is not None:
-                raise ValueError(f"element {tup} has more than one value")
             if type(val) is int and 0 <= val < n:
                 exps[idx] = val
             elif not isinstance(val, dict):
-                raise ValueError(f"value {val!r} of element {tup} is neither an exponent "
-                                 f"in [0, {n}) nor a cyclotomic number")
+                raise ValueError(f"value {val!r} of element {group.decode(idx)} is neither an "
+                                 f"exponent in [0, {n}) nor a cyclotomic number")
             else:
                 z = CyclotomicNumber.from_json(val).embed(n)
                 exps[idx] = zeta_exponents(n).get(z.nums) if z.den == 1 else None
                 if exps[idx] is None:
-                    raise ValueError(f"value of element {tup} is not a {n}-th root of unity")
-        if None in exps:
-            raise ValueError(f"no value for element {group.decode(exps.index(None))}")
+                    raise ValueError(f"value of element {group.decode(idx)} is not a "
+                                     f"{n}-th root of unity")
         return QuadraticForm(group, n, exps)
 
 

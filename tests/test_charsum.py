@@ -208,6 +208,16 @@ def test_geometric_kernel_examples():
         0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15]
 
 
+def test_geometric_kernel_lists_k_only_when_read(monkeypatch):
+    # x^17 over F_2: |K| = 256 from a basis of 8, and no span is made until
+    # `elements` is read
+    spans = []
+    monkeypatch.setattr(charsum, "_span_mod_p", lambda *a: spans.append(a) or fields._span_mod_p(*a))
+    k = geometric_kernel(QuadDatum(F2, 1, [DiagMonomial(0, 4, F2.one())]))
+    assert (k.size, len(k.basis), spans) == (256, 8, [])
+    assert len(k.elements) == 256 and len(spans) == 1
+
+
 def test_geometric_kernel_diag_datum_ranks():
     # a x^{p^n+1} has kernel p^{2n}, r = n, for n in {1,2}, p in {2,3}
     for p, field in ((2, F2), (3, F3)):

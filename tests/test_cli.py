@@ -130,6 +130,28 @@ def test_form_decodes_strictly(values, order, why, tmp_path, capsys):
     assert "invalid input" in err and why in err
 
 
+@pytest.mark.parametrize("command", ["gauss-sum", "gauss-verify"])
+@pytest.mark.parametrize(
+    "form, why",
+    [
+        ({"invariant_factors": [2], "value_order": 2, "values": [0, 1]},
+         "values must be a JSON object, got list"),
+        ({"invariant_factors": [2], "value_order": 2, "values": "0,1"},
+         "values must be a JSON object, got str"),
+        ({"invariant_factors": [2], "value_order": 2, "values": None},
+         "values must be a JSON object, got NoneType"),
+        # nothing of size |M| = 10^12 is built before the key count is refused
+        ({"invariant_factors": [10**12], "value_order": 2, "values": {"0": 0}},
+         "values must have one key per element of FiniteAbelianGroup([1000000000000]), got 1"),
+    ],
+    ids=["values-list", "values-string", "values-null", "oversized-group"],
+)
+def test_form_table_shape_is_invalid_input(command, form, why, tmp_path, capsys):
+    code, err = run_main(command, {"form": form}, tmp_path, capsys)
+    assert code == 2
+    assert "invalid input" in err and why in err
+
+
 @pytest.mark.parametrize(
     "job,message",
     [

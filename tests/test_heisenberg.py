@@ -22,7 +22,7 @@ from gausslab.errors import (
     NotPerfect,
     TheoremViolated,
 )
-from gausslab.exactalg import zeta, zeta_sum
+from gausslab.exactalg import abs_square, zeta, zeta_sum
 from gausslab.fields import AdditivePolynomial, extension, make_field
 from gausslab.heisenberg import (
     AlternatingPairing,
@@ -775,6 +775,16 @@ def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
     assert sum(calls.values()) == 3 * k * k + 2 * (k + 1) ** 2
 
 
+def test_svn_norm_squares_only_the_nonzero_characters(monkeypatch):
+    # chi vanishes off the center {(a, 0)}: (Z/3)^4 into Z/3, |H| = 243, and
+    # the norm check squares 3 characters
+    h = build_group(standard_pairing(3, 2))
+    squared = []
+    monkeypatch.setattr(heisenberg, "abs_square", lambda z: squared.append(z) or abs_square(z))
+    assert SvNRepresentation(h, 1).verify()
+    assert len(squared) == h.a_modulus == 3 < h.order
+
+
 # a*x^(p^i+1) over F_p: (p, i, a); |K| = p^(2i)
 DECK_DATA = [
     pytest.param(2, 1, 1, id="F2-i1"),
@@ -910,6 +920,22 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
                 with pytest.raises(TheoremViolated):
                     _check_deck_commutators(basis, bad, dh.pairing, points)
     assert rejected >= len(basis)
+
+
+def test_deck_commutators_evaluate_each_inner_map_once(monkeypatch):
+    # dim + 2 dim^2 evaluations per point: d_i(pt) once for each i, then
+    # d_i(d_j(pt)) for each ordered pair
+    dh, _, big, terms, _ = _deck_data(2, 2, 1)  # |K| = 16, dim 4
+    basis = _basis(dh)
+    points = _covering_points(big, lambda u: _eval_scalar_poly(terms, u), 3)
+    calls = []
+    evaluate = AdditivePolynomial.evaluate
+    monkeypatch.setattr(AdditivePolynomial, "evaluate",
+                        lambda self, u: calls.append(u) or evaluate(self, u))
+    _check_deck_commutators(basis, dh.solutions, dh.pairing, points)
+    dim = len(basis)
+    assert (dim, len(points)) == (4, 3)
+    assert len(calls) == len(points) * (dim + 2 * dim * dim) < 4 * dim * dim * len(points)
 
 
 def test_deck_lift_check_keeps_every_k():

@@ -1,5 +1,6 @@
 """Quadratic forms on finite abelian groups and their Gauss sums."""
 
+import re
 from math import gcd
 
 import pytest
@@ -264,10 +265,13 @@ def test_from_json_rejects_bad_value_tables():
     for values in (
         {"0": 0, "1": 1},                            # Q(2) missing
         {"0": 0, "1": 1, "2": 1, "01": 1},           # "01" repeats the element 1
+        {"0": 0, "01": 1, "2": 1},                   # ... and with |M| keys
         {"0": 0, "7": 1, "2": 1},                    # 7 is outside [0, 3)
         {"0": 0, "1": 1, "-1": 1},
         {"0": 0, "1": 1, "2": 1, "0,0": 1},          # wrong arity
+        {"0": 0, "1": 1, "0,0": 1},
         {"": 0, "0": 0, "1": 1, "2": 1},
+        {"": 0, "1": 1, "2": 1},
         {"00": 0, "1": 1, "2": 1},                   # keys are written canonically
         {"0": 0, "+1": 1, "2": 1},
         {"0": 0, "1": 5, "2": 1},                    # exponents are in [0, 3), not reduced
@@ -289,6 +293,39 @@ def test_from_json_rejects_bad_value_tables():
             {"invariant_factors": [2, 1], "value_order": 4,
              "values": {"0,0": 0, "1,0": 1, "1,1": 1}}
         )
+
+
+def test_from_json_names_the_key_that_is_not_an_element():
+    # with |M| keys the count passes, so each table reaches the key test
+    for key in ("01", "0,0", "", "a,b", " 1", "1,", "-0", "3"):
+        values = {"0": 0, "1": 1, key: 1}
+        with pytest.raises(ValueError, match=re.escape(f"value key {key!r} is not an element")):
+            QuadraticForm.from_json({"invariant_factors": [3], "value_order": 3, "values": values})
+
+
+def test_from_json_refuses_a_table_of_the_wrong_size_before_building():
+    # |M| = 2 * 10^12: a table of size |M| would not fit in memory
+    for values in ({"0": 0}, {}, {"0,0": 0, "1,0": 0, "0,1": 0}):
+        message = f"one key per element of FiniteAbelianGroup([{10**12}, 2]), got {len(values)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuadraticForm.from_json({"invariant_factors": [10**12, 2], "value_order": 2,
+                                     "values": values})
+    for values in ([0, 1], "0", None, 0):
+        with pytest.raises(ValueError, match="values must be a JSON object"):
+            QuadraticForm.from_json({"invariant_factors": [2], "value_order": 2, "values": values})
+
+
+def test_key_index_is_decode_in_index_order():
+    for moduli in ((), (1,), (3, 4, 2), (2,) * 6):
+        g = FiniteAbelianGroup(moduli)
+        index = g.key_index()
+        assert list(index.values()) == list(range(g.order))
+        assert list(index) == [",".join(map(str, g.decode(i))) for i in range(g.order)]
+    assert FiniteAbelianGroup(()).key_index() == {"": 0}
+    assert FiniteAbelianGroup((1,)).key_index() == {"0": 0}
+    # to_json writes the keys from_json reads
+    form = random_nondegenerate(FiniteAbelianGroup((3, 4, 2)), 5)
+    assert QuadraticForm.from_json(form.to_json()).exponents == form.exponents
 
 
 def test_from_json_rejects_values_that_are_not_roots_of_unity():
