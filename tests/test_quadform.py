@@ -310,9 +310,6 @@ def test_from_json_refuses_a_table_of_the_wrong_size_before_building():
         with pytest.raises(ValueError, match=re.escape(message)):
             QuadraticForm.from_json({"invariant_factors": [10**12, 2], "value_order": 2,
                                      "values": values})
-    for values in ([0, 1], "0", None, 0):
-        with pytest.raises(ValueError, match="values must be a JSON object"):
-            QuadraticForm.from_json({"invariant_factors": [2], "value_order": 2, "values": values})
 
 
 def test_key_index_is_decode_in_index_order():
