@@ -8,6 +8,8 @@ with Witt traces.  All sums, pairings, kernels and identity checks are exact.
 
 import itertools
 from collections import Counter
+from functools import reduce
+from operator import add, mul
 
 from .errors import (
     DegeneratePairing,
@@ -199,22 +201,19 @@ class _Evaluator:
             s = datum.substitution(j)
             subs[j] = s.lift(emb) if s is not None else None
         self._subs = subs
-        self._half = (p + 1) // 2 if p != 2 else None
-        plan = []
+        # a x_j^(p^i) x_k: diagonal terms at k = j, half squares (a/2) x_j^2
+        # at k = j and i = 0
+        half = (p + 1) // 2
+        self._cross, self._linear, self._witt = [], [], []
         for t in datum.terms:
-            if t.kind == "precompose":
-                continue
-            if t.kind == "diag":
-                plan.append(("diag", t.j, t.i, emb(t.a)))
-            elif t.kind == "cross":
-                plan.append(("cross", t.j, t.k, t.i, emb(t.a)))
+            if t.kind in ("diag", "cross"):
+                self._cross.append((t.j, getattr(t, "k", t.j), t.i, emb(t.a)))
             elif t.kind == "halfsq":
-                plan.append(("halfsq", t.j, emb(t.a) * self._half))
+                self._cross.append((t.j, t.j, 0, emb(t.a) * half))
             elif t.kind == "aslin":
-                plan.append(("aslin", t.j, emb(t.c)))
+                self._linear.append((t.j, emb(t.c)))
             elif t.kind == "wittlin":
-                plan.append(("wittlin", t.j, emb(t.c)))
-        self._plan = plan
+                self._witt.append((t.j, emb(t.c)))
 
     def _coords(self, point):
         out = []
@@ -228,25 +227,25 @@ class _Evaluator:
         v = self._coords(point)
         big = self.big
         acc = big.zero()
-        witt_exp = 0
-        for entry in self._plan:
-            kind = entry[0]
-            if kind == "diag":
-                _, j, i, a = entry
-                acc = acc + a * v[j].frobenius(i) * v[j]
-            elif kind == "cross":
-                _, j, k, i, a = entry
-                acc = acc + a * v[j].frobenius(i) * v[k]
-            elif kind == "halfsq":
-                _, j, a = entry
-                acc = acc + a * v[j] * v[j]
-            elif kind == "aslin":
-                _, j, c = entry
-                acc = acc + c * v[j]
-            else:  # wittlin
-                _, j, c = entry
-                witt_exp += witt_trace(WittVector2(big, c * v[j], big.zero()))
+        for j, k, i, a in self._cross:
+            acc = acc + a * v[j].frobenius(i) * v[k]
+        for j, c in self._linear:
+            acc = acc + c * v[j]
+        witt_exp = sum(witt_trace(WittVector2(big, c * v[j], big.zero())) for j, c in self._witt)
         return (self.p * absolute_trace_int(acc) + witt_exp) % (self.p * self.p)
+
+    def polar(self, v):
+        """u with B(x, y) = sum_j Tr(u_j v_j(y)) mod p, for v the substituted
+        coordinates of x: the polar form of `exponent`, term by term, where
+        Tr(a x y^(p^i)) = Tr((a x)^(p^-i) y); linear terms add nothing."""
+        u = [self.big.zero()] * len(v)
+        for j, k, i, a in self._cross:
+            u[k] = u[k] + a * v[j].frobenius(i)
+            u[j] = u[j] + (a * v[k]).frobenius(-i)
+        for j, c in self._witt:
+            # the carry: (c(x+y), 0) = (cx, 0) + (cy, 0) - V(c^2 xy)
+            u[j] = u[j] + c * c * v[j]
+        return u
 
 
 def trace_value(datum, n, point, override=False):
@@ -268,21 +267,42 @@ def _coordinate_basis(big, columns):
             for j, ws in enumerate(columns) for w in ws]
 
 
-def _gram_data(exponent, basis, p):
-    """Gram data of a quadratic exponent e on points b_k: a[k] = e(b_k) and
-    gram[k][l] = B(b_k, b_l), where p*B(x, y) = e(x + y) - e(x) - e(y) mod p^2
-    is F_p-bilinear (odd p, p = 2 and the Z/4-valued Witt case alike).  They
-    fix e on the span (see `value` in `_histogram`), so two quadratic
-    exponents agree on it iff their Gram data agree."""
-    a = [exponent(b) for b in basis]
+def _gram_data(ev, basis):
+    """Gram data of the exponent of an `_Evaluator` on points b_k: a[k] =
+    e(b_k) and gram[k][l] = B(b_k, b_l), where p*B(x, y) = e(x + y) - e(x) -
+    e(y) mod p^2 is F_p-bilinear (odd p, p = 2 and the Z/4-valued Witt case
+    alike), from N values of e and N polar rows.  They fix e on the span (see
+    `_value`), so two quadratic exponents agree on it iff their Gram data agree."""
+    coords = [ev._coords(b) for b in basis]
+    rows = [ev.polar(v) for v in coords]
+    zero = ev.big.zero()
+    return _checked_gram(
+        ev.exponent, (zero,) * len(ev._subs), basis, [ev.exponent(b) for b in basis], ev.p,
+        lambda k, l: absolute_trace_int(sum(map(mul, rows[k], coords[l]), zero)))
+
+
+def _checked_gram(exponent, origin, basis, a, p, pair):
+    """(a, gram) with gram[k][l] = pair(k, l) = B(b_k, b_l), taken for k <= l
+    only, once two more values of e agree with them: e(origin) = 0, and
+    e(sum b_k) as `_value` predicts it.  A fault in a closed-form Gram matrix,
+    or an exponent that is not quadratic, shows there: exit 4."""
     gram = [[0] * len(basis) for _ in basis]
-    for i, bi in enumerate(basis):
-        for j in range(i, len(basis)):
-            diff = exponent(tuple(x + y for x, y in zip(bi, basis[j]))) - a[i] - a[j]
-            if diff % p:
-                raise TheoremViolated("e(x + y) - e(x) - e(y) is not divisible by p")
-            gram[i][j] = gram[j][i] = diff // p % p
+    for k in range(len(basis)):
+        for l in range(k, len(basis)):
+            gram[k][l] = gram[l][k] = pair(k, l)
+    total = reduce(lambda x, b: tuple(map(add, x, b)), basis, origin)
+    if exponent(origin) or exponent(total) != _value(a, gram, p, [(k, 1) for k in range(len(a))]):
+        raise TheoremViolated("the exponent disagrees with its Gram data")
     return a, gram
+
+
+def _value(a, gram, p, coeffs):
+    """e(sum c v_k) for (index k, integer c) pairs from Gram data (a, gram):
+    e(x + y) = e(x) + e(y) + p B(x, y) gives e(c x) = c e(x) + p B(x, x) c (c - 1) / 2."""
+    total = sum(c * a[k] + p * gram[k][k] * (c * (c - 1) // 2) for k, c in coeffs)
+    for (k, c), (l, c2) in itertools.combinations(coeffs, 2):
+        total += p * c * c2 * gram[k][l]
+    return total % (p * p)
 
 
 def _histogram(a, gram, p):
@@ -294,15 +314,6 @@ def _histogram(a, gram, p):
     groups", 1963)."""
     p2 = p * p
     a, gram = list(a), [list(row) for row in gram]
-
-    def value(coeffs):
-        # e(sum c v) for (index, integer c) pairs: e(x + y) = e(x) + e(y) +
-        # p B(x, y) gives e(c x) = c e(x) + p B(x, x) c (c - 1) / 2
-        total = sum(c * a[k] + p * gram[k][k] * (c * (c - 1) // 2) for k, c in coeffs)
-        for (k, c), (l, c2) in itertools.combinations(coeffs, 2):
-            total += p * c * c2 * gram[k][l]
-        return total % p2
-
     hist = Counter({0: 1})
     live = list(range(len(a)))
     while live:
@@ -312,17 +323,19 @@ def _histogram(a, gram, p):
         live = [k for k in live if k not in piece]
         convolved = Counter()
         for cs in itertools.product(range(p), repeat=len(piece)):
-            e = value(list(zip(piece, cs)))
+            e = _value(a, gram, p, list(zip(piece, cs)))
             for e1, c1 in hist.items():
                 convolved[(e1 + e) % p2] += c1
         hist = convolved
-        # x - B(x, v)/B(v, v) v off a line; x - (B(x, w) v + B(x, v) w)/B(v, w)
-        # off a plane, where B(v, v) = B(w, w) = 0; the radical is orthogonal
         g = gram[piece[0]][piece[-1]]
-        inv = pow(g, -1, p) if g else 0
+        if not g:  # a radical vector: orthogonal to the rest already
+            continue
+        # x - B(x, v)/B(v, v) v off a line; x - (B(x, w) v + B(x, v) w)/B(v, w)
+        # off a plane, where B(v, v) = B(w, w) = 0
+        inv = pow(g, -1, p)
         for r in live:
             proj = list(zip(piece, (gram[r][k] * inv % p for k in reversed(piece))))
-            a[r] = value([(r, 1)] + [(k, -c) for k, c in proj])
+            a[r] = _value(a, gram, p, [(r, 1)] + [(k, -c) for k, c in proj])
             row = gram[r]
             for r2 in live:
                 row[r2] = (row[r2] - sum(c * gram[k][r2] for k, c in proj)) % p
@@ -331,11 +344,12 @@ def _histogram(a, gram, p):
 
 def char_sum(datum, n, workers=1, override=False):
     """S_n = sum of t over all points of (F_{q^n})^d, exactly, from the Gram
-    data of its exponent: O(N^2) values of t and O(N^3) F_p work for
-    N = m*n*d, no point enumeration.  `workers` never changes the result."""
+    data of its exponent: N + 2 values of t, N(N+1)/2 traces of the polar
+    form and O(N^3) F_p work for N = m*n*d, no point enumeration.  `workers`
+    never changes the result."""
     ev = _Evaluator(datum, n, override)
     basis = _coordinate_basis(ev.big, [_power_basis(ev.big)] * datum.d)
-    hist = _histogram(*_gram_data(ev.exponent, basis, ev.p), ev.p)
+    hist = _histogram(*_gram_data(ev, basis), ev.p)
     if datum.value_order == ev.p:
         return zeta_sum(ev.p, {k // ev.p: v for k, v in hist.items()})
     return zeta_sum(ev.p * ev.p, hist)
@@ -757,10 +771,10 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
     lifted = [f.lift(ev.emb) for f in isogeny]
     basis = _coordinate_basis(big, [_power_basis(big)] * datum.d)
 
-    # left side: f is F_p-linear, so e o f is quadratic with Gram data e on
-    # f(b_k) and on f(b_k) + f(b_l) = f(b_k + b_l)
+    # left side: f is F_p-linear, so e o f is quadratic with the Gram data
+    # of e on the images f(b_k)
     images = [tuple(f.evaluate(x) for f, x in zip(lifted, b)) for b in basis]
-    lhs = zeta_sum(p2, _histogram(*_gram_data(ev.exponent, images, p), p))
+    lhs = zeta_sum(p2, _histogram(*_gram_data(ev, images), p))
 
     # right side 1: |ker f| = p^(N - rank) times the sum over the image, on
     # the pivot columns among the images f(X^t) in each coordinate
@@ -771,7 +785,7 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
         image_bases.append([cols[c] for c in pivots])
     image_basis = _coordinate_basis(big, image_bases)
     corank = len(basis) - len(image_basis)
-    rhs_image = p**corank * zeta_sum(p2, _histogram(*_gram_data(ev.exponent, image_basis, p), p))
+    rhs_image = p**corank * zeta_sum(p2, _histogram(*_gram_data(ev, image_basis), p))
 
     # right side 2: c annihilates the image when c -> (Tr(c w))_w sends its
     # basis to 0; the twist psi(Tr(c x)) is additive, so it keeps the Gram
@@ -781,7 +795,7 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
         _linear_kernel(big, lambda c, ws=ws: [absolute_trace_int(c * w) for w in ws])
         for ws in image_bases
     ]
-    a, gram = _gram_data(ev.exponent, basis, p)
+    a, gram = _gram_data(ev, basis)
     hist = Counter()
     for cs in itertools.product(*annihilators):
         shifted = [(e + p * sum(absolute_trace_int(c * x) for c, x in zip(cs, b))) % p2
@@ -794,17 +808,18 @@ def invariance_check(datum, matrices, n=1, override=False):
     """t(g x) = t(x) for every matrix g and every point x of (F_{q^n})^d.
 
     g is F_p-linear, so e o g is quadratic like e, and the two agree
-    everywhere iff their Gram data agree: e on g b_k and g b_k + g b_l
-    against e on b_k and b_k + b_l, O(N^2) evaluations per matrix.
+    everywhere iff their Gram data agree: those on the moved points g b_k
+    against those on b_k, N + 2 values of e and N(N+1)/2 polar traces per
+    matrix.
     """
     ev = _Evaluator(datum, n, override)
     big, emb, d = ev.big, ev.emb, datum.d
     lifted_mats = [[[emb(datum.field.element(c)) for c in row] for row in mat] for mat in matrices]
     basis = _coordinate_basis(big, [_power_basis(big)] * d)
-    base = _gram_data(ev.exponent, basis, ev.p)
+    base = _gram_data(ev, basis)
     for g in lifted_mats:
         moved = [tuple(sum((g[r][c] * b[c] for c in range(d)), big.zero()) for r in range(d))
                  for b in basis]
-        if _gram_data(ev.exponent, moved, ev.p) != base:
+        if _gram_data(ev, moved) != base:
             return False
     return True

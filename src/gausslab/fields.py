@@ -888,12 +888,19 @@ def witt_to_zp2(w):
 def witt_trace(w):
     """Witt-vector trace to W2(F_p), returned in Z/p^2.
 
-    Sums the Witt-Frobenius iterates F^i(w) over the absolute degree of the
-    coefficient field; the result is Frobenius-fixed, hence lies in W2(F_p).
+    The sum of the Witt-Frobenius iterates (x0^(p^i), x1^(p^i)), i < m, with
+    the addition law (s, t) + (y0, y1) = (s + y0, t + y1 + gamma(s, y0))
+    unrolled: (Tr x0, Tr x1 + sum of gamma(s_i, x0^(p^i))), s_i the partial
+    sums of the x0^(p^j), j < i.  It is Frobenius-fixed, hence in W2(F_p), so
+    Tr x0 and the carry are prime-field constants, read off as they are.
     """
-    acc = witt_zero(w.field)
-    cur = w
-    for _ in range(w.field.m):
-        acc = acc + cur
-        cur = witt_frobenius(cur)
-    return witt_to_zp2(acc)
+    x0, field = w.x0, w.field
+    s, carry = x0, field.zero()
+    for i in range(1, field.m):
+        y = x0.frobenius(i)
+        carry = carry + gamma_value(s, y)
+        s = s + y
+    if any(s.coeffs[1:]) or any(carry.coeffs[1:]):
+        raise FieldMismatch("Witt vector does not lie in W2(F_p)")
+    x1 = (absolute_trace_int(w.x1) + carry.coeffs[0]) % field.p
+    return _witt_prime_iso(field.p)[((s.coeffs[0],), (x1,))]

@@ -12,9 +12,8 @@ is q^n times a sum over x0 alone.
 """
 
 from collections import Counter
-from functools import lru_cache
 
-from .charsum import _coordinate_basis, _gram_data, _histogram, as_reduce, gos_rank
+from .charsum import _checked_gram, _coordinate_basis, _histogram, as_reduce, gos_rank
 from .errors import Record, SwanDivisibleByP, TheoremViolated, check_cap
 from .exactalg import (
     IntPolynomial,
@@ -103,25 +102,31 @@ def count_points(spec, n, override=False):
     im f is the annihilator of ker f_dual under the trace pairing and
     |ker f| = |ker f_dual|, so N_n = sum of S_n(c * rhs) over c in
     ker f_dual(F_{q^n}).  With g1, g2 additive, x -> Tr(c (g1(x) g2(x) + a x))
-    is F_p-quadratic: each S_n is a histogram from Gram data on the power
-    basis, O((mn)^2) values of rhs and no sweep of F_{q^n}.  The summed
-    histogram h is the integer h_0 - h_1 exactly when h_1 = ... = h_(p-1).
+    is F_p-quadratic with polar form Tr(c (g1(x) g2(y) + g1(y) g2(x))).  On
+    the power basis, rhs and the (mn)(mn+1)/2 products g1 g2 + g1 g2 are
+    shared by every c != 0, whose S_n is a histogram from Gram data, with no
+    sweep of F_{q^n}; c = 0 adds q^n to h_0.  The summed histogram h is the
+    integer h_0 - h_1 exactly when h_1 = ... = h_(p-1).
     """
     check_cap(spec.field.q**n, override, "curve point count")
     cs = additive_kernel(spec.f.adjoint(), n, override)
     big, emb = extension(spec.field, n)
     p, g1, g2, a = big.p, spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
 
-    @lru_cache(maxsize=None)  # rhs at each basis point and pair sum, shared by every c
     def rhs(point):
         (x,) = point
         return g1.evaluate(x) * g2.evaluate(x) + a * x
 
     basis = _coordinate_basis(big, [_power_basis(big)])
-    hist = Counter()
-    for c in cs:
-        hist.update(_histogram(*_gram_data(
-            lambda point: p * absolute_trace_int(c * rhs(point)), basis, p), p))
+    g12 = [(g1.evaluate(x), g2.evaluate(x)) for (x,) in basis]
+    values = [u1 * u2 + a * x for (x,), (u1, u2) in zip(basis, g12)]
+    pairs = [[u1 * v2 + v1 * u2 for v1, v2 in g12[k:]] for k, (u1, u2) in enumerate(g12)]
+    hist = Counter({0: big.q})
+    for c in filter(None, cs):  # c = 0 adds its q^n alone
+        hist.update(_histogram(*_checked_gram(
+            lambda point: p * absolute_trace_int(c * rhs(point)), (big.zero(),), basis,
+            [p * absolute_trace_int(c * v) for v in values], p,
+            lambda k, l: absolute_trace_int(c * pairs[k][l - k])), p))
     h = [hist[p * k] for k in range(p)]
     if len(set(h[1:])) != 1:
         raise TheoremViolated(f"the character sums of a point count are not rational: {h}")

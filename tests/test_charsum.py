@@ -553,7 +553,7 @@ def _enumerated_sum(datum, n):
 def _closed_form_histogram(datum, n):
     ev = charsum._Evaluator(datum, n)
     basis = charsum._coordinate_basis(ev.big, [charsum._power_basis(ev.big)] * datum.d)
-    return charsum._histogram(*charsum._gram_data(ev.exponent, basis, ev.p), ev.p)
+    return charsum._histogram(*charsum._gram_data(ev, basis), ev.p)
 
 
 def _random_datum(field, d, rng):
@@ -651,7 +651,8 @@ def test_closed_form_rejects_a_non_quadratic_exponent(monkeypatch):
 
 
 def test_char_sum_does_not_enumerate(monkeypatch):
-    # O(N^2) evaluations for N = m*n*d, never the q^(nd) points
+    # N + 2 evaluations for N = m*n*d: the basis, 0 and the sum of the basis,
+    # never the q^(nd) points
     calls = []
     exponent = charsum._Evaluator.exponent
     monkeypatch.setattr(charsum._Evaluator, "exponent",
@@ -659,7 +660,7 @@ def test_char_sum_does_not_enumerate(monkeypatch):
     _forbid_field_sweeps(monkeypatch)
     datum = frobpair(F4, 2)
     char_sum(datum, 6)
-    assert len(calls) == 24 + 24 * 25 // 2
+    assert len(calls) == 24 + 2
 
 
 def test_symbolic_pairing_asymmetry_is_a_fault(monkeypatch):
@@ -798,10 +799,107 @@ def _forbid_field_sweeps(monkeypatch):
 def test_gram_histogram_leaves_its_inputs_alone():
     ev = charsum._Evaluator(frobpair(F4, 2), 1)
     basis = charsum._coordinate_basis(ev.big, [charsum._power_basis(ev.big)] * 2)
-    a, gram = charsum._gram_data(ev.exponent, basis, 2)
+    a, gram = charsum._gram_data(ev, basis)
     copies = (list(a), [list(row) for row in gram])
     assert charsum._histogram(a, gram, 2) == charsum._histogram(a, gram, 2)
     assert (a, gram) == copies
+
+
+def _pair_sum_gram_data(exponent, basis, p):
+    """Gram data by their definition, N(N+3)/2 values of e: a[k] = e(b_k)
+    and p B(b_k, b_l) = e(b_k + b_l) - e(b_k) - e(b_l) mod p^2."""
+    a = [exponent(b) for b in basis]
+    gram = [[0] * len(basis) for _ in basis]
+    for k, bk in enumerate(basis):
+        for l in range(k, len(basis)):
+            diff = exponent(tuple(x + y for x, y in zip(bk, basis[l]))) - a[k] - a[l]
+            assert diff % p == 0, "e(x + y) - e(x) - e(y) is not divisible by p"
+            gram[k][l] = gram[l][k] = diff // p % p
+    return a, gram
+
+
+def _symbolic_gram(datum, ev, basis):
+    """B(b_k, b_l) = Tr(sum_jk f_jk(x_j) y_k) from the rows f_jk of
+    `symbolic_pairing`, lifted to the extension."""
+    rows = {jk: f.lift(ev.emb) for jk, f in symbolic_pairing(datum).matrix.items()}
+    return [[absolute_trace_int(sum((f.evaluate(x[j]) * y[k] for (j, k), f in rows.items()),
+                                    ev.big.zero())) for y in basis] for x in basis]
+
+
+def _check_polar_gram(datum, n, basis):
+    """The polar-form Gram data against both oracles on points `basis`."""
+    ev = charsum._Evaluator(datum, n)
+    a, gram = charsum._gram_data(ev, basis)
+    assert (a, gram) == _pair_sum_gram_data(ev.exponent, basis, ev.p), (datum.to_json(), n)
+    assert gram == _symbolic_gram(datum, ev, basis), (datum.to_json(), n)
+
+
+def _power_coordinate_basis(datum, n):
+    big, _ = extension(datum.field, n)
+    return charsum._coordinate_basis(big, [charsum._power_basis(big)] * datum.d)
+
+
+def test_polar_gram_matches_pair_sums_on_catalog():
+    for name, datum, _, _ in catalog_data():
+        for n in (1, 2, 3):
+            if datum.field.m * n * datum.d <= 12:
+                _check_polar_gram(datum, n, _power_coordinate_basis(datum, n))
+
+
+@pytest.mark.parametrize("field", [F2, F4, F3, F9, F5], ids=["F2", "F4", "F3", "F9", "F5"])
+def test_polar_gram_matches_pair_sums_on_random_data(field):
+    rng = random.Random(f"polar-{field.q}")
+    kinds = set()
+    for d in (1, 2):
+        for _ in range(10):
+            datum = _random_datum(field, d, rng)
+            kinds.update(t.kind for t in datum.terms)
+            for n in range(1, 5):
+                if field.m * n * d <= 12:
+                    _check_polar_gram(datum, n, _power_coordinate_basis(datum, n))
+    wanted = {"diag", "cross", "aslin", "precompose", "halfsq" if field.p != 2 else "wittlin"}
+    assert kinds == wanted
+
+
+def test_polar_gram_matches_pair_sums_on_moved_points():
+    # the images of `pullback_sum_identity` and the moved bases of
+    # `invariance_check`: points that are not a coordinate basis
+    rng = random.Random("polar-moved")
+    for datum, isogeny, n in _pullback_cases(random.Random("pullback")):
+        big, emb = extension(datum.field, n)
+        lifted = [f.lift(emb) for f in isogeny]
+        images = [tuple(f.evaluate(x) for f, x in zip(lifted, b))
+                  for b in _power_coordinate_basis(datum, n)]
+        _check_polar_gram(datum, n, images)
+        g = [[emb(c) for c in row] for row in _random_matrix(datum.field, datum.d, rng)]
+        moved = [tuple(sum((g[r][c] * b[c] for c in range(datum.d)), big.zero())
+                       for r in range(datum.d)) for b in _power_coordinate_basis(datum, n)]
+        _check_polar_gram(datum, n, moved)
+
+
+def test_polar_gram_guard_catches_a_wrong_polar_form(monkeypatch):
+    # the polar form without the F^(-i)(a x) half of each diagonal term: on
+    # these data the guard's value at the sum of the basis no longer matches,
+    # exit 4 (one point sees only sum_(k<l) B(b_k, b_l) mod p, so not every
+    # wrong Gram matrix shows there)
+    polar = charsum._Evaluator.polar
+
+    def half_diag(self, v):
+        u = polar(self, v)
+        for j, k, i, a in self._cross:
+            if j == k and i:
+                u[j] = u[j] - (a * v[j]).frobenius(-i)
+        return u
+
+    x4 = dict((name, datum) for name, datum, _, _ in catalog_data())["diag-x4-f9"]
+    data = [(x_cubed(F4), 1), (x_cubed(F2), 2), (x4, 1), (x4, 2)]
+    expected = [char_sum(datum, n) for datum, n in data]
+    monkeypatch.setattr(charsum._Evaluator, "polar", half_diag)
+    for datum, n in data:
+        with pytest.raises(TheoremViolated, match="disagrees with its Gram data"):
+            char_sum(datum, n)
+    monkeypatch.undo()
+    assert [char_sum(datum, n) for datum, n in data] == expected
 
 
 def test_invariance_matches_enumeration():

@@ -518,6 +518,33 @@ def test_witt_trace_examples():
             assert witt_trace(u + v) == (witt_trace(u) + witt_trace(v)) % 4
 
 
+def _witt_trace_by_additions(w):
+    """The Witt trace as a sum of the m Witt-Frobenius iterates of w, one
+    Witt addition at a time."""
+    from gausslab.fields import witt_frobenius
+
+    acc, cur = witt_zero(w.field), w
+    for _ in range(w.field.m):
+        acc, cur = acc + cur, witt_frobenius(cur)
+    return witt_to_zp2(acc)
+
+
+@pytest.mark.parametrize("field", [F2, F4, F8, F3, F9], ids=["F2", "F4", "F8", "F3", "F9"])
+def test_witt_trace_matches_the_sum_of_iterates(field):
+    for a in field.elements():
+        for b in field.elements():
+            w = WittVector2(field, a, b)
+            assert witt_trace(w) == _witt_trace_by_additions(w), w
+
+
+def test_witt_trace_outside_w2_fp_is_a_mismatch(monkeypatch):
+    # a carry off the prime field (here: gamma replaced by x z + X) cannot
+    # come from a Frobenius-fixed sum and raises instead of being truncated
+    monkeypatch.setattr(fields, "gamma_value", lambda x, z: x * z + F4.gen())
+    with pytest.raises(FieldMismatch, match="does not lie in W2"):
+        witt_trace(WittVector2(F4, F4.one(), F4.zero()))
+
+
 def test_additive_polynomial_evaluation_additive():
     f = AdditivePolynomial(F4, {0: F4.gen(), 1: F4.one(), 2: F4.gen() ** 2})
     big, emb = extension(F4, 2)

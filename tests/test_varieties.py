@@ -144,6 +144,41 @@ def test_count_points_does_not_sweep_the_field(monkeypatch):
     assert count_points(spec, 16) == 2**16
 
 
+def _y2_y_power(h):
+    """y^2 + y = x^(2^h + 1) over F_2: g1 = X^(2^h), g2 = X."""
+    return CurveSpec(F2, AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()}),
+                     AdditivePolynomial(F2, {h: F2.one()}),
+                     AdditivePolynomial(F2, {0: F2.one()}), F2.zero())
+
+
+@pytest.mark.parametrize("h", range(3, 10))
+def test_y2_y_power_counts_at_degree_2h(h):
+    # the supersingular curve y^2 + y = x^(2^h + 1) has N_(2h) = 2^(2h+1)
+    # points: a 2h x 2h Gram matrix, F_(2^(2h)) never listed
+    assert count_points(_y2_y_power(h), 2 * h) == 2 ** (2 * h + 1)
+
+
+def test_count_points_builds_gram_data_per_nontrivial_character(monkeypatch):
+    # the trivial character adds q^n to h_0 by itself: |ker f_dual| - 1
+    # histograms, for kernels of size 2, 3 and 4
+    import gausslab.varieties as varieties
+
+    calls = []
+    histogram = varieties._histogram
+    monkeypatch.setattr(varieties, "_histogram",
+                        lambda a, gram, p: calls.append(len(a)) or histogram(a, gram, p))
+    y4_y_x3 = CurveSpec(F2, AdditivePolynomial(F2, {2: F2.one(), 0: F2.one()}),
+                        AdditivePolynomial(F2, {0: F2.one()}),
+                        AdditivePolynomial(F2, {1: F2.one()}), F2.zero())
+    cases = [(vdgv(), 3), (f3_curve(), 2), (y4_y_x3, 2)]
+    for spec, n in cases:
+        calls.clear()
+        kernel = additive_kernel(spec.f.adjoint(), n)
+        assert count_points(spec, n) == _fibre_count(spec, n), spec
+        assert calls == [spec.field.m * n] * (len(kernel) - 1), spec
+    assert sorted(len(additive_kernel(spec.f.adjoint(), n)) for spec, n in cases) == [2, 3, 4]
+
+
 def test_zeta_job_counts_each_degree_once(monkeypatch):
     # a zeta job counts N_1..N_b for the L-polynomial and N_(b+1), N_(b+2) for
     # the closure check: b + 2 counts, each degree once
