@@ -283,15 +283,19 @@ def _gram_data(ev, basis):
 
 def _checked_gram(exponent, origin, basis, a, p, pair):
     """(a, gram) with gram[k][l] = pair(k, l) = B(b_k, b_l), taken for k <= l
-    only, once two more values of e agree with them: e(origin) = 0, and
-    e(sum b_k) as `_value` predicts it.  A fault in a closed-form Gram matrix,
-    or an exponent that is not quadratic, shows there: exit 4."""
+    only, once more values of e agree with them: e(origin) = 0; e(c sum b_k) as
+    `_value` predicts it, c = 2 for odd p, where every a_k and B(b_k, b_l) has a
+    unit weight; for p = 2, B(b_k, b_k) = e(b_k) mod 2, since e(2x) = 0 = 2 e(x)
+    + 2 B(x, x) mod 4.  A fault in a closed-form Gram matrix, or an exponent
+    that is not quadratic, shows there: exit 4."""
     gram = [[0] * len(basis) for _ in basis]
     for k in range(len(basis)):
         for l in range(k, len(basis)):
             gram[k][l] = gram[l][k] = pair(k, l)
-    total = reduce(lambda x, b: tuple(map(add, x, b)), basis, origin)
-    if exponent(origin) or exponent(total) != _value(a, gram, p, [(k, 1) for k in range(len(a))]):
+    c = 1 if p == 2 else 2
+    total = reduce(lambda x, b: tuple(map(add, x, b)), basis * c, origin)
+    if (exponent(origin) or exponent(total) != _value(a, gram, p, [(k, c) for k in range(len(a))])
+            or p == 2 and any((gram[k][k] - a[k]) % 2 for k in range(len(a)))):
         raise TheoremViolated("the exponent disagrees with its Gram data")
     return a, gram
 

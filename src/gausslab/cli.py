@@ -151,7 +151,8 @@ def _cmd_gauss_verify(job, options):
         checks.append(_check("abs-square-is-order", True))
         oracle = recursive_gauss_eval(form)
         checks.append(
-            _check("recursive-oracle-agrees", oracle == tau, witness=_cyc(oracle))
+            _check("recursive-oracle-agrees", oracle == tau,
+                   witness=None if oracle == tau else _cyc(oracle))
         )
         if all(d == 2 for d in form.group.moduli) and form.group.moduli:
             a, tau2, qa = char2_invariant(form)

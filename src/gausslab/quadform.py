@@ -1,19 +1,18 @@
 """Quadratic forms on finite abelian groups and their Gauss sums.
 
 A form is given and stored as its total value table; no homogeneity
-Q(nx) = Q(x)^(n^2) is assumed.  Once B_Q is bilinear, which is checked on the
-table, Q is determined by the k values Q(e_s) and the k x k Gram matrix
-B(e_s, e_t) on the standard generators, and the recursive oracle works from
-those alone: `orthogonal_split`, Wall's splitting of such Gram data into
-orthogonal lines and planes, gives its pieces, and gives `heisenberg` its
-Darboux bases.  All values are roots of unity of order dividing exponent(M)^2,
-so internally a form keeps integer exponents modulo its working cyclotomic
-order; exact CyclotomicNumber objects are materialized only for assembled sums.
+Q(nx) = Q(x)^(n^2) is assumed.  B_Q is bilinear iff the table is the O(|M|)
+fill of its generator data, the k values Q(e_s) and the Gram matrix B(e_s,
+e_t) on the standard generators; then one `orthogonal_split`, Wall's
+splitting of such data into orthogonal lines and planes, decides
+non-degeneracy and gives the recursive oracle its pieces (and `heisenberg`
+its Darboux bases).  Values are roots of unity of order dividing
+exponent(M)^2, kept as integer exponents modulo the working cyclotomic
+order; CyclotomicNumber objects are built only for assembled sums.
 """
 
 from collections import Counter
 from functools import cached_property
-from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -106,7 +105,8 @@ class FiniteAbelianGroup:
 
 class BilinearPairing:
     """B(x, y) = Q(x+y) - Q(x) - Q(y) mod N of a value table Q, computed when
-    asked; bilinearity and the radical are decided on the k generators, O(|M| k^2)."""
+    asked.  Bilinearity is decided by one O(|M|) fill from the generator data
+    `gram`, non-degeneracy by one Wall split of the same data."""
 
     def __init__(self, group, value_order, exponents):
         self.group = group
@@ -129,23 +129,46 @@ class BilinearPairing:
         return [(g, self.row(g)) for g in self.group.generators()]
 
     @cached_property
+    def gram(self):
+        """(mods, q, G): d_s, q_s = Q(e_s) and G[s][t] = B(e_s, e_t) on the
+        generators e_s of index g_s, k + k^2 lookups: e_s + e_t has index g_s +
+        g_t for s != t, and 2 e_s has index 2 g_s, or 0 when d_s = 2."""
+        q, n, gens = self._q, self.value_order, self.group.generators()
+        mods = [d for d in self.group.moduli if d > 1]
+        return mods, [q[g] for g in gens], [
+            [(q[g + h if g != h or d > 2 else 0] - q[g] - q[h]) % n for h in gens]
+            for g, d in zip(gens, mods)]
+
+    @cached_property
     def witness(self):
         """Decoded (x, g, h), g and h generators, with B(x+g, h) != B(x, h) +
-        B(g, h); None proves B bilinear.  Proof: each B(-, h) is then additive
-        against generators, hence additive; B is symmetric, and the cocycle
-        identity B(x,y) + B(x+y,h) = B(y,h) + B(x,y+h) gives B(x, y+h) =
-        B(x, y) + B(x, h), so each B(x, -) is additive too.  Q(0) = 1, which
-        x = 0 forces when M has generators, is checked first."""
-        decode = self.group.decode
+        B(g, h); None proves B bilinear.  Decided in O(|M|): B is bilinear iff
+        Q(0) = 0, d_s q_s + C(d_s, 2) G_ss = d_s G_st = 0 mod N and Q = `_fill`
+        of `gram`.  Only if: Q(x + y) = Q(x) + Q(y) + B(x, y) is the fill's
+        recursion, and Q(d_s e_s) = Q(0) = -B(0, 0), B(d_s e_s, e_t) = 0 give
+        the congruences.  If: the fill is F(x) = sum_s (x_s q_s + C(x_s, 2)
+        G_ss) + sum_(s<t) x_s x_t G_st on 0 <= x_s < d_s; F(x + d_s e_s) - F(x)
+        = d_s q_s + C(d_s, 2) G_ss + sum_t x_t d_s G_st = 0, so F is a function
+        on M, and F(x + y) - F(x) - F(y) = x^T G y is bilinear as d_s G_st = 0.
+        Only a refuted table is scanned, and the scan finds a witness: were each
+        B(-, h) additive against generators, hence additive, B would be
+        bilinear, since it is symmetric and the cocycle identity B(x,y) +
+        B(x+y,h) = B(y,h) + B(x,y+h) makes each B(x, -) additive too."""
+        decode, n = self.group.decode, self.value_order
         if self._q[0]:
             return (decode(0),) * 3
+        mods, q, gram = self.gram
+        wraps = all((d * q[s] + d * (d - 1) // 2 * gram[s][s]) % n == 0
+                    and not any(d * b % n for b in gram[s]) for s, d in enumerate(mods))
+        if wraps and _fill(mods, n, q, gram) == self._q:
+            return None
         for g, _ in self.rows:
             shift = self.group.translation(g)
             for h, row in self.rows:
                 for x, xg in enumerate(shift):
-                    if (row[xg] - row[x] - row[g]) % self.value_order:
+                    if (row[xg] - row[x] - row[g]) % n:
                         return (decode(x), decode(g), decode(h))
-        return None
+        raise TheoremViolated("a table the fill refutes has no generator witness (bug detector)")
 
     def radical(self):
         """{x : B(x, g) = 0 for all generators g}, built once; NotQuadratic on
@@ -158,8 +181,11 @@ class BilinearPairing:
     def _radical(self):
         return [x for x in self.group.elements() if not any(row[x] for _, row in self.rows)]
 
-    def is_perfect(self):
-        return len(self.radical()) == 1
+    @cached_property
+    def split(self):
+        """`orthogonal_split` of `gram`: (pieces, None) exactly when B is perfect."""
+        mods, _, gram = self.gram
+        return orthogonal_split(mods, self.value_order, gram)
 
 
 class QuadraticForm:
@@ -194,7 +220,7 @@ class QuadraticForm:
     # -- structure --------------------------------------------------------------
 
     def is_quadratic(self, raise_on_failure=False):
-        """Bilinearity of B_Q, checked once on generators by `pairing.witness`."""
+        """Bilinearity of B_Q, decided once by `pairing.witness`."""
         witness = self.pairing.witness
         if witness is not None and raise_on_failure:
             raise NotQuadratic(witness)
@@ -204,13 +230,15 @@ class QuadraticForm:
         return self.pairing.radical()
 
     def is_nondegenerate(self):
-        return self.pairing.is_perfect()
+        self.is_quadratic(raise_on_failure=True)
+        return self.pairing.split[1] is None
 
     def gauss_sum(self):
-        hist = {}
-        for e in self.exponents:
-            hist[e] = hist.get(e, 0) + 1
-        return zeta_sum(self.value_order, hist)
+        return self._tau
+
+    @cached_property
+    def _tau(self):
+        return zeta_sum(self.value_order, Counter(self.exponents))
 
     def verify_gauss_sum_theorem(self):
         """Certify tau * conj(tau) = |M| and tau^2/|M| a root of unity.
@@ -235,11 +263,8 @@ class QuadraticForm:
 
     def twist(self, chi_exponents):
         """The form x -> Q(x) * chi(x) for a character given by exponents mod N."""
-        exps = [
-            (self.exponents[i] + chi_exponents[i]) % self.value_order
-            for i in range(self.group.order)
-        ]
-        return QuadraticForm(self.group, self.value_order, exps)
+        return QuadraticForm(self.group, self.value_order,
+                             [e + c for e, c in zip(self.exponents, chi_exponents)])
 
     def solve_character(self, chi_exponents):
         """The least a with B(a, -) = chi; CharacterNotInImage when degenerate,
@@ -313,22 +338,18 @@ def recursive_gauss_eval(form):
     """Evaluate tau_Q by the orthogonal splitting of the Gauss-sum theorem's
     proof, from generator data: an independent oracle for `gauss_sum`.
 
-    Once B_Q is bilinear, Q is fixed by q_s = Q(e_s) and G[s][t] = B(e_s, e_t)
-    on the k standard generators, k + k^2 lookups in the table; Q(x) =
-    sum_s (x_s q_s + C(x_s, 2) G[s][s]) + sum_{s<t} x_s x_t G[s][t] and
-    B(x, y) = x^T G y on integer coordinates; G is read off the generator rows
-    of B.  `orthogonal_split` splits M into orthogonal lines and planes from
-    those data and `_wall_histogram` convolves their value histograms; the
-    table itself is never summed.  ValueError on a degenerate form,
-    NotQuadratic on a non-quadratic one.
+    Once B_Q is bilinear, Q is fixed by its generator data `pairing.gram`:
+    Q(x) = sum_s (x_s q_s + C(x_s, 2) G[s][s]) + sum_{s<t} x_s x_t G[s][t]
+    and B(x, y) = x^T G y on integer coordinates.  The orthogonal lines and
+    planes of `pairing.split`, which decided non-degeneracy, are reused, and
+    `_wall_histogram` convolves their value histograms; the table itself is
+    never summed.  ValueError on a degenerate form, NotQuadratic on a
+    non-quadratic one.
     """
     if not form.is_nondegenerate():
         raise ValueError("recursive evaluation requires a non-degenerate form")
-    gens = form.group.generators()
-    q = [form.exponents[g] for g in gens]
-    gram = [[row[h] for h in gens] for _, row in form.pairing.rows]
-    mods = [form.group.element_order(g) for g in gens]
-    return zeta_sum(form.value_order, _wall_histogram(mods, form.value_order, q, gram))
+    _, q, gram = form.pairing.gram
+    return zeta_sum(form.value_order, _wall_histogram(form.pairing.split, form.value_order, q, gram))
 
 
 def _dot(x, y):
@@ -336,27 +357,39 @@ def _dot(x, y):
 
 
 def _form_exponent(x, q, gram, n_val):
-    """Q(sum_s x_s e_s) mod n_val for integer x, from q_s = Q(e_s) and
-    gram[s][t] = B(e_s, e_t): Q(x + y) = Q(x) + Q(y) + B(x, y) gives Q(c e_s)
-    = c q_s + C(c, 2) B(e_s, e_s)."""
+    """Q(sum_s x_s e_s) mod n_val for integer x from generator data (q, gram):
+    the polynomial F of `BilinearPairing.witness`."""
     return sum(c * q[s] + c * (c - 1) // 2 * gram[s][s] + c * _dot(x[s + 1:], gram[s][s + 1:])
                for s, c in enumerate(x)) % n_val
 
 
-def _wall_histogram(mods, n_val, q, gram):
-    """{exponent: count} of Q over M = sum_s Z/mods[s], for Q given by its
-    generator data (q, gram) mod n_val with B non-degenerate: the value
-    histograms of the pieces of `orthogonal_split`, each piece Z/o or (Z/o)^2
-    enumerated, convolved.  TheoremViolated, a bug detector, if the splitting
-    meets a radical element."""
-    pieces, radical = orthogonal_split(mods, n_val, gram)
+def _fill(mods, n_val, q, gram):
+    """Q on M = sum_s Z/mods[s] in index order from generator data (q, gram) mod
+    n_val, one generator at a time, O(|M|): Q(x + c e_s) = Q(x) + c q_s + C(c, 2)
+    G_ss + c B(x, e_s) for x in <e_t : t < s>, B(x, e_s) = sum_t x_t G_ts alike."""
+    table = [0]
+    for s, d in enumerate(mods):
+        col = [0]
+        for t in range(s):
+            col = [b + c * gram[t][s] for c in range(mods[t]) for b in col]
+        table = [(f + c * q[s] + c * (c - 1) // 2 * gram[s][s] + c * b) % n_val
+                 for c in range(d) for f, b in zip(table, col)]
+    return table
+
+
+def _wall_histogram(split, n_val, q, gram):
+    """{exponent: count} of Q over M, for Q given by its generator data (q,
+    gram) mod n_val with B non-degenerate: the value histograms of the pieces
+    of `split`, the `orthogonal_split` of those data, each piece Z/o or (Z/o)^2
+    filled by `_fill`, convolved.  TheoremViolated, a bug detector, if the
+    splitting met a radical element."""
+    pieces, radical = split
     if radical is not None:
         raise TheoremViolated(f"{radical} is radical (bug detector)")
     hist = Counter({0: 1})
     for _, o, piece, h in pieces:
         qp = [_form_exponent(p, q, gram, n_val) for p in piece]
-        part = Counter(_form_exponent(cs, qp, h, n_val)
-                       for cs in product(range(o), repeat=len(piece)))
+        part = Counter(_fill([o] * len(piece), n_val, qp, h))
         convolved = Counter()
         for e1, c1 in hist.items():
             for e2, c2 in part.items():
@@ -496,49 +529,36 @@ def random_nondegenerate(group, seed, max_tries=60):
     """Deterministic pseudorandom non-degenerate form on the group.
 
     Gram data on the standard generators is drawn at random, with values Q(e_i)
-    that satisfy the wrap constraint and are twisted by a random character;
-    the table is filled once through the cocycle rule Q(x+y) = Q(x)Q(y)B(x,y).
-    The output is verified quadratic and non-degenerate; pathological draws
-    are retried.
+    that satisfy the wrap constraint and are twisted by a random character, so
+    the table `_fill` builds from them is quadratic (`BilinearPairing.witness`).
+    A draw whose `orthogonal_split` meets the radical is retried before any
+    table is built; the accepted one is filled once.
     """
-    if group.order == 1:
-        return QuadraticForm.trivial(group)
     import random
 
     rng = random.Random(seed)
     n_val = group.exponent**2
-    gens = group.generators()
-    mods = [group.element_order(g) for g in gens]
-    k = len(gens)
+    mods = [d for d in group.moduli if d > 1]
+    k = len(mods)
     for _ in range(max_tries):
-        # symmetric Gram matrix of pairing exponents: B(e_i,e_j) killed by
-        # gcd(d_i, d_j)
+        # a symmetric Gram matrix, B(e_i, e_j) killed by gcd(d_i, d_j)
         bmat = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
                 g = gcd(mods[i], mods[j])
-                val = (n_val // g) * rng.randrange(g)
-                bmat[i][j] = bmat[j][i] = val
-        # unit diagonal-ish kick to help non-degeneracy
+                bmat[i][j] = bmat[j][i] = (n_val // g) * rng.randrange(g)
+        # a unit diagonal kick to help non-degeneracy
         for i in range(k):
             unit = rng.choice([u for u in range(1, mods[i] + 1) if gcd(u, mods[i]) == 1])
             if rng.random() < 0.9:
                 bmat[i][i] = (n_val // mods[i]) * unit % n_val
-        # Q on generators subject to the wrap constraint
-        # d_i * q_i + b_ii * d_i(d_i-1)/2 = 0 mod n_val; b_ii is a multiple of
-        # n_val/d_i, so c is a multiple of n_val/2 or 0, hence of d_i
-        qgen = []
-        for i, d in enumerate(mods):
-            c = (-bmat[i][i] * (d * (d - 1) // 2)) % n_val
-            qgen.append((c // d + (n_val // d) * rng.randrange(d)) % n_val)
-        # a random character twist, Q(e_i) += chi(e_i)
-        for i, d in enumerate(mods):
-            qgen[i] = (qgen[i] + (n_val // d) * rng.randrange(d)) % n_val
-        exps = [_form_exponent([t for t, d in zip(group.decode(idx), group.moduli) if d > 1],
-                               qgen, bmat, n_val) for idx in group.elements()]
-        form = QuadraticForm(group, n_val, exps)
-        if form.is_quadratic() and form.is_nondegenerate():
-            return form
+        # Q(e_i) with d_i Q(e_i) + C(d_i, 2) B(e_i, e_i) = 0 (that B term is
+        # a multiple of n_val/2 or 0, hence of d_i), then a character twist
+        qgen = [(-bmat[i][i] * (d * (d - 1) // 2)) % n_val // d + (n_val // d) * rng.randrange(d)
+                for i, d in enumerate(mods)]
+        qgen = [(c + (n_val // d) * rng.randrange(d)) % n_val for c, d in zip(qgen, mods)]
+        if orthogonal_split(mods, n_val, bmat)[1] is None:
+            return QuadraticForm(group, n_val, _fill(mods, n_val, qgen, bmat))
     raise ConstructionFailed(
         f"no non-degenerate form found on {group!r} after {max_tries} tries"
     )

@@ -878,10 +878,12 @@ def test_polar_gram_matches_pair_sums_on_moved_points():
 
 
 def test_polar_gram_guard_catches_a_wrong_polar_form(monkeypatch):
-    # the polar form without the F^(-i)(a x) half of each diagonal term: on
-    # these data the guard's value at the sum of the basis no longer matches,
-    # exit 4 (one point sees only sum_(k<l) B(b_k, b_l) mod p, so not every
-    # wrong Gram matrix shows there)
+    # the polar form without the F^(-i)(a x) half of each diagonal term: the
+    # guard sees it on every diagonal datum of the catalog and on x^3 over
+    # F_2, F_3 and F_4 at n = 1..3, exit 4.  For p = 2 it is the diagonal
+    # B(b_k, b_k) = e(b_k) mod 2; for odd p the value at 2 sum_k b_k, which
+    # weighs every B(b_k, b_l) (at the sum of the basis, 6 of these 18 cases
+    # raised: that point never sees the diagonal mod 2, nor anything at N = 1)
     polar = charsum._Evaluator.polar
 
     def half_diag(self, v):
@@ -891,8 +893,10 @@ def test_polar_gram_guard_catches_a_wrong_polar_form(monkeypatch):
                 u[j] = u[j] - (a * v[j]).frobenius(-i)
         return u
 
-    x4 = dict((name, datum) for name, datum, _, _ in catalog_data())["diag-x4-f9"]
-    data = [(x_cubed(F4), 1), (x_cubed(F2), 2), (x4, 1), (x4, 2)]
+    diagonal = [datum for name, datum, _, _ in catalog_data() if name.startswith("diag-")]
+    data = [(datum, n) for datum in [x_cubed(F2), x_cubed(F3), x_cubed(F4)] + diagonal
+            for n in (1, 2, 3)]
+    assert len(data) == 18
     expected = [char_sum(datum, n) for datum, n in data]
     monkeypatch.setattr(charsum._Evaluator, "polar", half_diag)
     for datum, n in data:

@@ -1,10 +1,14 @@
 """Quadratic forms on finite abelian groups and their Gauss sums."""
 
+import hashlib
+import json
 import re
+from itertools import product
 from math import gcd
 
 import pytest
 
+from gausslab import cli, quadform
 from gausslab.errors import (
     CharacterNotInImage,
     NotElementaryTwoGroup,
@@ -18,6 +22,7 @@ from gausslab.quadform import (
     QuadraticForm,
     _wall_histogram,
     char2_invariant,
+    orthogonal_split,
     radical_descent,
     random_nondegenerate,
     recursive_gauss_eval,
@@ -361,7 +366,7 @@ def test_recursion_invariants_survive_optimize():
         ([8, 8], 8, [0, 0], [[0, 2], [2, 0]]),  # a plane of order 4 on Z/8 x Z/8
     ):
         with pytest.raises(TheoremViolated):
-            _wall_histogram(mods, n_val, q, gram)
+            _wall_histogram(orthogonal_split(mods, n_val, gram), n_val, q, gram)
 
 
 # -- the table recursion, the oracle for the Wall splitting ------------------------
@@ -625,3 +630,167 @@ def test_addition_table_matches_decode_encode(moduli):
         assert g.translation(i) == table[i]
         for j in g.elements():
             assert table[i][j] == g.encode(tuple(x + y for x, y in zip(g.decode(i), g.decode(j))))
+
+
+# -- the O(|M|) bilinearity test against the exhaustive oracles ---------------------
+
+def _scan_witness(form, add, b):
+    """The generator scan's witness from the reference tables: the first
+    (x, g, h) in the order g, h over generators, x over M with B(x+g, h) !=
+    B(x, h) + B(g, h); (0, 0, 0) when Q(0) != 1."""
+    g = form.group
+    if form.exponents[0]:
+        return (g.decode(0),) * 3
+    gens = g.generators()
+    return next(((g.decode(x), g.decode(gen), g.decode(h)) for gen in gens for h in gens
+                 for x in g.elements() if (b[h][add[x][gen]] - b[h][x] - b[h][gen]) % form.value_order),
+                None)
+
+
+def _generator_data_forms(moduli, n_val):
+    """Every quadratic form on M with values mod n_val: the tables sum_s
+    (x_s q_s + C(x_s, 2) G_ss) + sum_(s<t) x_s x_t G_st over every (q, G) with
+    d_s q_s + C(d_s, 2) G_ss = d_s G_st = 0 mod n_val (d_s > 1), a quadratic
+    table having exactly one such (q, G), its own values on generators."""
+    g = FiniteAbelianGroup(moduli)
+    mods = [d for d in moduli if d > 1]
+    k = len(mods)
+    pairs = [(s, t) for s in range(k) for t in range(s, k)]
+    killed = [[c for c in range(n_val) if all(d * c % n_val == 0 for d in (mods[s], mods[t]))]
+              for s, t in pairs]
+    coords = [[c for c, d in zip(g.decode(i), moduli) if d > 1] for i in g.elements()]
+    for q in product(range(n_val), repeat=k):
+        for entries in product(*killed):
+            gram = [[0] * k for _ in range(k)]
+            for (s, t), c in zip(pairs, entries):
+                gram[s][t] = gram[t][s] = c
+            if any((d * q[s] + d * (d - 1) // 2 * gram[s][s]) % n_val for s, d in enumerate(mods)):
+                continue
+            yield QuadraticForm(g, n_val, [
+                sum(c * q[s] + c * (c - 1) // 2 * gram[s][s]
+                    + sum(c * x[t] * gram[s][t] for t in range(s + 1, k))
+                    for s, c in enumerate(x)) % n_val for x in coords])
+
+
+def _check_against_oracles(form, add):
+    q, n = form.exponents, form.value_order
+    b = [[(q[add[i][j]] - q[i] - q[j]) % n for j in range(len(q))] for i in range(len(q))]
+    exhaustive = _exhaustive_witness(form, add, b)
+    witness = form.pairing.witness
+    # B(0, 0) = -Q(0): the only failure on a group without generators
+    assert (witness is None) == (exhaustive is None and q[0] == 0)
+    assert witness == _scan_witness(form, add, b), form.exponents
+    if witness is None:
+        assert form.is_nondegenerate() == (len(_exhaustive_radical(form, b)) == 1), form.exponents
+        assert form.radical() == _exhaustive_radical(form, b)
+    else:
+        x, g, h = (form.group.encode(t) for t in witness)
+        assert (b[add[x][g]][h] - b[x][h] - b[g][h]) % n or q[0], witness
+        with pytest.raises(NotQuadratic):
+            form.is_nondegenerate()
+    return witness is None
+
+
+# (moduli, value order, forms whose every single-entry corruption is checked)
+EVERY_FORM = [
+    ([1], 3, 3), ([2], 8, 8), ([3], 9, 9), ([4], 8, 16), ([6], 36, 36), ([2, 2], 4, 8),
+    ([3, 3], 3, 9), ([2, 1, 4, 1], 8, 4), ([4, 2, 6], 2, 2),
+]
+
+
+@pytest.mark.parametrize("moduli,n_val,corrupted", EVERY_FORM)
+def test_bilinearity_decision_agrees_with_exhaustive_oracles(moduli, n_val, corrupted):
+    # every quadratic form, and every single-entry corruption of the first
+    # few: the O(|M|) decision, the witness and non-degeneracy against the
+    # exhaustive oracles
+    group = FiniteAbelianGroup(moduli)
+    add = addition_table(group)
+    forms = list(_generator_data_forms(moduli, n_val))
+    assert len({tuple(f.exponents) for f in forms}) == len(forms) >= 1
+    for form in forms:
+        assert _check_against_oracles(form, add), form.exponents
+    for form in forms[:corrupted]:
+        for x in group.elements():
+            for shift in range(1, n_val):
+                exps = list(form.exponents)
+                exps[x] = (exps[x] + shift) % n_val
+                _check_against_oracles(QuadraticForm(group, n_val, exps), add)
+
+
+@pytest.mark.parametrize("moduli,n_val", [([1], 4), ([2], 4), ([3], 3), ([4], 4), ([2, 2], 4)])
+def test_every_table_on_tiny_groups_agrees_with_exhaustive_oracles(moduli, n_val):
+    # all n_val^|M| tables, Q(0) != 1 included; the quadratic ones are
+    # exactly the tables of generator data
+    group = FiniteAbelianGroup(moduli)
+    add = addition_table(group)
+    quadratic = {tuple(f.exponents) for f in _generator_data_forms(moduli, n_val)}
+    for exps in product(range(n_val), repeat=group.order):
+        form = QuadraticForm(group, n_val, exps)
+        assert _check_against_oracles(form, add) == (exps in quadratic), exps
+
+
+def test_fill_refuted_table_without_a_scan_witness_is_a_fault(monkeypatch):
+    # the scan runs only after the fill refutes the table, and must then find
+    # a witness: a fill that refutes a quadratic table is a bug, exit 4
+    monkeypatch.setattr(quadform, "_fill", lambda mods, n_val, q, gram: [])
+    with pytest.raises(TheoremViolated):
+        HYPERBOLIC.twist([0, 0, 0, 0]).is_quadratic()
+
+
+def test_gauss_verify_builds_no_generator_row(monkeypatch):
+    # a quadratic table off elementary 2-groups: bilinearity, non-degeneracy
+    # and the oracle come from the k + k^2 Gram lookups, and the table is
+    # summed once (the other zeta_sum is the oracle's Wall histogram)
+    def refuse(*args):
+        raise AssertionError("a generator row or translation was built")
+
+    sums = []
+    zeta_sum_ = quadform.zeta_sum
+    monkeypatch.setattr(quadform.BilinearPairing, "row", refuse)
+    monkeypatch.setattr(quadform.FiniteAbelianGroup, "translation", refuse)
+    monkeypatch.setattr(quadform, "zeta_sum", lambda n, hist: sums.append(n) or zeta_sum_(n, hist))
+    for moduli, seed in (([4, 2, 6], 5), ([8, 8, 8], 0), ([9], 1), ([2, 4], 3)):
+        form = random_nondegenerate(FiniteAbelianGroup(moduli), seed)
+        sums.clear()
+        report = cli.dispatch("gauss-verify", {"form": {
+            "invariant_factors": moduli, "value_order": form.value_order,
+            "values": {key: form.exponents[i] for key, i in form.group.key_index().items()}}})
+        assert report["result"]["nondegenerate"] and report["ok"], report
+        assert [c["name"] for c in report["checks"]] == [
+            "is-quadratic", "abs-square-is-order", "recursive-oracle-agrees"]
+        assert sums == [form.value_order] * 2
+
+
+def test_random_nondegenerate_splits_each_draw_and_fills_once(monkeypatch):
+    # (Z/2)^6 with seed 2 draws 5 Gram matrices; only the accepted one is filled
+    splits, fills = [], []
+    split, fill = quadform.orthogonal_split, quadform._fill
+    monkeypatch.setattr(quadform, "orthogonal_split", lambda *a: splits.append(1) or split(*a))
+    monkeypatch.setattr(quadform, "_fill", lambda *a: fills.append(1) or fill(*a))
+    random_nondegenerate(FiniteAbelianGroup([2] * 6), 2)
+    assert (len(splits), len(fills)) == (5, 1)
+
+
+# sha256 of json [[value_order, exponents] for seeds 0..7], first 16 hex digits,
+# for the groups of the benchmark's forms
+RANDOM_FORM_DIGESTS = {
+    (16,): "223b37888bb021ff", (9, 9): "256cee41bc85eb7a", (25,): "97c06716a2847c6c",
+    (30,): "4ea342b0b72e0923", (5, 25): "ca00b99ee2156235", (2,) * 6: "2aa071c1fab85a1c",
+    (3,) * 4: "fe761a40bbf1156c", (4,) * 3: "e22bfb43f90b3a73", (5,) * 3: "56a55c1a4cd7beec",
+    (16, 16): "b2962056bb4ae983", (8, 8, 8): "cf373f428cc243c9",
+}
+
+
+@pytest.mark.parametrize("moduli", sorted(RANDOM_FORM_DIGESTS))
+def test_random_nondegenerate_forms_are_pinned(moduli):
+    forms = [random_nondegenerate(FiniteAbelianGroup(moduli), s) for s in range(8)]
+    blob = json.dumps([[f.value_order, f.exponents] for f in forms]).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == RANDOM_FORM_DIGESTS[moduli]
+
+
+@pytest.mark.parametrize("moduli,digest", [([4] * 7, "dbe231525bb956cf"),
+                                           ([2] * 16, "73ad3bff0ea17530")])
+def test_large_random_forms_are_pinned(moduli, digest):
+    form = random_nondegenerate(FiniteAbelianGroup(moduli), 1)
+    blob = json.dumps([form.value_order, form.exponents]).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
