@@ -734,7 +734,7 @@ def test_fill_refuted_table_without_a_scan_witness_is_a_fault(monkeypatch):
     # a witness: a fill that refutes a quadratic table is a bug, exit 4
     monkeypatch.setattr(quadform, "_fill", lambda mods, n_val, q, gram: [])
     with pytest.raises(TheoremViolated):
-        HYPERBOLIC.twist([0, 0, 0, 0]).is_quadratic()
+        QuadraticForm(Z22, 2, [0, 0, 0, 1]).is_quadratic()
 
 
 def test_gauss_verify_builds_no_generator_row(monkeypatch):
