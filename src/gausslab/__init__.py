@@ -25,7 +25,7 @@ _EXPORTS = {
         "witt_trace", "witt_verschiebung",
     ),
     "quadform": (
-        "BilinearPairing", "FiniteAbelianGroup", "QuadraticForm", "char2_invariant",
+        "FiniteAbelianGroup", "QuadraticForm", "char2_invariant",
         "radical_descent", "random_nondegenerate", "recursive_gauss_eval",
     ),
     "charsum": (

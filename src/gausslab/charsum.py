@@ -13,7 +13,6 @@ from operator import add, mul
 
 from .errors import (
     DegeneratePairing,
-    IdentityFails,
     NotEtale,
     NotSymmetric,
     Record,
@@ -710,14 +709,13 @@ class HDReport(Record):
         return self.chain_ok and self.fev_abs_ok and self.fev_ratio_order is not None
 
 
-def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False, strict=False):
+def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False):
     """Verify S_n = (-1)^d p^r tau^n for n <= n_max, with exact tau from S_1.
 
     Also checks abs_square(tau) = q^d and that tau^2/q^d is a root of unity.
     Failures are reported in the HDReport (the Galois hypothesis may simply
-    fail for the datum); with strict=True a failing report raises
-    IdentityFails instead.  Each S_n is closed-form (`char_sum`), so
-    `workers` never changes the result.
+    fail for the datum).  Each S_n is closed-form (`char_sum`), so `workers`
+    never changes the result.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -735,7 +733,7 @@ def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False, strict=F
     ratio_order = None
     if fev_abs_ok:
         ratio_order = is_root_of_unity(tau * tau / q**d)
-    report = HDReport(
+    return HDReport(
         datum=datum,
         r=r,
         tau=tau,
@@ -745,11 +743,6 @@ def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False, strict=F
         fev_abs_ok=fev_abs_ok,
         fev_ratio_order=ratio_order,
     )
-    if strict and not report.ok:
-        raise IdentityFails(
-            f"chain residuals {residuals}, |tau|^2 = q^d: {fev_abs_ok}"
-        )
-    return report
 
 
 # -- pullback along etale isogenies ------------------------------------------------

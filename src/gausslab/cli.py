@@ -138,7 +138,7 @@ def _cmd_gauss_verify(job, options):
 
     form = QuadraticForm.from_json(job["form"])
     tau = form.gauss_sum()
-    witness = form.pairing.witness
+    witness = form.witness
     if witness is not None:
         witness = [list(t) for t in witness]
         return {"tau": _cyc(tau)}, [_check("is-quadratic", False, witness=witness)]

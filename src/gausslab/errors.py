@@ -87,10 +87,6 @@ class NotEtale(GaussLabError):
     pass
 
 
-class IdentityFails(GaussLabError):
-    pass
-
-
 class NotPerfect(GaussLabError):
     """Carries a radical witness for a degenerate alternating pairing."""
 

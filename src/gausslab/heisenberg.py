@@ -389,7 +389,7 @@ def _datum_scalar_terms(datum):
     if datum.d != 1:
         raise ValueError("the deck construction is one-dimensional")
     if datum.has_witt:
-        raise NotImplementedError("the W2-valued p = 2 case is deferred; use G_a-valued data")
+        raise ValueError("the W2-valued p = 2 case is deferred; use G_a-valued data")
     if any(t.kind == "precompose" for t in datum.terms):
         raise ValueError("resolve precompositions before the deck construction")
     return list(datum.terms)

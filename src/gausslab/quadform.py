@@ -6,7 +6,11 @@ fill of its generator data, the k values Q(e_s) and the Gram matrix B(e_s,
 e_t) on the standard generators; then one `orthogonal_split`, Wall's
 splitting of such data into orthogonal lines and planes, decides
 non-degeneracy and gives the recursive oracle its pieces (and `heisenberg`
-its Darboux bases).  Values are roots of unity of order dividing
+its Darboux bases).  The one class `QuadraticForm` caches both and keeps no
+row of |M| entries: the radical, `solve_character` and `radical_descent`
+read one fill of the covectors (B(x, e_s))_s from the same data, and on an
+elementary 2-group the canonical element of `char2_invariant` is the sum of
+the split's lines.  Values are roots of unity of order dividing
 exponent(M)^2, kept as integer exponents modulo the working cyclotomic
 order; CyclotomicNumber objects are built only for assembled sums.
 """
@@ -103,37 +107,49 @@ class FiniteAbelianGroup:
         return out
 
 
-class BilinearPairing:
-    """B(x, y) = Q(x+y) - Q(x) - Q(y) mod N of a value table Q, computed when
-    asked.  Bilinearity is decided by one O(|M|) fill from the generator data
-    `gram`, non-degeneracy by one Wall split of the same data."""
+class QuadraticForm:
+    """A map Q: M -> roots of unity with biadditive symmetrized difference.
+
+    B_Q(x, y) = Q(x+y) - Q(x) - Q(y) mod N is read entry by entry from the
+    value table.  Bilinearity is decided by one O(|M|) fill from the
+    generator data `gram`, non-degeneracy by one Wall split of the same
+    data; every structural question reads these two.
+    """
 
     def __init__(self, group, value_order, exponents):
+        if len(exponents) != group.order:
+            raise ValueError("value table must be total on the group")
         self.group = group
         self.value_order = value_order
-        self._q = exponents
+        self.exponents = [int(e) % value_order for e in exponents]
 
-    def exponent(self, i, j):
-        return (self._q[self.group.add(i, j)] - self._q[i] - self._q[j]) % self.value_order
+    # -- constructors ----------------------------------------------------------
 
-    def value(self, i, j):
-        return zeta(self.value_order, self.exponent(i, j))
+    @staticmethod
+    def trivial(group):
+        return QuadraticForm(group, 1, [0] * group.order)
 
-    def row(self, i):
-        q, n = self._q, self.value_order
-        return [(q[s] - q[i] - q[y]) % n for y, s in enumerate(self.group.translation(i))]
+    def __repr__(self):
+        return f"QuadraticForm({self.group!r}, order {self.value_order})"
 
-    @cached_property
-    def rows(self):
-        """(g, B(g, -)) for the standard generators g, each row built once."""
-        return [(g, self.row(g)) for g in self.group.generators()]
+    # -- values ---------------------------------------------------------------
+
+    def value(self, i):
+        return zeta(self.value_order, self.exponents[i])
+
+    def pairing_exponent(self, i, j):
+        """B(i, j) mod N, one entry of the pairing."""
+        q = self.exponents
+        return (q[self.group.add(i, j)] - q[i] - q[j]) % self.value_order
+
+    # -- structure --------------------------------------------------------------
 
     @cached_property
     def gram(self):
         """(mods, q, G): d_s, q_s = Q(e_s) and G[s][t] = B(e_s, e_t) on the
         generators e_s of index g_s, k + k^2 lookups: e_s + e_t has index g_s +
         g_t for s != t, and 2 e_s has index 2 g_s, or 0 when d_s = 2."""
-        q, n, gens = self._q, self.value_order, self.group.generators()
+        q, n, gens = self.exponents, self.value_order, self.group.generators()
         mods = [d for d in self.group.moduli if d > 1]
         return mods, [q[g] for g in gens], [
             [(q[g + h if g != h or d > 2 else 0] - q[g] - q[h]) % n for h in gens]
@@ -150,36 +166,28 @@ class BilinearPairing:
         G_ss) + sum_(s<t) x_s x_t G_st on 0 <= x_s < d_s; F(x + d_s e_s) - F(x)
         = d_s q_s + C(d_s, 2) G_ss + sum_t x_t d_s G_st = 0, so F is a function
         on M, and F(x + y) - F(x) - F(y) = x^T G y is bilinear as d_s G_st = 0.
-        Only a refuted table is scanned, and the scan finds a witness: were each
-        B(-, h) additive against generators, hence additive, B would be
-        bilinear, since it is symmetric and the cocycle identity B(x,y) +
-        B(x+y,h) = B(y,h) + B(x,y+h) makes each B(x, -) additive too."""
+        Only a refuted table is scanned, over k rows B(h, -) built for it, and
+        the scan finds a witness: were each B(-, h) additive against
+        generators, hence additive, B would be bilinear, since it is symmetric
+        and the cocycle identity B(x,y) + B(x+y,h) = B(y,h) + B(x,y+h) makes
+        each B(x, -) additive too."""
         decode, n = self.group.decode, self.value_order
-        if self._q[0]:
+        if self.exponents[0]:
             return (decode(0),) * 3
         mods, q, gram = self.gram
         wraps = all((d * q[s] + d * (d - 1) // 2 * gram[s][s]) % n == 0
                     and not any(d * b % n for b in gram[s]) for s, d in enumerate(mods))
-        if wraps and _fill(mods, n, q, gram) == self._q:
+        if wraps and _fill(mods, n, q, gram) == self.exponents:
             return None
-        for g, _ in self.rows:
+        gens = self.group.generators()
+        rows = [self.character_of_element(h) for h in gens]
+        for g in gens:
             shift = self.group.translation(g)
-            for h, row in self.rows:
+            for h, row in zip(gens, rows):
                 for x, xg in enumerate(shift):
                     if (row[xg] - row[x] - row[g]) % n:
                         return (decode(x), decode(g), decode(h))
         raise TheoremViolated("a table the fill refutes has no generator witness (bug detector)")
-
-    def radical(self):
-        """{x : B(x, g) = 0 for all generators g}, built once; NotQuadratic on
-        every call unless bilinear."""
-        if self.witness is not None:
-            raise NotQuadratic(self.witness)
-        return self._radical
-
-    @cached_property
-    def _radical(self):
-        return [x for x in self.group.elements() if not any(row[x] for _, row in self.rows)]
 
     @cached_property
     def split(self):
@@ -187,51 +195,33 @@ class BilinearPairing:
         mods, _, gram = self.gram
         return orthogonal_split(mods, self.value_order, gram)
 
-
-class QuadraticForm:
-    """A map Q: M -> roots of unity with biadditive symmetrized difference.
-
-    The derived pairing B_Q(x,y) = Q(x+y)Q(x)^{-1}Q(y)^{-1} is computed from
-    the value table when asked; its radical raises NotQuadratic if B_Q is not.
-    """
-
-    def __init__(self, group, value_order, exponents):
-        if len(exponents) != group.order:
-            raise ValueError("value table must be total on the group")
-        self.group = group
-        self.value_order = value_order
-        self.exponents = [int(e) % value_order for e in exponents]
-        self.pairing = BilinearPairing(group, value_order, self.exponents)
-
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def trivial(group):
-        return QuadraticForm(group, 1, [0] * group.order)
-
-    def __repr__(self):
-        return f"QuadraticForm({self.group!r}, order {self.value_order})"
-
-    # -- values ---------------------------------------------------------------
-
-    def value(self, i):
-        return zeta(self.value_order, self.exponents[i])
-
-    # -- structure --------------------------------------------------------------
+    @cached_property
+    def _covectors(self):
+        """(B(x, e_s))_s for every x in index order, from `gram` of a bilinear
+        B, one generator at a time like `_fill`: B(x + c e_t, e_s) = B(x, e_s)
+        + c G_ts.  x and y share a covector iff x - y is radical."""
+        mods, _, gram = self.gram
+        n = self.value_order
+        out = [(0,) * len(mods)]
+        for d, row in zip(mods, gram):
+            out = [tuple((b + c * g) % n for b, g in zip(v, row)) for c in range(d) for v in out]
+        return out
 
     def is_quadratic(self, raise_on_failure=False):
-        """Bilinearity of B_Q, decided once by `pairing.witness`."""
-        witness = self.pairing.witness
-        if witness is not None and raise_on_failure:
-            raise NotQuadratic(witness)
-        return witness is None
+        """Bilinearity of B_Q, decided once by `witness`."""
+        if self.witness is not None and raise_on_failure:
+            raise NotQuadratic(self.witness)
+        return self.witness is None
 
     def radical(self):
-        return self.pairing.radical()
+        """{x : B(x, g) = 0 for all generators g}, the zero covectors;
+        NotQuadratic unless bilinear."""
+        self.is_quadratic(raise_on_failure=True)
+        return [x for x, v in enumerate(self._covectors) if not any(v)]
 
     def is_nondegenerate(self):
         self.is_quadratic(raise_on_failure=True)
-        return self.pairing.split[1] is None
+        return self.split[1] is None
 
     def gauss_sum(self):
         return self._tau
@@ -258,8 +248,10 @@ class QuadraticForm:
     # -- twists -------------------------------------------------------------------
 
     def character_of_element(self, a):
-        """The character chi = B(a, -) as an exponent table."""
-        return self.pairing.row(a)
+        """The character chi = B(a, -) as an exponent table, the one row
+        builder: O(|M|) through `translation`."""
+        q, n = self.exponents, self.value_order
+        return [(q[s] - q[a] - q[y]) % n for y, s in enumerate(self.group.translation(a))]
 
     def twist(self, chi_exponents):
         """The form x -> Q(x) * chi(x) for a character given by exponents mod N."""
@@ -269,14 +261,14 @@ class QuadraticForm:
     def solve_character(self, chi_exponents):
         """The least a with B(a, -) = chi; CharacterNotInImage when degenerate,
         NotQuadratic unless B is bilinear.  B(a, -) is then fixed by its
-        values on the generators, so only the first a matching chi there has
-        its full row compared."""
-        if self.pairing.witness is not None:
-            raise NotQuadratic(self.pairing.witness)
-        chi = list(chi_exponents)
-        a = next((a for a in self.group.elements() if len(chi) == self.group.order
-                  and all(row[a] == chi[g] for g, row in self.pairing.rows)), None)
-        if a is None or self.pairing.row(a) != chi:
+        values on the generators, its covector, so only the first a whose
+        covector matches chi there has its full row compared."""
+        self.is_quadratic(raise_on_failure=True)
+        chi, a = list(chi_exponents), None
+        if len(chi) == self.group.order:
+            target = tuple(chi[g] for g in self.group.generators())
+            a = next((a for a, v in enumerate(self._covectors) if v == target), None)
+        if a is None or self.character_of_element(a) != chi:
             raise CharacterNotInImage("character is not of the form B(a, -)")
         return a
 
@@ -338,18 +330,18 @@ def recursive_gauss_eval(form):
     """Evaluate tau_Q by the orthogonal splitting of the Gauss-sum theorem's
     proof, from generator data: an independent oracle for `gauss_sum`.
 
-    Once B_Q is bilinear, Q is fixed by its generator data `pairing.gram`:
+    Once B_Q is bilinear, Q is fixed by its generator data `gram`:
     Q(x) = sum_s (x_s q_s + C(x_s, 2) G[s][s]) + sum_{s<t} x_s x_t G[s][t]
     and B(x, y) = x^T G y on integer coordinates.  The orthogonal lines and
-    planes of `pairing.split`, which decided non-degeneracy, are reused, and
+    planes of `split`, which decided non-degeneracy, are reused, and
     `_wall_histogram` convolves their value histograms; the table itself is
     never summed.  ValueError on a degenerate form, NotQuadratic on a
     non-quadratic one.
     """
     if not form.is_nondegenerate():
         raise ValueError("recursive evaluation requires a non-degenerate form")
-    _, q, gram = form.pairing.gram
-    return zeta_sum(form.value_order, _wall_histogram(form.pairing.split, form.value_order, q, gram))
+    _, q, gram = form.gram
+    return zeta_sum(form.value_order, _wall_histogram(form.split, form.value_order, q, gram))
 
 
 def _dot(x, y):
@@ -358,7 +350,7 @@ def _dot(x, y):
 
 def _form_exponent(x, q, gram, n_val):
     """Q(sum_s x_s e_s) mod n_val for integer x from generator data (q, gram):
-    the polynomial F of `BilinearPairing.witness`."""
+    the polynomial F of `QuadraticForm.witness`."""
     return sum(c * q[s] + c * (c - 1) // 2 * gram[s][s] + c * _dot(x[s + 1:], gram[s][s + 1:])
                for s, c in enumerate(x)) % n_val
 
@@ -480,16 +472,23 @@ def char2_invariant(form):
         raise NotElementaryTwoGroup(f"moduli {form.group.moduli} are not all 2")
     if not form.is_nondegenerate():
         raise ValueError("the canonical element needs a non-degenerate form")
-    # v -> B(v, v) is additive here, so B(-, a) matches it on generators
-    a = next((c for c in form.group.elements()
-              if all(row[c] == row[g] for g, row in form.pairing.rows)), None)
-    if a is None:
-        raise TheoremViolated("non-degeneracy realizes the diagonal character")
+    # v -> B(v, v) is additive here, as 2 B(u, v) = B(2u, v) = 0, and so is
+    # B(-, a).  B has order 2 on the pieces of `split`: a line <u> has
+    # B(u, u) != 0, and a plane is split off only when no diagonal entry is
+    # left, so its B(u, u) = B(v, v) = 0.  The pieces are orthogonal and span
+    # M, so B(-, a) = B(-, -) on all of them for a the sum of the lines, the
+    # one such a by non-degeneracy.
+    _, _, gram = form.gram
+    n = form.value_order
+    lines = [piece[0] for _, _, piece, _ in form.split[0] if len(piece) == 1]
+    a = tuple(sum(u[s] for u in lines) % 2 for s in range(len(gram)))
+    if any((_dot(row, a) - row[s]) % n for s, row in enumerate(gram)):
+        raise TheoremViolated("the split's lines do not realize the diagonal character")
     tau = form.gauss_sum()
-    qa = form.value(a)
+    qa = form.value(form.group.encode(a))
     if tau * tau != qa * form.group.order:
         raise TheoremViolated("tau^2 != Q(a)|M| on an elementary 2-group")
-    return form.group.decode(a), tau, qa
+    return a, tau, qa
 
 
 # -- degenerate descent ------------------------------------------------------------
@@ -510,14 +509,11 @@ def radical_descent(form):
         if not tau.is_zero():
             raise TheoremViolated("tau must vanish when Q|radical is nontrivial")
         return ("zero",)
-    reps, covered = [], set()
-    for i in form.group.elements():
-        if i in covered:
-            continue
-        reps.append(i)
-        for r in rad:
-            covered.add(form.group.add(i, r))
-    tau_bar = zeta_sum(n_val, Counter(q[i] for i in reps))
+    # the first x of each covector is the least element of its coset
+    reps = {}
+    for x, v in enumerate(form._covectors):
+        reps.setdefault(v, x)
+    tau_bar = zeta_sum(n_val, Counter(q[i] for i in reps.values()))
     if tau != len(rad) * tau_bar:
         raise TheoremViolated("tau != |radical| * tau_bar in the descent")
     return ("descends", len(rad), tau_bar)
@@ -530,7 +526,7 @@ def random_nondegenerate(group, seed, max_tries=60):
 
     Gram data on the standard generators is drawn at random, with values Q(e_i)
     that satisfy the wrap constraint and are twisted by a random character, so
-    the table `_fill` builds from them is quadratic (`BilinearPairing.witness`).
+    the table `_fill` builds from them is quadratic (`QuadraticForm.witness`).
     A draw whose `orthogonal_split` meets the radical is retried before any
     table is built; the accepted one is filled once.
     """

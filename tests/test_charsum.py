@@ -420,13 +420,6 @@ def test_pullback_rejects_zero_map():
         pullback_sum_identity(wittchar(F2), [AdditivePolynomial(F2, {})], n=1)
 
 
-def test_hasse_davenport_strict_raises():
-    from gausslab.errors import IdentityFails
-
-    with pytest.raises(IdentityFails):
-        hasse_davenport_check(x_cubed(F4, a=F4.gen()), 1, strict=True)
-
-
 def test_invariance_unitary_and_gl():
     w = F4.gen()
     # scaling by cube roots of unity preserves psi(Tr(x^3))

@@ -422,6 +422,16 @@ def test_psi_unit_decodes_strictly(psi, monkeypatch, tmp_path, capsys):
         assert "invalid input" in err and "psi_unit must be an integer" in err
 
 
+def test_heisenberg_of_a_witt_datum_is_refused_without_traceback():
+    # the W2-valued deck construction is deferred: invalid input, exit 2
+    job = {"from_datum": {"field": {"p": 2, "m": 1}, "d": 1,
+                          "terms": [{"kind": "wittlin", "j": 0, "c": [1]}]}}
+    proc = run_cli("heisenberg", job)
+    assert proc.returncode == 2
+    assert "the W2-valued p = 2 case is deferred" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_heisenberg_covering_points_do_not_sweep_the_field(monkeypatch, tmp_path, capsys):
     # the covering points come from a linear solve over E = F_64: a cap below
     # q_E = 64 but above |K|^2 = 16 changes neither the exit code nor the output

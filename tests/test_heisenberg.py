@@ -641,7 +641,7 @@ def test_heisenberg_from_nondegenerate_datum_is_central():
 
 def test_heisenberg_from_datum_rejects_witt_terms():
     datum = QuadDatum(F2, 1, [WittLinear(0, F2.one())])
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError, match="the W2-valued p = 2 case is deferred"):
         heisenberg_from_datum(datum)
 
 

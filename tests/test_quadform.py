@@ -50,7 +50,7 @@ def test_group_indexing():
 def test_exeasy_is_nondegenerate_quadratic():
     assert EXEASY.is_quadratic()
     assert EXEASY.is_nondegenerate()
-    assert EXEASY.pairing.value(1, 1) == -1  # B(1,1) = Q(0)Q(1)^{-2}
+    assert zeta(4, EXEASY.pairing_exponent(1, 1)) == -1  # B(1,1) = Q(0)Q(1)^{-2}
 
 
 def test_exeasy_gauss_sum_is_one_plus_i():
@@ -60,7 +60,7 @@ def test_exeasy_gauss_sum_is_one_plus_i():
 def test_character_is_quadratic_with_trivial_pairing():
     chi = QuadraticForm(Z4, 4, [0, 1, 2, 3])
     assert chi.is_quadratic()
-    assert all(chi.pairing.exponent(x, y) == 0 for x in range(4) for y in range(4))
+    assert all(chi.pairing_exponent(x, y) == 0 for x in range(4) for y in range(4))
     assert not chi.is_nondegenerate()
 
 
@@ -69,7 +69,7 @@ def test_z4_zeta8_square_table():
     assert q8.is_quadratic()
     for x in range(4):
         for y in range(4):
-            assert q8.pairing.exponent(x, y) == (2 * x * y) % 8
+            assert q8.pairing_exponent(x, y) == (2 * x * y) % 8
 
 
 def test_not_quadratic_witness():
@@ -189,7 +189,7 @@ def test_killcl_proof_identity():
         for v in g.elements():
             for m in range(1, g.element_order(v) + 1):
                 expected = (m * form.exponents[v]
-                            + sum(form.pairing.exponent(g.scalar(i, v), v)
+                            + sum(form.pairing_exponent(g.scalar(i, v), v)
                                   for i in range(1, m))) % n
                 assert form.exponents[g.scalar(m, v)] == expected
 
@@ -198,7 +198,7 @@ def test_diagonal_is_character_on_elementary_two_groups():
     # v -> B(v, v) is additive on (Z/2)^k (part 1 of the char-2 proposition)
     g = FiniteAbelianGroup([2, 2, 2])
     form = random_nondegenerate(g, 9)
-    b = form.pairing.exponent
+    b = form.pairing_exponent
     n = form.value_order
     for u in g.elements():
         for v in g.elements():
@@ -487,7 +487,7 @@ def test_wall_oracle_matches_table_recursion_and_gauss_sum():
     order = lambda form, e: form.value_order // gcd(e, form.value_order)
     for form in BRANCH_FORMS:
         assert form.is_quadratic() and form.is_nondegenerate(), form
-        b = form.pairing.exponent
+        b = form.pairing_exponent
         e0, e1 = form.group.generators()
         assert max(order(form, b(e0, e0)), order(form, b(e1, e1))) < order(form, b(e0, e1))
     forms = BRANCH_FORMS + [random_nondegenerate(FiniteAbelianGroup(m), s)
@@ -592,7 +592,7 @@ def test_failure_seen_only_against_the_second_generator():
     add, b = _reference_tables(bad)
     assert _exhaustive_witness(bad, add, b) is not None
     assert not bad.is_quadratic()
-    assert bad.pairing.witness[2] == (0, 1)
+    assert bad.witness[2] == (0, 1)
 
 
 # |M| <= 64; not Z/2, where every table with Q(0) = 1 is quadratic
@@ -676,7 +676,7 @@ def _check_against_oracles(form, add):
     q, n = form.exponents, form.value_order
     b = [[(q[add[i][j]] - q[i] - q[j]) % n for j in range(len(q))] for i in range(len(q))]
     exhaustive = _exhaustive_witness(form, add, b)
-    witness = form.pairing.witness
+    witness = form.witness
     # B(0, 0) = -Q(0): the only failure on a group without generators
     assert (witness is None) == (exhaustive is None and q[0] == 0)
     assert witness == _scan_witness(form, add, b), form.exponents
@@ -729,6 +729,45 @@ def test_every_table_on_tiny_groups_agrees_with_exhaustive_oracles(moduli, n_val
         assert _check_against_oracles(form, add) == (exps in quadratic), exps
 
 
+@pytest.mark.parametrize("n_val,count", [(2, 4), (4, 242), (8, 242)])
+def test_char2_element_from_the_split_agrees_with_exhaustive_oracle(n_val, count):
+    # every non-degenerate quadratic form on (Z/2)^k, k <= 3, with values mod
+    # n_val: (Z/2)^2 alone carries 4 of them mod 2
+    forms = [f for k in (1, 2, 3) for f in _generator_data_forms([2] * k, n_val)
+             if f.is_nondegenerate()]
+    assert len(forms) == count
+    for form in forms:
+        _, b = _reference_tables(form)
+        a, tau, qa = char2_invariant(form)
+        assert form.group.encode(a) == _exhaustive_char2_element(form, b), form.exponents
+        assert tau * tau == qa * form.group.order
+
+
+def _exhaustive_descent(form, add, b):
+    """radical_descent from the reference tables: the radical, and the least
+    element of each coset x + radical as its representative."""
+    q, n = form.exponents, form.value_order
+    radical = _exhaustive_radical(form, b)
+    if any(q[r] for r in radical):
+        return ("zero",)
+    reps = sorted({min(add[x][r] for r in radical) for x in form.group.elements()})
+    return ("descends", len(radical), zeta_sum(n, _hist(q[x] for x in reps)))
+
+
+@pytest.mark.parametrize("moduli,n_val", [
+    ([2, 4], 8), ([4, 2, 6], 2), ([3, 3], 3), ([6], 36), ([2, 2], 4), ([4], 8), ([2, 1, 4, 1], 8),
+])
+def test_radical_descent_agrees_with_exhaustive_oracle(moduli, n_val):
+    # every quadratic form, degenerate ones included
+    outcomes = set()
+    for form in _generator_data_forms(moduli, n_val):
+        add, b = _reference_tables(form)
+        outcome = radical_descent(form)
+        assert outcome == _exhaustive_descent(form, add, b), form.exponents
+        outcomes.add(outcome[:2])
+    assert ("zero",) in outcomes and len(outcomes) > 2
+
+
 def test_fill_refuted_table_without_a_scan_witness_is_a_fault(monkeypatch):
     # the scan runs only after the fill refutes the table, and must then find
     # a witness: a fill that refutes a quadratic table is a bug, exit 4
@@ -738,26 +777,28 @@ def test_fill_refuted_table_without_a_scan_witness_is_a_fault(monkeypatch):
 
 
 def test_gauss_verify_builds_no_generator_row(monkeypatch):
-    # a quadratic table off elementary 2-groups: bilinearity, non-degeneracy
-    # and the oracle come from the k + k^2 Gram lookups, and the table is
-    # summed once (the other zeta_sum is the oracle's Wall histogram)
+    # a quadratic table: bilinearity, non-degeneracy, the oracle and the
+    # char-2 element come from the k + k^2 Gram lookups and one Wall split,
+    # and the table is summed once (the other zeta_sum is the oracle's Wall
+    # histogram)
     def refuse(*args):
         raise AssertionError("a generator row or translation was built")
 
     sums = []
     zeta_sum_ = quadform.zeta_sum
-    monkeypatch.setattr(quadform.BilinearPairing, "row", refuse)
+    monkeypatch.setattr(quadform.QuadraticForm, "character_of_element", refuse)
     monkeypatch.setattr(quadform.FiniteAbelianGroup, "translation", refuse)
     monkeypatch.setattr(quadform, "zeta_sum", lambda n, hist: sums.append(n) or zeta_sum_(n, hist))
-    for moduli, seed in (([4, 2, 6], 5), ([8, 8, 8], 0), ([9], 1), ([2, 4], 3)):
+    checks = ["is-quadratic", "abs-square-is-order", "recursive-oracle-agrees"]
+    for moduli, seed in (([4, 2, 6], 5), ([8, 8, 8], 0), ([9], 1), ([2, 4], 3), ([2] * 6, 2)):
         form = random_nondegenerate(FiniteAbelianGroup(moduli), seed)
         sums.clear()
         report = cli.dispatch("gauss-verify", {"form": {
             "invariant_factors": moduli, "value_order": form.value_order,
             "values": {key: form.exponents[i] for key, i in form.group.key_index().items()}}})
         assert report["result"]["nondegenerate"] and report["ok"], report
-        assert [c["name"] for c in report["checks"]] == [
-            "is-quadratic", "abs-square-is-order", "recursive-oracle-agrees"]
+        char2 = ["char2-square-identity"] if set(moduli) == {2} else []
+        assert [c["name"] for c in report["checks"]] == checks + char2
         assert sums == [form.value_order] * 2
 
 
