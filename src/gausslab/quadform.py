@@ -6,13 +6,14 @@ fill of its generator data, the k values Q(e_s) and the Gram matrix B(e_s,
 e_t) on the standard generators; then one `orthogonal_split`, Wall's
 splitting of such data into orthogonal lines and planes, decides
 non-degeneracy and gives the recursive oracle its pieces (and `heisenberg`
-its Darboux bases).  The one class `QuadraticForm` caches both and keeps no
-row of |M| entries: the radical, `solve_character` and `radical_descent`
-read one fill of the covectors (B(x, e_s))_s from the same data, and on an
-elementary 2-group the canonical element of `char2_invariant` is the sum of
-the split's lines.  Values are roots of unity of order dividing
-exponent(M)^2, kept as integer exponents modulo the working cyclotomic
-order; CyclotomicNumber objects are built only for assembled sums.
+its Darboux bases).  The one class `QuadraticForm` caches both; only the
+radical, `solve_character` and `radical_descent` build a third cache, the
+covectors (B(x, e_s))_s of every x, one O(|M| k) fill from the same data.
+On an elementary 2-group the canonical element of `char2_invariant` is the
+sum of the split's lines, with no pass over M.  Values are roots of unity
+of order dividing exponent(M)^2, kept as integer exponents modulo the
+working cyclotomic order; CyclotomicNumber objects are built only for
+assembled sums.
 """
 
 from collections import Counter
@@ -199,7 +200,9 @@ class QuadraticForm:
     def _covectors(self):
         """(B(x, e_s))_s for every x in index order, from `gram` of a bilinear
         B, one generator at a time like `_fill`: B(x + c e_t, e_s) = B(x, e_s)
-        + c G_ts.  x and y share a covector iff x - y is radical."""
+        + c G_ts, O(|M| k) work and memory, built only by radical(),
+        solve_character and radical_descent.  x and y share a covector iff
+        x - y is radical."""
         mods, _, gram = self.gram
         n = self.value_order
         out = [(0,) * len(mods)]
