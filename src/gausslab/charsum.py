@@ -4,6 +4,11 @@ A QuadDatum describes a function t on points of U over every extension
 F_{q^n}: an additive character psi = zeta_p composed with traces of polynomial
 terms, plus (for p = 2) Witt-vector character terms psi' = zeta_{p^2} composed
 with Witt traces.  All sums, pairings, kernels and identity checks are exact.
+
+The term kinds of a datum are read in one place, `_term_plan`: every term
+becomes a x_j^(p^i) x_k, a linear twist or a Witt term, with its coefficient
+embedded once.  The Gram evaluator, `symbolic_pairing` and the deck
+construction of `heisenberg` all read that plan.
 """
 
 import itertools
@@ -182,6 +187,38 @@ def _encode_field(name, value):
 
 # -- pointwise evaluation --------------------------------------------------------
 
+def _term_plan(datum, emb):
+    """The terms of a datum as (cross, linear, witt), each coefficient
+    embedded once by `emb`: a x_j^(p^i) x_k as (j, k, i, a) in `cross`, with a
+    diagonal monomial at k = j and a half square (a/2) x_j^2 at k = j, i = 0
+    and a/2 = a (p + 1)/2; an AS-linear twist c x_j as (j, c) in `linear`; a
+    Witt term psi'((c x_j, 0)) as (j, c) in `witt`.  Precompositions are not
+    terms: they act through `QuadDatum.substitution`."""
+    half = (datum.field.p + 1) // 2
+    cross, linear, witt = [], [], []
+    for t in datum.terms:
+        if t.kind in ("diag", "cross"):
+            cross.append((t.j, getattr(t, "k", t.j), t.i, emb(t.a)))
+        elif t.kind == "halfsq":
+            cross.append((t.j, t.j, 0, emb(t.a) * half))
+        elif t.kind == "aslin":
+            linear.append((t.j, emb(t.c)))
+        elif t.kind == "wittlin":
+            witt.append((t.j, emb(t.c)))
+    return cross, linear, witt
+
+
+def _ga_value(cross, linear, v, zero):
+    """The untraced G_a value sum a v_j^(p^i) v_k + sum c v_j of the `cross`
+    and `linear` terms of a plan at the (substituted) coordinates v."""
+    acc = zero
+    for j, k, i, a in cross:
+        acc = acc + a * v[j].frobenius(i) * v[k]
+    for j, c in linear:
+        acc = acc + c * v[j]
+    return acc
+
+
 class _Evaluator:
     """Per-extension evaluation plan for a datum; exponents modulo p^2."""
 
@@ -193,26 +230,13 @@ class _Evaluator:
         big, emb = extension(datum.field, n)
         self.big = big
         self.emb = emb
-        p = datum.field.p
-        self.p = p
+        self.p = datum.field.p
         subs = {}
         for j in range(datum.d):
             s = datum.substitution(j)
             subs[j] = s.lift(emb) if s is not None else None
         self._subs = subs
-        # a x_j^(p^i) x_k: diagonal terms at k = j, half squares (a/2) x_j^2
-        # at k = j and i = 0
-        half = (p + 1) // 2
-        self._cross, self._linear, self._witt = [], [], []
-        for t in datum.terms:
-            if t.kind in ("diag", "cross"):
-                self._cross.append((t.j, getattr(t, "k", t.j), t.i, emb(t.a)))
-            elif t.kind == "halfsq":
-                self._cross.append((t.j, t.j, 0, emb(t.a) * half))
-            elif t.kind == "aslin":
-                self._linear.append((t.j, emb(t.c)))
-            elif t.kind == "wittlin":
-                self._witt.append((t.j, emb(t.c)))
+        self._cross, self._linear, self._witt = _term_plan(datum, emb)
 
     def _coords(self, point):
         out = []
@@ -225,11 +249,7 @@ class _Evaluator:
         """Exponent e with t(point) = zeta_{p^2}^e."""
         v = self._coords(point)
         big = self.big
-        acc = big.zero()
-        for j, k, i, a in self._cross:
-            acc = acc + a * v[j].frobenius(i) * v[k]
-        for j, c in self._linear:
-            acc = acc + c * v[j]
+        acc = _ga_value(self._cross, self._linear, v, big.zero())
         witt_exp = sum(witt_trace(WittVector2(big, c * v[j], big.zero())) for j, c in self._witt)
         return (self.p * absolute_trace_int(acc) + witt_exp) % (self.p * self.p)
 
@@ -418,7 +438,13 @@ class PairingDatum:
 
 
 def symbolic_pairing(datum):
-    """Expand t(x+y)/t(x)t(y) into a PairingDatum, exactly.
+    """Expand t(x+y)/t(x)t(y) into a PairingDatum, exactly, from the term
+    plan, with s_j the substitution of coordinate j: a x_j^(p^i) x_k adds
+    s_k^adj o (a s_j^(p^i)) to f_jk and (s_j^(p^i))^adj o (a s_k) to f_kj (a
+    half square's two halves a (p + 1)/2 add up to a); a Witt term c adds
+    s_j^adj o (c^2 s_j) to f_jj, since (c(x+y),0) - (cx,0) - (cy,0) =
+    -V(c^2 xy) contributes psi(Tr(c^2 x y)) (see gamma(x,z) = xz for p = 2);
+    linear terms add nothing.
 
     Asserts the classified symmetric shape (a_i paired with a_i^(p^-i) on
     the diagonal); failure means a construction bug and raises
@@ -428,35 +454,18 @@ def symbolic_pairing(datum):
     matrix = {}
     zero = AdditivePolynomial(field, {})
     identity = AdditivePolynomial(field, {0: field.one()})
+    subs = [identity if s is None else s for s in map(datum.substitution, range(datum.d))]
 
     def add_to(j, k, f):
         matrix[(j, k)] = matrix.get((j, k), zero) + f
 
-    def sub_of(j):
-        s = datum.substitution(j)
-        return s if s is not None else identity
-
-    for t in datum.terms:
-        if t.kind in ("precompose", "aslin"):
-            continue
-        if t.kind == "diag":
-            s = sub_of(t.j)
-            si = s.twist(t.i)
-            add_to(t.j, t.j, s.adjoint().compose(si.scale(t.a)))
-            add_to(t.j, t.j, si.adjoint().compose(s.scale(t.a)))
-        elif t.kind == "cross":
-            sj, sk = sub_of(t.j), sub_of(t.k)
-            sji = sj.twist(t.i)
-            add_to(t.j, t.k, sk.adjoint().compose(sji.scale(t.a)))
-            add_to(t.k, t.j, sji.adjoint().compose(sk.scale(t.a)))
-        elif t.kind == "halfsq":
-            s = sub_of(t.j)
-            add_to(t.j, t.j, s.adjoint().compose(s.scale(t.a)))
-        elif t.kind == "wittlin":
-            # (c(x+y),0) - (cx,0) - (cy,0) = -V(c^2 xy): the carry contributes
-            # psi(Tr(c^2 x y)) to the pairing (see gamma(x,z) = xz for p = 2)
-            s = sub_of(t.j)
-            add_to(t.j, t.j, s.adjoint().compose(s.scale(t.c * t.c)))
+    cross, _, witt = _term_plan(datum, lambda a: a)
+    for j, k, i, a in cross:
+        sji = subs[j].twist(i)
+        add_to(j, k, subs[k].adjoint().compose(sji.scale(a)))
+        add_to(k, j, sji.adjoint().compose(subs[k].scale(a)))
+    for j, c in witt:
+        add_to(j, j, subs[j].adjoint().compose(subs[j].scale(c * c)))
     out = PairingDatum(field, datum.d, matrix)
     if not out.is_symmetric():
         raise TheoremViolated("expanded pairing fails r_B = l_B (construction bug)")
@@ -509,13 +518,17 @@ def _kernel_dimension(pairing, n):
     return big, _nullspace_mod_p(matrix, p)
 
 
-def geometric_kernel(datum, max_degree=24, override=False):
+_MAX_SPLITTING_DEGREE = 24  # the last extension degree `geometric_kernel` scans
+
+
+def geometric_kernel(datum, override=False):
     """ker l_Q over a splitting extension: size p^(2r), returns KernelData.
 
     For matrices in which every row and column carries exactly one nonzero
     entry (all catalog data) the kernel size has the exact bound p^span per
     entry, so the splitting degree is the least n attaining it; otherwise the
-    nullspace dimension is scanned up to max_degree and must stabilize.
+    nullspace dimension is scanned up to _MAX_SPLITTING_DEGREE and must
+    stabilize.
     """
     pairing = symbolic_pairing(datum)
     if pairing.is_zero():
@@ -539,7 +552,7 @@ def geometric_kernel(datum, max_degree=24, override=False):
             expected *= p ** pairing.entry(j, k).span()
 
     best = (0, None, None)  # (kernel dim, n, basis field/basis)
-    for n in range(1, max_degree + 1):
+    for n in range(1, _MAX_SPLITTING_DEGREE + 1):
         big, basis = _kernel_dimension(pairing, n)
         size = p ** len(basis)
         if size > best[0]:
@@ -549,13 +562,13 @@ def geometric_kernel(datum, max_degree=24, override=False):
     else:
         if expected is not None:
             raise DegeneratePairing(
-                f"kernel of size {expected} not rational below degree {max_degree}"
+                f"kernel of size {expected} not rational below degree {_MAX_SPLITTING_DEGREE}"
             )
         # K(F_{q^n}) is contained in K(F_{q^{2n}}), so a maximum attained at
-        # n <= max_degree/2 was already confirmed stable at its double
-        if 2 * best[1] > max_degree:
+        # n <= _MAX_SPLITTING_DEGREE/2 was already confirmed stable at its double
+        if 2 * best[1] > _MAX_SPLITTING_DEGREE:
             raise DegeneratePairing(
-                f"cannot certify kernel stabilization below degree {max_degree}"
+                f"cannot certify kernel stabilization below degree {_MAX_SPLITTING_DEGREE}"
             )
     size, n, (big, basis) = best
     twor = 0
@@ -667,25 +680,19 @@ def as_reduce(poly):
     return {e: c for e, c in work.items() if e > 0 and c}
 
 
-class CharacterCase(Exception):
-    """AS-reduction hit a linear polynomial: a nontrivial character, rank 0."""
-
-
-def gos_rank(poly, allow_character=False):
+def gos_rank(poly):
     """dim H^1_c for psi(Tr(h(x))) on the affine line: reduced degree - 1.
 
     The reduced degree must be prime to p (Swan = degree at infinity);
-    reduction to a linear polynomial is the character case: all cohomology
-    vanishes, flagged distinctly (CharacterCase or rank 0 with the flag).
+    reduction to a linear polynomial is the character case: a nontrivial
+    character, all cohomology vanishes, rank 0.
     """
     red = as_reduce(poly)
     if not red:
         raise ValueError("polynomial reduces to a constant: the trivial datum")
     deg = max(red)
     if deg == 1:
-        if allow_character:
-            return 0
-        raise CharacterCase("reduced to a nontrivial character; rank 0")
+        return 0
     p = next(iter(red.values())).field.p
     if deg % p == 0:
         raise SwanDivisibleByP(f"reduced degree {deg} divisible by p = {p}")

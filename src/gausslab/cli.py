@@ -162,14 +162,17 @@ def _cmd_gauss_verify(job, options):
 
 
 def _job_int(job, key, default, least=1):
-    """job[key], or the default when absent: an extension degree (least 1) or
-    a Betti number (least 0).  A bool, a non-int or a smaller value is
-    invalid input."""
+    """job[key], or the default when absent: an extension degree or a
+    Frobenius index (least 1), a Betti number or the r of p^r (least 0), or a
+    Frobenius exponent of either sign (least None).  A bool, a non-int or a
+    smaller value is invalid input.  A required field passes job[key] as its
+    default, so its absence stays a KeyError."""
     if key not in job:
         return default
     value = job[key]
-    if type(value) is not int or value < least:
-        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -194,7 +197,7 @@ def _cmd_hasse_davenport(job, options):
     datum = _parse_datum(job)
     rep = hasse_davenport_check(
         datum,
-        job["r"],
+        _job_int(job, "r", job["r"], least=0),
         n_max=_job_int(job, "n_max", 3),
         override=options.get("override", False),
     )
@@ -254,7 +257,8 @@ def _cmd_clb_cocycle(job, options):
 
     field = FiniteField.from_json(job["field"])
     holds = clb_cocycle_identity_check(
-        job["i"], field.element_from_json(job["a"]), field, _job_int(job, "n", 1),
+        _job_int(job, "i", job["i"]), field.element_from_json(job["a"]), field,
+        _job_int(job, "n", 1),
         override=options.get("override", False),
     )
     return {"holds": holds}, [_check("cocycle-identity", holds)]
@@ -324,11 +328,11 @@ def _cmd_zeta(job, options):
     spec = CurveSpec.from_json(job["curve"])
     override = options.get("override", False)
     b = _job_int(job, "b", None, least=0)
-    if b is None:
-        closure_ok, data = betti_closure_check(spec, override=override)
-    else:
+    # the closure check runs the pipeline at the Betti number: each N_n is
+    # counted once unless b asks for another degree
+    closure_ok, data = betti_closure_check(spec, override=override)
+    if b is not None and b != data.betti:
         data = zeta_pipeline(spec, b, override=override)
-        closure_ok, _ = betti_closure_check(spec, override=override)
     result = data.to_json()
     checks = [
         _check("weil-certificate", data.certificate is not None),
@@ -399,7 +403,7 @@ def _cmd_endw2_verify(job, options):
     endo = w2_endomorphism(field, f_coeffs, r_poly)
     n = _job_int(job, "n", 1)
     ok = verify_additive(endo, n, override=options.get("override", False))
-    bad = mutated_endomorphism(endo, delta_exp=job.get("mutate_exp", 0))
+    bad = mutated_endomorphism(endo, delta_exp=_job_int(job, "mutate_exp", 0, least=None))
     bad_ok = verify_additive(bad, n, override=options.get("override", False))
     result = {"additive": ok, "mutated_additive": bad_ok}
     checks = [

@@ -23,7 +23,9 @@ F_p-basis of K only: g^(p) - g = beta_k has one additive solution and beta_k
 is additive in k, so k -> g_k is additive, the deck pairing c(k, k') =
 g_k(k') - g_k'(k) is biadditive and is its Gram matrix on that basis, and the
 lift identity holds on K once it holds on the basis.  Covering points come
-from a linear solve.
+from a linear solve.  h(u) and beta_k = sum a (k^(p^i) X + k X^(p^i)) are read
+off `charsum`'s term plan of the datum, the terms a X^(p^i) X the Gram
+evaluator reads.
 """
 
 import itertools
@@ -384,38 +386,26 @@ class DatumHeisenberg(Record):
     solutions: list  # g_s with g_s^(p) - g_s = beta_s for s in kernel.basis, in its order
 
 
-def _datum_scalar_terms(datum):
-    """The defining polynomial h(u) of a 1-dimensional G_a-valued datum."""
+def _check_deck_datum(datum):
+    """Refuse, before any kernel is computed, a datum the deck construction
+    does not cover: it is 1-dimensional, G_a-valued and has its
+    precompositions resolved."""
     if datum.d != 1:
         raise ValueError("the deck construction is one-dimensional")
     if datum.has_witt:
         raise ValueError("the W2-valued p = 2 case is deferred; use G_a-valued data")
     if any(t.kind == "precompose" for t in datum.terms):
         raise ValueError("resolve precompositions before the deck construction")
-    return list(datum.terms)
 
 
-def _embedded_terms(terms, emb):
-    """The terms of h(u) as (kind, Frobenius exponent, coefficient embedded in
-    E), each coefficient embedded once."""
-    out = []
-    for t in terms:
-        if t.kind not in ("diag", "halfsq", "aslin"):
-            raise ValueError(f"unsupported term {t.kind} in the deck construction")
-        out.append((t.kind, getattr(t, "i", 0), emb(t.c if t.kind == "aslin" else t.a)))
-    return out
-
-
-def _beta_poly(terms, k):
-    """beta_k(X) = h(X + k) - h(X) - h(k), an additive polynomial over E."""
+def _beta_poly(cross, k):
+    """beta_k(X) = h(X + k) - h(X) - h(k) = sum a (k^(p^i) X + k X^(p^i)) over
+    the terms a X^(p^i) X of the plan's `cross`, an additive polynomial over E."""
     out = {}
     zero = k.field.zero()
-    for kind, i, a in terms:
-        if kind == "diag":
-            out[i] = out.get(i, zero) + a * k
-            out[0] = out.get(0, zero) + a * k.frobenius(i)
-        elif kind == "halfsq":
-            out[0] = out.get(0, zero) + a * k
+    for _, _, i, a in cross:
+        out[0] = out.get(0, zero) + a * k.frobenius(i)
+        out[i] = out.get(i, zero) + a * k
     return AdditivePolynomial(k.field, out)
 
 
@@ -438,19 +428,6 @@ def _solve_additive(beta, big):
     return AdditivePolynomial(big, {j: c[j] for j in range(top)})
 
 
-def _eval_scalar_poly(terms, u):
-    acc = u.field.zero()
-    half = (u.field.p + 1) // 2
-    for kind, i, a in terms:
-        if kind == "diag":
-            acc = acc + a * u.frobenius(i) * u
-        elif kind == "halfsq":
-            acc = acc + a * half * u * u
-        else:
-            acc = acc + a * u
-    return acc
-
-
 def heisenberg_from_datum(datum, override=False):
     """The deck-transformation Heisenberg group of an isogeneous datum.
 
@@ -467,19 +444,21 @@ def heisenberg_from_datum(datum, override=False):
     counts the largest structure built downstream, the SvN character table:
     |H| = p |K| entries.
     """
-    from .charsum import geometric_kernel
+    from .charsum import _term_plan, geometric_kernel
 
-    terms = _datum_scalar_terms(datum)
+    _check_deck_datum(datum)
     p = datum.field.p
     kernel = geometric_kernel(datum, override=override)
     check_cap(p * kernel.size, override, "SvN character table")
+    for t in datum.terms:
+        if t.kind not in ("diag", "halfsq", "aslin"):
+            raise ValueError(f"unsupported term {t.kind} in the deck construction")
     big = kernel.field
-    n = big.m // datum.field.m
-    _, emb = extension(datum.field, n)
-    terms = _embedded_terms(terms, emb)
+    _, emb = extension(datum.field, big.m // datum.field.m)
+    plan = _term_plan(datum, emb)
 
     basis = [point[0] for point in kernel.basis]  # basis[t] is generator t of (Z/p)^dim
-    solutions = [_solve_additive(_beta_poly(terms, k), big) for k in basis]
+    solutions = [_solve_additive(_beta_poly(plan[0], k), big) for k in basis]
 
     def pair_value(s, t):
         val = solutions[s].evaluate(basis[t]) - solutions[t].evaluate(basis[s])
@@ -492,13 +471,14 @@ def heisenberg_from_datum(datum, override=False):
     pairing = AlternatingPairing.from_gram(FiniteAbelianGroup((p,) * dim), p, gram)
     heis = build_group(pairing)
 
-    _validate_deck_maps(terms, big, basis, solutions, pairing, _DECK_SAMPLES)
+    _validate_deck_maps(plan, big, basis, solutions, pairing, _DECK_SAMPLES)
     return DatumHeisenberg(kernel=kernel, pairing=pairing, group=heis, solutions=solutions)
 
 
-def _validate_deck_maps(terms, big, basis, solutions, pairing, samples):
+def _validate_deck_maps(plan, big, basis, solutions, pairing, samples):
     """Cross-check e against explicit deck transformations, on the F_p-basis
-    of K with g_s = solutions[t] for s = basis[t]: the formal lift identity
+    of K with g_s = solutions[t] for s = basis[t] and h(u) the G_a value of
+    the datum's term plan over E: the formal lift identity
     g_s^(p) - g_s = beta_s as additive polynomials, the lift property
     g_s(u)^p - g_s(u) = h(u+s) - h(u) - h(s) at sampled u (which checks
     `_beta_poly` against h), then `_check_deck_commutators` on points of the
@@ -508,10 +488,13 @@ def _validate_deck_maps(terms, big, basis, solutions, pairing, samples):
     g_s by definition, and both sides are additive in k (beta_k for the
     diag, halfsq and aslin terms alike).  The formal identity sees what the
     samples cannot: g_s + phi with phi vanishing at every sampled u."""
-    h = lambda u: _eval_scalar_poly(terms, u)
+    from .charsum import _ga_value
+
+    cross, linear, _ = plan
+    h = lambda u: _ga_value(cross, linear, (u,), big.zero())
     sample = [(u, h(u)) for u in itertools.islice(big.elements(), samples)]
     for k, gk in zip(basis, solutions):
-        if gk.twist(1) + gk.scale(-1) != _beta_poly(terms, k):
+        if gk.twist(1) + gk.scale(-1) != _beta_poly(cross, k):
             raise TheoremViolated("g_k^(p) - g_k is not beta_k")
         hk = h(k)
         for u, hu in sample:

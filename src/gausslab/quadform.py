@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolated,
 )
 from .exactalg import (
-    CyclotomicNumber, _divisors, abs_square, is_root_of_unity, zeta, zeta_exponents, zeta_sum
+    CyclotomicNumber, _divisors, is_root_of_unity, zeta, zeta_exponents, zeta_sum
 )
 
 
@@ -236,12 +236,14 @@ class QuadraticForm:
     def verify_gauss_sum_theorem(self):
         """Certify tau * conj(tau) = |M| and tau^2/|M| a root of unity.
 
-        Returns the order of the root of unity; reaching TheoremViolated means
-        a bug, not new mathematics.
+        The lookup of tau^2/|M| proves both: if it is a root of unity, then
+        |sigma(tau)|^2 = |M| for every embedding sigma of Q(zeta_N) into C;
+        complex conjugation commutes with every such sigma, so sigma(tau *
+        conj(tau)) = |M| = sigma(|M|), and sigma is injective.  Returns the
+        order of the root of unity; reaching TheoremViolated means a bug, not
+        new mathematics.
         """
         tau = self.gauss_sum()
-        if abs_square(tau) != self.group.order:
-            raise TheoremViolated(f"|tau|^2 != |M| for {self!r}")
         ratio = tau * tau / self.group.order
         order = is_root_of_unity(ratio)
         if order is None:

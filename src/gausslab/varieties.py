@@ -176,7 +176,7 @@ def is_geometrically_connected(spec, override=False):
 
 def betti_prediction(spec, override=False):
     """Predicted dim H^1_c: sum of per-character ranks via the Swan formula."""
-    return sum(gos_rank(poly, allow_character=True) for poly in _character_polys(spec, override))
+    return sum(gos_rank(poly) for poly in _character_polys(spec, override))
 
 
 def counts_vs_character_sums(spec, n, override=False):

@@ -10,7 +10,6 @@ import pytest
 
 from gausslab.charsum import (
     ASLinear,
-    CharacterCase,
     CrossMonomial,
     DiagMonomial,
     HalfSquare,
@@ -30,7 +29,7 @@ from gausslab.charsum import (
     trace_value,
     _kernel_dimension,
 )
-from gausslab.corpus import catalog_data
+from gausslab.corpus import catalog_data, corpus
 from gausslab.errors import (
     DegeneratePairing,
     NotEtale,
@@ -318,14 +317,11 @@ def test_gos_rank_examples():
     assert gos_rank({3: F2.one()}) == 2
     assert gos_rank({3: F4.one()}) == 2
     assert gos_rank({4: F3.one()}) == 3
-    with pytest.raises(CharacterCase):
-        gos_rank({2: F2.one()})
-    assert gos_rank({2: F2.one()}, allow_character=True) == 0
+    assert gos_rank({2: F2.one()}) == 0  # the character case
     assert gos_rank({6: F3.one()}) == 1  # x^6 -> x^2 by AS-reduction
     # x^3 + x over F_3 collapses to a character, not a Swan failure: terminal
     # exponents of the reduction are always prime to p
-    with pytest.raises(CharacterCase):
-        gos_rank({3: F3.one(), 1: F3.one()})
+    assert gos_rank({3: F3.one(), 1: F3.one()}) == 0
 
 
 def test_gos_rank_matches_diag_datum_prediction():
@@ -654,6 +650,59 @@ def test_char_sum_does_not_enumerate(monkeypatch):
     datum = frobpair(F4, 2)
     char_sum(datum, 6)
     assert len(calls) == 24 + 2
+
+
+def _reference_symbolic_pairing(datum):
+    """`symbolic_pairing` term kind by term kind, before it read the term
+    plan: the reference the plan's polarization rules must reproduce."""
+    field = datum.field
+    matrix = {}
+    zero = AdditivePolynomial(field, {})
+    identity = AdditivePolynomial(field, {0: field.one()})
+
+    def add_to(j, k, f):
+        matrix[(j, k)] = matrix.get((j, k), zero) + f
+
+    def sub_of(j):
+        s = datum.substitution(j)
+        return s if s is not None else identity
+
+    for t in datum.terms:
+        if t.kind in ("precompose", "aslin"):
+            continue
+        if t.kind == "diag":
+            s = sub_of(t.j)
+            si = s.twist(t.i)
+            add_to(t.j, t.j, s.adjoint().compose(si.scale(t.a)))
+            add_to(t.j, t.j, si.adjoint().compose(s.scale(t.a)))
+        elif t.kind == "cross":
+            sj, sk = sub_of(t.j), sub_of(t.k)
+            sji = sj.twist(t.i)
+            add_to(t.j, t.k, sk.adjoint().compose(sji.scale(t.a)))
+            add_to(t.k, t.j, sji.adjoint().compose(sk.scale(t.a)))
+        elif t.kind == "halfsq":
+            s = sub_of(t.j)
+            add_to(t.j, t.j, s.adjoint().compose(s.scale(t.a)))
+        elif t.kind == "wittlin":
+            s = sub_of(t.j)
+            add_to(t.j, t.j, s.adjoint().compose(s.scale(t.c * t.c)))
+    return charsum.PairingDatum(field, datum.d, matrix)
+
+
+def test_symbolic_pairing_from_the_term_plan_matches_the_reference():
+    # every corpus and catalog datum, and seeded draws mixing precompose,
+    # cross, Witt and the other kinds: the same PairingDatum, entry for entry
+    data = [QuadDatum.from_json(entry["input"].get("datum") or entry["input"]["from_datum"])
+            for entry in corpus().values()
+            if "datum" in entry["input"] or "from_datum" in entry["input"]]
+    data += [datum for _, datum, _, _ in catalog_data()]
+    rng = random.Random("term-plan")
+    for field in (F2, F4, F3, F9, F5):
+        data += [_random_datum(field, d, rng) for d in (1, 2, 3) for _ in range(12)]
+    kinds = {t.kind for datum in data for t in datum.terms}
+    assert kinds == {"diag", "cross", "halfsq", "aslin", "wittlin", "precompose"}
+    for datum in data:
+        assert symbolic_pairing(datum) == _reference_symbolic_pairing(datum), datum.to_json()
 
 
 def test_symbolic_pairing_asymmetry_is_a_fault(monkeypatch):

@@ -53,6 +53,23 @@ def test_zeta_vdgv_fixture():
     assert report["result"]["certificate"]["m"] == 2
 
 
+def test_zeta_counts_each_point_count_once(monkeypatch):
+    # the report's pipeline is the closure check's: with b absent or equal to
+    # the Betti number 2, N_1 .. N_4 are each counted once, and the reports agree
+    from gausslab import varieties
+
+    counted, count = [], varieties.count_points
+    monkeypatch.setattr(varieties, "count_points",
+                        lambda spec, n, override=False: counted.append(n) or count(spec, n, override))
+    job, reports = corpus()["vdgv-f2-zeta"]["input"], []
+    for extra in ({}, {"b": 2}):
+        counted.clear()
+        reports.append(dispatch("zeta", {**job, **extra}))
+        reports[-1].pop("timing_ms")
+        assert counted == [1, 2, 3, 4]
+    assert reports[0] == reports[1]
+
+
 def test_malformed_json_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "gausslab.cli", "gauss-sum"],
@@ -289,32 +306,39 @@ def test_ext_below_one_is_invalid_input(capsys):
 
 _CURVE = corpus()["vdgv-f2-zeta"]["input"]["curve"]
 
-# (command, job, key): the extension degree n or n_max (an int >= 1) or the
-# Betti number b (an int >= 0) of each job that reads one
+# (command, job, key, bad values): the integer fields of each job that reads
+# one; an extension degree n or n_max or the Frobenius index i is an int >= 1,
+# the Betti number b or the r of p^r an int >= 0, and the Frobenius exponent
+# mutate_exp an int of either sign
+_AT_LEAST_1 = (0, -1, True, 2.0, "2")
+_AT_LEAST_0 = (-1, True, 2.0, "2")
 _DEGREE_KEYS = [
-    ("char-sum", {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"]}, "n"),
-    ("invariance", corpus()["gl1-inv-f2"]["input"], "n"),
-    ("clb-cocycle", corpus()["clb-cocycle-i1-f4"]["input"], "n"),
-    ("count-points", {"curve": _CURVE}, "n"),
-    ("endw2-verify", corpus()["endw2-f4"]["input"], "n"),
-    ("hasse-davenport", corpus()["diag-x3-f4-hd"]["input"], "n_max"),
-    ("supersingular", corpus()["surface-p2"]["input"], "n_max"),
-    ("zeta", {"curve": _CURVE}, "b"),
-    ("supersingular", {"curve": _CURVE}, "b"),
+    ("char-sum", {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"]}, "n", _AT_LEAST_1),
+    ("invariance", corpus()["gl1-inv-f2"]["input"], "n", _AT_LEAST_1),
+    ("clb-cocycle", corpus()["clb-cocycle-i1-f4"]["input"], "n", _AT_LEAST_1),
+    ("clb-cocycle", corpus()["clb-cocycle-i1-f4"]["input"], "i", _AT_LEAST_1),
+    ("count-points", {"curve": _CURVE}, "n", _AT_LEAST_1),
+    ("endw2-verify", corpus()["endw2-f4"]["input"], "n", _AT_LEAST_1),
+    ("endw2-verify", corpus()["endw2-f4"]["input"], "mutate_exp", (True, 1.5, 2.0, "2")),
+    ("hasse-davenport", corpus()["diag-x3-f4-hd"]["input"], "n_max", _AT_LEAST_1),
+    ("hasse-davenport", corpus()["diag-x3-f4-hd"]["input"], "r", _AT_LEAST_0),
+    ("supersingular", corpus()["surface-p2"]["input"], "n_max", _AT_LEAST_1),
+    ("zeta", {"curve": _CURVE}, "b", _AT_LEAST_0),
+    ("supersingular", {"curve": _CURVE}, "b", _AT_LEAST_0),
 ]
 _BAD_DEGREES = [
-    pytest.param(command, {**job, key: value}, id=f"{command}-{key}-{value!r}")
-    for command, job, key in _DEGREE_KEYS
-    for value in ((-1, True, 2.0, "2") if key == "b" else (0, -1, True, 2.0, "2"))
+    pytest.param(command, {**job, key: value}, key, id=f"{command}-{key}-{value!r}")
+    for command, job, key, values in _DEGREE_KEYS
+    for value in values
 ]
 
 
-@pytest.mark.parametrize("command, job", _BAD_DEGREES)
-def test_bad_degree_exits_2(command, job, tmp_path, capsys):
+@pytest.mark.parametrize("command, job, key", _BAD_DEGREES)
+def test_bad_degree_exits_2(command, job, key, tmp_path, capsys):
     code, err = run_main(command, job, tmp_path, capsys)
     assert code == 2
     assert err.startswith("invalid input or failed precondition: ")
-    assert "must be an integer >= " in err and "Traceback" not in err
+    assert f"{key} must be an integer" in err and "Traceback" not in err
 
 
 def test_curve_count_refuses_above_the_cap_before_building(monkeypatch, tmp_path, capsys):
@@ -423,13 +447,25 @@ def test_psi_unit_decodes_strictly(psi, monkeypatch, tmp_path, capsys):
 
 
 def test_heisenberg_of_a_witt_datum_is_refused_without_traceback():
-    # the W2-valued deck construction is deferred: invalid input, exit 2
-    job = {"from_datum": {"field": {"p": 2, "m": 1}, "d": 1,
-                          "terms": [{"kind": "wittlin", "j": 0, "c": [1]}]}}
-    proc = run_cli("heisenberg", job)
-    assert proc.returncode == 2
-    assert "the W2-valued p = 2 case is deferred" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    # the W2-valued deck construction is deferred, and so are d = 2, an
+    # unresolved precomposition and a cross term: invalid input, exit 2
+    diag = {"kind": "diag", "j": 0, "i": 1, "a": [1]}
+    refusals = [
+        ({"field": {"p": 2, "m": 1}, "d": 1, "terms": [{"kind": "wittlin", "j": 0, "c": [1]}]},
+         "the W2-valued p = 2 case is deferred"),
+        (corpus()["frobpair-gl-q2-hd"]["input"]["datum"], "the deck construction is one-dimensional"),
+        ({"field": {"p": 2, "m": 1}, "d": 1,
+          "terms": [diag, {"kind": "precompose", "j": 0, "f": {"1": [1]}}]},
+         "resolve precompositions before the deck construction"),
+        ({"field": {"p": 3, "m": 1}, "d": 1,
+          "terms": [diag, {"kind": "cross", "j": 0, "k": 0, "i": 0, "a": [1]}]},
+         "unsupported term cross in the deck construction"),
+    ]
+    for datum, message in refusals:
+        proc = run_cli("heisenberg", {"from_datum": datum})
+        assert proc.returncode == 2, message
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_heisenberg_covering_points_do_not_sweep_the_field(monkeypatch, tmp_path, capsys):

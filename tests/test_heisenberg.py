@@ -12,10 +12,14 @@ from gausslab.charsum import (
     CrossMonomial,
     DiagMonomial,
     HalfSquare,
+    Precompose,
     QuadDatum,
     WittLinear,
+    _ga_value,
+    _term_plan,
     geometric_kernel,
 )
+from gausslab.corpus import _frobenius_pairing
 from gausslab.errors import (
     NonInjectiveCharacter,
     NotAlternating,
@@ -31,8 +35,6 @@ from gausslab.heisenberg import (
     SvNRepresentation,
     _check_deck_commutators,
     _covering_points,
-    _embedded_terms,
-    _eval_scalar_poly,
     _validate_deck_maps,
     build_group,
     check_faithful,
@@ -410,10 +412,10 @@ def _kernel_coordinates(kernel, p):
     return dict(enumerate(map(big.element, vectors)))
 
 
-def _per_element_solutions(terms, element_at, big):
+def _per_element_solutions(plan, element_at, big):
     """The per-k solve heisenberg_from_datum replaced: g_k with g_k^(p) - g_k
     = beta_k for every k in K, keyed by k.coeffs."""
-    return {k.coeffs: heisenberg._solve_additive(heisenberg._beta_poly(terms, k), big)
+    return {k.coeffs: heisenberg._solve_additive(heisenberg._beta_poly(plan[0], k), big)
             for k in element_at.values()}
 
 
@@ -639,10 +641,31 @@ def test_heisenberg_from_nondegenerate_datum_is_central():
     assert dh.group.order == 3  # K trivial, H = A
 
 
-def test_heisenberg_from_datum_rejects_witt_terms():
-    datum = QuadDatum(F2, 1, [WittLinear(0, F2.one())])
-    with pytest.raises(ValueError, match="the W2-valued p = 2 case is deferred"):
-        heisenberg_from_datum(datum)
+# (datum, message, whether the geometric kernel is computed before the refusal)
+_DECK_REFUSALS = [
+    (QuadDatum(F2, 1, [WittLinear(0, F2.one())]), "the W2-valued p = 2 case is deferred", False),
+    (_frobenius_pairing(F2, 1), "the deck construction is one-dimensional", False),
+    (QuadDatum(F2, 1, [DiagMonomial(0, 1, F2.one()),
+                       Precompose(0, AdditivePolynomial(F2, {1: F2.one()}))]),
+     "resolve precompositions before the deck construction", False),
+    (QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one()), CrossMonomial(0, 0, 0, F3.one())]),
+     "unsupported term cross in the deck construction", True),
+]
+
+
+def test_heisenberg_from_datum_rejects_witt_terms(monkeypatch):
+    # the W2-valued case and every other datum the deck construction does not
+    # cover: d != 1, Witt and precompose before the kernel, a term kind after it
+    from gausslab import charsum
+
+    kernel, computed = charsum.geometric_kernel, []
+    monkeypatch.setattr(charsum, "geometric_kernel",
+                        lambda *args, **kw: computed.append(args) or kernel(*args, **kw))
+    for datum, message, after_kernel in _DECK_REFUSALS:
+        computed.clear()
+        with pytest.raises(ValueError, match=message):
+            heisenberg_from_datum(datum)
+        assert bool(computed) == after_kernel, message
 
 
 def test_heisenberg_from_datum_term_kinds():
@@ -796,15 +819,20 @@ DECK_DATA_81 = DECK_DATA + [pytest.param(3, 2, 1, id="F3-i2")]  # x^10 over F_3:
 
 
 def _deck_data(p, i, a):
-    """(dh, index -> k, E, embedded terms, g_k solved at every k) for
+    """(dh, index -> k, E, term plan over E, g_k solved at every k) for
     a*x^(p^i+1) over F_p."""
     field = make_field(p, 1)
-    terms = [DiagMonomial(0, i, field.element([a]))]
-    dh = heisenberg_from_datum(QuadDatum(field, 1, terms))
+    datum = QuadDatum(field, 1, [DiagMonomial(0, i, field.element([a]))])
+    dh = heisenberg_from_datum(datum)
     big, emb = extension(field, dh.kernel.field.m)
-    terms = _embedded_terms(terms, emb)
+    plan = _term_plan(datum, emb)
     element_at = _kernel_coordinates(dh.kernel, p)
-    return dh, element_at, big, terms, _per_element_solutions(terms, element_at, big)
+    return dh, element_at, big, plan, _per_element_solutions(plan, element_at, big)
+
+
+def _h(plan, big):
+    """u -> h(u), the G_a value of a 1-dimensional term plan over E."""
+    return lambda u: _ga_value(plan[0], plan[1], (u,), big.zero())
 
 
 def _basis(dh):
@@ -869,6 +897,21 @@ def test_basis_pair_table_agrees_with_all_pairs_oracle(p, i, a):
 
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
+def test_beta_poly_is_the_polar_of_h_on_all_of_e(p, i, a):
+    # beta_k(u) = h(u + k) - h(u) - h(k) for every k and u of E, with h(u) =
+    # a u^(p^i + 1) evaluated directly, not through the term plan, which
+    # must give the same h
+    _, _, big, plan, _ = _deck_data(p, i, a)
+    h = lambda u: big.element([a] + [0] * (big.m - 1)) * u ** (p**i + 1)
+    elements = list(big.elements())
+    assert [_h(plan, big)(u) for u in elements] == [h(u) for u in elements]
+    for k in elements:
+        beta, hk = heisenberg._beta_poly(plan[0], k), h(k)
+        for u in elements:
+            assert beta.evaluate(u) == h(u + k) - h(u) - hk
+
+
+@pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
     # g_k + phi for the first basis vector k of K only: phi = X changes the
     # basis-pair values, phi vanishing on K changes none of them
@@ -880,7 +923,7 @@ def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
     beta_poly, solve = heisenberg._beta_poly, heisenberg._solve_additive
     seen = []
     monkeypatch.setattr(heisenberg, "_beta_poly",
-                        lambda terms, k: seen.append(k) or beta_poly(terms, k))
+                        lambda cross, k: seen.append(k) or beta_poly(cross, k))
     for phi in (AdditivePolynomial(big, {0: big.one()}),
                 _vanishing_on([b[0] for b in kernel.basis], big)):
         monkeypatch.setattr(heisenberg, "_solve_additive", lambda beta, f, phi=phi: (
@@ -891,8 +934,8 @@ def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
-    dh, element_at, big, terms, oracle = _deck_data(p, i, a)
-    h = lambda u: _eval_scalar_poly(terms, u)
+    dh, element_at, big, plan, oracle = _deck_data(p, i, a)
+    h = _h(plan, big)
     basis = _basis(dh)
     assert len(element_at) == p ** (2 * i)
     for limit in (1, 3, 12, 40):
@@ -925,9 +968,9 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
 def test_deck_commutators_evaluate_each_inner_map_once(monkeypatch):
     # dim + 2 dim^2 evaluations per point: d_i(pt) once for each i, then
     # d_i(d_j(pt)) for each ordered pair
-    dh, _, big, terms, _ = _deck_data(2, 2, 1)  # |K| = 16, dim 4
+    dh, _, big, plan, _ = _deck_data(2, 2, 1)  # |K| = 16, dim 4
     basis = _basis(dh)
-    points = _covering_points(big, lambda u: _eval_scalar_poly(terms, u), 3)
+    points = _covering_points(big, _h(plan, big), 3)
     calls = []
     evaluate = AdditivePolynomial.evaluate
     monkeypatch.setattr(AdditivePolynomial, "evaluate",
@@ -941,13 +984,13 @@ def test_deck_commutators_evaluate_each_inner_map_once(monkeypatch):
 def test_deck_lift_check_keeps_every_k():
     # the lift identity on the basis is the lift identity at every k, since
     # g_k = sum_s lambda_s(k) g_s: g_s + X on any basis vector is refused
-    dh, _, big, terms, _ = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
+    dh, _, big, plan, _ = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
     basis = _basis(dh)
-    _validate_deck_maps(terms, big, basis, dh.solutions, dh.pairing, 12)
+    _validate_deck_maps(plan, big, basis, dh.solutions, dh.pairing, 12)
     for t in range(len(basis)):
         bad = _shifted(dh.solutions, t, AdditivePolynomial(big, {0: big.one()}))
         with pytest.raises(TheoremViolated):
-            _validate_deck_maps(terms, big, basis, bad, dh.pairing, 12)
+            _validate_deck_maps(plan, big, basis, bad, dh.pairing, 12)
     # adding phi_K, vanishing on K, to a basis solution keeps every
     # commutator: only the lift identity catches it
     phi = _vanishing_on(basis, big)
@@ -955,19 +998,19 @@ def test_deck_lift_check_keeps_every_k():
         bad = _shifted(dh.solutions, t, phi)
         _check_deck_commutators(basis, bad, dh.pairing, [(big.zero(),) * 2])
         with pytest.raises(TheoremViolated):
-            _validate_deck_maps(terms, big, basis, bad, dh.pairing, 12)
+            _validate_deck_maps(plan, big, basis, bad, dh.pairing, 12)
 
 
 def test_formal_lift_identity_sees_a_corruption_vanishing_on_e():
     # x^3 over F_2: K = E = F_4, so g_s + X^4 + X agrees with g_s at every u
     # of E, every sampled lift and every commutator hold, and only the formal
     # identity g_s^(2) - g_s = beta_s refuses it
-    dh, _, big, terms, _ = _deck_data(2, 1, 1)
+    dh, _, big, plan, _ = _deck_data(2, 1, 1)
     basis = _basis(dh)
     assert big.q == dh.kernel.size == 4
     phi = AdditivePolynomial(big, {2: big.one(), 0: big.one()})
     assert all(not phi.evaluate(u) for u in big.elements())
-    h = lambda u: _eval_scalar_poly(terms, u)
+    h = _h(plan, big)
     points = _covering_points(big, h, 4)
     for t, s in enumerate(basis):
         bad = _shifted(dh.solutions, t, phi)
@@ -976,7 +1019,7 @@ def test_formal_lift_identity_sees_a_corruption_vanishing_on_e():
             assert lhs.frobenius() - lhs == h(u + s) - h(u) - h(s)
         _check_deck_commutators(basis, bad, dh.pairing, points)
         with pytest.raises(TheoremViolated, match="is not beta_k"):
-            _validate_deck_maps(terms, big, basis, bad, dh.pairing, 12)
+            _validate_deck_maps(plan, big, basis, bad, dh.pairing, 12)
 
 
 def test_deck_maps_solved_on_the_basis_only(monkeypatch):

@@ -117,6 +117,33 @@ def test_verify_gauss_sum_theorem_exeasy():
     assert EXEASY.verify_gauss_sum_theorem() == 4  # (1+i)^2/2 = i
 
 
+def test_gauss_certificate_takes_no_conjugate(monkeypatch, tmp_path, capsys):
+    # tau^2/|M| a root of unity implies tau conj(tau) = |M|, so a gauss-verify
+    # job takes no abs_square or Galois image; a tau doubled is still a fault
+    from gausslab import exactalg
+
+    calls = []
+    galois = exactalg.CyclotomicNumber.galois
+    monkeypatch.setattr(exactalg.CyclotomicNumber, "galois",
+                        lambda self, k: calls.append(k) or galois(self, k))
+    monkeypatch.setattr(exactalg, "abs_square", lambda z: calls.append(z))
+    forms = [EXEASY, Z3FORM, HYPERBOLIC] + [
+        random_nondegenerate(FiniteAbelianGroup(moduli), 1) for moduli in ([2] * 4, [4, 2], [9])]
+    for form in forms:
+        report = cli.dispatch("gauss-verify", {"form": form.to_json()})
+        assert report["ok"] and report["result"]["abs_square"] == str(form.group.order)
+    assert calls == []
+    tau = QuadraticForm._tau
+    monkeypatch.setattr(QuadraticForm, "_tau", property(lambda self: 2 * tau.func(self)))
+    for form in forms:
+        with pytest.raises(TheoremViolated):
+            QuadraticForm(form.group, form.value_order, form.exponents).verify_gauss_sum_theorem()
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"form": Z3FORM.to_json()}))
+    assert cli.main(["gauss-verify", "--input", str(path)]) == 4
+    assert "tau^2/|M| not a root of unity" in capsys.readouterr().err
+
+
 def test_recursive_oracle_matches_direct_sum():
     # the last form reaches the descent step with a != 0: x = 2 is isotropic
     # and Q(x) = -1
