@@ -24,6 +24,7 @@ from .errors import (
     SwanDivisibleByP,
     TheoremViolated,
     check_cap,
+    checked_int,
 )
 from .exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
 from .fields import (
@@ -165,10 +166,11 @@ class QuadDatum:
             cls = _TERM_KINDS.get(kind) if isinstance(kind, str) else None
             if cls is None:
                 raise ValueError(f"unknown term kind {kind!r}")
-            # coordinate and Frobenius indices pass through as given
-            values = (decoders[n](t[n]) if n in decoders else t[n] for n in cls._fields)
+            # every other field is a coordinate or Frobenius index j, k or i
+            values = (decoders[n](t[n]) if n in decoders else checked_int(t[n], n)
+                      for n in cls._fields)
             terms.append(cls(*values))
-        return QuadDatum(field, obj["d"], terms)
+        return QuadDatum(field, checked_int(obj["d"], "d"), terms)
 
 
 _TERM_KINDS = {
@@ -571,16 +573,11 @@ def geometric_kernel(datum, override=False):
                 f"cannot certify kernel stabilization below degree {_MAX_SPLITTING_DEGREE}"
             )
     size, n, (big, basis) = best
-    twor = 0
-    s = size
-    while s % p == 0:
-        s //= p
-        twor += 1
-    if s != 1 or twor % 2 != 0:
+    if len(basis) % 2:
         raise DegeneratePairing(f"kernel size {size} is not an even power of {p}")
     # caps the listing that `KernelData.elements` makes when read
     check_cap(size, override, "kernel listing")
-    return KernelData(r=twor // 2, size=size, splitting_degree=n, field=big, d=d, basis=[
+    return KernelData(r=len(basis) // 2, size=size, splitting_degree=n, field=big, d=d, basis=[
         tuple(big.element(vec[j * big.m:(j + 1) * big.m]) for j in range(d)) for vec in basis])
 
 
@@ -651,33 +648,21 @@ def clb_cocycle_identity_check(i, a, field, n, override=False):
 def as_reduce(poly):
     """Artin-Schreier reduction of a univariate polynomial {exp: coeff}.
 
-    Rewrites a x^(pm) -> a^(1/p) x^m repeatedly (valid inside psi(Tr(.))) and
-    drops the constant term.  Returns the reduced {exp: coeff}.
+    Inside psi(Tr(.)) a x^(p^k m) may be replaced by a^(1/p^k) x^m, and the
+    p-th root is additive, so each term goes down to its exponent prime to p
+    in one step; the constant term drops.  Returns the reduced {exp: coeff}.
     """
-    field = None
-    work = {}
+    out = {}
     for e, c in poly.items():
-        if c:
-            field = c.field
-            work[int(e)] = work.get(int(e), c.field.zero()) + c
-    if field is None:
-        return {}
-    p = field.p
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(work):
-            c = work[e]
-            if not c:
-                del work[e]
-                continue
-            if e > 0 and e % p == 0:
-                del work[e]
-                tgt = e // p
-                work[tgt] = work.get(tgt, field.zero()) + c.pth_root()
-                changed = True
-                break
-    return {e: c for e, c in work.items() if e > 0 and c}
+        e, k = int(e), 0
+        if e <= 0 or not c:
+            continue
+        while e % c.field.p == 0:
+            e //= c.field.p
+            k += 1
+        c = c.pth_root(k)
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
 
 
 def gos_rank(poly):
@@ -736,10 +721,11 @@ def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False):
     for n in range(1, n_max + 1):
         predicted = tau**n * (p**r) * sign
         residuals.append(sums[n - 1] == predicted)
-    fev_abs_ok = abs_square(tau) == q**d
-    ratio_order = None
-    if fev_abs_ok:
-        ratio_order = is_root_of_unity(tau * tau / q**d)
+    # a root of unity tau^2/q^d gives |tau|^2 = q^d (see
+    # `QuadraticForm.verify_gauss_sum_theorem`), so the conjugate is taken
+    # only when the lookup fails
+    ratio_order = is_root_of_unity(tau * tau / q**d)
+    fev_abs_ok = ratio_order is not None or abs_square(tau) == q**d
     return HDReport(
         datum=datum,
         r=r,

@@ -14,26 +14,7 @@ import os
 import sys
 import time
 
-from .errors import GaussLabError, ScaleCapExceeded, TheoremViolated
-
-SUBCOMMANDS = (
-    "field",
-    "witt",
-    "gauss-sum",
-    "gauss-verify",
-    "char-sum",
-    "hasse-davenport",
-    "kernel",
-    "clb-normalize",
-    "clb-cocycle",
-    "heisenberg",
-    "count-points",
-    "zeta",
-    "supersingular",
-    "endw2-verify",
-    "invariance",
-    "suite",
-)
+from .errors import GaussLabError, ScaleCapExceeded, TheoremViolated, checked_int
 
 
 def _cyc(value):
@@ -47,26 +28,6 @@ def _check(name, passed, witness=None):
     return out
 
 
-_ALLOWED_KEYS = {
-    "field": {"p", "m", "modulus"},
-    "witt": {"field", "op", "u", "v"},
-    "gauss-sum": {"form"},
-    "gauss-verify": {"form"},
-    "char-sum": {"datum", "n"},
-    "hasse-davenport": {"datum", "r", "n_max"},
-    "kernel": {"datum"},
-    "clb-normalize": {"datum"},
-    "clb-cocycle": {"field", "i", "a", "n"},
-    "heisenberg": {"pairing", "from_datum", "psi_unit"},
-    "count-points": {"curve", "n"},
-    "zeta": {"curve", "b"},
-    "supersingular": {"surface", "curve", "l_poly", "q", "i", "n_max", "b"},
-    "endw2-verify": {"field", "f", "r", "n", "mutate_exp"},
-    "invariance": {"datum", "matrices", "n"},
-    "suite": {"only"},
-}
-
-
 def dispatch(command, job, options=None):
     """Route a job descriptor to the library; returns the report dict.
 
@@ -74,10 +35,10 @@ def dispatch(command, job, options=None):
     """
     options = options or {}
     started = time.perf_counter()
-    handler = _HANDLERS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    unknown = set(job) - _ALLOWED_KEYS[command]
+    handler, allowed = _COMMANDS[command]
+    unknown = set(job) - allowed
     if unknown:
         raise ValueError(f"unknown fields for {command}: {sorted(unknown)}")
     result, checks = handler(job, options)
@@ -164,16 +125,10 @@ def _cmd_gauss_verify(job, options):
 def _job_int(job, key, default, least=1):
     """job[key], or the default when absent: an extension degree or a
     Frobenius index (least 1), a Betti number or the r of p^r (least 0), or a
-    Frobenius exponent of either sign (least None).  A bool, a non-int or a
-    smaller value is invalid input.  A required field passes job[key] as its
-    default, so its absence stays a KeyError."""
-    if key not in job:
-        return default
-    value = job[key]
-    if type(value) is not int or least is not None and value < least:
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
-    return value
+    Frobenius exponent or character unit of either sign (least None), through
+    `checked_int`.  A required field passes job[key] as its default, so its
+    absence stays a KeyError."""
+    return checked_int(job[key], key, least) if key in job else default
 
 
 def _parse_datum(job):
@@ -274,9 +229,7 @@ def _cmd_heisenberg(job, options):
     )
     from .quadform import FiniteAbelianGroup
 
-    psi_unit = job.get("psi_unit", 1)
-    if type(psi_unit) is not int:
-        raise ValueError(f"psi_unit must be an integer, got {psi_unit!r}")
+    psi_unit = _job_int(job, "psi_unit", 1, least=None)
     if "from_datum" in job:
         from .charsum import QuadDatum
 
@@ -479,24 +432,27 @@ def _cyc_as_str(obj):
     return str(head[0])
 
 
-_HANDLERS = {
-    "field": _cmd_field,
-    "witt": _cmd_witt,
-    "gauss-sum": _cmd_gauss_sum,
-    "gauss-verify": _cmd_gauss_verify,
-    "char-sum": _cmd_char_sum,
-    "hasse-davenport": _cmd_hasse_davenport,
-    "kernel": _cmd_kernel,
-    "clb-normalize": _cmd_clb_normalize,
-    "clb-cocycle": _cmd_clb_cocycle,
-    "heisenberg": _cmd_heisenberg,
-    "count-points": _cmd_count_points,
-    "zeta": _cmd_zeta,
-    "supersingular": _cmd_supersingular,
-    "endw2-verify": _cmd_endw2_verify,
-    "invariance": _cmd_invariance,
-    "suite": _cmd_suite,
+# command: (handler, the keys its job may carry), in the order of the
+# argparse choices
+_COMMANDS = {
+    "field": (_cmd_field, {"p", "m", "modulus"}),
+    "witt": (_cmd_witt, {"field", "op", "u", "v"}),
+    "gauss-sum": (_cmd_gauss_sum, {"form"}),
+    "gauss-verify": (_cmd_gauss_verify, {"form"}),
+    "char-sum": (_cmd_char_sum, {"datum", "n"}),
+    "hasse-davenport": (_cmd_hasse_davenport, {"datum", "r", "n_max"}),
+    "kernel": (_cmd_kernel, {"datum"}),
+    "clb-normalize": (_cmd_clb_normalize, {"datum"}),
+    "clb-cocycle": (_cmd_clb_cocycle, {"field", "i", "a", "n"}),
+    "heisenberg": (_cmd_heisenberg, {"pairing", "from_datum", "psi_unit"}),
+    "count-points": (_cmd_count_points, {"curve", "n"}),
+    "zeta": (_cmd_zeta, {"curve", "b"}),
+    "supersingular": (_cmd_supersingular, {"surface", "curve", "l_poly", "q", "i", "n_max", "b"}),
+    "endw2-verify": (_cmd_endw2_verify, {"field", "f", "r", "n", "mutate_exp"}),
+    "invariance": (_cmd_invariance, {"datum", "matrices", "n"}),
+    "suite": (_cmd_suite, {"only"}),
 }
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def _render(report, fmt):

@@ -123,6 +123,20 @@ def check_cap(n_points, override=False, what="enumeration"):
         raise ScaleCapExceeded(f"{what} over {n_points} points exceeds cap {cap}")
 
 
+def checked_int(value, name, least=None, below=None):
+    """value when it is an int, not a bool (bool subclasses int), at least
+    `least` where given and, with `least`, below `below` where given; anything
+    else is invalid input naming the field.  The one integer test for input
+    read from JSON."""
+    if (type(value) is not int or least is not None and value < least
+            or below is not None and value >= below):
+        bound = "" if least is None else f" >= {least}"
+        if below is not None:
+            bound = f" in range({least}, {below})"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def _refuse_assignment(self, name, value=None):
     raise AttributeError(f"cannot assign to field {name!r}")
 

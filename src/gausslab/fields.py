@@ -27,6 +27,7 @@ from .errors import (
     TheoremViolated,
     ZeroPolynomial,
     check_cap,
+    checked_int,
 )
 
 TABLE_CAP = 2**16  # largest field that builds log tables, which hold every element
@@ -428,8 +429,13 @@ class FiniteField:
 
     @staticmethod
     def from_json(obj):
+        """Strict decoder: p, m and the modulus entries are ints (not bools),
+        each entry in range(p); a missing modulus is found by search."""
+        p, m = checked_int(obj["p"], "p"), checked_int(obj["m"], "m")
         modulus = obj.get("modulus")
-        return make_field(obj["p"], obj["m"], tuple(modulus) if modulus else None)
+        if modulus:
+            modulus = tuple(checked_int(c, f"modulus[{k}]", 0, p) for k, c in enumerate(modulus))
+        return make_field(p, m, modulus or None)
 
 
 @lru_cache(maxsize=None)
@@ -752,7 +758,7 @@ def additive_kernel(f, n, override=False):
         raise ZeroPolynomial("kernel of the zero polynomial is everything")
     check_cap(f.field.q**n, override, "additive kernel search")
     big, emb = extension(f.field, n)
-    lifted = f.lift(emb) if n > 1 else f
+    lifted = f.lift(emb)
     return _linear_kernel(big, lambda x: lifted.evaluate(x).coeffs)
 
 

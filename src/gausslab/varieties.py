@@ -8,7 +8,9 @@ the free variable w contributing a factor q^n that is flagged in the output.
 Their W2 character sums split each Witt vector as a = [x0] + V(x1), and
     Tr_W(a h(a)) = Tr_W([x0] h([x0])) + p Tr(x0^p g2(x1) + f(x0)^p x1)
 is F_p-linear in x1 whether or not h is additive, so each sum over W2(F_{q^n})
-is q^n times a sum over x0 alone.
+is q^n times a sum over x0 alone.  A W2 endomorphism is three additive
+polynomials f, R and g2 over one field, and every summand that is neither
+trivial nor vanishing is certified by one chain check, `_chain_shape`.
 """
 
 from collections import Counter
@@ -279,51 +281,40 @@ def random_curve_spec(field, seed, max_b=6, max_tries=200, override=False):
 # -- classified additive W2 endomorphisms -------------------------------------------
 
 class W2Endomorphism:
-    """h(x, y) = (f(x), g1(x) + g2(y)) with g2 = f(X^{1/p})^p and
-    g1 = gamma(f_0 X, f_1 X^p, ..., f_n X^{p^n}) + R."""
+    """h(x, y) = (f(x), g1(x) + g2(y)) with f, R and g2 additive polynomials
+    over one field and g1 = gamma(f_0 X, f_1 X^p, ..., f_n X^{p^n}) + R; the
+    classified g2 is f(X^{1/p})^p (`w2_endomorphism`)."""
 
-    def __init__(self, field, f_coeffs, r_poly=None, _g2_override=None):
-        self.field = field
-        self.f_coeffs = {int(i): field.element(c) for i, c in f_coeffs.items()}
-        self.r_poly = r_poly if r_poly is not None else AdditivePolynomial(field, {})
-        if _g2_override is None:
-            self.g2 = AdditivePolynomial(
-                field, {i: c.frobenius() for i, c in self.f_coeffs.items()}
-            )
-        else:
-            self.g2 = _g2_override
-
-    def f_value(self, x):
-        acc = x.field.zero()
-        for i, c in self.f_coeffs.items():
-            acc = acc + c * x.frobenius(i)
-        return acc
+    def __init__(self, f, r_poly, g2):
+        self.field = f.field
+        self.f = f
+        self.r_poly = r_poly
+        self.g2 = g2
 
     def lift(self, emb):
-        return W2Endomorphism(
-            emb.big,
-            {i: emb(c) for i, c in self.f_coeffs.items()},
-            self.r_poly.lift(emb),
-            _g2_override=self.g2.lift(emb),
-        )
+        return W2Endomorphism(self.f.lift(emb), self.r_poly.lift(emb), self.g2.lift(emb))
 
     def g1_value(self, x):
         """gamma(f_0 x, f_1 x^p, ...) + R(x), via the Witt-sum identity
         sum (x_i, 0) = (sum x_i, gamma(x_0, ..., x_n))."""
         big = x.field
         acc = witt_zero(big)
-        for i, c in self.f_coeffs.items():
+        for i, c in self.f.coeffs.items():
             acc = acc + WittVector2(big, c * x.frobenius(i), big.zero())
         return acc.x1 + self.r_poly.evaluate(x)
 
     def __call__(self, w):
         return WittVector2(
-            w.field, self.f_value(w.x0), self.g1_value(w.x0) + self.g2.evaluate(w.x1)
+            w.field, self.f.evaluate(w.x0), self.g1_value(w.x0) + self.g2.evaluate(w.x1)
         )
 
 
 def w2_endomorphism(field, f_coeffs, r_poly=None):
-    return W2Endomorphism(field, f_coeffs, r_poly)
+    """The classified endomorphism of f = sum f_i X^(p^i), given as {i: f_i},
+    with g2 = sum f_i^p X^(p^i)."""
+    f = AdditivePolynomial(field, f_coeffs)
+    g2 = AdditivePolynomial(field, {i: c.frobenius() for i, c in f.coeffs.items()})
+    return W2Endomorphism(f, r_poly if r_poly is not None else AdditivePolynomial(field, {}), g2)
 
 
 def verify_additive(endo, n=1, override=False):
@@ -339,7 +330,7 @@ def verify_additive(endo, n=1, override=False):
     """
     check_cap(endo.field.q ** (2 * n), override, "W2 additivity sweep")
     big, emb = extension(endo.field, n)
-    lifted = endo.lift(emb) if n > 1 else endo
+    lifted = endo.lift(emb)
     teich = [WittVector2(big, x, big.zero()) for x in big.elements()]
     images = [lifted(u) for u in teich]
     return all(lifted(u + v) == hu + hv
@@ -349,7 +340,7 @@ def verify_additive(endo, n=1, override=False):
 def mutated_endomorphism(endo, delta_exp=0):
     """Negative control: perturb g2 away from f(X^{1/p})^p."""
     bad_g2 = endo.g2 + AdditivePolynomial(endo.field, {delta_exp: endo.field.one()})
-    return W2Endomorphism(endo.field, endo.f_coeffs, endo.r_poly, _g2_override=bad_g2)
+    return W2Endomorphism(endo.f, endo.r_poly, bad_g2)
 
 
 # -- surfaces -----------------------------------------------------------------------
@@ -369,8 +360,8 @@ class SurfaceSpec:
 
     def __init__(self, field, f_coeffs, r_poly=None):
         self.field = field
-        self.endo = W2Endomorphism(field, f_coeffs, r_poly)
-        if all(not c for c in self.endo.f_coeffs.values()):
+        self.endo = w2_endomorphism(field, f_coeffs, r_poly)
+        if self.endo.f.is_zero():
             raise ValueError("all f_i = 0: h is degenerate, not an isogeny datum")
 
     def defining_equations(self):
@@ -390,7 +381,7 @@ class SurfaceSpec:
         return {
             "kind": "surface",
             "field": self.field.to_json(),
-            "f": {str(i): list(c.coeffs) for i, c in self.endo.f_coeffs.items()},
+            "f": self.endo.f.to_json(),
             "r": self.endo.r_poly.to_json(),
         }
 
@@ -413,12 +404,12 @@ def surface_counts(spec, n, override=False):
     when c(x) is in the image of A_x, else none, from one row reduction."""
     check_cap(spec.field.q**n, override, "surface count")
     big, emb = extension(spec.field, n)
-    endo = spec.endo.lift(emb) if n > 1 else spec.endo
+    endo = spec.endo.lift(emb)
     p, m = big.p, big.m
     basis = _power_basis(big)
     z_hits = {}  # key -> how many z have z f(z) = key, the right side of x^p - x
     for z in big.elements():
-        key = (z * endo.f_value(z)).coeffs
+        key = (z * endo.f.evaluate(z)).coeffs
         z_hits[key] = z_hits.get(key, 0) + 1
     count3 = 0
     for x in big.elements():
@@ -426,7 +417,7 @@ def surface_counts(spec, n, override=False):
         hits = z_hits.get((xp - x).coeffs)
         if not hits:
             continue
-        fxp = endo.f_value(x).frobenius()
+        fxp = endo.f.evaluate(x).frobenius()
         if p == 2:
             cx = x * x + x * x * x + xp * endo.g1_value(x)
         else:
@@ -446,6 +437,35 @@ class SurfaceSummand(Record):
     weight: object  # i with |tau|^2 = q^i (cohomological degree), or None
     sums: list
     ok: bool
+
+
+def _exact_log(z, base):
+    """k with z = +-base^k for a cyclotomic z that is a rational integer,
+    else None."""
+    if not (z.is_rational() and z.den == 1 and z.nums[0]):
+        return None
+    value, k = abs(z.nums[0]), 0
+    while value % base == 0:
+        value //= base
+        k += 1
+    return k if value == 1 else None
+
+
+def _chain_shape(sums, p, q):
+    """(r, i) when S_1, S_2, ... form a chain S_n = +-p^r tau^n with
+    |tau|^2 = q^i and tau^2 / q^i a root of unity, else None.  tau = S_2/S_1,
+    so S_1 and S_2 must be nonzero."""
+    if len(sums) < 2 or sums[0].is_zero() or sums[1].is_zero():
+        return None
+    tau = sums[1] / sums[0]
+    lead = sums[0] / tau
+    r = _exact_log(lead, p)
+    if r is None or any(s != lead * tau**n for n, s in enumerate(sums, 1)):
+        return None
+    i = _exact_log(abs_square(tau), q)
+    if i is None or is_root_of_unity(tau * tau / q**i) is None:
+        return None
+    return r, i
 
 
 def surface_summand_certificates(spec, n_max=3, override=False):
@@ -480,11 +500,11 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     for n in range(1, n_max + 1):
         check_cap(q**n, override, "surface summands")
         big, emb = extension(spec.field, n)
-        endo = spec.endo.lift(emb) if n > 1 else spec.endo
+        endo = spec.endo.lift(emb)
         g2_basis = [(b, endo.g2.evaluate(b)) for b in _power_basis(big)]
 
         def cross(x0):  # x1 -> Tr(x0^p g2(x1) + f(x0)^p x1) on the basis
-            xp, fp = x0.frobenius(), endo.f_value(x0).frobenius()
+            xp, fp = x0.frobenius(), endo.f.evaluate(x0).frobenius()
             return tuple(absolute_trace_int(xp * g2b + fp * b) for b, g2b in g2_basis)
 
         kernel = {x0.coeffs for x0 in _linear_kernel(big, cross)}
@@ -510,35 +530,9 @@ def surface_summand_certificates(spec, n_max=3, override=False):
         if all(s.is_zero() for s in sums):
             results.append(SurfaceSummand(j, "vanishing", None, None, sums, True))
             continue
-        ok = False
-        r = weight = None
-        if not sums[0].is_zero() and len(sums) >= 2 and not sums[1].is_zero():
-            tau = sums[1] / sums[0]
-            lead = sums[0] / tau
-            if lead.is_rational() and lead.den == 1 and lead.nums[0]:
-                ival = abs(lead.nums[0])
-                rr = 0
-                while ival % p == 0:
-                    ival //= p
-                    rr += 1
-                if ival == 1:
-                    chain = all(
-                        sums[n - 1] == lead * tau**n for n in range(1, n_max + 1)
-                    )
-                    a2 = abs_square(tau)
-                    if chain and a2.is_rational() and a2.den == 1:
-                        ai = a2.nums[0]
-                        i_deg = 0
-                        while ai % q == 0:
-                            ai //= q
-                            i_deg += 1
-                        if ai == 1:
-                            ratio = tau * tau / q**i_deg
-                            if is_root_of_unity(ratio) is not None:
-                                ok = True
-                                r = rr
-                                weight = i_deg
-        results.append(SurfaceSummand(j, "chain", r, weight, sums, ok))
+        shape = _chain_shape(sums, p, q)
+        r, weight = shape or (None, None)
+        results.append(SurfaceSummand(j, "chain", r, weight, sums, shape is not None))
     return results
 
 
@@ -550,7 +544,7 @@ def corrected_surface_count(spec, n, override=False):
     """
     check_cap(spec.field.q ** (2 * n), override, "corrected surface count")
     big, emb = extension(spec.field, n)
-    endo = spec.endo.lift(emb) if n > 1 else spec.endo
+    endo = spec.endo.lift(emb)
     p2 = big.p * big.p
     count = 0
     for x in big.elements():

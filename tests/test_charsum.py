@@ -16,6 +16,7 @@ from gausslab.charsum import (
     Precompose,
     QuadDatum,
     WittLinear,
+    as_reduce,
     canonical_quadratic,
     char_sum,
     clb_cocycle_identity_check,
@@ -322,6 +323,68 @@ def test_gos_rank_examples():
     # x^3 + x over F_3 collapses to a character, not a Swan failure: terminal
     # exponents of the reduction are always prime to p
     assert gos_rank({3: F3.one(), 1: F3.one()}) == 0
+
+
+def _restarting_as_reduce(poly):
+    """Artin-Schreier reduction by one rewrite a x^(pm) -> a^(1/p) x^m at a
+    time, rescanning after each: the loop that the one-pass `as_reduce`
+    replaced, kept as the reference."""
+    field = None
+    work = {}
+    for e, c in poly.items():
+        if c:
+            field = c.field
+            work[int(e)] = work.get(int(e), c.field.zero()) + c
+    if field is None:
+        return {}
+    p = field.p
+    changed = True
+    while changed:
+        changed = False
+        for e in sorted(work):
+            c = work[e]
+            if not c:
+                del work[e]
+                continue
+            if e > 0 and e % p == 0:
+                del work[e]
+                tgt = e // p
+                work[tgt] = work.get(tgt, field.zero()) + c.pth_root()
+                changed = True
+                break
+    return {e: c for e, c in work.items() if e > 0 and c}
+
+
+def _seeded_polys():
+    """Seeded {exp: coeff} over F_2, F_4, F_3, F_9 and F_5: exponents from -2
+    to 80, many of them p-power multiples that cascade, zeros among the
+    coefficients."""
+    F5 = make_field(5, 1)
+    for field in (F2, F4, F3, F9, F5):
+        rng = random.Random(field.q)
+        els = list(field.elements())
+        p = field.p
+        for _ in range(60):
+            poly = {}
+            for _ in range(rng.randint(0, 6)):
+                e = rng.choice([rng.randint(-2, 80), rng.randint(1, 9) * p ** rng.randint(1, 3)])
+                poly[e] = rng.choice(els)
+            yield field, poly
+
+
+def test_as_reduce_matches_the_restarting_reference():
+    a, b, c = (F2.one(),) * 3
+    assert as_reduce({4: a, 2: b, 1: c}) == _restarting_as_reduce({4: a, 2: b, 1: c}) == {1: a}
+    w = F4.gen()
+    cascade = {4: w, 2: w + F4.one(), 1: F4.one()}
+    assert as_reduce(cascade) == _restarting_as_reduce(cascade)
+    assert as_reduce(cascade) == {1: w.pth_root(2) + (w + F4.one()).pth_root() + F4.one()}
+    assert as_reduce({9: F3.one(), 3: -F3.one(), 0: F3.one()}) == {}  # x^9 - x^3 + 1 -> 0
+    count = 0
+    for field, poly in _seeded_polys():
+        assert as_reduce(poly) == _restarting_as_reduce(poly), (field, poly)
+        count += bool(as_reduce(poly))  # most draws keep a nonconstant part
+    assert count > 200
 
 
 def test_gos_rank_matches_diag_datum_prediction():

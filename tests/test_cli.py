@@ -265,7 +265,7 @@ def test_internal_fault_exits_4(monkeypatch, tmp_path, capsys):
     def broken(job, options):
         raise TheoremViolated("a proven identity failed")
 
-    monkeypatch.setitem(cli._HANDLERS, "field", broken)
+    monkeypatch.setitem(cli._COMMANDS, "field", (broken, cli._COMMANDS["field"][1]))
     code, err = run_main("field", {"p": 2, "m": 1}, tmp_path, capsys)
     assert code == 4
     assert err == "internal fault: a proven identity failed\n"
@@ -309,11 +309,17 @@ _CURVE = corpus()["vdgv-f2-zeta"]["input"]["curve"]
 # (command, job, key, bad values): the integer fields of each job that reads
 # one; an extension degree n or n_max or the Frobenius index i is an int >= 1,
 # the Betti number b or the r of p^r an int >= 0, and the Frobenius exponent
-# mutate_exp an int of either sign
+# mutate_exp an int of either sign.  A nested field has a key path: the p, m
+# and modulus entries of a field (ints in range(p)), the d of a datum and the
+# j, k, i of its terms must be ints, and their other range checks are the
+# constructors' own
 _AT_LEAST_1 = (0, -1, True, 2.0, "2")
 _AT_LEAST_0 = (-1, True, 2.0, "2")
+_NOT_INT = (True, False, 1.0, "1")
+_FIELD = {"p": 2, "m": 2, "modulus": [1, 1, 1]}
+_DATUM = {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"]}
 _DEGREE_KEYS = [
-    ("char-sum", {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"]}, "n", _AT_LEAST_1),
+    ("char-sum", _DATUM, "n", _AT_LEAST_1),
     ("invariance", corpus()["gl1-inv-f2"]["input"], "n", _AT_LEAST_1),
     ("clb-cocycle", corpus()["clb-cocycle-i1-f4"]["input"], "n", _AT_LEAST_1),
     ("clb-cocycle", corpus()["clb-cocycle-i1-f4"]["input"], "i", _AT_LEAST_1),
@@ -325,9 +331,43 @@ _DEGREE_KEYS = [
     ("supersingular", corpus()["surface-p2"]["input"], "n_max", _AT_LEAST_1),
     ("zeta", {"curve": _CURVE}, "b", _AT_LEAST_0),
     ("supersingular", {"curve": _CURVE}, "b", _AT_LEAST_0),
+    ("field", _FIELD, "p", (True, 2.0, "2")),
+    ("field", _FIELD, "m", (True, 2.0, "2")),
+    ("field", _FIELD, ("modulus", 0), (1.0, True, -1, 2)),
+    ("field", _FIELD, ("modulus", 2), (True,)),
+    ("char-sum", _DATUM, ("datum", "field", "m"), (True,)),
+    ("char-sum", _DATUM, ("datum", "d"), _NOT_INT),
+    ("char-sum", _DATUM, ("datum", "terms", 0, "j"), _NOT_INT),
+    ("char-sum", _DATUM, ("datum", "terms", 0, "i"), _NOT_INT),
+    # the chain reads the term at n = 2 and 3 as well
+    ("hasse-davenport", corpus()["diag-x3-f4-hd"]["input"], ("datum", "terms", 0, "i"), (1.0,)),
 ]
+
+
+def _with_value(job, path, value):
+    """A copy of job with the field at path (a key, or a tuple of keys and
+    list indices) set to value."""
+    job = copy.deepcopy(job)
+    *outer, last = path if isinstance(path, tuple) else (path,)
+    node = job
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return job
+
+
+def _field_name(path):
+    """The name a refusal gives the field at path: its key, or key[index]
+    for a list entry."""
+    if not isinstance(path, tuple):
+        return path
+    return path[-1] if isinstance(path[-1], str) else f"{path[-2]}[{path[-1]}]"
+
+
 _BAD_DEGREES = [
-    pytest.param(command, {**job, key: value}, key, id=f"{command}-{key}-{value!r}")
+    pytest.param(command, _with_value(job, key, value), _field_name(key),
+                 id=f"{command}-{'.'.join(map(str, key)) if isinstance(key, tuple) else key}"
+                    f"-{value!r}")
     for command, job, key, values in _DEGREE_KEYS
     for value in values
 ]

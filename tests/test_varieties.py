@@ -286,19 +286,29 @@ def test_w2_endomorphism_examples():
 
 def test_w2_endomorphism_general_and_negative_control():
     w = F4.gen()
-    endo = w2_endomorphism(F4, {0: w, 1: F4.one()}, AdditivePolynomial(F4, {0: F4.one()}))
+    r_poly = AdditivePolynomial(F4, {0: F4.one()})
+    endo = w2_endomorphism(F4, {0: w, 1: F4.one()}, r_poly)
     assert verify_additive(endo, 1)
     bad = mutated_endomorphism(endo, delta_exp=0)
     assert not verify_additive(bad, 1)
     bad2 = mutated_endomorphism(endo, delta_exp=1)
     assert not verify_additive(bad2, 1)
+    # a zero f_i and unsorted keys give the same h: (s, t) + (0, 0) = (s, t) in W2
+    padded = w2_endomorphism(F4, {2: F4.zero(), 1: F4.one(), 0: w}, r_poly)
+    assert all(padded(v) == endo(v)
+               for v in (WittVector2(F4, a, b) for a in F4.elements() for b in F4.elements()))
+    for n in (1, 2):
+        assert verify_additive(padded, n) == verify_additive(endo, n)
+        for delta in (0, 1):
+            assert (verify_additive(mutated_endomorphism(padded, delta), n)
+                    == verify_additive(mutated_endomorphism(endo, delta), n))
 
 
 def _swept_additive(endo, n):
     """h(u + v) = h(u) + h(v) on all q^(4n) pairs of W2(F_{q^n}): the sweep
     that the reduction to Teichmueller pairs replaced, kept as the oracle."""
     big, emb = extension(endo.field, n)
-    lifted = endo.lift(emb) if n > 1 else endo
+    lifted = endo.lift(emb)
     vectors = [WittVector2(big, a, b) for a in big.elements() for b in big.elements()]
     return all(lifted(u + v) == lifted(u) + lifted(v) for u in vectors for v in vectors)
 
@@ -411,7 +421,7 @@ def _enumerated_surface_sums(spec, n):
     over every a in W2(F_{q^n}): the q^(2n) sweep that the Teichmueller--
     Verschiebung split replaced, kept as the oracle."""
     big, emb = extension(spec.field, n)
-    endo = spec.endo.lift(emb) if n > 1 else spec.endo
+    endo = spec.endo.lift(emb)
     p2 = big.p * big.p
     hist = {}
     for x in big.elements():
@@ -432,13 +442,13 @@ def _scanned_surface_count(spec, n):
     """surface_counts by scanning every y for each x: the sweep that the row
     reduction of the y-equation replaced, kept as the oracle."""
     big, emb = extension(spec.field, n)
-    endo = spec.endo.lift(emb) if n > 1 else spec.endo
+    endo = spec.endo.lift(emb)
     count = 0
     for z in big.elements():
         for x in big.elements():
-            if x.frobenius() - x != z * endo.f_value(z):
+            if x.frobenius() - x != z * endo.f.evaluate(z):
                 continue
-            xp, fxp = x.frobenius(), endo.f_value(x).frobenius()
+            xp, fxp = x.frobenius(), endo.f.evaluate(x).frobenius()
             if big.p == 2:
                 cx = x * x + x * x * x + xp * endo.g1_value(x)
             else:
@@ -482,6 +492,53 @@ def test_surface_sums_match_enumeration(spec, n_max):
     assert [s.psi_exponent for s in summands] == list(range(spec.field.p ** 2))
     for n in range(1, n_max + 1):
         assert [s.sums[n - 1] for s in summands] == _enumerated_surface_sums(spec, n), n
+
+
+def _nested_summand_shape(j, sums, p, q):
+    """(kind, r, weight, ok) of one summand by the nested classifier that the
+    flat chain check `_chain_shape` replaced, kept as the reference."""
+    from gausslab.exactalg import abs_square, is_root_of_unity
+
+    n_max = len(sums)
+    if j == 0:
+        return "trivial", 0, 4, all(s == q ** (2 * n) for n, s in zip(range(1, n_max + 1), sums))
+    if all(s.is_zero() for s in sums):
+        return "vanishing", None, None, True
+    ok = False
+    r = weight = None
+    if not sums[0].is_zero() and len(sums) >= 2 and not sums[1].is_zero():
+        tau = sums[1] / sums[0]
+        lead = sums[0] / tau
+        if lead.is_rational() and lead.den == 1 and lead.nums[0]:
+            ival = abs(lead.nums[0])
+            rr = 0
+            while ival % p == 0:
+                ival //= p
+                rr += 1
+            if ival == 1:
+                chain = all(sums[n - 1] == lead * tau**n for n in range(1, n_max + 1))
+                a2 = abs_square(tau)
+                if chain and a2.is_rational() and a2.den == 1:
+                    ai = a2.nums[0]
+                    i_deg = 0
+                    while ai % q == 0:
+                        ai //= q
+                        i_deg += 1
+                    if ai == 1:
+                        ratio = tau * tau / q**i_deg
+                        if is_root_of_unity(ratio) is not None:
+                            ok = True
+                            r = rr
+                            weight = i_deg
+    return "chain", r, weight, ok
+
+
+@pytest.mark.parametrize("spec, n_max", _SURFACE_CASES)
+def test_surface_summands_match_the_nested_classifier(spec, n_max):
+    p, q = spec.field.p, spec.field.q
+    summands = surface_summand_certificates(spec, n_max)
+    assert ([(s.kind, s.r, s.weight, s.ok) for s in summands]
+            == [_nested_summand_shape(s.psi_exponent, s.sums, p, q) for s in summands])
 
 
 @pytest.mark.parametrize("spec, n_max", _SURFACE_CASES)
@@ -582,6 +639,9 @@ def test_surface_serialization():
     spec = SurfaceSpec(F4, {0: F4.gen()}, AdditivePolynomial(F4, {0: F4.one()}))
     again = SurfaceSpec.from_json(spec.to_json())
     assert surface_counts(again, 1) == surface_counts(spec, 1)
+    # f is written canonically: sorted exponents, no zero coefficient
+    padded = SurfaceSpec(F4, {1: F4.zero(), 0: F4.gen()}, AdditivePolynomial(F4, {0: F4.one()}))
+    assert padded.to_json() == spec.to_json()
 
 
 def test_zeta_data_serialization():
