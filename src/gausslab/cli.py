@@ -335,9 +335,10 @@ def _cmd_supersingular(job, options):
     from .exactalg import IntPolynomial, weil_certificate
 
     l_poly = job["l_poly"]
-    if not isinstance(l_poly, list) or not all(type(c) is int for c in l_poly):
+    if not isinstance(l_poly, list):
         raise ValueError(f"l_poly must be a list of ints, got {l_poly!r}")
-    cert = weil_certificate(IntPolynomial(l_poly), job["q"], job.get("i", 1))
+    coeffs = [checked_int(c, f"l_poly[{k}]") for k, c in enumerate(l_poly)]
+    cert = weil_certificate(IntPolynomial(coeffs), job["q"], job.get("i", 1))
     result = {
         "certificate": None
         if cert is None

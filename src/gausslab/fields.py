@@ -326,11 +326,11 @@ class FiniteField:
     def element_from_json(self, coeffs):
         """Strict decoder for input: exactly m ints (not bools) in range(p);
         `element` would silently reduce what this rejects."""
-        if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == self.m
-                and all(type(c) is int and 0 <= c < self.p for c in coeffs)):
-            raise ValueError(f"{coeffs!r} is not an element of {self.tag}: "
-                             f"need {self.m} integer coefficients in range({self.p})")
-        return FieldElement(self, tuple(coeffs))
+        what = f"{coeffs!r} is not an element of {self.tag}"
+        if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == self.m):
+            raise ValueError(f"{what}: need {self.m} integer coefficients in range({self.p})")
+        return FieldElement(self, tuple(checked_int(c, f"{what}: coefficient {k}", 0, self.p)
+                                        for k, c in enumerate(coeffs)))
 
     def from_int(self, n):
         """Inverse of FieldElement.as_int (mixed-radix decode)."""
@@ -429,13 +429,16 @@ class FiniteField:
 
     @staticmethod
     def from_json(obj):
-        """Strict decoder: p, m and the modulus entries are ints (not bools),
-        each entry in range(p); a missing modulus is found by search."""
+        """Strict decoder: ints (not bools) p, m and modulus entries in range(p),
+        p prime checked first; only an absent modulus is searched for."""
         p, m = checked_int(obj["p"], "p"), checked_int(obj["m"], "m")
-        modulus = obj.get("modulus")
-        if modulus:
-            modulus = tuple(checked_int(c, f"modulus[{k}]", 0, p) for k, c in enumerate(modulus))
-        return make_field(p, m, modulus or None)
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        modulus = obj.get("modulus", [])
+        if not isinstance(modulus, (list, tuple)):
+            raise ValueError(f"modulus must be a list of integers, got {modulus!r}")
+        entries = [checked_int(c, f"modulus[{k}]", 0, p) for k, c in enumerate(modulus)]
+        return make_field(p, m, entries if "modulus" in obj else None)
 
 
 @lru_cache(maxsize=None)

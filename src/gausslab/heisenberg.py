@@ -23,7 +23,7 @@ F_p-basis of K only: g^(p) - g = beta_k has one additive solution and beta_k
 is additive in k, so k -> g_k is additive, the deck pairing c(k, k') =
 g_k(k') - g_k'(k) is biadditive and is its Gram matrix on that basis, and the
 lift identity holds on K once it holds on the basis.  Covering points come
-from a linear solve.  h(u) and beta_k = sum a (k^(p^i) X + k X^(p^i)) are read
+from one reduction.  h(u) and beta_k = sum a (k^(p^i) X + k X^(p^i)) are read
 off `charsum`'s term plan of the datum, the terms a X^(p^i) X the Gram
 evaluator reads.
 """
@@ -244,17 +244,18 @@ class HeisenbergGroup:
         """
         if fault := self._generator_fault():
             raise TheoremViolated(fault)
-        gens = self.k_group.generators()
-        for x in gens:
-            for y in gens:
-                if self.commutator((0, x), (0, y)) != (self.pairing.value(x, y), 0):
-                    raise TheoremViolated("commutator does not reproduce the pairing")
+        return self._check_commutators()
+
+    def _check_commutators(self):  # step 2 of `verify`, which step 1 makes a proof
+        if any(self.commutator((0, x), (0, y)) != (self.pairing.value(x, y), 0)
+               for x, y in itertools.product(self.k_group.generators(), repeat=2)):
+            raise TheoremViolated("commutator does not reproduce the pairing")
         return True
 
 
 def build_group(pairing):
-    group = HeisenbergGroup(pairing)
-    group.verify()
+    group = HeisenbergGroup(pairing)  # NotPerfect unless the generator data passes
+    group._check_commutators()
     return group
 
 
@@ -346,14 +347,16 @@ class SvNRepresentation:
         = rho(s) rho(t) for s, t in S = {(1,0)} u {(0,g) : g a generator of
         K}; rho((a, 0)) = psi(a); sum |chi|^2 = |H|.
         """
-        grp = self.group
-        if fault := grp._generator_fault():
+        if fault := self.group._generator_fault():
             raise TheoremViolated(fault)
-        gens = [(1, 0)] + [(0, g) for g in grp.k_group.generators()]
-        for s in gens:
-            for t in gens:
-                if self.matrix(grp.multiply(s, t)) != self.compose(self.matrix(s), self.matrix(t)):
-                    raise TheoremViolated("representation is not a homomorphism")
+        return self._check_representation()
+
+    def _check_representation(self):  # what `verify` checks after the generator data
+        grp = self.group
+        gens = {s: self.matrix(s) for s in [(1, 0)] + [(0, g) for g in grp.k_group.generators()]}
+        for (s, ms), (t, mt) in itertools.product(gens.items(), repeat=2):
+            if self.matrix(grp.multiply(s, t)) != self.compose(ms, mt):
+                raise TheoremViolated("representation is not a homomorphism")
         one = tuple(range(self.dim))
         if any(self.matrix((a, 0)) != (one, (self.psi_unit * a % self.mod,) * self.dim)
                for a in range(grp.a_modulus)):
@@ -366,7 +369,7 @@ class SvNRepresentation:
 
 def stone_von_neumann(group, psi_unit=1):
     rep = SvNRepresentation(group, psi_unit)
-    rep.verify()
+    rep._check_representation()  # the group's constructor checked its generator data
     return rep
 
 
@@ -507,20 +510,23 @@ def _validate_deck_maps(plan, big, basis, solutions, pairing, samples):
 
 def _covering_points(big, h, limit):
     """Points (u, z) of z^p - z = h(u) for u in enumeration order, until
-    `limit` are found.  z -> z^p - z is F_p-linear with kernel F_p, so the
-    solutions for one u are a coset z0 + F_p, or none: one row reduction of
-    the map's matrix on the power basis, augmented by h(u).  Its free column
-    is the constant one, set to 0, so z is the solution with constant
-    coefficient 0, the first of the coset in enumeration order."""
+    `limit` are found.  z -> z^p - z, F_p-linear with kernel F_p, has matrix A
+    on the power basis; [A | I] is reduced once to [R | T], R = T A: h(u) is
+    an image iff T h(u) is 0 on R's zero rows, and z, read off the pivot rows
+    with the constant (free) coordinate 0, is the coset's first z."""
     p, m = big.p, big.m
     columns = [(x.frobenius() - x).coeffs for x in _power_basis(big)]
+    rows, pivots = _row_reduce_mod_p(
+        [row + tuple(int(s == t) for s in range(m)) for t, row in enumerate(zip(*columns))], p)
+    solved = [(c, rows[r][m:]) for c, r in pivots.items() if c < m]
+    cokernel = [row[m:] for row in rows[len(solved):]]
     points = []
     for u in big.elements():
-        rows, pivots = _row_reduce_mod_p(list(zip(*columns, h(u).coeffs)), p)
-        if m not in pivots:  # h(u) is in the image
+        hu = h(u).coeffs
+        if not any(_dot(row, hu) % p for row in cokernel):  # h(u) is in the image
             z = [0] * m
-            for c, r in pivots.items():
-                z[c] = rows[r][m]
+            for c, row in solved:
+                z[c] = _dot(row, hu) % p
             points.append((u, big.element(z)))
         if len(points) >= limit:
             break

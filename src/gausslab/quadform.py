@@ -33,7 +33,7 @@ from .exactalg import (
 
 
 class FiniteAbelianGroup:
-    """Direct sum of Z/d_i with elements indexed 0..order-1 (mixed radix)."""
+    """Direct sum of Z/d_i, elements indexed 0..order-1 (mixed radix) and added digit by digit."""
 
     def __init__(self, moduli):
         moduli = tuple(moduli)
@@ -74,22 +74,32 @@ class FiniteAbelianGroup:
             yield self.decode(idx)
 
     def add(self, i, j):
-        a, b = self.decode(i), self.decode(j)
-        return self.encode(tuple(x + y for x, y in zip(a, b)))
+        idx, stride = 0, 1
+        for d in self.moduli:
+            (i, a), (j, b) = divmod(i, d), divmod(j, d)
+            idx, stride = idx + stride * ((a + b) % d), stride * d
+        return idx
 
     def neg(self, i):
-        return self.encode(tuple(-x for x in self.decode(i)))
+        return self.scalar(-1, i)
 
     def scalar(self, n, i):
-        return self.encode(tuple(n * x for x in self.decode(i)))
+        idx, stride = 0, 1
+        for d in self.moduli:
+            i, c = divmod(i, d)
+            idx, stride = idx + stride * (n * c % d), stride * d
+        return idx
 
     def generators(self):
         """Indices of the standard generators e_i: prod(d_j for j < i)."""
         return [prod(self.moduli[:k]) for k, d in enumerate(self.moduli) if d > 1]
 
     def element_order(self, i):
-        tup = self.decode(i)
-        return lcm(*(d // gcd(d, c) for d, c in zip(self.moduli, tup))) if tup else 1
+        order = 1
+        for d in self.moduli:
+            i, c = divmod(i, d)
+            order = lcm(order, d // gcd(d, c))
+        return order
 
     def key_index(self):
         """{canonical key "c_0,...,c_(k-1)": index} for all of M, in index

@@ -172,17 +172,41 @@ def test_form_table_shape_is_invalid_input(command, form, why, tmp_path, capsys)
 @pytest.mark.parametrize(
     "job,message",
     [
-        ({"l_poly": [2.7, 0, 1], "q": 2}, "l_poly must be a list of ints"),
-        ({"l_poly": ["2", 0, True], "q": 2}, "l_poly must be a list of ints"),
+        ({"l_poly": [2.7, 0, 1], "q": 2}, "l_poly[0] must be an integer, got 2.7"),
+        ({"l_poly": ["2", 0, True], "q": 2}, "l_poly[0] must be an integer, got '2'"),
+        ({"l_poly": [2, 0, True], "q": 2}, "l_poly[2] must be an integer, got True"),
+        ({"l_poly": 2, "q": 2}, "l_poly must be a list of ints"),
         ({"l_poly": [2, 0, 1], "q": 0}, "need ints q >= 2 and i >= 1"),
         ({"l_poly": [2, 0, 1], "q": 2, "i": -1}, "need ints q >= 2 and i >= 1"),
     ],
-    ids=["float", "string-and-bool", "q-0", "i-negative"],
+    ids=["float", "string-and-bool", "q-0", "i-negative", "bool", "bare-int"],
 )
 def test_malformed_l_poly_job_exits_2(job, message, tmp_path, capsys):
     code, err = run_main("supersingular", job, tmp_path, capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ({"p": 2, "m": 2, "modulus": []}, "modulus must be monic of degree 2: []"),
+        ({"p": 2, "m": 2, "modulus": 0}, "modulus must be a list of integers, got 0"),
+        ({"p": 2, "m": 2, "modulus": {}}, "modulus must be a list of integers, got {}"),
+        ({"p": 2, "m": 2, "modulus": None}, "modulus must be a list of integers, got None"),
+        ({"p": 1, "m": 2, "modulus": [1, 1, 1]}, "1 is not prime"),
+        ({"p": 4, "m": 1, "modulus": [9, 1]}, "4 is not prime"),
+        ({"p": 2, "m": 2, "modulus": [1, True, 1]}, "modulus[1] must be an integer in range(0, 2)"),
+    ],
+    ids=["empty-list", "zero", "empty-dict", "null", "p-1", "p-4", "bool-entry"],
+)
+def test_field_modulus_not_absent_nor_a_list_of_ints_exits_2(field, message, tmp_path, capsys):
+    # only an absent modulus means "search"; p is checked before any entry
+    code, err = run_main("field", field, tmp_path, capsys)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    code, _ = run_main("field", {"p": 2, "m": 2}, tmp_path, capsys)
+    assert code == 0
 
 
 def _with(name, edit):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -683,3 +684,16 @@ def test_field_serialization():
 
     again = FiniteField.from_json(F9.to_json())
     assert again is F9
+
+
+@pytest.mark.parametrize("coeffs,coefficient", [
+    ([1, 2], "1 must be an integer in range(0, 2), got 2"),
+    ([True, 0], "0 must be an integer in range(0, 2), got True"),
+    ([0, 1.0], "1 must be an integer in range(0, 2), got 1.0"),
+])
+def test_element_from_json_names_the_bad_coefficient(coeffs, coefficient):
+    # each coefficient goes through errors.checked_int, under the element's name
+    message = f"{coeffs!r} is not an element of F4: coefficient {coefficient}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        F4.element_from_json(coeffs)
+    assert F4.element_from_json([1, 1]) == F4.element((1, 1))

@@ -797,6 +797,21 @@ def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
     assert check_faithful(rep) and rep.character((1, 0)) == -rep.dim
     assert sum(calls.values()) == 3 * k * k + 2 * (k + 1) ** 2
 
+    # build_group + stone_von_neumann check the generator facts once, in the
+    # constructor; the SvN check builds rho(s) once per generator s, then
+    # rho(s t) per pair, rho(a, 0) per a and the matrices of the characters
+    # with alpha = 0 (A |K| / dim of them).  Only verify() rechecks the facts.
+    builds = {"matrix": 0, "_generator_fault": 0}
+    for cls, name in ((SvNRepresentation, "matrix"), (HeisenbergGroup, "_generator_fault")):
+        def counted(self, *args, name=name, method=getattr(cls, name)):
+            builds[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    rep = stone_von_neumann(build_group(h.pairing), 1)
+    chars = h.a_modulus * h.k_group.order // rep.dim
+    assert builds == {"matrix": (k + 1) + (k + 1) ** 2 + h.a_modulus + chars, "_generator_fault": 1}
+    assert rep.group.verify() and rep.verify() and builds["_generator_fault"] == 3
+
 
 def test_svn_norm_squares_only_the_nonzero_characters(monkeypatch):
     # chi vanishes off the center {(a, 0)}: (Z/3)^4 into Z/3, |H| = 243, and
@@ -963,6 +978,24 @@ def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
                 with pytest.raises(TheoremViolated):
                     _check_deck_commutators(basis, bad, dh.pairing, points)
     assert rejected >= len(basis)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (2, 6), (3, 4)], ids=["F4", "F16", "F64", "F81"])
+def test_covering_points_come_from_one_reduction(p, m, monkeypatch):
+    # [A | I] of z -> z^p - z is reduced once for all u; the points, in
+    # order, are those of the per-u scan for h with and without u outside
+    # the image
+    big = make_field(p, m)
+    reductions = []
+    reduce = heisenberg._row_reduce_mod_p
+    monkeypatch.setattr(heisenberg, "_row_reduce_mod_p",
+                        lambda matrix, q: reductions.append(q) or reduce(matrix, q))
+    c = big.element((0, 1))
+    for h in (lambda u: u * u * u + c * u, lambda u: u.frobenius() - u, lambda u: c * u * u):
+        for limit in (1, 5, big.q):
+            reductions.clear()
+            assert _covering_points(big, h, limit) == _per_u_scan(big, h, limit)
+            assert len(reductions) == 1
 
 
 def test_deck_commutators_evaluate_each_inner_map_once(monkeypatch):

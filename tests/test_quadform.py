@@ -4,7 +4,7 @@ import hashlib
 import json
 import re
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -86,6 +86,21 @@ def test_z3_form():
     assert tau == 1 + 2 * zeta(3, 1)
     assert abs_square(tau) == 3
     assert Z3FORM.verify_gauss_sum_theorem() == 2  # tau^2/3 = -1
+
+
+@pytest.mark.parametrize("moduli", [[], [1], [2, 3, 4], [6, 10, 15], [16, 16]], ids=str)
+def test_index_arithmetic_matches_the_tuple_definitions(moduli):
+    # add, neg, scalar and element_order work digit by digit on the index;
+    # each equals its decode/encode definition on every element (pair)
+    g = FiniteAbelianGroup(moduli)
+    tuples = [g.decode(i) for i in g.elements()]
+    for i, x in enumerate(tuples):
+        assert g.neg(i) == g.encode([-a for a in x])
+        assert all(g.scalar(n, i) == g.encode([n * a for a in x]) for n in (-3, 0, 2, 7))
+        assert g.element_order(i) == lcm(1, *(d // gcd(d, a) for d, a in zip(moduli, x)))
+        assert [g.add(i, j) for j in g.elements()] == [
+            g.encode([a + b for a, b in zip(x, y)]) for y in tuples]
+    assert g.add(0, 0) == g.neg(0) == 0 and g.element_order(0) == 1
 
 
 def test_trivial_group():
