@@ -32,7 +32,6 @@ from .fields import (
     WittVector2,
     _linear_kernel,
     _nullspace_mod_p,
-    _power_basis,
     _row_reduce_mod_p,
     _span_mod_p,
     absolute_trace_int,
@@ -292,14 +291,15 @@ def _gram_data(ev, basis):
     """Gram data of the exponent of an `_Evaluator` on points b_k: a[k] =
     e(b_k) and gram[k][l] = B(b_k, b_l), where p*B(x, y) = e(x + y) - e(x) -
     e(y) mod p^2 is F_p-bilinear (odd p, p = 2 and the Z/4-valued Witt case
-    alike), from N values of e and N polar rows.  They fix e on the span (see
-    `_value`), so two quadratic exponents agree on it iff their Gram data agree."""
+    alike), from N values of e and N polar rows: B(b_k, b_l) = sum_j Tr(u_kj
+    v_lj) mod p, a sum of traces, since the trace is F_p-linear.  They fix e
+    on the span (see `_value`), so two quadratic exponents agree on it iff
+    their Gram data agree."""
     coords = [ev._coords(b) for b in basis]
     rows = [ev.polar(v) for v in coords]
-    zero = ev.big.zero()
     return _checked_gram(
-        ev.exponent, (zero,) * len(ev._subs), basis, [ev.exponent(b) for b in basis], ev.p,
-        lambda k, l: absolute_trace_int(sum(map(mul, rows[k], coords[l]), zero)))
+        ev.exponent, (ev.big.zero(),) * len(ev._subs), basis, [ev.exponent(b) for b in basis], ev.p,
+        lambda k, l: sum(map(absolute_trace_int, map(mul, rows[k], coords[l]))) % ev.p)
 
 
 def _checked_gram(exponent, origin, basis, a, p, pair):
@@ -336,7 +336,9 @@ def _histogram(a, gram, p):
     planes <v, w> with B(v, w) != 0, split off orthogonally and their
     histograms convolve; on the radical left over e is additive, so each of
     its basis vectors is a piece too (C.T.C. Wall, "Quadratic forms on finite
-    groups", 1963)."""
+    groups", 1963).  Every value is `_value` written out: e(c v) on a line
+    or radical vector, e(c v + d w) on a plane, where B(v, v) = B(w, w) = 0,
+    and e(r - sum c_k v_k) for a live row r projected off the piece."""
     p2 = p * p
     a, gram = list(a), [list(row) for row in gram]
     hist = Counter({0: 1})
@@ -346,24 +348,34 @@ def _histogram(a, gram, p):
         piece = next(([k] for k in live if gram[k][k]), None) or next(
             ([k, l] for k in live for l in live if gram[k][l]), None) or live[:1]
         live = [k for k in live if k not in piece]
+        v, w = piece[0], piece[-1]
+        g, av, aw, gv, gw = gram[v][w], a[v], a[w], gram[v], gram[w]
+        if v == w:
+            values = [(c * av + p * g * (c * (c - 1) // 2)) % p2 for c in range(p)]
+        else:
+            values = [(c * av + d * aw + p * c * d * g) % p2 for c in range(p) for d in range(p)]
         convolved = Counter()
-        for cs in itertools.product(range(p), repeat=len(piece)):
-            e = _value(a, gram, p, list(zip(piece, cs)))
+        for e in values:
             for e1, c1 in hist.items():
                 convolved[(e1 + e) % p2] += c1
         hist = convolved
-        g = gram[piece[0]][piece[-1]]
         if not g:  # a radical vector: orthogonal to the rest already
             continue
-        # x - B(x, v)/B(v, v) v off a line; x - (B(x, w) v + B(x, v) w)/B(v, w)
-        # off a plane, where B(v, v) = B(w, w) = 0
+        # r - B(r, v)/B(v, v) v off a line; r - (B(r, w) v + B(r, v) w)/B(v, w)
+        # off a plane; each live row of B in one pass
         inv = pow(g, -1, p)
         for r in live:
-            proj = list(zip(piece, (gram[r][k] * inv % p for k in reversed(piece))))
-            a[r] = _value(a, gram, p, [(r, 1)] + [(k, -c) for k, c in proj])
             row = gram[r]
-            for r2 in live:
-                row[r2] = (row[r2] - sum(c * gram[k][r2] for k, c in proj)) % p
+            if v == w:
+                c = row[v] * inv % p
+                a[r] = (a[r] - c * av + p * (g * (c * (c + 1) // 2) - c * row[v])) % p2
+                for r2 in live:
+                    row[r2] = (row[r2] - c * gv[r2]) % p
+            else:
+                cv, cw = row[w] * inv % p, row[v] * inv % p
+                a[r] = (a[r] - cv * av - cw * aw + p * (cv * cw * g - cv * row[v] - cw * row[w])) % p2
+                for r2 in live:
+                    row[r2] = (row[r2] - cv * gv[r2] - cw * gw[r2]) % p
     return hist
 
 
@@ -373,7 +385,7 @@ def char_sum(datum, n, workers=1, override=False):
     form and O(N^3) F_p work for N = m*n*d, no point enumeration.  `workers`
     never changes the result."""
     ev = _Evaluator(datum, n, override)
-    basis = _coordinate_basis(ev.big, [_power_basis(ev.big)] * datum.d)
+    basis = _coordinate_basis(ev.big, [ev.big._power_basis] * datum.d)
     hist = _histogram(*_gram_data(ev, basis), ev.p)
     if datum.value_order == ev.p:
         return zeta_sum(ev.p, {k // ev.p: v for k, v in hist.items()})
@@ -512,7 +524,7 @@ def _kernel_dimension(pairing, n):
     dim = me * d
     cols = []
     for j in range(d):
-        for u in _power_basis(big):
+        for u in big._power_basis:
             images = (lifted[j, k].evaluate(u) if (j, k) in lifted else big.zero()
                       for k in range(d))
             cols.append([c for w in images for c in w.coeffs])
@@ -634,7 +646,7 @@ def clb_cocycle_identity_check(i, a, field, n, override=False):
     def fval(x):
         return aa * x.frobenius(i) + ar * x.pth_root(i)
 
-    for x, y in itertools.product(_power_basis(big), repeat=2):
+    for x, y in itertools.product(big._power_basis, repeat=2):
         expr = fval(x) * y - x * fval(y)
         base = ar * x * y.pth_root(i) - ar * x.pth_root(i) * y
         g = sum((base.frobenius(jj) for jj in range(i)), big.zero())
@@ -759,7 +771,7 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
     ev = _Evaluator(datum, n, override)
     big, p, p2 = ev.big, ev.p, ev.p * ev.p
     lifted = [f.lift(ev.emb) for f in isogeny]
-    basis = _coordinate_basis(big, [_power_basis(big)] * datum.d)
+    basis = _coordinate_basis(big, [big._power_basis] * datum.d)
 
     # left side: f is F_p-linear, so e o f is quadratic with the Gram data
     # of e on the images f(b_k)
@@ -770,7 +782,7 @@ def pullback_sum_identity(datum, isogeny, n=1, override=False):
     # the pivot columns among the images f(X^t) in each coordinate
     image_bases = []
     for f in lifted:
-        cols = [f.evaluate(u) for u in _power_basis(big)]
+        cols = [f.evaluate(u) for u in big._power_basis]
         _, pivots = _row_reduce_mod_p(list(zip(*(w.coeffs for w in cols))), p)
         image_bases.append([cols[c] for c in pivots])
     image_basis = _coordinate_basis(big, image_bases)
@@ -805,7 +817,7 @@ def invariance_check(datum, matrices, n=1, override=False):
     ev = _Evaluator(datum, n, override)
     big, emb, d = ev.big, ev.emb, datum.d
     lifted_mats = [[[emb(datum.field.element(c)) for c in row] for row in mat] for mat in matrices]
-    basis = _coordinate_basis(big, [_power_basis(big)] * d)
+    basis = _coordinate_basis(big, [big._power_basis] * d)
     base = _gram_data(ev, basis)
     for g in lifted_mats:
         moved = [tuple(sum((g[r][c] * b[c] for c in range(d)), big.zero()) for r in range(d))

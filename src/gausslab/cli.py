@@ -175,13 +175,17 @@ def _cmd_kernel(job, options):
 
     datum = _parse_datum(job)
     ker = geometric_kernel(datum, override=options.get("override", False))
+    listed = ker.elements
     result = {
         "size": ker.size,
         "r": ker.r,
         "splitting_degree": ker.splitting_degree,
-        "elements": [[list(x.coeffs) for x in pt] for pt in ker.elements],
+        "elements": [[list(x.coeffs) for x in pt] for pt in listed],
     }
-    return result, [_check("size-is-even-p-power", True)]
+    # the listing is K: size = p^(2r) elements, all distinct
+    counts = {"size": ker.size, "p^2r": datum.field.p ** (2 * ker.r), "listed": len(listed),
+              "distinct": len(set(listed))}
+    return result, [_check("size-is-even-p-power", len(set(counts.values())) == 1, witness=counts)]
 
 
 def _cmd_clb_normalize(job, options):

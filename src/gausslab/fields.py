@@ -4,14 +4,16 @@ additive (Frobenius-twisted) polynomials.
 Elements are dense coefficient tuples over F_p, low degree first, so the
 enumeration order of a field is canonical (lexicographic on coefficients).
 Elements are immutable and element operations are pure; a field lazily caches
-its Frobenius columns, trace vector and reduction rows, O(m^2) integers each.
+its power basis X^t, t < m, and its Frobenius columns, trace vector and
+reduction rows, O(m^2) integers each.
 A field with q <= TABLE_CAP that has done q multiplies also builds O(q) tables:
 its nonzero elements g^k interned in k order, each carrying its discrete log k,
 and the Zech logs log(1 + g^k) (K. Huber, "Some comments on Zech's
 logarithms", IEEE Trans. IT 36, 1990). From then on add, negate, multiply,
 power, inverse and Frobenius are lookups: a*b = g^(la + lb), a + b =
-g^(la + Z[lb - la]), -a = g^(la + (q-1)/2). An element made from coefficients
-finds its log with one dict lookup, the first time it needs it.
+g^(la + Z[lb - la]), -a = g^(la + (q-1)/2), and `zero()` is the interned zero.
+An element made from coefficients finds its log with one dict lookup, the
+first time it needs it.
 """
 
 import itertools
@@ -342,6 +344,9 @@ class FiniteField:
         return FieldElement(self, tuple(digits))
 
     def zero(self):
+        """0: the interned zero, carrying its log, once the field has tables."""
+        if self._zero is not None:
+            return self._zero
         return FieldElement(self, (0,) * self.m)
 
     def one(self):
@@ -390,7 +395,7 @@ class FiniteField:
                   if all(x ** (n // r) != one for r in primes)), one)
         # x -> x*g is F_p-linear: column j is X^j * g
         m, p = self.m, self.p
-        columns = [_sparse(self._poly_mul(x, g).coeffs) for x in _power_basis(self)]
+        columns = [_sparse(self._poly_mul(x, g).coeffs) for x in self._power_basis]
         exp, coeffs = [], one.coeffs
         for k in range(n):
             exp.append(FieldElement(self, coeffs, k))
@@ -402,6 +407,12 @@ class FiniteField:
         self._zero = FieldElement(self, (0,) * self.m, -1)
         self._constant_logs = [log.get((c,) + (0,) * (m - 1), -1) for c in range(p)]
         self._log, self._exp, self._zech = log, exp + exp, zech
+
+    @cached_property
+    def _power_basis(self):
+        """The F_p-basis X^t, t < m, made once per field object and not shared
+        between equal fields, since arithmetic checks `field is`."""
+        return tuple(self.element((0,) * t + (1,)) for t in range(self.m))
 
     @cached_property
     def _reduction_columns(self):
@@ -537,11 +548,6 @@ def _span_mod_p(basis, p, length):
         yield tuple(sum(map(mul, coeffs, col)) % p for col in columns)
 
 
-def _power_basis(big):
-    """The F_p-basis X^t, t < m, of a field."""
-    return [big.element((0,) * t + (1,)) for t in range(big.m)]
-
-
 def _linear_kernel(field, image):
     """Zeros of an F_p-linear map on a field, sorted by coefficients.
 
@@ -549,7 +555,7 @@ def _linear_kernel(field, image):
     nullspace of the matrix whose column j is image(X^j), no field sweep.
     """
     m, p = field.m, field.p
-    cols = [image(x) for x in _power_basis(field)]
+    cols = [image(x) for x in field._power_basis]
     # an image with no coordinates constrains nothing: one zero row keeps the m columns
     basis = _nullspace_mod_p(list(zip(*cols)) or [(0,) * m], p)
     return [FieldElement(field, v) for v in sorted(_span_mod_p(basis, p, m))]

@@ -41,7 +41,7 @@ from .errors import (
     check_cap,
 )
 from .exactalg import abs_square, zeta_sum
-from .fields import AdditivePolynomial, _power_basis, _row_reduce_mod_p, extension
+from .fields import AdditivePolynomial, _row_reduce_mod_p, extension
 from .quadform import FiniteAbelianGroup, _dot, orthogonal_split
 
 _DECK_SAMPLES = 12  # points u of E at which the deck maps of a datum are checked
@@ -291,7 +291,7 @@ class SvNRepresentation:
         self.psi_unit = psi_unit % mod
         self.mod = mod
         self.dim = prod(group.orders)
-        self._characters = None
+        self._characters = self._traced = None
 
     def matrix(self, g):
         """(perm, exps): column lambda maps to row perm[lambda] with phase exps[lambda]."""
@@ -315,18 +315,20 @@ class SvNRepresentation:
 
     def characters(self):
         """The trace of rho(g) for every g, in `group.elements()` order.  T(alpha)
-        moves every e_lambda unless alpha(k) = 0 mod o, so only those g have a
-        matrix built: the others have no fixed column and trace 0."""
+        moves every e_lambda unless alpha(k) = 0 mod o, decided once per k, so
+        only the g = (a, k) with such a k have a matrix built, their indices
+        kept in `_traced`: the others have no fixed column and share the trace
+        0."""
         if self._characters is None:
-            grp, zero = self.group, zeta_sum(self.mod, {})
-            self._characters = []
-            for g in grp.elements():
-                if any(alpha % o for alpha, o in zip(grp._coords[g[1]][0], grp.orders)):
-                    self._characters.append(zero)
-                    continue
-                perm, exps = self.matrix(g)
+            grp, n = self.group, self.group.k_group.order
+            unmoved = [k for k, (alphas, _) in enumerate(grp._coords)
+                       if not any(alpha % o for alpha, o in zip(alphas, grp.orders))]
+            self._traced = [a * n + k for a in range(grp.a_modulus) for k in unmoved]
+            self._characters = [zeta_sum(self.mod, {})] * grp.order
+            for i in self._traced:
+                perm, exps = self.matrix(divmod(i, n))
                 fixed = [exps[t] for t in range(self.dim) if perm[t] == t]
-                self._characters.append(zeta_sum(self.mod, {e: fixed.count(e) for e in set(fixed)}))
+                self._characters[i] = zeta_sum(self.mod, {e: fixed.count(e) for e in set(fixed)})
         return self._characters
 
     def character(self, g):
@@ -361,7 +363,8 @@ class SvNRepresentation:
         if any(self.matrix((a, 0)) != (one, (self.psi_unit * a % self.mod,) * self.dim)
                for a in range(grp.a_modulus)):
             raise TheoremViolated("central character is not psi")
-        if sum((abs_square(chi) for chi in self.characters() if not chi.is_zero()),
+        chars = self.characters()
+        if sum((abs_square(chars[i]) for i in self._traced if not chars[i].is_zero()),
                zeta_sum(1, {})) != grp.order:
             raise TheoremViolated("character norm is not |H| (not irreducible)")
         return True
@@ -375,9 +378,11 @@ def stone_von_neumann(group, psi_unit=1):
 
 def check_faithful(rep):
     """rho(h) = 1 implies h = 1, read off the characters: a monomial matrix
-    with root-of-unity phases has trace dim only when it is the identity."""
-    one = rep.group.identity()
-    return all(chi != rep.dim or g == one for g, chi in zip(rep.group.elements(), rep.characters()))
+    with root-of-unity phases has trace dim only when it is the identity.
+    Only the traces built from a matrix are compared; the shared 0 of the
+    rest never equals dim >= 1.  The identity (0, 0) has index 0."""
+    chars = rep.characters()
+    return all(chars[i] != rep.dim or i == 0 for i in rep._traced)
 
 
 # -- Heisenberg group of a quadratic datum ----------------------------------------
@@ -515,7 +520,7 @@ def _covering_points(big, h, limit):
     an image iff T h(u) is 0 on R's zero rows, and z, read off the pivot rows
     with the constant (free) coordinate 0, is the coset's first z."""
     p, m = big.p, big.m
-    columns = [(x.frobenius() - x).coeffs for x in _power_basis(big)]
+    columns = [(x.frobenius() - x).coeffs for x in big._power_basis]
     rows, pivots = _row_reduce_mod_p(
         [row + tuple(int(s == t) for s in range(m)) for t, row in enumerate(zip(*columns))], p)
     solved = [(c, rows[r][m:]) for c, r in pivots.items() if c < m]

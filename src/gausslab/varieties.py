@@ -30,7 +30,6 @@ from .fields import (
     AdditivePolynomial,
     WittVector2,
     _linear_kernel,
-    _power_basis,
     _row_reduce_mod_p,
     absolute_trace_int,
     additive_kernel,
@@ -119,7 +118,7 @@ def count_points(spec, n, override=False):
         (x,) = point
         return g1.evaluate(x) * g2.evaluate(x) + a * x
 
-    basis = _coordinate_basis(big, [_power_basis(big)])
+    basis = _coordinate_basis(big, [big._power_basis])
     g12 = [(g1.evaluate(x), g2.evaluate(x)) for (x,) in basis]
     values = [u1 * u2 + a * x for (x,), (u1, u2) in zip(basis, g12)]
     pairs = [[u1 * v2 + v1 * u2 for v1, v2 in g12[k:]] for k, (u1, u2) in enumerate(g12)]
@@ -406,7 +405,7 @@ def surface_counts(spec, n, override=False):
     big, emb = extension(spec.field, n)
     endo = spec.endo.lift(emb)
     p, m = big.p, big.m
-    basis = _power_basis(big)
+    basis = big._power_basis
     z_hits = {}  # key -> how many z have z f(z) = key, the right side of x^p - x
     for z in big.elements():
         key = (z * endo.f.evaluate(z)).coeffs
@@ -501,7 +500,7 @@ def surface_summand_certificates(spec, n_max=3, override=False):
         check_cap(q**n, override, "surface summands")
         big, emb = extension(spec.field, n)
         endo = spec.endo.lift(emb)
-        g2_basis = [(b, endo.g2.evaluate(b)) for b in _power_basis(big)]
+        g2_basis = [(b, endo.g2.evaluate(b)) for b in big._power_basis]
 
         def cross(x0):  # x1 -> Tr(x0^p g2(x1) + f(x0)^p x1) on the basis
             xp, fp = x0.frobenius(), endo.f.evaluate(x0).frobenius()

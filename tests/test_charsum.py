@@ -3,6 +3,7 @@ canonical forms and the Hasse-Davenport identities."""
 
 import itertools
 import random
+from collections import Counter
 from math import prod
 from pathlib import Path
 
@@ -604,7 +605,7 @@ def _enumerated_sum(datum, n):
 
 def _closed_form_histogram(datum, n):
     ev = charsum._Evaluator(datum, n)
-    basis = charsum._coordinate_basis(ev.big, [charsum._power_basis(ev.big)] * datum.d)
+    basis = charsum._coordinate_basis(ev.big, [ev.big._power_basis] * datum.d)
     return charsum._histogram(*charsum._gram_data(ev, basis), ev.p)
 
 
@@ -903,11 +904,121 @@ def _forbid_field_sweeps(monkeypatch):
 
 def test_gram_histogram_leaves_its_inputs_alone():
     ev = charsum._Evaluator(frobpair(F4, 2), 1)
-    basis = charsum._coordinate_basis(ev.big, [charsum._power_basis(ev.big)] * 2)
+    basis = charsum._coordinate_basis(ev.big, [ev.big._power_basis] * 2)
     a, gram = charsum._gram_data(ev, basis)
     copies = (list(a), [list(row) for row in gram])
     assert charsum._histogram(a, gram, 2) == charsum._histogram(a, gram, 2)
     assert (a, gram) == copies
+
+
+# -- the Wall split against its reference ------------------------------------------
+
+def _reference_histogram(a, gram, p):
+    """`_histogram` before its projection was written out: each piece's
+    values and each projected row through `_value`, each Gram entry by a
+    generator sum.  The reference the closed form must reproduce."""
+    p2 = p * p
+    a, gram = list(a), [list(row) for row in gram]
+    hist = Counter({0: 1})
+    live = list(range(len(a)))
+    while live:
+        # a line, else a plane, else a vector of the radical, where e is additive
+        piece = next(([k] for k in live if gram[k][k]), None) or next(
+            ([k, l] for k in live for l in live if gram[k][l]), None) or live[:1]
+        live = [k for k in live if k not in piece]
+        convolved = Counter()
+        for cs in itertools.product(range(p), repeat=len(piece)):
+            e = charsum._value(a, gram, p, list(zip(piece, cs)))
+            for e1, c1 in hist.items():
+                convolved[(e1 + e) % p2] += c1
+        hist = convolved
+        g = gram[piece[0]][piece[-1]]
+        if not g:  # a radical vector: orthogonal to the rest already
+            continue
+        # x - B(x, v)/B(v, v) v off a line; x - (B(x, w) v + B(x, v) w)/B(v, w)
+        # off a plane, where B(v, v) = B(w, w) = 0
+        inv = pow(g, -1, p)
+        for r in live:
+            proj = list(zip(piece, (gram[r][k] * inv % p for k in reversed(piece))))
+            a[r] = charsum._value(a, gram, p, [(r, 1)] + [(k, -c) for k, c in proj])
+            row = gram[r]
+            for r2 in live:
+                row[r2] = (row[r2] - sum(c * gram[k][r2] for k, c in proj)) % p
+    return hist
+
+
+def _seeded_gram_data(p, witt, rng):
+    """Gram data on N <= 16 points w_k = sum_j P[k][j] v_j, P random, of block
+    data on v_0 .. v_(M-1), M <= 16, in a random order: lines with B(v, v) !=
+    0 (at p = 2 only Z/4-valued Witt data have them), hyperbolic planes and a
+    radical.  a_k = e(w_k) by `_value`, so e is quadratic on the span and
+    the data pass `_checked_gram`'s conditions (checked below)."""
+    m = rng.randint(1, 16)
+    kinds = rng.choices(["line", "plane", "radical"] if p != 2 or witt else ["plane", "radical"],
+                        k=m)
+    blocks, used = [], 0
+    for kind in kinds:
+        if used + (2 if kind == "plane" else 1) > m:
+            kind = "radical"
+        blocks.append(kind)
+        used += 2 if kind == "plane" else 1
+        if used == m:
+            break
+    a0, gram0 = [], [[0] * m for _ in range(m)]
+    for kind in blocks:
+        k = len(a0)
+        if kind == "line":
+            gram0[k][k] = rng.randrange(1, p)
+            a0.append((p * rng.randrange(p) + gram0[k][k]) % (p * p) if p == 2
+                      else p * rng.randrange(p))
+        elif kind == "plane":
+            gram0[k][k + 1] = gram0[k + 1][k] = rng.randrange(1, p)
+            a0 += [p * rng.randrange(p), p * rng.randrange(p)]
+        else:
+            a0.append(p * rng.randrange(p))
+    order = rng.sample(range(m), m)
+    a0 = [a0[i] for i in order]
+    gram0 = [[gram0[i][j] for j in order] for i in order]
+    n = rng.randint(1, 16)
+    P = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+    a = [charsum._value(a0, gram0, p, list(enumerate(row))) for row in P]
+    gram = [[sum(x * gram0[i][j] * y for i, x in enumerate(rk) for j, y in enumerate(rl)) % p
+             for rl in P] for rk in P]
+    return a, gram, blocks
+
+
+@pytest.mark.parametrize("p,witt", [(2, False), (2, True), (3, False), (5, False)],
+                         ids=["p2", "p2-witt", "p3", "p5"])
+def test_wall_split_matches_the_reference_on_seeded_gram_data(p, witt):
+    # up to N = 16 points, p^16 of them: beyond what enumeration can check
+    rng = random.Random(f"wall-split-{p}-{witt}")
+    seen, sizes = set(), set()
+    for _ in range(40):
+        a, gram, blocks = _seeded_gram_data(p, witt, rng)
+        for k in range(len(a)):
+            assert gram[k] == [row[k] for row in gram]
+            assert (a[k] - gram[k][k]) % 2 == 0 if p == 2 else a[k] % p == 0
+        copies = (list(a), [list(row) for row in gram])
+        hist = charsum._histogram(a, gram, p)
+        assert hist == _reference_histogram(a, gram, p), (a, gram)
+        assert sum(hist.values()) == p ** len(a) and (a, gram) == copies
+        seen.update(blocks)
+        sizes.add(len(a))
+    assert seen == ({"line", "plane", "radical"} if p != 2 or witt else {"plane", "radical"})
+    assert max(sizes) >= 12
+
+
+def test_wall_split_matches_the_reference_on_corpus_and_catalog():
+    data = [QuadDatum.from_json(entry["input"].get("datum") or entry["input"]["from_datum"])
+            for entry in corpus().values()
+            if "datum" in entry["input"] or "from_datum" in entry["input"]]
+    data += [datum for _, datum, _, _ in catalog_data()]
+    for datum in data:
+        for n in (1, 2, 3):
+            ev = charsum._Evaluator(datum, n)
+            a, gram = charsum._gram_data(ev, _power_coordinate_basis(datum, n))
+            assert charsum._histogram(a, gram, ev.p) == _reference_histogram(a, gram, ev.p), (
+                datum.to_json(), n)
 
 
 def _pair_sum_gram_data(exponent, basis, p):
@@ -941,7 +1052,7 @@ def _check_polar_gram(datum, n, basis):
 
 def _power_coordinate_basis(datum, n):
     big, _ = extension(datum.field, n)
-    return charsum._coordinate_basis(big, [charsum._power_basis(big)] * datum.d)
+    return charsum._coordinate_basis(big, [big._power_basis] * datum.d)
 
 
 def test_polar_gram_matches_pair_sums_on_catalog():

@@ -604,6 +604,29 @@ def test_gauss_verify_non_quadratic_reports_witness():
     assert check["witness"] == [[1], [1], [1]]
 
 
+def test_kernel_size_check_is_computed_from_the_listing(monkeypatch, tmp_path, capsys):
+    # x^5 over F_2: K has p^(2r) = 16 distinct elements; a listing that repeats
+    # one element in place of another fails the check with exit 1 and a witness
+    from gausslab import charsum
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"datum": _X5_F2}))
+    assert cli.main(["kernel", "--input", str(path)]) == 0
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check == {"name": "size-is-even-p-power", "pass": True}
+
+    listing = charsum.KernelData.elements
+    monkeypatch.setattr(charsum.KernelData, "elements",
+                        property(lambda self: listing.fget(self)[:-1] + listing.fget(self)[:1]))
+    assert cli.main(["kernel", "--input", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["result"]["size"] == 16
+    assert len(report["result"]["elements"]) == 16
+    [check] = report["checks"]
+    assert check == {"name": "size-is-even-p-power", "pass": False,
+                     "witness": {"size": 16, "p^2r": 16, "listed": 16, "distinct": 15}}
+
+
 def test_byte_determinism_same_job():
     job = corpus()["diag-x3-f4-hd"]["input"]
     a = run_cli("hasse-davenport", job)

@@ -272,6 +272,30 @@ def test_table_path_refuses_operands_from_another_field():
             op()
 
 
+def test_zero_and_power_basis_are_made_once_per_field_object():
+    # zero() is a fresh element until the tables exist, then the interned zero
+    # with its log; two equal fields made apart each get their own power basis
+    # and zero, and their elements still do not mix
+    f1, f2 = fields.FiniteField(2, 4), fields.FiniteField(2, 4)
+    assert f1 == f2 and f1 is not f2
+    z1, z2 = f1.zero(), f1.zero()
+    assert z1 == z2 and z1 is not z2 and z1._dlog is None and not z1
+    for field in (f1, f2):
+        _tables_built(field)
+        assert field.zero() is field.zero() is field._zero and field._zero._dlog == -1
+        assert field.zero().field is field and field.zero().coeffs == (0,) * field.m
+        basis = field._power_basis
+        assert basis is field._power_basis
+        assert [x.coeffs for x in basis] == [tuple(int(s == t) for s in range(4)) for t in range(4)]
+        assert all(x.field is field for x in basis)
+    b1, b2 = f1._power_basis, f2._power_basis
+    assert b1 is not b2 and b1 != b2 and f1.zero() is not f2.zero() and f1.zero() != f2.zero()
+    for op in (lambda: f1.zero() + f2.zero(), lambda: b1[1] * b2[1], lambda: b1[0] + f2.zero(),
+               lambda: f2.zero() - b1[2]):
+        with pytest.raises(FieldMismatch):
+            op()
+
+
 def test_field_above_the_cap_never_builds_tables():
     field = make_field(2, 17, (1, 0, 0, 1) + (0,) * 13 + (1,))  # X^17 + X^3 + 1
     assert field.q > fields.TABLE_CAP

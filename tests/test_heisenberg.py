@@ -1085,6 +1085,32 @@ def test_character_table_is_the_trace_of_every_matrix(p, r):
     _assert_traces(build_group(standard_pairing(p, r)))
 
 
+@pytest.mark.parametrize("p,r", ORACLE_SIZES)
+def test_check_faithful_compares_only_the_traced_characters(p, r, monkeypatch):
+    # A |K| / dim characters come from a matrix, and only those are compared
+    # with dim; the answer is the one the |H| scan over all characters gives,
+    # also once a non-identity trace is made dim
+    from gausslab.exactalg import CyclotomicNumber
+
+    h = build_group(standard_pairing(p, r))
+    rep = stone_von_neumann(h, 1)
+    assert len(rep._traced) == h.a_modulus * h.k_group.order // rep.dim
+    compared = []
+    eq = CyclotomicNumber.__eq__
+    monkeypatch.setattr(CyclotomicNumber, "__eq__", lambda x, y: compared.append(x) or eq(x, y))
+    assert check_faithful(rep)
+    assert len(compared) == len(rep._traced) < h.order
+    monkeypatch.undo()
+
+    def scan(rep):
+        return all(chi != rep.dim or g == (0, 0) for g, chi in zip(h.elements(), rep.characters()))
+
+    assert scan(rep)
+    i = rep._traced[-1]  # (A - 1, k) with alpha(k) = 0
+    rep._characters[i] = zeta_sum(rep.mod, {0: rep.dim})
+    assert not check_faithful(rep) and not scan(rep)
+
+
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_character_table_is_the_trace_of_every_matrix(p, i, a):
     _assert_traces(_deck_data(p, i, a)[0].group)
