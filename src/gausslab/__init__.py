@@ -41,10 +41,9 @@ _EXPORTS = {
     ),
     "varieties": (
         "CurveSpec", "SurfaceSpec", "ZetaData", "betti_closure_check",
-        "betti_prediction", "count_points", "counts_vs_character_sums",
-        "is_geometrically_connected", "random_curve_spec", "surface_counts",
-        "surface_summand_certificates", "verify_additive", "w2_endomorphism",
-        "zeta_pipeline",
+        "betti_prediction", "count_points", "is_geometrically_connected",
+        "random_curve_spec", "surface_counts", "surface_summand_certificates",
+        "verify_additive", "w2_endomorphism", "zeta_pipeline",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

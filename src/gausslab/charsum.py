@@ -397,24 +397,25 @@ def derive_pairing(datum, n, override=False):
 
     The group is (Z/p)^(m*n*d) in the coefficient basis, enabling the whole
     finite-quadratic-form machinery (Gauss sum, radical, non-degeneracy).
-    The cap counts the value table, q^(n*d) entries.
+    Its generators are the coordinate basis of `char_sum`, in the same order,
+    so the table is `quadform._fill` of the Gram data of t there, with no
+    sweep of the points: q_s = e(b_s)/p and G = B mod p when t takes p-th
+    roots of unity, q_s = e(b_s) and G = p B mod p^2 with Witt terms.  The
+    cap counts the value table, q^(n*d) entries.
     """
-    from .quadform import FiniteAbelianGroup, QuadraticForm
+    from .quadform import FiniteAbelianGroup, QuadraticForm, _fill
 
     ev = _Evaluator(datum, n, override)
-    big = ev.big
+    big, p = ev.big, ev.p
     check_cap(big.q ** datum.d, override, "quadratic form table")
-    group = FiniteAbelianGroup((ev.p,) * (big.m * datum.d))
-    exps = [0] * group.order
-    p2 = ev.p * ev.p
-    scale = ev.p if datum.value_order == ev.p else 1
-    for idx, tup in enumerate(group.tuples()):
-        point = tuple(
-            big.element(tup[j * big.m : (j + 1) * big.m]) for j in range(datum.d)
-        )
-        e = ev.exponent(point)
-        exps[idx] = (e // scale) % (p2 // scale)
-    return QuadraticForm(group, p2 // scale, exps)
+    a, gram = _gram_data(ev, _coordinate_basis(big, [big._power_basis] * datum.d))
+    if datum.value_order == p:
+        q = [e // p for e in a]
+    else:
+        q, gram = a, [[p * b for b in row] for row in gram]
+    mods = [p] * len(a)
+    return QuadraticForm(FiniteAbelianGroup(mods), datum.value_order,
+                         _fill(mods, datum.value_order, q, gram))
 
 
 class PairingDatum:

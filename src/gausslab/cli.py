@@ -17,10 +17,6 @@ import time
 from .errors import GaussLabError, ScaleCapExceeded, TheoremViolated, checked_int
 
 
-def _cyc(value):
-    return value.to_json()
-
-
 def _check(name, passed, witness=None):
     out = {"name": name, "pass": bool(passed)}
     if witness is not None and not passed:
@@ -91,7 +87,7 @@ def _cmd_gauss_sum(job, options):
 
     form = QuadraticForm.from_json(job["form"])
     tau = form.gauss_sum()
-    return {"tau": _cyc(tau)}, []
+    return {"tau": tau.to_json()}, []
 
 
 def _cmd_gauss_verify(job, options):
@@ -102,9 +98,9 @@ def _cmd_gauss_verify(job, options):
     witness = form.witness
     if witness is not None:
         witness = [list(t) for t in witness]
-        return {"tau": _cyc(tau)}, [_check("is-quadratic", False, witness=witness)]
+        return {"tau": tau.to_json()}, [_check("is-quadratic", False, witness=witness)]
     checks = [_check("is-quadratic", True)]
-    result = {"tau": _cyc(tau), "nondegenerate": form.is_nondegenerate()}
+    result = {"tau": tau.to_json(), "nondegenerate": form.is_nondegenerate()}
     if form.is_nondegenerate():
         order = form.verify_gauss_sum_theorem()
         result["abs_square"] = str(form.group.order)
@@ -113,7 +109,7 @@ def _cmd_gauss_verify(job, options):
         oracle = recursive_gauss_eval(form)
         checks.append(
             _check("recursive-oracle-agrees", oracle == tau,
-                   witness=None if oracle == tau else _cyc(oracle))
+                   witness=None if oracle == tau else oracle.to_json())
         )
         if all(d == 2 for d in form.group.moduli) and form.group.moduli:
             a, tau2, qa = char2_invariant(form)
@@ -143,7 +139,7 @@ def _cmd_char_sum(job, options):
     datum = _parse_datum(job)
     n = options.get("ext") or _job_int(job, "n", 1)
     s = char_sum(datum, n, override=options.get("override", False))
-    return {"n": n, "sum": _cyc(s)}, []
+    return {"n": n, "sum": s.to_json()}, []
 
 
 def _cmd_hasse_davenport(job, options):
@@ -158,8 +154,8 @@ def _cmd_hasse_davenport(job, options):
     )
     result = {
         "r": rep.r,
-        "tau": _cyc(rep.tau),
-        "sums": [_cyc(s) for s in rep.sums],
+        "tau": rep.tau.to_json(),
+        "sums": [s.to_json() for s in rep.sums],
         "residuals": rep.residuals,
     }
     checks = [
@@ -250,7 +246,11 @@ def _cmd_heisenberg(job, options):
     basis = group.basis
     rep = stone_von_neumann(group, psi_unit)
     faithful = check_faithful(rep)
-    char_table = {f"{a},{k}": _cyc(chi) for (a, k), chi in zip(group.elements(), rep.characters())}
+    characters = rep.characters()
+    # all but A |K| / dim of the characters are one shared zero: convert each
+    # distinct object once
+    as_json = {key: chi.to_json() for key, chi in {id(chi): chi for chi in characters}.items()}
+    char_table = {f"{a},{k}": as_json[id(chi)] for (a, k), chi in zip(group.elements(), characters)}
     result = {
         "order": group.order,
         "a_modulus": group.a_modulus,
@@ -319,7 +319,7 @@ def _cmd_supersingular(job, options):
                     "r": s.r,
                     "weight": s.weight,
                     "ok": s.ok,
-                    "sums": [_cyc(x) for x in s.sums],
+                    "sums": [x.to_json() for x in s.sums],
                 }
                 for s in summands
             ],

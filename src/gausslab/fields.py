@@ -278,7 +278,7 @@ class FiniteField:
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         if modulus is None:
-            modulus = _first_irreducible(p, m)
+            modulus = _default_modulus(p, m)  # irreducible: the search proved it
         else:
             modulus = _ptrim(modulus)
             if len(modulus) - 1 != m or modulus[-1] != 1:
@@ -457,22 +457,25 @@ def _default_modulus(p, m):
     return _first_irreducible(p, m)
 
 
-@lru_cache(maxsize=None)
-def _field_instance(p, m, modulus):
-    return FiniteField(p, m, modulus)
+_FIELDS = {}  # (p, m, modulus) -> the one FiniteField instance
 
 
 def make_field(p, m, modulus=None):
     """Field handle; a missing modulus is found by deterministic search.
 
     Identical (p, m, modulus) always return the same instance, so element
-    operations (which check field identity) compose across call sites.
+    operations (which check field identity) compose across call sites.  A
+    given modulus is checked irreducible; a searched one is not checked again.
     """
-    if modulus is None:
+    searched = modulus is None
+    if searched:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         modulus = _default_modulus(p, m)
-    return _field_instance(p, m, tuple(modulus))
+    key = (p, m, tuple(modulus))
+    if key not in _FIELDS:
+        _FIELDS[key] = FiniteField(p, m, None if searched else modulus)
+    return _FIELDS[key]
 
 
 @lru_cache(maxsize=None)

@@ -395,15 +395,18 @@ class DatumHeisenberg(Record):
 
 
 def _check_deck_datum(datum):
-    """Refuse, before any kernel is computed, a datum the deck construction
-    does not cover: it is 1-dimensional, G_a-valued and has its
-    precompositions resolved."""
+    """Refuse, before any kernel is computed or capped, a datum the deck
+    construction does not cover: it is 1-dimensional, G_a-valued, has its
+    precompositions resolved and only diag, halfsq and aslin terms."""
     if datum.d != 1:
         raise ValueError("the deck construction is one-dimensional")
     if datum.has_witt:
         raise ValueError("the W2-valued p = 2 case is deferred; use G_a-valued data")
     if any(t.kind == "precompose" for t in datum.terms):
         raise ValueError("resolve precompositions before the deck construction")
+    for t in datum.terms:
+        if t.kind not in ("diag", "halfsq", "aslin"):
+            raise ValueError(f"unsupported term {t.kind} in the deck construction")
 
 
 def _beta_poly(cross, k):
@@ -458,9 +461,6 @@ def heisenberg_from_datum(datum, override=False):
     p = datum.field.p
     kernel = geometric_kernel(datum, override=override)
     check_cap(p * kernel.size, override, "SvN character table")
-    for t in datum.terms:
-        if t.kind not in ("diag", "halfsq", "aslin"):
-            raise ValueError(f"unsupported term {t.kind} in the deck construction")
     big = kernel.field
     _, emb = extension(datum.field, big.m // datum.field.m)
     plan = _term_plan(datum, emb)

@@ -14,6 +14,7 @@ trivial nor vanishing is certified by one chain check, `_chain_shape`.
 """
 
 from collections import Counter
+from itertools import islice
 
 from .charsum import _checked_gram, _coordinate_basis, _histogram, as_reduce, gos_rank
 from .errors import Record, SwanDivisibleByP, TheoremViolated, check_cap
@@ -134,16 +135,6 @@ def count_points(spec, n, override=False):
     return h[0] - h[1]
 
 
-def _fibre_count(spec, n):
-    """N_n by fibres: |ker f| points over each x whose rhs(x) lies in the
-    image of f (a subgroup, listed once), none over the others."""
-    big, emb = extension(spec.field, n)
-    f, g1, g2, a = spec.f.lift(emb), spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
-    image = {f.evaluate(y).coeffs for y in big.elements()}
-    hits = sum((g1.evaluate(x) * g2.evaluate(x) + a * x).coeffs in image for x in big.elements())
-    return big.q // len(image) * hits
-
-
 def _dual_kernel(spec, override=False):
     """(E, emb, elements of ker f_dual over its splitting field).
 
@@ -178,13 +169,6 @@ def is_geometrically_connected(spec, override=False):
 def betti_prediction(spec, override=False):
     """Predicted dim H^1_c: sum of per-character ranks via the Swan formula."""
     return sum(gos_rank(poly) for poly in _character_polys(spec, override))
-
-
-def counts_vs_character_sums(spec, n, override=False):
-    """The two-way count identity N_n = sum over characters of S_n(c * rhs),
-    c over ker f_dual(F_{q^n}).  Returns (the fibre count, count_points)."""
-    check_cap(spec.field.q**n, override, "count assembly")
-    return _fibre_count(spec, n), count_points(spec, n, override=override)
 
 
 class ZetaData(Record):
@@ -317,20 +301,38 @@ def w2_endomorphism(field, f_coeffs, r_poly=None):
 
 
 def verify_additive(endo, n=1, override=False):
-    """h(u + v) = h(u) + h(v) for all u, v in W2(F_{q^n}), decided on the
-    q^(2n) pairs of Teichmueller vectors [x] = (x, 0).
+    """h(u + v) = h(u) + h(v) for all u, v in W2(F_Q), Q = q^n = p^e, decided
+    on the pairs of Teichmueller vectors [x] = (x, 0) with x, y in S, the
+    first min(Q, delta + 1) elements of F_Q.
 
     V(s) = (0, s) is additive and (w0, w1) + V(s) = (w0, w1 + s), so, g2 being
     additive, h(w + V(s)) = (f(w0), g1(w0) + g2(w1) + g2(s)) = h(w) + V(g2(s))
     for every w.  With u = [x] + V(s) and v = [y] + V(t) this gives
         h(u + v) - h(u) - h(v) = h([x] + [y]) - h([x]) - h([y]),
-    so h is additive iff h([x] + [y]) = h([x]) + h([y]) for all x, y.  Neither
-    f nor g1 need be additive for this reduction.
+    so h is additive iff h([x] + [y]) = h([x]) + h([y]) for all x, y.  As
+    [x] + [y] = (x + y, gamma(x, y)) and f is additive, that difference is
+    (0, D(x, y)) with
+        D(x, y) = g1(x + y) - g1(x) - g1(y) + g2(gamma(x, y)) - gamma(f(x), f(y)).
+    On F_Q, x^(p^i) = x^(p^(i mod e)), so an additive P is a polynomial of
+    degree deg P = max p^(i mod e) over its exponents i.  g1 is gamma, of
+    degree p, of the f_i x^(p^i), plus R, and gamma(x, y) has degree p - 1 in
+    each variable, so D has degree at most delta = max(p deg f, deg R,
+    (p - 1) deg g2) in each.  If D vanishes on S x S with |S| > delta, then
+    for y in S each D(-, y) has more roots than its degree, so each
+    coefficient of D in x, of degree at most delta in y, vanishes on S: D is
+    zero.  With |S| = Q the pairs are all of F_Q^2.  The cap counts |S|^2.
     """
-    check_cap(endo.field.q ** (2 * n), override, "W2 additivity sweep")
+    p, e = endo.field.p, endo.field.m * n
+
+    def degree(poly):
+        return max((p ** (i % e) for i in poly.coeffs), default=0)
+
+    delta = max(p * degree(endo.f), degree(endo.r_poly), (p - 1) * degree(endo.g2))
+    size = min(p**e, delta + 1)
+    check_cap(size * size, override, "W2 additivity sweep")
     big, emb = extension(endo.field, n)
     lifted = endo.lift(emb)
-    teich = [WittVector2(big, x, big.zero()) for x in big.elements()]
+    teich = [WittVector2(big, x, big.zero()) for x in islice(big.elements(), size)]
     images = [lifted(u) for u in teich]
     return all(lifted(u + v) == hu + hv
                for u, hu in zip(teich, images) for v, hv in zip(teich, images))
@@ -533,22 +535,3 @@ def surface_summand_certificates(spec, n_max=3, override=False):
         r, weight = shape or (None, None)
         results.append(SurfaceSummand(j, "chain", r, weight, sums, shape is not None))
     return results
-
-
-def corrected_surface_count(spec, n, override=False):
-    """Count of the corrected fiber product {L(z,w) = a * h(a)} over F_{q^n}.
-
-    Equals the sum over all p^2 character summands, which is verified by the
-    caller; the kernel criterion is witt_trace(target) = 0.
-    """
-    check_cap(spec.field.q ** (2 * n), override, "corrected surface count")
-    big, emb = extension(spec.field, n)
-    endo = spec.endo.lift(emb)
-    p2 = big.p * big.p
-    count = 0
-    for x in big.elements():
-        for y in big.elements():
-            a = WittVector2(big, x, y)
-            if witt_trace(a * endo(a)) % p2 == 0:
-                count += p2
-    return count

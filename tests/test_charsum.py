@@ -39,6 +39,7 @@ from gausslab.errors import (
     ScaleCapExceeded,
     SwanDivisibleByP,
     TheoremViolated,
+    check_cap,
 )
 from gausslab.exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
 from gausslab import charsum, fields
@@ -667,6 +668,64 @@ def test_closed_form_matches_enumeration_on_random_data(field):
                     continue
                 closed = _closed_form_histogram(datum, n)
                 assert closed == _enumerated_histogram(datum, n), (datum.to_json(), n)
+
+
+def _swept_pairing(datum, n, override=False):
+    """`derive_pairing` by evaluating t at all q^(nd) points in index order:
+    the sweep that the fill from Gram data replaced, kept as the oracle."""
+    from gausslab.quadform import FiniteAbelianGroup, QuadraticForm
+
+    ev = charsum._Evaluator(datum, n, override)
+    big = ev.big
+    check_cap(big.q ** datum.d, override, "quadratic form table")
+    group = FiniteAbelianGroup((ev.p,) * (big.m * datum.d))
+    exps = [0] * group.order
+    p2 = ev.p * ev.p
+    scale = ev.p if datum.value_order == ev.p else 1
+    for idx, tup in enumerate(group.tuples()):
+        point = tuple(
+            big.element(tup[j * big.m : (j + 1) * big.m]) for j in range(datum.d)
+        )
+        e = ev.exponent(point)
+        exps[idx] = (e // scale) % (p2 // scale)
+    return QuadraticForm(group, p2 // scale, exps)
+
+
+def test_derive_pairing_matches_the_swept_table():
+    # the catalog, and seeded data with Witt, precompose and cross terms at
+    # d = 1 and d = 2, at n <= 3: the same group, order and table
+    data = [(name, datum) for name, datum, _, _ in catalog_data()]
+    for field in (F2, F4, F3, F9, F5):
+        rng = random.Random(f"pairing-{field.q}")
+        data += [(f"{field.tag}-d{d}-{k}", _random_datum(field, d, rng))
+                 for d in (1, 2) for k in range(6)]
+    covered = set()
+    for name, datum in data:
+        for n in (1, 2, 3):
+            if datum.field.q ** (n * datum.d) > 2**10:
+                continue
+            form, swept = derive_pairing(datum, n), _swept_pairing(datum, n)
+            assert form.group == swept.group, (name, n)
+            assert form.value_order == swept.value_order, (name, n)
+            assert form.exponents == swept.exponents, (name, n)
+            covered.update((t.kind, datum.d) for t in datum.terms)
+    assert {("wittlin", 1), ("precompose", 1), ("precompose", 2), ("cross", 2)} <= covered
+
+
+def test_derive_pairing_evaluates_n_plus_two_points(monkeypatch):
+    # the table is filled from Gram data on the N = m n d coordinate basis
+    # vectors: N + 2 values of t, not q^(nd)
+    calls = []
+    exponent = charsum._Evaluator.exponent
+    monkeypatch.setattr(charsum._Evaluator, "exponent",
+                        lambda self, point: calls.append(point) or exponent(self, point))
+    x4 = QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one())])
+    for datum, n in ((x_cubed(F2), 12), (wittchar(F4), 5), (x4, 7), (frobpair(F2, 1), 6)):
+        calls.clear()
+        form = derive_pairing(datum, n)
+        big_n = datum.field.m * n * datum.d
+        assert form.group.order == datum.field.p ** big_n
+        assert len(calls) == big_n + 2, (datum, n)
 
 
 def test_closed_form_radical_linear_part():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from functools import lru_cache
 
 import pytest
 
@@ -57,6 +58,28 @@ def test_make_field_basics():
 
 def test_make_field_instance_unification():
     assert make_field(2, 2) is make_field(2, 2, (1, 1, 1))
+
+
+def test_make_field_decides_a_default_modulus_once(monkeypatch):
+    # the search tests each candidate it scans once, and the field it builds
+    # from the one it finds tests nothing again; a given modulus is tested
+    checked = []
+    is_irreducible = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible",
+                        lambda mod, p: checked.append(tuple(mod)) or is_irreducible(mod, p))
+    monkeypatch.setattr(fields, "_FIELDS", {})
+    monkeypatch.setattr(fields, "_default_modulus",
+                        lru_cache(maxsize=None)(fields._first_irreducible))
+    field = make_field(3, 5)
+    candidates = [tail + (1,) for tail in itertools.product(range(1, 3), *[range(3)] * 4)]
+    assert checked == candidates[:candidates.index(field.modulus) + 1]
+    checked.clear()
+    assert make_field(3, 5) is field and make_field(3, 5, field.modulus) is field
+    assert checked == []
+    assert make_field(2, 3, (1, 1, 0, 1)).modulus == (1, 1, 0, 1)
+    assert checked == [(1, 1, 0, 1)]
+    with pytest.raises(NonIrreducibleModulus):
+        make_field(2, 3, (1, 0, 0, 1))
 
 
 @pytest.mark.parametrize(

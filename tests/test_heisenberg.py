@@ -641,31 +641,43 @@ def test_heisenberg_from_nondegenerate_datum_is_central():
     assert dh.group.order == 3  # K trivial, H = A
 
 
-# (datum, message, whether the geometric kernel is computed before the refusal)
 _DECK_REFUSALS = [
-    (QuadDatum(F2, 1, [WittLinear(0, F2.one())]), "the W2-valued p = 2 case is deferred", False),
-    (_frobenius_pairing(F2, 1), "the deck construction is one-dimensional", False),
+    (QuadDatum(F2, 1, [WittLinear(0, F2.one())]), "the W2-valued p = 2 case is deferred"),
+    (_frobenius_pairing(F2, 1), "the deck construction is one-dimensional"),
     (QuadDatum(F2, 1, [DiagMonomial(0, 1, F2.one()),
                        Precompose(0, AdditivePolynomial(F2, {1: F2.one()}))]),
-     "resolve precompositions before the deck construction", False),
+     "resolve precompositions before the deck construction"),
     (QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one()), CrossMonomial(0, 0, 0, F3.one())]),
-     "unsupported term cross in the deck construction", True),
+     "unsupported term cross in the deck construction"),
 ]
 
 
 def test_heisenberg_from_datum_rejects_witt_terms(monkeypatch):
     # the W2-valued case and every other datum the deck construction does not
-    # cover: d != 1, Witt and precompose before the kernel, a term kind after it
+    # cover: d != 1, Witt, precompose and a term kind, all before the kernel
     from gausslab import charsum
 
     kernel, computed = charsum.geometric_kernel, []
     monkeypatch.setattr(charsum, "geometric_kernel",
                         lambda *args, **kw: computed.append(args) or kernel(*args, **kw))
-    for datum, message, after_kernel in _DECK_REFUSALS:
+    for datum, message in _DECK_REFUSALS:
         computed.clear()
         with pytest.raises(ValueError, match=message):
             heisenberg_from_datum(datum)
-        assert bool(computed) == after_kernel, message
+        assert not computed, message
+
+
+def test_deck_refusal_precedes_the_kernel_and_the_cap(monkeypatch):
+    # a d = 1 cross datum is refused as input the deck construction does not
+    # cover, not as too large, and its kernel is never computed
+    from gausslab import charsum
+
+    monkeypatch.setattr(charsum, "geometric_kernel",
+                        lambda *args, **kw: pytest.fail("the geometric kernel was computed"))
+    monkeypatch.setenv("GAUSSLAB_CAP", "1")
+    datum = QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one()), CrossMonomial(0, 0, 1, F3.one())])
+    with pytest.raises(ValueError, match="unsupported term cross in the deck construction"):
+        heisenberg_from_datum(datum)
 
 
 def test_heisenberg_from_datum_term_kinds():

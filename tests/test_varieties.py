@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from itertools import islice
 
 import pytest
 
-from gausslab.errors import ScaleCapExceeded
+from gausslab.errors import ScaleCapExceeded, check_cap
 from gausslab.exactalg import IntPolynomial, zeta_sum
 from gausslab.fields import (
     AdditivePolynomial,
@@ -19,14 +20,12 @@ from gausslab.fields import (
 from gausslab.varieties import (
     CurveSpec,
     _dual_kernel,
-    _fibre_count,
     SurfaceSpec,
     betti_closure_check,
     betti_prediction,
-    corrected_surface_count,
     count_points,
-    counts_vs_character_sums,
     is_geometrically_connected,
+    W2Endomorphism,
     mutated_endomorphism,
     random_curve_spec,
     surface_counts,
@@ -103,6 +102,25 @@ def test_f3_curve_pipeline():
     assert data.certificate is not None
     ok, _ = betti_closure_check(spec)
     assert ok
+
+
+# -- the curve counts against their sweeping oracles ----------------------------------
+
+def _fibre_count(spec, n):
+    """N_n by fibres: |ker f| points over each x whose rhs(x) lies in the
+    image of f (a subgroup, listed once), none over the others."""
+    big, emb = extension(spec.field, n)
+    f, g1, g2, a = spec.f.lift(emb), spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
+    image = {f.evaluate(y).coeffs for y in big.elements()}
+    hits = sum((g1.evaluate(x) * g2.evaluate(x) + a * x).coeffs in image for x in big.elements())
+    return big.q // len(image) * hits
+
+
+def counts_vs_character_sums(spec, n, override=False):
+    """The two-way count identity N_n = sum over characters of S_n(c * rhs),
+    c over ker f_dual(F_{q^n}).  Returns (the fibre count, count_points)."""
+    check_cap(spec.field.q**n, override, "count assembly")
+    return _fibre_count(spec, n), count_points(spec, n, override=override)
 
 
 def test_counts_vs_character_sums():
@@ -338,6 +356,89 @@ def test_verify_additive_matches_the_full_sweep(endo, n):
     assert verify_additive(endo, n) == _swept_additive(endo, n)
 
 
+def _teichmueller_additive(endo, n=1, override=False):
+    """h([x] + [y]) = h([x]) + h([y]) on all q^(2n) pairs of Teichmueller
+    vectors: the sweep that the grid of the degree of D replaced, kept as the
+    oracle."""
+    check_cap(endo.field.q ** (2 * n), override, "W2 additivity sweep")
+    big, emb = extension(endo.field, n)
+    lifted = endo.lift(emb)
+    teich = [WittVector2(big, x, big.zero()) for x in big.elements()]
+    images = [lifted(u) for u in teich]
+    return all(lifted(u + v) == hu + hv
+               for u, hu in zip(teich, images) for v, hv in zip(teich, images))
+
+
+def _grid_size(endo, n):
+    """|S| = min(Q, delta + 1) of `verify_additive`, from the exponents."""
+    p, e = endo.field.p, endo.field.m * n
+    degree = [max((p ** (i % e) for i in poly.coeffs), default=0)
+              for poly in (endo.f, endo.r_poly, endo.g2)]
+    return min(p**e, max(p * degree[0], degree[1], (p - 1) * degree[2]) + 1)
+
+
+def _seeded_endomorphism_cases():
+    """(endo, n) over F_2, F_3, F_4, F_5 and F_9 with q^(2n) <= 2^12: seeded
+    f with exponents from -1 to e + 1 (e = m n), some with an R, each with a
+    g2 mutated at an exponent from -2 to 3 and a g2 drawn at random."""
+    import random
+
+    cases = []
+    for field, n in ((F2, 2), (F2, 3), (F2, 4), (F3, 1), (F3, 2), (F4, 1), (F4, 2),
+                     (F5, 1), (F9, 1)):
+        rng = random.Random(100 * field.q + n)
+        units = list(field.elements())[1:]
+        e = field.m * n
+        for seed in range(4):
+            f = {rng.randint(-1, e + 1): rng.choice(units) for _ in range(rng.randint(1, 2))}
+            r = AdditivePolynomial(field, {rng.randint(0, e): rng.choice(units)}
+                                   if seed % 2 else {})
+            endo = w2_endomorphism(field, f, r)
+            g2 = AdditivePolynomial(field, {rng.randint(-1, e): rng.choice(units)})
+            mutated = mutated_endomorphism(endo, rng.randint(-2, 3))
+            for name, case in (("", endo), ("-mutated", mutated),
+                               ("-g2", W2Endomorphism(endo.f, r, g2))):
+                cases.append(pytest.param(case, n, id=f"q{field.q}-n{n}-seed{seed}{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("endo, n", _seeded_endomorphism_cases())
+def test_verify_additive_matches_the_teichmueller_sweep(endo, n):
+    assert verify_additive(endo, n) == _teichmueller_additive(endo, n)
+
+
+def test_seeded_endomorphisms_cover_small_grids_and_both_answers():
+    # the cases above include grids S x S smaller than F_Q^2, at p = 2 and
+    # p = 3, additive and not
+    cases = [param.values for param in _seeded_endomorphism_cases()]
+    small = [(endo, n) for endo, n in cases if _grid_size(endo, n) < endo.field.q**n]
+    assert len(small) >= len(cases) // 4
+    assert ({(endo.field.p, verify_additive(endo, n)) for endo, n in small}
+            == {(2, True), (2, False), (3, True), (3, False)})
+
+
+def test_verify_additive_evaluates_the_grid(monkeypatch):
+    # the endw2-f4 endomorphism (f = wX + X^2, R = X over F_4) at n = 8:
+    # delta = max(2 * 2, 1, 1 * 2) = 4, so h is evaluated at the |S| = 5
+    # first Teichmueller vectors [x] and at the |S|^2 = 25 sums [x] + [y],
+    # not at the 2^32 pairs of F_(2^16)
+    import gausslab.varieties as varieties
+
+    seen = []
+    call = varieties.W2Endomorphism.__call__
+    monkeypatch.setattr(varieties.W2Endomorphism, "__call__",
+                        lambda self, w: seen.append(w) or call(self, w))
+    endo = w2_endomorphism(F4, {0: F4.gen(), 1: F4.one()}, AdditivePolynomial(F4, {0: F4.one()}))
+    assert _grid_size(endo, 8) == 5
+    assert verify_additive(endo, 8)
+    big, _ = extension(F4, 8)
+    assert [w.x0 for w in seen[:5]] == list(islice(big.elements(), 5))
+    assert len(seen) == 5 + 25
+    seen.clear()
+    assert not verify_additive(mutated_endomorphism(endo, 0), 8)
+    assert 5 < len(seen) <= 5 + 25
+
+
 def test_w2_endomorphisms_compose_additively():
     w = F4.gen()
     e1 = w2_endomorphism(F4, {0: w})
@@ -360,6 +461,26 @@ def test_surface_counts_flag_free_w():
     count, flags = surface_counts(spec, 1)
     assert flags["w_is_free"] and flags["free_factor"] == 2
     assert count % 2 == 0
+
+
+# the q^(2n) sweep of W2(F_{q^n}), the oracle of the summand sums
+def corrected_surface_count(spec, n, override=False):
+    """Count of the corrected fiber product {L(z,w) = a * h(a)} over F_{q^n}.
+
+    Equals the sum over all p^2 character summands, which is verified by the
+    caller; the kernel criterion is witt_trace(target) = 0.
+    """
+    check_cap(spec.field.q ** (2 * n), override, "corrected surface count")
+    big, emb = extension(spec.field, n)
+    endo = spec.endo.lift(emb)
+    p2 = big.p * big.p
+    count = 0
+    for x in big.elements():
+        for y in big.elements():
+            a = WittVector2(big, x, y)
+            if witt_trace(a * endo(a)) % p2 == 0:
+                count += p2
+    return count
 
 
 def test_surface_summands_p2():
@@ -578,7 +699,9 @@ def test_surface_summands_degree_below_one_rejected(n_max):
 
 def test_surface_caps_count_the_field_swept(monkeypatch):
     # the summands and the displayed count sweep F_{q^n}, so they cap q^n;
-    # the q^(2n) sweeps of corrected_surface_count and verify_additive keep q^(2n)
+    # the q^(2n) sweep of corrected_surface_count keeps q^(2n), and
+    # verify_additive caps its grid: |S|^2 = 9 for f = X (delta = 2), and
+    # |S|^2 = Q^2 = 16 for f = X^2 (delta = 4) at n = 2
     spec = SurfaceSpec(F2, {0: F2.one()})
     monkeypatch.setenv("GAUSSLAB_CAP", "8")
     at_cap = surface_summand_certificates(spec, 3)
@@ -593,8 +716,9 @@ def test_surface_caps_count_the_field_swept(monkeypatch):
     monkeypatch.setenv("GAUSSLAB_CAP", "15")
     with pytest.raises(ScaleCapExceeded, match="corrected surface count over 16 points exceeds cap 15"):
         corrected_surface_count(spec, 2)
+    assert verify_additive(spec.endo, 2)
     with pytest.raises(ScaleCapExceeded, match="W2 additivity sweep over 16 points exceeds cap 15"):
-        verify_additive(spec.endo, 2)
+        verify_additive(w2_endomorphism(F2, {1: F2.one()}), 2)
 
 
 def _y2_y_x2():
@@ -612,7 +736,7 @@ def _y2_y_x2():
      "surface summands", 5, 32),
     (lambda: corrected_surface_count(SurfaceSpec(F2, {0: F2.one()}), 3),
      "corrected surface count", 3, 64),
-    (lambda: verify_additive(w2_endomorphism(F2, {0: F2.one()}), 3),
+    (lambda: verify_additive(w2_endomorphism(F2, {2: F2.one()}), 3),  # delta = 8, |S| = 8
      "W2 additivity sweep", 3, 64),
     (lambda: additive_kernel(AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()}), 5),
      "additive kernel search", 5, 32),
