@@ -14,7 +14,7 @@ construction of `heisenberg` all read that plan.
 import itertools
 from collections import Counter
 from functools import reduce
-from operator import add, mul
+from operator import add
 
 from .errors import (
     DegeneratePairing,
@@ -292,14 +292,15 @@ def _gram_data(ev, basis):
     e(b_k) and gram[k][l] = B(b_k, b_l), where p*B(x, y) = e(x + y) - e(x) -
     e(y) mod p^2 is F_p-bilinear (odd p, p = 2 and the Z/4-valued Witt case
     alike), from N values of e and N polar rows: B(b_k, b_l) = sum_j Tr(u_kj
-    v_lj) mod p, a sum of traces, since the trace is F_p-linear.  They fix e
+    v_lj) mod p, a sum of traces, since the trace is F_p-linear; a zero v_lj
+    adds nothing, and a coordinate basis vector has d - 1 of them.  They fix e
     on the span (see `_value`), so two quadratic exponents agree on it iff
     their Gram data agree."""
     coords = [ev._coords(b) for b in basis]
     rows = [ev.polar(v) for v in coords]
     return _checked_gram(
         ev.exponent, (ev.big.zero(),) * len(ev._subs), basis, [ev.exponent(b) for b in basis], ev.p,
-        lambda k, l: sum(map(absolute_trace_int, map(mul, rows[k], coords[l]))) % ev.p)
+        lambda k, l: sum(absolute_trace_int(u * v) for u, v in zip(rows[k], coords[l]) if v) % ev.p)
 
 
 def _checked_gram(exponent, origin, basis, a, p, pair):

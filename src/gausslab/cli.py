@@ -52,10 +52,11 @@ def dispatch(command, job, options=None):
 # without a bytecode cache, compiles) only what its subcommand runs.
 
 def _cmd_field(job, options):
-    from .fields import FiniteField
+    from .fields import FiniteField, _is_irreducible
 
     field = FiniteField.from_json(job)
-    checks = [_check("modulus-irreducible", True)]
+    checks = [_check("modulus-irreducible", _is_irreducible(field.modulus, field.p),
+                     witness=list(field.modulus))]
     return field.to_json(), checks
 
 

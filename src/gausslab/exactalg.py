@@ -349,9 +349,6 @@ class CyclotomicNumber:
     def is_zero(self):
         return not any(self.nums)
 
-    def is_one(self):
-        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
-
     def is_rational(self):
         return not any(self.nums[1:])
 

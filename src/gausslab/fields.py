@@ -66,23 +66,46 @@ def _pmod(a, mod, p):
         c = (c * inv_lead) % p
         for j in range(dn + 1):
             a[i - dn + j] = (a[i - dn + j] - c * mod[j]) % p
-    return _ptrim(a[:dn])
+    return _ptrim([v % p for v in a[:dn]])
 
 
 def _is_irreducible(mod, p):
-    """Brute-force irreducibility over F_p by trial division (desk scale)."""
+    """Irreducibility of f = mod over F_p, m = deg f, in O(m^3 + m^2 log p)
+    operations (E.R. Berlekamp, Bell Syst. Tech. J. 46, 1967): f is
+    irreducible iff X^(p^m) = X mod f, so f divides X^(p^m) - X and is
+    squarefree, and x -> x^p - x has a one-dimensional kernel on F_p[X]/(f),
+    whose dimension counts the irreducible factors of a squarefree f."""
     mod = _ptrim(mod)
-    deg = len(mod) - 1
-    if deg <= 0:
+    m = len(mod) - 1
+    if m <= 1:
+        return m == 1
+
+    def times(a, b):  # a*b mod f
+        acc = [0] * (len(a) + len(b))
+        for j, y in _sparse(b):
+            for i, c in enumerate(a):
+                acc[i + j] += c * y
+        return _pmod(acc, mod, p)
+
+    xp, base, e = (1,), (0, 1), p  # X^p mod f by repeated squaring
+    while e:
+        if e & 1:
+            xp = times(xp, base)
+        base, e = times(base, base), e >> 1
+    columns = [(1,)]  # X^(p j) mod f, the matrix of x -> x^p
+    for _ in range(m - 1):
+        columns.append(times(columns[-1], xp))
+    frobenius = [_sparse(c) for c in columns]
+    x = y = (0, 1) + (0,) * (m - 2)
+    for _ in range(m):
+        y = tuple(v % p for v in _accumulate([0] * m, y, frobenius))
+    if y != x:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            trial = tuple(tail) + (1,)
-            if not _pmod(mod, trial, p):
-                return False
-    return True
+    fixed = [[-(i == j) for j in range(m)] for i in range(m)]  # the matrix of x -> x^p - x
+    for j, column in enumerate(frobenius):
+        for i, v in column:
+            fixed[i][j] += v
+    return len(_nullspace_mod_p(fixed, p)) == 1
 
 
 def _sparse(coeffs):
@@ -277,16 +300,11 @@ class FiniteField:
             raise NotPrime(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = _default_modulus(p, m)  # irreducible: the search proved it
-        else:
-            modulus = _ptrim(modulus)
-            if len(modulus) - 1 != m or modulus[-1] != 1:
-                raise NonIrreducibleModulus(
-                    f"modulus must be monic of degree {m}: {list(modulus)}"
-                )
-            if not _is_irreducible(modulus, p):
-                raise NonIrreducibleModulus(f"{list(modulus)} is reducible over F_{p}")
+        modulus = _ptrim(_default_modulus(p, m) if modulus is None else modulus)
+        if len(modulus) - 1 != m or modulus[-1] != 1:
+            raise NonIrreducibleModulus(f"modulus must be monic of degree {m}: {list(modulus)}")
+        if not _is_irreducible(modulus, p):
+            raise NonIrreducibleModulus(f"{list(modulus)} is reducible over F_{p}")
         self.p = p
         self.m = m
         self.q = p**m
@@ -464,17 +482,16 @@ def make_field(p, m, modulus=None):
     """Field handle; a missing modulus is found by deterministic search.
 
     Identical (p, m, modulus) always return the same instance, so element
-    operations (which check field identity) compose across call sites.  A
-    given modulus is checked irreducible; a searched one is not checked again.
+    operations (which check field identity) compose across call sites.  The
+    modulus, searched or given, is checked irreducible when the field is built.
     """
-    searched = modulus is None
-    if searched:
+    if modulus is None:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         modulus = _default_modulus(p, m)
     key = (p, m, tuple(modulus))
     if key not in _FIELDS:
-        _FIELDS[key] = FiniteField(p, m, None if searched else modulus)
+        _FIELDS[key] = FiniteField(p, m, modulus)
     return _FIELDS[key]
 
 
@@ -578,7 +595,7 @@ class Embedding:
     root of its modulus inside the big field, so embeddings are reproducible.
     """
 
-    __slots__ = ("small", "big", "_powers", "_section")
+    __slots__ = ("small", "big", "_powers")
 
     def __init__(self, small, big):
         if big.p != small.p or big.m % small.m != 0:
@@ -599,7 +616,6 @@ class Embedding:
         for _ in range(small.m - 1):
             powers.append(powers[-1] * root)
         self._powers = powers
-        self._section = {}
 
     def __call__(self, x):
         if x.field is self.big:
@@ -611,16 +627,6 @@ class Embedding:
             if c:
                 acc = acc + pw * c
         return acc
-
-    def section(self, y):
-        """Preimage in the small field; raises if y is not in the image."""
-        key = y.coeffs
-        if not self._section:
-            for x in self.small.elements():
-                self._section[self(x).coeffs] = x
-        if key not in self._section:
-            raise NotASubfield(f"{y!r} is not in the embedded subfield")
-        return self._section[key]
 
 
 @lru_cache(maxsize=None)
@@ -643,9 +649,6 @@ class _IdentityEmbedding:
 
     def __call__(self, x):
         return x
-
-    def section(self, y):
-        return y
 
 
 # -- additive polynomials -----------------------------------------------------

@@ -148,11 +148,6 @@ class QuadraticForm:
     def value(self, i):
         return zeta(self.value_order, self.exponents[i])
 
-    def pairing_exponent(self, i, j):
-        """B(i, j) mod N, one entry of the pairing."""
-        q = self.exponents
-        return (q[self.group.add(i, j)] - q[i] - q[j]) % self.value_order
-
     # -- structure --------------------------------------------------------------
 
     @cached_property
@@ -285,15 +280,6 @@ class QuadraticForm:
             a = next((a for a, v in enumerate(self._covectors) if v == target), None)
         if a is None or self.character_of_element(a) != chi:
             raise CharacterNotInImage("character is not of the form B(a, -)")
-        return a
-
-    def twist_gauss_identity(self, chi_exponents):
-        """Verify tau_{Q chi} = Q(a)^{-1} tau_Q for chi = B(a, -); returns a."""
-        a = self.solve_character(chi_exponents)
-        lhs = self.twist(chi_exponents).gauss_sum()
-        rhs = zeta(self.value_order, -self.exponents[a]) * self.gauss_sum()
-        if lhs != rhs:
-            raise TheoremViolated("twist identity failed (bug detector)")
         return a
 
     # -- serialization -----------------------------------------------------------

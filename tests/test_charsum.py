@@ -106,11 +106,11 @@ def test_value_orders_lemma():
     assert d3.value_order == 3
     for x in F3.elements():
         v = trace_value(d3, 1, (x,))
-        assert (v**3).is_one()
+        assert v**3 == 1
     dw = wittchar(F2)
     assert dw.value_order == 4
     for x in F2.elements():
-        assert (trace_value(dw, 1, (x,)) ** 4).is_one()
+        assert trace_value(dw, 1, (x,)) ** 4 == 1
 
 
 def test_trace_value_invariant_survives_optimize(monkeypatch):
@@ -726,6 +726,23 @@ def test_derive_pairing_evaluates_n_plus_two_points(monkeypatch):
         big_n = datum.field.m * n * datum.d
         assert form.group.order == datum.field.p ** big_n
         assert len(calls) == big_n + 2, (datum, n)
+
+
+def test_gram_fill_traces_no_zero_coordinate(monkeypatch):
+    # a coordinate basis vector is zero in d - 1 of its d coordinates and
+    # Tr(u * 0) = 0, so the fill traces one product per entry k <= l, besides
+    # the one trace in each of the N + 2 values of e
+    traced = []
+    trace = charsum.absolute_trace_int
+    monkeypatch.setattr(charsum, "absolute_trace_int", lambda x: traced.append(x) or trace(x))
+    for datum, n in ((frobpair(F2, 1), 6), (frobpair(F3, 1), 2), (x_cubed(F4), 3)):
+        ev = charsum._Evaluator(datum, n)
+        basis = _power_coordinate_basis(datum, n)
+        traced.clear()
+        data = charsum._gram_data(ev, basis)
+        big_n = len(basis)
+        assert len(traced) == big_n * (big_n + 1) // 2 + big_n + 2, (datum, n)
+        assert data == _pair_sum_gram_data(ev.exponent, basis, ev.p), (datum, n)
 
 
 def test_closed_form_radical_linear_part():

@@ -209,6 +209,23 @@ def test_field_modulus_not_absent_nor_a_list_of_ints_exits_2(field, message, tmp
     assert code == 0
 
 
+def test_modulus_irreducible_check_is_computed(tmp_path, capsys, monkeypatch):
+    from gausslab import fields
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"p": 3, "m": 4}))
+    assert cli.main(["field", "--input", str(path)]) == 0
+    passed = json.loads(capsys.readouterr().out)
+    assert passed["checks"] == [{"name": "modulus-irreducible", "pass": True}]
+    # F_81 is cached from the first run, so only the check calls the broken test
+    monkeypatch.setattr(fields, "_is_irreducible", lambda mod, p: False)
+    assert cli.main(["field", "--input", str(path)]) == 1
+    failed = json.loads(capsys.readouterr().out)
+    assert failed["ok"] is False and failed["result"] == passed["result"]
+    assert failed["checks"] == [{"name": "modulus-irreducible", "pass": False,
+                                 "witness": passed["result"]["modulus"]}]
+
+
 def _with(name, edit):
     job = copy.deepcopy(corpus()[name]["input"])
     edit(job)

@@ -61,8 +61,9 @@ def test_make_field_instance_unification():
 
 
 def test_make_field_decides_a_default_modulus_once(monkeypatch):
-    # the search tests each candidate it scans once, and the field it builds
-    # from the one it finds tests nothing again; a given modulus is tested
+    # the search tests each candidate it scans once, and FiniteField tests
+    # the one it finds again, as it tests a given modulus; a field made
+    # before is returned with no test
     checked = []
     is_irreducible = fields._is_irreducible
     monkeypatch.setattr(fields, "_is_irreducible",
@@ -72,7 +73,7 @@ def test_make_field_decides_a_default_modulus_once(monkeypatch):
                         lru_cache(maxsize=None)(fields._first_irreducible))
     field = make_field(3, 5)
     candidates = [tail + (1,) for tail in itertools.product(range(1, 3), *[range(3)] * 4)]
-    assert checked == candidates[:candidates.index(field.modulus) + 1]
+    assert checked == candidates[:candidates.index(field.modulus) + 1] + [field.modulus]
     checked.clear()
     assert make_field(3, 5) is field and make_field(3, 5, field.modulus) is field
     assert checked == []
@@ -80,6 +81,9 @@ def test_make_field_decides_a_default_modulus_once(monkeypatch):
     assert checked == [(1, 1, 0, 1)]
     with pytest.raises(NonIrreducibleModulus):
         make_field(2, 3, (1, 0, 0, 1))
+    checked.clear()
+    assert fields.FiniteField(3, 5).modulus == field.modulus
+    assert checked == [field.modulus]  # the search is cached, the test is not
 
 
 @pytest.mark.parametrize(
@@ -391,11 +395,18 @@ def test_extension_degree_below_one_is_rejected(n):
         extension(F4, n)
 
 
+def _section(emb, y):
+    """The preimage of y in the small field of an embedding, by a sweep of
+    that field; None if y is not in the image."""
+    return next((x for x in emb.small.elements() if emb(x) == y), None)
+
+
 def test_embedding_ring_hom_and_section():
     big, emb = extension(F4, 2)
     assert big is F16
+    assert sum(_section(emb, y) is not None for y in F16.elements()) == 4
     for x in F4.elements():
-        assert emb.section(emb(x)) == x
+        assert _section(emb, emb(x)) == x
         for y in F4.elements():
             assert emb(x + y) == emb(x) + emb(y)
             assert emb(x * y) == emb(x) * emb(y)
@@ -462,18 +473,137 @@ def test_field_invariants_survive_optimize(monkeypatch):
         fields._witt_prime_iso.__wrapped__(3)
 
 
+def _trial_division_irreducible(mod, p):
+    """The trial division _is_irreducible replaced, kept as an oracle: a
+    polynomial of degree >= 2 is reducible iff a monic polynomial of degree
+    <= half of its degree divides it."""
+    mod = fields._ptrim(mod)
+    deg = len(mod) - 1
+    if deg <= 0:
+        return False
+    if deg == 1:
+        return True
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not _pmod(mod, tail + (1,), p):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_m", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, max_m):
+    for m in range(max_m + 1):
+        for tail in itertools.product(range(p), repeat=m):
+            assert fields._is_irreducible(tail + (1,), p) == _trial_division_irreducible(
+                tail + (1,), p), (p, tail)
+
+
+def test_is_irreducible_at_a_large_prime():
+    # X^p mod f comes by squaring, not from a remainder of degree p: X^2 - c
+    # is irreducible iff c is not a square (Euler's criterion)
+    p = 1_000_003
+    for c in range(1, 40):
+        assert fields._is_irreducible(((-c) % p, 0, 1), p) == (pow(c, p // 2, p) == p - 1), c
+    assert make_field(p, 2).modulus == (1, 0, 1)  # p = 3 mod 4, so -1 is not a square
+
+
 def _reference_first_irreducible(p, m):
     """The full scan _first_irreducible replaced, kept as an oracle: every
-    monic candidate in itertools.product order, constant term 0 included."""
+    monic candidate in itertools.product order, constant term 0 included,
+    each tested by trial division."""
     for tail in itertools.product(range(p), repeat=m):
-        if fields._is_irreducible(tail + (1,), p):
+        if _trial_division_irreducible(tail + (1,), p):
             return tail + (1,)
 
 
-@pytest.mark.parametrize("p,max_m", [(2, 16), (3, 10), (5, 6), (7, 5)])
+def _degrees_up_to(bound):
+    """(p, the largest m with p^m <= bound) for the primes p with p^2 <= bound."""
+    primes = [p for p in range(2, int(bound**0.5) + 1) if fields.is_prime(p)]
+    return [(p, next(m for m in itertools.count(1) if p ** (m + 1) > bound)) for p in primes]
+
+
+@pytest.mark.parametrize("p,max_m", _degrees_up_to(2**16))
 def test_first_irreducible_matches_the_full_scan(p, max_m):
+    # every default modulus of a field with p^m <= 2^16 (m = 1 gives X)
     for m in range(1, max_m + 1):
-        assert fields._first_irreducible(p, m) == _reference_first_irreducible(p, m), (p, m)
+        assert make_field(p, m).modulus == _reference_first_irreducible(p, m), (p, m)
+
+
+def _rabin_irreducible(mod, p):
+    """M.O. Rabin's test (SIAM J. Comput. 9, 1980) in its gcd form, on its
+    own polynomial arithmetic: a monic f of degree m is irreducible iff f
+    divides X^(p^m) - X and gcd(f, X^(p^(m/r)) - X) = 1 for each prime r | m."""
+    m = len(mod) - 1
+
+    def rem(a, b):
+        a = [v % p for v in a]
+        while a and not a[-1]:
+            a.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, v in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * v) % p
+            while a and not a[-1]:
+                a.pop()
+        return a
+
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return rem(out, mod)
+
+    def frobenius_minus_x(k):  # X^(p^k) - X mod f
+        x = [0, 1]
+        for _ in range(k):
+            y = [1]
+            for bit in bin(p)[2:]:
+                y = mulmod(y, y)
+                if bit == "1":
+                    y = mulmod(y, x)
+            x = y
+        x += [0] * (2 - len(x))
+        x[1] -= 1
+        return rem(x, mod)
+
+    def gcd(a, b):
+        while b:
+            a, b = b, rem(a, b)
+        return a
+
+    if m < 1 or frobenius_minus_x(m):
+        return False
+    return all(len(gcd(list(mod), frobenius_minus_x(m // r))) == 1
+               for r in range(2, m + 1) if m % r == 0 and fields.is_prime(r))
+
+
+def test_rabin_oracle_matches_trial_division():
+    for p, max_m in ((2, 8), (3, 5)):
+        for m in range(max_m + 1):
+            for tail in itertools.product(range(p), repeat=m):
+                assert _rabin_irreducible(tail + (1,), p) == _trial_division_irreducible(
+                    tail + (1,), p), (p, tail)
+
+
+# found by the full trial-division scan, which took about a minute at F_{2^40}
+_LARGE_DEFAULT_MODULI = {
+    (2, 32): (1,) + (0,) * 24 + (1, 0, 0, 0, 1, 1, 0, 1),
+    (2, 40): (1,) + (0,) * 34 + (1, 1, 1, 0, 0, 1),
+    (3, 20): (1,) + (0,) * 16 + (1, 0, 2, 1),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(_LARGE_DEFAULT_MODULI))
+def test_large_default_moduli_pass_rabins_test(p, m):
+    modulus = make_field(p, m).modulus
+    assert modulus == _LARGE_DEFAULT_MODULI[p, m]
+    assert _rabin_irreducible(modulus, p)
+    # X^m + 1 is reducible: (X + 1)^32 and (X^5 + 1)^8 over F_2, and over F_3
+    # X^20 + 1 has the roots of order 8, which lie in F_9
+    assert not _rabin_irreducible((1,) + (0,) * (m - 1) + (1,), p)
+    assert not fields._is_irreducible((1,) + (0,) * (m - 1) + (1,), p)
 
 
 def test_first_irreducible_fault_is_typed(monkeypatch):

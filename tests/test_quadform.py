@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from functools import partial
 from itertools import product
 from math import gcd, lcm
 
@@ -38,6 +39,20 @@ Z3FORM = QuadraticForm(Z3, 3, [0, 1, 1])       # zeta_3^{x^2}
 HYPERBOLIC = QuadraticForm(Z22, 2, [0, 0, 0, 1])  # (-1)^{xy}
 
 
+def _pairing_exponent(form, i, j):
+    """B(i, j) mod N, one entry of the pairing, from three table values."""
+    q = form.exponents
+    return (q[form.group.add(i, j)] - q[i] - q[j]) % form.value_order
+
+
+def _twist_gauss_identity(form, chi_exponents):
+    """Check tau_{Q chi} = Q(a)^{-1} tau_Q for chi = B(a, -); returns a."""
+    a = form.solve_character(chi_exponents)
+    twisted = form.twist(chi_exponents).gauss_sum()
+    assert twisted == zeta(form.value_order, -form.exponents[a]) * form.gauss_sum()
+    return a
+
+
 def test_group_indexing():
     g = FiniteAbelianGroup([2, 4])
     assert g.order == 8 and g.exponent == 4
@@ -50,7 +65,7 @@ def test_group_indexing():
 def test_exeasy_is_nondegenerate_quadratic():
     assert EXEASY.is_quadratic()
     assert EXEASY.is_nondegenerate()
-    assert zeta(4, EXEASY.pairing_exponent(1, 1)) == -1  # B(1,1) = Q(0)Q(1)^{-2}
+    assert zeta(4, _pairing_exponent(EXEASY, 1, 1)) == -1  # B(1,1) = Q(0)Q(1)^{-2}
 
 
 def test_exeasy_gauss_sum_is_one_plus_i():
@@ -60,7 +75,7 @@ def test_exeasy_gauss_sum_is_one_plus_i():
 def test_character_is_quadratic_with_trivial_pairing():
     chi = QuadraticForm(Z4, 4, [0, 1, 2, 3])
     assert chi.is_quadratic()
-    assert all(chi.pairing_exponent(x, y) == 0 for x in range(4) for y in range(4))
+    assert all(_pairing_exponent(chi, x, y) == 0 for x in range(4) for y in range(4))
     assert not chi.is_nondegenerate()
 
 
@@ -69,7 +84,7 @@ def test_z4_zeta8_square_table():
     assert q8.is_quadratic()
     for x in range(4):
         for y in range(4):
-            assert q8.pairing_exponent(x, y) == (2 * x * y) % 8
+            assert _pairing_exponent(q8, x, y) == (2 * x * y) % 8
 
 
 def test_not_quadratic_witness():
@@ -170,13 +185,13 @@ def test_recursive_oracle_matches_direct_sum():
 
 def test_twist_identity_exeasy():
     # chi(1) = -1, i.e. exponent 2 in Q(zeta_4)
-    a = EXEASY.twist_gauss_identity([0, 2])
+    a = _twist_gauss_identity(EXEASY, [0, 2])
     assert a == 1
     assert EXEASY.twist([0, 2]).gauss_sum() == 1 - zeta(4, 1)
 
 
 def test_twist_trivial_character():
-    a = EXEASY.twist_gauss_identity([0, 0])
+    a = _twist_gauss_identity(EXEASY, [0, 0])
     assert a == 0
     assert EXEASY.twist([0, 0]).gauss_sum() == EXEASY.gauss_sum()
 
@@ -231,7 +246,7 @@ def test_killcl_proof_identity():
         for v in g.elements():
             for m in range(1, g.element_order(v) + 1):
                 expected = (m * form.exponents[v]
-                            + sum(form.pairing_exponent(g.scalar(i, v), v)
+                            + sum(_pairing_exponent(form, g.scalar(i, v), v)
                                   for i in range(1, m))) % n
                 assert form.exponents[g.scalar(m, v)] == expected
 
@@ -240,7 +255,7 @@ def test_diagonal_is_character_on_elementary_two_groups():
     # v -> B(v, v) is additive on (Z/2)^k (part 1 of the char-2 proposition)
     g = FiniteAbelianGroup([2, 2, 2])
     form = random_nondegenerate(g, 9)
-    b = form.pairing_exponent
+    b = partial(_pairing_exponent, form)
     n = form.value_order
     for u in g.elements():
         for v in g.elements():
@@ -529,7 +544,7 @@ def test_wall_oracle_matches_table_recursion_and_gauss_sum():
     order = lambda form, e: form.value_order // gcd(e, form.value_order)
     for form in BRANCH_FORMS:
         assert form.is_quadratic() and form.is_nondegenerate(), form
-        b = form.pairing_exponent
+        b = partial(_pairing_exponent, form)
         e0, e1 = form.group.generators()
         assert max(order(form, b(e0, e0)), order(form, b(e1, e1))) < order(form, b(e0, e1))
     forms = BRANCH_FORMS + [random_nondegenerate(FiniteAbelianGroup(m), s)
