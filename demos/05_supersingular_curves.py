@@ -46,7 +46,7 @@ print("  predicted dim H^1_c:", betti_prediction(vdgv),
 # character sums over the kernel of the adjoint of f.  Exact agreement at
 # every level.
 for n in (1, 2, 3):
-    big, _ = extension(F2, n)
+    big, _ = extension(F2, n, False)
     direct = sum(y * y + y == x * x * x for x in big.elements() for y in big.elements())
     assembled = count_points(vdgv, n)
     assert direct == assembled

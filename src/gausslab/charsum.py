@@ -224,11 +224,9 @@ class _Evaluator:
     """Per-extension evaluation plan for a datum; exponents modulo p^2."""
 
     def __init__(self, datum, n, override=False):
-        # guard what this builds before building it: the extension field and
-        # the Gram matrix of the exponent, N^2 entries for N = m*n*d
-        check_cap(datum.field.q ** n, override, "extension field")
+        # the N^2 Gram entries, N = m*n*d, count before anything is built
         check_cap((datum.field.m * n * datum.d) ** 2, override, "Gram matrix")
-        big, emb = extension(datum.field, n)
+        big, emb = extension(datum.field, n, override)
         self.big = big
         self.emb = emb
         self.p = datum.field.p
@@ -507,14 +505,14 @@ class KernelData(Record):
                 for vec in _span_mod_p(vectors, self.field.p, m * self.d)]
 
 
-def _kernel_dimension(pairing, n):
+def _kernel_dimension(pairing, n, override):
     """(F_{q^n}, flat F_p-basis of ker l_Q over it), by linear algebra.
 
     The map x -> (sum_j f_jk(x_j))_k is F_p-linear on (F_{q^n})^d; its kernel
     is the nullspace of a (m*n*d)^2 matrix over F_p, no point enumeration.
     """
     d = pairing.d
-    big, emb = extension(pairing.field, n)
+    big, emb = extension(pairing.field, n, override)
     me = big.m
     p = big.p
     lifted = {
@@ -569,7 +567,7 @@ def geometric_kernel(datum, override=False):
 
     best = (0, None, None)  # (kernel dim, n, basis field/basis)
     for n in range(1, _MAX_SPLITTING_DEGREE + 1):
-        big, basis = _kernel_dimension(pairing, n)
+        big, basis = _kernel_dimension(pairing, n, override)
         size = p ** len(basis)
         if size > best[0]:
             best = (size, n, (big, basis))
@@ -640,8 +638,8 @@ def clb_cocycle_identity_check(i, a, field, n, override=False):
     additive, and g is a sum of Frobenius images of biadditive terms.  So
     checking the (m n)^2 pairs of F_p-basis vectors X^s, X^t proves both.
     """
-    check_cap(field.q ** n, override, "extension field")
-    big, emb = extension(field, n)
+    check_cap((field.m * n) ** 2, override, "basis pairs")
+    big, emb = extension(field, n, override)
     aa = emb(field.element(a))
     ar = aa.pth_root(i)
 

@@ -2,7 +2,7 @@
 
 import os
 
-# Exhaustive operations refuse domains larger than this unless overridden.
+# What a job builds (tables, Gram entries, swept points) is capped here unless overridden.
 DEFAULT_CAP = 2**20
 
 
@@ -115,10 +115,10 @@ def scale_cap():
     return DEFAULT_CAP
 
 
-def check_cap(n_points, override=False, what="enumeration"):
+def check_cap(n_points, override=False, what="enumeration", cap=None):
     if override:
         return
-    cap = scale_cap()
+    cap = scale_cap() if cap is None else cap
     if n_points > cap:
         raise ScaleCapExceeded(f"{what} over {n_points} points exceeds cap {cap}")
 

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 TABLE_CAP = 2**16  # largest field that builds log tables, which hold every element
+FIELD_CAP = 2**128  # largest field `extension` builds; GAUSSLAB_CAP does not move it
 
 
 def is_prime(n):
@@ -630,12 +631,16 @@ class Embedding:
 
 
 @lru_cache(maxsize=None)
-def extension(field, n):
-    """The degree-n extension of a field plus the canonical embedding."""
+def extension(field, n, override):
+    """The degree-n extension of a field plus the canonical embedding.  Before
+    it is built, the embedding's search of the q points of `field` counts
+    against the cap and q^n against FIELD_CAP; a built extension is cached."""
     if n < 1:
         raise ValueError(f"extension degree must be at least 1, got {n}")
     if n == 1:
         return field, _IdentityEmbedding(field)
+    check_cap(field.q, override, "embedding search")
+    check_cap(field.q**n, override, "extension field", FIELD_CAP)
     big = make_field(field.p, field.m * n)
     return big, Embedding(field, big)
 
@@ -768,11 +773,11 @@ def exponent_dict_from_json(field, obj):
 
 def additive_kernel(f, n, override=False):
     """All roots of an additive polynomial in the degree-n extension, sorted
-    by coefficients: the kernel of an F_p-linear map, by linear algebra."""
+    by coefficients: an F_p-linear kernel, of at most min(p^span, q^n) roots."""
     if f.is_zero():
         raise ZeroPolynomial("kernel of the zero polynomial is everything")
-    check_cap(f.field.q**n, override, "additive kernel search")
-    big, emb = extension(f.field, n)
+    check_cap(min(f.field.p ** f.span(), f.field.q**n), override, "additive kernel roots")
+    big, emb = extension(f.field, n, override)
     lifted = f.lift(emb)
     return _linear_kernel(big, lambda x: lifted.evaluate(x).coeffs)
 

@@ -462,7 +462,7 @@ def heisenberg_from_datum(datum, override=False):
     kernel = geometric_kernel(datum, override=override)
     check_cap(p * kernel.size, override, "SvN character table")
     big = kernel.field
-    _, emb = extension(datum.field, big.m // datum.field.m)
+    _, emb = extension(datum.field, big.m // datum.field.m, override)
     plan = _term_plan(datum, emb)
 
     basis = [point[0] for point in kernel.basis]  # basis[t] is generator t of (Z/p)^dim

@@ -106,13 +106,13 @@ def count_points(spec, n, override=False):
     ker f_dual(F_{q^n}).  With g1, g2 additive, x -> Tr(c (g1(x) g2(x) + a x))
     is F_p-quadratic with polar form Tr(c (g1(x) g2(y) + g1(y) g2(x))).  On
     the power basis, rhs and the (mn)(mn+1)/2 products g1 g2 + g1 g2 are
-    shared by every c != 0, whose S_n is a histogram from Gram data, with no
-    sweep of F_{q^n}; c = 0 adds q^n to h_0.  The summed histogram h is the
-    integer h_0 - h_1 exactly when h_1 = ... = h_(p-1).
+    shared by every c != 0, whose S_n is a histogram from Gram data (capped
+    at (mn)^2 entries), no sweep of F_{q^n}; c = 0 adds q^n to h_0.  The
+    summed histogram h is the integer h_0 - h_1 exactly when h_1 = ... = h_(p-1).
     """
-    check_cap(spec.field.q**n, override, "curve point count")
+    check_cap((spec.field.m * n) ** 2, override, "Gram matrix")
     cs = additive_kernel(spec.f.adjoint(), n, override)
-    big, emb = extension(spec.field, n)
+    big, emb = extension(spec.field, n, override)
     p, g1, g2, a = big.p, spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
 
     def rhs(point):
@@ -148,7 +148,7 @@ def _dual_kernel(spec, override=False):
     while True:
         roots = additive_kernel(fd, n, override)
         if len(roots) == expected:
-            return (*extension(spec.field, n), roots)
+            return (*extension(spec.field, n, override), roots)
         n += 1
 
 
@@ -330,7 +330,7 @@ def verify_additive(endo, n=1, override=False):
     delta = max(p * degree(endo.f), degree(endo.r_poly), (p - 1) * degree(endo.g2))
     size = min(p**e, delta + 1)
     check_cap(size * size, override, "W2 additivity sweep")
-    big, emb = extension(endo.field, n)
+    big, emb = extension(endo.field, n, override)
     lifted = endo.lift(emb)
     teich = [WittVector2(big, x, big.zero()) for x in islice(big.elements(), size)]
     images = [lifted(u) for u in teich]
@@ -404,7 +404,7 @@ def surface_counts(spec, n, override=False):
     equation is A_x(y) = c(x) with A_x F_p-linear in y: |ker A_x| solutions
     when c(x) is in the image of A_x, else none, from one row reduction."""
     check_cap(spec.field.q**n, override, "surface count")
-    big, emb = extension(spec.field, n)
+    big, emb = extension(spec.field, n, override)
     endo = spec.endo.lift(emb)
     p, m = big.p, big.m
     basis = big._power_basis
@@ -500,7 +500,7 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     sums_by_psi = {j: [] for j in range(p2)}
     for n in range(1, n_max + 1):
         check_cap(q**n, override, "surface summands")
-        big, emb = extension(spec.field, n)
+        big, emb = extension(spec.field, n, override)
         endo = spec.endo.lift(emb)
         g2_basis = [(b, endo.g2.evaluate(b)) for b in big._power_basis]
 

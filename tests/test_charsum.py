@@ -166,7 +166,7 @@ def test_symbolic_pairing_matches_pointwise():
         pairing = symbolic_pairing(datum)
         from gausslab.fields import absolute_trace_int, extension
 
-        big, emb = extension(datum.field, 2)
+        big, emb = extension(datum.field, 2, False)
         lifted = pairing.entry(0, 0).lift(emb)
         for x in big.elements():
             for y in big.elements():
@@ -186,7 +186,7 @@ def test_precompose_substitutes():
     pre = QuadDatum(F2, 1, [DiagMonomial(0, 1, F2.one()), Precompose(0, f)])
     from gausslab.fields import extension
 
-    big, emb = extension(F2, 3)
+    big, emb = extension(F2, 3, False)
     lf = f.lift(emb)
     for x in big.elements():
         assert trace_value(pre, 3, (x,)) == trace_value(base, 3, (lf.evaluate(x),))
@@ -242,7 +242,7 @@ def test_geometric_kernel_is_subspace():
             QuadDatum(F3, 1, [DiagMonomial(0, 2, F3.one())])]
     for datum in data:
         k = geometric_kernel(datum)
-        big, emb = extension(datum.field, k.splitting_degree)
+        big, emb = extension(datum.field, k.splitting_degree, False)
         pairing, d = symbolic_pairing(datum), datum.d
         f = {(j, c): pairing.entry(j, c).lift(emb) for j in range(d) for c in range(d)}
         sweep = [x for x in itertools.product(big.elements(), repeat=d)
@@ -513,7 +513,7 @@ def test_radical_vs_geometric_kernel_observation():
             if datum.field.q ** (datum.d * n) > 2**8:
                 continue
             form = derive_pairing(datum, n)
-            big, basis = _kernel_dimension(pairing, n)
+            big, basis = _kernel_dimension(pairing, n, False)
             assert len(form.radical()) == datum.field.p ** len(basis), (name, n)
 
 
@@ -560,12 +560,12 @@ def test_pullback_annihilators_match_brute_force(monkeypatch):
         (wittchar(F2), [lang], 2),
         (x_cubed(F2), [AdditivePolynomial(F2, {2: F2.one(), 0: F2.one()})], 3),
         (x_cubed(F4), [AdditivePolynomial(F4, {1: F4.one(), 0: F4.gen()})], 1),
-        (frobpair(F4, 1), [lang.lift(extension(F2, 2)[1]), frob], 1),
+        (frobpair(F4, 1), [lang.lift(extension(F2, 2, False)[1]), frob], 1),
     ]
     for datum, isogeny, n in cases:
         recorded.clear()
         pullback_sum_identity(datum, isogeny, n)
-        big, emb = extension(datum.field, n)
+        big, emb = extension(datum.field, n, False)
         expected = []
         for f in isogeny:
             image = {f.lift(emb).evaluate(x) for x in big.elements()}
@@ -582,7 +582,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 def _points(datum, n):
     """Every point of (F_{q^n})^d, for the enumerating oracles."""
-    big, _ = extension(datum.field, n)
+    big, _ = extension(datum.field, n, False)
     return itertools.product(big.elements(), repeat=datum.d)
 
 
@@ -856,12 +856,12 @@ def test_symbolic_pairing_asymmetry_is_a_fault(monkeypatch):
 
 
 def test_sum_path_caps_what_it_builds(monkeypatch):
-    # a sum counts its extension field and its N^2 Gram entries against the
-    # cap, and so do the invariance and pullback checks built on it; the
-    # pullback also counts its p^(N - rank) annihilator characters
+    # a sum counts its N^2 Gram entries against the cap, and so do the
+    # invariance and pullback checks built on it; the pullback also counts its
+    # p^(N - rank) annihilator characters
     monkeypatch.setenv("GAUSSLAB_CAP", "100")
     datum = QuadDatum(F2, 3, [DiagMonomial(0, 1, F2.one())])
-    with pytest.raises(ScaleCapExceeded, match="extension field over 128 points exceeds cap 100"):
+    with pytest.raises(ScaleCapExceeded, match="Gram matrix over 441 points exceeds cap 100"):
         char_sum(datum, 7)
     with pytest.raises(ScaleCapExceeded, match="Gram matrix over 144 points exceeds cap 100"):
         char_sum(datum, 4)
@@ -878,6 +878,12 @@ def test_sum_path_caps_what_it_builds(monkeypatch):
                        match="annihilator characters over 256 points exceeds cap 100"):
         pullback_sum_identity(plane, lang16, n=4)
     assert pullback_sum_identity(plane, lang16, n=4, override=True) == (256, 256, 256)
+    # its extension field counts against the field bound, which GAUSSLAB_CAP
+    # does not move: F_{2^129} is refused before it is built
+    monkeypatch.setenv("GAUSSLAB_CAP", str(2**200))
+    with pytest.raises(ScaleCapExceeded,
+                       match=f"extension field over {2**129} points exceeds cap {2**128}"):
+        char_sum(x_cubed(F2), 129)
 
 
 def test_derive_pairing_caps_its_value_table(monkeypatch):
@@ -945,7 +951,7 @@ def _enumerated_pullback(datum, isogeny, n):
 
 def _enumerated_cocycle(i, a, field, n):
     """`clb_cocycle_identity_check` at every pair (x, y) of F_{q^n}."""
-    big, emb = extension(field, n)
+    big, emb = extension(field, n, False)
     aa = emb(field.element(a))
     ar = aa.pth_root(i)
 
@@ -1127,7 +1133,7 @@ def _check_polar_gram(datum, n, basis):
 
 
 def _power_coordinate_basis(datum, n):
-    big, _ = extension(datum.field, n)
+    big, _ = extension(datum.field, n, False)
     return charsum._coordinate_basis(big, [big._power_basis] * datum.d)
 
 
@@ -1158,7 +1164,7 @@ def test_polar_gram_matches_pair_sums_on_moved_points():
     # `invariance_check`: points that are not a coordinate basis
     rng = random.Random("polar-moved")
     for datum, isogeny, n in _pullback_cases(random.Random("pullback")):
-        big, emb = extension(datum.field, n)
+        big, emb = extension(datum.field, n, False)
         lifted = [f.lift(emb) for f in isogeny]
         images = [tuple(f.evaluate(x) for f, x in zip(lifted, b))
                   for b in _power_coordinate_basis(datum, n)]
@@ -1236,7 +1242,7 @@ def _pullback_cases(rng):
         (x_cubed(F2), [AdditivePolynomial(F2, {2: F2.one(), 0: F2.one()})], 3),
         (x_cubed(F4), [AdditivePolynomial(F4, {1: F4.one(), 0: F4.gen()})], 1),
         (frobpair(F4, 1),
-         [lang.lift(extension(F2, 2)[1]), AdditivePolynomial(F4, {1: F4.gen()})], 1),
+         [lang.lift(extension(F2, 2, False)[1]), AdditivePolynomial(F4, {1: F4.gen()})], 1),
     ]
     for field in (F2, F4, F3, F9):
         for d in (1, 2):

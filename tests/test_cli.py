@@ -313,7 +313,8 @@ def test_internal_fault_exits_4(monkeypatch, tmp_path, capsys):
 
 
 def test_cap_exceeded_exits_3():
-    job = {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"], "n": 12}
+    # F_{4^65} = F_{2^130} is above the bound on the fields `extension` builds
+    job = {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"], "n": 65}
     proc = run_cli("char-sum", job)
     assert proc.returncode == 3
 
@@ -423,22 +424,24 @@ def test_bad_degree_exits_2(command, job, key, tmp_path, capsys):
 
 
 def test_curve_count_refuses_above_the_cap_before_building(monkeypatch, tmp_path, capsys):
-    # count-points at n = 5 over F_2 sweeps nothing, but its cap still counts
-    # the 32 points of F_{2^5}: 32 passes, 31 exits 3 without building the field
+    # count-points at n = 5 over F_2 sweeps nothing; its cap counts the 25
+    # Gram entries of each character: 25 passes, 24 exits 3 without building
+    # the field
     import gausslab.fields as fields
     import gausslab.varieties as varieties
 
     job = {"curve": _CURVE, "n": 5}
-    monkeypatch.setenv("GAUSSLAB_CAP", "32")
+    monkeypatch.setenv("GAUSSLAB_CAP", "25")
     code, _ = run_main("count-points", job, tmp_path, capsys)
     assert code == 0
     built = []
     for module in (fields, varieties):
-        monkeypatch.setattr(module, "extension", lambda field, n: built.append(n))
-    monkeypatch.setenv("GAUSSLAB_CAP", "31")
+        monkeypatch.setattr(module, "extension",
+                            lambda field, n, override: built.append(n))
+    monkeypatch.setenv("GAUSSLAB_CAP", "24")
     code, err = run_main("count-points", job, tmp_path, capsys)
     assert code == 3
-    assert err == "scale cap exceeded: curve point count over 32 points exceeds cap 31\n"
+    assert err == "scale cap exceeded: Gram matrix over 25 points exceeds cap 24\n"
     assert built == []
 
 
@@ -458,7 +461,7 @@ _OMEGA_X3_F4 = _diag_datum_json(2, 2, 1, [0, 1])  # omega*x^3 over F_4: |K| = 4,
     ("kernel", {"datum": _X5_F2}, 8, "kernel listing over 16 points"),
     ("heisenberg", {"from_datum": _X5_F2}, 8, "kernel listing over 16 points"),
     ("heisenberg", {"from_datum": _X5_F2}, 16, "SvN character table over 32 points"),
-    ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "extension field over 16 points"),
+    ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "Gram matrix over 16 points"),
 ], ids=["kernel", "heisenberg-kernel", "heisenberg-pairing", "char-sum"])
 def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeypatch,
                                                  tmp_path, capsys):

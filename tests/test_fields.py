@@ -12,6 +12,7 @@ from gausslab.errors import (
     NonIrreducibleModulus,
     NotASubfield,
     NotPrime,
+    ScaleCapExceeded,
     TheoremViolated,
     ZeroPolynomial,
 )
@@ -392,7 +393,27 @@ def test_cross_term_trace_rewrite_regression():
 @pytest.mark.parametrize("n", [0, -1])
 def test_extension_degree_below_one_is_rejected(n):
     with pytest.raises(ValueError, match=f"extension degree must be at least 1, got {n}"):
-        extension(F4, n)
+        extension(F4, n, False)
+
+
+def test_extension_refuses_before_building(monkeypatch):
+    # the field bound, which GAUSSLAB_CAP does not move, and the embedding
+    # search of the q points of the small field are checked before make_field
+    # runs; the bound is lowered here so that the override build stays cheap
+    F8 = make_field(2, 3)
+    fields.extension.cache_clear()  # a cached extension is not checked again
+    monkeypatch.setattr(fields, "FIELD_CAP", 2**8)
+    monkeypatch.setattr(fields, "make_field", lambda *args: pytest.fail("built"))
+    monkeypatch.setenv("GAUSSLAB_CAP", str(2**200))
+    with pytest.raises(ScaleCapExceeded, match="extension field over 512 points exceeds cap 256"):
+        extension(F8, 3, False)
+    monkeypatch.setenv("GAUSSLAB_CAP", "7")
+    with pytest.raises(ScaleCapExceeded, match="embedding search over 8 points exceeds cap 7"):
+        extension(F8, 2, False)
+    monkeypatch.setattr(fields, "make_field", make_field)
+    big, emb = extension(F8, 3, True)
+    assert big is make_field(2, 9) and emb.small is F8
+    assert extension(F8, 1, False)[0] is F8  # degree 1 builds nothing
 
 
 def _section(emb, y):
@@ -402,7 +423,7 @@ def _section(emb, y):
 
 
 def test_embedding_ring_hom_and_section():
-    big, emb = extension(F4, 2)
+    big, emb = extension(F4, 2, False)
     assert big is F16
     assert sum(_section(emb, y) is not None for y in F16.elements()) == 4
     for x in F4.elements():
@@ -725,7 +746,7 @@ def test_witt_trace_outside_w2_fp_is_a_mismatch(monkeypatch):
 
 def test_additive_polynomial_evaluation_additive():
     f = AdditivePolynomial(F4, {0: F4.gen(), 1: F4.one(), 2: F4.gen() ** 2})
-    big, emb = extension(F4, 2)
+    big, emb = extension(F4, 2, False)
     lifted = f.lift(emb)
     els = list(big.elements())
     for u in els:
@@ -769,7 +790,7 @@ def test_additive_polynomials_over_z_pointwise(field):
     # every element, negative Frobenius powers being exact p-th roots
     rng = random.Random(f"additive-{field.tag}")
     els = list(field.elements())
-    big, emb = extension(field, 2)
+    big, emb = extension(field, 2, False)
     for _ in range(4):
         f, g = _seeded_additive(field, rng), _seeded_additive(field, rng)
         c = rng.choice(els)
@@ -832,9 +853,22 @@ def test_additive_kernel_splitting_size_with_defect():
     assert len(additive_kernel(f, 2)) == 4
 
 
+def test_additive_kernel_caps_its_roots_before_listing(monkeypatch):
+    # X^32 + X has p^span = 32 roots, all of F_32: cap 32 lists them, cap 31
+    # refuses before any is listed; at n = 1 it has at most q^n = 2 roots
+    f = AdditivePolynomial(F2, {5: F2.one(), 0: F2.one()})
+    monkeypatch.setenv("GAUSSLAB_CAP", "32")
+    assert len(additive_kernel(f, 5)) == 32
+    monkeypatch.setenv("GAUSSLAB_CAP", "31")
+    assert len(additive_kernel(f, 1)) == 2
+    monkeypatch.setattr(fields, "_linear_kernel", lambda *args: pytest.fail("listed"))
+    with pytest.raises(ScaleCapExceeded, match="additive kernel roots over 32 points exceeds cap 31"):
+        additive_kernel(f, 5)
+
+
 def _brute_force_roots(f, n):
     """Reference zero set: every element of F_{q^n} tested, in enumeration order."""
-    big, emb = extension(f.field, n)
+    big, emb = extension(f.field, n, False)
     lifted = f.lift(emb)
     return [x for x in big.elements() if not lifted.evaluate(x)]
 

@@ -851,7 +851,7 @@ def _deck_data(p, i, a):
     field = make_field(p, 1)
     datum = QuadDatum(field, 1, [DiagMonomial(0, i, field.element([a]))])
     dh = heisenberg_from_datum(datum)
-    big, emb = extension(field, dh.kernel.field.m)
+    big, emb = extension(field, dh.kernel.field.m, False)
     plan = _term_plan(datum, emb)
     element_at = _kernel_coordinates(dh.kernel, p)
     return dh, element_at, big, plan, _per_element_solutions(plan, element_at, big)

@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from gausslab.charsum import clb_cocycle_identity_check
 from gausslab.errors import ScaleCapExceeded, check_cap
 from gausslab.exactalg import IntPolynomial, zeta_sum
 from gausslab.fields import (
@@ -109,7 +110,7 @@ def test_f3_curve_pipeline():
 def _fibre_count(spec, n):
     """N_n by fibres: |ker f| points over each x whose rhs(x) lies in the
     image of f (a subgroup, listed once), none over the others."""
-    big, emb = extension(spec.field, n)
+    big, emb = extension(spec.field, n, False)
     f, g1, g2, a = spec.f.lift(emb), spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
     image = {f.evaluate(y).coeffs for y in big.elements()}
     hits = sum((g1.evaluate(x) * g2.evaluate(x) + a * x).coeffs in image for x in big.elements())
@@ -157,7 +158,7 @@ def test_count_points_does_not_sweep_the_field(monkeypatch):
     spec = CurveSpec(F2, AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()}),
                      AdditivePolynomial(F2, {0: F2.one()}),
                      AdditivePolynomial(F2, {0: F2.one()}), F2.zero())
-    extension(F2, 16)
+    extension(F2, 16, False)
     monkeypatch.setattr(fields.FiniteField, "elements", lambda self: pytest.fail("swept"))
     assert count_points(spec, 16) == 2**16
 
@@ -174,6 +175,17 @@ def test_y2_y_power_counts_at_degree_2h(h):
     # the supersingular curve y^2 + y = x^(2^h + 1) has N_(2h) = 2^(2h+1)
     # points: a 2h x 2h Gram matrix, F_(2^(2h)) never listed
     assert count_points(_y2_y_power(h), 2 * h) == 2 ** (2 * h + 1)
+
+
+def test_supersingular_curves_above_the_old_point_caps(monkeypatch):
+    # under the default cap, the caps count Gram entries, not points of
+    # F_{2^n}: h = 12 at n = 24 has N = 2^25, so s_24 = 2^12 * (-2^12), the
+    # b = 2^h eigenvalues with alpha^(2h) = -2^h; zeta at h = 5 counts
+    # n = 1..32 and certifies b = 32
+    monkeypatch.delenv("GAUSSLAB_CAP", raising=False)
+    assert count_points(_y2_y_power(12), 24) == 2**25
+    data = zeta_pipeline(_y2_y_power(5))
+    assert data.betti == 32 and data.certificate is not None
 
 
 def test_count_points_builds_gram_data_per_nontrivial_character(monkeypatch):
@@ -245,7 +257,7 @@ def test_dual_kernel_matches_brute_force():
         n = big.m // field.m
         sweeps = []
         for k in range(1, n + 1):
-            k_big, k_emb = extension(field, k)
+            k_big, k_emb = extension(field, k, False)
             lifted = fd.lift(k_emb)
             sweeps.append([c for c in k_big.elements() if not lifted.evaluate(c)])
         expected = field.p ** fd.span()
@@ -325,7 +337,7 @@ def test_w2_endomorphism_general_and_negative_control():
 def _swept_additive(endo, n):
     """h(u + v) = h(u) + h(v) on all q^(4n) pairs of W2(F_{q^n}): the sweep
     that the reduction to Teichmueller pairs replaced, kept as the oracle."""
-    big, emb = extension(endo.field, n)
+    big, emb = extension(endo.field, n, False)
     lifted = endo.lift(emb)
     vectors = [WittVector2(big, a, b) for a in big.elements() for b in big.elements()]
     return all(lifted(u + v) == lifted(u) + lifted(v) for u in vectors for v in vectors)
@@ -361,7 +373,7 @@ def _teichmueller_additive(endo, n=1, override=False):
     vectors: the sweep that the grid of the degree of D replaced, kept as the
     oracle."""
     check_cap(endo.field.q ** (2 * n), override, "W2 additivity sweep")
-    big, emb = extension(endo.field, n)
+    big, emb = extension(endo.field, n, override)
     lifted = endo.lift(emb)
     teich = [WittVector2(big, x, big.zero()) for x in big.elements()]
     images = [lifted(u) for u in teich]
@@ -431,7 +443,7 @@ def test_verify_additive_evaluates_the_grid(monkeypatch):
     endo = w2_endomorphism(F4, {0: F4.gen(), 1: F4.one()}, AdditivePolynomial(F4, {0: F4.one()}))
     assert _grid_size(endo, 8) == 5
     assert verify_additive(endo, 8)
-    big, _ = extension(F4, 8)
+    big, _ = extension(F4, 8, False)
     assert [w.x0 for w in seen[:5]] == list(islice(big.elements(), 5))
     assert len(seen) == 5 + 25
     seen.clear()
@@ -471,7 +483,7 @@ def corrected_surface_count(spec, n, override=False):
     caller; the kernel criterion is witt_trace(target) = 0.
     """
     check_cap(spec.field.q ** (2 * n), override, "corrected surface count")
-    big, emb = extension(spec.field, n)
+    big, emb = extension(spec.field, n, override)
     endo = spec.endo.lift(emb)
     p2 = big.p * big.p
     count = 0
@@ -541,7 +553,7 @@ def _enumerated_surface_sums(spec, n):
     """[S_n(psi_j) for j < p^2], S_n(psi_j) = sum of psi_j(witt_trace(a * h(a)))
     over every a in W2(F_{q^n}): the q^(2n) sweep that the Teichmueller--
     Verschiebung split replaced, kept as the oracle."""
-    big, emb = extension(spec.field, n)
+    big, emb = extension(spec.field, n, False)
     endo = spec.endo.lift(emb)
     p2 = big.p * big.p
     hist = {}
@@ -562,7 +574,7 @@ def _enumerated_surface_sums(spec, n):
 def _scanned_surface_count(spec, n):
     """surface_counts by scanning every y for each x: the sweep that the row
     reduction of the y-equation replaced, kept as the oracle."""
-    big, emb = extension(spec.field, n)
+    big, emb = extension(spec.field, n, False)
     endo = spec.endo.lift(emb)
     count = 0
     for z in big.elements():
@@ -729,34 +741,33 @@ def _y2_y_x2():
 
 
 @pytest.mark.parametrize("call, what, degree, points", [
-    (lambda: count_points(_y2_y_x2(), 5), "curve point count", 5, 32),
-    (lambda: counts_vs_character_sums(_y2_y_x2(), 5), "count assembly", 5, 32),
+    (lambda: count_points(_y2_y_x2(), 5), "Gram matrix", 5, 25),  # (m n)^2 entries
+    (lambda: clb_cocycle_identity_check(1, [1], F2, 5), "basis pairs", 5, 25),
     (lambda: surface_counts(SurfaceSpec(F2, {0: F2.one()}), 5), "surface count", 5, 32),
     (lambda: surface_summand_certificates(SurfaceSpec(F2, {0: F2.one()}), 5),
      "surface summands", 5, 32),
-    (lambda: corrected_surface_count(SurfaceSpec(F2, {0: F2.one()}), 3),
-     "corrected surface count", 3, 64),
+    (lambda: extension(make_field(2, 5), 2, False), "embedding search", 10, 32),
     (lambda: verify_additive(w2_endomorphism(F2, {2: F2.one()}), 3),  # delta = 8, |S| = 8
      "W2 additivity sweep", 3, 64),
     (lambda: additive_kernel(AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()}), 5),
-     "additive kernel search", 5, 32),
-], ids=["count_points", "counts_vs_character_sums", "surface_counts",
-        "surface_summand_certificates", "corrected_surface_count", "verify_additive",
-        "additive_kernel"])
+     "additive kernel roots", 5, 2),  # p^span roots
+], ids=["count_points", "clb_cocycle_identity_check", "surface_counts",
+        "surface_summand_certificates", "extension", "verify_additive", "additive_kernel"])
 def test_caps_refuse_before_building_the_field(call, what, degree, points, monkeypatch):
-    # each cap counts what its call would sweep and refuses before extension()
-    # builds the field that it refuses (the summands build lower degrees first)
+    # each cap of the library counts what its call would build and refuses
+    # before make_field builds the field of that degree over F_p that it
+    # refuses (the summands build lower degrees first); the extension cache is
+    # emptied first, since a cached extension is not built, nor checked, again
     import gausslab.fields as fields
-    import gausslab.varieties as varieties
 
     built = []
-    for module in (fields, varieties):
-        monkeypatch.setattr(module, "extension",
-                            lambda field, n: built.append(n) or extension(field, n))
+    monkeypatch.setattr(fields, "make_field",
+                        lambda p, m, modulus=None: built.append(m) or make_field(p, m, modulus))
+    fields.extension.cache_clear()
     monkeypatch.setenv("GAUSSLAB_CAP", str(points - 1))
     with pytest.raises(ScaleCapExceeded, match=f"{what} over {points} points exceeds cap"):
         call()
-    assert all(n < degree for n in built), built
+    assert all(m < degree for m in built), built
 
 
 def test_surface_serialization():
