@@ -7,8 +7,9 @@ with Witt traces.  All sums, pairings, kernels and identity checks are exact.
 
 The term kinds of a datum are read in one place, `_term_plan`: every term
 becomes a x_j^(p^i) x_k, a linear twist or a Witt term, with its coefficient
-embedded once.  The Gram evaluator, `symbolic_pairing` and the deck
-construction of `heisenberg` all read that plan.
+embedded once.  The Gram evaluator (and with it the sums and the geometric
+kernel), `symbolic_pairing` and the deck construction of `heisenberg` all
+read that plan.
 """
 
 import itertools
@@ -505,31 +506,19 @@ class KernelData(Record):
                 for vec in _span_mod_p(vectors, self.field.p, m * self.d)]
 
 
-def _kernel_dimension(pairing, n, override):
-    """(F_{q^n}, flat F_p-basis of ker l_Q over it), by linear algebra.
-
-    The map x -> (sum_j f_jk(x_j))_k is F_p-linear on (F_{q^n})^d; its kernel
-    is the nullspace of a (m*n*d)^2 matrix over F_p, no point enumeration.
-    """
-    d = pairing.d
-    big, emb = extension(pairing.field, n, override)
-    me = big.m
-    p = big.p
-    lifted = {
-        (j, k): pairing.entry(j, k).lift(emb)
-        for j in range(d)
-        for k in range(d)
-        if not pairing.entry(j, k).is_zero()
-    }
-    dim = me * d
+def _kernel_basis(ev, d):
+    """Flat F_p-basis of K(F_{q^n}) = ker l_Q, the radical of the polar form
+    of an `_Evaluator`: B(x, y) = sum_j Tr(u_j(x) s_j(y_j)) = sum_j
+    Tr(s_j^adj(u_j(x)) y_j) for u the polar rows and s_j the substitutions,
+    so l_Q(x)_j = s_j^adj(u_j(x)), and the trace form is non-degenerate.  The
+    nullspace of an (m*n*d)^2 matrix over F_p, no point enumeration."""
+    adjoints = [None if s is None else s.adjoint() for s in ev._subs.values()]
     cols = []
-    for j in range(d):
-        for u in big._power_basis:
-            images = (lifted[j, k].evaluate(u) if (j, k) in lifted else big.zero()
-                      for k in range(d))
-            cols.append([c for w in images for c in w.coeffs])
-    matrix = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    return big, _nullspace_mod_p(matrix, p)
+    for b in _coordinate_basis(ev.big, [ev.big._power_basis] * d):
+        u = ev.polar(ev._coords(b))
+        cols.append([c for f, w in zip(adjoints, u)
+                     for c in (w if f is None else f.evaluate(w)).coeffs])
+    return _nullspace_mod_p(list(zip(*cols)), ev.p)
 
 
 _MAX_SPLITTING_DEGREE = 24  # the last extension degree `geometric_kernel` scans
@@ -567,10 +556,11 @@ def geometric_kernel(datum, override=False):
 
     best = (0, None, None)  # (kernel dim, n, basis field/basis)
     for n in range(1, _MAX_SPLITTING_DEGREE + 1):
-        big, basis = _kernel_dimension(pairing, n, override)
+        ev = _Evaluator(datum, n, override)
+        basis = _kernel_basis(ev, d)
         size = p ** len(basis)
         if size > best[0]:
-            best = (size, n, (big, basis))
+            best = (size, n, (ev.big, basis))
         if expected is not None and size == expected:
             break
     else:

@@ -18,7 +18,6 @@ first time it needs it.
 
 import itertools
 from functools import cached_property, lru_cache
-from math import comb
 from operator import mul
 
 from .errors import (
@@ -439,19 +438,23 @@ class FiniteField:
         m, mod, p = self.m, self.modulus, self.p
         return tuple(_sparse(_pmod((0,) * (m + k) + (1,), mod, p)) for k in range(m - 1))
 
+    def _powers_of(self, x, count):
+        """1, x, ..., x^(count-1): one multiply per power."""
+        return itertools.accumulate(itertools.repeat(x, count - 1), mul, initial=self.one())
+
     def _frobenius_columns(self, k):
-        """Matrix of x -> x^(p^k): column j is the image (X^j)^(p^k), sparse."""
+        """Matrix of x -> x^(p^k): column j is the image (X^j)^(p^k) =
+        (X^(p^k))^j, sparse."""
         if k not in self._frobenius_cache:
-            e = self.p**k
             self._frobenius_cache[k] = tuple(
-                _sparse((self.gen() ** (j * e)).coeffs) for j in range(self.m))
+                _sparse(x.coeffs) for x in self._powers_of(self.gen() ** self.p**k, self.m))
         return self._frobenius_cache[k]
 
     @cached_property
     def _trace_vector(self):
         """Tr(X^j) for j < m: the trace of y -> X^j y, whose diagonal entries
         are the X^i-coefficients of X^(i+j)."""
-        m, powers = self.m, [self.gen() ** n for n in range(2 * self.m - 1)]
+        m, powers = self.m, list(self._powers_of(self.gen(), 2 * self.m - 1))
         return tuple(sum(powers[i + j].coeffs[i] for i in range(m)) % self.p for j in range(m))
 
     def to_json(self):
@@ -613,10 +616,7 @@ class Embedding:
                 break
         if root is None:
             raise TheoremViolated("the subfield contains a root of any degree-m irreducible")
-        powers = [big.one()]
-        for _ in range(small.m - 1):
-            powers.append(powers[-1] * root)
-        self._powers = powers
+        self._powers = list(big._powers_of(root, small.m))
 
     def __call__(self, x):
         if x.field is self.big:
@@ -786,8 +786,10 @@ def additive_kernel(f, n, override=False):
 
 @lru_cache(maxsize=None)
 def _gamma_coeffs(p):
-    """gamma(X,Z) = (X^p + Z^p - (X+Z)^p)/p mod p as {i: coeff of X^i Z^(p-i)}."""
-    return {i: (-(comb(p, i) // p)) % p for i in range(1, p)}
+    """gamma(X,Z) = (X^p + Z^p - (X+Z)^p)/p mod p as {i: coeff of X^i Z^(p-i)}:
+    -binom(p, i)/p = -binom(p-1, i-1)/i = (-1)^i/i mod p, as binom(p-1, i-1)
+    = (-1)^(i-1) mod p."""
+    return {i: (-1) ** i * pow(i, -1, p) % p for i in range(1, p)}
 
 
 def gamma_carry(p):
@@ -883,32 +885,18 @@ def witt_restriction(w):
     return w.x0
 
 
-@lru_cache(maxsize=None)
-def _witt_prime_iso(p):
-    """Exhaustive table of the ring isomorphism W2(F_p) -> Z/p^2, (1,0) -> 1."""
-    field = prime_field(p)
-    table = {}
-    acc = witt_zero(field)
-    one = witt_one(field)
-    for k in range(p * p):
-        table[(acc.x0.coeffs, acc.x1.coeffs)] = k
-        acc = acc + one
-    if len(table) != p * p:
-        raise TheoremViolated("W2(F_p) is cyclic of order p^2")
-    return table
+def _zp2(p, x0, x1):
+    """(x0, x1) = [x0] + V(x1) in W2(F_p), x0 and x1 integers, read in Z/p^2:
+    the Teichmueller lift [x0] is x0^p and V(x1) = p x1, so (1, 0) -> 1."""
+    return (pow(x0, p, p * p) + p * x1) % (p * p)
 
 
 def witt_to_zp2(w):
     """Image of w in Z/p^2 under W2(F_p) = Z/p^2; w must have F_p components."""
-    p = w.field.p
-    if w.field.m == 1:
-        key = (w.x0.coeffs, w.x1.coeffs)
-    else:
-        # components must be prime-subfield constants
-        if any(w.x0.coeffs[1:]) or any(w.x1.coeffs[1:]):
-            raise FieldMismatch("Witt vector does not lie in W2(F_p)")
-        key = ((w.x0.coeffs[0],), (w.x1.coeffs[0],))
-    return _witt_prime_iso(p)[key]
+    # components must be prime-subfield constants
+    if any(w.x0.coeffs[1:]) or any(w.x1.coeffs[1:]):
+        raise FieldMismatch("Witt vector does not lie in W2(F_p)")
+    return _zp2(w.field.p, w.x0.coeffs[0], w.x1.coeffs[0])
 
 
 def witt_trace(w):
@@ -928,5 +916,4 @@ def witt_trace(w):
         s = s + y
     if any(s.coeffs[1:]) or any(carry.coeffs[1:]):
         raise FieldMismatch("Witt vector does not lie in W2(F_p)")
-    x1 = (absolute_trace_int(w.x1) + carry.coeffs[0]) % field.p
-    return _witt_prime_iso(field.p)[((s.coeffs[0],), (x1,))]
+    return _zp2(field.p, s.coeffs[0], absolute_trace_int(w.x1) + carry.coeffs[0])

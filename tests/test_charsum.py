@@ -29,7 +29,6 @@ from gausslab.charsum import (
     pullback_sum_identity,
     symbolic_pairing,
     trace_value,
-    _kernel_dimension,
 )
 from gausslab.corpus import catalog_data, corpus
 from gausslab.errors import (
@@ -503,18 +502,61 @@ def test_invariance_unitary_and_gl():
     assert not invariance_check(QuadDatum(F4, 1, [ASLinear(0, F4.one())]), [[[w]]], n=1)
 
 
-def test_radical_vs_geometric_kernel_observation():
-    # open-question measurement: at each finite level, the radical of the
-    # materialized form has the same size as the rational points of the
-    # geometric kernel (observed equality for the whole catalog)
-    for name, datum, r, _ in catalog_data():
-        pairing = symbolic_pairing(datum)
-        for n in (1, 2):
-            if datum.field.q ** (datum.d * n) > 2**8:
-                continue
-            form = derive_pairing(datum, n)
-            big, basis = _kernel_dimension(pairing, n, False)
-            assert len(form.radical()) == datum.field.p ** len(basis), (name, n)
+def _lifted_pairing_kernel(pairing, n, override=False):
+    """(F_{q^n}, flat F_p-basis of ker l_Q) from the symbolic pairing: every
+    entry f_jk lifted into F_{q^n} and evaluated on the power basis, the
+    nullspace of the (m*n*d)^2 matrix of x -> (sum_j f_jk(x_j))_k.  The path
+    `geometric_kernel` took before it read the evaluator's polar rows, kept
+    as the oracle."""
+    d = pairing.d
+    big, emb = extension(pairing.field, n, override)
+    lifted = {(j, k): pairing.entry(j, k).lift(emb) for j in range(d) for k in range(d)
+              if not pairing.entry(j, k).is_zero()}
+    cols = []
+    for j in range(d):
+        for u in big._power_basis:
+            images = (lifted[j, k].evaluate(u) if (j, k) in lifted else big.zero()
+                      for k in range(d))
+            cols.append([c for w in images for c in w.coeffs])
+    matrix = [[col[r] for col in cols] for r in range(big.m * d)]
+    return big, fields._nullspace_mod_p(matrix, big.p)
+
+
+def _kernel_cases(table_bound):
+    """(name, datum, n): the catalog at n <= 4, and 25 seeded data (all six
+    term kinds over the two characteristics) for each field of p in {2, 3, 5}
+    and m <= 2 and each d <= 2, at n <= 3 where q^(n*d) <= table_bound."""
+    cases = [(name, datum, n) for name, datum, _, _ in catalog_data() for n in range(1, 5)]
+    for field in (F2, F4, F3, F9, F5, make_field(5, 2)):
+        rng = random.Random(f"kernel-{field.q}")
+        for d in (1, 2):
+            for k in range(25):
+                datum = _random_datum(field, d, rng)
+                cases += [(f"{field.tag}-d{d}-{k}", datum, n) for n in (1, 2, 3)
+                          if field.q ** (n * d) <= table_bound]
+    return cases
+
+
+def test_kernel_from_polar_rows_matches_the_lifted_pairing():
+    # the radical of the evaluator's polar form, pulled back through the
+    # adjoint substitutions, against the nullspace of the lifted symbolic
+    # pairing: the same field and the same reduced basis, on the catalog and
+    # on the seeded data
+    cases = _kernel_cases(2**12)
+    assert len(cases) >= 700
+    for name, datum, n in cases:
+        ev = charsum._Evaluator(datum, n)
+        expected = _lifted_pairing_kernel(symbolic_pairing(datum), n)
+        assert (ev.big, charsum._kernel_basis(ev, datum.d)) == expected, (name, n)
+
+
+def test_radical_of_the_derived_form_is_the_geometric_kernel():
+    # |radical(derive_pairing)| = p^dim K(F_{q^n}): the form's radical is the
+    # radical of the polar form B, and B(x, y) = sum_j Tr(l_Q(x)_j y_j) with
+    # the trace form non-degenerate
+    for name, datum, n in _kernel_cases(2**8):
+        basis = charsum._kernel_basis(charsum._Evaluator(datum, n), datum.d)
+        assert len(derive_pairing(datum, n).radical()) == datum.field.p ** len(basis), (name, n)
 
 
 def test_value_constraints_rejected():

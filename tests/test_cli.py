@@ -454,19 +454,23 @@ def _diag_datum_json(p, m, i, a):
 
 
 _X5_F2 = _diag_datum_json(2, 1, 2, [1])  # 1*x^5 over F_2: |K| = 16 in E = F_16
+_X9_F2 = _diag_datum_json(2, 1, 3, [1])  # 1*x^9 over F_2: |K| = 64 in E = F_64
 _OMEGA_X3_F4 = _diag_datum_json(2, 2, 1, [0, 1])  # omega*x^3 over F_4: |K| = 4, E = F_64
 
 
 @pytest.mark.parametrize("command, job, cap, what", [
-    ("kernel", {"datum": _X5_F2}, 8, "kernel listing over 16 points"),
-    ("heisenberg", {"from_datum": _X5_F2}, 8, "kernel listing over 16 points"),
+    ("kernel", {"datum": _X9_F2}, 40, "kernel listing over 64 points"),
+    ("kernel", {"datum": _X5_F2}, 8, "Gram matrix over 9 points"),
+    ("heisenberg", {"from_datum": _X9_F2}, 40, "kernel listing over 64 points"),
     ("heisenberg", {"from_datum": _X5_F2}, 16, "SvN character table over 32 points"),
     ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "Gram matrix over 16 points"),
-], ids=["kernel", "heisenberg-kernel", "heisenberg-pairing", "char-sum"])
+], ids=["kernel", "kernel-gram", "heisenberg-kernel", "heisenberg-pairing", "char-sum"])
 def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeypatch,
                                                  tmp_path, capsys):
     # every enumeration from a datum to its kernel and Heisenberg group
-    # refuses a domain above the cap, and --cap-override lifts the refusal
+    # refuses a domain above the cap, and --cap-override lifts the refusal:
+    # x^9 scans to n = 6, a 36-entry Gram matrix, and then lists 64 points;
+    # x^5 at n = 3 already has 9 Gram entries
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     assert cli.main([command, "--input", str(path)]) == 0
@@ -554,12 +558,13 @@ def test_heisenberg_of_a_witt_datum_is_refused_without_traceback():
 
 def test_heisenberg_covering_points_do_not_sweep_the_field(monkeypatch, tmp_path, capsys):
     # the covering points come from a linear solve over E = F_64: a cap below
-    # q_E = 64 but above |K|^2 = 16 changes neither the exit code nor the output
+    # q_E = 64 but above |K|^2 = 16 and the (m*n)^2 = 36 Gram entries of the
+    # kernel at n = 3 changes neither the exit code nor the output
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"from_datum": _OMEGA_X3_F4}))
     assert cli.main(["heisenberg", "--input", str(path)]) == 0
     uncapped = strip_timing(capsys.readouterr().out)
-    monkeypatch.setenv("GAUSSLAB_CAP", "32")
+    monkeypatch.setenv("GAUSSLAB_CAP", "48")
     assert cli.main(["heisenberg", "--input", str(path)]) == 0
     assert strip_timing(capsys.readouterr().out) == uncapped
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -489,9 +490,34 @@ def test_field_invariants_survive_optimize(monkeypatch):
         with pytest.raises(TheoremViolated):
             for _ in range(field.q):
                 field.gen() * field.gen()
-    monkeypatch.setattr(fields, "witt_one", witt_zero)
-    with pytest.raises(TheoremViolated):
-        fields._witt_prime_iso.__wrapped__(3)
+
+
+def _frobenius_columns_by_powers(field, k):
+    """Column j of x -> x^(p^k) as X^(j p^k), one square-and-multiply per
+    column: the build `_frobenius_columns` replaced, kept as the oracle."""
+    e = field.p**k
+    return tuple(fields._sparse((field.gen() ** (j * e)).coeffs) for j in range(field.m))
+
+
+def test_frobenius_columns_and_trace_vector_match_per_column_powers():
+    # F_{2^20} is above TABLE_CAP, so every product is a polynomial multiply;
+    # a fresh F_{3^4} is checked before its log tables exist
+    big = make_field(2, 20)
+    assert big.q > fields.TABLE_CAP
+    small = fields.FiniteField(3, 4)
+    built = {k: small._frobenius_columns(k) for k in (1, 2, 3)}
+    trace = small._trace_vector
+    assert small._exp is None
+    for k, columns in built.items():
+        assert columns == _frobenius_columns_by_powers(small, k), k
+    for k in (1, 7, 19):
+        assert big._frobenius_columns(k) == _frobenius_columns_by_powers(big, k), k
+    # Tr(X^j) as the orbit sum of X^j under x -> x^p, taken by powering
+    for field, vector in ((small, trace), (big, big._trace_vector)):
+        for j, t in enumerate(vector):
+            x = field.gen() ** j
+            orbit = sum((x ** field.p**i for i in range(field.m)), field.zero())
+            assert orbit.coeffs == (t,) + (0,) * (field.m - 1), (field, j)
 
 
 def _trial_division_irreducible(mod, p):
@@ -681,6 +707,57 @@ def test_witt_prime_iso_zp2(p):
         for v in vectors:
             assert iso[u + v] == (iso[u] + iso[v]) % (p * p)
             assert iso[u * v] == (iso[u] * iso[v]) % (p * p)
+
+
+def _witt_prime_table(p):
+    """{(x0, x1): k} for the k-th multiple of (1, 0) in W2(F_p), k < p^2, one
+    Witt addition at a time: the table `witt_to_zp2` and `witt_trace` read
+    before the closed form x0^p + p x1, kept as the oracle."""
+    field = make_field(p, 1)
+    table, acc, one = {}, witt_zero(field), witt_one(field)
+    for k in range(p * p):
+        table[acc.x0.coeffs[0], acc.x1.coeffs[0]] = k
+        acc = acc + one
+    assert len(table) == p * p  # W2(F_p) is cyclic of order p^2
+    return table
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_witt_closed_form_matches_the_table(p):
+    # over F_p witt_to_zp2 and witt_trace are the table; over F_{p^2} the
+    # trace is the table's entry for the sum of the two Witt-Frobenius iterates
+    from gausslab.fields import witt_frobenius
+
+    table, field, big = _witt_prime_table(p), make_field(p, 1), make_field(p, 2)
+    for (x0, x1), k in table.items():
+        w = WittVector2(field, field.element([x0]), field.element([x1]))
+        assert witt_to_zp2(w) == witt_trace(w) == k
+    rng = random.Random(f"witt-table-{p}")
+    for _ in range(20):
+        w = WittVector2(big, *(big.from_int(rng.randrange(big.q)) for _ in range(2)))
+        total = w + witt_frobenius(w)
+        assert witt_trace(w) == table[total.x0.coeffs[0], total.x1.coeffs[0]]
+
+
+def test_gamma_coefficients_are_the_binomial_quotients():
+    # (-1)^i / i mod p against -binom(p, i)/p mod p, for every p <= 211
+    for p in filter(fields.is_prime, range(2, 212)):
+        assert fields._gamma_coeffs(p) == {i: -(comb(p, i) // p) % p for i in range(1, p)}, p
+
+
+def test_witt_trace_over_a_large_prime_field():
+    # W2(F_1009) has 1009^2 elements and none is listed: (x0, x1) is the
+    # Teichmueller lift of x0, the t = x0 mod p with t^(p-1) = 1 mod p^2,
+    # plus p x1; the sum and the product of two vectors map to those of the
+    # images
+    p = 1009
+    field = make_field(p, 1)
+    u, v = (WittVector2(field, field.element([a]), field.element([b]))
+            for a, b in ((5, 7), (998, 1)))
+    teich = next(t for t in range(5, p * p, p) if pow(t, p - 1, p * p) == 1)
+    assert witt_trace(u) == witt_to_zp2(u) == (teich + p * 7) % (p * p)
+    assert witt_to_zp2(u + v) == (witt_to_zp2(u) + witt_to_zp2(v)) % (p * p)
+    assert witt_to_zp2(u * v) == witt_to_zp2(u) * witt_to_zp2(v) % (p * p)
 
 
 def test_witt_operator_identities():
