@@ -15,7 +15,7 @@ _EXPORTS = {
     "exactalg": (
         "CyclotomicNumber", "IntPolynomial", "abs_square", "is_root_of_unity",
         "power_sums_from_char_poly", "power_sums_to_char_poly", "weil_certificate",
-        "zeta", "zeta_sum",
+        "weil_chain", "zeta", "zeta_sum",
     ),
     "fields": (
         "AdditivePolynomial", "Embedding", "FieldElement", "FiniteField", "WittVector2",

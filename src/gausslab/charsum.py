@@ -27,7 +27,7 @@ from .errors import (
     check_cap,
     checked_int,
 )
-from .exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
+from .exactalg import weil_chain, zeta, zeta_sum
 from .fields import (
     AdditivePolynomial,
     WittVector2,
@@ -36,6 +36,7 @@ from .fields import (
     _row_reduce_mod_p,
     _span_mod_p,
     absolute_trace_int,
+    check_extension,
     extension,
     witt_trace,
 )
@@ -704,40 +705,21 @@ class HDReport(Record):
 
 
 def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False):
-    """Verify S_n = (-1)^d p^r tau^n for n <= n_max, with exact tau from S_1.
-
-    Also checks abs_square(tau) = q^d and that tau^2/q^d is a root of unity.
-    Failures are reported in the HDReport (the Galois hypothesis may simply
-    fail for the datum).  Each S_n is closed-form (`char_sum`), so `workers`
-    never changes the result.
+    """The Weil chain (`weil_chain`) of S_1, ..., S_n_max with lead (-1)^d p^r
+    and norm q^d: S_n = (-1)^d p^r tau^n, |tau|^2 = q^d and tau^2/q^d a root of
+    unity.  F_{q^n_max} is refused before the first sum.  Failures are
+    reported in the HDReport (the Galois hypothesis may simply fail for the
+    datum); the sums are closed-form (`char_sum`), so `workers` never changes
+    the result.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    p = datum.field.p
-    q = datum.field.q
-    d = datum.d
+    check_extension(datum.field, n_max, override)
     sums = [char_sum(datum, n, workers=workers, override=override) for n in range(1, n_max + 1)]
-    sign = -1 if d % 2 else 1
-    tau = sums[0] * sign / p**r
-    residuals = []
-    for n in range(1, n_max + 1):
-        predicted = tau**n * (p**r) * sign
-        residuals.append(sums[n - 1] == predicted)
-    # a root of unity tau^2/q^d gives |tau|^2 = q^d (see
-    # `QuadraticForm.verify_gauss_sum_theorem`), so the conjugate is taken
-    # only when the lookup fails
-    ratio_order = is_root_of_unity(tau * tau / q**d)
-    fev_abs_ok = ratio_order is not None or abs_square(tau) == q**d
-    return HDReport(
-        datum=datum,
-        r=r,
-        tau=tau,
-        sums=sums,
-        chain_ok=all(residuals),
-        residuals=residuals,
-        fev_abs_ok=fev_abs_ok,
-        fev_ratio_order=ratio_order,
-    )
+    p, q, d = datum.field.p, datum.field.q, datum.d
+    chain = weil_chain(sums, p, q, (-1) ** d * p**r, q**d)
+    return HDReport(datum, r, chain.lam, sums, all(chain.residuals), chain.residuals,
+                    chain.abs_ok, chain.ratio_order)
 
 
 # -- pullback along etale isogenies ------------------------------------------------

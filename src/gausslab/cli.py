@@ -313,22 +313,10 @@ def _cmd_supersingular(job, options):
             "equations": list(spec.defining_equations()),
             "displayed_count_n1": str(displayed),
             "flags": flags,
-            "summands": [
-                {
-                    "psi": s.psi_exponent,
-                    "kind": s.kind,
-                    "r": s.r,
-                    "weight": s.weight,
-                    "ok": s.ok,
-                    "sums": [x.to_json() for x in s.sums],
-                }
-                for s in summands
-            ],
+            "summands": [{"psi": s.psi_exponent, "kind": s.kind, "r": s.r, "weight": s.weight,
+                          "ok": s.ok, "sums": [x.to_json() for x in s.sums]} for s in summands],
         }
-        checks = [
-            _check(f"summand-psi{s.psi_exponent}", s.ok) for s in summands
-        ]
-        return result, checks
+        return result, [_check(f"summand-psi{s.psi_exponent}", s.ok) for s in summands]
     if "curve" in job:
         from .varieties import CurveSpec, zeta_pipeline
 

@@ -15,7 +15,7 @@ the cached rows of zeta_N^k.
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 
-from .errors import IncompatibleOrders, NonIntegralElementarySymmetric, TheoremViolated
+from .errors import IncompatibleOrders, NonIntegralElementarySymmetric, Record, TheoremViolated
 
 # Computations refuse to build Q(zeta_N) beyond this order.
 ORDER_CAP = 2**16
@@ -333,6 +333,8 @@ class CyclotomicNumber:
         num, den = _ratio(other)
         if not num:
             raise ZeroDivisionError("division of a cyclotomic number by zero")
+        if num == den == 1:
+            return self
         return _make(self.order, [c * den for c in self.nums], self.den * num)
 
     def galois(self, k):
@@ -420,6 +422,58 @@ def is_root_of_unity(z):
         if k is None:
             return None
     return bound // gcd(k * (bound // n) + half, bound)
+
+
+class WeilChain(Record):
+    """S_n = lead * lam^n with |lam|^2 = N = q^weight and lam^2 / N a root of
+    unity of order ratio_order (None when it is none); lead = +-p^r."""
+    lam: object
+    lead: object
+    r: object
+    residuals: list  # S_n == lead * lam^n, for n = 1, 2, ...
+    abs_ok: bool  # |lam|^2 = N
+    weight: object
+    ratio_order: object
+
+
+def _exact_log(z, base):
+    """k with z = +-base^k for an int or a rational-integer cyclotomic z, else None."""
+    if isinstance(z, CyclotomicNumber):
+        z = z.nums[0] if z.is_rational() and z.den == 1 else 0
+    value, k = abs(z), 0
+    while value > 1 and value % base == 0:
+        value, k = value // base, k + 1
+    return k if value == 1 else None
+
+
+def weil_chain(sums, p, q, lead=None, norm=None):
+    """The Weil chain of exact sums S_1, S_2, ...: a pure sum whose Frobenius
+    eigenvalues all agree (equality in the triangle inequality; Deligne, SGA
+    4 1/2).  Given a lead +-p^r and a norm N (Hasse--Davenport: (-1)^d p^r and
+    q^d; a Gauss sum: 1 and |M|), lam = S_1 / lead.  Given neither, lead =
+    S_1^2 / S_2 (so lam = S_2 / S_1) and the weight is log_q |lam|^2, or the
+    result is None when S_1 or S_2 is missing or zero.  A root of unity lam^2 / N
+    gives |sigma(lam)|^2 = N for every embedding sigma of Q(zeta) into C, and
+    so lam * conj(lam) = N, since conjugation commutes with every sigma: for
+    a known N the conjugate is formed only when that lookup fails."""
+    if lead is None:
+        if len(sums) < 2 or sums[0].is_zero() or sums[1].is_zero():
+            return None
+        lead = sums[0] * sums[0] / sums[1]
+    lam = sums[0] / lead
+    residuals, power = [True], lam  # S_1 = lead * lam by the choice of lam
+    for s in sums[1:]:
+        power = power * lam
+        residuals.append(s == lead * power)
+    if norm is None:  # |lam|^2 = q^weight whenever the log exists
+        weight = _exact_log(abs_square(lam), q)
+        abs_ok = weight is not None
+        order = is_root_of_unity(lam * lam / q**weight) if abs_ok else None
+    else:
+        weight = _exact_log(norm, q)
+        order = is_root_of_unity(lam * lam / norm)
+        abs_ok = order is not None or abs_square(lam) == norm
+    return WeilChain(lam, lead, _exact_log(lead, p), residuals, abs_ok, weight, order)
 
 
 def _primitive(a):

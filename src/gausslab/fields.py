@@ -640,9 +640,16 @@ def extension(field, n, override):
     if n == 1:
         return field, _IdentityEmbedding(field)
     check_cap(field.q, override, "embedding search")
-    check_cap(field.q**n, override, "extension field", FIELD_CAP)
+    check_extension(field, n, override)
     big = make_field(field.p, field.m * n)
     return big, Embedding(field, big)
+
+
+def check_extension(field, n, override):
+    """Refuse F_{q^n} above FIELD_CAP, as `extension` does before it builds
+    it; a job calls this first with the largest degree it will build."""
+    if n > 1:
+        check_cap(field.q**n, override, "extension field", FIELD_CAP)
 
 
 class _IdentityEmbedding:

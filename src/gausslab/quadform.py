@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolated,
 )
 from .exactalg import (
-    CyclotomicNumber, _divisors, is_root_of_unity, zeta, zeta_exponents, zeta_sum
+    CyclotomicNumber, _divisors, weil_chain, zeta, zeta_exponents, zeta_sum
 )
 
 
@@ -239,18 +239,13 @@ class QuadraticForm:
         return zeta_sum(self.value_order, Counter(self.exponents))
 
     def verify_gauss_sum_theorem(self):
-        """Certify tau * conj(tau) = |M| and tau^2/|M| a root of unity.
-
-        The lookup of tau^2/|M| proves both: if it is a root of unity, then
-        |sigma(tau)|^2 = |M| for every embedding sigma of Q(zeta_N) into C;
-        complex conjugation commutes with every such sigma, so sigma(tau *
-        conj(tau)) = |M| = sigma(|M|), and sigma is injective.  Returns the
+        """Certify tau * conj(tau) = |M| and tau^2/|M| a root of unity: the
+        Weil chain of tau with lead 1 and norm |M| (`weil_chain`).  Returns the
         order of the root of unity; reaching TheoremViolated means a bug, not
         new mathematics.
         """
-        tau = self.gauss_sum()
-        ratio = tau * tau / self.group.order
-        order = is_root_of_unity(ratio)
+        size = self.group.order
+        order = weil_chain([self.gauss_sum()], size, size, 1, size).ratio_order
         if order is None:
             raise TheoremViolated(f"tau^2/|M| not a root of unity for {self!r}")
         return order

@@ -10,7 +10,7 @@ Their W2 character sums split each Witt vector as a = [x0] + V(x1), and
 is F_p-linear in x1 whether or not h is additive, so each sum over W2(F_{q^n})
 is q^n times a sum over x0 alone.  A W2 endomorphism is three additive
 polynomials f, R and g2 over one field, and every summand that is neither
-trivial nor vanishing is certified by one chain check, `_chain_shape`.
+trivial nor vanishing is certified by one Weil chain, `exactalg.weil_chain`.
 """
 
 from collections import Counter
@@ -20,11 +20,10 @@ from .charsum import _checked_gram, _coordinate_basis, _histogram, as_reduce, go
 from .errors import Record, SwanDivisibleByP, TheoremViolated, check_cap
 from .exactalg import (
     IntPolynomial,
-    abs_square,
-    is_root_of_unity,
     power_sums_from_char_poly,
     power_sums_to_char_poly,
     weil_certificate,
+    weil_chain,
     zeta_sum,
 )
 from .fields import (
@@ -34,6 +33,7 @@ from .fields import (
     _row_reduce_mod_p,
     absolute_trace_int,
     additive_kernel,
+    check_extension,
     exponent_dict_from_json,
     extension,
     gamma_value,
@@ -201,12 +201,14 @@ def zeta_pipeline(spec, b=None, override=False):
 
     Convention: N_n = q^n - s_n (affine smooth geometrically connected curve:
     no H^0_c, H^2_c contributes q^n, s_n the H^1_c eigenvalue power sums).
+    The largest field, F_{q^b}, is refused before the first count.
     """
     if b is None:
         b = betti_prediction(spec, override=override)
     q = spec.field.q
     if b == 0:
         return ZetaData(q, 0, [], [], IntPolynomial([1]), (1, {}))
+    check_extension(spec.field, b, override)
     counts = [count_points(spec, n, override=override) for n in range(1, b + 1)]
     s = [q**n - c for n, c in zip(range(1, b + 1), counts)]
     poly = power_sums_to_char_poly(s, b)
@@ -216,8 +218,10 @@ def zeta_pipeline(spec, b=None, override=False):
 
 def betti_closure_check(spec, override=False):
     """Newton closes integrally at B = betti_prediction and the next two
-    power sums match the companion recursion of the L-polynomial exactly."""
+    power sums match the companion recursion of the L-polynomial exactly.
+    F_{q^(B+2)} is refused before the first count."""
     b = betti_prediction(spec, override=override)
+    check_extension(spec.field, b + 2, override)
     data = zeta_pipeline(spec, b, override=override)
     q = spec.field.q
     fresh = data.power_sums + [q**n - count_points(spec, n, override=override)
@@ -440,35 +444,6 @@ class SurfaceSummand(Record):
     ok: bool
 
 
-def _exact_log(z, base):
-    """k with z = +-base^k for a cyclotomic z that is a rational integer,
-    else None."""
-    if not (z.is_rational() and z.den == 1 and z.nums[0]):
-        return None
-    value, k = abs(z.nums[0]), 0
-    while value % base == 0:
-        value //= base
-        k += 1
-    return k if value == 1 else None
-
-
-def _chain_shape(sums, p, q):
-    """(r, i) when S_1, S_2, ... form a chain S_n = +-p^r tau^n with
-    |tau|^2 = q^i and tau^2 / q^i a root of unity, else None.  tau = S_2/S_1,
-    so S_1 and S_2 must be nonzero."""
-    if len(sums) < 2 or sums[0].is_zero() or sums[1].is_zero():
-        return None
-    tau = sums[1] / sums[0]
-    lead = sums[0] / tau
-    r = _exact_log(lead, p)
-    if r is None or any(s != lead * tau**n for n, s in enumerate(sums, 1)):
-        return None
-    i = _exact_log(abs_square(tau), q)
-    if i is None or is_root_of_unity(tau * tau / q**i) is None:
-        return None
-    return r, i
-
-
 def surface_summand_certificates(spec, n_max=3, override=False):
     """Per-character certification of the surface through its W2 covering.
 
@@ -476,10 +451,9 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     splits into character summands S_n(psi) = sum psi(witt_trace(a * h(a))).
     Each summand is a quadratic-sheaf sum, so it must be one of: the trivial
     summand (S_n = q^{2n}), identically vanishing (degenerate datum with
-    nontrivial restriction to the kernel), or a geometric chain
-    S_n = s * p^r * tau^n with s = +-1, |tau|^2 = q^i for an integer i
-    (the cohomological degree: Tate twists from descent raise i above 2), and
-    tau^2 / q^i a root of unity.  That is exactly the supersingularity shape.
+    nontrivial restriction to the kernel), or a Weil chain S_n = +-p^r tau^n
+    with |tau|^2 = q^i and tau^2 / q^i a root of unity (`weil_chain`), i the
+    cohomological degree (Tate twists from descent raise i above 2).
 
     The sums use the Teichmueller--Verschiebung split a = [x0] + V(x1).  With
     h(a) = (f(x0), g1(x0) + g2(x1)), the W2 product (x0 y0, x0^p y1 + y0^p x1)
@@ -493,13 +467,11 @@ def surface_summand_certificates(spec, n_max=3, override=False):
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    p = spec.field.p
+    p, q = spec.field.p, spec.field.q
     p2 = p * p
-    q = spec.field.q
-    results = []
+    check_cap(q**n_max, override, "surface summands")
     sums_by_psi = {j: [] for j in range(p2)}
     for n in range(1, n_max + 1):
-        check_cap(q**n, override, "surface summands")
         big, emb = extension(spec.field, n, override)
         endo = spec.endo.lift(emb)
         g2_basis = [(b, endo.g2.evaluate(b)) for b in big._power_basis]
@@ -509,29 +481,29 @@ def surface_summand_certificates(spec, n_max=3, override=False):
             return tuple(absolute_trace_int(xp * g2b + fp * b) for b, g2b in g2_basis)
 
         kernel = {x0.coeffs for x0 in _linear_kernel(big, cross)}
-        full, on_kernel = {}, {}  # t(x0, 0) over F_{q^n} and over K, q^n x1 each
+        full, on_kernel = Counter(), Counter()  # t(x0, 0) over F_{q^n} and over K
         for x0 in big.elements():
             a = WittVector2(big, x0, big.zero())
             t = witt_trace(a * endo(a))
-            full[t] = full.get(t, 0) + big.q
+            full[t] += big.q  # q^n x1 each
             if x0.coeffs in kernel:
-                on_kernel[t] = on_kernel.get(t, 0) + big.q
+                on_kernel[t] += big.q
         for j in range(p2):
-            folded = {}
+            folded = Counter()
             for t, c in (on_kernel if j % p else full).items():
-                k = (j * t) % p2
-                folded[k] = folded.get(k, 0) + c
+                folded[(j * t) % p2] += c
             sums_by_psi[j].append(zeta_sum(p2, folded))
-    for j in range(p2):
-        sums = sums_by_psi[j]
+    results = []
+    for j, sums in sums_by_psi.items():
         if j == 0:
-            ok = all(s == q ** (2 * n) for n, s in zip(range(1, n_max + 1), sums))
+            ok = all(s == q ** (2 * n) for n, s in enumerate(sums, 1))
             results.append(SurfaceSummand(0, "trivial", 0, 4, sums, ok))
-            continue
-        if all(s.is_zero() for s in sums):
+        elif all(s.is_zero() for s in sums):
             results.append(SurfaceSummand(j, "vanishing", None, None, sums, True))
-            continue
-        shape = _chain_shape(sums, p, q)
-        r, weight = shape or (None, None)
-        results.append(SurfaceSummand(j, "chain", r, weight, sums, shape is not None))
+        else:
+            chain = weil_chain(sums, p, q)
+            ok = (chain is not None and all(chain.residuals) and chain.abs_ok
+                  and None not in (chain.r, chain.ratio_order))
+            r, weight = (chain.r, chain.weight) if ok else (None, None)
+            results.append(SurfaceSummand(j, "chain", r, weight, sums, ok))
     return results

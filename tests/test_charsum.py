@@ -40,7 +40,7 @@ from gausslab.errors import (
     TheoremViolated,
     check_cap,
 )
-from gausslab.exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
+from gausslab.exactalg import abs_square, is_root_of_unity, weil_chain, zeta, zeta_sum
 from gausslab import charsum, fields
 from gausslab.fields import AdditivePolynomial, absolute_trace_int, extension, make_field
 
@@ -404,6 +404,61 @@ def test_hasse_davenport_catalog():
             assert abs_square(rep.sums[0]) == datum.field.p ** (2 * r) * datum.field.q ** datum.d
 
 
+def _inline_hd_chain(sums, datum, r):
+    """(tau, residuals, fev_abs_ok, fev_ratio_order) by the loop that
+    `hasse_davenport_check` ran before it called `weil_chain`, kept as the
+    oracle."""
+    p, q, d = datum.field.p, datum.field.q, datum.d
+    sign = -1 if d % 2 else 1
+    tau = sums[0] * sign / p**r
+    residuals = []
+    for n in range(1, len(sums) + 1):
+        predicted = tau**n * (p**r) * sign
+        residuals.append(sums[n - 1] == predicted)
+    ratio_order = is_root_of_unity(tau * tau / q**d)
+    fev_abs_ok = ratio_order is not None or abs_square(tau) == q**d
+    return tau, residuals, fev_abs_ok, ratio_order
+
+
+def _hd_oracle_cases():
+    """(name, datum, r, n_max): every corpus `hasse-davenport` fixture, the
+    catalog with its two negative controls, and 8 seeded data with a nonzero
+    pairing for each of F_2, F_4, F_3 and F_9 and each d <= 2, at r <= 2."""
+    cases = [(name, QuadDatum.from_json(job["input"]["datum"]), job["input"]["r"],
+              job["input"]["n_max"])
+             for name, job in corpus().items() if job["command"] == "hasse-davenport"]
+    cases += [(name, datum, r, 3) for name, datum, r, _ in catalog_data()]
+    for field in (F2, F4, F3, F9):
+        rng = random.Random(f"hd-nonzero-{field.q}")
+        for d in (1, 2):
+            for k in range(8):
+                datum = _nonzero_pairing_datum(field, d, rng)
+                cases += [(f"{field.tag}-d{d}-{k}-r{r}", datum, r, 3) for r in range(3)]
+    return cases
+
+
+def test_weil_chain_matches_the_inline_hasse_davenport_loop():
+    # the helper's lambda, lead, r, weight, residuals, |lambda|^2 decision and
+    # ratio order against the loop it replaced; the report is read off them
+    cases, held = _hd_oracle_cases(), 0
+    for name, datum, r, n_max in cases:
+        p, q, d = datum.field.p, datum.field.q, datum.d
+        sums = [char_sum(datum, n) for n in range(1, n_max + 1)]
+        chain = weil_chain(sums, p, q, (-1) ** d * p**r, q**d)
+        tau, residuals, abs_ok, order = _inline_hd_chain(sums, datum, r)
+        assert chain.lam.to_json() == tau.to_json(), name
+        assert (chain.lead, chain.r, chain.weight) == ((-1) ** d * p**r, r, d), name
+        assert (chain.residuals, chain.abs_ok, chain.ratio_order) == (residuals, abs_ok, order), name
+        # the lookup decides |tau|^2 = q^d as the conjugate does
+        assert chain.abs_ok == (abs_square(tau) == q**d), name
+        rep = hasse_davenport_check(datum, r, n_max)
+        assert (rep.tau.to_json(), rep.sums, rep.chain_ok, rep.residuals, rep.fev_abs_ok,
+                rep.fev_ratio_order) == (tau.to_json(), sums, all(residuals), residuals, abs_ok,
+                                         order), name
+        held += all(chain.residuals) and chain.abs_ok and chain.ratio_order is not None
+    assert 30 < held < len(cases) - 30  # 41 of 209 chains hold
+
+
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_hasse_davenport_degree_below_one_rejected(n_max):
     with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
@@ -537,14 +592,31 @@ def _kernel_cases(table_bound):
     return cases
 
 
+def _nonzero_kernel_cases(table_bound):
+    """(name, datum, n): 12 `_nonzero_pairing_datum` draws for each field of
+    p in {2, 3, 5} and m <= 2 and each d <= 2, at n <= 3 where q^(n*d) <=
+    table_bound; a stream of their own, so the `_kernel_cases` draws stay."""
+    cases = []
+    for field in (F2, F4, F3, F9, F5, make_field(5, 2)):
+        rng = random.Random(f"kernel-nonzero-{field.q}")
+        for d in (1, 2):
+            for k in range(12):
+                datum = _nonzero_pairing_datum(field, d, rng)
+                assert not symbolic_pairing(datum).is_zero(), datum.to_json()
+                cases += [(f"{field.tag}-d{d}-nonzero-{k}", datum, n) for n in (1, 2, 3)
+                          if field.q ** (n * d) <= table_bound]
+    return cases
+
+
 def test_kernel_from_polar_rows_matches_the_lifted_pairing():
     # the radical of the evaluator's polar form, pulled back through the
     # adjoint substitutions, against the nullspace of the lifted symbolic
-    # pairing: the same field and the same reduced basis, on the catalog and
-    # on the seeded data
+    # pairing: the same field and the same reduced basis, on the catalog, on
+    # the seeded data and on seeded data with a nonzero pairing
     cases = _kernel_cases(2**12)
     assert len(cases) >= 700
-    for name, datum, n in cases:
+    nonzero = _nonzero_kernel_cases(2**12)
+    for name, datum, n in cases + nonzero:
         ev = charsum._Evaluator(datum, n)
         expected = _lifted_pairing_kernel(symbolic_pairing(datum), n)
         assert (ev.big, charsum._kernel_basis(ev, datum.d)) == expected, (name, n)
@@ -677,6 +749,43 @@ def _random_datum(field, d, rng):
         else:
             f = {i: coeff() for i in rng.sample((-1, 0, 1), rng.randint(1, 2))}
             terms.append(Precompose(j, AdditivePolynomial(field, f)))
+    return QuadDatum(field, d, terms)
+
+
+def _unit(field, rng):
+    return field.from_int(rng.randrange(1, field.q))
+
+
+def _nonzero_pairing_datum(field, d, rng):
+    """A datum whose symbolic pairing is nonzero by construction.  Each
+    coordinate j carries one diagonal term with a unit coefficient, a
+    x_j^(p^i + 1) with i in {1, 2}, a half square for odd p or a Witt term for
+    p = 2, and only it adds to f_jj, which is then nonzero; cross terms join
+    coordinates j < k only, AS-linear twists add nothing, and a precomposition
+    by a nonzero additive polynomial keeps every entry nonzero (additive
+    polynomials under composition have no zero divisors)."""
+    p = field.p
+    terms = []
+    for j in range(d):
+        kind = rng.choice(["diag", "halfsq" if p != 2 else "wittlin"])
+        if kind == "diag":
+            terms.append(DiagMonomial(j, rng.randint(1, 2), _unit(field, rng)))
+        elif kind == "halfsq":
+            terms.append(HalfSquare(j, _unit(field, rng)))
+        else:
+            terms.append(WittLinear(j, _unit(field, rng)))
+    for j in range(d):
+        for k in range(j + 1, d):
+            for i in rng.sample(range(3), rng.randint(0, 2)):
+                terms.append(CrossMonomial(j, k, i, _unit(field, rng)))
+    for _ in range(rng.randint(0, d)):
+        j = rng.randrange(d)
+        if rng.random() < 0.5:
+            terms.append(ASLinear(j, _unit(field, rng)))
+        else:
+            f = {i: _unit(field, rng) for i in rng.sample((-1, 0, 1), rng.randint(1, 2))}
+            terms.append(Precompose(j, AdditivePolynomial(field, f)))
+    rng.shuffle(terms)
     return QuadDatum(field, d, terms)
 
 

@@ -445,6 +445,44 @@ def test_curve_count_refuses_above_the_cap_before_building(monkeypatch, tmp_path
     assert built == []
 
 
+class _Worked(Exception):
+    """Raised by a stand-in for the first sum or count of a job."""
+
+
+_X129_F2 = {"field": {"p": 2, "m": 1}, "f": {"0": [1], "1": [1]}, "g1": {"7": [1]},
+            "g2": {"0": [1]}, "a": [0]}  # y^2 + y = x^129 over F_2: Betti number 128
+_FIELD_BOUND = "extension field over {} points exceeds cap " + str(2**128)
+
+
+@pytest.mark.parametrize("command, job, module, first, what", [
+    ("hasse-davenport", {"datum": {"field": {"p": 2, "m": 1}, "d": 1, "terms": [
+        {"kind": "diag", "j": 0, "i": 1, "a": [1]}]}, "r": 1, "n_max": 129},
+     "charsum", "char_sum", _FIELD_BOUND.format(2**129)),
+    ("zeta", {"curve": _X129_F2}, "varieties", "count_points",
+     _FIELD_BOUND.format(2**130)),  # n <= B + 2 = 130
+    ("supersingular", {"curve": _X129_F2, "b": 129}, "varieties", "count_points",
+     _FIELD_BOUND.format(2**129)),
+    ("supersingular", {**corpus()["surface-p2"]["input"], "n_max": 21}, "varieties", "extension",
+     f"surface summands over {2**21} points exceeds cap {2**20}"),
+], ids=["hasse-davenport", "zeta", "supersingular-curve", "supersingular-surface"])
+def test_the_largest_field_is_refused_before_any_work(command, job, module, first, what,
+                                                      monkeypatch, tmp_path, capsys):
+    # the largest degree a job builds is known before its first sum or count
+    # (n_max, B + 2, b): above its bound the job exits 3 at once, where it
+    # used to compute every lower degree first, and --cap-override lifts the
+    # refusal
+    import importlib
+
+    def worked(*args, **kwargs):
+        raise _Worked(first)
+
+    monkeypatch.setattr(importlib.import_module(f"gausslab.{module}"), first, worked)
+    code, err = run_main(command, job, tmp_path, capsys)
+    assert (code, err) == (3, f"scale cap exceeded: {what}\n")
+    with pytest.raises(_Worked):
+        cli.main([command, "--input", str(tmp_path / "job.json"), "--cap-override"])
+
+
 def _diag_datum_json(p, m, i, a):
     from gausslab.charsum import DiagMonomial, QuadDatum
     from gausslab.fields import make_field

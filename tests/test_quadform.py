@@ -16,7 +16,7 @@ from gausslab.errors import (
     NotQuadratic,
     TheoremViolated,
 )
-from gausslab.exactalg import abs_square, is_root_of_unity, zeta, zeta_sum
+from gausslab.exactalg import abs_square, is_root_of_unity, weil_chain, zeta, zeta_sum
 from gausslab.fields import is_prime
 from gausslab.quadform import (
     FiniteAbelianGroup,
@@ -147,11 +147,47 @@ def test_verify_gauss_sum_theorem_exeasy():
     assert EXEASY.verify_gauss_sum_theorem() == 4  # (1+i)^2/2 = i
 
 
+def _looked_up_ratio_order(tau, size):
+    """The order that `verify_gauss_sum_theorem` looked up itself before it
+    called `weil_chain`, kept as the oracle."""
+    return is_root_of_unity(tau * tau / size)
+
+
+def test_weil_chain_matches_the_gauss_sum_lookup():
+    # the three gauss-verify fixtures and seeded forms: lambda = tau, lead 1,
+    # r = 0, weight 1, and the lookup's order; a tau doubled fails both tests
+    from gausslab.corpus import corpus
+
+    fixtures = [QuadraticForm.from_json(job["input"]["form"])
+                for job in corpus().values() if job["command"] == "gauss-verify"]
+    assert len(fixtures) == 3
+    seeded = [random_nondegenerate(FiniteAbelianGroup(moduli), seed)
+              for moduli in ([2] * 4, [4, 2], [9], [3, 3], [8], [5, 25]) for seed in range(3)]
+    for form in fixtures + seeded:
+        tau, size = form.gauss_sum(), form.group.order
+        chain = weil_chain([tau], size, size, 1, size)
+        assert (chain.lam, chain.lead, chain.r, chain.weight, chain.residuals) == (
+            tau, 1, 0, 1, [True]), form
+        assert chain.ratio_order == _looked_up_ratio_order(tau, size), form
+        assert chain.ratio_order == form.verify_gauss_sum_theorem(), form
+        assert chain.abs_ok is True and abs_square(tau) == size, form
+        doubled = weil_chain([2 * tau], size, size, 1, size)
+        assert doubled.ratio_order is None and _looked_up_ratio_order(2 * tau, size) is None, form
+        assert not doubled.abs_ok, form
+
+
 def test_gauss_certificate_takes_no_conjugate(monkeypatch, tmp_path, capsys):
     # tau^2/|M| a root of unity implies tau conj(tau) = |M|, so a gauss-verify
-    # job takes no abs_square or Galois image; a tau doubled is still a fault
+    # job takes no abs_square or Galois image; a tau doubled is still a fault.
+    # The same holds for the Hasse-Davenport chains of the catalog data whose
+    # lookup of tau^2/q^d succeeds.
     from gausslab import exactalg
+    from gausslab.charsum import hasse_davenport_check
+    from gausslab.corpus import catalog_data
 
+    chains = [(datum, r, hasse_davenport_check(datum, r)) for _, datum, r, _ in catalog_data()]
+    chains = [(datum, r, rep) for datum, r, rep in chains if rep.fev_ratio_order is not None]
+    assert len(chains) == 8  # all but the two negative controls
     calls = []
     galois = exactalg.CyclotomicNumber.galois
     monkeypatch.setattr(exactalg.CyclotomicNumber, "galois",
@@ -162,6 +198,8 @@ def test_gauss_certificate_takes_no_conjugate(monkeypatch, tmp_path, capsys):
     for form in forms:
         report = cli.dispatch("gauss-verify", {"form": form.to_json()})
         assert report["ok"] and report["result"]["abs_square"] == str(form.group.order)
+    for datum, r, rep in chains:
+        assert hasse_davenport_check(datum, r) == rep
     assert calls == []
     tau = QuadraticForm._tau
     monkeypatch.setattr(QuadraticForm, "_tau", property(lambda self: 2 * tau.func(self)))

@@ -7,8 +7,9 @@ from itertools import islice
 import pytest
 
 from gausslab.charsum import clb_cocycle_identity_check
+from gausslab.corpus import corpus
 from gausslab.errors import ScaleCapExceeded, check_cap
-from gausslab.exactalg import IntPolynomial, zeta_sum
+from gausslab.exactalg import IntPolynomial, abs_square, is_root_of_unity, weil_chain, zeta_sum
 from gausslab.fields import (
     AdditivePolynomial,
     WittVector2,
@@ -630,8 +631,6 @@ def test_surface_sums_match_enumeration(spec, n_max):
 def _nested_summand_shape(j, sums, p, q):
     """(kind, r, weight, ok) of one summand by the nested classifier that the
     flat chain check `_chain_shape` replaced, kept as the reference."""
-    from gausslab.exactalg import abs_square, is_root_of_unity
-
     n_max = len(sums)
     if j == 0:
         return "trivial", 0, 4, all(s == q ** (2 * n) for n, s in zip(range(1, n_max + 1), sums))
@@ -672,6 +671,66 @@ def test_surface_summands_match_the_nested_classifier(spec, n_max):
     summands = surface_summand_certificates(spec, n_max)
     assert ([(s.kind, s.r, s.weight, s.ok) for s in summands]
             == [_nested_summand_shape(s.psi_exponent, s.sums, p, q) for s in summands])
+
+
+def _exact_log(z, base):
+    """k with z = +-base^k for a cyclotomic z that is a rational integer,
+    else None."""
+    if not (z.is_rational() and z.den == 1 and z.nums[0]):
+        return None
+    value, k = abs(z.nums[0]), 0
+    while value % base == 0:
+        value //= base
+        k += 1
+    return k if value == 1 else None
+
+
+def _chain_shape(sums, p, q):
+    """(r, i) when S_1, S_2, ... form a chain S_n = +-p^r tau^n with
+    |tau|^2 = q^i and tau^2 / q^i a root of unity, else None.  tau = S_2/S_1,
+    so S_1 and S_2 must be nonzero.  The flat chain check that
+    `surface_summand_certificates` ran before it called `weil_chain`, kept
+    as the oracle."""
+    if len(sums) < 2 or sums[0].is_zero() or sums[1].is_zero():
+        return None
+    tau = sums[1] / sums[0]
+    lead = sums[0] / tau
+    r = _exact_log(lead, p)
+    if r is None or any(s != lead * tau**n for n, s in enumerate(sums, 1)):
+        return None
+    i = _exact_log(abs_square(tau), q)
+    if i is None or is_root_of_unity(tau * tau / q**i) is None:
+        return None
+    return r, i
+
+
+_CORPUS_SURFACES = [
+    pytest.param(SurfaceSpec.from_json(job["input"]["surface"]), job["input"]["n_max"], id=name)
+    for name, job in corpus().items() if "surface" in job["input"]]
+
+
+@pytest.mark.parametrize("spec, n_max", _CORPUS_SURFACES + _SURFACE_CASES)
+def test_weil_chain_matches_the_flat_chain_check(spec, n_max):
+    # on every summand that is neither trivial nor vanishing: lambda = S_2/S_1,
+    # lead = S_1/lambda, r and the weight as exact logs, the residuals, the
+    # |lambda|^2 decision and the ratio order, and (r, weight) when it holds
+    p, q = spec.field.p, spec.field.q
+    chains = [s.sums for s in surface_summand_certificates(spec, n_max) if s.kind == "chain"]
+    for sums in chains:
+        chain = weil_chain(sums, p, q)
+        holds = (chain is not None and all(chain.residuals) and chain.abs_ok
+                 and None not in (chain.r, chain.ratio_order))
+        assert ((chain.r, chain.weight) if holds else None) == _chain_shape(sums, p, q)
+        if chain is None:
+            assert len(sums) < 2 or sums[0].is_zero() or sums[1].is_zero()
+            continue
+        tau = sums[1] / sums[0]
+        lead = sums[0] / tau
+        i = _exact_log(abs_square(tau), q)
+        assert (chain.lam, chain.lead, chain.r, chain.weight) == (tau, lead, _exact_log(lead, p), i)
+        assert chain.residuals == [s == lead * tau**n for n, s in enumerate(sums, 1)]
+        assert chain.abs_ok == (i is not None)
+        assert chain.ratio_order == (None if i is None else is_root_of_unity(tau * tau / q**i))
 
 
 @pytest.mark.parametrize("spec, n_max", _SURFACE_CASES)
