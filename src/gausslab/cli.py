@@ -92,6 +92,7 @@ def _cmd_gauss_sum(job, options):
 
 
 def _cmd_gauss_verify(job, options):
+    from .exactalg import abs_square
     from .quadform import QuadraticForm, char2_invariant, recursive_gauss_eval
 
     form = QuadraticForm.from_json(job["form"])
@@ -104,9 +105,10 @@ def _cmd_gauss_verify(job, options):
     result = {"tau": tau.to_json(), "nondegenerate": form.is_nondegenerate()}
     if form.is_nondegenerate():
         order = form.verify_gauss_sum_theorem()
-        result["abs_square"] = str(form.group.order)
+        abs_ok = form.gauss_chain.abs_ok
+        result["abs_square"] = str(form.group.order) if abs_ok else abs_square(tau).to_json()
+        checks.append(_check("abs-square-is-order", abs_ok, witness=result["abs_square"]))
         result["ratio_order"] = order
-        checks.append(_check("abs-square-is-order", True))
         oracle = recursive_gauss_eval(form)
         checks.append(
             _check("recursive-oracle-agrees", oracle == tau,

@@ -7,13 +7,16 @@ element of Q[X]/(f), for a monic integer f, is an integer coefficient vector in
 the power basis 1, X, ..., X^(deg f - 1) over one common denominator, kept in
 lowest terms.  Q(zeta_N) is the case f = Phi_N, and the Weil certificate works
 in Q[T]/(p0) for a squarefree L-polynomial p0; both reduce through one
-`_OrderContext` and multiply with its one `mul`.  A root of unity of Q(zeta_N)
-is recognised by one lookup of its coefficient vector (or its negative) among
-the cached rows of zeta_N^k.
+`_OrderContext` and multiply with its one `mul`.  Q(zeta_N) reduces through
+Q(zeta_r), r = rad N (Phi_N(X) = Phi_r(X^s), s = N / r): its context builds
+r rows of length phi(r), never N rows of length phi(N), and `fold` one sparse
+row per exponent it meets, so ORDER_CAP bounds N, phi(N) and that cache.  An
+order that is its own radical, a prime above all, still builds N rows.
 """
 
-from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from functools import cached_property, lru_cache
+from itertools import compress
+from math import comb, gcd, isqrt, lcm, prod
 
 from .errors import IncompatibleOrders, NonIntegralElementarySymmetric, Record, TheoremViolated
 
@@ -36,20 +39,30 @@ def _divisors(n):
     return small + large[::-1]
 
 
+def _primes(n):
+    """The distinct primes dividing n >= 1, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, low degree first, as a tuple of ints."""
+    """Coefficients of Phi_n, low degree first, as a tuple of ints.  For n = m p
+    with p the largest prime factor, Phi_n(X) is Phi_m(X^p) when p | m, else
+    Phi_m(X^p) / Phi_m(X)."""
     if n == 1:
         return (-1, 1)
-    # X^n - 1 divided by the product of Phi_d over proper divisors d | n.
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in _divisors(n):
-        if d == n:
-            continue
-        den = cyclotomic_polynomial(d)
-        num = _int_poly_exact_div(num, den)
-    return tuple(num)
+    p = _primes(n)[-1]
+    base = cyclotomic_polynomial(n // p)
+    out = [0] * (p * (len(base) - 1) + 1)
+    out[::p] = base
+    return tuple(out if n // p % p == 0 else _int_poly_exact_div(out, base))
 
 
 def _int_poly_exact_div(num, den):
@@ -73,24 +86,23 @@ def _int_poly_exact_div(num, den):
 
 
 class _OrderContext:
-    """Reduction data of Q[X]/(f) for a monic integer f of degree deg >= 1:
-    row(j) is X^j mod f in the power basis.  With a period n (f = Phi_n and
-    X = zeta_n) exponents are read mod n.  Elements are pairs (nums, den): an
+    """Reduction data of Q[X]/(f(X^s)), f monic of degree d >= 1, in the power
+    basis of degree deg = s d: X^(s a + b), 0 <= b < s, is row a of f's own
+    recurrence placed at the indices s t + b.  With a period n (Phi_n, X =
+    zeta_n) exponents are read mod n.  Elements are pairs (nums, den): an
     integer vector over a nonzero integer denominator."""
 
-    def __init__(self, f, n=0):
-        self.n = n
-        self.deg = len(f) - 1
-        # X^deg = -(f - leading term); f is monic.
+    def __init__(self, f, n=0, s=1):
+        self.n, self.s = n, s
+        self.deg = s * (len(f) - 1)
+        # X^d = -(f - leading term); f is monic.
         self.top = tuple(-c for c in f[:-1])
-        self._rows = [(1,) + (0,) * (self.deg - 1)]
+        self._rows = [(1,) + (0,) * (len(f) - 2)]
         self._sparse = {}
 
-    def row(self, j):
-        if self.n:
-            j %= self.n
+    def _row(self, a):  # X^a mod f, by the recurrence X^(a+1) = X * X^a
         rows = self._rows
-        while len(rows) <= j:
+        while len(rows) <= a:
             cur = rows[-1]
             carry = cur[-1]
             nxt = [0, *cur[:-1]]
@@ -98,14 +110,17 @@ class _OrderContext:
                 for t, c in enumerate(self.top):
                     nxt[t] += carry * c
             rows.append(tuple(nxt))
-        return rows[j]
+        return rows[a]
+
+    def row(self, j):
+        return tuple(self.fold(((j, 1),)))
 
     def fold(self, terms, out=None):
         """out + sum of c * X^k over the pairs (k, c) of terms, as a list in
         the power basis (a new zero list when out is None)."""
         if out is None:
             out = [0] * self.deg
-        n, sparse = self.n, self._sparse
+        n, s, sparse = self.n, self.s, self._sparse
         for k, c in terms:
             if not c:
                 continue
@@ -113,10 +128,15 @@ class _OrderContext:
                 k %= n
             row = sparse.get(k)
             if row is None:
-                row = sparse[k] = tuple((t, r) for t, r in enumerate(self.row(k)) if r)
+                a, b = divmod(k, s)
+                row = sparse[k] = tuple((s * t + b, r) for t, r in enumerate(self._row(a)) if r)
             for t, r in row:
                 out[t] += c * r
         return out
+
+    @cached_property
+    def logs(self):  # {X^a mod f: a} over the n / s rows of the recurrence
+        return {self._row(a): a for a in range(self.n // self.s)}
 
     def mul(self, a, b):
         """The product of the elements a and b, in lowest terms."""
@@ -168,7 +188,8 @@ def _context(n):
         raise ValueError(f"cyclotomic order must be at least 1, got {n}")
     if n > ORDER_CAP:
         raise IncompatibleOrders(f"cyclotomic order {n} exceeds cap {ORDER_CAP}")
-    return _OrderContext(cyclotomic_polynomial(n), n)
+    r = prod(_primes(n))
+    return _OrderContext(cyclotomic_polynomial(r), n, n // r)
 
 
 def _ratio(x):
@@ -396,29 +417,31 @@ def abs_square(z):
     return z * z.conj()
 
 
-@lru_cache(maxsize=None)
-def zeta_exponents(order):
-    """{row of zeta_order^k: k for 0 <= k < order}, keyed by the context's cached
-    rows, which are the `nums` of the integral elements zeta_order^k."""
-    ctx = _context(order)
-    return {ctx.row(k): k for k in range(order)}
+def zeta_exponent(z):
+    """The k in [0, N) with z = zeta_N^k, N = z.order, else None: k = s a + b,
+    where b is the residue mod s of every index at which z is nonzero and z
+    holds the row a of Q(zeta_r) at b, b + s, ..."""
+    ctx, nums = _context(z.order), z.nums
+    b = next(compress(range(len(nums)), nums), 0) % ctx.s
+    row = nums[b::ctx.s]
+    if z.den != 1 or nums.count(0) - row.count(0) != len(nums) - len(row):
+        return None
+    a = ctx.logs.get(row)
+    return None if a is None else ctx.s * a + b
 
 
 def is_root_of_unity(z):
     """The multiplicative order of z if z is a root of unity, else None.
 
     Decided exactly by lookup: the roots of unity in Q(zeta_N) are exactly
-    +-zeta_N^k, the group of order L = lcm(2, N); they are integral, so
-    den == 1.  z = zeta_N^k is zeta_L^j with j = k L/N, and z = -zeta_N^k is
-    zeta_L^(j + L/2); the order is L / gcd(j, L).
+    +-zeta_N^k, the group of order L = lcm(2, N).  z = zeta_N^k is zeta_L^j
+    with j = k L/N, and z = -zeta_N^k is zeta_L^(j + L/2); the order is
+    L / gcd(j, L).
     """
-    if z.den != 1:
-        return None
     n, bound = z.order, lcm(2, z.order)
-    table = zeta_exponents(n)
-    k, half = table.get(z.nums), 0
+    k, half = zeta_exponent(z), 0
     if k is None:
-        k, half = table.get(tuple(-c for c in z.nums)), bound // 2
+        k, half = zeta_exponent(-z), bound // 2
         if k is None:
             return None
     return bound // gcd(k * (bound // n) + half, bound)
@@ -662,15 +685,8 @@ DEFAULT_WEIL_BOUND = 2 * lcm(*range(1, 25))
 
 def _euler_phi(n):
     out = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
+    for p in _primes(n):
+        out -= out // p
     return out
 
 

@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolated,
 )
 from .exactalg import (
-    CyclotomicNumber, _divisors, weil_chain, zeta, zeta_exponents, zeta_sum
+    CyclotomicNumber, _divisors, weil_chain, zeta, zeta_exponent, zeta_sum
 )
 
 
@@ -238,14 +238,16 @@ class QuadraticForm:
     def _tau(self):
         return zeta_sum(self.value_order, Counter(self.exponents))
 
-    def verify_gauss_sum_theorem(self):
-        """Certify tau * conj(tau) = |M| and tau^2/|M| a root of unity: the
-        Weil chain of tau with lead 1 and norm |M| (`weil_chain`).  Returns the
-        order of the root of unity; reaching TheoremViolated means a bug, not
-        new mathematics.
-        """
+    @cached_property
+    def gauss_chain(self):
+        """The Weil chain of tau with lead 1 and norm |M| (`weil_chain`)."""
         size = self.group.order
-        order = weil_chain([self.gauss_sum()], size, size, 1, size).ratio_order
+        return weil_chain([self.gauss_sum()], size, size, 1, size)
+
+    def verify_gauss_sum_theorem(self):
+        """The order of the root of unity tau^2/|M| in `gauss_chain`, whose
+        abs_ok is tau * conj(tau) = |M|; TheoremViolated means a bug."""
+        order = self.gauss_chain.ratio_order
         if order is None:
             raise TheoremViolated(f"tau^2/|M| not a root of unity for {self!r}")
         return order
@@ -313,7 +315,7 @@ class QuadraticForm:
                                  f"exponent in [0, {n}) nor a cyclotomic number")
             else:
                 z = CyclotomicNumber.from_json(val).embed(n)
-                exps[idx] = zeta_exponents(n).get(z.nums) if z.den == 1 else None
+                exps[idx] = zeta_exponent(z)
                 if exps[idx] is None:
                     raise ValueError(f"value of element {group.decode(idx)} is not a "
                                      f"{n}-th root of unity")

@@ -3,15 +3,18 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
 
 from gausslab.exactalg import (
+    ORDER_CAP,
     CyclotomicNumber,
     IntPolynomial,
     _context,
     _divisors,
+    _int_poly_exact_div,
     _integer_sqrt,
     _root_of_unity_order_bound,
     abs_square,
@@ -21,6 +24,7 @@ from gausslab.exactalg import (
     power_sums_to_char_poly,
     weil_certificate,
     zeta,
+    zeta_exponent,
     zeta_sum,
 )
 from gausslab.errors import NonIntegralElementarySymmetric, TheoremViolated
@@ -632,3 +636,109 @@ def test_integer_vector_arithmetic_matches_fraction_reference(order):
     half = zeta(order, 1) / 2
     assert half.nums == _context(order).row(1) and half.den == 2
     assert is_root_of_unity(half) is None and is_root_of_unity(-half) is None
+
+
+# -- reference oracle: the dense recurrence of Phi_N ---------------------------
+# Phi_N by exact division over the divisors of N, and the table of every
+# X^k mod Phi_N, k < N, by the recurrence X^(k+1) = X * X^k: how the library
+# reduced Q(zeta_N) before it went through Q(zeta_rad N); test-only.
+
+@lru_cache(maxsize=None)
+def _divided_cyclotomic(n):
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in _divisors(n)[:-1]:
+        num = _int_poly_exact_div(num, _divided_cyclotomic(d))
+    return tuple(num)
+
+
+def _dense_rows(n):
+    f = _divided_cyclotomic(n)
+    rows = [(1,) + (0,) * (len(f) - 2)]
+    while len(rows) < n:
+        cur = rows[-1]
+        nxt = [0, *cur[:-1]]
+        for t, c in enumerate(f[:-1]):
+            nxt[t] -= cur[-1] * c
+        rows.append(tuple(nxt))
+    return rows
+
+
+def _dense_order(nums, table, n):
+    """The order of nums as a root of unity by the dense table {row: k}, else None."""
+    bound = lcm(2, n)
+    k, half = table.get(nums), 0
+    if k is None:
+        k, half = table.get(tuple(-c for c in nums)), bound // 2
+        if k is None:
+            return None
+    return bound // gcd(k * (bound // n) + half, bound)
+
+
+RADICAL_ORDERS = [1, 2, 3, 4, 8, 9, 12, 16, 25, 27, 30, 36, 64, 81, 100, 210, 225, 256, 625, 900]
+
+
+@pytest.mark.parametrize("n", RADICAL_ORDERS)
+def test_radical_rows_match_the_dense_recurrence(n):
+    rows = _dense_rows(n)
+    table = {row: k for k, row in enumerate(rows)}
+    assert cyclotomic_polynomial(n) == _divided_cyclotomic(n)
+    ctx = _context(n)
+    assert ctx.deg == len(rows[0])
+    assert [ctx.row(k) for k in range(n)] == rows
+    assert ctx.row(n + 1) == ctx.row(-(n - 1)) == rows[1 % n]
+    rng = random.Random(n)
+    for size in (1, 5, 3 * n):
+        hist = {rng.randrange(-2 * n, 2 * n): rng.randrange(-3, 4) for _ in range(size)}
+        dense = [sum(c * rows[k % n][t] for k, c in hist.items()) for t in range(ctx.deg)]
+        assert zeta_sum(n, hist) == CyclotomicNumber(n, dense), hist
+    for k in range(n):
+        z = zeta(n, k)
+        assert z.nums == rows[k] and z.den == 1
+        # zeta_N^k has order N / gcd(k, N); -zeta_N^k = zeta_2N^(2k + N)
+        assert is_root_of_unity(z) == n // gcd(k, n)
+        assert is_root_of_unity(-z) == 2 * n // gcd(2 * k + n, 2 * n)
+        assert zeta_exponent(z) == k and zeta_exponent(z / 2) is None
+        assert is_root_of_unity(z / 2) is None and is_root_of_unity(-z / 3) is None
+    for _ in range(min(4 * n, 400)):
+        j, k = rng.randrange(n), rng.randrange(n)
+        for z in (zeta(n, j) + zeta(n, k), zeta(n, j) - zeta(n, k), 2 * zeta(n, j)):
+            assert is_root_of_unity(z) == _dense_order(z.nums, table, n), (j, k, z)
+            assert zeta_exponent(z) == table.get(z.nums)
+    assert is_root_of_unity(CyclotomicNumber.zero(n)) is None
+    # every row came from at most r = rad N recurrence rows of length phi(r)
+    r = lcm(*(p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))))
+    assert ctx.s * r == n and len(ctx._rows) <= r and len(ctx._rows[0]) * ctx.s == ctx.deg
+
+
+def test_the_order_cap_builds_no_dense_rows():
+    # N = 2^16 = ORDER_CAP: its dense rows would take N * phi(N) = 2^31
+    # cells; through Q(zeta_2) every step stays far below 32 MB
+    import tracemalloc
+
+    from gausslab import cli
+    from gausslab.quadform import FiniteAbelianGroup, random_nondegenerate
+
+    n = ORDER_CAP
+    _context.cache_clear()
+    cyclotomic_polynomial.cache_clear()
+    tracemalloc.start()
+    try:
+        rng = random.Random(n)
+        hist = {rng.randrange(n): rng.randrange(-3, 4) for _ in range(2000)}
+        z = zeta_sum(n, hist)
+        assert sum(map(bool, z.nums)) <= len(hist) and is_root_of_unity(z) is None
+        for k in (0, 1, 3, n // 2, n // 2 + 1, n - 1, rng.randrange(n)):
+            assert is_root_of_unity(zeta(n, k)) == n // gcd(k, n)
+            assert is_root_of_unity(-zeta(n, k)) == 2 * n // gcd(2 * k + n, 2 * n)
+        form = random_nondegenerate(FiniteAbelianGroup([256]), 1)
+        assert form.value_order == n
+        report = cli.dispatch("gauss-verify", {"form": {
+            "invariant_factors": [256], "value_order": n,
+            "values": {key: form.exponents[i] for key, i in form.group.key_index().items()}}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["ok"] and report["result"]["abs_square"] == "256", report["checks"]
+    assert peak < 32 * 2**20, peak

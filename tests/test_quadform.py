@@ -440,6 +440,42 @@ def test_from_json_rejects_values_that_are_not_roots_of_unity():
             QuadraticForm.from_json(job(value))
 
 
+
+@pytest.mark.parametrize("moduli", [[25], [30]], ids=str)
+def test_from_json_reads_cyclotomic_tables_at_orders_625_and_900(moduli):
+    # zeta_625 and zeta_900 go through Q(zeta_5) and Q(zeta_30): the table of
+    # values is read back exactly, and a value that is no root of unity (a
+    # sum of two, twice one, one over a denominator) is refused
+    form = random_nondegenerate(FiniteAbelianGroup(moduli), 1)
+    n = form.value_order
+    assert n == moduli[0] ** 2
+    spec = form.to_json()
+    assert QuadraticForm.from_json(spec).exponents == form.exponents
+    lower = {**spec["values"], "1": zeta(moduli[0], 1).to_json()}
+    assert QuadraticForm.from_json({**spec, "values": lower}).exponents[1] == moduli[0]
+    for z in (zeta(n, 1) + zeta(n, 7), 2 * zeta(n, 3), zeta(n, 5) / 3):
+        bad = {**spec["values"], "1": z.to_json()}
+        with pytest.raises(ValueError, match=rf"element \(1,\) is not a {n}-th root of unity"):
+            QuadraticForm.from_json({**spec, "values": bad})
+
+
+def test_abs_square_check_reports_the_weil_chain(monkeypatch, tmp_path, capsys):
+    # abs-square-is-order reads the Weil chain's abs_ok: a chain whose
+    # abs_ok fails reports the check failed, with tau * conj(tau) as its
+    # witness, and the job exits 1
+    chain = QuadraticForm.gauss_chain
+    monkeypatch.setattr(QuadraticForm, "gauss_chain", property(
+        lambda self: type(c := chain.func(self))(**{**vars(c), "abs_ok": False})))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"form": Z3FORM.to_json()}))
+    assert cli.main(["gauss-verify", "--input", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    check = next(c for c in report["checks"] if c["name"] == "abs-square-is-order")
+    witness = abs_square(Z3FORM.gauss_sum()).to_json()
+    assert check == {"name": "abs-square-is-order", "pass": False, "witness": witness}
+    assert report["result"]["abs_square"] == witness and report["result"]["ratio_order"] == 2
+    assert not report["ok"]
+
 def test_q0_must_be_one():
     # B(0, 0) = -Q(0): also on groups without generators
     for moduli in ([], [1, 1], [3]):
