@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolated,
 )
 from .exactalg import (
-    CyclotomicNumber, _divisors, weil_chain, zeta, zeta_exponent, zeta_sum
+    CyclotomicNumber, _primes, weil_chain, zeta, zeta_exponent, zeta_sum
 )
 
 
@@ -419,7 +419,7 @@ def orthogonal_split(mods, modulus, gram):
     reduce = lambda x: tuple(c % d for c, d in zip(x, mods))
     order = lambda e: modulus // gcd(e, modulus)
     pieces = []
-    for r in (r for r in _divisors(lcm(*mods)) if len(_divisors(r)) == 2):
+    for r in _primes(lcm(*mods)):
         scale = [d // gcd(d, r ** d.bit_length()) for d in mods]
         vectors = [reduce(scale[s] * (t == s) for t in range(k)) for s in range(k)]
         b = [[scale[s] * scale[t] * gram[s][t] % modulus for t in range(k)] for s in range(k)]

@@ -440,7 +440,6 @@ def test_from_json_rejects_values_that_are_not_roots_of_unity():
             QuadraticForm.from_json(job(value))
 
 
-
 @pytest.mark.parametrize("moduli", [[25], [30]], ids=str)
 def test_from_json_reads_cyclotomic_tables_at_orders_625_and_900(moduli):
     # zeta_625 and zeta_900 go through Q(zeta_5) and Q(zeta_30): the table of
@@ -475,6 +474,7 @@ def test_abs_square_check_reports_the_weil_chain(monkeypatch, tmp_path, capsys):
     assert check == {"name": "abs-square-is-order", "pass": False, "witness": witness}
     assert report["result"]["abs_square"] == witness and report["result"]["ratio_order"] == 2
     assert not report["ok"]
+
 
 def test_q0_must_be_one():
     # B(0, 0) = -Q(0): also on groups without generators
