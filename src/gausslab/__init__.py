@@ -21,8 +21,8 @@ _EXPORTS = {
         "AdditivePolynomial", "Embedding", "FieldElement", "FiniteField", "WittVector2",
         "absolute_trace", "absolute_trace_int", "additive_kernel", "extension",
         "gamma_carry", "gamma_value", "make_field", "relative_trace",
-        "subfield_elements", "witt_frobenius", "witt_restriction", "witt_to_zp2",
-        "witt_trace", "witt_verschiebung",
+        "subfield_elements", "witt_frobenius", "witt_to_zp2", "witt_trace",
+        "witt_verschiebung",
     ),
     "quadform": (
         "FiniteAbelianGroup", "QuadraticForm", "char2_invariant",
@@ -32,8 +32,7 @@ _EXPORTS = {
         "ASLinear", "CrossMonomial", "DiagMonomial", "HalfSquare", "PairingDatum",
         "Precompose", "QuadDatum", "WittLinear", "canonical_quadratic", "char_sum",
         "clb_cocycle_identity_check", "derive_pairing", "geometric_kernel", "gos_rank",
-        "hasse_davenport_check", "invariance_check", "pullback_sum_identity",
-        "symbolic_pairing", "trace_value",
+        "hasse_davenport_check", "invariance_check", "symbolic_pairing",
     ),
     "heisenberg": (
         "AlternatingPairing", "HeisenbergGroup", "SvNRepresentation", "build_group",

@@ -19,7 +19,6 @@ from operator import add
 
 from .errors import (
     DegeneratePairing,
-    NotEtale,
     NotSymmetric,
     Record,
     SwanDivisibleByP,
@@ -27,13 +26,11 @@ from .errors import (
     check_cap,
     checked_int,
 )
-from .exactalg import weil_chain, zeta, zeta_sum
+from .exactalg import weil_chain, zeta_sum
 from .fields import (
     AdditivePolynomial,
     WittVector2,
-    _linear_kernel,
     _nullspace_mod_p,
-    _row_reduce_mod_p,
     _span_mod_p,
     absolute_trace_int,
     check_extension,
@@ -266,18 +263,6 @@ class _Evaluator:
             # the carry: (c(x+y), 0) = (cx, 0) + (cy, 0) - V(c^2 xy)
             u[j] = u[j] + c * c * v[j]
         return u
-
-
-def trace_value(datum, n, point, override=False):
-    """t(point) for a point of (F_{q^n})^d, as an exact root of unity."""
-    ev = _Evaluator(datum, n, override)
-    point = tuple(ev.big.element(x) for x in point)
-    e = ev.exponent(point)
-    if datum.value_order == ev.p:
-        if e % ev.p:
-            raise TheoremViolated("a value of order p has an exponent divisible by p")
-        return zeta(ev.p, e // ev.p)
-    return zeta(ev.p * ev.p, e)
 
 
 def _coordinate_basis(big, columns):
@@ -720,62 +705,6 @@ def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False):
     chain = weil_chain(sums, p, q, (-1) ** d * p**r, q**d)
     return HDReport(datum, r, chain.lam, sums, all(chain.residuals), chain.residuals,
                     chain.abs_ok, chain.ratio_order)
-
-
-# -- pullback along etale isogenies ------------------------------------------------
-
-def pullback_sum_identity(datum, isogeny, n=1, override=False):
-    """Exact sum identities for pulling back a datum along a coordinatewise isogeny.
-
-    isogeny: list of d AdditivePolynomials.  A zero coordinate map is
-    rejected; a purely inseparable factor (Frobenius powers) is fine, since
-    Frobenius is bijective on the points of a perfect field.  Verifies
-      sum_x t(f(x)) = |ker f(F_{q^n})| * sum_{v in image} t(v)
-                    = sum over annihilator characters of S_n(twisted datum).
-    Returns (lhs, rhs_image, rhs_characters).  Each side is a sum of a
-    quadratic exponent taken from its Gram data, with no point enumeration;
-    the p^(N - rank) annihilator characters count against the cap.
-    """
-    if len(isogeny) != datum.d:
-        raise ValueError("need one additive polynomial per coordinate")
-    if any(f.is_zero() for f in isogeny):
-        raise NotEtale("a zero coordinate map is not an isogeny")
-    ev = _Evaluator(datum, n, override)
-    big, p, p2 = ev.big, ev.p, ev.p * ev.p
-    lifted = [f.lift(ev.emb) for f in isogeny]
-    basis = _coordinate_basis(big, [big._power_basis] * datum.d)
-
-    # left side: f is F_p-linear, so e o f is quadratic with the Gram data
-    # of e on the images f(b_k)
-    images = [tuple(f.evaluate(x) for f, x in zip(lifted, b)) for b in basis]
-    lhs = zeta_sum(p2, _histogram(*_gram_data(ev, images), p))
-
-    # right side 1: |ker f| = p^(N - rank) times the sum over the image, on
-    # the pivot columns among the images f(X^t) in each coordinate
-    image_bases = []
-    for f in lifted:
-        cols = [f.evaluate(u) for u in big._power_basis]
-        _, pivots = _row_reduce_mod_p(list(zip(*(w.coeffs for w in cols))), p)
-        image_bases.append([cols[c] for c in pivots])
-    image_basis = _coordinate_basis(big, image_bases)
-    corank = len(basis) - len(image_basis)
-    rhs_image = p**corank * zeta_sum(p2, _histogram(*_gram_data(ev, image_basis), p))
-
-    # right side 2: c annihilates the image when c -> (Tr(c w))_w sends its
-    # basis to 0; the twist psi(Tr(c x)) is additive, so it keeps the Gram
-    # matrix and shifts each a[k] by p Tr(c b_k)
-    check_cap(p**corank, override, "annihilator characters")
-    annihilators = [
-        _linear_kernel(big, lambda c, ws=ws: [absolute_trace_int(c * w) for w in ws])
-        for ws in image_bases
-    ]
-    a, gram = _gram_data(ev, basis)
-    hist = Counter()
-    for cs in itertools.product(*annihilators):
-        shifted = [(e + p * sum(absolute_trace_int(c * x) for c, x in zip(cs, b))) % p2
-                   for e, b in zip(a, basis)]
-        hist.update(_histogram(shifted, gram, p))
-    return lhs, rhs_image, zeta_sum(p2, hist)
 
 
 def invariance_check(datum, matrices, n=1, override=False):

@@ -59,10 +59,6 @@ class TheoremViolated(GaussLabError):
     """A proven identity failed exactly: a bug detector, not new mathematics."""
 
 
-class CharacterNotInImage(GaussLabError):
-    pass
-
-
 class NotElementaryTwoGroup(GaussLabError):
     pass
 
@@ -80,10 +76,6 @@ class DegeneratePairing(GaussLabError):
 
 
 class SwanDivisibleByP(GaussLabError):
-    pass
-
-
-class NotEtale(GaussLabError):
     pass
 
 

@@ -740,13 +740,8 @@ class AdditivePolynomial:
         coeffs = {-i: a.frobenius(-i) for i, a in self.coeffs.items()}
         return AdditivePolynomial(self.field, coeffs)
 
-    def cleared(self):
-        """(Frobenius^v of self, v) for the least v >= 0 making every exponent >= 0."""
-        v = max(0, -min(self.coeffs, default=0))
-        return self.twist(v), v
-
     def span(self):
-        """top - bottom Frobenius exponent (log_p of the cleared degree)."""
+        """top - bottom Frobenius exponent."""
         return max(self.coeffs) - min(self.coeffs) if self.coeffs else None
 
     def lift(self, embed):
@@ -876,20 +871,12 @@ def witt_zero(field):
     return WittVector2(field, field.zero(), field.zero())
 
 
-def witt_one(field):
-    return WittVector2(field, field.one(), field.zero())
-
-
 def witt_frobenius(w):
     return WittVector2(w.field, w.x0.frobenius(), w.x1.frobenius())
 
 
 def witt_verschiebung(a):
     return WittVector2(a.field, a.field.zero(), a)
-
-
-def witt_restriction(w):
-    return w.x0
 
 
 def _zp2(p, x0, x1):

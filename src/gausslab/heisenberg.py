@@ -142,18 +142,18 @@ class HeisenbergGroup:
 
     The cocycle is bilinear in Darboux coordinates: c(x,y) = sum_i
     alpha_i(x) beta_i(y) eps_i, which makes the commutator reproduce the
-    pairing exactly: [(0,x), (0,y)] = (e(x,y), 0). `verify` checks both facts
-    on generators of K.
+    pairing exactly: [(0,x), (0,y)] = (e(x,y), 0).  The constructor checks
+    both facts on generators of K (`_check`), on the Darboux basis the
+    pairing carries.
     """
 
-    def __init__(self, pairing, basis=None):
+    def __init__(self, pairing):
         self.pairing, self.k_group, self.a_modulus = pairing, pairing.group, pairing.a_modulus
-        self.basis = basis if basis is not None else darboux(pairing)
+        self.basis = darboux(pairing)
         self.orders = self.basis.ranks(self.k_group)
         self._coords = self._coordinate_table()
-        if fault := self._generator_fault():
-            raise NotPerfect(fault)
         self.order = self.a_modulus * self.k_group.order
+        self._check()
 
     def _coordinate_table(self):
         """(alpha(k), beta(k)) for every k: e(e_s, y_i) = alpha_i eps_i and
@@ -176,28 +176,40 @@ class HeisenbergGroup:
         r = len(orders)
         return [(row[:r], row[r:]) for row in zip(*columns)] if r else [((), ())] * g.order
 
-    def _generator_fault(self):
-        """What the generator data fails, or None: eps_i has the order o_i of
-        x_i and y_i (c is well-defined mod A), prod o_i^2 = |K|, and on each
-        standard e_s of order d_s, d_s (alpha(e_s), beta(e_s)) = 0 mod o (the
-        table is additive) and e_s = sum_i alpha_i(e_s) x_i + beta_i(e_s) y_i
-        (the pairs are a basis of K, which fixes the coordinates of e_s)."""
+    def _check(self):
+        """That H is a group with Z(H) = A and [,] = e, on generators of K.
+
+        1. The generator data: eps_i has the order o_i of x_i and y_i (c is
+           well-defined mod A), prod o_i^2 = |K|, and on each standard e_s of
+           order d_s, d_s (alpha(e_s), beta(e_s)) = 0 mod o (the table is
+           additive) and e_s = sum_i alpha_i(e_s) x_i + beta_i(e_s) y_i (the
+           pairs are a basis of K, which fixes the coordinates of e_s).  So
+           alpha and beta are additive and c(x,y) is bilinear, which makes
+           the multiplication associative with identity (0, 0) and inverses
+           given by `inverse`.  NotPerfect names the first fact that fails.
+        2. [(0,x), (0,y)] = (e(x,y), 0) for generators x, y of K. Both sides
+           are biadditive (e by the Gram checks of `AlternatingPairing`, the
+           commutator by 1), so they agree on K x K; e is perfect, so
+           Z(H) = A.
+        """
         g, mod, orders, pairs = self.k_group, self.a_modulus, self.orders, self.basis.pairs
         for (x, y, eps), o in zip(pairs, orders):
             if mod % o or eps % (mod // o) or gcd(eps // (mod // o), o) != 1 or not (
                     g.element_order(x) == g.element_order(y) == o):
-                return f"e(x, y) = {eps} does not have the order {o} of x and y"
+                raise NotPerfect(f"e(x, y) = {eps} does not have the order {o} of x and y")
         if prod(o * o for o in orders) != g.order:
-            return "the Darboux pairs do not have |K| elements"
+            raise NotPerfect("the Darboux pairs do not have |K| elements")
         vectors = [(g.decode(x), g.decode(y)) for x, y, _ in pairs]
         for e_s in g.generators():
             alphas, betas = self._coords[e_s]
             if any(g.element_order(e_s) * c % o for c, o in zip(alphas + betas, orders + orders)):
-                return f"the Darboux coordinates are not additive at {g.decode(e_s)}"
+                raise NotPerfect(f"the Darboux coordinates are not additive at {g.decode(e_s)}")
             if g.encode([sum(a * x[t] + b * y[t] for a, b, (x, y) in zip(alphas, betas, vectors))
                          for t in range(len(g.moduli))]) != e_s:
-                return f"the Darboux pairs do not give {g.decode(e_s)}"
-        return None
+                raise NotPerfect(f"the Darboux pairs do not give {g.decode(e_s)}")
+        if any(self.commutator((0, x), (0, y)) != (self.pairing.value(x, y), 0)
+               for x, y in itertools.product(g.generators(), repeat=2)):
+            raise TheoremViolated("commutator does not reproduce the pairing")
 
     def cocycle(self, i, j):
         ai, bj = self._coords[i][0], self._coords[j][1]
@@ -231,32 +243,10 @@ class HeisenbergGroup:
             o += 1
         return o
 
-    def verify(self):
-        """Check on generators that H is a group with Z(H) = A and [,] = e.
-
-        1. `_generator_fault` finds nothing, so alpha and beta are additive
-           and c(x,y) is bilinear, which makes the multiplication associative
-           with identity (0, 0) and inverses given by `inverse`.
-        2. [(0,x), (0,y)] = (e(x,y), 0) for generators x, y of K. Both sides
-           are biadditive (e by the Gram checks of `AlternatingPairing`, the
-           commutator by 1), so they agree on K x K; e is perfect, so
-           Z(H) = A.
-        """
-        if fault := self._generator_fault():
-            raise TheoremViolated(fault)
-        return self._check_commutators()
-
-    def _check_commutators(self):  # step 2 of `verify`, which step 1 makes a proof
-        if any(self.commutator((0, x), (0, y)) != (self.pairing.value(x, y), 0)
-               for x, y in itertools.product(self.k_group.generators(), repeat=2)):
-            raise TheoremViolated("commutator does not reproduce the pairing")
-        return True
-
 
 def build_group(pairing):
-    group = HeisenbergGroup(pairing)  # NotPerfect unless the generator data passes
-    group._check_commutators()
-    return group
+    """The Heisenberg group of the pairing, checked by its constructor."""
+    return HeisenbergGroup(pairing)
 
 
 class SvNRepresentation:
@@ -278,7 +268,7 @@ class SvNRepresentation:
     Matrices are monomial, (row permutation, phase exponents), built on
     demand from the coordinates of k (no K arithmetic) and not stored; the
     |H| characters, their traces, are computed once and read by the norm
-    check, `check_faithful` and `character`.
+    check of the constructor (`_check`), `check_faithful` and `character`.
     """
 
     def __init__(self, group, psi_unit=1):
@@ -292,6 +282,7 @@ class SvNRepresentation:
         self.mod = mod
         self.dim = prod(group.orders)
         self._characters = self._traced = None
+        self._check()
 
     def matrix(self, g):
         """(perm, exps): column lambda maps to row perm[lambda] with phase exps[lambda]."""
@@ -334,7 +325,7 @@ class SvNRepresentation:
     def character(self, g):
         return self.characters()[g[0] % self.mod * self.group.k_group.order + g[1]]
 
-    def verify(self):
+    def _check(self):
         """Homomorphism on generator pairs, central character, exact irreducibility.
 
         rho(a, k) = psi(a) M(beta(k)) T(alpha(k)), T(alpha) e_lambda =
@@ -344,16 +335,11 @@ class SvNRepresentation:
         rho(b, k') = psi(a + b + sum_i alpha_i(k) beta_i(k') eps_i) M(beta(k)
         + beta(k')) T(alpha(k) + alpha(k')) = rho((a, k)(b, k')): the cocycle
         identity in coordinates, whose hypotheses (o_i eps_i = 0 mod A, alpha
-        and beta additive) `_generator_fault` checks first on generators of K.
-        Left to check: `matrix` and `compose` compute these products, rho(s t)
-        = rho(s) rho(t) for s, t in S = {(1,0)} u {(0,g) : g a generator of
-        K}; rho((a, 0)) = psi(a); sum |chi|^2 = |H|.
+        and beta additive) the group's constructor checked on generators of
+        K.  Left to check: `matrix` and `compose` compute these products,
+        rho(s t) = rho(s) rho(t) for s, t in S = {(1,0)} u {(0,g) : g a
+        generator of K}; rho((a, 0)) = psi(a); sum |chi|^2 = |H|.
         """
-        if fault := self.group._generator_fault():
-            raise TheoremViolated(fault)
-        return self._check_representation()
-
-    def _check_representation(self):  # what `verify` checks after the generator data
         grp = self.group
         gens = {s: self.matrix(s) for s in [(1, 0)] + [(0, g) for g in grp.k_group.generators()]}
         for (s, ms), (t, mt) in itertools.product(gens.items(), repeat=2):
@@ -367,13 +353,11 @@ class SvNRepresentation:
         if sum((abs_square(chars[i]) for i in self._traced if not chars[i].is_zero()),
                zeta_sum(1, {})) != grp.order:
             raise TheoremViolated("character norm is not |H| (not irreducible)")
-        return True
 
 
 def stone_von_neumann(group, psi_unit=1):
-    rep = SvNRepresentation(group, psi_unit)
-    rep._check_representation()  # the group's constructor checked its generator data
-    return rep
+    """The SvN representation of the group, checked by its constructor."""
+    return SvNRepresentation(group, psi_unit)
 
 
 def check_faithful(rep):

@@ -7,7 +7,7 @@ e_t) on the standard generators; then one `orthogonal_split`, Wall's
 splitting of such data into orthogonal lines and planes, decides
 non-degeneracy and gives the recursive oracle its pieces (and `heisenberg`
 its Darboux bases).  The one class `QuadraticForm` caches both; only the
-radical, `solve_character` and `radical_descent` build a third cache, the
+radical and `radical_descent` build a third cache, the
 covectors (B(x, e_s))_s of every x, one O(|M| k) fill from the same data.
 On an elementary 2-group the canonical element of `char2_invariant` is the
 sum of the split's lines, with no pass over M.  Values are roots of unity
@@ -21,7 +21,6 @@ from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import (
-    CharacterNotInImage,
     ConstructionFailed,
     NotElementaryTwoGroup,
     NotQuadratic,
@@ -128,17 +127,15 @@ class QuadraticForm:
     """
 
     def __init__(self, group, value_order, exponents):
+        """Q(x) = zeta_N^exponents[x], N = value_order, each exponent in [0, N);
+        the list is kept as given."""
         if len(exponents) != group.order:
             raise ValueError("value table must be total on the group")
+        if min(exponents) < 0 or max(exponents) >= value_order:
+            raise ValueError(f"exponents must lie in [0, {value_order})")
         self.group = group
         self.value_order = value_order
-        self.exponents = [int(e) % value_order for e in exponents]
-
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def trivial(group):
-        return QuadraticForm(group, 1, [0] * group.order)
+        self.exponents = exponents
 
     def __repr__(self):
         return f"QuadraticForm({self.group!r}, order {self.value_order})"
@@ -205,8 +202,8 @@ class QuadraticForm:
     def _covectors(self):
         """(B(x, e_s))_s for every x in index order, from `gram` of a bilinear
         B, one generator at a time like `_fill`: B(x + c e_t, e_s) = B(x, e_s)
-        + c G_ts, O(|M| k) work and memory, built only by radical(),
-        solve_character and radical_descent.  x and y share a covector iff
+        + c G_ts, O(|M| k) work and memory, built only by radical() and
+        radical_descent.  x and y share a covector iff
         x - y is radical."""
         mods, _, gram = self.gram
         n = self.value_order
@@ -252,32 +249,11 @@ class QuadraticForm:
             raise TheoremViolated(f"tau^2/|M| not a root of unity for {self!r}")
         return order
 
-    # -- twists -------------------------------------------------------------------
-
     def character_of_element(self, a):
         """The character chi = B(a, -) as an exponent table, the one row
         builder: O(|M|) through `translation`."""
         q, n = self.exponents, self.value_order
         return [(q[s] - q[a] - q[y]) % n for y, s in enumerate(self.group.translation(a))]
-
-    def twist(self, chi_exponents):
-        """The form x -> Q(x) * chi(x) for a character given by exponents mod N."""
-        return QuadraticForm(self.group, self.value_order,
-                             [e + c for e, c in zip(self.exponents, chi_exponents)])
-
-    def solve_character(self, chi_exponents):
-        """The least a with B(a, -) = chi; CharacterNotInImage when degenerate,
-        NotQuadratic unless B is bilinear.  B(a, -) is then fixed by its
-        values on the generators, its covector, so only the first a whose
-        covector matches chi there has its full row compared."""
-        self.is_quadratic(raise_on_failure=True)
-        chi, a = list(chi_exponents), None
-        if len(chi) == self.group.order:
-            target = tuple(chi[g] for g in self.group.generators())
-            a = next((a for a, v in enumerate(self._covectors) if v == target), None)
-        if a is None or self.character_of_element(a) != chi:
-            raise CharacterNotInImage("character is not of the form B(a, -)")
-        return a
 
     # -- serialization -----------------------------------------------------------
 
@@ -464,8 +440,9 @@ def orthogonal_split(mods, modulus, gram):
 # -- char-2 invariant ------------------------------------------------------------
 
 def char2_invariant(form):
-    """On an elementary 2-group: the canonical a with B(v,v) = B(v,a) and the
-    exact identity tau^2 = Q(a)|M|.  Returns (a_tuple, tau, Q(a))."""
+    """On an elementary 2-group: the canonical a with B(v,v) = B(v,a), tau
+    and Q(a), for the identity tau^2 = Q(a)|M| the caller compares.  Returns
+    (a_tuple, tau, Q(a))."""
     if any(d != 2 for d in form.group.moduli):
         raise NotElementaryTwoGroup(f"moduli {form.group.moduli} are not all 2")
     if not form.is_nondegenerate():
@@ -482,11 +459,7 @@ def char2_invariant(form):
     a = tuple(sum(u[s] for u in lines) % 2 for s in range(len(gram)))
     if any((_dot(row, a) - row[s]) % n for s, row in enumerate(gram)):
         raise TheoremViolated("the split's lines do not realize the diagonal character")
-    tau = form.gauss_sum()
-    qa = form.value(form.group.encode(a))
-    if tau * tau != qa * form.group.order:
-        raise TheoremViolated("tau^2 != Q(a)|M| on an elementary 2-group")
-    return a, tau, qa
+    return a, form.gauss_sum(), form.value(form.group.encode(a))
 
 
 # -- degenerate descent ------------------------------------------------------------

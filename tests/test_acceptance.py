@@ -28,7 +28,6 @@ from gausslab.fields import (
     AdditivePolynomial,
     WittVector2,
     make_field,
-    witt_one,
     witt_to_zp2,
 )
 from gausslab.heisenberg import (
@@ -287,7 +286,7 @@ def test_criterion_11_witt_layer():
             for a in field.elements()
             for b in field.elements()
         ]
-        one = witt_one(field)
+        one = WittVector2(field, field.one(), field.zero())
         for u in vectors:
             assert u * one == u and (u + (-u)).is_zero()
             for v in vectors:

@@ -26,14 +26,11 @@ from gausslab.charsum import (
     gos_rank,
     hasse_davenport_check,
     invariance_check,
-    pullback_sum_identity,
     symbolic_pairing,
-    trace_value,
 )
 from gausslab.corpus import catalog_data, corpus
 from gausslab.errors import (
     DegeneratePairing,
-    NotEtale,
     NotSymmetric,
     ScaleCapExceeded,
     SwanDivisibleByP,
@@ -65,10 +62,18 @@ def frobpair(field, s):
     )
 
 
+def _trace_values(datum, n):
+    """point -> t(point) on (F_{q^n})^d as an exact root of unity: the
+    evaluator's exponent e gives zeta_{p^2}^e."""
+    ev = charsum._Evaluator(datum, n)
+    return lambda point: zeta(ev.p * ev.p, ev.exponent(point))
+
+
 def test_wittchar_reproduces_exeasy():
     d = wittchar(F2)
-    assert trace_value(d, 1, (F2.zero(),)) == 1
-    assert trace_value(d, 1, (F2.one(),)) == zeta(4, 1)
+    t = _trace_values(d, 1)
+    assert t((F2.zero(),)) == 1
+    assert t((F2.one(),)) == zeta(4, 1)
     assert char_sum(d, 1) == 1 + zeta(4, 1)
     form = derive_pairing(d, 1)
     assert form.is_quadratic() and form.is_nondegenerate()
@@ -103,23 +108,14 @@ def test_value_orders_lemma():
     # no Witt terms: values in mu_p; with Witt terms (p=2): values in mu_{p^2}
     d3 = QuadDatum(F3, 1, [HalfSquare(0, F3.one()), DiagMonomial(0, 1, F3.one())])
     assert d3.value_order == 3
+    t3 = _trace_values(d3, 1)
     for x in F3.elements():
-        v = trace_value(d3, 1, (x,))
-        assert v**3 == 1
+        assert t3((x,)) ** 3 == 1
     dw = wittchar(F2)
     assert dw.value_order == 4
+    tw = _trace_values(dw, 1)
     for x in F2.elements():
-        assert trace_value(dw, 1, (x,)) ** 4 == 1
-
-
-def test_trace_value_invariant_survives_optimize(monkeypatch):
-    # a typed error, not an assert: it still fires under python -O
-    from gausslab import charsum
-
-    d3 = QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one())])
-    monkeypatch.setattr(charsum._Evaluator, "exponent", lambda self, point: 1)
-    with pytest.raises(TheoremViolated):
-        trace_value(d3, 1, (F3.one(),))
+        assert tw((x,)) ** 4 == 1
 
 
 def test_materialized_forms_are_quadratic():
@@ -167,14 +163,11 @@ def test_symbolic_pairing_matches_pointwise():
 
         big, emb = extension(datum.field, 2, False)
         lifted = pairing.entry(0, 0).lift(emb)
+        t = _trace_values(datum, 2)
         for x in big.elements():
             for y in big.elements():
-                lhs = trace_value(datum, 2, (x + y,))
-                rhs = (
-                    trace_value(datum, 2, (x,))
-                    * trace_value(datum, 2, (y,))
-                    * zeta(datum.field.p, absolute_trace_int(lifted.evaluate(x) * y))
-                )
+                lhs = t((x + y,))
+                rhs = t((x,)) * t((y,)) * zeta(datum.field.p, absolute_trace_int(lifted.evaluate(x) * y))
                 assert lhs == rhs
 
 
@@ -187,8 +180,9 @@ def test_precompose_substitutes():
 
     big, emb = extension(F2, 3, False)
     lf = f.lift(emb)
+    t_pre, t_base = _trace_values(pre, 3), _trace_values(base, 3)
     for x in big.elements():
-        assert trace_value(pre, 3, (x,)) == trace_value(base, 3, (lf.evaluate(x),))
+        assert t_pre((x,)) == t_base((lf.evaluate(x),))
 
 
 def test_geometric_kernel_examples():
@@ -306,13 +300,9 @@ def test_clb_cocycle_identity():
         assert clb_cocycle_identity_check(2, a, F4, 2)
 
 
-def test_laurent_adjoint_and_clearing():
+def test_laurent_adjoint():
     f = AdditivePolynomial(F4, {1: F4.gen(), -1: F4.gen().pth_root()})
     assert f.adjoint().coeffs == {-1: F4.gen().pth_root(), 1: F4.gen()}
-    cleared, v = f.cleared()
-    assert v == 1
-    assert cleared.coeffs[0] == F4.gen().pth_root().frobenius()
-    assert cleared.coeffs[2] == F4.gen().frobenius()
 
 
 def test_gos_rank_examples():
@@ -530,11 +520,6 @@ def test_pullback_frobenius_is_bijective_on_points():
     assert lhs == rhs_img == rhs_chars == char_sum(wittchar(F2), 2)
 
 
-def test_pullback_rejects_zero_map():
-    with pytest.raises(NotEtale):
-        pullback_sum_identity(wittchar(F2), [AdditivePolynomial(F2, {})], n=1)
-
-
 def test_invariance_unitary_and_gl():
     w = F4.gen()
     # scaling by cube roots of unity preserves psi(Tr(x^3))
@@ -663,11 +648,13 @@ def test_pullback_annihilators_match_brute_force(monkeypatch):
     # c -> (Tr(c w))_w, against a sweep of the field by their definition
     recorded = []
 
+    linear_kernel = fields._linear_kernel
+
     def recording(field, image):
-        recorded.append(fields._linear_kernel(field, image))
+        recorded.append(linear_kernel(field, image))
         return recorded[-1]
 
-    monkeypatch.setattr(charsum, "_linear_kernel", recording)
+    monkeypatch.setattr(fields, "_linear_kernel", recording)
     lang = AdditivePolynomial(F2, {1: F2.one(), 0: F2.one()})
     frob = AdditivePolynomial(F4, {1: F4.gen()})
     cases = [
@@ -1068,6 +1055,54 @@ def _enumerated_invariance(datum, matrices, n):
             if ev.exponent(moved) != base:
                 return False
     return True
+
+
+def pullback_sum_identity(datum, isogeny, n=1, override=False):
+    """Exact sum identities for pulling back a datum along a coordinatewise
+    isogeny, a list of d nonzero AdditivePolynomials (a purely inseparable
+    factor is fine: Frobenius is bijective on the points of a perfect field):
+      sum_x t(f(x)) = |ker f(F_{q^n})| * sum_{v in image} t(v)
+                    = sum over annihilator characters of S_n(twisted datum).
+    Returns (lhs, rhs_image, rhs_characters).  Each side is a sum of a
+    quadratic exponent taken from its Gram data, with no point enumeration;
+    the p^(N - rank) annihilator characters count against the cap.
+    `_enumerated_pullback` is its sweep oracle."""
+    ev = charsum._Evaluator(datum, n, override)
+    big, p, p2 = ev.big, ev.p, ev.p * ev.p
+    lifted = [f.lift(ev.emb) for f in isogeny]
+    basis = charsum._coordinate_basis(big, [big._power_basis] * datum.d)
+
+    # left side: f is F_p-linear, so e o f is quadratic with the Gram data
+    # of e on the images f(b_k)
+    images = [tuple(f.evaluate(x) for f, x in zip(lifted, b)) for b in basis]
+    lhs = zeta_sum(p2, charsum._histogram(*charsum._gram_data(ev, images), p))
+
+    # right side 1: |ker f| = p^(N - rank) times the sum over the image, on
+    # the pivot columns among the images f(X^t) in each coordinate
+    image_bases = []
+    for f in lifted:
+        cols = [f.evaluate(u) for u in big._power_basis]
+        _, pivots = fields._row_reduce_mod_p(list(zip(*(w.coeffs for w in cols))), p)
+        image_bases.append([cols[c] for c in pivots])
+    image_basis = charsum._coordinate_basis(big, image_bases)
+    corank = len(basis) - len(image_basis)
+    rhs_image = p**corank * zeta_sum(p2, charsum._histogram(*charsum._gram_data(ev, image_basis), p))
+
+    # right side 2: c annihilates the image when c -> (Tr(c w))_w sends its
+    # basis to 0; the twist psi(Tr(c x)) is additive, so it keeps the Gram
+    # matrix and shifts each a[k] by p Tr(c b_k)
+    check_cap(p**corank, override, "annihilator characters")
+    annihilators = [
+        fields._linear_kernel(big, lambda c, ws=ws: [absolute_trace_int(c * w) for w in ws])
+        for ws in image_bases
+    ]
+    a, gram = charsum._gram_data(ev, basis)
+    hist = Counter()
+    for cs in itertools.product(*annihilators):
+        shifted = [(e + p * sum(absolute_trace_int(c * x) for c, x in zip(cs, b))) % p2
+                   for e, b in zip(a, basis)]
+        hist.update(charsum._histogram(shifted, gram, p))
+    return lhs, rhs_image, zeta_sum(p2, hist)
 
 
 def _enumerated_pullback(datum, isogeny, n):

@@ -226,6 +226,29 @@ def test_modulus_irreducible_check_is_computed(tmp_path, capsys, monkeypatch):
                                  "witness": passed["result"]["modulus"]}]
 
 
+def test_char2_square_identity_is_computed(tmp_path, capsys, monkeypatch):
+    # tau^2 = Q(a)|M| on the hyperbolic plane over (Z/2)^2 is compared, not
+    # asserted: a canonical element whose Q(a) is negated fails it with exit
+    # 1, and the witness is both sides
+    from gausslab import quadform
+
+    job = corpus()["hyperbolic-z2z2"]["input"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert cli.main(["gauss-verify", "--input", str(path)]) == 0
+    passed = json.loads(capsys.readouterr().out)
+    assert {"name": "char2-square-identity", "pass": True} in passed["checks"]
+    invariant = quadform.char2_invariant
+    monkeypatch.setattr(quadform, "char2_invariant",
+                        lambda form: (lambda a, tau, qa: (a, tau, -qa))(*invariant(form)))
+    assert cli.main(["gauss-verify", "--input", str(path)]) == 1
+    failed = json.loads(capsys.readouterr().out)
+    assert failed["ok"] is False and failed["result"] == passed["result"]
+    tau = quadform.QuadraticForm.from_json(job["form"]).gauss_sum()
+    assert failed["checks"][-1] == {"name": "char2-square-identity", "pass": False,
+                                    "witness": [(tau * tau).to_json(), (-1 * tau * tau).to_json()]}
+
+
 def _with(name, edit):
     job = copy.deepcopy(corpus()[name]["input"])
     edit(job)

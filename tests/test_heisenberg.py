@@ -61,10 +61,11 @@ def standard_pairing(p, r=1):
     return AlternatingPairing(g, p, table)
 
 
-# -- exhaustive definitions, kept as oracles for the generator checks in verify
+# -- exhaustive definitions, kept as oracles for the generator checks of the
+# constructors
 
 def _exhaustive_group_law(h):
-    """The sweeps HeisenbergGroup.verify replaces: |H| = |A||K|, identity and
+    """The sweeps the check of the HeisenbergGroup constructor replaces: |H| = |A||K|, identity and
     inverse laws, associativity over H^3 (through the Cayley table), the center
     scan Z(H) = A, and [(0,x),(0,y)] = (e(x,y),0) over K x K."""
     els = list(h.elements())
@@ -304,10 +305,9 @@ def test_svn_matrices_do_no_arithmetic_in_k(monkeypatch):
     group = FiniteAbelianGroup([2, 2, 3, 3])
     gram = [[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, 2], [0, 0, 4, 0]]
     groups.append(build_group(AlternatingPairing.from_gram(group, 6, gram)))
-    expected = []
-    for h in groups:
-        rep = SvNRepresentation(h, 1)
-        expected.append([(_induced_matrix(rep, g), rep.character(g)) for g in h.elements()])
+    reps = [SvNRepresentation(h, 1) for h in groups]  # the checks multiply in H
+    expected = [[(_induced_matrix(rep, g), rep.character(g)) for g in rep.group.elements()]
+                for rep in reps]
 
     def refuse(*args):
         raise RuntimeError("arithmetic in K")
@@ -316,9 +316,9 @@ def test_svn_matrices_do_no_arithmetic_in_k(monkeypatch):
         monkeypatch.setattr(FiniteAbelianGroup, name, refuse)
     with pytest.raises(RuntimeError):
         groups[0].k_group.add(1, 1)
-    for h, matrices in zip(groups, expected):
-        rep = SvNRepresentation(h, 1)
-        assert [(rep.matrix(g), rep.character(g)) for g in h.elements()] == matrices
+    for rep, matrices in zip(reps, expected):
+        rep._characters = None
+        assert [(rep.matrix(g), rep.character(g)) for g in rep.group.elements()] == matrices
 
 
 def test_gram_battery_covers_every_verdict():
@@ -564,18 +564,14 @@ def test_svn_class_independent_of_darboux_choice():
     # is determined by the character)
     for p in (2, 3):
         e = standard_pairing(p)
-        basis1 = darboux(e)
-        x, y, eps = basis1.pairs[0]
-        basis2 = DarbouxBasis([(y, x, e.value(y, x))])
-        h1 = HeisenbergGroup(e, basis1)
-        h2 = HeisenbergGroup(e, basis2)
-        h1.verify()
-        h2.verify()
+        h1 = HeisenbergGroup(e)
+        x, y, eps = h1.basis.pairs[0]
+        e.basis = DarbouxBasis([(y, x, e.value(y, x))])  # the constructor reads it off e
+        h2 = HeisenbergGroup(e)
+        assert h2.basis is e.basis is not h1.basis
         assert _exhaustive_group_law(h1) and _exhaustive_group_law(h2)
         rep1 = SvNRepresentation(h1, 1)
         rep2 = SvNRepresentation(h2, 1)
-        rep1.verify()
-        rep2.verify()
         assert _exhaustive_homomorphism(rep1) and _exhaustive_homomorphism(rep2)
         _assert_induced(h1)
         _assert_induced(h2)
@@ -739,52 +735,60 @@ def _generator_corruptions(h):
 @pytest.mark.parametrize("p,r", ORACLE_SIZES)
 def test_corrupted_coordinates_rejected(p, r):
     # every single-entry corruption of the generator coordinates, of eps_i or
-    # of a pair order is caught by the generator checks; the exhaustive group
-    # law sees the first two (multiplication does not read the orders)
+    # of a pair order is caught by the checks of the constructor; the
+    # exhaustive group law sees the first two (multiplication does not read
+    # the orders)
     h = build_group(standard_pairing(p, r))
     kinds = set()
     for kind in _generator_corruptions(h):
         kinds.add(kind)
         if kind != "order":
             assert not _exhaustive_group_law(h)
-        with pytest.raises(TheoremViolated):
-            h.verify()
+        with pytest.raises((NotPerfect, TheoremViolated)):
+            h._check()
     assert kinds == {"coordinate", "eps", "order"}
-    assert h.verify() and _exhaustive_group_law(h)
+    h._check()
+    assert _exhaustive_group_law(h)
 
 
 @pytest.mark.parametrize("p,r", ORACLE_SIZES[:3])
 def test_corrupted_svn_matrix_rejected(p, r):
     # the matrices are read off the generator data of the group and psi.  The
-    # SvN verification refuses every corrupted coordinate (which the all-pairs
-    # homomorphism oracle sees too), order, and eps not of its pair's order;
-    # an eps replaced by another of that order leaves an irreducible
-    # representation of the corrupted group, whose commutator only the group
-    # verification compares with the pairing.  A psi that is not primitive
-    # gives a character norm above |H|.
+    # check of the SvN constructor refuses every corrupted coordinate (which
+    # the all-pairs homomorphism oracle sees too) and eps not of its pair's
+    # order; a corrupted order is the group's to refuse (the matrices keep
+    # the dimension they were built with), and an eps replaced by another of
+    # that order leaves an irreducible representation of the corrupted
+    # group, whose commutator only the group's check compares with the
+    # pairing.  A psi that is not primitive gives a character norm above |H|.
     rep = SvNRepresentation(build_group(standard_pairing(p, r)), 1)
     kept = 0
     for kind in _generator_corruptions(rep.group):
         if kind == "coordinate":
             assert not _exhaustive_homomorphism(rep)
+        rep._characters = None
         k_group, pairs = rep.group.k_group, rep.group.basis.pairs
-        if kind == "eps" and all(k_group.element_order(x) == rep.mod // gcd(eps, rep.mod)
-                                 for x, _, eps in pairs):
-            rep._characters = None
-            assert rep.verify() and _exhaustive_homomorphism(rep)
-            with pytest.raises(TheoremViolated):
-                rep.group.verify()
+        if kind == "order":
+            with pytest.raises(NotPerfect):
+                rep.group._check()
+        elif kind == "eps" and all(k_group.element_order(x) == rep.mod // gcd(eps, rep.mod)
+                                   for x, _, eps in pairs):
+            rep._check()
+            assert _exhaustive_homomorphism(rep)
+            with pytest.raises(TheoremViolated, match="commutator"):
+                rep.group._check()
             kept += 1
-            continue
-        with pytest.raises(TheoremViolated):
-            rep.verify()
+        else:
+            with pytest.raises(TheoremViolated):
+                rep._check()
     assert kept == (rep.mod == 3)  # over Z/3, eps = 1 becomes 2
     for psi in (u for u in range(rep.mod) if gcd(u, rep.mod) != 1):
         rep.psi_unit, rep._characters = psi, None
         with pytest.raises(TheoremViolated, match="not irreducible"):
-            rep.verify()
+            rep._check()
     rep.psi_unit, rep._characters = 1, None
-    assert rep.verify() and _exhaustive_homomorphism(rep)
+    rep._check()
+    assert _exhaustive_homomorphism(rep)
 
 
 def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
@@ -793,7 +797,7 @@ def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
     # S and h in H took |H| (k + 1) = 4608
     k = 8
     gram = [[int(s ^ t == 1) for t in range(k)] for s in range(k)]
-    h = build_group(AlternatingPairing.from_gram(FiniteAbelianGroup([2] * k), 2, gram))
+    pairing = AlternatingPairing.from_gram(FiniteAbelianGroup([2] * k), 2, gram)
     calls = {"multiply": 0, "compose": 0}
     for cls in (HeisenbergGroup, SvNRepresentation):
         for name in set(calls) & set(vars(cls)):
@@ -801,7 +805,7 @@ def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
                 calls[name] += 1
                 return method(self, *args)
             monkeypatch.setattr(cls, name, counted)
-    h.verify()
+    h = build_group(pairing)
     assert calls == {"multiply": 3 * k * k, "compose": 0}
     rep = stone_von_neumann(h, 1)
     assert calls == {"multiply": 3 * k * k + (k + 1) ** 2, "compose": (k + 1) ** 2}
@@ -809,20 +813,21 @@ def test_verify_multiplies_on_generator_pairs_only(monkeypatch):
     assert check_faithful(rep) and rep.character((1, 0)) == -rep.dim
     assert sum(calls.values()) == 3 * k * k + 2 * (k + 1) ** 2
 
-    # build_group + stone_von_neumann check the generator facts once, in the
-    # constructor; the SvN check builds rho(s) once per generator s, then
-    # rho(s t) per pair, rho(a, 0) per a and the matrices of the characters
-    # with alpha = 0 (A |K| / dim of them).  Only verify() rechecks the facts.
-    builds = {"matrix": 0, "_generator_fault": 0}
-    for cls, name in ((SvNRepresentation, "matrix"), (HeisenbergGroup, "_generator_fault")):
-        def counted(self, *args, name=name, method=getattr(cls, name)):
-            builds[name] += 1
+    # build_group and stone_von_neumann run the check of each constructor
+    # once, and nothing else: the SvN check builds rho(s) once per generator
+    # s, then rho(s t) per pair, rho(a, 0) per a and the matrices of the
+    # characters with alpha = 0 (A |K| / dim of them)
+    builds = {SvNRepresentation.matrix: 0, HeisenbergGroup._check: 0, SvNRepresentation._check: 0}
+    for cls, method in ((SvNRepresentation, SvNRepresentation.matrix),
+                        (HeisenbergGroup, HeisenbergGroup._check),
+                        (SvNRepresentation, SvNRepresentation._check)):
+        def counted(self, *args, method=method):
+            builds[method] += 1
             return method(self, *args)
-        monkeypatch.setattr(cls, name, counted)
-    rep = stone_von_neumann(build_group(h.pairing), 1)
+        monkeypatch.setattr(cls, method.__name__, counted)
+    rep = stone_von_neumann(build_group(pairing), 1)
     chars = h.a_modulus * h.k_group.order // rep.dim
-    assert builds == {"matrix": (k + 1) + (k + 1) ** 2 + h.a_modulus + chars, "_generator_fault": 1}
-    assert rep.group.verify() and rep.verify() and builds["_generator_fault"] == 3
+    assert list(builds.values()) == [(k + 1) + (k + 1) ** 2 + h.a_modulus + chars, 1, 1]
 
 
 def test_svn_norm_squares_only_the_nonzero_characters(monkeypatch):
@@ -831,7 +836,7 @@ def test_svn_norm_squares_only_the_nonzero_characters(monkeypatch):
     h = build_group(standard_pairing(3, 2))
     squared = []
     monkeypatch.setattr(heisenberg, "abs_square", lambda z: squared.append(z) or abs_square(z))
-    assert SvNRepresentation(h, 1).verify()
+    SvNRepresentation(h, 1)
     assert len(squared) == h.a_modulus == 3 < h.order
 
 
@@ -1078,9 +1083,11 @@ def test_deck_maps_solved_on_the_basis_only(monkeypatch):
     assert len(calls) == len(dh.solutions) == len(dh.kernel.basis) == 6
 
 
-def _assert_traces(h):
+def _assert_traces(h, monkeypatch):
     """The character table of h is the trace of `matrix` at every g, for h
-    as built and under every corruption of `_generator_corruptions`."""
+    as built and under every corruption of `_generator_corruptions`, which
+    the check of the SvN constructor is switched off to build."""
+    monkeypatch.setattr(SvNRepresentation, "_check", lambda self: None)
     for _ in itertools.chain([None], _generator_corruptions(h)):
         rep = SvNRepresentation(h, 1)
         traces = []
@@ -1092,9 +1099,9 @@ def _assert_traces(h):
 
 
 @pytest.mark.parametrize("p,r", ORACLE_SIZES)
-def test_character_table_is_the_trace_of_every_matrix(p, r):
+def test_character_table_is_the_trace_of_every_matrix(p, r, monkeypatch):
     # only the elements with alpha(k) = 0 have their matrix built
-    _assert_traces(build_group(standard_pairing(p, r)))
+    _assert_traces(build_group(standard_pairing(p, r)), monkeypatch)
 
 
 @pytest.mark.parametrize("p,r", ORACLE_SIZES)
@@ -1124,5 +1131,5 @@ def test_check_faithful_compares_only_the_traced_characters(p, r, monkeypatch):
 
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
-def test_deck_character_table_is_the_trace_of_every_matrix(p, i, a):
-    _assert_traces(_deck_data(p, i, a)[0].group)
+def test_deck_character_table_is_the_trace_of_every_matrix(p, i, a, monkeypatch):
+    _assert_traces(_deck_data(p, i, a)[0].group, monkeypatch)

@@ -1,9 +1,11 @@
 """The package surface: lazy exports and the `Record` value classes."""
 
+import ast
 import dataclasses
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from gausslab.fields import make_field
 from gausslab.heisenberg import DarbouxBasis, DatumHeisenberg
 from gausslab.varieties import SurfaceSummand, ZetaData
 
+ROOT = Path(__file__).resolve().parent.parent
 FROZEN = (DiagMonomial, CrossMonomial, HalfSquare, WittLinear, ASLinear, Precompose)
 MUTABLE = (KernelData, HDReport, DarbouxBasis, DatumHeisenberg, ZetaData, SurfaceSummand)
 
@@ -44,6 +47,44 @@ def test_star_import_and_from_import():
 
     assert QuadraticForm is importlib.import_module("gausslab.quadform").QuadraticForm
     assert zeta_pipeline is importlib.import_module("gausslab.varieties").zeta_pipeline
+
+
+def _named(tree, skip=None):
+    """The names a tree reads as ast.Name or ast.Attribute, outside the
+    subtree `skip`; strings, docstrings and the export table are not uses."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_library_function_has_a_caller_outside_the_tests():
+    # every top-level function and non-dunder method of the package is named
+    # somewhere in the package (outside its own def), in bench/ or in demos/
+    library = {path: ast.parse(path.read_text()) for path in sorted(ROOT.glob("src/gausslab/*.py"))}
+    callers = {path: ast.parse(path.read_text())
+               for path in sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))}
+    outside = set().union(*map(_named, callers.values()))
+    uncalled = []
+    for path, tree in library.items():
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        for name, node in defs:
+            if node.name.startswith("__") and node.name.endswith("__") or node.name in outside:
+                continue
+            if not any(node.name in _named(other, node if other is tree else None)
+                       for other in library.values()):
+                uncalled.append(f"{path.stem}.{name}")
+    assert not uncalled, f"only the tests call {uncalled}"
 
 
 def test_unknown_export_raises():
