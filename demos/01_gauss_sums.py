@@ -54,7 +54,7 @@ print(f"random form on Z/4 x Z/4 x Z/2: tau^2/|M| has order {order}")
 
 # On elementary 2-groups the square of the Gauss sum is computable in closed
 # form: tau^2 = Q(a)|M| for the canonical element a with B(v,v) = B(v,a).
-a, tau2, qa = char2_invariant(random_nondegenerate(FiniteAbelianGroup([2] * 4), 3))
+a, qa = char2_invariant(random_nondegenerate(FiniteAbelianGroup([2] * 4), 3))
 print(f"(Z/2)^4 random form:           canonical a = {a}, tau^2 = Q(a)*16 = {qa * 16}")
 
 # Degenerate forms are first-class: the sum either dies on the radical or

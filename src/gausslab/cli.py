@@ -115,7 +115,7 @@ def _cmd_gauss_verify(job, options):
                    witness=None if oracle == tau else oracle.to_json())
         )
         if all(d == 2 for d in form.group.moduli) and form.group.moduli:
-            a, _, qa = char2_invariant(form)
+            a, qa = char2_invariant(form)
             result["char2_element"] = list(a)
             square, expected = tau * tau, qa * form.group.order  # tau^2 = Q(a)|M|
             witness = None if square == expected else [square.to_json(), expected.to_json()]

@@ -128,14 +128,14 @@ class QuadraticForm:
 
     def __init__(self, group, value_order, exponents):
         """Q(x) = zeta_N^exponents[x], N = value_order, each exponent in [0, N);
-        the list is kept as given."""
+        a copy is kept, never reduced."""
         if len(exponents) != group.order:
             raise ValueError("value table must be total on the group")
         if min(exponents) < 0 or max(exponents) >= value_order:
             raise ValueError(f"exponents must lie in [0, {value_order})")
         self.group = group
         self.value_order = value_order
-        self.exponents = exponents
+        self.exponents = list(exponents)
 
     def __repr__(self):
         return f"QuadraticForm({self.group!r}, order {self.value_order})"
@@ -440,9 +440,9 @@ def orthogonal_split(mods, modulus, gram):
 # -- char-2 invariant ------------------------------------------------------------
 
 def char2_invariant(form):
-    """On an elementary 2-group: the canonical a with B(v,v) = B(v,a), tau
-    and Q(a), for the identity tau^2 = Q(a)|M| the caller compares.  Returns
-    (a_tuple, tau, Q(a))."""
+    """On an elementary 2-group: the canonical a with B(v,v) = B(v,a) and
+    Q(a), for the identity tau^2 = Q(a)|M| the caller compares.  Returns
+    (a_tuple, Q(a))."""
     if any(d != 2 for d in form.group.moduli):
         raise NotElementaryTwoGroup(f"moduli {form.group.moduli} are not all 2")
     if not form.is_nondegenerate():
@@ -459,7 +459,7 @@ def char2_invariant(form):
     a = tuple(sum(u[s] for u in lines) % 2 for s in range(len(gram)))
     if any((_dot(row, a) - row[s]) % n for s, row in enumerate(gram)):
         raise TheoremViolated("the split's lines do not realize the diagonal character")
-    return a, form.gauss_sum(), form.value(form.group.encode(a))
+    return a, form.value(form.group.encode(a))
 
 
 # -- degenerate descent ------------------------------------------------------------

@@ -138,8 +138,8 @@ def test_criterion_03_char2_square_identity():
         group = FiniteAbelianGroup((2,) * k)
         for seed in range(17):
             form = random_nondegenerate(group, seed)
-            a, tau, qa = char2_invariant(form)
-            assert tau * tau == qa * group.order
+            a, qa = char2_invariant(form)
+            assert form.gauss_sum() ** 2 == qa * group.order
             count += 1
     assert count >= 100
     _report(3, f"tau^2 = Q(a)|M| on {count} non-degenerate forms over (Z/2)^k, k <= 6")

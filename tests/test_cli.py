@@ -240,7 +240,7 @@ def test_char2_square_identity_is_computed(tmp_path, capsys, monkeypatch):
     assert {"name": "char2-square-identity", "pass": True} in passed["checks"]
     invariant = quadform.char2_invariant
     monkeypatch.setattr(quadform, "char2_invariant",
-                        lambda form: (lambda a, tau, qa: (a, tau, -qa))(*invariant(form)))
+                        lambda form: (lambda a, qa: (a, -qa))(*invariant(form)))
     assert cli.main(["gauss-verify", "--input", str(path)]) == 1
     failed = json.loads(capsys.readouterr().out)
     assert failed["ok"] is False and failed["result"] == passed["result"]

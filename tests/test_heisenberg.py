@@ -735,17 +735,24 @@ def _generator_corruptions(h):
 @pytest.mark.parametrize("p,r", ORACLE_SIZES)
 def test_corrupted_coordinates_rejected(p, r):
     # every single-entry corruption of the generator coordinates, of eps_i or
-    # of a pair order is caught by the checks of the constructor; the
-    # exhaustive group law sees the first two (multiplication does not read
-    # the orders)
+    # of a pair order is caught by the checks of the constructor: the
+    # generator data refuses a coordinate, an order and an eps not of its
+    # pair's order; an eps replaced by another of that order reaches the
+    # commutators.  The exhaustive group law sees the first and the last
+    # (multiplication does not read the orders)
     h = build_group(standard_pairing(p, r))
     kinds = set()
     for kind in _generator_corruptions(h):
         kinds.add(kind)
         if kind != "order":
             assert not _exhaustive_group_law(h)
-        with pytest.raises((NotPerfect, TheoremViolated)):
-            h._check()
+        if kind == "eps" and all(h.k_group.element_order(x) == h.a_modulus // gcd(eps, h.a_modulus)
+                                 for x, _, eps in h.basis.pairs):
+            with pytest.raises(TheoremViolated, match="commutator"):
+                h._check()
+        else:
+            with pytest.raises(NotPerfect):
+                h._check()
     assert kinds == {"coordinate", "eps", "order"}
     h._check()
     assert _exhaustive_group_law(h)
