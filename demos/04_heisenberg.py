@@ -14,7 +14,6 @@ from gausslab import (
     QuadDatum,
     build_group,
     check_faithful,
-    darboux,
     heisenberg_from_datum,
     make_field,
     stone_von_neumann,
@@ -34,14 +33,13 @@ def standard(p):
 
 for p in (2, 3):
     pairing = standard(p)
-    basis = darboux(pairing)
     heis = build_group(pairing)  # verifies the group law and [,] = e on generators
     rep = stone_von_neumann(heis)  # and the SvN homomorphism, norm sum = |H|
     orders = {}
     for g in heis.elements():
         o = heis.element_order(g)
         orders[o] = orders.get(o, 0) + 1
-    print(f"p = {p}: |H| = {heis.order}, Darboux ranks {basis.ranks(pairing.group)}, "
+    print(f"p = {p}: |H| = {heis.order}, Darboux ranks {heis.orders}, "
           f"SvN dimension {rep.dim}, faithful: {check_faithful(rep)}")
     print(f"   element-order histogram: {orders}")
 

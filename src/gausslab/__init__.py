@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "heisenberg": (
         "AlternatingPairing", "HeisenbergGroup", "SvNRepresentation", "build_group",
-        "check_faithful", "darboux", "heisenberg_from_datum", "stone_von_neumann",
+        "check_faithful", "heisenberg_from_datum", "stone_von_neumann",
     ),
     "varieties": (
         "CurveSpec", "SurfaceSpec", "ZetaData", "betti_closure_check",

@@ -5,11 +5,18 @@ F_{q^n}: an additive character psi = zeta_p composed with traces of polynomial
 terms, plus (for p = 2) Witt-vector character terms psi' = zeta_{p^2} composed
 with Witt traces.  All sums, pairings, kernels and identity checks are exact.
 
-The term kinds of a datum are read in one place, `_term_plan`: every term
-becomes a x_j^(p^i) x_k, a linear twist or a Witt term, with its coefficient
-embedded once.  The Gram evaluator (and with it the sums and the geometric
-kernel), `symbolic_pairing` and the deck construction of `heisenberg` all
-read that plan.
+The term kinds and substitutions of a datum are read in two places only,
+`QuadDatum` and `_term_plan`: every term becomes entries a x_j^(p^i) x_k,
+linear twists c x_j or Witt terms psi'((c x_j, 0)), with their coefficients
+embedded once.  A precomposition x_j -> s_j(x_j) is resolved there, term by
+term through s_j = sum_u f_u X^(p^u), into entries with the same trace (Tr is
+Frobenius-invariant, and so is `witt_trace`): a s_j(x_j)^(p^i) s_k(x_k) gives
+(a f_u^(p^i) g_v)^(p^-v) x_j^(p^(u+i-v)) x_k when u + i >= v, else the root
+by p^(u+i) with j and k swapped; c s_j(x_j) gives (c f_u)^(p^-u) x_j; a Witt
+term gives its Witt entries at (c f_u)^(2^-u) and cross entries from the
+carry V(sum_(u<v) y_u y_v).  The Gram evaluator (and with it the sums and the
+geometric kernel), `symbolic_pairing` and the deck construction of
+`heisenberg` all read that plan, and none of them applies a substitution.
 """
 
 import itertools
@@ -192,25 +199,58 @@ def _term_plan(datum, emb):
     embedded once by `emb`: a x_j^(p^i) x_k as (j, k, i, a) in `cross`, with a
     diagonal monomial at k = j and a half square (a/2) x_j^2 at k = j, i = 0
     and a/2 = a (p + 1)/2; an AS-linear twist c x_j as (j, c) in `linear`; a
-    Witt term psi'((c x_j, 0)) as (j, c) in `witt`.  Precompositions are not
-    terms: they act through `QuadDatum.substitution`."""
+    Witt term psi'((c x_j, 0)) as (j, c) in `witt`.
+
+    Precompositions are resolved here, the one reader of term kinds and
+    substitutions besides `QuadDatum`: each term is expanded through the
+    substitutions s_j = sum_u f_u X^(p^u) of its coordinates into entries
+    with the same trace, since Tr is Frobenius-invariant.  With c = a f_u^(p^i)
+    g_v and alpha = u + i, a s_j(x_j)^(p^i) s_k(x_k) gives (j, k, alpha - v,
+    c^(p^-v)) for alpha >= v, else (k, j, v - alpha, c^(p^-alpha)), for each
+    (u, f_u) in s_j and (v, g_v) in s_k; c s_j(x_j) gives (j, (c f_u)^(p^-u));
+    with y_u = c f_u x^(2^u), (sum y_u, 0) = sum (y_u, 0) + V(sum_(u<v) y_u
+    y_v) and `witt_trace` is F-invariant, so psi'((c s_j(x_j), 0)) gives the
+    Witt entries (j, (c f_u)^(2^-u)) and the cross entries (j, j, v - u,
+    (c^2 f_u f_v)^(2^-u)) for u < v.  A coordinate with no substitution gives
+    its entry as written."""
     half = (datum.field.p + 1) // 2
+    identity = ((0, datum.field.one()),)
     cross, linear, witt = [], [], []
+
+    def quadratic(j, k, i, a):
+        sj, sk = datum.substitution(j), datum.substitution(k)
+        if sj is None and sk is None:
+            cross.append((j, k, i, emb(a)))
+            return
+        for u, f in sj.coeffs.items() if sj else identity:
+            for v, g in sk.coeffs.items() if sk else identity:
+                c, alpha = a * f.frobenius(i) * g, u + i
+                cross.append((j, k, alpha - v, emb(c.frobenius(-v))) if alpha >= v
+                             else (k, j, v - alpha, emb(c.frobenius(-alpha))))
+
+    def scaled(j, c):
+        """c s_j(x_j) as (u, c f_u) pairs, c alone with no substitution."""
+        s = datum.substitution(j)
+        return [(0, c)] if s is None else [(u, c * f) for u, f in s.coeffs.items()]
+
     for t in datum.terms:
         if t.kind in ("diag", "cross"):
-            cross.append((t.j, getattr(t, "k", t.j), t.i, emb(t.a)))
+            quadratic(t.j, getattr(t, "k", t.j), t.i, t.a)
         elif t.kind == "halfsq":
-            cross.append((t.j, t.j, 0, emb(t.a) * half))
+            quadratic(t.j, t.j, 0, t.a * half)
         elif t.kind == "aslin":
-            linear.append((t.j, emb(t.c)))
+            linear.extend((t.j, emb(y.frobenius(-u))) for u, y in scaled(t.j, t.c))
         elif t.kind == "wittlin":
-            witt.append((t.j, emb(t.c)))
+            ys = scaled(t.j, t.c)
+            witt.extend((t.j, emb(y.frobenius(-u))) for u, y in ys)
+            cross.extend((t.j, t.j, v - u, emb((y * z).frobenius(-u)))
+                         for (u, y), (v, z) in itertools.combinations(ys, 2))
     return cross, linear, witt
 
 
 def _ga_value(cross, linear, v, zero):
     """The untraced G_a value sum a v_j^(p^i) v_k + sum c v_j of the `cross`
-    and `linear` terms of a plan at the (substituted) coordinates v."""
+    and `linear` terms of a plan at the point v."""
     acc = zero
     for j, k, i, a in cross:
         acc = acc + a * v[j].frobenius(i) * v[k]
@@ -228,40 +268,28 @@ class _Evaluator:
         big, emb = extension(datum.field, n, override)
         self.big = big
         self.emb = emb
-        self.p = datum.field.p
-        subs = {}
-        for j in range(datum.d):
-            s = datum.substitution(j)
-            subs[j] = s.lift(emb) if s is not None else None
-        self._subs = subs
+        self.p, self.d = datum.field.p, datum.d
         self._cross, self._linear, self._witt = _term_plan(datum, emb)
-
-    def _coords(self, point):
-        out = []
-        for j, x in enumerate(point):
-            s = self._subs[j]
-            out.append(x if s is None else s.evaluate(x))
-        return out
 
     def exponent(self, point):
         """Exponent e with t(point) = zeta_{p^2}^e."""
-        v = self._coords(point)
         big = self.big
-        acc = _ga_value(self._cross, self._linear, v, big.zero())
-        witt_exp = sum(witt_trace(WittVector2(big, c * v[j], big.zero())) for j, c in self._witt)
+        acc = _ga_value(self._cross, self._linear, point, big.zero())
+        witt_exp = sum(witt_trace(WittVector2(big, c * point[j], big.zero()))
+                       for j, c in self._witt)
         return (self.p * absolute_trace_int(acc) + witt_exp) % (self.p * self.p)
 
-    def polar(self, v):
-        """u with B(x, y) = sum_j Tr(u_j v_j(y)) mod p, for v the substituted
-        coordinates of x: the polar form of `exponent`, term by term, where
-        Tr(a x y^(p^i)) = Tr((a x)^(p^-i) y); linear terms add nothing."""
-        u = [self.big.zero()] * len(v)
+    def polar(self, x):
+        """u with B(x, y) = sum_j Tr(u_j y_j) mod p: the polar form of
+        `exponent`, term by term, where Tr(a x y^(p^i)) = Tr((a x)^(p^-i) y);
+        linear terms add nothing."""
+        u = [self.big.zero()] * len(x)
         for j, k, i, a in self._cross:
-            u[k] = u[k] + a * v[j].frobenius(i)
-            u[j] = u[j] + (a * v[k]).frobenius(-i)
+            u[k] = u[k] + a * x[j].frobenius(i)
+            u[j] = u[j] + (a * x[k]).frobenius(-i)
         for j, c in self._witt:
             # the carry: (c(x+y), 0) = (cx, 0) + (cy, 0) - V(c^2 xy)
-            u[j] = u[j] + c * c * v[j]
+            u[j] = u[j] + c * c * x[j]
         return u
 
 
@@ -281,11 +309,10 @@ def _gram_data(ev, basis):
     adds nothing, and a coordinate basis vector has d - 1 of them.  They fix e
     on the span (see `_value`), so two quadratic exponents agree on it iff
     their Gram data agree."""
-    coords = [ev._coords(b) for b in basis]
-    rows = [ev.polar(v) for v in coords]
+    rows = [ev.polar(b) for b in basis]
     return _checked_gram(
-        ev.exponent, (ev.big.zero(),) * len(ev._subs), basis, [ev.exponent(b) for b in basis], ev.p,
-        lambda k, l: sum(absolute_trace_int(u * v) for u, v in zip(rows[k], coords[l]) if v) % ev.p)
+        ev.exponent, (ev.big.zero(),) * ev.d, basis, [ev.exponent(b) for b in basis], ev.p,
+        lambda k, l: sum(absolute_trace_int(u * v) for u, v in zip(rows[k], basis[l]) if v) % ev.p)
 
 
 def _checked_gram(exponent, origin, basis, a, p, pair):
@@ -440,12 +467,12 @@ class PairingDatum:
 
 def symbolic_pairing(datum):
     """Expand t(x+y)/t(x)t(y) into a PairingDatum, exactly, from the term
-    plan, with s_j the substitution of coordinate j: a x_j^(p^i) x_k adds
-    s_k^adj o (a s_j^(p^i)) to f_jk and (s_j^(p^i))^adj o (a s_k) to f_kj (a
-    half square's two halves a (p + 1)/2 add up to a); a Witt term c adds
-    s_j^adj o (c^2 s_j) to f_jj, since (c(x+y),0) - (cx,0) - (cy,0) =
-    -V(c^2 xy) contributes psi(Tr(c^2 x y)) (see gamma(x,z) = xz for p = 2);
-    linear terms add nothing.
+    plan, where precompositions are already resolved: a x_j^(p^i) x_k adds a
+    X^(p^i) to f_jk and its adjoint a^(p^-i) X^(p^-i) to f_kj (a half
+    square's two halves a (p + 1)/2 add up to a); a Witt term c adds c^2 X to
+    f_jj, since (c(x+y),0) - (cx,0) - (cy,0) = -V(c^2 xy) contributes
+    psi(Tr(c^2 x y)) (see gamma(x,z) = xz for p = 2); linear terms add
+    nothing.
 
     Asserts the classified symmetric shape (a_i paired with a_i^(p^-i) on
     the diagonal); failure means a construction bug and raises
@@ -454,19 +481,17 @@ def symbolic_pairing(datum):
     field = datum.field
     matrix = {}
     zero = AdditivePolynomial(field, {})
-    identity = AdditivePolynomial(field, {0: field.one()})
-    subs = [identity if s is None else s for s in map(datum.substitution, range(datum.d))]
 
     def add_to(j, k, f):
         matrix[(j, k)] = matrix.get((j, k), zero) + f
 
     cross, _, witt = _term_plan(datum, lambda a: a)
     for j, k, i, a in cross:
-        sji = subs[j].twist(i)
-        add_to(j, k, subs[k].adjoint().compose(sji.scale(a)))
-        add_to(k, j, sji.adjoint().compose(subs[k].scale(a)))
+        f = AdditivePolynomial(field, {i: a})
+        add_to(j, k, f)
+        add_to(k, j, f.adjoint())
     for j, c in witt:
-        add_to(j, j, subs[j].adjoint().compose(subs[j].scale(c * c)))
+        add_to(j, j, AdditivePolynomial(field, {0: c * c}))
     out = PairingDatum(field, datum.d, matrix)
     if not out.is_symmetric():
         raise TheoremViolated("expanded pairing fails r_B = l_B (construction bug)")
@@ -492,18 +517,13 @@ class KernelData(Record):
                 for vec in _span_mod_p(vectors, self.field.p, m * self.d)]
 
 
-def _kernel_basis(ev, d):
+def _kernel_basis(ev):
     """Flat F_p-basis of K(F_{q^n}) = ker l_Q, the radical of the polar form
-    of an `_Evaluator`: B(x, y) = sum_j Tr(u_j(x) s_j(y_j)) = sum_j
-    Tr(s_j^adj(u_j(x)) y_j) for u the polar rows and s_j the substitutions,
-    so l_Q(x)_j = s_j^adj(u_j(x)), and the trace form is non-degenerate.  The
-    nullspace of an (m*n*d)^2 matrix over F_p, no point enumeration."""
-    adjoints = [None if s is None else s.adjoint() for s in ev._subs.values()]
-    cols = []
-    for b in _coordinate_basis(ev.big, [ev.big._power_basis] * d):
-        u = ev.polar(ev._coords(b))
-        cols.append([c for f, w in zip(adjoints, u)
-                     for c in (w if f is None else f.evaluate(w)).coeffs])
+    of an `_Evaluator`: B(x, y) = sum_j Tr(u_j(x) y_j) for u the polar rows,
+    so l_Q(x) = u(x), and the trace form is non-degenerate.  The nullspace of
+    an (m*n*d)^2 matrix over F_p, no point enumeration."""
+    cols = [[c for w in ev.polar(b) for c in w.coeffs]
+            for b in _coordinate_basis(ev.big, [ev.big._power_basis] * ev.d)]
     return _nullspace_mod_p(list(zip(*cols)), ev.p)
 
 
@@ -543,7 +563,7 @@ def geometric_kernel(datum, override=False):
     best = (0, None, None)  # (kernel dim, n, basis field/basis)
     for n in range(1, _MAX_SPLITTING_DEGREE + 1):
         ev = _Evaluator(datum, n, override)
-        basis = _kernel_basis(ev, d)
+        basis = _kernel_basis(ev)
         size = p ** len(basis)
         if size > best[0]:
             best = (size, n, (ev.big, basis))

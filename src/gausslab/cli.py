@@ -248,7 +248,6 @@ def _cmd_heisenberg(job, options):
         pairing = AlternatingPairing(k_group, spec["a_modulus"], spec["table"])
         group = build_group(pairing)
         extra = {}
-    basis = group.basis
     rep = stone_von_neumann(group, psi_unit)
     faithful = check_faithful(rep)
     characters = rep.characters()
@@ -259,7 +258,7 @@ def _cmd_heisenberg(job, options):
     result = {
         "order": group.order,
         "a_modulus": group.a_modulus,
-        "darboux_ranks": basis.ranks(group.k_group),
+        "darboux_ranks": group.orders,
         "svn_dim": rep.dim,
         "faithful": faithful,
         "character_table": char_table,

@@ -99,11 +99,16 @@ class AlternatingPairing:
         return _dot(self.group.decode(i), self.covector(self.group.decode(j))) % self.a_modulus
 
     def _darboux(self):
-        """The Darboux basis from `orthogonal_split` of the generators: e is
-        alternating, so every piece is a plane <u, v> with eps = e(u, v) of
-        maximal order, and the radical element it may meet is the NotPerfect
-        witness.  The q-primary parts are orthogonal: pair i is the sum of
-        the i-th pairs of all primes q."""
+        """The Darboux basis from `orthogonal_split` of the generators: dual
+        pairs (x_i, y_i, eps_i), element indices with e(x_i, y_j) = delta_ij
+        eps_i and isotropic spans.  e is alternating, so every piece is a
+        plane <u, v> with eps = e(u, v) of maximal order, and the radical
+        element it may meet is the NotPerfect witness.  The q-primary parts
+        are orthogonal: pair i is the sum of the i-th pairs of all primes q.
+        Tie-break: per prime q, the q-parts of the generators in coordinate
+        order (reduced vectors keep their places), the first pair (u before
+        v) whose e(u, v) has maximal order.  The pair orders come out
+        non-increasing and are basis-free."""
         g, k = self.group, len(self.group.moduli)
         pieces, radical = orthogonal_split(g.moduli, self.a_modulus, self.gram)
         if radical is not None:
@@ -116,25 +121,7 @@ class AlternatingPairing:
             xs, ys, eps = zip(*column)
             pairs.append((g.encode(map(sum, zip(*xs))), g.encode(map(sum, zip(*ys))),
                           sum(eps) % self.a_modulus))
-        return DarbouxBasis(pairs)
-
-
-class DarbouxBasis(Record):
-    """Dual pairs (x_i, y_i) with e(x_i, y_j) = delta_ij * eps_i, isotropic spans."""
-
-    pairs: list  # (x index, y index, eps in Z/A)
-
-    def ranks(self, group):
-        return [group.element_order(x) for x, _, _ in self.pairs]
-
-
-def darboux(pairing):
-    """The Darboux basis the splitting of the pairing's generators found.
-    Tie-break: per prime q, the q-parts of the generators in coordinate order
-    (reduced vectors keep their places), the first pair (u before v) whose
-    e(u, v) has maximal order; pair i sums the i-th pairs of all primes.
-    The ranks come out non-increasing and are basis-free."""
-    return pairing.basis
+        return pairs
 
 
 class HeisenbergGroup:
@@ -149,8 +136,8 @@ class HeisenbergGroup:
 
     def __init__(self, pairing):
         self.pairing, self.k_group, self.a_modulus = pairing, pairing.group, pairing.a_modulus
-        self.basis = darboux(pairing)
-        self.orders = self.basis.ranks(self.k_group)
+        self.basis = pairing.basis
+        self.orders = [self.k_group.element_order(x) for x, _, _ in self.basis]
         self._coords = self._coordinate_table()
         self.order = self.a_modulus * self.k_group.order
         self._check()
@@ -163,7 +150,7 @@ class HeisenbergGroup:
         g, mod, orders = self.k_group, self.a_modulus, self.orders
         columns = []  # alpha_0 .. alpha_(r-1), beta_0 .. beta_(r-1)
         for side in (1, 0):
-            for (*xy, eps), o in zip(self.basis.pairs, orders):
+            for (*xy, eps), o in zip(self.basis, orders):
                 unit, vector = mod // o, g.decode(xy[side])
                 values = [(2 * side - 1) * _dot(row, vector) % mod for row in self.pairing.gram]
                 if mod % o or any(v % unit for v in values + [eps]) or gcd(eps // unit, o) > 1:
@@ -192,7 +179,7 @@ class HeisenbergGroup:
            commutator by 1), so they agree on K x K; e is perfect, so
            Z(H) = A.
         """
-        g, mod, orders, pairs = self.k_group, self.a_modulus, self.orders, self.basis.pairs
+        g, mod, orders, pairs = self.k_group, self.a_modulus, self.orders, self.basis
         for (x, y, eps), o in zip(pairs, orders):
             if mod % o or eps % (mod // o) or gcd(eps // (mod // o), o) != 1 or not (
                     g.element_order(x) == g.element_order(y) == o):
@@ -213,8 +200,7 @@ class HeisenbergGroup:
 
     def cocycle(self, i, j):
         ai, bj = self._coords[i][0], self._coords[j][1]
-        pairs = self.basis.pairs
-        return sum(a * b * eps for a, b, (_, _, eps) in zip(ai, bj, pairs)) % self.a_modulus
+        return sum(a * b * eps for a, b, (_, _, eps) in zip(ai, bj, self.basis)) % self.a_modulus
 
     # group elements are pairs (a, k) with a mod a_modulus, k an index in K
     def elements(self):
@@ -290,7 +276,7 @@ class SvNRepresentation:
         a, k = g
         alphas, betas = grp._coords[k]
         perm, phases = [0], [a]
-        for o, alpha, beta, (_, _, eps) in zip(grp.orders, alphas, betas, grp.basis.pairs):
+        for o, alpha, beta, (_, _, eps) in zip(grp.orders, alphas, betas, grp.basis):
             mus = [(alpha + lam) % o for lam in range(o)]
             perm = [t * o + mu for t in perm for mu in mus]
             phases = [b - mu * beta * eps for b in phases for mu in mus]
@@ -380,17 +366,13 @@ class DatumHeisenberg(Record):
 
 def _check_deck_datum(datum):
     """Refuse, before any kernel is computed or capped, a datum the deck
-    construction does not cover: it is 1-dimensional, G_a-valued, has its
-    precompositions resolved and only diag, halfsq and aslin terms."""
+    construction does not cover: it is 1-dimensional and G_a-valued.  Cross
+    terms and precompositions need no check: the construction reads them as
+    entries of the term plan."""
     if datum.d != 1:
         raise ValueError("the deck construction is one-dimensional")
     if datum.has_witt:
         raise ValueError("the W2-valued p = 2 case is deferred; use G_a-valued data")
-    if any(t.kind == "precompose" for t in datum.terms):
-        raise ValueError("resolve precompositions before the deck construction")
-    for t in datum.terms:
-        if t.kind not in ("diag", "halfsq", "aslin"):
-            raise ValueError(f"unsupported term {t.kind} in the deck construction")
 
 
 def _beta_poly(cross, k):
@@ -424,7 +406,10 @@ def _solve_additive(beta, big):
 
 
 def heisenberg_from_datum(datum, override=False):
-    """The deck-transformation Heisenberg group of an isogeneous datum.
+    """The deck-transformation Heisenberg group of an isogeneous datum: any
+    1-dimensional G_a-valued one, cross terms and precompositions included,
+    since h is read off its term plan, where precompositions are resolved
+    (`_check_deck_datum` refuses d != 1 and Witt terms).
 
     K = geometric kernel; for k in K the unique additive g_k with
     g_k^(p) - g_k = beta_k, beta_k(X) = h(X + k) - h(X) - h(k), defines
@@ -477,9 +462,9 @@ def _validate_deck_maps(plan, big, basis, solutions, pairing, samples):
     covering z^p - z = h(u).
 
     The basis proves the formal identity for every k: g_k = sum_s lambda_s(k)
-    g_s by definition, and both sides are additive in k (beta_k for the
-    diag, halfsq and aslin terms alike).  The formal identity sees what the
-    samples cannot: g_s + phi with phi vanishing at every sampled u."""
+    g_s by definition, and both sides are additive in k (beta_k for every
+    entry of the plan alike).  The formal identity sees what the samples
+    cannot: g_s + phi with phi vanishing at every sampled u."""
     from .charsum import _ga_value
 
     cross, linear, _ = plan

@@ -6,9 +6,9 @@ fill of its generator data, the k values Q(e_s) and the Gram matrix B(e_s,
 e_t) on the standard generators; then one `orthogonal_split`, Wall's
 splitting of such data into orthogonal lines and planes, decides
 non-degeneracy and gives the recursive oracle its pieces (and `heisenberg`
-its Darboux bases).  The one class `QuadraticForm` caches both; only the
-radical and `radical_descent` build a third cache, the
-covectors (B(x, e_s))_s of every x, one O(|M| k) fill from the same data.
+its Darboux bases).  The one class `QuadraticForm` caches both; the radical
+and `radical_descent` read the k generator characters B(e_s, -), O(|M| k)
+work.
 On an elementary 2-group the canonical element of `char2_invariant` is the
 sum of the split's lines, with no pass over M.  Values are roots of unity
 of order dividing exponent(M)^2, kept as integer exponents modulo the
@@ -198,20 +198,6 @@ class QuadraticForm:
         mods, _, gram = self.gram
         return orthogonal_split(mods, self.value_order, gram)
 
-    @cached_property
-    def _covectors(self):
-        """(B(x, e_s))_s for every x in index order, from `gram` of a bilinear
-        B, one generator at a time like `_fill`: B(x + c e_t, e_s) = B(x, e_s)
-        + c G_ts, O(|M| k) work and memory, built only by radical() and
-        radical_descent.  x and y share a covector iff
-        x - y is radical."""
-        mods, _, gram = self.gram
-        n = self.value_order
-        out = [(0,) * len(mods)]
-        for d, row in zip(mods, gram):
-            out = [tuple((b + c * g) % n for b, g in zip(v, row)) for c in range(d) for v in out]
-        return out
-
     def is_quadratic(self, raise_on_failure=False):
         """Bilinearity of B_Q, decided once by `witness`."""
         if self.witness is not None and raise_on_failure:
@@ -219,10 +205,11 @@ class QuadraticForm:
         return self.witness is None
 
     def radical(self):
-        """{x : B(x, g) = 0 for all generators g}, the zero covectors;
-        NotQuadratic unless bilinear."""
+        """{x : B(g, x) = 0 for all generators g}, where every generator
+        character vanishes; NotQuadratic unless bilinear."""
         self.is_quadratic(raise_on_failure=True)
-        return [x for x, v in enumerate(self._covectors) if not any(v)]
+        rows = [self.character_of_element(g) for g in self.group.generators()]
+        return [x for x in self.group.elements() if not any(row[x] for row in rows)]
 
     def is_nondegenerate(self):
         self.is_quadratic(raise_on_failure=True)
@@ -480,10 +467,12 @@ def radical_descent(form):
         if not tau.is_zero():
             raise TheoremViolated("tau must vanish when Q|radical is nontrivial")
         return ("zero",)
-    # the first x of each covector is the least element of its coset
+    # x and y share a coset of the radical iff every generator character
+    # agrees at them: the first x of each row tuple is the least of its coset
+    rows = [form.character_of_element(g) for g in form.group.generators()]
     reps = {}
-    for x, v in enumerate(form._covectors):
-        reps.setdefault(v, x)
+    for x in form.group.elements():
+        reps.setdefault(tuple(row[x] for row in rows), x)
     tau_bar = zeta_sum(n_val, Counter(q[i] for i in reps.values()))
     if tau != len(rad) * tau_bar:
         raise TheoremViolated("tau != |radical| * tau_bar in the descent")

@@ -594,17 +594,17 @@ def _nonzero_kernel_cases(table_bound):
 
 
 def test_kernel_from_polar_rows_matches_the_lifted_pairing():
-    # the radical of the evaluator's polar form, pulled back through the
-    # adjoint substitutions, against the nullspace of the lifted symbolic
-    # pairing: the same field and the same reduced basis, on the catalog, on
-    # the seeded data and on seeded data with a nonzero pairing
+    # the radical of the evaluator's polar form, both read off the term plan
+    # with its precompositions resolved, against the nullspace of the lifted
+    # symbolic pairing: the same field and the same reduced basis, on the
+    # catalog, on the seeded data and on seeded data with a nonzero pairing
     cases = _kernel_cases(2**12)
     assert len(cases) >= 700
     nonzero = _nonzero_kernel_cases(2**12)
     for name, datum, n in cases + nonzero:
         ev = charsum._Evaluator(datum, n)
         expected = _lifted_pairing_kernel(symbolic_pairing(datum), n)
-        assert (ev.big, charsum._kernel_basis(ev, datum.d)) == expected, (name, n)
+        assert (ev.big, charsum._kernel_basis(ev)) == expected, (name, n)
 
 
 def test_radical_of_the_derived_form_is_the_geometric_kernel():
@@ -612,7 +612,7 @@ def test_radical_of_the_derived_form_is_the_geometric_kernel():
     # radical of the polar form B, and B(x, y) = sum_j Tr(l_Q(x)_j y_j) with
     # the trace form non-degenerate
     for name, datum, n in _kernel_cases(2**8):
-        basis = charsum._kernel_basis(charsum._Evaluator(datum, n), datum.d)
+        basis = charsum._kernel_basis(charsum._Evaluator(datum, n))
         assert len(derive_pairing(datum, n).radical()) == datum.field.p ** len(basis), (name, n)
 
 
@@ -737,6 +737,72 @@ def _random_datum(field, d, rng):
             f = {i: coeff() for i in rng.sample((-1, 0, 1), rng.randint(1, 2))}
             terms.append(Precompose(j, AdditivePolynomial(field, f)))
     return QuadDatum(field, d, terms)
+
+
+def _unresolved_exponent(datum, n):
+    """point -> e(point) over F_{q^n}, each term evaluated term kind by term
+    kind at the substituted coordinates s_j(x_j): the evaluator before the
+    term plan resolved precompositions, kept as the oracle of that
+    resolution."""
+    big, emb = extension(datum.field, n, False)
+    p, zero = datum.field.p, big.zero()
+    subs = [datum.substitution(j) for j in range(datum.d)]
+    subs = [None if s is None else s.lift(emb) for s in subs]
+
+    def exponent(point):
+        v = [x if s is None else s.evaluate(x) for x, s in zip(point, subs)]
+        acc, witt = zero, 0
+        for t in datum.terms:
+            if t.kind == "diag":
+                acc = acc + emb(t.a) * v[t.j].frobenius(t.i) * v[t.j]
+            elif t.kind == "cross":
+                acc = acc + emb(t.a) * v[t.j].frobenius(t.i) * v[t.k]
+            elif t.kind == "halfsq":
+                acc = acc + emb(t.a) * ((p + 1) // 2) * v[t.j] * v[t.j]
+            elif t.kind == "aslin":
+                acc = acc + emb(t.c) * v[t.j]
+            elif t.kind == "wittlin":
+                witt += fields.witt_trace(fields.WittVector2(big, emb(t.c) * v[t.j], zero))
+        return (p * absolute_trace_int(acc) + witt) % (p * p)
+
+    return big, exponent
+
+
+def _multi_precomposed(field, d, rng):
+    """`_random_datum` with one to two more precompositions by two or three
+    terms X^(p^u), u in -1..2, on one coordinate: multi-term substitutions,
+    composed when they meet a drawn one."""
+    datum = _random_datum(field, d, rng)
+    j, extra = rng.randrange(d), []
+    for _ in range(rng.randint(1, 2)):
+        f = {u: _unit(field, rng) for u in rng.sample((-1, 0, 1, 2), rng.randint(2, 3))}
+        extra.append(Precompose(j, AdditivePolynomial(field, f)))
+    return QuadDatum(field, d, list(datum.terms) + extra)
+
+
+def test_resolved_term_plan_agrees_with_the_substituted_terms_pointwise():
+    # e from the term plan, where precompositions are resolved into plain
+    # entries, against every term evaluated at s_j(x_j): at every point when
+    # there are at most 81, else at 60 seeded ones.  F_8 and F_27 tell a
+    # root f^(p^-u) from a power f^(p^u), which agree on F_4 and F_9
+    rng, evaluations, witt, multi = random.Random("resolved-plan"), 0, 0, 0
+    for field in (F2, F4, make_field(2, 3), F3, F9, make_field(3, 3)):
+        for d in (1, 2):
+            for _ in range(12):
+                datum = _multi_precomposed(field, d, rng)
+                witt += datum.has_witt
+                multi += any(len(datum.substitution(j).coeffs) > 1 for j in range(d)
+                             if datum.substitution(j) is not None)
+                for n in (1, 2):
+                    big, oracle = _unresolved_exponent(datum, n)
+                    ev = charsum._Evaluator(datum, n)
+                    elements = list(big.elements())
+                    points = (itertools.product(elements, repeat=d) if big.q ** d <= 81 else
+                              [tuple(rng.choice(elements) for _ in range(d)) for _ in range(60)])
+                    for point in points:
+                        assert ev.exponent(point) == oracle(point), (datum.to_json(), n, point)
+                        evaluations += 1
+    assert witt >= 30 and multi >= 140 and evaluations >= 10000
 
 
 def _unit(field, rng):

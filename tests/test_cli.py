@@ -596,25 +596,66 @@ def test_psi_unit_decodes_strictly(psi, monkeypatch, tmp_path, capsys):
 
 
 def test_heisenberg_of_a_witt_datum_is_refused_without_traceback():
-    # the W2-valued deck construction is deferred, and so are d = 2, an
-    # unresolved precomposition and a cross term: invalid input, exit 2
+    # the W2-valued deck construction is deferred, and so is d = 2: invalid
+    # input, exit 2; a precomposition and a cross term are resolved in the
+    # term plan and build their deck groups
     diag = {"kind": "diag", "j": 0, "i": 1, "a": [1]}
     refusals = [
         ({"field": {"p": 2, "m": 1}, "d": 1, "terms": [{"kind": "wittlin", "j": 0, "c": [1]}]},
          "the W2-valued p = 2 case is deferred"),
         (corpus()["frobpair-gl-q2-hd"]["input"]["datum"], "the deck construction is one-dimensional"),
-        ({"field": {"p": 2, "m": 1}, "d": 1,
-          "terms": [diag, {"kind": "precompose", "j": 0, "f": {"1": [1]}}]},
-         "resolve precompositions before the deck construction"),
-        ({"field": {"p": 3, "m": 1}, "d": 1,
-          "terms": [diag, {"kind": "cross", "j": 0, "k": 0, "i": 0, "a": [1]}]},
-         "unsupported term cross in the deck construction"),
     ]
     for datum, message in refusals:
         proc = run_cli("heisenberg", {"from_datum": datum})
         assert proc.returncode == 2, message
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+    for datum in ({"field": {"p": 2, "m": 1}, "d": 1,
+                   "terms": [diag, {"kind": "precompose", "j": 0, "f": {"1": [1]}}]},
+                  {"field": {"p": 3, "m": 1}, "d": 1,
+                   "terms": [diag, {"kind": "cross", "j": 0, "k": 0, "i": 0, "a": [1]}]}):
+        proc = run_cli("heisenberg", {"from_datum": datum})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
+
+
+def _datum_json(p, m, *terms):
+    return {"field": {"p": p, "m": m}, "d": 1, "terms": list(terms)}
+
+
+def _term(kind, **fields):
+    return {"kind": kind, "j": 0, **fields}
+
+
+# pairs of data with one term plan: a cross term a x^(p^i) x and the diagonal
+# monomial (i >= 1) or the half square 2a (i = 0, odd p); a x^(p^i + 1), a in
+# F_p, precomposed with X^p and not
+_SAME_PLAN = [
+    (_datum_json(2, 1, _term("cross", k=0, i=1, a=[1])), _datum_json(2, 1, _term("diag", i=1, a=[1]))),
+    (_datum_json(2, 2, _term("cross", k=0, i=1, a=[0, 1])),
+     _datum_json(2, 2, _term("diag", i=1, a=[0, 1]))),
+    (_datum_json(3, 1, _term("cross", k=0, i=2, a=[2])), _datum_json(3, 1, _term("diag", i=2, a=[2]))),
+    (_datum_json(3, 1, _term("diag", i=1, a=[1]), _term("cross", k=0, i=0, a=[1])),
+     _datum_json(3, 1, _term("diag", i=1, a=[1]), _term("halfsq", a=[2]))),
+    (_datum_json(5, 1, _term("diag", i=1, a=[1]), _term("cross", k=0, i=0, a=[3])),
+     _datum_json(5, 1, _term("diag", i=1, a=[1]), _term("halfsq", a=[1]))),
+    (_datum_json(2, 1, _term("diag", i=2, a=[1]), _term("precompose", f={"1": [1]})),
+     _datum_json(2, 1, _term("diag", i=2, a=[1]))),
+    (_datum_json(3, 1, _term("diag", i=1, a=[2]), _term("precompose", f={"1": [1]})),
+     _datum_json(3, 1, _term("diag", i=1, a=[2]))),
+]
+
+
+@pytest.mark.parametrize("first, second", _SAME_PLAN)
+def test_heisenberg_reports_of_data_with_one_term_plan_are_identical(first, second, tmp_path,
+                                                                    capsys):
+    path, reports = tmp_path / "job.json", []
+    for datum in (first, second):
+        path.write_text(json.dumps({"from_datum": datum}))
+        assert cli.main(["heisenberg", "--input", str(path)]) == 0
+        reports.append(strip_timing(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["ok"] is True
 
 
 def test_heisenberg_covering_points_do_not_sweep_the_field(monkeypatch, tmp_path, capsys):

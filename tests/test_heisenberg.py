@@ -30,7 +30,6 @@ from gausslab.exactalg import abs_square, zeta, zeta_sum
 from gausslab.fields import AdditivePolynomial, extension, make_field
 from gausslab.heisenberg import (
     AlternatingPairing,
-    DarbouxBasis,
     HeisenbergGroup,
     SvNRepresentation,
     _check_deck_commutators,
@@ -38,7 +37,6 @@ from gausslab.heisenberg import (
     _validate_deck_maps,
     build_group,
     check_faithful,
-    darboux,
     heisenberg_from_datum,
     stone_von_neumann,
 )
@@ -46,6 +44,7 @@ from gausslab.quadform import FiniteAbelianGroup
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
+F4 = make_field(2, 2)
 
 
 def standard_pairing(p, r=1):
@@ -114,7 +113,7 @@ def _induced_matrix(rep, g):
     psi(a + c(k, l) - c(l'', m)).  The oracle for the closed-form matrices."""
     grp = rep.group
     k = grp.k_group
-    pairs = grp.basis.pairs
+    pairs = grp.basis
     orders = [k.element_order(x) for x, _, _ in pairs]
     labels = list(itertools.product(*(range(o) for o in orders)))
     label_index = {lab: t for t, lab in enumerate(labels)}
@@ -144,7 +143,7 @@ def _solved_coordinates(group):
     """(alpha(k), beta(k)) solved at every k, as the table was before it was
     filled from the generators: e(k, y_i) = alpha_i eps_i and e(x_i, k) =
     beta_i eps_i mod A, alpha_i and beta_i mod o_i."""
-    pairs, orders, mod = group.basis.pairs, group.orders, group.a_modulus
+    pairs, orders, mod = group.basis, group.orders, group.a_modulus
 
     def solve(value, eps, o):
         (out,) = [c for c in range(o) if c * eps % mod == value]
@@ -211,7 +210,7 @@ def _values(pairing):
 def _assert_darboux(pairing):
     """e(x_i, y_j) = delta_ij eps_i and e(x_i, x_j) = e(y_i, y_j) = 0, with x_i,
     y_i and eps_i of one order."""
-    g, mod, pairs = pairing.group, pairing.a_modulus, darboux(pairing).pairs
+    g, mod, pairs = pairing.group, pairing.a_modulus, pairing.basis
     for a, (x, y, eps) in enumerate(pairs):
         assert g.element_order(x) == g.element_order(y) == mod // gcd(eps, mod)
         for b, (x2, y2, _) in enumerate(pairs):
@@ -266,8 +265,8 @@ def test_gram_reduction_agrees_with_all_pairs_oracle(moduli, mod, count):
         pairing = _outcome(lambda: AlternatingPairing(group, mod, table))
         from_gram = _outcome(lambda: AlternatingPairing.from_gram(group, mod, gram))
         if isinstance(expected, list):
-            assert darboux(pairing).ranks(group) == expected
-            assert darboux(from_gram).ranks(group) == expected
+            assert build_group(pairing).orders == expected
+            assert build_group(from_gram).orders == expected
             assert _values(pairing) == _values(from_gram) == table
             _assert_darboux(pairing)
             _assert_darboux(from_gram)
@@ -347,7 +346,7 @@ def test_composite_a_modulus_merges_primary_pairs():
     group = FiniteAbelianGroup([2, 2, 3, 3])
     gram = [[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, 2], [0, 0, 4, 0]]
     pairing = AlternatingPairing(group, 6, _fill(group, 6, gram))
-    assert darboux(pairing).ranks(group) == [6]
+    assert build_group(pairing).orders == [6]
     assert _oracle_ranks(group, 6, _fill(group, 6, gram)) == [6]
     h = build_group(pairing)
     assert _exhaustive_group_law(h)
@@ -374,7 +373,7 @@ def test_every_single_entry_corruption_is_refused(moduli, mod):
     group = FiniteAbelianGroup(moduli)
     gram = [[0, mod // moduli[1]], [-mod // moduli[1] % mod, 0]]
     table = _fill(group, mod, gram)
-    assert darboux(AlternatingPairing(group, mod, table)).ranks(group) == _oracle_ranks(
+    assert build_group(AlternatingPairing(group, mod, table)).orders == _oracle_ranks(
         group, mod, table)
     for i, j in itertools.product(group.elements(), repeat=2):
         for delta in range(1, mod):
@@ -464,9 +463,8 @@ ORACLE_SIZES = [
 
 def test_darboux_standard_z2():
     e = standard_pairing(2)
-    basis = darboux(e)
-    assert len(basis.pairs) == 1
-    x, y, eps = basis.pairs[0]
+    assert len(e.basis) == 1
+    x, y, eps = e.basis[0]
     assert e.value(x, y) == eps != 0
 
 
@@ -479,8 +477,7 @@ def test_darboux_z4_squared():
             c, d = g.decode(j)
             table[i][j] = (a * d - b * c) % 4
     e = AlternatingPairing(g, 4, table)
-    basis = darboux(e)
-    assert basis.ranks(g) == [4]
+    assert build_group(e).orders == [4]
 
 
 def test_no_perfect_pairing_on_z2():
@@ -565,8 +562,8 @@ def test_svn_class_independent_of_darboux_choice():
     for p in (2, 3):
         e = standard_pairing(p)
         h1 = HeisenbergGroup(e)
-        x, y, eps = h1.basis.pairs[0]
-        e.basis = DarbouxBasis([(y, x, e.value(y, x))])  # the constructor reads it off e
+        x, y, eps = h1.basis[0]
+        e.basis = [(y, x, e.value(y, x))]  # the constructor reads it off e
         h2 = HeisenbergGroup(e)
         assert h2.basis is e.basis is not h1.basis
         assert _exhaustive_group_law(h1) and _exhaustive_group_law(h2)
@@ -639,18 +636,18 @@ def test_heisenberg_from_nondegenerate_datum_is_central():
 
 _DECK_REFUSALS = [
     (QuadDatum(F2, 1, [WittLinear(0, F2.one())]), "the W2-valued p = 2 case is deferred"),
-    (_frobenius_pairing(F2, 1), "the deck construction is one-dimensional"),
-    (QuadDatum(F2, 1, [DiagMonomial(0, 1, F2.one()),
+    (QuadDatum(F2, 1, [DiagMonomial(0, 1, F2.one()), WittLinear(0, F2.one()),
                        Precompose(0, AdditivePolynomial(F2, {1: F2.one()}))]),
-     "resolve precompositions before the deck construction"),
-    (QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one()), CrossMonomial(0, 0, 0, F3.one())]),
-     "unsupported term cross in the deck construction"),
+     "the W2-valued p = 2 case is deferred"),
+    (_frobenius_pairing(F2, 1), "the deck construction is one-dimensional"),
+    (_frobenius_pairing(F3, 1), "the deck construction is one-dimensional"),
 ]
 
 
 def test_heisenberg_from_datum_rejects_witt_terms(monkeypatch):
-    # the W2-valued case and every other datum the deck construction does not
-    # cover: d != 1, Witt, precompose and a term kind, all before the kernel
+    # the W2-valued case, precomposed or not, and d != 1 are refused before
+    # the kernel; precompositions and cross terms are not (see
+    # test_heisenberg_from_datum_term_kinds)
     from gausslab import charsum
 
     kernel, computed = charsum.geometric_kernel, []
@@ -664,16 +661,28 @@ def test_heisenberg_from_datum_rejects_witt_terms(monkeypatch):
 
 
 def test_deck_refusal_precedes_the_kernel_and_the_cap(monkeypatch):
-    # a d = 1 cross datum is refused as input the deck construction does not
-    # cover, not as too large, and its kernel is never computed
+    # a d = 2 datum and a Witt datum are refused as input the deck
+    # construction does not cover, not as too large, and their kernels are
+    # never computed
     from gausslab import charsum
 
     monkeypatch.setattr(charsum, "geometric_kernel",
                         lambda *args, **kw: pytest.fail("the geometric kernel was computed"))
     monkeypatch.setenv("GAUSSLAB_CAP", "1")
-    datum = QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one()), CrossMonomial(0, 0, 1, F3.one())])
-    with pytest.raises(ValueError, match="unsupported term cross in the deck construction"):
-        heisenberg_from_datum(datum)
+    for datum, message in _DECK_REFUSALS:
+        with pytest.raises(ValueError, match=message):
+            heisenberg_from_datum(datum)
+
+
+def _same_deck_group(first, second):
+    """Both data have one term plan, hence one kernel, one pairing and one set
+    of deck maps."""
+    assert _term_plan(first, lambda a: a) == _term_plan(second, lambda a: a)
+    one, two = heisenberg_from_datum(first), heisenberg_from_datum(second)
+    assert one.kernel.basis == two.kernel.basis and one.kernel.field is two.kernel.field
+    assert _values(one.pairing) == _values(two.pairing)
+    assert one.solutions == two.solutions
+    assert one.group.orders == two.group.orders
 
 
 def test_heisenberg_from_datum_term_kinds():
@@ -683,8 +692,16 @@ def test_heisenberg_from_datum_term_kinds():
     twisted = heisenberg_from_datum(QuadDatum(F3, 1, base + [ASLinear(0, F3.element([2]))]))
     assert _values(twisted.pairing) == _values(plain.pairing)
     assert twisted.solutions == plain.solutions
-    with pytest.raises(ValueError, match="unsupported term cross"):
-        heisenberg_from_datum(QuadDatum(F3, 1, base + [CrossMonomial(0, 0, 0, F3.one())]))
+    # a cross term a x^(p^i) x is the diagonal monomial for i >= 1 and the
+    # half square 2a at i = 0; a x^(p^i + 1) with a in F_p precomposed with
+    # X^p is the datum itself inside the trace (the reports of more such
+    # pairs are compared in tests/test_cli.py)
+    _same_deck_group(QuadDatum(F4, 1, [CrossMonomial(0, 0, 1, F4.gen())]),
+                     QuadDatum(F4, 1, [DiagMonomial(0, 1, F4.gen())]))
+    _same_deck_group(QuadDatum(F3, 1, base + [CrossMonomial(0, 0, 0, F3.one())]),
+                     QuadDatum(F3, 1, base + [HalfSquare(0, F3.from_int(2))]))
+    frobenius = Precompose(0, AdditivePolynomial(F3, {1: F3.one()}))
+    _same_deck_group(QuadDatum(F3, 1, base + [frobenius]), QuadDatum(F3, 1, base))
 
 
 def test_vdgv_datum_deck_group():
@@ -710,7 +727,7 @@ def _generator_corruptions(h):
     generators, yielding its kind before restoring it: a Darboux coordinate of
     a standard generator of K shifted mod its pair order, an eps_i shifted
     mod A, a pair order replaced by another value up to twice A."""
-    coords, pairs, orders = list(h._coords), list(h.basis.pairs), list(h.orders)
+    coords, pairs, orders = list(h._coords), list(h.basis), list(h.orders)
     for g in h.k_group.generators():
         for side in (0, 1):
             for i, o in enumerate(orders):
@@ -722,9 +739,9 @@ def _generator_corruptions(h):
                     h._coords[g] = coords[g]
     for i, (x, y, eps) in enumerate(pairs):
         for delta in range(1, h.a_modulus):
-            h.basis.pairs[i] = (x, y, (eps + delta) % h.a_modulus)
+            h.basis[i] = (x, y, (eps + delta) % h.a_modulus)
             yield "eps"
-            h.basis.pairs[i] = pairs[i]
+            h.basis[i] = pairs[i]
     for i, o in enumerate(orders):
         for other in set(range(1, 2 * h.a_modulus + 1)) - {o}:
             h.orders[i] = other
@@ -747,7 +764,7 @@ def test_corrupted_coordinates_rejected(p, r):
         if kind != "order":
             assert not _exhaustive_group_law(h)
         if kind == "eps" and all(h.k_group.element_order(x) == h.a_modulus // gcd(eps, h.a_modulus)
-                                 for x, _, eps in h.basis.pairs):
+                                 for x, _, eps in h.basis):
             with pytest.raises(TheoremViolated, match="commutator"):
                 h._check()
         else:
@@ -774,7 +791,7 @@ def test_corrupted_svn_matrix_rejected(p, r):
         if kind == "coordinate":
             assert not _exhaustive_homomorphism(rep)
         rep._characters = None
-        k_group, pairs = rep.group.k_group, rep.group.basis.pairs
+        k_group, pairs = rep.group.k_group, rep.group.basis
         if kind == "order":
             with pytest.raises(NotPerfect):
                 rep.group._check()
@@ -857,15 +874,42 @@ DECK_DATA = [
 DECK_DATA_81 = DECK_DATA + [pytest.param(3, 2, 1, id="F3-i2")]  # x^10 over F_3: |K| = 81
 
 
-def _deck_data(p, i, a):
-    """(dh, index -> k, E, term plan over E, g_k solved at every k) for
-    a*x^(p^i+1) over F_p."""
+def _diag(p, i, a):
+    """a*x^(p^i+1) over F_p."""
     field = make_field(p, 1)
-    datum = QuadDatum(field, 1, [DiagMonomial(0, i, field.element([a]))])
+    return QuadDatum(field, 1, [DiagMonomial(0, i, field.element([a]))])
+
+
+def _precomposed(field, terms, f):
+    """The datum of `terms` with x_0 replaced by f(x_0), f given as {u: f_u}."""
+    return QuadDatum(field, 1, terms + [Precompose(0, AdditivePolynomial(field, f))])
+
+
+# the data of DECK_DATA, then 1-dimensional data whose term plans resolve
+# multi-term precompositions and cross terms (|K| = 16, 16, 9, 9, 9 and 16)
+DECK_DATUMS = [pytest.param(_diag(*param.values), id=param.id) for param in DECK_DATA] + [
+    pytest.param(_precomposed(F2, [DiagMonomial(0, 1, F2.one())], {0: F2.one(), 1: F2.one()}),
+                 id="F2-i1-pre"),
+    pytest.param(_precomposed(F4, [DiagMonomial(0, 1, F4.one()), ASLinear(0, F4.gen())],
+                              {0: F4.gen(), 1: F4.one()}), id="F4-i1-pre-aslin"),
+    pytest.param(_precomposed(F3, [HalfSquare(0, F3.one())], {0: F3.one(), 1: F3.one()}),
+                 id="F3-halfsq-pre"),
+    pytest.param(QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one()), CrossMonomial(0, 0, 0, F3.one())]),
+                 id="F3-i1-cross0"),
+    pytest.param(QuadDatum(F3, 1, [CrossMonomial(0, 0, 1, F3.element([2]))]), id="F3-cross1"),
+    pytest.param(QuadDatum(F2, 1, [CrossMonomial(0, 0, 2, F2.one()), ASLinear(0, F2.one())]),
+                 id="F2-cross2-aslin"),
+]
+DECK_DATUMS_81 = DECK_DATUMS + [pytest.param(_diag(3, 2, 1), id="F3-i2")]
+
+
+def _deck_data(datum):
+    """(dh, index -> k, E, term plan over E, g_k solved at every k) for a
+    1-dimensional G_a-valued datum."""
     dh = heisenberg_from_datum(datum)
-    big, emb = extension(field, dh.kernel.field.m, False)
+    big, emb = extension(datum.field, dh.kernel.field.m // datum.field.m, False)
     plan = _term_plan(datum, emb)
-    element_at = _kernel_coordinates(dh.kernel, p)
+    element_at = _kernel_coordinates(dh.kernel, datum.field.p)
     return dh, element_at, big, plan, _per_element_solutions(plan, element_at, big)
 
 
@@ -903,21 +947,21 @@ def _shifted(solutions, t, phi):
     return bad
 
 
-@pytest.mark.parametrize("p,i,a", DECK_DATA)
-def test_deck_group_svn_matrices_agree_with_the_induced_oracle(p, i, a):
-    dh = _deck_data(p, i, a)[0]
+@pytest.mark.parametrize("datum", DECK_DATUMS)
+def test_deck_group_svn_matrices_agree_with_the_induced_oracle(datum):
+    dh = _deck_data(datum)[0]
     assert dh.group._coords == _solved_coordinates(dh.group)
     _assert_induced(dh.group)
 
 
-@pytest.mark.parametrize("p,i,a", DECK_DATA_81)
-def test_basis_solutions_agree_with_per_element_oracle(p, i, a):
+@pytest.mark.parametrize("datum", DECK_DATUMS_81)
+def test_basis_solutions_agree_with_per_element_oracle(datum):
     # g_k solved at every k is sum_s lambda_s(k) g_s over the basis solutions:
     # off the basis, g_k is determined, so it is no longer stored
-    dh, element_at, big, _, oracle = _deck_data(p, i, a)
+    dh, element_at, big, _, oracle = _deck_data(datum)
     basis = _basis(dh)
     assert list(element_at) == list(dh.pairing.group.elements())
-    assert len({k.coeffs for k in element_at.values()}) == p ** (2 * i) == dh.kernel.size
+    assert len({k.coeffs for k in element_at.values()}) == dh.kernel.size
     assert [element_at[g] for g in dh.pairing.group.generators()] == basis
     assert dh.solutions == [oracle[k.coeffs] for k in basis]
     for idx, k in element_at.items():
@@ -927,12 +971,12 @@ def test_basis_solutions_agree_with_per_element_oracle(p, i, a):
         assert oracle[k.coeffs] == span
 
 
-@pytest.mark.parametrize("p,i,a", DECK_DATA_81)
-def test_basis_pair_table_agrees_with_all_pairs_oracle(p, i, a):
+@pytest.mark.parametrize("datum", DECK_DATUMS_81)
+def test_basis_pair_table_agrees_with_all_pairs_oracle(datum):
     # the Gram matrix on the basis fills the table of g_k(k') - g_k'(k) with
     # g_k solved at every k
-    dh, element_at, _, _, oracle = _deck_data(p, i, a)
-    assert _values(dh.pairing) == _all_pairs_table(element_at, oracle, p)
+    dh, element_at, _, _, oracle = _deck_data(datum)
+    assert _values(dh.pairing) == _all_pairs_table(element_at, oracle, datum.field.p)
 
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
@@ -940,7 +984,7 @@ def test_beta_poly_is_the_polar_of_h_on_all_of_e(p, i, a):
     # beta_k(u) = h(u + k) - h(u) - h(k) for every k and u of E, with h(u) =
     # a u^(p^i + 1) evaluated directly, not through the term plan, which
     # must give the same h
-    _, _, big, plan, _ = _deck_data(p, i, a)
+    _, _, big, plan, _ = _deck_data(_diag(p, i, a))
     h = lambda u: big.element([a] + [0] * (big.m - 1)) * u ** (p**i + 1)
     elements = list(big.elements())
     assert [_h(plan, big)(u) for u in elements] == [h(u) for u in elements]
@@ -954,8 +998,7 @@ def test_beta_poly_is_the_polar_of_h_on_all_of_e(p, i, a):
 def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
     # g_k + phi for the first basis vector k of K only: phi = X changes the
     # basis-pair values, phi vanishing on K changes none of them
-    field = make_field(p, 1)
-    datum = QuadDatum(field, 1, [DiagMonomial(0, i, field.element([a]))])
+    datum = _diag(p, i, a)
     kernel = geometric_kernel(datum)
     big = kernel.field
     target = kernel.basis[0][0]
@@ -971,15 +1014,15 @@ def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
             heisenberg_from_datum(datum)
 
 
-@pytest.mark.parametrize("p,i,a", DECK_DATA)
-def test_deck_checks_agree_with_all_pairs_oracle(p, i, a):
-    dh, element_at, big, plan, oracle = _deck_data(p, i, a)
+@pytest.mark.parametrize("datum", DECK_DATUMS)
+def test_deck_checks_agree_with_all_pairs_oracle(datum):
+    dh, element_at, big, plan, oracle = _deck_data(datum)
     h = _h(plan, big)
     basis = _basis(dh)
-    assert len(element_at) == p ** (2 * i)
+    assert len(element_at) == dh.kernel.size
     for limit in (1, 3, 12, 40):
         assert _covering_points(big, h, limit) == _per_u_scan(big, h, limit)
-    if p == 3:  # some h(u) is outside the image of z^3 - z: that u is skipped
+    if datum.field.p == 3:  # some h(u) is outside the image of z^3 - z: that u is skipped
         us = [u for u, _ in _covering_points(big, h, 12)]
         assert us != list(itertools.islice(big.elements(), len(us)))
     points = _covering_points(big, h, 12)[:3]
@@ -1025,7 +1068,7 @@ def test_covering_points_come_from_one_reduction(p, m, monkeypatch):
 def test_deck_commutators_evaluate_each_inner_map_once(monkeypatch):
     # dim + 2 dim^2 evaluations per point: d_i(pt) once for each i, then
     # d_i(d_j(pt)) for each ordered pair
-    dh, _, big, plan, _ = _deck_data(2, 2, 1)  # |K| = 16, dim 4
+    dh, _, big, plan, _ = _deck_data(_diag(2, 2, 1))  # |K| = 16, dim 4
     basis = _basis(dh)
     points = _covering_points(big, _h(plan, big), 3)
     calls = []
@@ -1041,7 +1084,7 @@ def test_deck_commutators_evaluate_each_inner_map_once(monkeypatch):
 def test_deck_lift_check_keeps_every_k():
     # the lift identity on the basis is the lift identity at every k, since
     # g_k = sum_s lambda_s(k) g_s: g_s + X on any basis vector is refused
-    dh, _, big, plan, _ = _deck_data(3, 1, 1)  # |K| = 9 inside F_81
+    dh, _, big, plan, _ = _deck_data(_diag(3, 1, 1))  # |K| = 9 inside F_81
     basis = _basis(dh)
     _validate_deck_maps(plan, big, basis, dh.solutions, dh.pairing, 12)
     for t in range(len(basis)):
@@ -1062,7 +1105,7 @@ def test_formal_lift_identity_sees_a_corruption_vanishing_on_e():
     # x^3 over F_2: K = E = F_4, so g_s + X^4 + X agrees with g_s at every u
     # of E, every sampled lift and every commutator hold, and only the formal
     # identity g_s^(2) - g_s = beta_s refuses it
-    dh, _, big, plan, _ = _deck_data(2, 1, 1)
+    dh, _, big, plan, _ = _deck_data(_diag(2, 1, 1))
     basis = _basis(dh)
     assert big.q == dh.kernel.size == 4
     phi = AdditivePolynomial(big, {2: big.one(), 0: big.one()})
@@ -1139,4 +1182,4 @@ def test_check_faithful_compares_only_the_traced_characters(p, r, monkeypatch):
 
 @pytest.mark.parametrize("p,i,a", DECK_DATA)
 def test_deck_character_table_is_the_trace_of_every_matrix(p, i, a, monkeypatch):
-    _assert_traces(_deck_data(p, i, a)[0].group, monkeypatch)
+    _assert_traces(_deck_data(_diag(p, i, a))[0].group, monkeypatch)
