@@ -211,27 +211,29 @@ def _term_plan(datum, emb):
     with y_u = c f_u x^(2^u), (sum y_u, 0) = sum (y_u, 0) + V(sum_(u<v) y_u
     y_v) and `witt_trace` is F-invariant, so psi'((c s_j(x_j), 0)) gives the
     Witt entries (j, (c f_u)^(2^-u)) and the cross entries (j, j, v - u,
-    (c^2 f_u f_v)^(2^-u)) for u < v.  A coordinate with no substitution gives
-    its entry as written."""
-    half = (datum.field.p + 1) // 2
-    identity = ((0, datum.field.one()),)
-    cross, linear, witt = [], [], []
+    (c^2 f_u f_v)^(2^-u)) for u < v.  A coordinate with no substitution is
+    read as s_j = X.  Entries of one monomial, (j, k, i) in `cross` or j in
+    `linear`, are summed into one; Witt entries are not, since (c x, 0) +
+    (c' x, 0) carries."""
+    half, one = (datum.field.p + 1) // 2, datum.field.one()
+    # s_j as (u, f_u) pairs, s_j = X with no substitution
+    subs = [[(0, one)] if s is None else list(s.coeffs.items())
+            for s in map(datum.substitution, range(datum.d))]
+    cross, linear, witt = {}, {}, []
 
-    def quadratic(j, k, i, a):
-        sj, sk = datum.substitution(j), datum.substitution(k)
-        if sj is None and sk is None:
-            cross.append((j, k, i, emb(a)))
-            return
-        for u, f in sj.coeffs.items() if sj else identity:
-            for v, g in sk.coeffs.items() if sk else identity:
-                c, alpha = a * f.frobenius(i) * g, u + i
-                cross.append((j, k, alpha - v, emb(c.frobenius(-v))) if alpha >= v
-                             else (k, j, v - alpha, emb(c.frobenius(-alpha))))
+    def add(entries, key, c):
+        entries[key] = entries[key] + c if key in entries else c
 
     def scaled(j, c):
-        """c s_j(x_j) as (u, c f_u) pairs, c alone with no substitution."""
-        s = datum.substitution(j)
-        return [(0, c)] if s is None else [(u, c * f) for u, f in s.coeffs.items()]
+        return [(u, c * f) for u, f in subs[j]]
+
+    def quadratic(j, k, i, a):
+        for (u, f), (v, g) in itertools.product(subs[j], scaled(k, a)):
+            c, alpha = f.frobenius(i) * g, u + i
+            if alpha >= v:
+                add(cross, (j, k, alpha - v), c.frobenius(-v))
+            else:
+                add(cross, (k, j, v - alpha), c.frobenius(-alpha))
 
     for t in datum.terms:
         if t.kind in ("diag", "cross"):
@@ -239,13 +241,15 @@ def _term_plan(datum, emb):
         elif t.kind == "halfsq":
             quadratic(t.j, t.j, 0, t.a * half)
         elif t.kind == "aslin":
-            linear.extend((t.j, emb(y.frobenius(-u))) for u, y in scaled(t.j, t.c))
+            for u, y in scaled(t.j, t.c):
+                add(linear, t.j, y.frobenius(-u))
         elif t.kind == "wittlin":
             ys = scaled(t.j, t.c)
             witt.extend((t.j, emb(y.frobenius(-u))) for u, y in ys)
-            cross.extend((t.j, t.j, v - u, emb((y * z).frobenius(-u)))
-                         for (u, y), (v, z) in itertools.combinations(ys, 2))
-    return cross, linear, witt
+            for (u, y), (v, z) in itertools.combinations(ys, 2):
+                add(cross, (t.j, t.j, v - u), (y * z).frobenius(-u))
+    return ([(*key, emb(a)) for key, a in cross.items()],
+            [(j, emb(c)) for j, c in linear.items()], witt)
 
 
 def _ga_value(cross, linear, v, zero):

@@ -205,11 +205,18 @@ class QuadraticForm:
         return self.witness is None
 
     def radical(self):
-        """{x : B(g, x) = 0 for all generators g}, where every generator
-        character vanishes; NotQuadratic unless bilinear."""
+        """{x : B(g, x) = 0 for all generators g}; NotQuadratic unless bilinear."""
+        return self._radical_cosets()[0]
+
+    def _radical_cosets(self):
+        """The cosets of the radical in element order, the radical first: x
+        and y share one iff every generator character agrees at them."""
         self.is_quadratic(raise_on_failure=True)
         rows = [self.character_of_element(g) for g in self.group.generators()]
-        return [x for x in self.group.elements() if not any(row[x] for row in rows)]
+        cosets = {}
+        for x in self.group.elements():
+            cosets.setdefault(tuple(row[x] for row in rows), []).append(x)
+        return list(cosets.values())
 
     def is_nondegenerate(self):
         self.is_quadratic(raise_on_failure=True)
@@ -458,7 +465,8 @@ def radical_descent(form):
     character (then tau_Q = 0, verified), or ("descends", |radical|, tau_bar)
     with tau_Q = |radical| * tau_bar for the descended form (verified).
     """
-    rad = form.radical()
+    cosets = form._radical_cosets()
+    rad = cosets[0]
     n_val = form.value_order
     q = form.exponents
     nontrivial = any(q[r] % n_val for r in rad)
@@ -467,13 +475,7 @@ def radical_descent(form):
         if not tau.is_zero():
             raise TheoremViolated("tau must vanish when Q|radical is nontrivial")
         return ("zero",)
-    # x and y share a coset of the radical iff every generator character
-    # agrees at them: the first x of each row tuple is the least of its coset
-    rows = [form.character_of_element(g) for g in form.group.generators()]
-    reps = {}
-    for x in form.group.elements():
-        reps.setdefault(tuple(row[x] for row in rows), x)
-    tau_bar = zeta_sum(n_val, Counter(q[i] for i in reps.values()))
+    tau_bar = zeta_sum(n_val, Counter(q[coset[0]] for coset in cosets))
     if tau != len(rad) * tau_bar:
         raise TheoremViolated("tau != |radical| * tau_bar in the descent")
     return ("descends", len(rad), tau_bar)

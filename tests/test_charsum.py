@@ -784,7 +784,8 @@ def test_resolved_term_plan_agrees_with_the_substituted_terms_pointwise():
     # e from the term plan, where precompositions are resolved into plain
     # entries, against every term evaluated at s_j(x_j): at every point when
     # there are at most 81, else at 60 seeded ones.  F_8 and F_27 tell a
-    # root f^(p^-u) from a power f^(p^u), which agree on F_4 and F_9
+    # root f^(p^-u) from a power f^(p^u), which agree on F_4 and F_9.  The
+    # plan holds one entry per monomial a x_j^(p^i) x_k and per twist c x_j
     rng, evaluations, witt, multi = random.Random("resolved-plan"), 0, 0, 0
     for field in (F2, F4, make_field(2, 3), F3, F9, make_field(3, 3)):
         for d in (1, 2):
@@ -793,6 +794,9 @@ def test_resolved_term_plan_agrees_with_the_substituted_terms_pointwise():
                 witt += datum.has_witt
                 multi += any(len(datum.substitution(j).coeffs) > 1 for j in range(d)
                              if datum.substitution(j) is not None)
+                cross, linear, _ = charsum._term_plan(datum, lambda a: a)
+                assert len({entry[:3] for entry in cross}) == len(cross)
+                assert len({j for j, _ in linear}) == len(linear)
                 for n in (1, 2):
                     big, oracle = _unresolved_exponent(datum, n)
                     ev = charsum._Evaluator(datum, n)

@@ -598,8 +598,8 @@ def test_psi_unit_decodes_strictly(psi, monkeypatch, tmp_path, capsys):
 def test_heisenberg_of_a_witt_datum_is_refused_without_traceback():
     # the W2-valued deck construction is deferred, and so is d = 2: invalid
     # input, exit 2; a precomposition and a cross term are resolved in the
-    # term plan and build their deck groups
-    diag = {"kind": "diag", "j": 0, "i": 1, "a": [1]}
+    # term plan and build their deck groups, each report (timing stripped)
+    # that of the datum with the same plan
     refusals = [
         ({"field": {"p": 2, "m": 1}, "d": 1, "terms": [{"kind": "wittlin", "j": 0, "c": [1]}]},
          "the W2-valued p = 2 case is deferred"),
@@ -610,13 +610,14 @@ def test_heisenberg_of_a_witt_datum_is_refused_without_traceback():
         assert proc.returncode == 2, message
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
-    for datum in ({"field": {"p": 2, "m": 1}, "d": 1,
-                   "terms": [diag, {"kind": "precompose", "j": 0, "f": {"1": [1]}}]},
-                  {"field": {"p": 3, "m": 1}, "d": 1,
-                   "terms": [diag, {"kind": "cross", "j": 0, "k": 0, "i": 0, "a": [1]}]}):
-        proc = run_cli("heisenberg", {"from_datum": datum})
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["ok"] is True
+    for pair in (_X3_PRECOMPOSED_F2, _CROSS0_F3):
+        reports = []
+        for datum in pair:
+            proc = run_cli("heisenberg", {"from_datum": datum})
+            assert proc.returncode == 0, proc.stderr
+            reports.append(strip_timing(proc.stdout))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["ok"] is True
 
 
 def _datum_json(p, m, *terms):
@@ -630,19 +631,23 @@ def _term(kind, **fields):
 # pairs of data with one term plan: a cross term a x^(p^i) x and the diagonal
 # monomial (i >= 1) or the half square 2a (i = 0, odd p); a x^(p^i + 1), a in
 # F_p, precomposed with X^p and not
+_CROSS0_F3 = (_datum_json(3, 1, _term("diag", i=1, a=[1]), _term("cross", k=0, i=0, a=[1])),
+              _datum_json(3, 1, _term("diag", i=1, a=[1]), _term("halfsq", a=[2])))
+_X3_PRECOMPOSED_F2 = (_datum_json(2, 1, _term("diag", i=1, a=[1]), _term("precompose", f={"1": [1]})),
+                      corpus()["heis-from-datum-p2"]["input"]["from_datum"])
 _SAME_PLAN = [
     (_datum_json(2, 1, _term("cross", k=0, i=1, a=[1])), _datum_json(2, 1, _term("diag", i=1, a=[1]))),
     (_datum_json(2, 2, _term("cross", k=0, i=1, a=[0, 1])),
      _datum_json(2, 2, _term("diag", i=1, a=[0, 1]))),
     (_datum_json(3, 1, _term("cross", k=0, i=2, a=[2])), _datum_json(3, 1, _term("diag", i=2, a=[2]))),
-    (_datum_json(3, 1, _term("diag", i=1, a=[1]), _term("cross", k=0, i=0, a=[1])),
-     _datum_json(3, 1, _term("diag", i=1, a=[1]), _term("halfsq", a=[2]))),
+    _CROSS0_F3,
     (_datum_json(5, 1, _term("diag", i=1, a=[1]), _term("cross", k=0, i=0, a=[3])),
      _datum_json(5, 1, _term("diag", i=1, a=[1]), _term("halfsq", a=[1]))),
     (_datum_json(2, 1, _term("diag", i=2, a=[1]), _term("precompose", f={"1": [1]})),
      _datum_json(2, 1, _term("diag", i=2, a=[1]))),
     (_datum_json(3, 1, _term("diag", i=1, a=[2]), _term("precompose", f={"1": [1]})),
      _datum_json(3, 1, _term("diag", i=1, a=[2]))),
+    _X3_PRECOMPOSED_F2,
 ]
 
 

@@ -885,22 +885,23 @@ def _precomposed(field, terms, f):
     return QuadDatum(field, 1, terms + [Precompose(0, AdditivePolynomial(field, f))])
 
 
-# the data of DECK_DATA, then 1-dimensional data whose term plans resolve
-# multi-term precompositions and cross terms (|K| = 16, 16, 9, 9, 9 and 16)
-DECK_DATUMS = [pytest.param(_diag(*param.values), id=param.id) for param in DECK_DATA] + [
+# (datum, |K|): the data of DECK_DATA, then 1-dimensional data whose term
+# plans resolve multi-term precompositions and cross terms
+DECK_DATUMS = [pytest.param(_diag(p, i, a), p ** (2 * i), id=param.id)
+               for param in DECK_DATA for p, i, a in [param.values]] + [
     pytest.param(_precomposed(F2, [DiagMonomial(0, 1, F2.one())], {0: F2.one(), 1: F2.one()}),
-                 id="F2-i1-pre"),
+                 16, id="F2-i1-pre"),
     pytest.param(_precomposed(F4, [DiagMonomial(0, 1, F4.one()), ASLinear(0, F4.gen())],
-                              {0: F4.gen(), 1: F4.one()}), id="F4-i1-pre-aslin"),
+                              {0: F4.gen(), 1: F4.one()}), 16, id="F4-i1-pre-aslin"),
     pytest.param(_precomposed(F3, [HalfSquare(0, F3.one())], {0: F3.one(), 1: F3.one()}),
-                 id="F3-halfsq-pre"),
+                 9, id="F3-halfsq-pre"),
     pytest.param(QuadDatum(F3, 1, [DiagMonomial(0, 1, F3.one()), CrossMonomial(0, 0, 0, F3.one())]),
-                 id="F3-i1-cross0"),
-    pytest.param(QuadDatum(F3, 1, [CrossMonomial(0, 0, 1, F3.element([2]))]), id="F3-cross1"),
+                 9, id="F3-i1-cross0"),
+    pytest.param(QuadDatum(F3, 1, [CrossMonomial(0, 0, 1, F3.element([2]))]), 9, id="F3-cross1"),
     pytest.param(QuadDatum(F2, 1, [CrossMonomial(0, 0, 2, F2.one()), ASLinear(0, F2.one())]),
-                 id="F2-cross2-aslin"),
+                 16, id="F2-cross2-aslin"),
 ]
-DECK_DATUMS_81 = DECK_DATUMS + [pytest.param(_diag(3, 2, 1), id="F3-i2")]
+DECK_DATUMS_81 = DECK_DATUMS + [pytest.param(_diag(3, 2, 1), 81, id="F3-i2")]
 
 
 def _deck_data(datum):
@@ -947,21 +948,22 @@ def _shifted(solutions, t, phi):
     return bad
 
 
-@pytest.mark.parametrize("datum", DECK_DATUMS)
-def test_deck_group_svn_matrices_agree_with_the_induced_oracle(datum):
+@pytest.mark.parametrize("datum,size", DECK_DATUMS)
+def test_deck_group_svn_matrices_agree_with_the_induced_oracle(datum, size):
     dh = _deck_data(datum)[0]
+    assert dh.group.order == datum.field.p * size
     assert dh.group._coords == _solved_coordinates(dh.group)
     _assert_induced(dh.group)
 
 
-@pytest.mark.parametrize("datum", DECK_DATUMS_81)
-def test_basis_solutions_agree_with_per_element_oracle(datum):
+@pytest.mark.parametrize("datum,size", DECK_DATUMS_81)
+def test_basis_solutions_agree_with_per_element_oracle(datum, size):
     # g_k solved at every k is sum_s lambda_s(k) g_s over the basis solutions:
     # off the basis, g_k is determined, so it is no longer stored
     dh, element_at, big, _, oracle = _deck_data(datum)
     basis = _basis(dh)
     assert list(element_at) == list(dh.pairing.group.elements())
-    assert len({k.coeffs for k in element_at.values()}) == dh.kernel.size
+    assert len({k.coeffs for k in element_at.values()}) == size == dh.kernel.size
     assert [element_at[g] for g in dh.pairing.group.generators()] == basis
     assert dh.solutions == [oracle[k.coeffs] for k in basis]
     for idx, k in element_at.items():
@@ -971,11 +973,12 @@ def test_basis_solutions_agree_with_per_element_oracle(datum):
         assert oracle[k.coeffs] == span
 
 
-@pytest.mark.parametrize("datum", DECK_DATUMS_81)
-def test_basis_pair_table_agrees_with_all_pairs_oracle(datum):
+@pytest.mark.parametrize("datum,size", DECK_DATUMS_81)
+def test_basis_pair_table_agrees_with_all_pairs_oracle(datum, size):
     # the Gram matrix on the basis fills the table of g_k(k') - g_k'(k) with
     # g_k solved at every k
     dh, element_at, _, _, oracle = _deck_data(datum)
+    assert len(element_at) == size
     assert _values(dh.pairing) == _all_pairs_table(element_at, oracle, datum.field.p)
 
 
@@ -1014,12 +1017,12 @@ def test_corrupted_basis_solution_rejected(p, i, a, monkeypatch):
             heisenberg_from_datum(datum)
 
 
-@pytest.mark.parametrize("datum", DECK_DATUMS)
-def test_deck_checks_agree_with_all_pairs_oracle(datum):
+@pytest.mark.parametrize("datum,size", DECK_DATUMS)
+def test_deck_checks_agree_with_all_pairs_oracle(datum, size):
     dh, element_at, big, plan, oracle = _deck_data(datum)
     h = _h(plan, big)
     basis = _basis(dh)
-    assert len(element_at) == dh.kernel.size
+    assert len(element_at) == size == dh.kernel.size
     for limit in (1, 3, 12, 40):
         assert _covering_points(big, h, limit) == _per_u_scan(big, h, limit)
     if datum.field.p == 3:  # some h(u) is outside the image of z^3 - z: that u is skipped
