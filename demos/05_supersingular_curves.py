@@ -36,9 +36,10 @@ print("  counts:", data.counts, " power sums:", data.power_sums)
 print("  L-polynomial:", data.l_poly, " certificate m =", data.certificate[0],
       " root orders:", data.certificate[1])
 
-# The Betti number is predicted by the Swan conductor, one character at a
-# time, and the Newton recursion closes there: two further power sums from
-# fresh counts match the companion recursion exactly.
+# Each nonzero character c of ker f_dual is a one-dimensional quadratic
+# datum; its sheaf has dim H^1_c = p^r with |K| = p^(2r), read from the
+# datum's pairing, and the Newton recursion closes at their sum: two further
+# power sums from fresh counts match the companion recursion exactly.
 print("  predicted dim H^1_c:", betti_prediction(vdgv),
       " closure check:", betti_closure_check(vdgv)[0])
 

@@ -31,7 +31,7 @@ _EXPORTS = {
     "charsum": (
         "ASLinear", "CrossMonomial", "DiagMonomial", "HalfSquare", "PairingDatum",
         "Precompose", "QuadDatum", "WittLinear", "canonical_quadratic", "char_sum",
-        "clb_cocycle_identity_check", "derive_pairing", "geometric_kernel", "gos_rank",
+        "clb_cocycle_identity_check", "derive_pairing", "geometric_kernel",
         "hasse_davenport_check", "invariance_check", "symbolic_pairing",
     ),
     "heisenberg": (

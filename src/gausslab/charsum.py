@@ -17,6 +17,9 @@ term gives its Witt entries at (c f_u)^(2^-u) and cross entries from the
 carry V(sum_(u<v) y_u y_v).  The Gram evaluator (and with it the sums and the
 geometric kernel), `symbolic_pairing` and the deck construction of
 `heisenberg` all read that plan, and none of them applies a substitution.
+The curves of `varieties` read it through `char_sum` and `symbolic_pairing`:
+each character of a curve is a one-dimensional datum, whose sums give the
+point counts and whose pairings give the Betti number and connectedness.
 """
 
 import itertools
@@ -28,7 +31,6 @@ from .errors import (
     DegeneratePairing,
     NotSymmetric,
     Record,
-    SwanDivisibleByP,
     TheoremViolated,
     check_cap,
     checked_int,
@@ -216,19 +218,20 @@ def _term_plan(datum, emb):
     `linear`, are summed into one; Witt entries are not, since (c x, 0) +
     (c' x, 0) carries."""
     half, one = (datum.field.p + 1) // 2, datum.field.one()
-    # s_j as (u, f_u) pairs, s_j = X with no substitution
-    subs = [[(0, one)] if s is None else list(s.coeffs.items())
-            for s in map(datum.substitution, range(datum.d))]
     cross, linear, witt = {}, {}, []
+
+    def sub(j):  # s_j as (u, f_u) pairs, s_j = X with no substitution
+        s = datum.substitution(j)
+        return [(0, one)] if s is None else s.coeffs.items()
 
     def add(entries, key, c):
         entries[key] = entries[key] + c if key in entries else c
 
     def scaled(j, c):
-        return [(u, c * f) for u, f in subs[j]]
+        return [(u, c * f) for u, f in sub(j)]
 
     def quadratic(j, k, i, a):
-        for (u, f), (v, g) in itertools.product(subs[j], scaled(k, a)):
+        for (u, f), (v, g) in itertools.product(sub(j), scaled(k, a)):
             c, alpha = f.frobenius(i) * g, u + i
             if alpha >= v:
                 add(cross, (j, k, alpha - v), c.frobenius(-v))
@@ -278,10 +281,10 @@ class _Evaluator:
     def exponent(self, point):
         """Exponent e with t(point) = zeta_{p^2}^e."""
         big = self.big
-        acc = _ga_value(self._cross, self._linear, point, big.zero())
-        witt_exp = sum(witt_trace(WittVector2(big, c * point[j], big.zero()))
-                       for j, c in self._witt)
-        return (self.p * absolute_trace_int(acc) + witt_exp) % (self.p * self.p)
+        e = self.p * absolute_trace_int(_ga_value(self._cross, self._linear, point, big.zero()))
+        for j, c in self._witt:
+            e += witt_trace(WittVector2(big, c * point[j], big.zero()))
+        return e % (self.p * self.p)
 
     def polar(self, x):
         """u with B(x, y) = sum_j Tr(u_j y_j) mod p: the polar form of
@@ -312,27 +315,27 @@ def _gram_data(ev, basis):
     v_lj) mod p, a sum of traces, since the trace is F_p-linear; a zero v_lj
     adds nothing, and a coordinate basis vector has d - 1 of them.  They fix e
     on the span (see `_value`), so two quadratic exponents agree on it iff
-    their Gram data agree."""
-    rows = [ev.polar(b) for b in basis]
-    return _checked_gram(
-        ev.exponent, (ev.big.zero(),) * ev.d, basis, [ev.exponent(b) for b in basis], ev.p,
-        lambda k, l: sum(absolute_trace_int(u * v) for u, v in zip(rows[k], basis[l]) if v) % ev.p)
+    their Gram data agree.
 
-
-def _checked_gram(exponent, origin, basis, a, p, pair):
-    """(a, gram) with gram[k][l] = pair(k, l) = B(b_k, b_l), taken for k <= l
-    only, once more values of e agree with them: e(origin) = 0; e(c sum b_k) as
-    `_value` predicts it, c = 2 for odd p, where every a_k and B(b_k, b_l) has a
-    unit weight; for p = 2, B(b_k, b_k) = e(b_k) mod 2, since e(2x) = 0 = 2 e(x)
-    + 2 B(x, x) mod 4.  A fault in a closed-form Gram matrix, or an exponent
-    that is not quadratic, shows there: exit 4."""
+    The data are returned once more values of e agree with them: e(0) = 0;
+    e(c sum b_k) as `_value` predicts it, c = 2 for odd p, where every a_k
+    and B(b_k, b_l) has a unit weight; for p = 2, B(b_k, b_k) = e(b_k) mod 2,
+    since e(2x) = 0 = 2 e(x) + 2 B(x, x) mod 4.  A fault in the polar form,
+    or an exponent that is not quadratic, shows there: exit 4."""
+    p, rows = ev.p, [ev.polar(b) for b in basis]
+    a = [ev.exponent(b) for b in basis]
+    nonzero = [[(j, v) for j, v in enumerate(b) if v] for b in basis]
     gram = [[0] * len(basis) for _ in basis]
-    for k in range(len(basis)):
+    for k, row in enumerate(rows):
         for l in range(k, len(basis)):
-            gram[k][l] = gram[l][k] = pair(k, l)
+            t = 0
+            for j, v in nonzero[l]:
+                t += absolute_trace_int(row[j] * v)
+            gram[k][l] = gram[l][k] = t % p
     c = 1 if p == 2 else 2
+    origin = (ev.big.zero(),) * ev.d
     total = reduce(lambda x, b: tuple(map(add, x, b)), basis * c, origin)
-    if (exponent(origin) or exponent(total) != _value(a, gram, p, [(k, c) for k in range(len(a))])
+    if (ev.exponent(origin) or ev.exponent(total) != _value(a, gram, p, [(k, c) for k in range(len(a))])
             or p == 2 and any((gram[k][k] - a[k]) % 2 for k in range(len(a)))):
         raise TheoremViolated("the exponent disagrees with its Gram data")
     return a, gram
@@ -436,18 +439,17 @@ def derive_pairing(datum, n, override=False):
 
 
 class PairingDatum:
-    """The symmetric biadditive pairing of a datum: b(x,y) = psi(Tr(sum f_jk(x_j) y_k))."""
+    """The symmetric biadditive pairing of a datum: b(x,y) = psi(Tr(sum f_jk(x_j) y_k)),
+    held by its nonzero entries f_jk, so that its size follows the terms of
+    the datum and not d^2."""
 
     def __init__(self, field, d, matrix):
         self.field = field
         self.d = d
-        zero = AdditivePolynomial(field, {})
-        self.matrix = {
-            (j, k): matrix.get((j, k), zero) for j in range(d) for k in range(d)
-        }
+        self.matrix = {key: f for key, f in matrix.items() if not f.is_zero()}
 
     def entry(self, j, k):
-        return self.matrix[(j, k)]
+        return self.matrix.get((j, k)) or AdditivePolynomial(self.field, {})
 
     def __eq__(self, other):
         return (
@@ -459,14 +461,22 @@ class PairingDatum:
 
     def is_symmetric(self):
         """r_B = l_B: f_kj must be the trace-adjoint of f_jk."""
-        for j in range(self.d):
-            for k in range(self.d):
-                if self.matrix[(j, k)].adjoint() != self.matrix[(k, j)]:
-                    return False
-        return True
+        return all(f.adjoint() == self.entry(k, j) for (j, k), f in self.matrix.items())
 
     def is_zero(self):
-        return all(f.is_zero() for f in self.matrix.values())
+        return not self.matrix
+
+    def kernel_span(self):
+        """s with |K| = p^s over a splitting field, K = ker l_Q, when every
+        row and column carries exactly one nonzero entry (all catalog data
+        and every d = 1 datum with a nonzero pairing), else None.  K is then
+        the product of the kernels of those entries, and an additive f of
+        span s has p^s roots over its splitting field."""
+        # d entries in d distinct rows and d distinct columns: one in each
+        if len({j for j, _ in self.matrix}) == len({k for _, k in self.matrix}) == len(
+                self.matrix) == self.d:
+            return sum(f.span() for f in self.matrix.values())
+        return None
 
 
 def symbolic_pairing(datum):
@@ -483,20 +493,19 @@ def symbolic_pairing(datum):
     TheoremViolated.
     """
     field = datum.field
-    matrix = {}
-    zero = AdditivePolynomial(field, {})
+    matrix = {}  # (j, k) -> {i: coefficient of X^(p^i) in f_jk}
 
-    def add_to(j, k, f):
-        matrix[(j, k)] = matrix.get((j, k), zero) + f
+    def add_to(j, k, i, a):
+        f = matrix.setdefault((j, k), {})
+        f[i] = f[i] + a if i in f else a
 
     cross, _, witt = _term_plan(datum, lambda a: a)
     for j, k, i, a in cross:
-        f = AdditivePolynomial(field, {i: a})
-        add_to(j, k, f)
-        add_to(k, j, f.adjoint())
+        add_to(j, k, i, a)
+        add_to(k, j, -i, a.frobenius(-i))
     for j, c in witt:
-        add_to(j, j, AdditivePolynomial(field, {0: c * c}))
-    out = PairingDatum(field, datum.d, matrix)
+        add_to(j, j, 0, c * c)
+    out = PairingDatum(field, datum.d, {key: AdditivePolynomial(field, f) for key, f in matrix.items()})
     if not out.is_symmetric():
         raise TheoremViolated("expanded pairing fails r_B = l_B (construction bug)")
     return out
@@ -537,11 +546,9 @@ _MAX_SPLITTING_DEGREE = 24  # the last extension degree `geometric_kernel` scans
 def geometric_kernel(datum, override=False):
     """ker l_Q over a splitting extension: size p^(2r), returns KernelData.
 
-    For matrices in which every row and column carries exactly one nonzero
-    entry (all catalog data) the kernel size has the exact bound p^span per
-    entry, so the splitting degree is the least n attaining it; otherwise the
-    nullspace dimension is scanned up to _MAX_SPLITTING_DEGREE and must
-    stabilize.
+    When `PairingDatum.kernel_span` gives the exact size p^span, the
+    splitting degree is the least n attaining it; otherwise the nullspace
+    dimension is scanned up to _MAX_SPLITTING_DEGREE and must stabilize.
     """
     pairing = symbolic_pairing(datum)
     if pairing.is_zero():
@@ -549,20 +556,12 @@ def geometric_kernel(datum, override=False):
     p = datum.field.p
     d = datum.d
     # a coordinate with no constraint in any column makes the kernel infinite
-    for j in range(d):
-        if all(pairing.entry(j, k).is_zero() for k in range(d)):
-            raise DegeneratePairing(f"coordinate {j} is unconstrained (f = 0)")
-    monomial = all(
-        sum(0 if pairing.entry(j, k).is_zero() else 1 for k in range(d)) == 1
-        and sum(0 if pairing.entry(k, j).is_zero() else 1 for k in range(d)) == 1
-        for j in range(d)
-    )
-    expected = None
-    if monomial:
-        expected = 1
-        for j in range(d):
-            k = next(k for k in range(d) if not pairing.entry(j, k).is_zero())
-            expected *= p ** pairing.entry(j, k).span()
+    rows = {j for j, _ in pairing.matrix}
+    if len(rows) < d:
+        j = next(j for j in range(d) if j not in rows)
+        raise DegeneratePairing(f"coordinate {j} is unconstrained (f = 0)")
+    span = pairing.kernel_span()
+    expected = None if span is None else p**span
 
     best = (0, None, None)  # (kernel dim, n, basis field/basis)
     for n in range(1, _MAX_SPLITTING_DEGREE + 1):
@@ -655,47 +654,6 @@ def clb_cocycle_identity_check(i, a, field, n, override=False):
     return True
 
 
-# -- Artin-Schreier reduction and the rank formula --------------------------------
-
-def as_reduce(poly):
-    """Artin-Schreier reduction of a univariate polynomial {exp: coeff}.
-
-    Inside psi(Tr(.)) a x^(p^k m) may be replaced by a^(1/p^k) x^m, and the
-    p-th root is additive, so each term goes down to its exponent prime to p
-    in one step; the constant term drops.  Returns the reduced {exp: coeff}.
-    """
-    out = {}
-    for e, c in poly.items():
-        e, k = int(e), 0
-        if e <= 0 or not c:
-            continue
-        while e % c.field.p == 0:
-            e //= c.field.p
-            k += 1
-        c = c.pth_root(k)
-        out[e] = out[e] + c if e in out else c
-    return {e: c for e, c in out.items() if c}
-
-
-def gos_rank(poly):
-    """dim H^1_c for psi(Tr(h(x))) on the affine line: reduced degree - 1.
-
-    The reduced degree must be prime to p (Swan = degree at infinity);
-    reduction to a linear polynomial is the character case: a nontrivial
-    character, all cohomology vanishes, rank 0.
-    """
-    red = as_reduce(poly)
-    if not red:
-        raise ValueError("polynomial reduces to a constant: the trivial datum")
-    deg = max(red)
-    if deg == 1:
-        return 0
-    p = next(iter(red.values())).field.p
-    if deg % p == 0:
-        raise SwanDivisibleByP(f"reduced degree {deg} divisible by p = {p}")
-    return deg - 1
-
-
 # -- Hasse-Davenport checks -------------------------------------------------------
 
 class HDReport(Record):
@@ -719,13 +677,17 @@ def hasse_davenport_check(datum, r, n_max=3, workers=1, override=False):
     unity.  F_{q^n_max} is refused before the first sum.  Failures are
     reported in the HDReport (the Galois hypothesis may simply fail for the
     datum); the sums are closed-form (`char_sum`), so `workers` never changes
-    the result.
+    the result.  A claimed r > m d / 2 is refuted before p^r is formed: |S_1|
+    <= q^d < p^r q^(d/2), so no chain has that lead, and the report has no
+    tau and no residuals.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     check_extension(datum.field, n_max, override)
     sums = [char_sum(datum, n, workers=workers, override=override) for n in range(1, n_max + 1)]
     p, q, d = datum.field.p, datum.field.q, datum.d
+    if 2 * r > datum.field.m * d:
+        return HDReport(datum, r, None, sums, False, None, False, None)
     chain = weil_chain(sums, p, q, (-1) ** d * p**r, q**d)
     return HDReport(datum, r, chain.lam, sums, all(chain.residuals), chain.residuals,
                     chain.abs_ok, chain.ratio_order)

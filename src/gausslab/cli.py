@@ -159,12 +159,15 @@ def _cmd_hasse_davenport(job, options):
     )
     result = {
         "r": rep.r,
-        "tau": rep.tau.to_json(),
+        "tau": None if rep.tau is None else rep.tau.to_json(),
         "sums": [s.to_json() for s in rep.sums],
         "residuals": rep.residuals,
     }
+    # a refuted r has no residuals: the witness is the largest r a chain allows
+    witness = result["residuals"] if rep.tau is not None else {
+        "r": rep.r, "largest_r": datum.field.m * datum.d // 2}
     checks = [
-        _check("chain-identity", rep.chain_ok, witness=result["residuals"]),
+        _check("chain-identity", rep.chain_ok, witness=witness),
         _check("fev-abs-square", rep.fev_abs_ok),
         _check("fev-root-of-unity", rep.fev_ratio_order is not None),
     ]
@@ -517,7 +520,12 @@ def main(argv=None):
         print(f"invalid input or failed precondition: {exc}", file=sys.stderr)
         return 2
     report["seed"] = args.seed
-    sys.stdout.write(_render(report, args.format))
+    try:
+        rendered = _render(report, args.format)
+    except (TypeError, ValueError) as exc:  # a report the library built cannot be written
+        print(f"internal fault: the report cannot be rendered: {exc}", file=sys.stderr)
+        return 4
+    sys.stdout.write(rendered)
     return 0 if report["ok"] else 1
 
 

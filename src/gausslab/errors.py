@@ -75,10 +75,6 @@ class DegeneratePairing(GaussLabError):
     pass
 
 
-class SwanDivisibleByP(GaussLabError):
-    pass
-
-
 class NotPerfect(GaussLabError):
     """Carries a radical witness for a degenerate alternating pairing."""
 

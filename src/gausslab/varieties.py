@@ -3,6 +3,10 @@ Weil-number certificates, Betti predictions and W2 endomorphisms.
 
 Curves are f(y) = g1(x)g2(x) + a*x with f, g1, g2 additive and f separable
 (the Van der Geer--Van der Vlugt family for f = Y^q - Y, g1 = X, a = 0).
+A curve is a family of quadratic data: one d = 1 `QuadDatum` for each
+nonzero c in ker f_dual (`CurveSpec.character_data`).  Its point counts are
+sums of their character sums, and its Betti number and connectedness are
+read from their pairings, through `charsum` alone.
 Surfaces are counted exactly as displayed in their defining equations, with
 the free variable w contributing a factor q^n that is flagged in the output.
 Their W2 character sums split each Witt vector as a = [x0] + V(x1), and
@@ -16,9 +20,10 @@ trivial nor vanishing is certified by one Weil chain, `exactalg.weil_chain`.
 from collections import Counter
 from itertools import islice
 
-from .charsum import _checked_gram, _coordinate_basis, _histogram, as_reduce, gos_rank
-from .errors import Record, SwanDivisibleByP, TheoremViolated, check_cap
+from .charsum import ASLinear, CrossMonomial, QuadDatum, char_sum, symbolic_pairing
+from .errors import Record, TheoremViolated, check_cap
 from .exactalg import (
+    CyclotomicNumber,
     IntPolynomial,
     power_sums_from_char_poly,
     power_sums_to_char_poly,
@@ -55,6 +60,7 @@ class CurveSpec:
             raise ValueError("f must be separable: nonzero coefficient of Y")
         if g1.is_zero() or g2.is_zero():
             raise ValueError("g1 and g2 must be nonzero")
+        self._dims = None  # `_character_dims`, computed once
 
     def __repr__(self):
         return (
@@ -62,17 +68,19 @@ class CurveSpec:
             f"g1={sorted(self.g1.coeffs)}, g2={sorted(self.g2.coeffs)}, a={self.a!r})"
         )
 
-    def rhs_poly(self):
-        """g1(x)g2(x) + a x as a plain {exponent: coefficient} polynomial."""
-        out = {}
-        zero = self.field.zero()
-        for i, b in self.g1.coeffs.items():
-            for j, c in self.g2.coeffs.items():
-                e = self.field.p**i + self.field.p**j
-                out[e] = out.get(e, zero) + b * c
-        if self.a:
-            out[1] = out.get(1, zero) + self.a
-        return {e: c for e, c in out.items() if c}
+    def character_data(self, emb, roots):
+        """The curve as a family of quadratic data: for each nonzero c among
+        `roots`, elements of ker f_dual in the field E = emb.big, the d = 1
+        datum x -> psi(Tr(c (g1(x) g2(x) + a x))) over E.  With g1 = sum b_i
+        X^(p^i) and g2 = sum b'_j X^(p^j), c b_i b'_j x^(p^i) x^(p^j) has the
+        trace of the cross term (c b_i b'_j)^(p^-min(i,j)) x^(p^|i-j|) x, and
+        c a x is an AS-linear twist."""
+        products = [(abs(i - j), min(i, j), emb(b1 * b2))
+                    for i, b1 in self.g1.coeffs.items() for j, b2 in self.g2.coeffs.items()]
+        a = emb(self.a)
+        return [QuadDatum(emb.big, 1, [
+            *(CrossMonomial(0, 0, k, (c * b).frobenius(-u)) for k, u, b in products),
+            *([ASLinear(0, c * a)] if a else [])]) for c in roots if c]
 
     def to_json(self):
         return {
@@ -103,36 +111,20 @@ def count_points(spec, n, override=False):
 
     im f is the annihilator of ker f_dual under the trace pairing and
     |ker f| = |ker f_dual|, so N_n = sum of S_n(c * rhs) over c in
-    ker f_dual(F_{q^n}).  With g1, g2 additive, x -> Tr(c (g1(x) g2(x) + a x))
-    is F_p-quadratic with polar form Tr(c (g1(x) g2(y) + g1(y) g2(x))).  On
-    the power basis, rhs and the (mn)(mn+1)/2 products g1 g2 + g1 g2 are
-    shared by every c != 0, whose S_n is a histogram from Gram data (capped
-    at (mn)^2 entries), no sweep of F_{q^n}; c = 0 adds q^n to h_0.  The
-    summed histogram h is the integer h_0 - h_1 exactly when h_1 = ... = h_(p-1).
+    ker f_dual(F_{q^n}), rhs = g1 g2 + a x: c = 0 adds q^n, and every other c
+    adds the closed-form `char_sum` of its datum (`CurveSpec.character_data`),
+    from Gram data capped at (mn)^2 entries, no sweep of F_{q^n}.  The total
+    is an integer exactly when it is rational.
     """
     check_cap((spec.field.m * n) ** 2, override, "Gram matrix")
-    cs = additive_kernel(spec.f.adjoint(), n, override)
-    big, emb = extension(spec.field, n, override)
-    p, g1, g2, a = big.p, spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
-
-    def rhs(point):
-        (x,) = point
-        return g1.evaluate(x) * g2.evaluate(x) + a * x
-
-    basis = _coordinate_basis(big, [big._power_basis])
-    g12 = [(g1.evaluate(x), g2.evaluate(x)) for (x,) in basis]
-    values = [u1 * u2 + a * x for (x,), (u1, u2) in zip(basis, g12)]
-    pairs = [[u1 * v2 + v1 * u2 for v1, v2 in g12[k:]] for k, (u1, u2) in enumerate(g12)]
-    hist = Counter({0: big.q})
-    for c in filter(None, cs):  # c = 0 adds its q^n alone
-        hist.update(_histogram(*_checked_gram(
-            lambda point: p * absolute_trace_int(c * rhs(point)), (big.zero(),), basis,
-            [p * absolute_trace_int(c * v) for v in values], p,
-            lambda k, l: absolute_trace_int(c * pairs[k][l - k])), p))
-    h = [hist[p * k] for k in range(p)]
-    if len(set(h[1:])) != 1:
-        raise TheoremViolated(f"the character sums of a point count are not rational: {h}")
-    return h[0] - h[1]
+    roots = additive_kernel(spec.f.adjoint(), n, override)
+    _, emb = extension(spec.field, n, override)
+    sums = [char_sum(datum, 1, override=override) for datum in spec.character_data(emb, roots)]
+    total = sum(sums, CyclotomicNumber.from_rational(emb.big.q))
+    if not total.is_rational() or total.den != 1:
+        raise TheoremViolated(
+            f"the character sums of a point count are not rational: {total.to_json()}")
+    return total.nums[0]
 
 
 def _dual_kernel(spec, override=False):
@@ -152,23 +144,39 @@ def _dual_kernel(spec, override=False):
         n += 1
 
 
-def _character_polys(spec, override=False):
-    """c * (g1 g2 + a x) as {exponent: coefficient} for each nonzero c in
-    ker f_dual, over the splitting field of ker f_dual."""
-    big, emb, roots = _dual_kernel(spec, override=override)
-    rhs = {e: emb(v) for e, v in spec.rhs_poly().items()}
-    return [{e: c * v for e, v in rhs.items()} for c in roots if c]
+def _character_dims(spec, override=False):
+    """dim H^1_c of each nonzero character's sheaf over the splitting field E
+    of ker f_dual, None for a trivial one.  A nonzero pairing f_00 has |K| =
+    p^span (`PairingDatum.kernel_span`), so the dimension is p^(span/2) by
+    the theorem |K| = p^(2r); a zero pairing makes the datum an additive
+    character of E, with no cohomology, trivial exactly when its sum over E
+    is |E|.  They are computed once per spec: `random_curve_spec` reads them
+    for connectedness and then for the Betti number."""
+    if spec._dims is None:
+        big, emb, roots = _dual_kernel(spec, override=override)
+        dims = []
+        for datum in spec.character_data(emb, roots):
+            pairing = symbolic_pairing(datum)
+            if pairing.is_zero():
+                dims.append(None if char_sum(datum, 1, override=override) == big.q else 0)
+            else:
+                dims.append(big.p ** (pairing.kernel_span() // 2))
+        spec._dims = dims
+    return spec._dims
 
 
 def is_geometrically_connected(spec, override=False):
-    """No nonzero character component collapses to the trivial sheaf:
-    the AS-reduction of c * (g1 g2 + a x) is nonzero for every nonzero c."""
-    return all(as_reduce(poly) for poly in _character_polys(spec, override))
+    """No nonzero character component collapses to the trivial sheaf."""
+    return None not in _character_dims(spec, override)
 
 
 def betti_prediction(spec, override=False):
-    """Predicted dim H^1_c: sum of per-character ranks via the Swan formula."""
-    return sum(gos_rank(poly) for poly in _character_polys(spec, override))
+    """Predicted dim H^1_c: the sum of p^r_c over the nonzero characters c,
+    |K_c| = p^(2 r_c); a trivial character is refused."""
+    dims = _character_dims(spec, override)
+    if None in dims:
+        raise ValueError("a character is trivial: the curve is not geometrically connected")
+    return sum(dims)
 
 
 class ZetaData(Record):
@@ -234,8 +242,8 @@ def random_curve_spec(field, seed, max_b=6, max_tries=200, override=False):
     """Deterministic pseudorandom valid CurveSpec with small Betti number.
 
     Draws additive f (separable), nonzero g1, g2 and a; keeps specs that are
-    geometrically connected, have all character ranks defined, and have
-    betti_prediction <= max_b.  ScaleCapExceeded is raised, not retried.
+    geometrically connected and have 0 < betti_prediction <= max_b.
+    ScaleCapExceeded is raised, not retried.
     """
     import random
 
@@ -255,11 +263,11 @@ def random_curve_spec(field, seed, max_b=6, max_tries=200, override=False):
                 AdditivePolynomial(field, g2),
                 rng.choice(els),
             )
-            if not is_geometrically_connected(spec, override=override):
-                continue
-            b = betti_prediction(spec, override=override)
-        except (ValueError, SwanDivisibleByP):
-            continue  # rejected by CurveSpec or by gos_rank; a cap error propagates
+        except ValueError:
+            continue  # rejected by CurveSpec
+        if not is_geometrically_connected(spec, override=override):
+            continue
+        b = betti_prediction(spec, override=override)
         if 0 < b <= max_b and field.q ** (b + 2) <= 2**16:
             return spec
     raise ValueError(f"no valid curve spec found for seed {seed}")

@@ -17,13 +17,11 @@ from gausslab.charsum import (
     Precompose,
     QuadDatum,
     WittLinear,
-    as_reduce,
     canonical_quadratic,
     char_sum,
     clb_cocycle_identity_check,
     derive_pairing,
     geometric_kernel,
-    gos_rank,
     hasse_davenport_check,
     invariance_check,
     symbolic_pairing,
@@ -33,7 +31,6 @@ from gausslab.errors import (
     DegeneratePairing,
     NotSymmetric,
     ScaleCapExceeded,
-    SwanDivisibleByP,
     TheoremViolated,
     check_cap,
 )
@@ -305,6 +302,42 @@ def test_laurent_adjoint():
     assert f.adjoint().coeffs == {-1: F4.gen().pth_root(), 1: F4.gen()}
 
 
+# -- Artin-Schreier reduction and the rank formula, kept as curve oracles ----------
+# `varieties` read the Betti number and connectedness of a curve from these
+# until its characters became data; tests/test_varieties.py compares them.
+
+def as_reduce(poly):
+    """Artin-Schreier reduction of a univariate polynomial {exp: coeff}.
+
+    Inside psi(Tr(.)) a x^(p^k m) may be replaced by a^(1/p^k) x^m, and the
+    p-th root is additive, so each term goes down to its exponent prime to p
+    in one step; the constant term drops.  Returns the reduced {exp: coeff}.
+    """
+    out = {}
+    for e, c in poly.items():
+        e, k = int(e), 0
+        if e <= 0 or not c:
+            continue
+        while e % c.field.p == 0:
+            e //= c.field.p
+            k += 1
+        c = c.pth_root(k)
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+def gos_rank(poly):
+    """dim H^1_c for psi(Tr(h(x))) on the affine line: reduced degree - 1
+    (the Swan conductor is the degree at infinity, prime to p after
+    `as_reduce`); reduction to a linear polynomial is the character case: a
+    nontrivial character, all cohomology vanishes, rank 0."""
+    red = as_reduce(poly)
+    if not red:
+        raise ValueError("polynomial reduces to a constant: the trivial datum")
+    deg = max(red)
+    return 0 if deg == 1 else deg - 1
+
+
 def test_gos_rank_examples():
     assert gos_rank({3: F2.one()}) == 2
     assert gos_rank({3: F4.one()}) == 2
@@ -442,6 +475,13 @@ def test_weil_chain_matches_the_inline_hasse_davenport_loop():
         # the lookup decides |tau|^2 = q^d as the conjugate does
         assert chain.abs_ok == (abs_square(tau) == q**d), name
         rep = hasse_davenport_check(datum, r, n_max)
+        if 2 * r > datum.field.m * d:
+            # refuted before p^r is formed, since |S_1|^2 <= q^(2d) < p^(2r) q^d:
+            # the loop's |tau|^2 = q^d fails
+            assert not abs_ok, name
+            assert (rep.tau, rep.sums, rep.chain_ok, rep.residuals, rep.fev_abs_ok,
+                    rep.fev_ratio_order) == (None, sums, False, None, False, None), name
+            continue
         assert (rep.tau.to_json(), rep.sums, rep.chain_ok, rep.residuals, rep.fev_abs_ok,
                 rep.fev_ratio_order) == (tau.to_json(), sums, all(residuals), residuals, abs_ok,
                                          order), name
@@ -1290,7 +1330,7 @@ def _seeded_gram_data(p, witt, rng):
     data on v_0 .. v_(M-1), M <= 16, in a random order: lines with B(v, v) !=
     0 (at p = 2 only Z/4-valued Witt data have them), hyperbolic planes and a
     radical.  a_k = e(w_k) by `_value`, so e is quadratic on the span and
-    the data pass `_checked_gram`'s conditions (checked below)."""
+    the data pass the conditions `_gram_data` checks (checked below)."""
     m = rng.randint(1, 16)
     kinds = rng.choices(["line", "plane", "radical"] if p != 2 or witt else ["plane", "radical"],
                         k=m)

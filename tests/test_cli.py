@@ -335,6 +335,64 @@ def test_internal_fault_exits_4(monkeypatch, tmp_path, capsys):
     assert err == "internal fault: a proven identity failed\n"
 
 
+def test_unrenderable_report_exits_4(monkeypatch, tmp_path, capsys):
+    # a report that json.dumps refuses (an int past the digit limit of str)
+    # is an internal fault, not a traceback with exit 1
+    def huge(job, options):
+        return {"value": 10**5000}, []
+
+    monkeypatch.setitem(cli._COMMANDS, "field", (huge, cli._COMMANDS["field"][1]))
+    code, err = run_main("field", {"p": 2, "m": 1}, tmp_path, capsys)
+    assert code == 4
+    assert err.startswith("internal fault: the report cannot be rendered:")
+
+
+_AS_LIMIT = 3 << 29  # 1.5 GiB of address space for each child below
+
+
+def _run_cli_limited(command, job):
+    """run_cli in a child whose address space is capped by RLIMIT_AS."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_AS_LIMIT, _AS_LIMIT))
+
+    return subprocess.run([sys.executable, "-m", "gausslab.cli", command], input=json.dumps(job),
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("command", ["kernel", "clb-normalize", "char-sum", "invariance"])
+def test_a_million_coordinates_size_nothing_by_d_squared(command):
+    # a datum with d = 10^6 and one term: its pairing holds its one nonzero
+    # entry, not a d x d table, and the Gram cap counts (m n d)^2 before
+    # anything is built; each job ends with a contract exit and no traceback
+    job = {"datum": {"field": {"p": 2, "m": 2}, "d": 10**6,
+                     "terms": [{"kind": "diag", "j": 0, "i": 1, "a": [1, 0]}]}}
+    if command == "invariance":
+        job["matrices"] = []
+    proc = _run_cli_limited(command, job)
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == {"kernel": 2, "clb-normalize": 0}.get(command, 3), proc.stderr
+
+
+@pytest.mark.parametrize("r", [2, 20000, 10**6])
+def test_hasse_davenport_refutes_a_claimed_r_above_md_over_2(r):
+    # diag-x3-f4-hd has m d / 2 = 1: |S_1| <= q^d < p^r q^(d/2) for r >= 2, so
+    # the chain fails with the largest r as its witness, p^r never formed
+    job = {**corpus()["diag-x3-f4-hd"]["input"], "r": r}
+    proc = _run_cli_limited("hasse-davenport", job)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["result"]["tau"] is None and report["result"]["residuals"] is None
+    assert report["checks"] == [
+        {"name": "chain-identity", "pass": False, "witness": {"r": r, "largest_r": 1}},
+        {"name": "fev-abs-square", "pass": False},
+        {"name": "fev-root-of-unity", "pass": False},
+    ]
+    assert len(report["result"]["sums"]) == 3
+
+
 def test_cap_exceeded_exits_3():
     # F_{4^65} = F_{2^130} is above the bound on the fields `extension` builds
     job = {"datum": corpus()["diag-x3-f4-hd"]["input"]["datum"], "n": 65}

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -13,6 +15,7 @@ from gausslab.exactalg import IntPolynomial, abs_square, is_root_of_unity, weil_
 from gausslab.fields import (
     AdditivePolynomial,
     WittVector2,
+    absolute_trace_int,
     additive_kernel,
     extension,
     gamma_value,
@@ -36,11 +39,13 @@ from gausslab.varieties import (
     w2_endomorphism,
     zeta_pipeline,
 )
+from test_charsum import as_reduce, gos_rank
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
+F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 
 
@@ -192,11 +197,11 @@ def test_supersingular_curves_above_the_old_point_caps(monkeypatch):
 def test_count_points_builds_gram_data_per_nontrivial_character(monkeypatch):
     # the trivial character adds q^n to h_0 by itself: |ker f_dual| - 1
     # histograms, for kernels of size 2, 3 and 4
-    import gausslab.varieties as varieties
+    import gausslab.charsum as charsum
 
     calls = []
-    histogram = varieties._histogram
-    monkeypatch.setattr(varieties, "_histogram",
+    histogram = charsum._histogram
+    monkeypatch.setattr(charsum, "_histogram",
                         lambda a, gram, p: calls.append(len(a)) or histogram(a, gram, p))
     y4_y_x3 = CurveSpec(F2, AdditivePolynomial(F2, {2: F2.one(), 0: F2.one()}),
                         AdditivePolynomial(F2, {0: F2.one()}),
@@ -264,6 +269,106 @@ def test_dual_kernel_matches_brute_force():
         expected = field.p ** fd.span()
         assert roots == sweeps[-1] and len(roots) == expected, (field.tag, seed)
         assert all(len(sweep) < expected for sweep in sweeps[:-1]), (field.tag, seed)
+
+
+# -- the character data against the Gram fill and the Swan-conductor oracles ----------
+
+def _rhs_poly(spec, emb):
+    """g1(x)g2(x) + a x as {exponent: coefficient} over emb.big, as the
+    removed `CurveSpec.rhs_poly` gave it before the embedding."""
+    out = {}
+    for i, b in spec.g1.coeffs.items():
+        for j, c in spec.g2.coeffs.items():
+            e = spec.field.p**i + spec.field.p**j
+            out[e] = out.get(e, emb.big.zero()) + emb(b * c)
+    if spec.a:
+        out[1] = out.get(1, emb.big.zero()) + emb(spec.a)
+    return out
+
+
+def _character_polys(spec):
+    """c (g1 g2 + a x) for each nonzero c in ker f_dual, over its splitting field."""
+    _, emb, roots = _dual_kernel(spec)
+    rhs = _rhs_poly(spec, emb)
+    return [{e: c * v for e, v in rhs.items()} for c in roots if c]
+
+
+def _swan_connected(spec):
+    """The connectedness that `varieties` read from Artin-Schreier reduction
+    before a curve's characters became data, kept as the oracle."""
+    return all(as_reduce(poly) for poly in _character_polys(spec))
+
+
+def _swan_betti(spec):
+    """The Betti number by the Swan-conductor rank formula, likewise."""
+    return sum(gos_rank(poly) for poly in _character_polys(spec))
+
+
+def _gram_fill_count(spec, n):
+    """N_n by the Gram fill that `count_points` kept before it summed the
+    character sums of the data, kept as the oracle: on the power basis, rhs
+    and the products g1 g2 + g1 g2 are shared by every c != 0, whose Gram
+    data are traces of c times them; c = 0 adds q^n to h_0, and N_n = h_0 -
+    h_1 with h_1 = ... = h_(p-1)."""
+    from gausslab.charsum import _histogram
+
+    cs = additive_kernel(spec.f.adjoint(), n)
+    big, emb = extension(spec.field, n, False)
+    p, g1, g2, a = big.p, spec.g1.lift(emb), spec.g2.lift(emb), emb(spec.a)
+    basis = big._power_basis
+    g12 = [(g1.evaluate(x), g2.evaluate(x)) for x in basis]
+    values = [u1 * u2 + a * x for x, (u1, u2) in zip(basis, g12)]
+    pairs = [[u1 * v2 + v1 * u2 for v1, v2 in g12] for u1, u2 in g12]
+    hist = Counter({0: big.q})
+    for c in filter(None, cs):
+        hist.update(_histogram([p * absolute_trace_int(c * v) for v in values],
+                               [[absolute_trace_int(c * w) for w in row] for row in pairs], p))
+    h = [hist[p * k] for k in range(p)]
+    assert len(set(h[1:])) == 1, h
+    return h[0] - h[1]
+
+
+def _raw_curve_specs():
+    """384 seeded CurveSpecs over F_2, F_4, F_8, F_3, F_9 and F_5, not filtered
+    by `random_curve_spec`: f with a Y^(p^2) term half the time (up to p^2 - 1
+    characters), g1 and g2 with one or two terms, and g1 = g2 = X^(p^i) a
+    quarter of the time, where some a makes a character trivial."""
+    for field in (F2, F4, F8, F3, F9, F5):
+        rng = random.Random(f"raw-curve-{field.q}")
+        els = list(field.elements())
+        for _ in range(64):
+            f = {0: rng.choice(els[1:]), 1: rng.choice(els)}
+            if rng.random() < 0.5:
+                f[2] = rng.choice(els[1:])
+            if rng.random() < 0.25:
+                i = rng.randint(0, 1)
+                g1 = g2 = {i: rng.choice(els[1:])}
+            else:
+                g1, g2 = ({i: rng.choice(els[1:]) for i in rng.sample(range(3), rng.randint(1, 2))}
+                          for _ in range(2))
+            yield CurveSpec(field, AdditivePolynomial(field, f), AdditivePolynomial(field, g1),
+                            AdditivePolynomial(field, g2), rng.choice(els))
+
+
+def test_character_data_match_the_gram_fill_and_swan_oracles():
+    # connectedness, Betti number and the counts up to q^n <= 2^9 from the
+    # data, against Artin-Schreier reduction and the shared Gram fill
+    disconnected = several = 0
+    for spec in _raw_curve_specs():
+        connected = _swan_connected(spec)
+        assert is_geometrically_connected(spec) == connected, spec
+        if connected:
+            assert betti_prediction(spec) == _swan_betti(spec), spec
+        else:
+            disconnected += 1
+            with pytest.raises(ValueError):
+                betti_prediction(spec)
+        several += len(_character_polys(spec)) > spec.field.p - 1
+        for n in range(1, 10):
+            if spec.field.q**n > 2**9:
+                break
+            assert count_points(spec, n) == _gram_fill_count(spec, n), (spec, n)
+    assert disconnected >= 5 and several >= 100, (disconnected, several)
 
 
 def test_random_curve_determinism():
