@@ -6,20 +6,17 @@ terms, plus (for p = 2) Witt-vector character terms psi' = zeta_{p^2} composed
 with Witt traces.  All sums, pairings, kernels and identity checks are exact.
 
 The term kinds and substitutions of a datum are read in two places only,
-`QuadDatum` and `_term_plan`: every term becomes entries a x_j^(p^i) x_k,
-linear twists c x_j or Witt terms psi'((c x_j, 0)), with their coefficients
-embedded once.  A precomposition x_j -> s_j(x_j) is resolved there, term by
-term through s_j = sum_u f_u X^(p^u), into entries with the same trace (Tr is
-Frobenius-invariant, and so is `witt_trace`): a s_j(x_j)^(p^i) s_k(x_k) gives
-(a f_u^(p^i) g_v)^(p^-v) x_j^(p^(u+i-v)) x_k when u + i >= v, else the root
-by p^(u+i) with j and k swapped; c s_j(x_j) gives (c f_u)^(p^-u) x_j; a Witt
-term gives its Witt entries at (c f_u)^(2^-u) and cross entries from the
-carry V(sum_(u<v) y_u y_v).  The Gram evaluator (and with it the sums and the
-geometric kernel), `symbolic_pairing` and the deck construction of
-`heisenberg` all read that plan, and none of them applies a substitution.
-The curves of `varieties` read it through `char_sum` and `symbolic_pairing`:
-each character of a curve is a one-dimensional datum, whose sums give the
-point counts and whose pairings give the Betti number and connectedness.
+`QuadDatum` and `_term_plan`: every term, through the precompositions of its
+coordinates, becomes entries a x_j^(p^i) x_k, linear twists c x_j or Witt
+terms psi'((c x_j, 0)) of the same trace, their coefficients embedded once.
+The Gram evaluator (and with it the sums), `symbolic_pairing` and the deck
+construction of `heisenberg` all read that plan, and none of them applies a
+substitution.  The geometric kernel K has |K| = p^s and its splitting degree e
+read off the pairing (`PairingDatum.kernel_degrees`), and K itself from one
+nullspace at n = e.  The curves of `varieties` read the plan through
+`char_sum` and `symbolic_pairing`: each character of a curve is a
+one-dimensional datum, whose sums give the point counts and whose pairings
+give the Betti number and connectedness.
 """
 
 import itertools
@@ -37,6 +34,7 @@ from .errors import (
 )
 from .exactalg import weil_chain, zeta_sum
 from .fields import (
+    FIELD_CAP,
     AdditivePolynomial,
     WittVector2,
     _nullspace_mod_p,
@@ -466,17 +464,71 @@ class PairingDatum:
     def is_zero(self):
         return not self.matrix
 
-    def kernel_span(self):
-        """s with |K| = p^s over a splitting field, K = ker l_Q, when every
-        row and column carries exactly one nonzero entry (all catalog data
-        and every d = 1 datum with a nonzero pairing), else None.  K is then
-        the product of the kernels of those entries, and an additive f of
-        span s has p^s roots over its splitting field."""
-        # d entries in d distinct rows and d distinct columns: one in each
-        if len({j for j, _ in self.matrix}) == len({k for _, k in self.matrix}) == len(
-                self.matrix) == self.d:
-            return sum(f.span() for f in self.matrix.values())
-        return None
+    def kernel_degrees(self, override=False):
+        """(s, e): |K| = p^s and e is the least n with K in (F_{q^n})^d, for K
+        the zeros of sum_j f_jk(x_j), k < d, over the closure, read with no
+        field built from M = L^d/N, L = F_q{tau, tau^-1}, N spanned by the
+        equations (O. Ore, Trans. AMS 35, 1933).  Right division (`_reduce`)
+        echelons them; each pivot h_j is onto with p^(span h_j) roots.  K =
+        Hom_L(M, closure) lies in (F_{q^n})^d iff tau^(mn), central, fixes the
+        unit vectors of M; n is sought up to 129, where q^n > FIELD_CAP."""
+        field, d = self.field, self.d
+        # a coordinate with no constraint in any column makes the kernel infinite
+        cols = {j for j, _ in self.matrix}
+        if len(cols) < d:
+            j = next(j for j in range(d) if j not in cols)
+            raise DegeneratePairing(f"coordinate {j} is unconstrained (f = 0)")
+        check_cap(d * d, override, "module normal forms")  # d unit vectors of M, d entries each
+        pool = {}  # equation k -> {j: f_jk}, nonzero entries only
+        for (j, k), f in self.matrix.items():
+            pool.setdefault(k, {})[j] = f
+        pool, pivots = list(pool.values()), {}
+        for j in range(d):
+            live, pool = [r for r in pool if j in r], [r for r in pool if j not in r]
+            while len(live) > 1:  # Euclid on column j: spans fall below the least
+                h, *rest = sorted(live, key=lambda r: r[j].span())
+                live = [h] + [r for r in rest if j in _reduce(r, {j: h})]
+                pool += [r for r in rest if r and j not in r]
+            if not live:
+                raise DegeneratePairing(f"coordinate {j} is free modulo the other equations")
+            pivots[j] = live[0]
+        units = moved = [_reduce({j: AdditivePolynomial(field, {0: 1})}, pivots) for j in range(d)]
+        # q^n > FIELD_CAP once n > 128, for every q: with the cap lifted, the search stops there
+        for n in range(1, FIELD_CAP.bit_length() + 1):
+            check_extension(field, n, override)
+            moved = [_reduce({k: f.twist(field.m) for k, f in v.items()}, pivots) for v in moved]
+            if moved == units:
+                return sum(h[j].span() for j, h in pivots.items()), n
+        raise DegeneratePairing(f"splitting degree above {n}, past the field bound 2^128")
+
+
+def _reduce(v, pivots):
+    """v - sum g_j h_j in place, g_j in L, for the pivots h_j = pivots[j] (zero
+    left of column j) at the columns of v from the left: c tau^t h_j cancels
+    the top terms of v[j], then the bottom ones, into the window [lo, hi)
+    of the exponents of h_j[j]."""
+    j = -1
+    while True:
+        cols = [k for k in v if k > j and k in pivots]
+        if not cols:
+            return v
+        j = min(cols)
+        h = pivots[j]
+        lo, hi = min(h[j].coeffs), max(h[j].coeffs)
+        while j in v and max(v[j].coeffs) >= hi:
+            _cancel(v, h, j, max(v[j].coeffs), hi)
+        while j in v and min(v[j].coeffs) < lo:
+            _cancel(v, h, j, min(v[j].coeffs), lo)
+
+
+def _cancel(v, h, j, i, i0):
+    """v - c tau^(i - i0) h in place, with c clearing the term tau^i of v[j]."""
+    c = -v[j].coeffs[i] / h[j].coeffs[i0].frobenius(i - i0)
+    for k, g in h.items():
+        g = g.twist(i - i0).scale(c)
+        v[k] = v[k] + g if k in v else g
+        if v[k].is_zero():
+            del v[k]
 
 
 def symbolic_pairing(datum):
@@ -540,55 +592,27 @@ def _kernel_basis(ev):
     return _nullspace_mod_p(list(zip(*cols)), ev.p)
 
 
-_MAX_SPLITTING_DEGREE = 24  # the last extension degree `geometric_kernel` scans
-
-
 def geometric_kernel(datum, override=False):
-    """ker l_Q over a splitting extension: size p^(2r), returns KernelData.
+    """ker l_Q over its splitting field: size p^(2r), returns KernelData.
 
-    When `PairingDatum.kernel_span` gives the exact size p^span, the
-    splitting degree is the least n attaining it; otherwise the nullspace
-    dimension is scanned up to _MAX_SPLITTING_DEGREE and must stabilize.
+    |K| = p^s and the splitting degree e come from the pairing
+    (`PairingDatum.kernel_degrees`) before any field is built; K is then the
+    nullspace of the polar rows at n = e, which must have dimension s.
     """
     pairing = symbolic_pairing(datum)
     if pairing.is_zero():
         raise DegeneratePairing("the pairing vanishes identically")
-    p = datum.field.p
-    d = datum.d
-    # a coordinate with no constraint in any column makes the kernel infinite
-    rows = {j for j, _ in pairing.matrix}
-    if len(rows) < d:
-        j = next(j for j in range(d) if j not in rows)
-        raise DegeneratePairing(f"coordinate {j} is unconstrained (f = 0)")
-    span = pairing.kernel_span()
-    expected = None if span is None else p**span
-
-    best = (0, None, None)  # (kernel dim, n, basis field/basis)
-    for n in range(1, _MAX_SPLITTING_DEGREE + 1):
-        ev = _Evaluator(datum, n, override)
-        basis = _kernel_basis(ev)
-        size = p ** len(basis)
-        if size > best[0]:
-            best = (size, n, (ev.big, basis))
-        if expected is not None and size == expected:
-            break
-    else:
-        if expected is not None:
-            raise DegeneratePairing(
-                f"kernel of size {expected} not rational below degree {_MAX_SPLITTING_DEGREE}"
-            )
-        # K(F_{q^n}) is contained in K(F_{q^{2n}}), so a maximum attained at
-        # n <= _MAX_SPLITTING_DEGREE/2 was already confirmed stable at its double
-        if 2 * best[1] > _MAX_SPLITTING_DEGREE:
-            raise DegeneratePairing(
-                f"cannot certify kernel stabilization below degree {_MAX_SPLITTING_DEGREE}"
-            )
-    size, n, (big, basis) = best
-    if len(basis) % 2:
+    s, e = pairing.kernel_degrees(override)
+    p, d, size = datum.field.p, datum.d, datum.field.p ** s
+    if s % 2:
         raise DegeneratePairing(f"kernel size {size} is not an even power of {p}")
     # caps the listing that `KernelData.elements` makes when read
     check_cap(size, override, "kernel listing")
-    return KernelData(r=len(basis) // 2, size=size, splitting_degree=n, field=big, d=d, basis=[
+    ev = _Evaluator(datum, e, override)
+    basis, big = _kernel_basis(ev), ev.big
+    if len(basis) != s:
+        raise TheoremViolated(f"K(F_(q^{e})) has dimension {len(basis)}, not {s}")
+    return KernelData(r=s // 2, size=size, splitting_degree=e, field=big, d=d, basis=[
         tuple(big.element(vec[j * big.m:(j + 1) * big.m]) for j in range(d)) for vec in basis])
 
 

@@ -107,8 +107,9 @@ def check_cap(n_points, override=False, what="enumeration", cap=None):
     if override:
         return
     cap = scale_cap() if cap is None else cap
-    if n_points > cap:
-        raise ScaleCapExceeded(f"{what} over {n_points} points exceeds cap {cap}")
+    if n_points > cap:  # Python writes no int of more than 4300 digits in decimal
+        size = f"at least 2^{n_points.bit_length() - 1}" if n_points >> 256 else n_points
+        raise ScaleCapExceeded(f"{what} over {size} points exceeds cap {cap}")
 
 
 def checked_int(value, name, least=None, below=None):

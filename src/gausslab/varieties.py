@@ -20,7 +20,7 @@ trivial nor vanishing is certified by one Weil chain, `exactalg.weil_chain`.
 from collections import Counter
 from itertools import islice
 
-from .charsum import ASLinear, CrossMonomial, QuadDatum, char_sum, symbolic_pairing
+from .charsum import ASLinear, CrossMonomial, PairingDatum, QuadDatum, char_sum, symbolic_pairing
 from .errors import Record, TheoremViolated, check_cap
 from .exactalg import (
     CyclotomicNumber,
@@ -128,26 +128,18 @@ def count_points(spec, n, override=False):
 
 
 def _dual_kernel(spec, override=False):
-    """(E, emb, elements of ker f_dual over its splitting field).
-
-    The characters of the covering correspond to coefficients c in the kernel
-    of the trace-adjoint f_dual; its splitting field is found from the exact
-    root-count bound p^span.
-    """
+    """(E, emb, ker f_dual listed in E): the characters of the covering, over
+    the splitting field E = F_{q^e}, e from `PairingDatum.kernel_degrees`."""
     fd = spec.f.adjoint()
-    expected = spec.field.p ** fd.span()
-    n = 1
-    while True:
-        roots = additive_kernel(fd, n, override)
-        if len(roots) == expected:
-            return (*extension(spec.field, n, override), roots)
-        n += 1
+    _, e = PairingDatum(spec.field, 1, {(0, 0): fd}).kernel_degrees(override)
+    roots = additive_kernel(fd, e, override)
+    return (*extension(spec.field, e, override), roots)
 
 
 def _character_dims(spec, override=False):
     """dim H^1_c of each nonzero character's sheaf over the splitting field E
     of ker f_dual, None for a trivial one.  A nonzero pairing f_00 has |K| =
-    p^span (`PairingDatum.kernel_span`), so the dimension is p^(span/2) by
+    p^span (`PairingDatum.kernel_degrees`), so the dimension is p^(span/2) by
     the theorem |K| = p^(2r); a zero pairing makes the datum an additive
     character of E, with no cohomology, trivial exactly when its sum over E
     is |E|.  They are computed once per spec: `random_curve_spec` reads them
@@ -160,7 +152,7 @@ def _character_dims(spec, override=False):
             if pairing.is_zero():
                 dims.append(None if char_sum(datum, 1, override=override) == big.q else 0)
             else:
-                dims.append(big.p ** (pairing.kernel_span() // 2))
+                dims.append(big.p ** (pairing.entry(0, 0).span() // 2))
         spec._dims = dims
     return spec._dims
 

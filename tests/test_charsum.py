@@ -4,6 +4,7 @@ canonical forms and the Hasse-Davenport identities."""
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 from math import prod
 from pathlib import Path
 
@@ -884,6 +885,191 @@ def _nonzero_pairing_datum(field, d, rng):
             terms.append(Precompose(j, AdditivePolynomial(field, f)))
     rng.shuffle(terms)
     return QuadDatum(field, d, terms)
+
+
+
+# -- |K| and the splitting degree from the pairing ----------------------------------
+
+def _kernel_dim(datum, n, override=False):
+    """dim_(F_p) K(F_{q^n}): the nullspace of the polar rows at n."""
+    return len(charsum._kernel_basis(charsum._Evaluator(datum, n, override)))
+
+
+def _scanned_kernel(datum):
+    """(dim, n) as `geometric_kernel` found K before the pairing gave |K| and
+    e, kept as the oracle where it was exact: the nullspace at n = 1, ...,
+    24, stopping at the exact dimension span when each row and column of the
+    pairing carries one nonzero entry (the removed `kernel_span`), else
+    taking the first n of the largest dimension seen, when n <= 12; None
+    where the scan gave up."""
+    matrix = symbolic_pairing(datum).matrix
+    exact = len({j for j, _ in matrix}) == len({k for _, k in matrix}) == len(matrix) == datum.d
+    span = sum(f.span() for f in matrix.values()) if exact else None
+    best = (-1, None)
+    for n in range(1, 25):
+        dim = _kernel_dim(datum, n)
+        if dim > best[0]:
+            best = (dim, n)
+        if dim == span:
+            return best
+    return None if span is not None or 2 * best[1] > 24 else best
+
+
+@lru_cache(maxsize=None)
+def _kernel_degree_draws():
+    """(datum, (s, e) or the DegeneratePairing raised) for seeded
+    `_random_datum` and `_nonzero_pairing_datum` draws with a nonzero pairing
+    over the fields of p <= 7, m <= 2, for d <= 3: the second kind couples
+    its coordinates by cross terms.  Draws whose splitting field is past the
+    field bound are left out; drawn once, and read, never changed, by the
+    tests."""
+    out = []
+    for field in (F2, F4, F3, F9, F5, make_field(5, 2), make_field(7, 1)):
+        rng = random.Random(f"kernel-degrees-{field.q}")
+        for d, _, draw in itertools.product((1, 2, 3), range(10),
+                                            (_random_datum, _nonzero_pairing_datum)):
+            pairing = symbolic_pairing(datum := draw(field, d, rng))
+            try:
+                out.append((datum, pairing.kernel_degrees()))
+            except DegeneratePairing as exc:
+                out.append((datum, exc))
+            except ScaleCapExceeded:
+                pass
+    return [(datum, got) for datum, got in out if not symbolic_pairing(datum).is_zero()]
+
+
+def _prime_divisors(n):
+    return [l for l in range(2, n + 1) if n % l == 0 and all(l % r for r in range(2, l))]
+
+
+def test_kernel_degrees_are_the_least_splitting_nullspace():
+    # K(F_{q^n}) = K meets (F_{q^n})^d, so e is least iff the nullspace has
+    # dimension s at n = e and less at e / l for each prime l | e; checked
+    # on every draw with q^e <= 2^64, coupled d = 2 and d = 3 pairings among them
+    checked = coupled = 0
+    for datum, got in _kernel_degree_draws():
+        if isinstance(got, Exception) or datum.field.q ** got[1] > 2**64:
+            continue
+        s, e = got
+        assert _kernel_dim(datum, e) == s, datum.to_json()
+        assert all(_kernel_dim(datum, e // l) < s for l in _prime_divisors(e)), datum.to_json()
+        checked += 1
+        coupled += datum.d > 1 and any(j != k for j, k in symbolic_pairing(datum).matrix)
+    assert checked >= 200 and coupled >= 60
+
+
+def test_kernel_degrees_match_the_scan_where_it_was_exact():
+    # where one nonzero entry sat in each row and column of the pairing
+    # (`kernel_span`) and K split by n = 24, the scan's (dim, n) is (s, e)
+    checked = 0
+    for datum, got in _kernel_degree_draws():
+        matrix = symbolic_pairing(datum).matrix
+        if (isinstance(got, Exception) or got[1] > 24
+                or not len({j for j, _ in matrix}) == len({k for _, k in matrix}) == len(matrix)):
+            continue
+        assert _scanned_kernel(datum) == got, datum.to_json()
+        checked += 1
+    assert checked >= 100
+
+
+def test_kernel_degrees_refuse_only_infinite_kernels():
+    # an infinite K is a positive-dimensional group over F_q, so its
+    # connected part, unipotent, has at least q^n points over F_{q^n}: a
+    # refused draw has dim K(F_{q^n}) >= m n at n = 1, 2, 3
+    refused = [datum for datum, got in _kernel_degree_draws() if isinstance(got, Exception)]
+    assert len(refused) >= 40
+    for datum in refused:
+        m = datum.field.m
+        assert all(_kernel_dim(datum, n) >= m * n for n in (1, 2, 3)), datum.to_json()
+
+
+def test_kernel_degrees_cap_the_module_before_the_echelon(monkeypatch):
+    # the d unit vectors of M hold up to d^2 entries: a wide datum is refused
+    # there, as the first Gram matrix of the scan refused it, and nothing is
+    # reduced; the cap is the scale cap
+    reduced = []
+    monkeypatch.setattr(charsum, "_reduce", lambda *a: reduced.append(a))
+    wide = QuadDatum(F2, 2000, [DiagMonomial(j, 1, F2.one()) for j in range(2000)])
+    with pytest.raises(ScaleCapExceeded, match="module normal forms over 4000000 points"):
+        geometric_kernel(wide)
+    monkeypatch.setenv("GAUSSLAB_CAP", "3")
+    with pytest.raises(ScaleCapExceeded, match="module normal forms over 4 points exceeds cap 3"):
+        geometric_kernel(frobpair(F2, 1))
+    assert reduced == []
+
+
+def test_geometric_kernel_builds_one_evaluator(monkeypatch):
+    # the pairing gives e, so one field F_{q^e}, one evaluator and one
+    # nullspace serve every datum
+    built = []
+    evaluator = charsum._Evaluator
+    monkeypatch.setattr(charsum, "_Evaluator",
+                        lambda datum, n, override=False: built.append(n) or evaluator(datum, n, override))
+    for datum, n in ((x_cubed(F2), 2), (x_cubed(F4, a=F4.gen()), 3), (frobpair(F4, 2), 1),
+                     (QuadDatum.from_json(_CRAFTED), 66)):
+        built.clear()
+        assert geometric_kernel(datum).splitting_degree == n
+        assert built == [n]
+
+
+# x^3 on y0 + y1 plus B(y1), B = x^5 + x^33 + Witt(x), over F_2: the scan
+# stopped at n = 2 with |K| = 4, while the nullspace at n = 66 has dimension 12
+_CRAFTED = {"field": {"p": 2, "m": 1}, "d": 2, "terms": [
+    {"kind": "diag", "j": 1, "i": 2, "a": [1]}, {"kind": "diag", "j": 1, "i": 5, "a": [1]},
+    {"kind": "wittlin", "j": 1, "c": [1]}, {"kind": "diag", "j": 0, "i": 1, "a": [1]},
+    {"kind": "cross", "j": 0, "k": 1, "i": 1, "a": [1]},
+    {"kind": "cross", "j": 1, "k": 0, "i": 1, "a": [1]}, {"kind": "diag", "j": 1, "i": 1, "a": [1]}]}
+# B alone: the scan found no kernel of size 2^10 below degree 24
+_B_ALONE = {"field": {"p": 2, "m": 1}, "d": 1, "terms": [
+    {"kind": "diag", "j": 0, "i": 2, "a": [1]}, {"kind": "diag", "j": 0, "i": 5, "a": [1]},
+    {"kind": "wittlin", "j": 0, "c": [1]}]}
+# a seeded d = 2 draw over F_25: the scan reported |K| = 1; s = 6 and e = 124
+_F25_DRAW = {"field": {"p": 5, "m": 2, "modulus": [1, 1, 1]}, "d": 2, "terms": [
+    {"kind": "diag", "j": 1, "i": 1, "a": [0, 2]}, {"kind": "cross", "j": 0, "k": 1, "i": 0, "a": [3, 1]},
+    {"kind": "diag", "j": 0, "i": 2, "a": [1, 0]}]}
+
+
+def test_geometric_kernel_of_data_the_scan_got_wrong(monkeypatch):
+    for obj, size, r, e in ((_CRAFTED, 4096, 6, 66), (_B_ALONE, 1024, 5, 33)):
+        k = geometric_kernel(QuadDatum.from_json(obj))
+        assert (k.size, k.r, k.splitting_degree, len(k.basis)) == (size, r, e, 2 * r)
+    f25 = QuadDatum.from_json(_F25_DRAW)
+    assert symbolic_pairing(f25).kernel_degrees(override=True) == (6, 124)
+    with pytest.raises(ScaleCapExceeded, match="extension field"):
+        geometric_kernel(f25)
+    # x^(2^13+1): K splits at e = 26, past the old scan, and nothing is listed
+    spans = []
+    monkeypatch.setattr(charsum, "_span_mod_p", lambda *a: spans.append(a) or fields._span_mod_p(*a))
+    x8193 = QuadDatum(F2, 1, [DiagMonomial(0, 13, F2.one())])
+    with pytest.raises(ScaleCapExceeded, match="kernel listing over 67108864 points"):
+        geometric_kernel(x8193)
+    k = geometric_kernel(x8193, override=True)
+    assert (k.size, k.splitting_degree, len(k.basis), spans) == (2**26, 26, 26, [])
+    # x^(2^64+1): s = e = 128 from the pairing alone
+    pairing = symbolic_pairing(QuadDatum(F2, 1, [DiagMonomial(0, 64, F2.one())]))
+    assert pairing.kernel_degrees() == (128, 128)
+
+
+def test_kernel_degrees_of_dependent_equations():
+    # coordinate 1 appears only through x0 + x1 in both equations: the
+    # columns are dependent, and K is infinite though no entry vanishes
+    one = AdditivePolynomial(F2, {0: F2.one()})
+    pairing = charsum.PairingDatum(F2, 2, {(j, k): one for j in (0, 1) for k in (0, 1)})
+    with pytest.raises(DegeneratePairing, match="coordinate 1 is free modulo"):
+        pairing.kernel_degrees()
+    with pytest.raises(DegeneratePairing, match="coordinate 1 is unconstrained"):
+        charsum.PairingDatum(F2, 2, {(0, 0): one}).kernel_degrees()
+
+
+def test_kernel_degrees_stop_at_the_field_bound_with_the_cap_lifted():
+    # x^(2^65+1) splits at e = 130: F_(2^129) is past 2^128, so the cap
+    # refuses degree 129, and with the cap lifted the search ends there too
+    # (a tau^m of large order on M would otherwise make it run on)
+    pairing = symbolic_pairing(QuadDatum(F2, 1, [DiagMonomial(0, 65, F2.one())]))
+    with pytest.raises(ScaleCapExceeded, match=f"extension field over {2**129} points"):
+        pairing.kernel_degrees()
+    with pytest.raises(DegeneratePairing, match="splitting degree above 129"):
+        pairing.kernel_degrees(override=True)
 
 
 def test_closed_form_matches_enumeration_on_catalog():

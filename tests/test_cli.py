@@ -13,6 +13,7 @@ from gausslab import cli
 from gausslab.cli import dispatch
 from gausslab.corpus import corpus
 from gausslab.errors import TheoremViolated
+from test_charsum import _B_ALONE, _CRAFTED, _F25_DRAW
 
 
 def run_cli(command, job=None, *args):
@@ -579,7 +580,7 @@ _OMEGA_X3_F4 = _diag_datum_json(2, 2, 1, [0, 1])  # omega*x^3 over F_4: |K| = 4,
 
 @pytest.mark.parametrize("command, job, cap, what", [
     ("kernel", {"datum": _X9_F2}, 40, "kernel listing over 64 points"),
-    ("kernel", {"datum": _X5_F2}, 8, "Gram matrix over 9 points"),
+    ("kernel", {"datum": _OMEGA_X3_F4}, 20, "Gram matrix over 36 points"),
     ("heisenberg", {"from_datum": _X9_F2}, 40, "kernel listing over 64 points"),
     ("heisenberg", {"from_datum": _X5_F2}, 16, "SvN character table over 32 points"),
     ("char-sum", {"datum": _X5_F2, "n": 4}, 8, "Gram matrix over 16 points"),
@@ -588,8 +589,9 @@ def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeyp
                                                  tmp_path, capsys):
     # every enumeration from a datum to its kernel and Heisenberg group
     # refuses a domain above the cap, and --cap-override lifts the refusal:
-    # x^9 scans to n = 6, a 36-entry Gram matrix, and then lists 64 points;
-    # x^5 at n = 3 already has 9 Gram entries
+    # |K| and the splitting degree e come from the pairing, so the listing of
+    # K is refused before any Gram matrix (x^9: 64 points, e = 6), and
+    # omega*x^3 over F_4 (|K| = 4, e = 3) then meets its 36 Gram entries
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     assert cli.main([command, "--input", str(path)]) == 0
@@ -599,6 +601,51 @@ def test_datum_kernel_heisenberg_path_is_capped(command, job, cap, what, monkeyp
     assert f"scale cap exceeded: {what} exceeds cap {cap}" in capsys.readouterr().err
     assert cli.main([command, "--input", str(path), "--cap-override"]) == 0
     assert strip_timing(capsys.readouterr().out) == uncapped
+
+
+@pytest.mark.parametrize("datum, size, r, e", [(_CRAFTED, 4096, 6, 66), (_B_ALONE, 1024, 5, 33)],
+                         ids=["crafted-d2", "B"])
+def test_kernel_job_on_data_the_scan_got_wrong(datum, size, r, e, tmp_path, capsys):
+    # the scan reported size 4 and e = 2 for the first and refused the
+    # second as not rational below degree 24
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"datum": datum}))
+    assert cli.main(["kernel", "--input", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["size"], result["r"], result["splitting_degree"]) == (size, r, e)
+    assert len(result["elements"]) == size
+
+
+@pytest.mark.parametrize("datum, what", [
+    (_F25_DRAW, "extension field over "),  # e = 124 over F_25, past 2^128
+    (_diag_datum_json(2, 1, 13, [1]), "kernel listing over 67108864 points"),  # x^(2^13+1)
+], ids=["f25-draw", "x8193"])
+def test_kernel_job_past_a_cap_exits_3(datum, what, tmp_path, capsys):
+    code, err = run_main("kernel", {"datum": datum}, tmp_path, capsys)
+    assert code == 3 and f"scale cap exceeded: {what}" in err
+
+
+@pytest.mark.parametrize("command, key", [("kernel", "datum"), ("heisenberg", "from_datum")])
+def test_splitting_degree_search_stops_with_the_cap_lifted(command, key, tmp_path, capsys):
+    # x^(2^65+1) splits at e = 130, past 2^128 for every q: --cap-override
+    # lifts the field cap, but the search for e still ends at degree 129
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({key: _diag_datum_json(2, 1, 65, [1])}))
+    assert cli.main([command, "--input", str(path), "--cap-override"]) == 2
+    assert "splitting degree above 129, past the field bound 2^128" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, job, size", [
+    ("hasse-davenport", {"datum": _diag_datum_json(2, 1, 1, [1]), "r": 1, "n_max": 20000}, 20000),
+    ("zeta", {"curve": {**_X129_F2, "g1": {"15": [1]}}}, 32770),  # x^(2^15+1): n <= B + 2
+], ids=["hasse-davenport", "zeta"])
+def test_a_refused_size_past_4300_digits_exits_3(command, job, size):
+    # 2^size has more than 4300 digits, which Python will not write in
+    # decimal: the refusal names the power of two instead
+    proc = run_cli(command, job)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"scale cap exceeded: extension field over at least 2^{size} points "
+                           f"exceeds cap {2**128}\n")
 
 
 def _pairing_edit(key, value):
